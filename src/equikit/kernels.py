@@ -1,24 +1,17 @@
-"""Hot numeric kernels, with optional numba acceleration.
+"""Hot numeric kernels: forward elimination and modified Gram-Schmidt.
 
-Forward elimination and modified Gram-Schmidt dominate runtime. Each
-kernel has a pure-numpy implementation and a numba ``@njit`` one; the
-compiled path writes the elimination as explicit loops (which numba
-turns into tight code, while numpy prefers broadcast row updates), but
-both perform the identical per-entry arithmetic, so results are
-bit-for-bit equal. The benchmark in ``benchmarks/`` checks exactly that.
-
-Path selection: compiled kernels are used whenever numba imports
-successfully, unless the environment variable ``EQUIKIT_NUMBA`` is set
-to ``0``/``false``/``no``, which forces the pure-numpy path. Both paths
-stay importable (``*_numpy`` / ``*_numba``) for side-by-side timing.
+These two loops dominate runtime. Both are plain float64 numpy with a
+fixed order of operations, so results are deterministic.
 """
-
-import os
 
 import numpy as np
 
+# There is one kernel path, plain numpy; benchmark records read this flag
+# to name it.
+USE_NUMBA = False
 
-def row_echelon_numpy(a, pivot_tol):
+
+def row_echelon(a, pivot_tol):
     """Forward elimination with partial pivoting, in place.
 
     ``a`` must be a C-contiguous float64 matrix; it is overwritten with
@@ -49,42 +42,7 @@ def row_echelon_numpy(a, pivot_tol):
     return pivots[:rank].copy(), rank
 
 
-def _row_echelon_loops(a, pivot_tol):
-    # same pivoting and per-entry arithmetic as row_echelon_numpy, in the
-    # explicit-loop form numba compiles well
-    m, n = a.shape
-    pivots = np.empty(min(m, n), dtype=np.int64)
-    rank = 0
-    for c in range(n):
-        if rank == m:
-            break
-        p = rank
-        best = abs(a[rank, c])
-        for i in range(rank + 1, m):
-            v = abs(a[i, c])
-            if v > best:
-                best = v
-                p = i
-        if best <= pivot_tol:
-            continue
-        if p != rank:
-            for k in range(n):
-                tmp = a[rank, k]
-                a[rank, k] = a[p, k]
-                a[p, k] = tmp
-        piv = a[rank, c]
-        for i in range(rank + 1, m):
-            f = a[i, c] / piv
-            if f != 0.0:
-                for k in range(c + 1, n):
-                    a[i, k] -= f * a[rank, k]
-            a[i, c] = 0.0
-        pivots[rank] = c
-        rank += 1
-    return pivots[:rank].copy(), rank
-
-
-def _orthonormal_rows_impl(vt, drop_tol):
+def orthonormal_rows(vt, drop_tol):
     """Modified Gram-Schmidt over the rows of ``vt``, two passes per row.
 
     Rows are processed in order; a row whose residual norm after
@@ -103,32 +61,3 @@ def _orthonormal_rows_impl(vt, drop_tol):
             q[kept] = w / nrm
             kept += 1
     return q[:kept].copy(), kept
-
-
-orthonormal_rows_numpy = _orthonormal_rows_impl
-
-row_echelon_numba = None
-orthonormal_rows_numba = None
-try:
-    from numba import njit
-except ImportError:
-    njit = None
-else:
-    row_echelon_numba = njit(cache=True)(_row_echelon_loops)
-    orthonormal_rows_numba = njit(cache=True)(_orthonormal_rows_impl)
-
-_flag = os.environ.get("EQUIKIT_NUMBA", "1").strip().lower()
-USE_NUMBA = _flag not in ("0", "false", "no") and row_echelon_numba is not None
-
-if USE_NUMBA:
-    row_echelon = row_echelon_numba
-    orthonormal_rows = orthonormal_rows_numba
-else:
-    row_echelon = row_echelon_numpy
-    orthonormal_rows = orthonormal_rows_numpy
-
-
-def warmup():
-    """Trigger JIT compilation of the selected kernels on tiny inputs."""
-    row_echelon(np.eye(2), 1e-9)
-    orthonormal_rows(np.eye(2), 1e-12)

@@ -311,8 +311,21 @@ def check_map_equivariance(apply, rep_in, rep_out, trials=8, seed=0, tol=1e-8):
     """
     rng = np.random.default_rng(seed)
     vectors = rng.uniform(-1.0, 1.0, size=(max(trials, 1), rep_in.degree))
+    return _check_on_vectors(apply, rep_in, rep_out, vectors, rng, trials, tol,
+                             relative=True)
+
+
+def _check_on_vectors(apply, rep_in, rep_out, vectors, rng, trials, tol, relative):
+    """The loop over group elements behind every equivariance check.
+
+    Tests each row v of ``vectors`` against every element when
+    |G| <= EXHAUSTIVE_LIMIT, else against ``trials`` elements drawn from
+    ``rng``. Residuals are infinity norms, divided by 1 + ||f(v)||_inf
+    when ``relative``. Returns a Report with the worst (g, v) witness on
+    failure.
+    """
     base = np.asarray(apply(vectors))
-    norms = 1.0 + np.abs(base).max(axis=1)
+    scale = 1.0 + np.abs(base).max(axis=1) if relative else 1.0
     group = rep_in.group
     if group.order <= EXHAUSTIVE_LIMIT:
         indices = np.arange(group.order)
@@ -323,7 +336,7 @@ def check_map_equivariance(apply, rep_in, rep_out, trials=8, seed=0, tol=1e-8):
     for g in indices:
         lhs = np.asarray(apply(vectors @ rep_in.images[g].T))
         rhs = base @ rep_out.images[g].T
-        dev = np.abs(lhs - rhs).max(axis=1) / norms
+        dev = np.abs(lhs - rhs).max(axis=1) / scale
         i = int(np.argmax(dev))
         if dev[i] > worst:
             worst = float(dev[i])

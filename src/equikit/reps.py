@@ -156,8 +156,14 @@ def tensor_identity(rep, d):
 
 
 def is_permutation_rep(rep, tol=1e-9):
-    """True iff every element image is a permutation matrix."""
-    imgs = rep.images
+    """True iff every element image is a permutation matrix.
+
+    Only the generator images are tested: ``extend`` builds every image
+    as a product of generator images (and checks it against the cayley
+    table), and products of permutation matrices are permutation
+    matrices.
+    """
+    imgs = rep.gen_images
     near_one = np.abs(imgs - 1.0) <= tol
     near_zero = np.abs(imgs) <= tol
     if not (near_one | near_zero).all():

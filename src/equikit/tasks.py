@@ -1,15 +1,15 @@
 """Executable toy tasks: center of mass, image decoloring/flips, and
 antisymmetric (Slater-determinant) functions."""
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import Report
-from .network import Dataset
+from .groups import group_from_spec
+from .network import Dataset, check_map_equivariance
 from .numerics import determinant
+from .reps import parse_rep_spec
 
 
 def center_of_mass(points):
@@ -148,23 +148,24 @@ def permutation_sign(perm):
 def check_antisymmetry(f, m, dim=3, trials=10, seed=0, tol=1e-10):
     """Exhaustively test f(pi v) = sign(pi) f(v) over all of S_m.
 
-    ``f`` maps an (m, dim) array to a scalar. Limited to m <= 6 (720
-    permutations); inputs are seeded uniform in [-1, 1] and residuals
-    are normalized by 1 + |f(v)|.
+    ``f`` maps an (m, dim) array to a scalar. This is the map check of
+    ``symmetric:m`` from ``tensor:dim(defining)`` (the points, flattened
+    row by row) to ``sign``. Limited to m <= 6 (720 permutations);
+    inputs are seeded uniform in [-1, 1] and residuals are normalized by
+    1 + |f(v)|. The witness on failure is ``(perm, points)``, with
+    ``f(points[list(perm)])`` deviating most.
     """
     if m > 6:
         raise ValueError("exhaustive antisymmetry check is limited to m <= 6")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    witness = None
-    for _ in range(trials):
-        points = rng.uniform(-1.0, 1.0, size=(m, dim))
-        base = f(points)
-        for perm in itertools.permutations(range(m)):
-            value = f(points[list(perm)])
-            residual = abs(value - permutation_sign(perm) * base) / (1.0 + abs(base))
-            if residual > worst:
-                worst = residual
-                witness = (perm, points.copy())
-    passed = worst <= tol
-    return Report(passed, worst, None if passed else witness)
+    group = group_from_spec(f"symmetric:{m}")
+    report = check_map_equivariance(
+        lambda batch: np.array([[f(v.reshape(m, dim))] for v in batch]),
+        parse_rep_spec(group, f"tensor:{dim}(defining)"),
+        parse_rep_spec(group, "sign"),
+        trials=trials, seed=seed, tol=tol,
+    )
+    if report.witness is not None:
+        g, v = report.witness
+        perm = tuple(int(i) for i in np.argmax(group.elements[g], axis=1))
+        report.witness = (perm, v.reshape(m, dim))
+    return report

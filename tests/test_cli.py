@@ -35,6 +35,14 @@ s_b(v)        = (-1, +1, -1)
 X^-1 s_b(X v) != s_b(v): the biased map is not equivariant
 """
 
+GOLDEN_ANTISYMMETRY = """\
+slater determinant with monomial features, m = 3
+f(v)        = 0.168747
+f(swap v)   = -0.168747
+max residual over S_3: 1.426e-16
+antisymmetric within 1e-10
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -78,7 +86,7 @@ def test_demo_decolor_flip(capsys):
 def test_demo_antisymmetry(capsys):
     code, out, _ = run(capsys, "demo", "--example", "antisymmetry")
     assert code == 0
-    assert "antisymmetric within 1e-10" in out
+    assert out == GOLDEN_ANTISYMMETRY
 
 
 def test_demo_decolor_flip_image_files(tmp_path, capsys):

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from helpers import finite_difference_check
 
-from equikit.activations import ActivationSpec
+from equikit import activations
+from equikit.activations import (
+    ActivationSpec,
+    apply_pointwise,
+    check_pointwise_equivariance,
+)
 from equikit.groups import close, named_group
 from equikit.network import (
     Dataset,
@@ -300,15 +305,36 @@ def test_linear_combination_of_nets_is_equivariant():
     assert report.passed
 
 
-def test_large_group_check_samples_elements(monkeypatch):
+def _map_check(monkeypatch, rep, counted):
+    return check_map_equivariance(counted(lambda x: x), rep, rep, trials=5, seed=1)
+
+
+def _pointwise_check(monkeypatch, rep, counted):
+    monkeypatch.setattr(activations, "apply_pointwise", counted(apply_pointwise))
+    return check_pointwise_equivariance(RELU, np.zeros(rep.degree), rep, trials=5, seed=1)
+
+
+@pytest.mark.parametrize("check", [_map_check, _pointwise_check],
+                         ids=["check_map_equivariance", "check_pointwise_equivariance"])
+def test_large_group_check_samples_elements(monkeypatch, check):
     import equikit.network as network_module
 
+    rep = defining_rep(named_group("cyclic", 4))
+    calls = []
+
+    def counted(fn):
+        def wrapped(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapped
+
+    # one call for f(v), then one per tested element
+    assert check(monkeypatch, rep, counted).passed
+    assert len(calls) == 1 + 4  # exhaustive: every element of the group
+    calls.clear()
     monkeypatch.setattr(network_module, "EXHAUSTIVE_LIMIT", 3)
-    g = named_group("cyclic", 4)
-    rep = defining_rep(g)
-    net = build(g, [rep, rep], RELU, seed=0)
-    report = net.check_equivariance(trials=5, seed=1, tol=1e-8)
-    assert report.passed  # sampled subset of a group that exceeds the cap
+    assert check(monkeypatch, rep, counted).passed
+    assert len(calls) == 1 + 5  # over the cap: `trials` sampled elements
 
 
 def test_constant_width_weights_commute_with_group():
