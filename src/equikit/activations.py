@@ -100,11 +100,9 @@ def check_pointwise_equivariance(spec, b, rep, trials=20, seed=0, tol=1e-9):
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (rep.degree,):
         raise ValueError(f"bias must have length {rep.degree}")
-    rng = np.random.default_rng(seed)
-    vectors = rng.uniform(-2.0, 4.0, size=(max(trials, 1), rep.degree))
     return _check_on_vectors(
-        lambda v: apply_pointwise(spec, b, v), rep, rep, vectors, rng, trials, tol,
-        relative=False,
+        lambda v: apply_pointwise(spec, b, v), rep, rep, (-2.0, 4.0), trials, seed,
+        tol, relative=False,
     )
 
 

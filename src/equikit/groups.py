@@ -1,12 +1,13 @@
 """Finite matrix groups built by breadth-first closure of a generator set.
 
 Element 0 is always the identity. BFS order (queue order, generators
-tried in index order) fixes a canonical element indexing, and each
-element carries the generator word that reproduces it, which is what
-representation extension replays.
+tried in index order) fixes a canonical element indexing. Each element
+carries the generator word that reproduces it and its BFS parent link
+(parent element, generator); representation extension replays the
+parent links.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +55,6 @@ class FiniteGroup:
     cayley: np.ndarray
     parents: np.ndarray
     spec: str | None = None
-    _index: dict = field(default_factory=dict, repr=False)
 
     @property
     def order(self):
@@ -71,10 +71,14 @@ class FiniteGroup:
     def index_of(self, m):
         """Index of a matrix in the group, or ValueError if absent."""
         m = as_matrix(m, "element")
-        for i in self._index.get(_key(m), []):
-            if np.abs(self.elements[i] - m).max() <= _MATCH_TOL:
-                return i
-        raise ValueError("matrix is not an element of the group")
+        if m.shape != (self.dim, self.dim):
+            raise ValueError(
+                f"element has shape {m.shape}, expected ({self.dim}, {self.dim})"
+            )
+        hits = np.flatnonzero(np.abs(self.elements - m).max(axis=(1, 2)) <= _MATCH_TOL)
+        if hits.size == 0:
+            raise ValueError("matrix is not an element of the group")
+        return int(hits[0])
 
     def contains(self, m):
         try:
@@ -149,7 +153,6 @@ def close(generators, max_order=DEFAULT_MAX_ORDER, spec=None):
         cayley=np.stack(cayley_rows),
         parents=np.array(parents, dtype=np.int64),
         spec=spec,
-        _index=index,
     )
 
 

@@ -60,20 +60,30 @@ class ParameterCount:
         return self.equivariant / self.dense
 
 
+def _interleave(weights, biases):
+    """Per-layer parts in the flat coefficient order w1, b1, w2, b2, ..., wk."""
+    parts = [None] * (len(weights) + len(biases))
+    parts[0::2], parts[1::2] = weights, biases
+    return parts
+
+
+def _forward(weights, biases, activation, x):
+    """Run the stack on a batch: (output, layer inputs, hidden pre-activations)."""
+    inputs = [x]
+    pre = []
+    for w, b in zip(weights, biases):
+        s = inputs[-1] @ w.T + b
+        pre.append(s)
+        inputs.append(activation.scalar(s))
+    return inputs[-1] @ weights[-1].T, inputs, pre
+
+
 def stack_forward(weights, biases, activation, x):
     """Apply the alternating stack: A_k sigma_b ... sigma_b A_1."""
     h = np.asarray(x, dtype=np.float64)
     single = h.ndim == 1
-    if single:
-        h = h[None, :]
-    k = len(weights)
-    for i in range(k):
-        z = h @ weights[i].T
-        if i < k - 1:
-            h = activation.scalar(z + biases[i])
-        else:
-            h = z
-    return h[0] if single else h
+    out = _forward(weights, biases, activation, h[None, :] if single else h)[0]
+    return out[0] if single else out
 
 
 class EquivariantNetwork:
@@ -113,29 +123,22 @@ class EquivariantNetwork:
             self.activation,
         )
 
-    # --- coefficient vector (flat) layout: w1, b1, w2, b2, ..., wk ---
+    # --- coefficient vector (flat) layout: see _interleave ---------
 
     def coefficient_vector(self):
-        parts = []
-        for i in range(self.k):
-            parts.append(self.weight_coeffs[i])
-            if i < self.k - 1:
-                parts.append(self.bias_coeffs[i])
-        return np.concatenate(parts)
+        return np.concatenate(_interleave(self.weight_coeffs, self.bias_coeffs))
 
     def set_coefficient_vector(self, flat):
         flat = np.asarray(flat, dtype=np.float64)
+        size = sum(c.size for c in self.weight_coeffs + self.bias_coeffs)
+        if flat.shape != (size,):
+            raise ValueError(f"expected {size} coefficients, got {flat.size}")
+        self.weight_coeffs = [np.empty(c.size) for c in self.weight_coeffs]
+        self.bias_coeffs = [np.empty(c.size) for c in self.bias_coeffs]
         at = 0
-        for i in range(self.k):
-            d = self.weight_coeffs[i].size
-            self.weight_coeffs[i] = flat[at:at + d].copy()
-            at += d
-            if i < self.k - 1:
-                db = self.bias_coeffs[i].size
-                self.bias_coeffs[i] = flat[at:at + db].copy()
-                at += db
-        if at != flat.size:
-            raise ValueError(f"expected {at} coefficients, got {flat.size}")
+        for part in _interleave(self.weight_coeffs, self.bias_coeffs):
+            part[:] = flat[at:at + part.size]
+            at += part.size
 
     # --- evaluation -------------------------------------------------
 
@@ -151,57 +154,29 @@ class EquivariantNetwork:
     # --- training ---------------------------------------------------
 
     def loss(self, data):
-        out = self.forward(data.inputs)
-        return float(np.mean((out - data.targets) ** 2))
+        return float(np.mean((self.forward(data.inputs) - data.targets) ** 2))
 
     def loss_grad(self, data):
         """Mean squared error and its gradient over all coefficients.
 
         The gradient is taken with respect to the basis coefficients
         (reverse-mode chain rule through the alternating composition),
-        flattened in layer order as w1, b1, w2, b2, ..., wk.
+        flattened in the coefficient-vector layout.
         """
-        mse, grads_w, grads_b = self._loss_grad_structured(data)
-        parts = []
-        for i in range(self.k):
-            parts.append(grads_w[i])
-            if i < self.k - 1:
-                parts.append(grads_b[i])
-        return mse, np.concatenate(parts)
-
-    def _loss_grad_structured(self, data):
         weights = self.weights()
-        biases = self.biases()
-        act = self.activation
-        k = self.k
-        hs = [data.inputs]
-        pre = []
-        h = data.inputs
-        for i in range(k):
-            z = h @ weights[i].T
-            if i < k - 1:
-                s = z + biases[i]
-                pre.append(s)
-                h = act.scalar(s)
-                hs.append(h)
-            else:
-                out = z
+        out, inputs, pre = _forward(weights, self.biases(), self.activation, data.inputs)
         err = out - data.targets
         mse = float(np.mean(err ** 2))
         g_z = 2.0 * err / err.size
-        grads_w = [None] * k
-        grads_b = [None] * (k - 1)
-        grads_w[k - 1] = np.tensordot(
-            self.weight_bases[k - 1].basis, g_z.T @ hs[k - 1], axes=[[1, 2], [0, 1]]
-        )
-        for i in range(k - 2, -1, -1):
-            g_h = g_z @ weights[i + 1]
-            g_z = g_h * act.derivative(pre[i])
-            grads_b[i] = self.bias_bases[i].T @ g_z.sum(axis=0)
+        grads_w, grads_b = [None] * self.k, [None] * (self.k - 1)
+        for i in range(self.k - 1, -1, -1):
+            if i < self.k - 1:
+                g_z = (g_z @ weights[i + 1]) * self.activation.derivative(pre[i])
+                grads_b[i] = self.bias_bases[i].T @ g_z.sum(axis=0)
             grads_w[i] = np.tensordot(
-                self.weight_bases[i].basis, g_z.T @ hs[i], axes=[[1, 2], [0, 1]]
+                self.weight_bases[i].basis, g_z.T @ inputs[i], axes=[[1, 2], [0, 1]]
             )
-        return mse, grads_w, grads_b
+        return mse, np.concatenate(_interleave(grads_w, grads_b))
 
     def train(self, data, steps, learning_rate):
         """Full-batch gradient descent; returns (trained copy, history).
@@ -215,18 +190,17 @@ class EquivariantNetwork:
         if learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
         net = self.copy()
+        flat = net.coefficient_vector()
         history = np.empty(steps)
         for t in range(steps):
-            mse, grads_w, grads_b = net._loss_grad_structured(data)
+            mse, grad = net.loss_grad(data)
             if not np.isfinite(mse) or mse > 1e12:
                 raise DivergenceError(
                     f"loss {mse:.3e} at step {t}; use a smaller learning rate"
                 )
             history[t] = mse
-            for i in range(net.k):
-                net.weight_coeffs[i] = net.weight_coeffs[i] - learning_rate * grads_w[i]
-                if i < net.k - 1:
-                    net.bias_coeffs[i] = net.bias_coeffs[i] - learning_rate * grads_b[i]
+            flat = flat - learning_rate * grad
+            net.set_coefficient_vector(flat)
         return net, history
 
     def count_parameters(self):
@@ -235,8 +209,7 @@ class EquivariantNetwork:
         The dense figure is sum_i n_{i-1} n_i weights plus one bias per
         hidden width, i.e. the unconstrained network of the same shape.
         """
-        equi = sum(c.size for c in self.weight_coeffs)
-        equi += sum(c.size for c in self.bias_coeffs)
+        equi = self.coefficient_vector().size
         widths = self.widths
         dense = sum(widths[i] * widths[i + 1] for i in range(self.k))
         dense += sum(widths[i] for i in range(1, self.k))
@@ -309,21 +282,26 @@ def check_map_equivariance(apply, rep_in, rep_out, trials=8, seed=0, tol=1e-8):
     group when |G| <= 5000, else over ``trials`` sampled elements;
     residuals are infinity norms normalized by 1 + ||f(v)||_inf.
     """
-    rng = np.random.default_rng(seed)
-    vectors = rng.uniform(-1.0, 1.0, size=(max(trials, 1), rep_in.degree))
-    return _check_on_vectors(apply, rep_in, rep_out, vectors, rng, trials, tol,
+    return _check_on_vectors(apply, rep_in, rep_out, (-1.0, 1.0), trials, seed, tol,
                              relative=True)
 
 
-def _check_on_vectors(apply, rep_in, rep_out, vectors, rng, trials, tol, relative):
+def _check_on_vectors(apply, rep_in, rep_out, box, trials, seed, tol, relative):
     """The loop over group elements behind every equivariance check.
 
-    Tests each row v of ``vectors`` against every element when
-    |G| <= EXHAUSTIVE_LIMIT, else against ``trials`` elements drawn from
-    ``rng``. Residuals are infinity norms, divided by 1 + ||f(v)||_inf
-    when ``relative``. Returns a Report with the worst (g, v) witness on
-    failure.
+    Draws ``trials`` seeded vectors v uniform in ``box`` = (low, high)
+    and tests each against every element when |G| <= EXHAUSTIVE_LIMIT,
+    else against ``trials`` elements drawn from the same generator.
+    Residuals are infinity norms, divided by 1 + ||f(v)||_inf when
+    ``relative``; a NaN residual fails at once. Returns a Report with
+    the worst (g, v) witness on failure.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    rng = np.random.default_rng(seed)
+    vectors = rng.uniform(*box, size=(trials, rep_in.degree))
     base = np.asarray(apply(vectors))
     scale = 1.0 + np.abs(base).max(axis=1) if relative else 1.0
     group = rep_in.group
@@ -337,10 +315,12 @@ def _check_on_vectors(apply, rep_in, rep_out, vectors, rng, trials, tol, relativ
         lhs = np.asarray(apply(vectors @ rep_in.images[g].T))
         rhs = base @ rep_out.images[g].T
         dev = np.abs(lhs - rhs).max(axis=1) / scale
-        i = int(np.argmax(dev))
-        if dev[i] > worst:
+        i = int(np.argmax(dev))  # the first NaN, if any
+        if dev[i] > worst or np.isnan(dev[i]):
             worst = float(dev[i])
             witness = (int(g), vectors[i].copy())
+            if np.isnan(worst):
+                break
     passed = worst <= tol
     return Report(passed, worst, None if passed else witness)
 
@@ -411,21 +391,14 @@ class LoadedModel:
 
     def declared_matches(self, tol=1e-9):
         """True when the declared matrices equal the realized ones."""
-        realized = self.network.weights()
-        for a, b in zip(realized, self.declared_weights):
-            if np.abs(a - b).max() > tol:
-                return False
-        for a, b in zip(self.network.biases(), self.declared_biases):
-            if np.abs(a - b).max() > tol:
-                return False
-        return True
+        realized = _interleave(self.network.weights(), self.network.biases())
+        declared = _interleave(self.declared_weights, self.declared_biases)
+        return all(np.abs(a - b).max() <= tol for a, b in zip(realized, declared))
 
     def declared_forward(self, x):
         """Evaluate the function the file declares (the raw stack)."""
-        return stack_forward(
-            self.declared_weights, self.declared_biases,
-            self.network.activation, x,
-        )
+        return stack_forward(self.declared_weights, self.declared_biases,
+                             self.network.activation, x)
 
 
 class _Reader:
@@ -456,15 +429,17 @@ class _Reader:
             raise ModelFormatError(
                 f"line {self.at}: expected {count} values, got {values.size}"
             )
+        if not np.isfinite(values).all():
+            raise ModelFormatError(f"line {self.at}: values must be finite")
         return values
 
 
-def load_model(path, max_order=20000):
+def load_model(path):
     """Read a model file back into a LoadedModel."""
     r = _Reader(path)
     if r.next() != FORMAT_HEADER:
         raise ModelFormatError("not an equikit model file")
-    group = group_from_spec(r.expect("group:"), max_order=max_order)
+    group = group_from_spec(r.expect("group:"))
     activation = parse_activation(r.expect("activation:"))
     k = int(r.expect("layers:"))
     if k < 1:

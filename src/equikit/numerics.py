@@ -25,6 +25,11 @@ def as_matrix(m, name="matrix"):
     return a
 
 
+def _check_tol(tol):
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def nullspace(m, tol=DEFAULT_TOL):
     """Orthonormal basis of the (numerical) nullspace of ``m``.
 
@@ -33,8 +38,7 @@ def nullspace(m, tol=DEFAULT_TOL):
     orthonormal and ordered deterministically (free columns of the
     echelon form, in index order).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     a = as_matrix(m).copy()
     rows, cols = a.shape
     scale = np.abs(a).max()
@@ -77,6 +81,7 @@ def orthonormalize(v):
 
 def matrix_rank(m, tol=DEFAULT_TOL):
     """Numerical rank at pivot threshold ``tol * max|entry|``."""
+    _check_tol(tol)
     a = as_matrix(m).copy()
     scale = np.abs(a).max()
     if scale == 0.0:

@@ -1,7 +1,7 @@
 """Representations of a finite matrix group, defined by generator images.
 
 A representation is stored fully materialized: one matrix per group
-element, built by replaying the BFS generator words. Extension verifies
+element, built by replaying the BFS parent links. Extension verifies
 the homomorphism property (images consistent with the cayley table),
 which is exactly the well-definedness check for the generator images.
 """

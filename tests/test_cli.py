@@ -171,25 +171,77 @@ def test_train_check_round_trip(tmp_path, capsys):
     assert "PASS" in out
 
 
-def test_check_tampered_model_exits_1(tmp_path, capsys):
+def _train_small_model(tmp_path, capsys):
     model = tmp_path / "model.txt"
-    run(
+    code, _, _ = run(
         capsys, "train", "--task", "center-of-mass", "--m", "3",
         "--steps", "50", "--lr", "0.5", "--seed", "1",
         "--train-samples", "80", "--test-samples", "20",
         "--out", str(model),
     )
+    assert code == 0
+    return model
+
+
+def _set_first_declared_weight(model, value):
     lines = model.read_text().splitlines()
     row = next(i + 1 for i, ln in enumerate(lines) if ln.startswith("weight-matrix:"))
     tokens = lines[row].split()
-    tokens[0] = "2.25"
+    tokens[0] = value
     lines[row] = " ".join(tokens)
     model.write_text("\n".join(lines) + "\n")
+    return row + 1
 
+
+def test_check_tampered_model_exits_1(tmp_path, capsys):
+    model = _train_small_model(tmp_path, capsys)
+    _set_first_declared_weight(model, "2.25")
     code, out, _ = run(capsys, "check", "--model", str(model))
     assert code == 1
     assert "FAIL" in out
     assert "witness" in out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_check_non_finite_model_exits_2(tmp_path, capsys, value):
+    model = _train_small_model(tmp_path, capsys)
+    line = _set_first_declared_weight(model, value)
+    code, out, err = run(capsys, "check", "--model", str(model))
+    assert code == 2
+    assert "PASS" not in out
+    assert f"line {line}: values must be finite" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_check_trials_below_one_exits_2(tmp_path, capsys, trials):
+    model = _train_small_model(tmp_path, capsys)
+    code, out, err = run(capsys, "check", "--model", str(model), "--trials", trials)
+    assert code == 2
+    assert "PASS" not in out
+    assert "trials must be >= 1" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1e-8"])
+def test_check_bad_tol_exits_2(tmp_path, capsys, tol):
+    model = _train_small_model(tmp_path, capsys)
+    _set_first_declared_weight(model, "2.25")  # tampered: fails at any finite tol
+    code, out, err = run(capsys, "check", "--model", str(model), f"--tol={tol}")
+    assert code == 2
+    assert "PASS" not in out
+    assert "tol must be finite and >= 0" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+def test_basis_bad_config_tol_exits_2(tmp_path, capsys, tol):
+    cfg = tmp_path / "bad_tol.cfg"
+    cfg.write_text(
+        f"[model]\ngroup = symmetric:4\ntol = {tol}\n\n"
+        "[reps]\n0 = defining\n1 = defining\n"
+    )
+    code, out, err = run(capsys, "basis", "--config", str(cfg))
+    assert code == 2
+    assert "intertwiner dim" not in out
+    assert "tol must be finite and positive" in err
 
 
 def test_check_unreadable_model_exits_2(tmp_path, capsys):

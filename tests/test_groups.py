@@ -146,6 +146,15 @@ def test_index_of_missing_element():
     g = named_group("cyclic", 3)
     with pytest.raises(ValueError, match="not an element"):
         g.index_of(np.diag([1.0, 1.0, -1.0]))
+    with pytest.raises(ValueError, match="shape"):
+        g.index_of(np.eye(2))
+    assert not g.contains(np.eye(4))
+
+
+def test_index_of_every_element():
+    g = named_group("p4m", 3)
+    for i, e in enumerate(g.elements):
+        assert g.index_of(e + 1e-9) == i
 
 
 def test_group_from_spec():

@@ -20,6 +20,7 @@ from equikit.network import (
     stack_forward,
 )
 from equikit.reps import defining_rep, parse_rep_spec, trivial_rep
+from equikit.tasks import check_antisymmetry
 
 RELU = ActivationSpec("relu")
 TANH = ActivationSpec("tanh")
@@ -149,6 +150,30 @@ def test_forward_batch_matches_single():
         # batched and single rows take different BLAS paths; agreement
         # is to rounding, not bitwise
         np.testing.assert_allclose(outs[i], net.forward(batch[i]), atol=1e-14)
+
+
+def test_coefficient_vector_round_trip():
+    net = deep_sets_net(seed=6)
+    flat = net.coefficient_vector()
+    assert flat.size == net.count_parameters().equivariant
+    other = net.copy()
+    doubled = 2.0 * flat
+    other.set_coefficient_vector(doubled)
+    doubled[0] = 99.0  # the network keeps its own copy
+    assert np.array_equal(other.coefficient_vector(), 2.0 * flat)
+    other.set_coefficient_vector(net.coefficient_vector())
+    assert np.array_equal(other.coefficient_vector(), flat)
+    for a, b in zip(other.weights() + other.biases(), net.weights() + net.biases()):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("size_change", [-1, 1])
+def test_set_coefficient_vector_rejects_wrong_length(size_change):
+    net = deep_sets_net(seed=6)
+    flat = net.coefficient_vector()
+    with pytest.raises(ValueError, match=f"expected {flat.size} coefficients"):
+        net.set_coefficient_vector(np.zeros(flat.size + size_change))
+    assert np.array_equal(net.coefficient_vector(), flat)
 
 
 def test_forward_rejects_wrong_length():
@@ -337,6 +362,56 @@ def test_large_group_check_samples_elements(monkeypatch, check):
     assert len(calls) == 1 + 5  # over the cap: `trials` sampled elements
 
 
+@pytest.mark.parametrize("where", ["everywhere", "transformed-only"])
+def test_nan_map_fails_check(where):
+    rep = defining_rep(named_group("symmetric", 3))
+    calls = []
+
+    def f(x):
+        # the first call evaluates f(v); later ones f(rho(g) v)
+        calls.append(1)
+        if where == "transformed-only" and len(calls) == 1:
+            return x
+        return np.full_like(x, np.nan)
+
+    report = check_map_equivariance(f, rep, rep, trials=4, seed=0)
+    assert not report.passed
+    assert np.isnan(report.max_residual)
+    assert report.witness is not None
+
+
+@pytest.fixture(scope="module")
+def s7_defining():
+    # |S_7| = 5040 is above EXHAUSTIVE_LIMIT, so checks sample elements
+    return defining_rep(named_group("symmetric", 7))
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_checks_reject_trials_below_one(s7_defining, trials):
+    rep = s7_defining
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        check_map_equivariance(lambda x: x[:, ::-1] ** 2, rep, rep, trials=trials)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        check_pointwise_equivariance(RELU, np.zeros(7), rep, trials=trials)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        check_antisymmetry(lambda points: 0.0, 2, trials=trials)
+
+
+def test_sampled_check_fails_non_equivariant_map(s7_defining):
+    rep = s7_defining
+    report = check_map_equivariance(lambda x: x[:, ::-1] ** 2, rep, rep, trials=1)
+    assert not report.passed
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1e-8])
+def test_checks_reject_bad_tolerance(tol):
+    rep = defining_rep(named_group("cyclic", 3))
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        check_map_equivariance(lambda x: x, rep, rep, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        check_pointwise_equivariance(RELU, np.zeros(3), rep, tol=tol)
+
+
 def test_constant_width_weights_commute_with_group():
     g = named_group("symmetric", 4)
     rep = defining_rep(g)
@@ -386,16 +461,22 @@ def test_loaded_model_evaluates_identically(tmp_path):
     assert np.abs(loaded.declared_forward(v) - net.forward(v)).max() < 1e-12
 
 
-def test_tampered_model_file_fails_check(tmp_path):
-    net = deep_sets_net(seed=2)
+def _saved_with_first_declared_weight(tmp_path, net, value):
+    """Save ``net`` with its first declared weight replaced by the text
+    ``value``; returns the path and the line number edited."""
     path = tmp_path / "model.txt"
     save_model(net, path)
     lines = path.read_text().splitlines()
     row = next(i + 1 for i, ln in enumerate(lines) if ln.startswith("weight-matrix:"))
     tokens = lines[row].split()
-    tokens[0] = "3.5"
+    tokens[0] = value
     lines[row] = " ".join(tokens)
     path.write_text("\n".join(lines) + "\n")
+    return path, row + 1
+
+
+def test_tampered_model_file_fails_check(tmp_path):
+    path, _ = _saved_with_first_declared_weight(tmp_path, deep_sets_net(seed=2), "3.5")
     loaded = load_model(path)
     assert not loaded.declared_matches()
     report = check_map_equivariance(
@@ -421,6 +502,23 @@ def test_model_format_errors(tmp_path):
     truncated.write_text("\n".join(good.read_text().splitlines()[:8]) + "\n")
     with pytest.raises(ModelFormatError):
         load_model(truncated)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_model_file_rejects_non_finite_values(tmp_path, value):
+    path, line = _saved_with_first_declared_weight(tmp_path, deep_sets_net(seed=0), value)
+    with pytest.raises(ModelFormatError, match=f"line {line}: values must be finite"):
+        load_model(path)
+
+
+def test_declared_matches_rejects_nan(tmp_path):
+    net = deep_sets_net(seed=0)
+    path = tmp_path / "model.txt"
+    save_model(net, path)
+    loaded = load_model(path)
+    assert loaded.declared_matches()
+    loaded.declared_weights[0][0, 0] = np.nan
+    assert not loaded.declared_matches()
 
 
 def test_save_requires_spec_built_reps(tmp_path):

@@ -69,6 +69,18 @@ def test_nullspace_rejects_bad_tol():
         nullspace(np.eye(2), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [-1e-9, np.nan, np.inf])
+def test_nullspace_rejects_non_finite_or_negative_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        nullspace(np.eye(2), tol=tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, np.inf])
+def test_matrix_rank_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        matrix_rank(np.eye(3), tol=tol)
+
+
 def test_orthonormalize_identity_unchanged():
     q = orthonormalize(np.eye(4))
     assert np.array_equal(q, np.eye(4))

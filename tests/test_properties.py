@@ -1,0 +1,81 @@
+"""Property tests over random small groups and representations.
+
+Groups are closures of random permutation and signed-permutation
+generator sets of degree <= 4; representations come from the spec
+language. Examples are derandomized so the suite is reproducible.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from equikit.groups import close, permutation_matrix
+from equikit.intertwiners import hom_dim_oracle, solve_basis
+from equikit.reps import parse_rep_spec
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
+                             database=None)
+
+
+@st.composite
+def generator_sets(draw):
+    """(generator matrices, their underlying permutations)."""
+    n = draw(st.integers(1, 4))
+    signed = draw(st.booleans())
+    count = draw(st.integers(1, 3))
+    gens, perms = [], []
+    for _ in range(count):
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from([1.0, -1.0]) if signed else st.just(1.0),
+                              min_size=n, max_size=n))
+        gens.append(permutation_matrix(perm) @ np.diag(signs))
+        perms.append(perm)
+    return gens, perms
+
+
+def rep_specs(perms):
+    """Spec strings of degree <= 8; ``perm:`` replays the generators'
+    underlying permutations, which a signed permutation maps to
+    homomorphically."""
+    perm_spec = "perm:" + "|".join(",".join(str(i) for i in p) for p in perms)
+    leaves = st.sampled_from(["defining", "sign", "trivial:1", "trivial:2", perm_spec])
+    return st.one_of(
+        leaves,
+        leaves.map(lambda s: f"tensor:2({s})"),
+        st.lists(leaves, min_size=2, max_size=2).map(lambda p: "sum(" + ";".join(p) + ")"),
+    )
+
+
+@st.composite
+def rep_pairs(draw):
+    gens, perms = draw(generator_sets())
+    group = close(gens)
+    spec_in = draw(rep_specs(perms))
+    spec_out = draw(rep_specs(perms))
+    return parse_rep_spec(group, spec_in), parse_rep_spec(group, spec_out)
+
+
+@PROPERTY_SETTINGS
+@given(rep_pairs())
+def test_solver_dimension_matches_character_oracle(pair):
+    rep_in, rep_out = pair
+    assert solve_basis(rep_in, rep_out).dim == hom_dim_oracle(rep_in, rep_out)
+
+
+@PROPERTY_SETTINGS
+@given(rep_pairs())
+def test_basis_commutes_with_every_generator(pair):
+    rep_in, rep_out = pair
+    basis = solve_basis(rep_in, rep_out).basis
+    for g_in, g_out in zip(rep_in.gen_images, rep_out.gen_images):
+        for b in basis:
+            assert np.abs(b @ g_in - g_out @ b).max() <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(rep_pairs())
+def test_rep_spec_round_trips(pair):
+    for rep in pair:
+        again = parse_rep_spec(rep.group, rep.spec)
+        assert again.spec == rep.spec
+        assert np.array_equal(again.images, rep.images)
