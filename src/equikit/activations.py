@@ -25,27 +25,48 @@ class ActivationSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown activation kind {self.kind!r}")
 
-    def scalar(self, t):
-        """Apply the scalar map elementwise to an array."""
+    def scalar(self, t, out=None):
+        """Apply the scalar map elementwise to an array.
+
+        ``out``, when given, receives the result and may be ``t`` itself.
+        """
         t = np.asarray(t, dtype=np.float64)
         if self.kind == "relu":
-            return np.maximum(t, 0.0)
+            return np.maximum(t, 0.0, out=out)
         if self.kind == "tanh":
-            return np.tanh(t)
+            return np.tanh(t, out=out)
+        above = t >= self.theta
+        if out is None:
+            out = np.empty_like(t)
         if self.kind == "threshold":
-            return np.where(t >= self.theta, t - self.theta, 0.0)
-        return np.where(t >= self.theta, 1.0, -1.0)
+            np.subtract(t, self.theta, out=out)
+            out[~above] = 0.0
+        else:
+            out.fill(-1.0)
+            out[above] = 1.0
+        return out
+
+    def slope(self, h, out):
+        """Elementwise derivative at t, read from the output h = scalar(t),
+        written into ``out`` (which may be ``h`` itself).
+
+        tanh: 1 - h^2; relu and threshold: 1 where h > 0 (which holds
+        exactly where t > 0, resp. t > theta), else 0; sign_threshold: 0.
+        Subgradients at kinks are 0.
+        """
+        if self.kind == "tanh":
+            np.multiply(h, h, out=out)
+            return np.subtract(1.0, out, out=out)
+        if self.kind == "sign_threshold":
+            out.fill(0.0)
+            return out
+        return np.greater(h, 0.0, out=out)
 
     def derivative(self, t):
         """Elementwise derivative (subgradient 0 at kinks)."""
         t = np.asarray(t, dtype=np.float64)
-        if self.kind == "relu":
-            return (t > 0.0).astype(np.float64)
-        if self.kind == "tanh":
-            return 1.0 - np.tanh(t) ** 2
-        if self.kind == "threshold":
-            return (t > self.theta).astype(np.float64)
-        return np.zeros_like(t)
+        h = self.scalar(t, out=np.empty_like(t))
+        return self.slope(h, out=h)
 
     def __str__(self):
         if self.kind in ("relu", "tanh"):

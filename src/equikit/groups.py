@@ -199,9 +199,14 @@ def named_group(kind, size, max_order=DEFAULT_MAX_ORDER):
     coordinate permutation; ``torus(N)``, ``p4(N)``, ``p4m(N)`` act as
     permutations of the N x N pixel grid with periodic boundary
     (translations; plus quarter-turn rotations; plus reflections).
+    A size whose group provably has more than ``max_order`` elements
+    raises ClosureError before any generator is built.
     """
     if size < 1:
         raise ValueError(f"group size parameter must be >= 1, got {size}")
+    if kind not in ("symmetric", "cyclic", "torus", "p4", "p4m"):
+        raise ValueError(f"unknown group kind {kind!r}")
+    _check_order_fits(kind, size, max_order)
     spec = f"{kind}:{size}"
     if kind == "symmetric":
         if size == 1:
@@ -218,14 +223,33 @@ def named_group(kind, size, max_order=DEFAULT_MAX_ORDER):
             gens = [np.eye(1)]
         else:
             gens = [permutation_matrix([(j + 1) % size for j in range(size)])]
-    elif kind in ("torus", "p4", "p4m"):
+    else:
         if size == 1:
             gens = [np.eye(1)]
         else:
             gens = _grid_generators(size, kind)
-    else:
-        raise ValueError(f"unknown group kind {kind!r}")
     return close(gens, max_order=max_order, spec=spec)
+
+
+def _check_order_fits(kind, size, max_order):
+    """Raise ClosureError, before any generator is built, when the named
+    group provably has more than ``max_order`` elements: n for cyclic:n,
+    m! for symmetric:m, and the N^2 translations of the grid kinds."""
+    if kind == "cyclic":
+        least = size
+    elif kind == "symmetric":
+        least = 1
+        for factor in range(2, size + 1):
+            if least > max_order:
+                break
+            least *= factor
+    else:
+        least = size * size
+    if least > max_order:
+        raise ClosureError(
+            f"{kind}:{size} has at least {least} elements, above the cap "
+            f"max_order={max_order}"
+        )
 
 
 def group_from_spec(spec, max_order=DEFAULT_MAX_ORDER):

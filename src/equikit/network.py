@@ -19,6 +19,7 @@ import numpy as np
 from .activations import Report, parse_activation
 from .groups import group_from_spec
 from .intertwiners import solve_basis
+from .numerics import check_tol
 from .reps import is_permutation_rep, parse_rep_spec
 
 
@@ -67,15 +68,22 @@ def _interleave(weights, biases):
     return parts
 
 
-def _forward(weights, biases, activation, x):
-    """Run the stack on a batch: (output, layer inputs, hidden pre-activations)."""
+def _forward(weights, biases, activation, x, out=None):
+    """Run the stack on a batch: (output, layer inputs).
+
+    ``out``, when given, holds one (batch, width) array per layer that
+    receives that layer's output (hidden activations are computed in
+    place over their pre-activations), so a repeated call allocates no
+    batch-sized array.
+    """
+    if out is None:
+        out = [np.empty((x.shape[0], w.shape[0])) for w in weights]
     inputs = [x]
-    pre = []
-    for w, b in zip(weights, biases):
-        s = inputs[-1] @ w.T + b
-        pre.append(s)
-        inputs.append(activation.scalar(s))
-    return inputs[-1] @ weights[-1].T, inputs, pre
+    for w, b, h in zip(weights, biases, out):
+        np.matmul(inputs[-1], w.T, out=h)
+        h += b
+        inputs.append(activation.scalar(h, out=h))
+    return np.matmul(inputs[-1], weights[-1].T, out=out[-1]), inputs
 
 
 def stack_forward(weights, biases, activation, x):
@@ -156,34 +164,48 @@ class EquivariantNetwork:
     def loss(self, data):
         return float(np.mean((self.forward(data.inputs) - data.targets) ** 2))
 
-    def loss_grad(self, data):
+    def loss_grad(self, data, buffers=None):
         """Mean squared error and its gradient over all coefficients.
 
         The gradient is taken with respect to the basis coefficients
         (reverse-mode chain rule through the alternating composition),
-        flattened in the coefficient-vector layout.
+        flattened in the coefficient-vector layout. ``buffers`` (from
+        ``_batch_buffers``) receive every batch-sized intermediate; their
+        contents are overwritten.
         """
+        outs, grads = buffers or self._batch_buffers(len(data))
         weights = self.weights()
-        out, inputs, pre = _forward(weights, self.biases(), self.activation, data.inputs)
-        err = out - data.targets
-        mse = float(np.mean(err ** 2))
-        g_z = 2.0 * err / err.size
+        out, inputs = _forward(weights, self.biases(), self.activation, data.inputs, outs)
+        err = np.subtract(out, data.targets, out=out)
+        g_z = grads[-1]
+        mse = float(np.mean(np.square(err, out=g_z)))
+        np.multiply(err, 2.0, out=g_z)
+        g_z /= err.size
         grads_w, grads_b = [None] * self.k, [None] * (self.k - 1)
         for i in range(self.k - 1, -1, -1):
             if i < self.k - 1:
-                g_z = (g_z @ weights[i + 1]) * self.activation.derivative(pre[i])
+                g_z = np.matmul(g_z, weights[i + 1], out=grads[i])
+                # layer i's output is not read again, so it takes its slope
+                g_z *= self.activation.slope(inputs[i + 1], out=inputs[i + 1])
                 grads_b[i] = self.bias_bases[i].T @ g_z.sum(axis=0)
             grads_w[i] = np.tensordot(
                 self.weight_bases[i].basis, g_z.T @ inputs[i], axes=[[1, 2], [0, 1]]
             )
         return mse, np.concatenate(_interleave(grads_w, grads_b))
 
+    def _batch_buffers(self, batch):
+        """Per-layer (batch, width) arrays for ``loss_grad``: the layer
+        outputs, then their gradients."""
+        return tuple([np.empty((batch, n)) for n in self.widths[1:]] for _ in range(2))
+
     def train(self, data, steps, learning_rate):
         """Full-batch gradient descent; returns (trained copy, history).
 
         history[t] is the loss evaluated at step t before the update.
         Coefficients-only updates cannot leave the intertwiner space, so
-        equivariance is preserved at every step.
+        equivariance is preserved at every step. Every step reuses one
+        set of batch buffers, so the loop allocates only coefficient-sized
+        arrays.
         """
         if steps < 1:
             raise ValueError("steps must be >= 1")
@@ -192,8 +214,9 @@ class EquivariantNetwork:
         net = self.copy()
         flat = net.coefficient_vector()
         history = np.empty(steps)
+        buffers = net._batch_buffers(len(data))
         for t in range(steps):
-            mse, grad = net.loss_grad(data)
+            mse, grad = net.loss_grad(data, buffers)
             if not np.isfinite(mse) or mse > 1e12:
                 raise DivergenceError(
                     f"loss {mse:.3e} at step {t}; use a smaller learning rate"
@@ -298,8 +321,7 @@ def _check_on_vectors(apply, rep_in, rep_out, box, trials, seed, tol, relative):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    check_tol(tol, strict=False)
     rng = np.random.default_rng(seed)
     vectors = rng.uniform(*box, size=(trials, rep_in.degree))
     base = np.asarray(apply(vectors))
@@ -424,7 +446,15 @@ class _Reader:
 
     def floats(self, count):
         line = self.next()
-        values = np.array([float(v) for v in line.split()], dtype=np.float64)
+        values = []
+        for token in line.split():
+            try:
+                values.append(float(token))
+            except ValueError:
+                raise ModelFormatError(
+                    f"line {self.at}: {token!r} is not a number"
+                ) from None
+        values = np.array(values, dtype=np.float64)
         if values.size != count:
             raise ModelFormatError(
                 f"line {self.at}: expected {count} values, got {values.size}"

@@ -25,9 +25,14 @@ def as_matrix(m, name="matrix"):
     return a
 
 
-def _check_tol(tol):
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+def check_tol(tol, strict=True):
+    """Reject a tolerance that is not finite and positive (or, unless
+    ``strict``, non-negative); a NaN tol would make every ``> tol`` test
+    false."""
+    if not (np.isfinite(tol) and (tol > 0 if strict else tol >= 0)):
+        raise ValueError(
+            f"tol must be finite and {'positive' if strict else '>= 0'}, got {tol}"
+        )
 
 
 def nullspace(m, tol=DEFAULT_TOL):
@@ -38,7 +43,7 @@ def nullspace(m, tol=DEFAULT_TOL):
     orthonormal and ordered deterministically (free columns of the
     echelon form, in index order).
     """
-    _check_tol(tol)
+    check_tol(tol)
     a = as_matrix(m).copy()
     rows, cols = a.shape
     scale = np.abs(a).max()
@@ -81,7 +86,7 @@ def orthonormalize(v):
 
 def matrix_rank(m, tol=DEFAULT_TOL):
     """Numerical rank at pivot threshold ``tol * max|entry|``."""
-    _check_tol(tol)
+    check_tol(tol)
     a = as_matrix(m).copy()
     scale = np.abs(a).max()
     if scale == 0.0:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteGroup, permutation_matrix
-from .numerics import as_matrix, nullspace
+from .numerics import as_matrix, check_tol, nullspace
 
 CONSISTENCY_TOL = 1e-8
 
@@ -59,8 +59,10 @@ def extend(group, gen_images, spec=None, tol=CONSISTENCY_TOL):
     """Build the representation generated by one image per generator.
 
     Raises InconsistentImagesError when the images do not define a
-    homomorphism (the map fails to factor through the group relations).
+    homomorphism (the map fails to factor through the group relations),
+    and ValueError for a ``tol`` that is not finite and non-negative.
     """
+    check_tol(tol, strict=False)
     imgs = [as_matrix(m, f"generator image {i}") for i, m in enumerate(gen_images)]
     if len(imgs) != group.gen_count:
         raise ValueError(
@@ -161,8 +163,9 @@ def is_permutation_rep(rep, tol=1e-9):
     Only the generator images are tested: ``extend`` builds every image
     as a product of generator images (and checks it against the cayley
     table), and products of permutation matrices are permutation
-    matrices.
+    matrices. ``tol`` must be finite and non-negative.
     """
+    check_tol(tol, strict=False)
     imgs = rep.gen_images
     near_one = np.abs(imgs - 1.0) <= tol
     near_zero = np.abs(imgs) <= tol

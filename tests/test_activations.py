@@ -45,6 +45,28 @@ def test_derivatives_at_kinks_are_zero():
     assert ActivationSpec("sign_threshold", 1.0).derivative(np.array([5.0]))[0] == 0.0
 
 
+@pytest.mark.parametrize("spec", [
+    ActivationSpec("relu"), ActivationSpec("tanh"),
+    ActivationSpec("threshold", 0.5), ActivationSpec("sign_threshold", 0.5),
+])
+def test_slope_from_output_is_the_derivative(spec):
+    edges = [0.5, 0.0, -0.0, 1e-320, np.inf, -np.inf, np.nan]
+    t = np.concatenate([np.linspace(-3.0, 3.0, 61), edges])
+    expected = {
+        "relu": (t > 0.0).astype(np.float64),
+        "tanh": 1.0 - np.tanh(t) ** 2,
+        "threshold": (t > 0.5).astype(np.float64),
+        "sign_threshold": np.zeros_like(t),
+    }[spec.kind]
+    h = t.copy()
+    assert spec.scalar(h, out=h) is h
+    np.testing.assert_array_equal(h, spec.scalar(t))
+    np.testing.assert_array_equal(spec.slope(h, out=np.empty_like(h)), expected)
+    np.testing.assert_array_equal(spec.derivative(t), expected)
+    assert spec.slope(h, out=h) is h
+    np.testing.assert_array_equal(h, expected)
+
+
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError, match="length mismatch"):
         apply_pointwise(SIGN3, np.zeros(2), np.zeros(3))

@@ -1,5 +1,6 @@
 import pytest
 
+from equikit import groups
 from equikit.cli import main
 
 DEEPSETS_CFG = """\
@@ -274,3 +275,25 @@ def test_argparse_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_check_non_numeric_model_value_exits_2(tmp_path, capsys):
+    model = _train_small_model(tmp_path, capsys)
+    line = _set_first_declared_weight(model, "abc")
+    code, out, err = run(capsys, "check", "--model", str(model))
+    assert code == 2
+    assert "PASS" not in out
+    assert f"line {line}: 'abc' is not a number" in err
+
+
+def test_basis_oversize_group_exits_2(tmp_path, capsys, monkeypatch):
+    def close_must_not_run(*args, **kwargs):
+        raise AssertionError("close() ran for a group above the cap")
+
+    monkeypatch.setattr(groups, "close", close_must_not_run)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("[model]\ngroup = symmetric:9\n\n[reps]\n0 = defining\n1 = defining\n")
+    code, out, err = run(capsys, "basis", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "symmetric:9 has at least" in err and "max_order=20000" in err

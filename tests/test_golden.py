@@ -1,0 +1,75 @@
+"""Byte-level golden outputs of the CLI.
+
+Each case pins the sha256 of a command's stdout (and of the model file
+it writes), so any change in a basis value, its layout, or the order of
+floating-point operations in training shows up as a failure. Commands
+run in-process from the test's temporary directory, so a written model
+is named by a relative path that is the same on every run.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from equikit.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+BASIS_PRINT_SHA256 = {
+    "c4_chain": "593f105d9bc41a4c361aa2b1bb8c0409b0865ada52e0b2b574f79a22c885eab8",
+    "deepsets_s5": "603b59230f3886a63b650ed7a334aab58d06816f533429bfce8c3093fbecc5f0",
+    "p4_grid2": "ac77c1422bfb8cdddd6c99f047f4362d614b51ac45c9b16c9857c4e611f29d11",
+}
+
+# (argv after "--exact train", stdout sha256, model file sha256)
+TRAIN_RUNS = {
+    "tanh-300": (
+        ["--steps", "300"],
+        "635786b38f47ddb3f0faa7dec476b09f8e96a47c87326648f94d734c16639baf",
+        "09e36a394b0d9943906ff43a2fdd5354ec3010be830a5b507f15cd74611f26ad",
+    ),
+    "relu-200": (
+        ["--m", "4", "--seed", "3", "--activation", "relu", "--steps", "200"],
+        "7313564657894b5dbdd1a72e4c2583f607cd26a7ed3ab906dc9a4183ff992e8f",
+        "3bbd722a4ae556f03961e5be1e14a3b7ef16dfb387379b87fdf8d8609b1c992e",
+    ),
+    "threshold-200": (
+        ["--activation", "threshold:0.5", "--steps", "200"],
+        "5492df798dfe5181079a031c7bc53aedb60fcdb617c82341b9799ba38cc8b379",
+        "e96446988edb48c8e14bf09f475a440b4a5d4501f5b68407c5a428e502ca71bb",
+    ),
+}
+
+CHECK_TANH_300_SHA256 = "5c6ae128586a55d2c7b59988dafe9e29cbb5e92845bc21092cc447993256346e"
+
+
+def sha256(data):
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_PRINT_SHA256))
+def test_basis_print_bytes(name, capsys):
+    code, out = run(capsys, "--exact", "basis", "--config", str(CONFIGS / f"{name}.cfg"),
+                    "--print")
+    assert code == 0
+    assert sha256(out) == BASIS_PRINT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(TRAIN_RUNS))
+def test_train_bytes(name, tmp_path, monkeypatch, capsys):
+    argv, out_sha, model_sha = TRAIN_RUNS[name]
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, "--exact", "train", *argv, "--out", "M")
+    assert code == 0
+    assert sha256(out) == out_sha
+    assert sha256((tmp_path / "M").read_bytes()) == model_sha
+    if name == "tanh-300":
+        code, out = run(capsys, "--exact", "check", "--model", "M")
+        assert code == 0
+        assert sha256(out) == CHECK_TANH_300_SHA256

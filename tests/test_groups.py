@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from equikit import groups
 from equikit.groups import (
     ClosureError,
     close,
@@ -172,3 +173,26 @@ def test_group_from_spec():
 def test_permutation_matrix_validates():
     with pytest.raises(ValueError):
         permutation_matrix([0, 0, 1])
+
+
+def _close_must_not_run(*args, **kwargs):
+    raise AssertionError("close() ran for a group above the cap")
+
+
+@pytest.mark.parametrize("kind,size,cap", [
+    ("cyclic", 21, 20),
+    ("symmetric", 5, 119),
+    ("torus", 5, 24),
+    ("p4", 5, 24),
+    ("p4m", 5, 24),
+])
+def test_named_group_refuses_oversize_before_closing(kind, size, cap, monkeypatch):
+    monkeypatch.setattr(groups, "close", _close_must_not_run)
+    with pytest.raises(ClosureError, match=f"max_order={cap}"):
+        named_group(kind, size, max_order=cap)
+
+
+def test_named_group_at_the_cap_still_closes():
+    assert named_group("cyclic", 20, max_order=20).order == 20
+    assert named_group("symmetric", 5, max_order=120).order == 120
+    assert named_group("torus", 5, max_order=25).order == 25

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from equikit import intertwiners, kernels
 from equikit.groups import close, named_group
 from equikit.intertwiners import hom_dim_oracle, solve_basis
 from equikit.numerics import nullspace
 from equikit.reps import (
     Representation,
     defining_rep,
+    extend,
     parse_rep_spec,
     tensor_identity,
     trivial_rep,
@@ -190,3 +192,88 @@ def test_oracle_rejects_non_integer_average():
     corrupted.images[2] = corrupted.images[2] + 0.37
     with pytest.raises(ValueError, match="not an integer"):
         hom_dim_oracle(corrupted, corrupted)
+
+
+def dense_basis(rep_in, rep_out):
+    """The dense path's basis, which the orbit path must reproduce bitwise."""
+    ns = nullspace(intertwiners._constraint_stack(rep_in, rep_out))
+    return ns.T.reshape(ns.shape[1], rep_out.degree, rep_in.degree)
+
+
+def assert_same_array(a, b):
+    assert a.shape == b.shape
+    assert a.strides == b.strides
+    assert a.tobytes() == b.tobytes()  # also tells -0.0 from +0.0
+
+
+SIGNED_CASES = CASES + [
+    ("symmetric", 3, "defining", "sign"),
+    ("symmetric", 4, "sum(defining;sign)", "tensor:2(sum(defining;sign))"),
+    ("cyclic", 5, "tensor:2(defining)", "sum(sign;defining)"),
+    ("p4m", 3, "defining", "sum(defining;sign)"),
+    # the benchmark's grid-solve and signed-solve boundaries
+    ("p4m", 4, "defining", "defining"),
+    ("symmetric", 6, "tensor:3(sum(defining;sign))", "tensor:3(sum(defining;sign))"),
+]
+
+
+@pytest.mark.parametrize("kind,size,spec_in,spec_out", SIGNED_CASES)
+def test_orbit_path_is_bitwise_the_dense_path(kind, size, spec_in, spec_out, monkeypatch):
+    g = named_group(kind, size)
+    rep_in = parse_rep_spec(g, spec_in)
+    rep_out = parse_rep_spec(g, spec_out)
+    expected = dense_basis(rep_in, rep_out)
+
+    def no_elimination(*args):
+        raise AssertionError("signed permutation reps must not reach row_echelon")
+
+    monkeypatch.setattr(kernels, "row_echelon", no_elimination)
+    basis = solve_basis(rep_in, rep_out)
+    assert basis.dim == hom_dim_oracle(rep_in, rep_out)
+    assert_same_array(basis.basis, expected)
+
+
+def test_orbit_path_entries_are_signed_orbit_indicators():
+    g = named_group("symmetric", 3)
+    rep = parse_rep_spec(g, "sum(defining;sign)")
+    basis = solve_basis(rep, rep).basis
+    assert basis.shape[0] == hom_dim_oracle(rep, rep)
+    for b in basis:
+        flat = b.ravel()
+        orbit = np.flatnonzero(flat)
+        assert np.array_equal(np.abs(flat[orbit]), np.full(orbit.size, 1 / np.sqrt(orbit.size)))
+        assert flat[orbit[-1]] > 0  # positive at the orbit's largest index
+
+
+def test_sign_conflict_forces_zero():
+    g = named_group("symmetric", 3)
+    basis = solve_basis(defining_rep(g), parse_rep_spec(g, "sign"))
+    assert basis.dim == 0
+    assert basis.basis.shape == (0, 1, 3)
+    assert np.array_equal(basis.realize(np.zeros(0)), np.zeros((1, 3)))
+
+
+def test_perturbed_rep_falls_back_to_dense(monkeypatch):
+    g = named_group("cyclic", 4)
+    rep = defining_rep(g)
+    nudged = extend(g, [rep.gen_images[0] + 1e-12], spec="nudged")
+    calls = []
+    original = kernels.row_echelon
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return original(*args)
+
+    monkeypatch.setattr(kernels, "row_echelon", counting)
+    basis = solve_basis(nudged, rep)
+    assert calls == [(16, 16)]
+    assert basis.dim == 4
+    solve_basis(rep, rep)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-9])
+def test_orbit_path_still_validates_tol(tol):
+    rep = defining_rep(named_group("cyclic", 3))
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        solve_basis(rep, rep, tol=tol)

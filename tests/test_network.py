@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import finite_difference_check
@@ -233,6 +235,36 @@ def test_single_layer_gradient_matches_least_squares():
     grad_a = 2.0 * residual.T @ x / residual.size
     expected = net.weight_bases[0].project(grad_a)
     assert np.abs(grad - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("activation", [RELU, TANH, ActivationSpec("sign_threshold", 0.5)])
+def test_loss_grad_with_buffers_is_bitwise_fresh(activation):
+    net = deep_sets_net(seed=2, activation=activation)
+    data = random_dataset(net, 50, seed=3)
+    mse, grad = net.loss_grad(data)
+    buffers = net._batch_buffers(len(data))
+    for _ in range(2):  # stale buffer contents must not leak into a step
+        again = net.loss_grad(data, buffers)
+        assert again[0] == mse
+        assert again[1].tobytes() == grad.tobytes()
+
+
+def test_training_step_allocates_no_batch_sized_array():
+    # every batch-sized intermediate of a step lives in the buffers that
+    # train makes once, so the traced peak stays below them plus half of
+    # one (batch, width) array
+    net = deep_sets_net(seed=1, activation=TANH)
+    data = random_dataset(net, 2000, seed=4)
+    net.train(data, 2, 0.1)
+    tracemalloc.start()
+    try:
+        net.train(data, 3, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffers = sum(b.nbytes for part in net._batch_buffers(len(data)) for b in part)
+    widest = data.inputs.nbytes
+    assert peak < buffers + widest / 2
 
 
 @pytest.mark.parametrize("activation", [RELU, TANH, ActivationSpec("threshold", 0.5)])

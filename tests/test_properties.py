@@ -9,8 +9,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equikit import intertwiners
 from equikit.groups import close, permutation_matrix
 from equikit.intertwiners import hom_dim_oracle, solve_basis
+from equikit.numerics import nullspace
 from equikit.reps import parse_rep_spec
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
@@ -79,3 +81,17 @@ def test_rep_spec_round_trips(pair):
         again = parse_rep_spec(rep.group, rep.spec)
         assert again.spec == rep.spec
         assert np.array_equal(again.images, rep.images)
+
+
+@PROPERTY_SETTINGS
+@given(rep_pairs())
+def test_orbit_basis_is_bitwise_the_dense_basis(pair):
+    # every rep drawn here has signed permutation generator images, so
+    # solve_basis takes the orbit path; the dense nullspace is the oracle
+    rep_in, rep_out = pair
+    basis = solve_basis(rep_in, rep_out).basis
+    ns = nullspace(intertwiners._constraint_stack(rep_in, rep_out))
+    dense = ns.T.reshape(ns.shape[1], rep_out.degree, rep_in.degree)
+    assert basis.shape == dense.shape
+    assert basis.strides == dense.strides
+    assert basis.tobytes() == dense.tobytes()

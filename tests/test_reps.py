@@ -222,3 +222,20 @@ def test_parse_rep_spec_round_trips_spec_string(s3):
 def test_parse_rep_spec_rejects_malformed(s3, bad):
     with pytest.raises(ValueError):
         parse_rep_spec(s3, bad)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+def test_extend_rejects_bad_tol(tol):
+    # diag(1, -1, 1) is not an image of the order-3 shift; a NaN tol would
+    # accept it, since no deviation compares greater than NaN
+    g = named_group("cyclic", 3)
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        extend(g, [np.diag([1.0, -1.0, 1.0])], tol=tol)
+    with pytest.raises(InconsistentImagesError):
+        extend(g, [np.diag([1.0, -1.0, 1.0])])
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+def test_is_permutation_rep_rejects_bad_tol(s3, tol):
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        is_permutation_rep(defining_rep(s3), tol=tol)
