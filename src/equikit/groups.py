@@ -5,13 +5,21 @@ tried in index order) fixes a canonical element indexing. Each element
 carries the generator word that reproduces it and its BFS parent link
 (parent element, generator); representation extension replays the
 parent links.
+
+When every generator is exactly a signed permutation matrix (entries
+-1, 0 or 1, one nonzero per row and column, as
+``numerics.signed_permutations`` detects), the closure runs on integer
+(targets, signs) arrays and deduplicates on their exact bytes. Only
+other generator sets close on dense matrices deduplicated by the
+rounding key ``_key``. On signed permutations both give the same
+elements, words, cayley table and parent links, bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix
+from .numerics import as_matrix, signed_permutation_matrices, signed_permutations
 
 DEFAULT_MAX_ORDER = 20000
 
@@ -98,6 +106,8 @@ class FiniteGroup:
 def close(generators, max_order=DEFAULT_MAX_ORDER, spec=None):
     """Close a generator set under multiplication (BFS, right products).
 
+    Signed permutation generators close on exact integer keys; any
+    other set closes on rounded dense keys (see the module docstring).
     Raises ClosureError if more than ``max_order`` elements appear, and
     ValueError for non-square, mismatched, or non-invertible generators.
     """
@@ -112,25 +122,66 @@ def close(generators, max_order=DEFAULT_MAX_ORDER, spec=None):
             )
         if abs(np.linalg.det(g)) <= 1e-9:
             raise ValueError(f"generator {i} is not invertible")
+    perm = signed_permutations(np.stack(gens))
+    if perm is None:
+        return _close_dense(gens, max_order, spec)
+    return _close_signed(gens, *perm, max_order, spec)
 
-    elements = [np.eye(dim)]
+
+def _close_dense(gens, max_order=DEFAULT_MAX_ORDER, spec=None):
+    """BFS over dense matrices, deduplicated on ``_key`` and resolved
+    entrywise at ``_MATCH_TOL``: the path of every generator set that is
+    not all signed permutations, and the test oracle for the other."""
+    dim = gens[0].shape[0]
+    elements, words, cayley, parents = _bfs(
+        np.eye(dim), len(gens), lambda m, gi: m @ gens[gi], _key,
+        lambda a, b: np.abs(a - b).max() <= _MATCH_TOL, max_order)
+    return FiniteGroup(dim, np.stack(elements), np.stack(gens), words, cayley,
+                       parents, spec)
+
+
+def _close_signed(gens, targets, signs, max_order, spec):
+    """``_close_dense`` for signed permutation generators, on integer arrays.
+
+    Element e maps e_j to s_e[j] e_{t_e[j]}, so e @ g is (t_e[t_g],
+    s_g * s_e[t_g]) and two elements are equal exactly when their bytes
+    are. The BFS is the dense one, so words, cayley and parents are too,
+    and the elements, scattered once into zeros, are bitwise the dense
+    products (a matmul sum of +-0.0 terms starts from +0.0, so every
+    zero it leaves is +0.0).
+    """
+    dim = gens[0].shape[0]
+    signs = signs.astype(np.int8)
+
+    def product(e, gi):
+        t_g = targets[gi]
+        return e[0][t_g], signs[gi] * e[1][t_g]
+
+    found, words, cayley, parents = _bfs(
+        (np.arange(dim), np.ones(dim, dtype=np.int8)), len(gens), product,
+        lambda e: e[0].tobytes() + e[1].tobytes(), lambda a, b: True, max_order)
+    elements = signed_permutation_matrices(np.stack([t for t, _ in found]),
+                                           np.stack([s for _, s in found]))
+    return FiniteGroup(dim, elements, np.stack(gens), words, cayley, parents, spec)
+
+
+def _bfs(identity, gen_count, product, key, same, max_order):
+    """Breadth-first closure from ``identity`` under ``product(element,
+    generator index)``; an element is a repeat when an earlier one with
+    the same ``key`` is ``same``. Returns the elements in BFS order, their
+    words, the cayley table and the (parent, generator) links."""
+    elements = [identity]
     words = [()]
     parents = [(-1, -1)]
-    index = {_key(elements[0]): [0]}
+    index = {key(identity): [0]}
     cayley_rows = []
-
-    def lookup(m):
-        for i in index.get(_key(m), []):
-            if np.abs(elements[i] - m).max() <= _MATCH_TOL:
-                return i
-        return None
-
     pos = 0
     while pos < len(elements):
-        row = np.empty(len(gens), dtype=np.int64)
-        for gi, g in enumerate(gens):
-            prod = elements[pos] @ g
-            j = lookup(prod)
+        row = np.empty(gen_count, dtype=np.int64)
+        for gi in range(gen_count):
+            prod = product(elements[pos], gi)
+            k = key(prod)
+            j = next((i for i in index.get(k, ()) if same(elements[i], prod)), None)
             if j is None:
                 if len(elements) >= max_order:
                     raise ClosureError(
@@ -140,20 +191,11 @@ def close(generators, max_order=DEFAULT_MAX_ORDER, spec=None):
                 elements.append(prod)
                 words.append(words[pos] + (gi,))
                 parents.append((pos, gi))
-                index.setdefault(_key(prod), []).append(j)
+                index.setdefault(k, []).append(j)
             row[gi] = j
         cayley_rows.append(row)
         pos += 1
-
-    return FiniteGroup(
-        dim=dim,
-        elements=np.stack(elements),
-        generators=np.stack(gens),
-        words=words,
-        cayley=np.stack(cayley_rows),
-        parents=np.array(parents, dtype=np.int64),
-        spec=spec,
-    )
+    return elements, words, np.stack(cayley_rows), np.array(parents, dtype=np.int64)
 
 
 def permutation_matrix(perm):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, check_tol, nullspace
+from .numerics import DEFAULT_TOL, check_tol, nullspace, signed_permutations
 from .reps import Representation
 
 
@@ -65,8 +65,8 @@ def solve_basis(rep_in, rep_out, tol=DEFAULT_TOL):
         raise ValueError("representations must share the same group")
     check_tol(tol)
     n_in, n_out = rep_in.degree, rep_out.degree
-    perm_in = _signed_permutations(rep_in.gen_images)
-    perm_out = _signed_permutations(rep_out.gen_images)
+    perm_in = signed_permutations(rep_in.gen_images)
+    perm_out = signed_permutations(rep_out.gen_images)
     if perm_in is not None and perm_out is not None:
         ns = _orbit_nullspace(perm_in, perm_out)
     else:
@@ -83,19 +83,6 @@ def _constraint_stack(rep_in, rep_out):
         np.kron(eye_out, g_in.T) - np.kron(g_out, eye_in)
         for g_in, g_out in zip(rep_in.gen_images, rep_out.gen_images)
     ])
-
-
-def _signed_permutations(images):
-    """(targets, signs) with images[g] e_j = signs[g, j] e_{targets[g, j]},
-    or None unless every image is exactly a signed permutation matrix."""
-    nonzero = images != 0.0
-    if not ((np.abs(images[nonzero]) == 1.0).all()
-            and (nonzero.sum(axis=1) == 1).all()
-            and (nonzero.sum(axis=2) == 1).all()):
-        return None
-    targets = nonzero.argmax(axis=1)
-    signs = np.take_along_axis(images, targets[:, None, :], axis=1)[:, 0, :]
-    return targets, signs
 
 
 def _orbit_nullspace(perm_in, perm_out):

@@ -444,6 +444,23 @@ class _Reader:
             )
         return line[len(prefix):].strip()
 
+    def ints(self, prefix, count=1):
+        """The ``count`` integers after ``prefix`` on the next line."""
+        tokens = self.expect(prefix).split()
+        values = []
+        for token in tokens:
+            try:
+                values.append(int(token))
+            except ValueError:
+                raise ModelFormatError(
+                    f"line {self.at}: {token!r} is not an integer"
+                ) from None
+        if len(values) != count:
+            raise ModelFormatError(
+                f"line {self.at}: expected {count} values, got {len(values)}"
+            )
+        return values
+
     def floats(self, count):
         line = self.next()
         values = []
@@ -471,7 +488,7 @@ def load_model(path):
         raise ModelFormatError("not an equikit model file")
     group = group_from_spec(r.expect("group:"))
     activation = parse_activation(r.expect("activation:"))
-    k = int(r.expect("layers:"))
+    (k,) = r.ints("layers:")
     if k < 1:
         raise ModelFormatError("layer count must be >= 1")
     reps = [parse_rep_spec(group, r.expect("rep:")) for _ in range(k + 1)]
@@ -480,7 +497,7 @@ def load_model(path):
     declared_biases = []
     for i in range(k):
         r.expect("layer:")
-        d = int(r.expect("weight-coeffs:"))
+        (d,) = r.ints("weight-coeffs:")
         if d != net.weight_bases[i].dim:
             raise ModelFormatError(
                 f"layer {i + 1}: file has {d} weight coefficients but the "
@@ -488,20 +505,20 @@ def load_model(path):
             )
         net.weight_coeffs[i] = r.floats(d)
         if i < k - 1:
-            db = int(r.expect("bias-coeffs:"))
+            (db,) = r.ints("bias-coeffs:")
             if db != net.bias_bases[i].shape[1]:
                 raise ModelFormatError(
                     f"layer {i + 1}: file has {db} bias coefficients but the "
                     f"bias space dimension is {net.bias_bases[i].shape[1]}"
                 )
             net.bias_coeffs[i] = r.floats(db)
-        rows, cols = (int(v) for v in r.expect("weight-matrix:").split())
+        rows, cols = r.ints("weight-matrix:", 2)
         want = (reps[i + 1].degree, reps[i].degree)
         if (rows, cols) != want:
             raise ModelFormatError(f"layer {i + 1}: weight matrix shape mismatch")
         declared_weights.append(np.vstack([r.floats(cols) for _ in range(rows)]))
         if i < k - 1:
-            nb = int(r.expect("bias-vector:"))
+            (nb,) = r.ints("bias-vector:")
             if nb != reps[i + 1].degree:
                 raise ModelFormatError(f"layer {i + 1}: bias length mismatch")
             declared_biases.append(r.floats(nb))

@@ -1,4 +1,6 @@
-"""Minimal dense linear algebra: nullspace, orthonormalization, rank, det.
+"""Minimal dense linear algebra: nullspace, orthonormalization, rank, det,
+and the signed-permutation detector that picks the exact integer paths
+of ``groups.close``, ``reps.extend`` and ``intertwiners.solve_basis``.
 
 Everything is plain float64 numpy. The nullspace is computed by Gaussian
 elimination with partial pivoting followed by back-substitution and
@@ -23,6 +25,30 @@ def as_matrix(m, name="matrix"):
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return a
+
+
+def signed_permutations(images):
+    """(targets, signs) with images[g] e_j = signs[g, j] e_{targets[g, j]},
+    or None unless every image of the (count, n, n) stack is exactly a
+    signed permutation matrix: entries -1, 0 or 1, one nonzero per row
+    and per column. -0.0 counts as zero."""
+    nonzero = images != 0.0
+    if not ((np.abs(images[nonzero]) == 1.0).all()
+            and (nonzero.sum(axis=1) == 1).all()
+            and (nonzero.sum(axis=2) == 1).all()):
+        return None
+    targets = nonzero.argmax(axis=1)
+    signs = np.take_along_axis(images, targets[:, None, :], axis=1)[:, 0, :]
+    return targets, signs
+
+
+def signed_permutation_matrices(targets, signs):
+    """The (count, n, n) stack that ``signed_permutations`` reads as
+    (targets, signs), scattered into zeros (so every zero is +0.0)."""
+    count, n = targets.shape
+    stack = np.zeros((count, n, n))
+    stack[np.arange(count)[:, None], targets, np.arange(n)] = signs
+    return stack
 
 
 def check_tol(tol, strict=True):

@@ -4,6 +4,12 @@ A representation is stored fully materialized: one matrix per group
 element, built by replaying the BFS parent links. Extension verifies
 the homomorphism property (images consistent with the cayley table),
 which is exactly the well-definedness check for the generator images.
+
+When every generator image is exactly a signed permutation matrix
+(``numerics.signed_permutations``), the replay and the check run on
+integer (targets, signs) arrays, and the images are filled in once at
+the end; residuals, errors and images are bitwise the dense path's.
+Only other images are multiplied and compared as dense matrices.
 """
 
 from dataclasses import dataclass
@@ -11,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteGroup, permutation_matrix
-from .numerics import as_matrix, check_tol, nullspace
+from .numerics import (
+    as_matrix,
+    check_tol,
+    nullspace,
+    signed_permutation_matrices,
+    signed_permutations,
+)
 
 CONSISTENCY_TOL = 1e-8
 
@@ -58,6 +70,8 @@ class Representation:
 def extend(group, gen_images, spec=None, tol=CONSISTENCY_TOL):
     """Build the representation generated by one image per generator.
 
+    Signed permutation images are replayed and checked on integer arrays;
+    any other images by dense products (see the module docstring).
     Raises InconsistentImagesError when the images do not define a
     homomorphism (the map fails to factor through the group relations),
     and ValueError for a ``tol`` that is not finite and non-negative.
@@ -75,7 +89,19 @@ def extend(group, gen_images, spec=None, tol=CONSISTENCY_TOL):
         if abs(np.linalg.det(m)) <= 1e-9:
             raise ValueError(f"generator image {i} is not invertible")
     gen_images = np.stack(imgs)
+    perm = signed_permutations(gen_images)
+    if perm is None:
+        images = _extend_dense(group, gen_images, tol)
+    else:
+        images = _extend_signed(group, *perm, tol)
+    return Representation(group, degree, gen_images, images, spec=spec)
 
+
+def _extend_dense(group, gen_images, tol):
+    """Images by matmul replay of the parent links, checked against the
+    cayley table: the path of every image set that is not all signed
+    permutations, and the test oracle for the other."""
+    degree = gen_images.shape[1]
     images = np.empty((group.order, degree, degree))
     images[0] = np.eye(degree)
     for e in range(1, group.order):
@@ -83,14 +109,46 @@ def extend(group, gen_images, spec=None, tol=CONSISTENCY_TOL):
         images[e] = images[parent] @ gen_images[gi]
 
     for gi in range(group.gen_count):
-        lhs = images @ gen_images[gi]
-        rhs = images[group.cayley[:, gi]]
-        dev = np.abs(lhs - rhs).max(axis=(1, 2))
-        worst = int(np.argmax(dev))
-        if dev[worst] > tol:
-            raise InconsistentImagesError(worst, gi, float(dev[worst]))
+        dev = images @ gen_images[gi]
+        dev -= images[group.cayley[:, gi]]
+        np.abs(dev, out=dev)
+        _raise_if_inconsistent(dev.max(axis=(1, 2)), gi, tol)
+    return images
 
-    return Representation(group, degree, gen_images, images, spec=spec)
+
+def _extend_signed(group, targets, signs, tol):
+    """``_extend_dense`` for signed permutation images, on integer arrays.
+
+    Element e maps e_j to s[e, j] e_{t[e, j]}. The residual of a column
+    is what the dense ``|lhs - rhs|`` gives: 1 where the targets differ,
+    2 where only the sign does, else 0. So ``tol`` and the error are the
+    dense path's, and the images, scattered once into zeros, are bitwise
+    the dense products (whose zeros are all +0.0).
+    """
+    order, degree = group.order, targets.shape[1]
+    signs = signs.astype(np.int8)
+    t = np.empty((order, degree), dtype=targets.dtype)
+    s = np.empty((order, degree), dtype=np.int8)
+    t[0], s[0] = np.arange(degree), 1
+    for e in range(1, order):
+        parent, gi = group.parents[e]
+        t_g = targets[gi]
+        t[e], s[e] = t[parent][t_g], signs[gi] * s[parent][t_g]
+
+    for gi in range(group.gen_count):
+        t_g, other = targets[gi], group.cayley[:, gi]
+        dev = np.where(t[:, t_g] != t[other], 1.0,
+                       np.where(signs[gi] * s[:, t_g] != s[other], 2.0, 0.0))
+        _raise_if_inconsistent(dev.max(axis=1), gi, tol)
+
+    return signed_permutation_matrices(t, s)
+
+
+def _raise_if_inconsistent(dev, gi, tol):
+    """``dev`` holds each element's residual against generator ``gi``."""
+    worst = int(np.argmax(dev))
+    if dev[worst] > tol:
+        raise InconsistentImagesError(worst, gi, float(dev[worst]))
 
 
 def defining_rep(group):

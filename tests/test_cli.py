@@ -286,6 +286,23 @@ def test_check_non_numeric_model_value_exits_2(tmp_path, capsys):
     assert f"line {line}: 'abc' is not a number" in err
 
 
+@pytest.mark.parametrize("prefix", [
+    "layers:", "weight-coeffs:", "bias-coeffs:", "weight-matrix:", "bias-vector:",
+])
+def test_check_non_integer_count_exits_2(tmp_path, capsys, prefix):
+    model = _train_small_model(tmp_path, capsys)
+    lines = model.read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    tokens = lines[at].split()
+    tokens[1] = "two"
+    lines[at] = " ".join(tokens)
+    model.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "check", "--model", str(model))
+    assert code == 2
+    assert "PASS" not in out
+    assert f"line {at + 1}: 'two' is not an integer" in err
+
+
 def test_basis_oversize_group_exits_2(tmp_path, capsys, monkeypatch):
     def close_must_not_run(*args, **kwargs):
         raise AssertionError("close() ran for a group above the cap")

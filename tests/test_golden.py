@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from equikit import activations, groups, network, reps
 from equikit.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -43,6 +44,14 @@ TRAIN_RUNS = {
 
 CHECK_TANH_300_SHA256 = "5c6ae128586a55d2c7b59988dafe9e29cbb5e92845bc21092cc447993256346e"
 
+# p4m:4 defining -> trivial:2 -> trivial:1 (tanh, seed 0), built with the
+# library and written with save_model; then `--exact check` on it intact
+# and with its first declared weight replaced by 2.25. The witness names
+# a group element by its BFS index, so this pins the grid closure too.
+GRID_MODEL_SHA256 = "b68510d63a2fc6c1aace0838f4dafc7407285c4a84879906a87b921c1ef555fa"
+GRID_CHECK_SHA256 = "076eea977283baa07d9614587ace2a426721eba59f947d80cc17586404691618"
+GRID_CHECK_TAMPERED_SHA256 = "3c93549766031cf7dccad3b05759287745e4b85fde42bc1eb5ca7cb796e73340"
+
 
 def sha256(data):
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
@@ -73,3 +82,27 @@ def test_train_bytes(name, tmp_path, monkeypatch, capsys):
         code, out = run(capsys, "--exact", "check", "--model", "M")
         assert code == 0
         assert sha256(out) == CHECK_TANH_300_SHA256
+
+
+def test_grid_model_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    group = groups.group_from_spec("p4m:4")
+    chain = [reps.parse_rep_spec(group, spec)
+             for spec in ("defining", "trivial:2", "trivial:1")]
+    net = network.build(group, chain, activations.parse_activation("tanh"), seed=0)
+    network.save_model(net, "M")
+    text = (tmp_path / "M").read_text()
+    assert sha256(text) == GRID_MODEL_SHA256
+    code, out = run(capsys, "--exact", "check", "--model", "M")
+    assert code == 0
+    assert sha256(out) == GRID_CHECK_SHA256
+
+    lines = text.splitlines()
+    row = next(i + 1 for i, ln in enumerate(lines) if ln.startswith("weight-matrix:"))
+    tokens = lines[row].split()
+    tokens[0] = "2.25"
+    lines[row] = " ".join(tokens)
+    (tmp_path / "T").write_text("\n".join(lines) + "\n")
+    code, out = run(capsys, "--exact", "check", "--model", "T")
+    assert code == 1
+    assert sha256(out) == GRID_CHECK_TAMPERED_SHA256

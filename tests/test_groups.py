@@ -196,3 +196,59 @@ def test_named_group_at_the_cap_still_closes():
     assert named_group("cyclic", 20, max_order=20).order == 20
     assert named_group("symmetric", 5, max_order=120).order == 120
     assert named_group("torus", 5, max_order=25).order == 25
+
+
+# --- signed-permutation fast path against the dense closure --------------
+
+NAMED_SPECS = [f"symmetric:{m}" for m in range(1, 6)] + [
+    f"{kind}:{n}" for kind in ("cyclic", "torus", "p4", "p4m") for n in range(1, 5)
+]
+
+
+def assert_same_group(fast, dense):
+    assert fast.elements.tobytes() == dense.elements.tobytes()
+    assert fast.generators.tobytes() == dense.generators.tobytes()
+    assert fast.words == dense.words
+    assert fast.cayley.tobytes() == dense.cayley.tobytes()
+    assert fast.parents.tobytes() == dense.parents.tobytes()
+
+
+@pytest.mark.parametrize("spec", NAMED_SPECS)
+def test_signed_closure_is_bitwise_the_dense_closure(spec):
+    fast = group_from_spec(spec)
+    assert_same_group(fast, groups._close_dense(list(fast.generators), spec=spec))
+
+
+def test_signed_closure_with_negative_zeros_is_bitwise_the_dense_closure():
+    # -1.0 * 0.0 leaves -0.0 in the zero entries of the negated columns
+    gens = [permutation_matrix([1, 2, 0, 3]) * np.array([1.0, -1.0, 1.0, -1.0]),
+            -permutation_matrix([0, 1, 3, 2])]
+    assert np.signbit(gens[1][0, 1])
+    assert_same_group(close(gens), groups._close_dense(gens))
+
+
+def test_signed_closure_cap_matches_dense():
+    gens = [cyclic_shift(7)]
+    for closer in (close, groups._close_dense):
+        with pytest.raises(ClosureError, match="max_order=5"):
+            closer(gens, max_order=5)
+
+
+def _key_must_not_run(m):
+    raise AssertionError("rounding key used on signed permutation generators")
+
+
+@pytest.mark.parametrize("spec", ["symmetric:4", "p4m:3", "cyclic:5"])
+def test_named_closure_never_rounds(spec, monkeypatch):
+    monkeypatch.setattr(groups, "_key", _key_must_not_run)
+    assert group_from_spec(spec).spec == spec
+
+
+def test_rotation_matrix_group_closes_on_the_rounding_key(monkeypatch):
+    calls = []
+    real_key = groups._key
+    monkeypatch.setattr(groups, "_key", lambda m: calls.append(1) or real_key(m))
+    angle = 2 * np.pi / 6
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    assert close([rot]).order == 6
+    assert calls

@@ -2,18 +2,20 @@
 
 Groups are closures of random permutation and signed-permutation
 generator sets of degree <= 4; representations come from the spec
-language. Examples are derandomized so the suite is reproducible.
+language. The signed-permutation paths of the solver, the closure and
+the extension are compared bitwise with their dense oracles. Examples
+are derandomized so the suite is reproducible.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equikit import intertwiners
+from equikit import groups, intertwiners, reps
 from equikit.groups import close, permutation_matrix
 from equikit.intertwiners import hom_dim_oracle, solve_basis
-from equikit.numerics import nullspace
-from equikit.reps import parse_rep_spec
+from equikit.numerics import nullspace, signed_permutations
+from equikit.reps import CONSISTENCY_TOL, parse_rep_spec
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None)
@@ -95,3 +97,21 @@ def test_orbit_basis_is_bitwise_the_dense_basis(pair):
     assert basis.shape == dense.shape
     assert basis.strides == dense.strides
     assert basis.tobytes() == dense.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(generator_sets(), st.booleans(), st.data())
+def test_signed_closure_and_extension_are_bitwise_dense(drawn, negative_zeros, data):
+    gens, perms = drawn
+    if negative_zeros:
+        gens = [np.where(g == 0.0, -0.0, g) for g in gens]
+    assert signed_permutations(np.stack(gens)) is not None
+    group = close(gens)
+    dense = groups._close_dense(gens)
+    assert group.elements.tobytes() == dense.elements.tobytes()
+    assert group.words == dense.words
+    assert group.cayley.tobytes() == dense.cayley.tobytes()
+    assert group.parents.tobytes() == dense.parents.tobytes()
+    rep = parse_rep_spec(group, data.draw(rep_specs(perms)))
+    images = reps._extend_dense(group, rep.gen_images, CONSISTENCY_TOL)
+    assert rep.images.tobytes() == images.tobytes()

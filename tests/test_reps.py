@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from equikit.groups import close, named_group, permutation_matrix
+from equikit import reps
+from equikit.groups import close, group_from_spec, named_group, permutation_matrix
+from equikit.numerics import signed_permutations
 from equikit.reps import (
+    CONSISTENCY_TOL,
     InconsistentImagesError,
     defining_rep,
     direct_sum,
@@ -239,3 +244,100 @@ def test_extend_rejects_bad_tol(tol):
 def test_is_permutation_rep_rejects_bad_tol(s3, tol):
     with pytest.raises(ValueError, match="tol must be finite and >= 0"):
         is_permutation_rep(defining_rep(s3), tol=tol)
+
+
+# --- signed-permutation fast path against the dense extension -------------
+
+NAMED_SPECS = [f"symmetric:{m}" for m in range(1, 6)] + [
+    f"{kind}:{n}" for kind in ("cyclic", "torus", "p4", "p4m") for n in range(1, 5)
+]
+
+# the spec shapes that tests/test_properties.py draws; PERM is replaced
+# by the generators' underlying permutations with the points relabelled
+SPEC_SHAPES = [
+    "defining", "sign", "trivial:1", "trivial:2", "PERM",
+    "tensor:2(defining)", "tensor:2(sign)", "tensor:2(PERM)",
+    "sum(defining;sign)", "sum(PERM;trivial:2)", "sum(sign;sign)",
+]
+
+
+def relabelled_perm_spec(group):
+    n = group.dim
+    flip = np.arange(n)[::-1]
+    perms = []
+    for g in group.generators:
+        q = np.empty(n, dtype=np.int64)
+        q[flip] = flip[np.argmax(g, axis=0)]
+        perms.append(",".join(str(i) for i in q))
+    return "perm:" + "|".join(perms)
+
+
+@pytest.mark.parametrize("group_spec", NAMED_SPECS)
+def test_signed_extension_is_bitwise_the_dense_extension(group_spec):
+    group = group_from_spec(group_spec)
+    perm = relabelled_perm_spec(group)
+    for shape in SPEC_SHAPES:
+        rep = parse_rep_spec(group, shape.replace("PERM", perm))
+        dense = reps._extend_dense(group, rep.gen_images, CONSISTENCY_TOL)
+        assert rep.images.tobytes() == dense.tobytes(), shape
+
+
+def test_signed_extension_with_negative_zeros_is_bitwise_the_dense_extension(c4):
+    # -1.0 * 0.0 leaves -0.0 in the zero entries of the negated columns
+    image = permutation_matrix([1, 2, 3, 0]) * np.array([-1.0, 1.0, -1.0, 1.0])
+    assert np.signbit(image[0, 0])
+    rep = extend(c4, [image])
+    assert rep.images.tobytes() == reps._extend_dense(c4, rep.gen_images, 1e-8).tobytes()
+
+
+def _outcome(build):
+    try:
+        images = build()
+    except InconsistentImagesError as err:
+        return err.element, err.generator, err.residual
+    return images.tobytes()
+
+
+# (group spec, generator images, tol, residual the dense path raises or None)
+INCONSISTENT = {
+    "sign-flip": ("cyclic:3", [np.diag([1.0, -1.0, 1.0])], 1e-8, 2.0),
+    "sign-flip-at-1.5": ("cyclic:3", [np.diag([1.0, -1.0, 1.0])], 1.5, 2.0),
+    "target-mismatch": ("cyclic:3", [permutation_matrix([1, 0, 2])], 1e-8, 1.0),
+    "target-mismatch-at-1": ("cyclic:3", [permutation_matrix([1, 0, 2])], 1.0, None),
+    "target-mismatch-at-1.5": ("cyclic:3", [permutation_matrix([1, 0, 2])], 1.5, None),
+    "second-generator": ("symmetric:3", [permutation_matrix([1, 0, 2]),
+                                         permutation_matrix([1, 0, 2])], 1e-8, 1.0),
+    "mismatch-and-flip": ("cyclic:3", [permutation_matrix([1, 0, 2]) * np.array(
+        [1.0, 1.0, -1.0])], 1.5, 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCONSISTENT))
+def test_inconsistent_images_report_the_dense_residual(case):
+    group_spec, images, tol, residual = INCONSISTENT[case]
+    group = group_from_spec(group_spec)
+    fast = _outcome(lambda: extend(group, images, tol=tol).images)
+    dense = _outcome(lambda: reps._extend_dense(group, np.stack(images), tol))
+    assert fast == dense
+    if residual is None:
+        assert isinstance(fast, bytes)
+    else:
+        assert fast[2] == residual
+
+
+def test_dense_extension_keeps_two_image_sized_temporaries():
+    # a C_4 rotation block through cos/sin: its zeros are 6e-17, so the
+    # images are not signed permutations and take the dense path
+    group = named_group("cyclic", 4)
+    c, s = np.cos(np.pi / 2), np.sin(np.pi / 2)
+    image = np.kron(np.array([[c, -s], [s, c]]), np.eye(32))
+    assert signed_permutations(image[None]) is None
+    tracemalloc.start()
+    try:
+        rep = extend(group, [image])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result itself plus the consistency loop's two temporaries
+    # (the loop once held four)
+    assert peak - rep.images.nbytes < 3 * rep.images.nbytes
