@@ -75,7 +75,11 @@ class ActivationSpec:
 
 
 def parse_activation(text):
-    """Parse 'relu', 'tanh', 'threshold:3.0' or 'sign_threshold:3.0'."""
+    """Parse 'relu', 'tanh', 'threshold:3.0' or 'sign_threshold:3.0'.
+
+    A threshold must be a finite number; anything else raises a
+    ValueError naming ``text``.
+    """
     kind, sep, theta = text.strip().partition(":")
     if kind not in KINDS:
         raise ValueError(f"unknown activation {text!r}")
@@ -85,7 +89,13 @@ def parse_activation(text):
         return ActivationSpec(kind)
     if not sep:
         raise ValueError(f"activation {kind!r} needs a threshold, e.g. {kind}:3.0")
-    return ActivationSpec(kind, float(theta))
+    try:
+        value = float(theta)
+    except ValueError:
+        raise ValueError(f"activation {text!r} has a non-numeric threshold") from None
+    if not np.isfinite(value):
+        raise ValueError(f"activation {text!r} needs a finite threshold")
+    return ActivationSpec(kind, value)
 
 
 @dataclass

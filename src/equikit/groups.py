@@ -9,22 +9,30 @@ parent links.
 When every generator is exactly a signed permutation matrix (entries
 -1, 0 or 1, one nonzero per row and column, as
 ``numerics.signed_permutations`` detects), the closure runs on integer
-(targets, signs) arrays and deduplicates on their exact bytes. Only
-other generator sets close on dense matrices deduplicated by the
-rounding key ``_key``. On signed permutations both give the same
-elements, words, cayley table and parent links, bit for bit.
+signed codes (see ``numerics.sign_flips``) and deduplicates on their
+exact bytes. The group then stores each element as an integer
+(targets, signs) pair of index arrays, and ``elements`` is a dense view
+scattered on first read. Only other generator sets close on dense
+matrices deduplicated by the rounding key ``_key``, and store them. On
+signed permutations both give the same elements, words, cayley table
+and parent links, bit for bit.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, signed_permutation_matrices, signed_permutations
+from .numerics import (
+    as_matrix,
+    sign_flips,
+    signed_permutation_matrices,
+    signed_permutations,
+    split_signed_codes,
+)
 
 DEFAULT_MAX_ORDER = 20000
 
 # Dedup per the small-integer / exact-trig entry regime: hash on entries
-# rounded to 9 decimals, resolve collisions entrywise at 1e-6.
+# rounded to 9 decimals (equal keys put entries within 1e-9 of each
+# other); ``index_of`` matches entrywise at 1e-6.
 _ROUND_DECIMALS = 9
 _MATCH_TOL = 1e-6
 
@@ -38,13 +46,14 @@ class ClosureError(RuntimeError):
     """Generator closure did not terminate within the element cap."""
 
 
-@dataclass
 class FiniteGroup:
     """Closure of a generator set, with canonical indexing.
 
-    Fields:
+    Attributes:
         dim: matrix size of the defining representation.
-        elements: (order, dim, dim) array, elements[0] = identity.
+        elements: (order, dim, dim) array, elements[0] = identity. For
+            a signed permutation group it is scattered from ``targets``
+            and ``signs`` on first read and then kept.
         generators: (gen_count, dim, dim) array of the input generators.
         words: per element, the generator-index word replaying it from
             the identity (left-to-right products). BFS gives the
@@ -54,19 +63,32 @@ class FiniteGroup:
         parents: (order, 2) int array of (parent element, generator)
             BFS links; (-1, -1) for the identity.
         spec: the named-group spec string when built by name, else None.
+        targets, signs: (order, dim) integer and int8 arrays with
+            elements[e] e_j = signs[e, j] e_{targets[e, j]}, or None
+            when the group is stored dense.
     """
 
-    dim: int
-    elements: np.ndarray
-    generators: np.ndarray
-    words: list
-    cayley: np.ndarray
-    parents: np.ndarray
-    spec: str | None = None
+    def __init__(self, dim, elements, generators, words, cayley, parents,
+                 spec=None, targets=None, signs=None):
+        self.dim = dim
+        self._elements = elements
+        self.generators = generators
+        self.words = words
+        self.cayley = cayley
+        self.parents = parents
+        self.spec = spec
+        self.targets = targets
+        self.signs = signs
+
+    @property
+    def elements(self):
+        if self._elements is None:
+            self._elements = signed_permutation_matrices(self.targets, self.signs)
+        return self._elements
 
     @property
     def order(self):
-        return self.elements.shape[0]
+        return self.cayley.shape[0]
 
     @property
     def gen_count(self):
@@ -74,7 +96,7 @@ class FiniteGroup:
 
     @property
     def identity(self):
-        return self.elements[0]
+        return np.eye(self.dim)
 
     def index_of(self, m):
         """Index of a matrix in the group, or ValueError if absent."""
@@ -129,73 +151,81 @@ def close(generators, max_order=DEFAULT_MAX_ORDER, spec=None):
 
 
 def _close_dense(gens, max_order=DEFAULT_MAX_ORDER, spec=None):
-    """BFS over dense matrices, deduplicated on ``_key`` and resolved
-    entrywise at ``_MATCH_TOL``: the path of every generator set that is
-    not all signed permutations, and the test oracle for the other."""
+    """BFS over dense matrices, deduplicated on ``_key``: the path of
+    every generator set that is not all signed permutations, and the
+    test oracle for the other."""
     dim = gens[0].shape[0]
     elements, words, cayley, parents = _bfs(
-        np.eye(dim), len(gens), lambda m, gi: m @ gens[gi], _key,
-        lambda a, b: np.abs(a - b).max() <= _MATCH_TOL, max_order)
-    return FiniteGroup(dim, np.stack(elements), np.stack(gens), words, cayley,
-                       parents, spec)
-
-
-def _close_signed(gens, targets, signs, max_order, spec):
-    """``_close_dense`` for signed permutation generators, on integer arrays.
-
-    Element e maps e_j to s_e[j] e_{t_e[j]}, so e @ g is (t_e[t_g],
-    s_g * s_e[t_g]) and two elements are equal exactly when their bytes
-    are. The BFS is the dense one, so words, cayley and parents are too,
-    and the elements, scattered once into zeros, are bitwise the dense
-    products (a matmul sum of +-0.0 terms starts from +0.0, so every
-    zero it leaves is +0.0).
-    """
-    dim = gens[0].shape[0]
-    signs = signs.astype(np.int8)
-
-    def product(e, gi):
-        t_g = targets[gi]
-        return e[0][t_g], signs[gi] * e[1][t_g]
-
-    found, words, cayley, parents = _bfs(
-        (np.arange(dim), np.ones(dim, dtype=np.int8)), len(gens), product,
-        lambda e: e[0].tobytes() + e[1].tobytes(), lambda a, b: True, max_order)
-    elements = signed_permutation_matrices(np.stack([t for t, _ in found]),
-                                           np.stack([s for _, s in found]))
+        np.eye(dim), len(gens),
+        lambda front: np.stack([m @ g for m in front for g in gens]),
+        lambda products: [_key(m) for m in products], max_order)
     return FiniteGroup(dim, elements, np.stack(gens), words, cayley, parents, spec)
 
 
-def _bfs(identity, gen_count, product, key, same, max_order):
-    """Breadth-first closure from ``identity`` under ``product(element,
-    generator index)``; an element is a repeat when an earlier one with
-    the same ``key`` is ``same``. Returns the elements in BFS order, their
-    words, the cayley table and the (parent, generator) links."""
-    elements = [identity]
+def _close_signed(gens, targets, signs, max_order, spec):
+    """``_close_dense`` for signed permutation generators, on signed codes.
+
+    The products of a frontier of codes with every generator are one
+    gather and one xor (``numerics.sign_flips``), and two elements are
+    equal exactly when their code bytes are. The BFS is the dense one, so
+    words, cayley and parents are too, and the elements, when scattered
+    into zeros, are bitwise the dense products (a matmul sum of +-0.0
+    terms starts from +0.0, so every zero it leaves is +0.0).
+    """
+    dim = gens[0].shape[0]
+    flips = sign_flips(signs)
+    codes, words, cayley, parents = _bfs(
+        np.arange(dim, dtype=flips.dtype), len(gens),
+        lambda front: (front[:, targets] ^ flips).reshape(-1, dim),
+        _row_bytes, max_order)
+    return FiniteGroup(dim, None, np.stack(gens), words, cayley, parents, spec,
+                       *split_signed_codes(codes))
+
+
+def _row_bytes(rows):
+    """The bytes of each row of a C-contiguous 2-D array, as a list."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+
+
+def _bfs(identity, gen_count, multiply, keys, max_order):
+    """Level-synchronous breadth-first closure from ``identity``.
+
+    ``multiply(frontier)`` stacks the product of every frontier element
+    with every generator, in (element, generator) order, and ``keys``
+    gives one hashable key per stacked product; equal keys mean equal
+    elements. New elements are numbered in (element, generator) order,
+    which is the order a one-element-at-a-time queue finds them in.
+    Returns the stacked elements in BFS order, their words, the cayley
+    table and the (parent, generator) links.
+    """
+    levels = [identity[None]]
     words = [()]
     parents = [(-1, -1)]
-    index = {key(identity): [0]}
+    index = {keys(levels[0])[0]: 0}
     cayley_rows = []
-    pos = 0
-    while pos < len(elements):
-        row = np.empty(gen_count, dtype=np.int64)
-        for gi in range(gen_count):
-            prod = product(elements[pos], gi)
-            k = key(prod)
-            j = next((i for i in index.get(k, ()) if same(elements[i], prod)), None)
+    start = 0
+    while len(levels[-1]):
+        products = multiply(levels[-1])
+        row = np.empty(len(products), dtype=np.int64)
+        new = []
+        for p, k in enumerate(keys(products)):
+            j = index.get(k)
             if j is None:
-                if len(elements) >= max_order:
+                if len(words) >= max_order:
                     raise ClosureError(
                         f"group not closed within cap max_order={max_order}"
                     )
-                j = len(elements)
-                elements.append(prod)
-                words.append(words[pos] + (gi,))
-                parents.append((pos, gi))
-                index.setdefault(k, []).append(j)
-            row[gi] = j
-        cayley_rows.append(row)
-        pos += 1
-    return elements, words, np.stack(cayley_rows), np.array(parents, dtype=np.int64)
+                j = index[k] = len(words)
+                e, gi = divmod(p, gen_count)
+                words.append(words[start + e] + (gi,))
+                parents.append((start + e, gi))
+                new.append(p)
+            row[p] = j
+        cayley_rows.append(row.reshape(-1, gen_count))
+        start += len(levels[-1])
+        levels.append(products[new])
+    return (np.concatenate(levels), words, np.concatenate(cayley_rows),
+            np.array(parents, dtype=np.int64))
 
 
 def permutation_matrix(perm):

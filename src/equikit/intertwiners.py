@@ -15,6 +15,11 @@ bit for bit equal to the dense path. Every other representation goes
 through the dense elimination in ``numerics.nullspace``, which is also
 the test oracle for the fast path. ``tol`` is validated on both paths
 but only the dense path uses it.
+
+The solve reads generator images only. The character oracle reads every
+element: the (targets, signs) index arrays of a signed permutation
+representation, counting signed fixed points, or the dense images of
+any other, so it builds no dense view of an index-array representation.
 """
 
 from dataclasses import dataclass
@@ -214,9 +219,7 @@ def hom_dim_oracle(rep_in, rep_out):
     """
     if rep_in.group is not rep_out.group:
         raise ValueError("representations must share the same group")
-    chi_in = np.trace(rep_in.images, axis1=1, axis2=2)
-    chi_out = np.trace(rep_out.images, axis1=1, axis2=2)
-    value = float(chi_in @ chi_out) / rep_in.group.order
+    value = float(_character(rep_in) @ _character(rep_out)) / rep_in.group.order
     nearest = round(value)
     if abs(value - nearest) > 1e-6:
         raise ValueError(
@@ -224,3 +227,13 @@ def hom_dim_oracle(rep_in, rep_out):
             "representations are numerically inconsistent"
         )
     return int(nearest)
+
+
+def _character(rep):
+    """trace(rho(g)) for every element: the signed count of fixed points
+    for a signed permutation representation (exact integers, as the
+    dense trace of its images is), else the trace of the dense images."""
+    if rep.targets is None:
+        return np.trace(rep.images, axis1=1, axis2=2)
+    fixed = rep.targets == np.arange(rep.degree)
+    return (rep.signs * fixed).sum(axis=1, dtype=np.int64)

@@ -334,8 +334,8 @@ def _check_on_vectors(apply, rep_in, rep_out, box, trials, seed, tol, relative):
     worst = 0.0
     witness = None
     for g in indices:
-        lhs = np.asarray(apply(vectors @ rep_in.images[g].T))
-        rhs = base @ rep_out.images[g].T
+        lhs = np.asarray(apply(rep_in.act(g, vectors)))
+        rhs = rep_out.act(g, base)
         dev = np.abs(lhs - rhs).max(axis=1) / scale
         i = int(np.argmax(dev))  # the first NaN, if any
         if dev[i] > worst or np.isnan(dev[i]):

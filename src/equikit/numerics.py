@@ -1,6 +1,7 @@
 """Minimal dense linear algebra: nullspace, orthonormalization, rank, det,
-and the signed-permutation detector that picks the exact integer paths
-of ``groups.close``, ``reps.extend`` and ``intertwiners.solve_basis``.
+the signed-permutation detector that picks the exact integer paths of
+``groups.close``, ``reps.extend`` and ``intertwiners.solve_basis``, and
+the signed codes those paths compose.
 
 Everything is plain float64 numpy. The nullspace is computed by Gaussian
 elimination with partial pivoting followed by back-substitution and
@@ -49,6 +50,26 @@ def signed_permutation_matrices(targets, signs):
     stack = np.zeros((count, n, n))
     stack[np.arange(count)[:, None], targets, np.arange(n)] = signs
     return stack
+
+
+def sign_flips(signs):
+    """Xor masks that apply a signed permutation's signs to signed codes.
+
+    A signed code packs column j of a signed permutation e into one
+    integer: t where e e_j = +e_t and ~t = -t - 1 where e e_j = -e_t. If
+    ``codes`` holds e's codes and g has (targets, signs), e @ g has the
+    codes ``codes[targets] ^ sign_flips(signs)``, since e @ g maps e_j to
+    signs[j] e(e_{targets[j]}) and ~x = x ^ -1. Equal elements have equal
+    codes, and two codes name the same target exactly when they are equal
+    or bitwise complements.
+    """
+    return np.where(signs < 0, -1, 0).astype(np.int64)
+
+
+def split_signed_codes(codes):
+    """(targets, int8 signs) of an array of signed codes (``sign_flips``)."""
+    negative = codes < 0
+    return np.where(negative, ~codes, codes), np.where(negative, -1, 1).astype(np.int8)
 
 
 def check_tol(tol, strict=True):

@@ -1,28 +1,30 @@
 """Representations of a finite matrix group, defined by generator images.
 
-A representation is stored fully materialized: one matrix per group
-element, built by replaying the BFS parent links. Extension verifies
-the homomorphism property (images consistent with the cayley table),
-which is exactly the well-definedness check for the generator images.
+A representation is stored per group element, built by replaying the
+BFS parent links. Extension verifies the homomorphism property (images
+consistent with the cayley table), which is exactly the
+well-definedness check for the generator images.
 
 When every generator image is exactly a signed permutation matrix
 (``numerics.signed_permutations``), the replay and the check run on
-integer (targets, signs) arrays, and the images are filled in once at
-the end; residuals, errors and images are bitwise the dense path's.
-Only other images are multiplied and compared as dense matrices.
+integer signed codes (``numerics.sign_flips``), and the representation
+stores an integer (targets, signs) pair of index arrays per element;
+``images`` is a dense view scattered from them on first read. Residuals,
+errors and images are bitwise the dense path's. Only other images are
+multiplied, compared and stored as dense matrices.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, permutation_matrix
+from .groups import permutation_matrix
 from .numerics import (
     as_matrix,
     check_tol,
     nullspace,
+    sign_flips,
     signed_permutation_matrices,
     signed_permutations,
+    split_signed_codes,
 )
 
 CONSISTENCY_TOL = 1e-8
@@ -44,23 +46,47 @@ class InconsistentImagesError(ValueError):
         )
 
 
-@dataclass
 class Representation:
     """Group representation with per-element images.
 
     ``images[e] @ gen_images[g]`` matches ``images[cayley[e, g]]`` for
-    every element and generator (verified on construction), and
-    ``images[0]`` is the identity.
+    every element and generator (verified by ``extend``), and
+    ``images[0]`` is the identity. ``gen_images`` is the
+    (gen_count, n, n) stack. A signed permutation representation keeps
+    (order, n) ``targets`` and int8 ``signs`` with
+    images[e] e_j = signs[e, j] e_{targets[e, j]}, and scatters
+    ``images`` from them on first read; any other keeps the dense
+    (order, n, n) ``images`` and None for both.
     """
 
-    group: FiniteGroup
-    degree: int
-    gen_images: np.ndarray  # (gen_count, n, n)
-    images: np.ndarray      # (order, n, n)
-    spec: str | None = None
+    def __init__(self, group, degree, gen_images, images,
+                 spec=None, targets=None, signs=None):
+        self.group = group
+        self.degree = degree
+        self.gen_images = gen_images
+        self._images = images
+        self.spec = spec
+        self.targets = targets
+        self.signs = signs
+
+    @property
+    def images(self):
+        if self._images is None:
+            self._images = signed_permutation_matrices(self.targets, self.signs)
+        return self._images
 
     def image(self, i):
         return self.images[i]
+
+    def act(self, i, vectors):
+        """rho(element i) applied to each row of ``vectors``, i.e.
+        ``vectors @ images[i].T``; a signed permutation moves and signs
+        the coordinates without building the image."""
+        if self.targets is None:
+            return vectors @ self.images[i].T
+        out = np.empty(vectors.shape)
+        out[:, self.targets[i]] = vectors * self.signs[i]
+        return out
 
     def __repr__(self):
         name = self.spec or "<custom>"
@@ -77,6 +103,18 @@ def extend(group, gen_images, spec=None, tol=CONSISTENCY_TOL):
     and ValueError for a ``tol`` that is not finite and non-negative.
     """
     check_tol(tol, strict=False)
+    gen_images = _image_stack(group, gen_images)
+    degree = gen_images.shape[1]
+    perm = signed_permutations(gen_images)
+    if perm is None:
+        images = _extend_dense(group, gen_images, tol)
+        return Representation(group, degree, gen_images, images, spec)
+    targets, signs = _extend_signed(group, *perm, tol)
+    return Representation(group, degree, gen_images, None, spec, targets, signs)
+
+
+def _image_stack(group, gen_images):
+    """The validated (gen_count, n, n) float64 stack of generator images."""
     imgs = [as_matrix(m, f"generator image {i}") for i, m in enumerate(gen_images)]
     if len(imgs) != group.gen_count:
         raise ValueError(
@@ -88,13 +126,7 @@ def extend(group, gen_images, spec=None, tol=CONSISTENCY_TOL):
             raise ValueError(f"generator image {i} has shape {m.shape}")
         if abs(np.linalg.det(m)) <= 1e-9:
             raise ValueError(f"generator image {i} is not invertible")
-    gen_images = np.stack(imgs)
-    perm = signed_permutations(gen_images)
-    if perm is None:
-        images = _extend_dense(group, gen_images, tol)
-    else:
-        images = _extend_signed(group, *perm, tol)
-    return Representation(group, degree, gen_images, images, spec=spec)
+    return np.stack(imgs)
 
 
 def _extend_dense(group, gen_images, tol):
@@ -117,31 +149,31 @@ def _extend_dense(group, gen_images, tol):
 
 
 def _extend_signed(group, targets, signs, tol):
-    """``_extend_dense`` for signed permutation images, on integer arrays.
+    """``_extend_dense`` for signed permutation images, on signed codes;
+    returns the (targets, signs) index arrays of every image.
 
-    Element e maps e_j to s[e, j] e_{t[e, j]}. The residual of a column
-    is what the dense ``|lhs - rhs|`` gives: 1 where the targets differ,
-    2 where only the sign does, else 0. So ``tol`` and the error are the
-    dense path's, and the images, scattered once into zeros, are bitwise
-    the dense products (whose zeros are all +0.0).
+    The parents of BFS depth d + 1 all sit at depth d, and each depth is
+    a contiguous run of elements, so the replay is one gather per depth.
+    The residual of a column is what the dense ``|lhs - rhs|`` gives: 1
+    where the targets differ, 2 where only the sign does, else 0. So
+    ``tol`` and the error are the dense path's, and the images, scattered
+    into zeros, are bitwise the dense products (whose zeros are all +0.0).
     """
-    order, degree = group.order, targets.shape[1]
-    signs = signs.astype(np.int8)
-    t = np.empty((order, degree), dtype=targets.dtype)
-    s = np.empty((order, degree), dtype=np.int8)
-    t[0], s[0] = np.arange(degree), 1
-    for e in range(1, order):
-        parent, gi = group.parents[e]
-        t_g = targets[gi]
-        t[e], s[e] = t[parent][t_g], signs[gi] * s[parent][t_g]
+    flips = sign_flips(signs)
+    codes = np.empty((group.order, targets.shape[1]), dtype=flips.dtype)
+    codes[0] = np.arange(targets.shape[1])
+    depth = np.array([len(w) for w in group.words])
+    starts = np.flatnonzero(np.diff(depth)) + 1
+    for lo, hi in zip(starts, np.append(starts[1:], group.order)):
+        parent, gi = group.parents[lo:hi].T
+        codes[lo:hi] = np.take_along_axis(codes[parent], targets[gi], axis=1) ^ flips[gi]
 
     for gi in range(group.gen_count):
-        t_g, other = targets[gi], group.cayley[:, gi]
-        dev = np.where(t[:, t_g] != t[other], 1.0,
-                       np.where(signs[gi] * s[:, t_g] != s[other], 2.0, 0.0))
+        lhs = codes[:, targets[gi]] ^ flips[gi]
+        rhs = codes[group.cayley[:, gi]]
+        dev = np.where(lhs == rhs, 0.0, np.where(lhs == ~rhs, 2.0, 1.0))
         _raise_if_inconsistent(dev.max(axis=1), gi, tol)
-
-    return signed_permutation_matrices(t, s)
+    return split_signed_codes(codes)
 
 
 def _raise_if_inconsistent(dev, gi, tol):
@@ -151,6 +183,48 @@ def _raise_if_inconsistent(dev, gi, tol):
         raise InconsistentImagesError(worst, gi, float(dev[worst]))
 
 
+# --- generator images of the named representations ------------------------
+#
+# Each builder returns a (gen_count, n, n) stack; the public constructors
+# below and ``parse_rep_spec`` extend it to the whole group.
+
+
+def _trivial_images(group, degree):
+    return _image_stack(group, [np.eye(degree)] * group.gen_count)
+
+
+def _sign_images(group):
+    return np.stack([np.array([[np.linalg.det(g)]]) for g in group.generators])
+
+
+def _perm_images(group, perms):
+    return _image_stack(group, [permutation_matrix(p) for p in perms])
+
+
+def _perm_spec(perms):
+    return "perm:" + "|".join(",".join(str(i) for i in p) for p in perms)
+
+
+def _sum_images(parts):
+    """Block-diagonal generator images of a direct sum of image stacks."""
+    count = parts[0].shape[0]
+    total = sum(p.shape[1] for p in parts)
+    stack = np.zeros((count, total, total))
+    at = 0
+    for p in parts:
+        n = p.shape[1]
+        stack[:, at:at + n, at:at + n] = p
+        at += n
+    return stack
+
+
+def _tensor_images(gen_images, d):
+    """Generator images of rho (x) I_d; size-d blocks move together."""
+    if d < 1:
+        raise ValueError("tensor factor must be >= 1")
+    return np.stack([np.kron(g, np.eye(d)) for g in gen_images])
+
+
 def defining_rep(group):
     """The group acting by its own matrices."""
     return extend(group, group.generators, spec="defining")
@@ -158,26 +232,17 @@ def defining_rep(group):
 
 def trivial_rep(group, degree=1):
     """Every element acts as the identity on R^degree."""
-    return extend(
-        group,
-        [np.eye(degree)] * group.gen_count,
-        spec=f"trivial:{degree}",
-    )
+    return extend(group, _trivial_images(group, degree), spec=f"trivial:{degree}")
 
 
 def sign_rep(group):
     """Degree-1 representation by generator determinants."""
-    return extend(
-        group,
-        [np.array([[np.linalg.det(g)]]) for g in group.generators],
-        spec="sign",
-    )
+    return extend(group, _sign_images(group), spec="sign")
 
 
 def permutation_rep(group, perms):
     """Representation from one coordinate permutation per generator."""
-    spec = "perm:" + "|".join(",".join(str(i) for i in p) for p in perms)
-    return extend(group, [permutation_matrix(p) for p in perms], spec=spec)
+    return extend(group, _perm_images(group, perms), spec=_perm_spec(perms))
 
 
 def direct_sum(reps):
@@ -187,32 +252,16 @@ def direct_sum(reps):
     group = reps[0].group
     if any(r.group is not group for r in reps):
         raise ValueError("direct_sum requires representations of the same group")
-    gen_images = []
-    for gi in range(group.gen_count):
-        blocks = [r.gen_images[gi] for r in reps]
-        total = sum(b.shape[0] for b in blocks)
-        m = np.zeros((total, total))
-        at = 0
-        for b in blocks:
-            m[at:at + b.shape[0], at:at + b.shape[0]] = b
-            at += b.shape[0]
-        gen_images.append(m)
     spec = None
     if all(r.spec for r in reps):
         spec = "sum(" + ";".join(r.spec for r in reps) + ")"
-    return extend(group, gen_images, spec=spec)
+    return extend(group, _sum_images([r.gen_images for r in reps]), spec=spec)
 
 
 def tensor_identity(rep, d):
     """Kronecker lift rho(g) (x) I_d; size-d blocks move together."""
-    if d < 1:
-        raise ValueError("tensor factor must be >= 1")
     spec = f"tensor:{d}({rep.spec})" if rep.spec else None
-    return extend(
-        rep.group,
-        [np.kron(g, np.eye(d)) for g in rep.gen_images],
-        spec=spec,
-    )
+    return extend(rep.group, _tensor_images(rep.gen_images, d), spec=spec)
 
 
 def is_permutation_rep(rep, tol=1e-9):
@@ -256,43 +305,55 @@ def fixed_subspace(rep, tol=1e-9):
 
 
 def parse_rep_spec(group, text):
-    """Build a representation from its spec string."""
-    spec, pos = _parse_spec(group, text.strip(), 0)
+    """Build a representation from its spec string.
+
+    Sub-specs yield only generator images; ``extend`` runs once, on the
+    outermost spec, and its check covers every part. So when the images
+    of a part do not factor through the group, the
+    InconsistentImagesError names the outermost representation's first
+    failing pair: the first generator whose check fails, at the first
+    element with the largest residual over all parts. With one failing
+    part that is the part's own pair.
+    """
+    images, spec, pos = _parse_spec(group, text.strip(), 0)
     if pos != len(text.strip()):
         raise ValueError(f"trailing characters in rep spec {text!r}")
-    return spec
+    return extend(group, images, spec=spec)
 
 
 def _parse_spec(group, text, pos):
+    """(generator image stack, canonical spec, end position) of the spec
+    starting at ``pos``."""
     rest = text[pos:]
     if rest.startswith("defining"):
-        return defining_rep(group), pos + len("defining")
+        return group.generators, "defining", pos + len("defining")
     if rest.startswith("sign"):
-        return sign_rep(group), pos + len("sign")
+        return _sign_images(group), "sign", pos + len("sign")
     if rest.startswith("trivial:"):
         num, end = _parse_int(text, pos + len("trivial:"))
-        return trivial_rep(group, num), end
+        return _trivial_images(group, num), f"trivial:{num}", end
     if rest.startswith("perm:"):
         return _parse_perm(group, text, pos + len("perm:"))
     if rest.startswith("tensor:"):
         num, end = _parse_int(text, pos + len("tensor:"))
         if end >= len(text) or text[end] != "(":
             raise ValueError(f"expected '(' at position {end} in rep spec {text!r}")
-        inner, end = _parse_spec(group, text, end + 1)
+        inner, spec, end = _parse_spec(group, text, end + 1)
         if end >= len(text) or text[end] != ")":
             raise ValueError(f"expected ')' at position {end} in rep spec {text!r}")
-        return tensor_identity(inner, num), end + 1
+        return _tensor_images(inner, num), f"tensor:{num}({spec})", end + 1
     if rest.startswith("sum("):
-        parts = []
+        parts, specs = [], []
         pos += len("sum(")
         while True:
-            inner, pos = _parse_spec(group, text, pos)
+            inner, spec, pos = _parse_spec(group, text, pos)
             parts.append(inner)
+            specs.append(spec)
             if pos < len(text) and text[pos] == ";":
                 pos += 1
                 continue
             if pos < len(text) and text[pos] == ")":
-                return direct_sum(parts), pos + 1
+                return _sum_images(parts), "sum(" + ";".join(specs) + ")", pos + 1
             raise ValueError(f"expected ';' or ')' at position {pos} in rep spec {text!r}")
     raise ValueError(f"unrecognized rep spec at position {pos} in {text!r}")
 
@@ -315,4 +376,4 @@ def _parse_perm(group, text, pos):
         if not part:
             raise ValueError(f"empty permutation in rep spec {text!r}")
         perms.append([int(i) for i in part.split(",")])
-    return permutation_rep(group, perms), end
+    return _perm_images(group, perms), _perm_spec(perms), end

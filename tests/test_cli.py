@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
-from equikit import groups
+import equikit
+from equikit import groups, numerics, reps
+from equikit.activations import parse_activation
 from equikit.cli import main
+from equikit.network import build, save_model
 
 DEEPSETS_CFG = """\
 [model]
@@ -303,6 +311,39 @@ def test_check_non_integer_count_exits_2(tmp_path, capsys, prefix):
     assert f"line {at + 1}: 'two' is not an integer" in err
 
 
+BAD_THRESHOLDS = [
+    ("threshold:nan", "needs a finite threshold"),
+    ("threshold:inf", "needs a finite threshold"),
+    ("sign_threshold:-inf", "needs a finite threshold"),
+    ("threshold:abc", "has a non-numeric threshold"),
+]
+
+
+@pytest.mark.parametrize("activation,message", BAD_THRESHOLDS)
+def test_train_bad_threshold_exits_2(tmp_path, capsys, activation, message):
+    model = tmp_path / "model.txt"
+    code, out, err = run(
+        capsys, "train", "--task", "center-of-mass", "--m", "3", "--steps", "5",
+        "--activation", activation, "--out", str(model),
+    )
+    assert code == 2
+    assert out == ""
+    assert f"activation {activation!r} {message}" in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("activation,message", BAD_THRESHOLDS)
+def test_check_model_with_bad_threshold_exits_2(tmp_path, capsys, activation, message):
+    model = _train_small_model(tmp_path, capsys)
+    text = model.read_text()
+    assert "activation: tanh\n" in text
+    model.write_text(text.replace("activation: tanh\n", f"activation: {activation}\n"))
+    code, out, err = run(capsys, "check", "--model", str(model))
+    assert code == 2
+    assert "PASS" not in out
+    assert f"activation {activation!r} {message}" in err
+
+
 def test_basis_oversize_group_exits_2(tmp_path, capsys, monkeypatch):
     def close_must_not_run(*args, **kwargs):
         raise AssertionError("close() ran for a group above the cap")
@@ -314,3 +355,62 @@ def test_basis_oversize_group_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "symmetric:9 has at least" in err and "max_order=20000" in err
+
+
+# --- memory: the CLI path builds no dense (|G|, n, n) stack -----------------
+
+def _save_grid_model(path, group_spec, rep_specs):
+    group = groups.group_from_spec(group_spec)
+    chain = [reps.parse_rep_spec(group, spec) for spec in rep_specs]
+    save_model(build(group, chain, parse_activation("tanh"), seed=1), path)
+
+
+def _no_dense_stack(targets, signs):
+    raise AssertionError("a dense signed-permutation stack was built")
+
+
+def test_check_builds_no_dense_stack(tmp_path, capsys, monkeypatch):
+    for module in (groups, reps, numerics):
+        monkeypatch.setattr(module, "signed_permutation_matrices", _no_dense_stack)
+    model = tmp_path / "p4m4.model"
+    _save_grid_model(model, "p4m:4", ["sum(defining;sign)", "trivial:2", "trivial:1"])
+    code, out, _ = run(capsys, "check", "--model", str(model), "--seed", "1")
+    assert code == 0
+    assert ": PASS" in out
+
+
+P4M12_RUN = textwrap.dedent("""
+    import io, contextlib, sys
+    from equikit import activations, cli, groups, network, reps
+    group = groups.group_from_spec("p4m:12")
+    chain = [reps.parse_rep_spec(group, s) for s in ("defining", "trivial:2", "trivial:1")]
+    net = network.build(group, chain, activations.parse_activation("tanh"), seed=1)
+    network.save_model(net, sys.argv[1])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check", "--model", sys.argv[1], "--seed", "1"])
+    status = open("/proc/self/status").read()
+    peak_kb = int(status.split("VmHWM:")[1].split()[0])
+    print(code)
+    print(out.getvalue().splitlines()[-1])
+    print(peak_kb)
+""")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_p4m12_build_save_check_peak_rss(tmp_path):
+    # |G| = 1152, n = 144: one dense image stack alone would be 191 MB.
+    # The child reports VmHWM, the peak resident set of its own address
+    # space: Linux folds the launching process's peak into a child's
+    # ru_maxrss at exec, so ru_maxrss would count this test process too.
+    src = os.path.dirname(os.path.dirname(equikit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", P4M12_RUN, str(tmp_path / "p4m12.model")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    code, verdict, peak_kb = result.stdout.splitlines()
+    assert code == "0"
+    assert verdict.endswith(": PASS")
+    assert int(peak_kb) / 1024 < 150

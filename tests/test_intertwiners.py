@@ -183,6 +183,15 @@ def test_mismatched_groups_rejected():
         hom_dim_oracle(defining_rep(g1), defining_rep(g2))
 
 
+@pytest.mark.parametrize("spec", ["defining", "sign", "tensor:2(sum(defining;sign))",
+                                  "sum(trivial:2;defining)"])
+def test_signed_character_is_the_dense_trace(spec):
+    rep = parse_rep_spec(named_group("p4m", 3), spec)
+    assert rep.targets is not None
+    dense = np.trace(rep.images, axis1=1, axis2=2)
+    assert np.array_equal(intertwiners._character(rep), dense)
+
+
 def test_oracle_rejects_non_integer_average():
     g = named_group("symmetric", 3)
     rep = defining_rep(g)

@@ -3,9 +3,12 @@
 Groups are closures of random permutation and signed-permutation
 generator sets of degree <= 4; representations come from the spec
 language. The signed-permutation paths of the solver, the closure and
-the extension are compared bitwise with their dense oracles. Examples
-are derandomized so the suite is reproducible.
+the extension are compared bitwise with their dense oracles. Rotation
+groups through cos/sin exercise the dense closure itself. Examples are
+derandomized so the suite is reproducible.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from equikit import groups, intertwiners, reps
 from equikit.groups import close, permutation_matrix
 from equikit.intertwiners import hom_dim_oracle, solve_basis
 from equikit.numerics import nullspace, signed_permutations
-from equikit.reps import CONSISTENCY_TOL, parse_rep_spec
+from equikit.reps import CONSISTENCY_TOL, extend, parse_rep_spec
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None)
@@ -115,3 +118,32 @@ def test_signed_closure_and_extension_are_bitwise_dense(drawn, negative_zeros, d
     rep = parse_rep_spec(group, data.draw(rep_specs(perms)))
     images = reps._extend_dense(group, rep.gen_images, CONSISTENCY_TOL)
     assert rep.images.tobytes() == images.tobytes()
+
+
+@st.composite
+def rotation_steps(draw):
+    """(n, k) with 2 <= n <= 12 and k coprime to n: R(2 pi k / n) has order n."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.sampled_from([k for k in range(1, n) if math.gcd(k, n) == 1]))
+    return n, k
+
+
+def rotation(angle):
+    return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+
+
+@PROPERTY_SETTINGS
+@given(rotation_steps(), st.booleans())
+def test_dense_closure_of_rotations_has_cyclic_or_dihedral_order(step, reflect):
+    n, k = step
+    gens = [rotation(2 * np.pi * k / n)]
+    if reflect:
+        gens.append(np.diag([1.0, -1.0]))
+    # cos/sin leave 1e-16 residues where exact zeros belong, so the
+    # rotation is not an exact signed permutation: the dense path runs
+    assert signed_permutations(np.stack(gens)) is None
+    group = close(gens)
+    assert group.targets is None
+    assert group.order == (2 * n if reflect else n)
+    rep = extend(group, gens)
+    assert rep.images.shape == (group.order, 2, 2)

@@ -341,3 +341,67 @@ def test_dense_extension_keeps_two_image_sized_temporaries():
     # the result itself plus the consistency loop's two temporaries
     # (the loop once held four)
     assert peak - rep.images.nbytes < 3 * rep.images.nbytes
+
+
+def test_signed_act_is_bitwise_the_image_matmul():
+    group = group_from_spec("p4m:3")
+    rep = parse_rep_spec(group, "sum(tensor:2(defining);sign)")
+    assert rep.targets is not None
+    vectors = np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, rep.degree))
+    for i in range(group.order):
+        assert rep.act(i, vectors).tobytes() == (vectors @ rep.images[i].T).tobytes()
+
+
+def test_signed_closure_and_extension_build_no_dense_stack_until_read():
+    tracemalloc.start()
+    try:
+        rep = defining_rep(named_group("p4m", 8))
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        rep.group.elements
+        _, peak_read = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense_bytes = rep.group.order * rep.group.dim ** 2 * 8  # 16.8 MB
+    # closure plus extension stay below one dense (|G|, n, n) stack ...
+    assert peak < dense_bytes
+    # ... which reading the dense view then builds, once
+    assert peak_read >= dense_bytes
+    assert rep.group.elements is rep.group.elements
+
+
+# --- nested specs extend once ----------------------------------------------
+
+def test_nested_spec_makes_one_extend_call(s3, monkeypatch):
+    calls = []
+    real_extend = reps.extend
+    monkeypatch.setattr(reps, "extend",
+                        lambda *args, **kw: calls.append(kw.get("spec")) or real_extend(*args, **kw))
+    rep = parse_rep_spec(s3, "tensor:3(sum(perm:1,0,2|1,2,0;sign))")
+    assert calls == ["tensor:3(sum(perm:1,0,2|1,2,0;sign))"]
+    assert rep.spec == calls[0]
+    assert rep.degree == 12
+
+
+BAD_A = "perm:1,0,2|1,0,2"  # both S_3 generators to one transposition
+BAD_B = "perm:1,2,0|0,1,2"
+
+
+def _error(group, spec):
+    with pytest.raises(InconsistentImagesError) as info:
+        parse_rep_spec(group, spec)
+    return info.value.element, info.value.generator, info.value.residual
+
+
+@pytest.mark.parametrize("nested", ["sum(BAD;defining)", "tensor:2(BAD)",
+                                    "sum(sign;tensor:3(BAD))"])
+def test_nested_inconsistent_part_reports_its_own_pair(s3, nested):
+    assert _error(s3, nested.replace("BAD", BAD_A)) == _error(s3, BAD_A)
+
+
+def test_two_inconsistent_parts_report_the_outermost_pair(s3):
+    # each part alone fails at generator 0, at elements 3 and 1; the sum's
+    # check names the first element with the largest residual over both
+    assert _error(s3, BAD_A) == (3, 0, 1.0)
+    assert _error(s3, BAD_B) == (1, 0, 1.0)
+    assert _error(s3, f"sum({BAD_A};{BAD_B})") == (1, 0, 1.0)
