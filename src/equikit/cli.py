@@ -66,7 +66,7 @@ def cmd_basis(args):
             raise ConfigError(f"--layer must be in 1..{len(reps) - 1}")
         boundaries = [args.layer]
     for i in boundaries:
-        basis = solve_basis(reps[i - 1], reps[i], tol=cfg.tol)
+        basis = solve_basis(reps[i - 1], reps[i])
         print(
             f"layer {i}: {cfg.rep_specs[i - 1]} ({reps[i - 1].degree}) -> "
             f"{cfg.rep_specs[i]} ({reps[i].degree}), intertwiner dim {basis.dim}"

@@ -6,7 +6,6 @@ Example::
     group = symmetric:5
     activation = tanh
     seed = 7
-    tol = 1e-9
 
     [reps]
     0 = tensor:3(defining)
@@ -14,10 +13,15 @@ Example::
     2 = trivial:3
 
 Rep keys are consecutive integers from 0; they order the layer chain.
+A ``tol`` key in [model] is accepted and ignored, once it parses as a
+finite positive float: every rep the spec language builds takes the
+exact orbit path of ``solve_basis``, which uses no tolerance.
 """
 
 import configparser
 from dataclasses import dataclass
+
+from .numerics import check_tol
 
 
 class ConfigError(ValueError):
@@ -30,7 +34,6 @@ class ModelConfig:
     rep_specs: list
     activation: str = "relu"
     seed: int = 0
-    tol: float = 1e-9
 
 
 def parse_config(path):
@@ -59,6 +62,10 @@ def parse_config(path):
         tol = float(model.pop("tol", "1e-9"))
     except ValueError:
         raise ConfigError("model.tol must be a float") from None
+    try:
+        check_tol(tol)
+    except ValueError as exc:
+        raise ConfigError(f"model.tol: {exc}") from None
     if model:
         key = sorted(model)[0]
         raise ConfigError(f"model.{key}: unknown field")
@@ -82,4 +89,4 @@ def parse_config(path):
     if len(entries) < 2:
         raise ConfigError("need at least two reps (input and output)")
     rep_specs = [entries[i] for i in expected]
-    return ModelConfig(group_spec, rep_specs, activation, seed, tol)
+    return ModelConfig(group_spec, rep_specs, activation, seed)

@@ -99,16 +99,36 @@ class FiniteGroup:
         return np.eye(self.dim)
 
     def index_of(self, m):
-        """Index of a matrix in the group, or ValueError if absent."""
+        """Index of a matrix in the group, or ValueError if absent.
+
+        The matrix matches an element within ``_MATCH_TOL`` entrywise. A
+        signed permutation group rounds it to the nearest signed
+        permutation (the largest entry of each column, with its sign)
+        and finds that by its exact targets and signs, so it builds no
+        dense view of the elements.
+        """
         m = as_matrix(m, "element")
         if m.shape != (self.dim, self.dim):
             raise ValueError(
                 f"element has shape {m.shape}, expected ({self.dim}, {self.dim})"
             )
-        hits = np.flatnonzero(np.abs(self.elements - m).max(axis=(1, 2)) <= _MATCH_TOL)
-        if hits.size == 0:
+        if self.targets is None:
+            hits = np.flatnonzero(np.abs(self.elements - m).max(axis=(1, 2)) <= _MATCH_TOL)
+        else:
+            cols = np.arange(self.dim)
+            targets = np.abs(m).argmax(axis=0)
+            signs = np.where(m[targets, cols] < 0.0, -1, 1).astype(np.int8)
+            dev = np.abs(m)
+            dev[targets, cols] = np.abs(m[targets, cols] - signs)
+            hits = self._signed_hits(targets, signs) if dev.max() <= _MATCH_TOL else []
+        if len(hits) == 0:
             raise ValueError("matrix is not an element of the group")
         return int(hits[0])
+
+    def _signed_hits(self, targets, signs):
+        """Indices of the elements with exactly these targets and signs."""
+        return np.flatnonzero((self.targets == targets).all(axis=1)
+                              & (self.signs == signs).all(axis=1))
 
     def contains(self, m):
         try:
@@ -118,7 +138,14 @@ class FiniteGroup:
             return False
 
     def inverse_index(self, i):
-        return self.index_of(np.linalg.inv(self.elements[i]))
+        if self.targets is None:
+            return self.index_of(np.linalg.inv(self.elements[i]))
+        # e e_j = s_j e_{t_j}, so e^-1 e_{t_j} = s_j e_j
+        targets = np.empty_like(self.targets[i])
+        targets[self.targets[i]] = np.arange(self.dim)
+        signs = np.empty_like(self.signs[i])
+        signs[self.targets[i]] = self.signs[i]
+        return int(self._signed_hits(targets, signs)[0])
 
     def __repr__(self):
         name = self.spec or f"<{self.gen_count} generators>"

@@ -9,12 +9,14 @@ together with the character-based dimension count below).
 ``solve_basis`` is the one entry point and has two paths. When every
 generator image of both representations is an exact signed permutation
 matrix (entries exactly -1, 0 or 1, one nonzero per row and column),
-the nullspace is spanned by orbit indicators on index pairs (i, j) and
-is computed from the sparse constraint rows without dense elimination,
-bit for bit equal to the dense path. Every other representation goes
-through the dense elimination in ``numerics.nullspace``, which is also
-the test oracle for the fast path. ``tol`` is validated on both paths
-but only the dense path uses it.
+the nullspace is spanned by signed orbit indicators on index pairs
+(i, j), one per orbit without an odd sign cycle. Union-find with parity
+over the generator links finds the orbits (see ``_orbit_nullspace``),
+without building the constraint stack, and the result is bit for bit
+the dense path's. Every other representation goes through the dense
+elimination in ``numerics.nullspace``, which is also the test oracle for
+the orbit path. ``tol`` is validated on both paths but only the dense
+path uses it.
 
 The solve reads generator images only. The character oracle reads every
 element: the (targets, signs) index arrays of a signed permutation
@@ -91,122 +93,58 @@ def _constraint_stack(rep_in, rep_out):
 
 
 def _orbit_nullspace(perm_in, perm_out):
-    """``nullspace(stack)`` for signed permutation reps, without dense elimination.
+    """``nullspace(stack)`` for signed permutation reps, by union-find with parity.
 
-    Back-substitution over the echelon rows of ``_sparse_echelon`` ties
-    each pivot column c to one later column d, v[c] = -(a_cd v[d]) / a_cc,
-    or to zero when its row has no d. So the free columns are the largest
-    indices of the orbits whose signs agree, and each nullspace vector is
-    +-1 on one orbit with +1 at its free column. Orbits are disjoint, so
-    Gram-Schmidt only divides by sqrt(|orbit|). It also leaves signed
-    zeros, which ``basis --print`` shows as "-0": back-substitution
-    writes -0.0 = -(+0.0) / a_cc at every pivot column c with a_cc > 0
-    outside the vector's orbit, and projecting out an earlier vector q
-    turns -0.0 into +0.0 wherever q has its sign bit set. Of all
-    vectors, only the first that does not contain c keeps that -0.0:
-    vector 0, or vector 1 when c lies in vector 0's orbit with a
-    positive entry.
-    """
-    size = perm_in[0].shape[1] * perm_out[0].shape[1]
-    pivot_rows = _sparse_echelon(_constraint_rows(perm_in, perm_out), size)
-
-    root = np.full(size, -1)  # free column of each index's orbit; -1 if forced to zero
-    value = np.zeros(size)
-    for c in range(size - 1, -1, -1):
-        if c not in pivot_rows:
-            root[c], value[c] = c, 1.0
-        elif pivot_rows[c][1]:
-            a_cc, [(d, a_cd)] = pivot_rows[c]
-            root[c], value[c] = root[d], -(a_cd * value[d]) / a_cc
-
-    free = np.flatnonzero(root == np.arange(size))
-    dim = free.size
-    ns = np.zeros((size, dim))
-    member = np.flatnonzero(root >= 0)
-    element = np.full(size, -1)
-    element[member] = np.searchsorted(free, root[member])
-    counts = np.bincount(element[member], minlength=dim)
-    ns[member, element[member]] = value[member] / np.sqrt(counts[element[member]])
-    positive_pivot = np.zeros(size, dtype=bool)
-    positive_pivot[[c for c, (a_cc, _) in pivot_rows.items() if a_cc > 0.0]] = True
-    if dim >= 1:
-        ns[positive_pivot & (element != 0), 0] = -0.0
-    if dim >= 2:
-        ns[positive_pivot & (element == 0) & (value > 0.0), 1] = -0.0
-    return ns
-
-
-def _constraint_rows(perm_in, perm_out):
-    """The rows of ``_constraint_stack`` as {column: value} dicts.
-
-    Row (g, i, j) holds s_in(j) at (i, pi_in(j)) and -s_out(k) at (k, j),
-    where pi_out(k) = i: it links two index pairs with a sign, or holds
-    s_in(j) - s_out(k) when the two pairs coincide.
+    Generator g links pair (i, j) to (t_out[g][i], t_in[g][j]) with
+    parity s_out[g][i] * s_in[g][j]: A rho_in(g) = rho_out(g) A says A
+    at the linked pair is parity * A[i, j]. Each pair keeps a root and a
+    sign, v[p] = sign[p] * v[root[p]]. A round hooks every pair to the
+    largest root among its own and its links' (both directions), then
+    pointer-jumps until the roots stop changing; rounds repeat until one
+    changes no root, which leaves each orbit's largest index as its root.
+    A link whose parity disagrees with the settled signs closes an odd
+    sign cycle and zeroes its orbit. Every other orbit is one column, in
+    root order: sign / sqrt(|orbit|) on the orbit, positive at the root.
+    That is the dense path's result, whose zeros are +0.0 as these are.
     """
     (t_in, s_in), (t_out, s_out) = perm_in, perm_out
     n_in, n_out = t_in.shape[1], t_out.shape[1]
-    j = np.arange(n_in)[None, :]
-    rows = []
-    for g in range(t_in.shape[0]):
-        k = np.argsort(t_out[g])[:, None]
-        cols_a = np.arange(n_out)[:, None] * n_in + t_in[g][j]
-        cols_b = k * n_in + j
-        vals_a = np.broadcast_to(s_in[g][j], cols_a.shape)
-        vals_b = np.broadcast_to(-s_out[g][k], cols_b.shape)
-        for ca, cb, va, vb in zip(cols_a.ravel().tolist(), cols_b.ravel().tolist(),
-                                  vals_a.ravel().tolist(), vals_b.ravel().tolist()):
-            row = {ca: va}
-            row[cb] = row.get(cb, 0.0) + vb
-            rows.append({c: v for c, v in row.items() if v != 0.0})
-    return rows
+    size = n_out * n_in
+    pairs = np.arange(size)
+    link = (t_out[:, :, None] * n_in + t_in[:, None, :]).reshape(-1, size)
+    parity = (s_out[:, :, None] * s_in[:, None, :]).reshape(-1, size).astype(np.int8)
+    back = np.empty_like(link)  # back[g, link[g, p]] = p
+    np.put_along_axis(back, link, pairs[None], axis=1)
+    # v[p] = near_parity[k, p] * v[near[k, p]] for each link k of p
+    near = np.concatenate([link, back])
+    near_parity = np.concatenate([parity, np.take_along_axis(parity, back, axis=1)])
 
+    root, sign = pairs, np.ones(size, dtype=np.int8)
+    while True:
+        roots = np.concatenate([root[None], root[near]])
+        signs = np.concatenate([sign[None], near_parity * sign[near]])
+        best = roots.argmax(axis=0)
+        hooked, sign = roots[best, pairs], signs[best, pairs]
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            sign = sign * sign[hooked]
+            hooked = jumped
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
 
-def _sparse_echelon(rows, size):
-    """``kernels.row_echelon`` replayed on sparse rows: {pivot column c:
-    (a_cc, [(d, a_cd)] or [])}, the echelon row that pivots on c.
-
-    Eliminating one signed link from another leaves a signed link, or a
-    lone +-2 where a sign cycle closes oddly, so every row keeps at most
-    two nonzeros and every value stays exact. The pivot choices, row
-    swaps and arithmetic are the dense kernel's, so the echelon rows are
-    bitwise its rows.
-    """
-    live = [set() for _ in range(size)]  # column -> non-pivot rows holding it
-    for r, row in enumerate(rows):
-        for c in row:
-            live[c].add(r)
-    place = list(range(len(rows)))  # row -> its place in the dense row order
-    at = list(range(len(rows)))     # place -> row
-    pivot_rows = {}
-    rank = 0
-    for c in range(size):
-        if not live[c]:
-            continue
-        # the dense kernel pivots on the first row, in place order, of
-        # largest magnitude and swaps it into place ``rank``
-        p = min(live[c], key=lambda r: (-abs(rows[r][c]), place[r]))
-        q = at[rank]
-        at[rank], at[place[p]] = p, q
-        place[q], place[p] = place[p], rank
-        rank += 1
-        pivot = rows[p]
-        a_cc = pivot.pop(c)
-        pivot_rows[c] = (a_cc, list(pivot.items()))
-        for d in pivot:
-            live[d].discard(p)
-        live[c].discard(p)
-        for r in live[c]:
-            row = rows[r]
-            f = row.pop(c) / a_cc
-            for d, a_cd in pivot.items():
-                new = row.get(d, 0.0) - f * a_cd
-                if new != 0.0:
-                    row[d] = new
-                    live[d].add(r)
-                else:
-                    row.pop(d, None)
-                    live[d].discard(r)
-    return pivot_rows
+    odd = np.zeros(size, dtype=bool)
+    odd[root[(sign != parity * sign[link]).any(axis=0)]] = True
+    free = np.flatnonzero((root == pairs) & ~odd)
+    dim = free.size
+    ns = np.zeros((size, dim))
+    member = np.flatnonzero(~odd[root])
+    element = np.searchsorted(free, root[member])
+    counts = np.bincount(element, minlength=dim)
+    ns[member, element] = sign[member] / np.sqrt(counts[element])
+    return ns
 
 
 def hom_dim_oracle(rep_in, rep_out):

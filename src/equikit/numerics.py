@@ -88,7 +88,7 @@ def nullspace(m, tol=DEFAULT_TOL):
     Pivots below ``tol * max|entry|`` are treated as zero, so the result
     has ``cols - rank`` columns at that threshold. Columns are
     orthonormal and ordered deterministically (free columns of the
-    echelon form, in index order).
+    echelon form, in index order), and every zero entry is +0.0.
     """
     check_tol(tol)
     a = as_matrix(m).copy()
@@ -111,7 +111,9 @@ def nullspace(m, tol=DEFAULT_TOL):
     q, kept = kernels.orthonormal_rows(
         np.ascontiguousarray(v.T), 1e-12 * np.sqrt((v * v).sum(axis=0)).max()
     )
-    return np.ascontiguousarray(q[:kept].T)
+    # back-substitution and Gram-Schmidt leave -0.0 entries; + 0.0 makes
+    # every zero +0.0, so equal bases print and hash alike
+    return np.ascontiguousarray(q[:kept].T) + 0.0
 
 
 def orthonormalize(v):

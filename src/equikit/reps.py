@@ -29,6 +29,10 @@ from .numerics import (
 
 CONSISTENCY_TOL = 1e-8
 
+# A rep spec is refused, before any image is built, when its dense
+# (gen_count, n, n) float64 generator-image stack would exceed this.
+MAX_IMAGE_STACK_BYTES = 2 ** 28
+
 
 class InconsistentImagesError(ValueError):
     """Generator images do not factor through the group.
@@ -307,6 +311,11 @@ def fixed_subspace(rep, tol=1e-9):
 def parse_rep_spec(group, text):
     """Build a representation from its spec string.
 
+    The spec's degree n is known before any image is built: a spec whose
+    dense (gen_count, n, n) float64 generator-image stack would exceed
+    ``MAX_IMAGE_STACK_BYTES`` raises ValueError naming the spec and its
+    degree, and builds nothing.
+
     Sub-specs yield only generator images; ``extend`` runs once, on the
     outermost spec, and its check covers every part. So when the images
     of a part do not factor through the group, the
@@ -315,45 +324,56 @@ def parse_rep_spec(group, text):
     element with the largest residual over all parts. With one failing
     part that is the part's own pair.
     """
-    images, spec, pos = _parse_spec(group, text.strip(), 0)
+    degree, images, spec, pos = _parse_spec(group, text.strip(), 0)
     if pos != len(text.strip()):
         raise ValueError(f"trailing characters in rep spec {text!r}")
-    return extend(group, images, spec=spec)
+    stack_bytes = group.gen_count * degree * degree * 8
+    if stack_bytes > MAX_IMAGE_STACK_BYTES:
+        raise ValueError(
+            f"rep spec {spec!r} has degree {degree}: its {group.gen_count} "
+            f"generator images would take {stack_bytes} bytes, above the cap "
+            f"MAX_IMAGE_STACK_BYTES={MAX_IMAGE_STACK_BYTES}"
+        )
+    return extend(group, images(), spec=spec)
 
 
 def _parse_spec(group, text, pos):
-    """(generator image stack, canonical spec, end position) of the spec
-    starting at ``pos``."""
+    """(degree, generator image stack builder, canonical spec, end
+    position) of the spec starting at ``pos``; the builder takes no
+    arguments and returns the (gen_count, n, n) stack."""
     rest = text[pos:]
     if rest.startswith("defining"):
-        return group.generators, "defining", pos + len("defining")
+        return group.dim, lambda: group.generators, "defining", pos + len("defining")
     if rest.startswith("sign"):
-        return _sign_images(group), "sign", pos + len("sign")
+        return 1, lambda: _sign_images(group), "sign", pos + len("sign")
     if rest.startswith("trivial:"):
         num, end = _parse_int(text, pos + len("trivial:"))
-        return _trivial_images(group, num), f"trivial:{num}", end
+        return num, lambda: _trivial_images(group, num), f"trivial:{num}", end
     if rest.startswith("perm:"):
         return _parse_perm(group, text, pos + len("perm:"))
     if rest.startswith("tensor:"):
         num, end = _parse_int(text, pos + len("tensor:"))
         if end >= len(text) or text[end] != "(":
             raise ValueError(f"expected '(' at position {end} in rep spec {text!r}")
-        inner, spec, end = _parse_spec(group, text, end + 1)
+        degree, inner, spec, end = _parse_spec(group, text, end + 1)
         if end >= len(text) or text[end] != ")":
             raise ValueError(f"expected ')' at position {end} in rep spec {text!r}")
-        return _tensor_images(inner, num), f"tensor:{num}({spec})", end + 1
+        return (degree * num, lambda: _tensor_images(inner(), num),
+                f"tensor:{num}({spec})", end + 1)
     if rest.startswith("sum("):
-        parts, specs = [], []
+        degree, parts, specs = 0, [], []
         pos += len("sum(")
         while True:
-            inner, spec, pos = _parse_spec(group, text, pos)
+            part_degree, inner, spec, pos = _parse_spec(group, text, pos)
+            degree += part_degree
             parts.append(inner)
             specs.append(spec)
             if pos < len(text) and text[pos] == ";":
                 pos += 1
                 continue
             if pos < len(text) and text[pos] == ")":
-                return _sum_images(parts), "sum(" + ";".join(specs) + ")", pos + 1
+                return (degree, lambda: _sum_images([p() for p in parts]),
+                        "sum(" + ";".join(specs) + ")", pos + 1)
             raise ValueError(f"expected ';' or ')' at position {pos} in rep spec {text!r}")
     raise ValueError(f"unrecognized rep spec at position {pos} in {text!r}")
 
@@ -376,4 +396,5 @@ def _parse_perm(group, text, pos):
         if not part:
             raise ValueError(f"empty permutation in rep spec {text!r}")
         perms.append([int(i) for i in part.split(",")])
-    return _perm_images(group, perms), _perm_spec(perms), end
+    degree = max(len(p) for p in perms)
+    return degree, lambda: _perm_images(group, perms), _perm_spec(perms), end

@@ -357,6 +357,34 @@ def test_basis_oversize_group_exits_2(tmp_path, capsys, monkeypatch):
     assert "symmetric:9 has at least" in err and "max_order=20000" in err
 
 
+def _no_images(*args):
+    raise AssertionError("generator images were built for an oversized rep spec")
+
+
+def test_basis_oversized_rep_spec_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(reps, "_tensor_images", _no_images)
+    cfg = tmp_path / "huge_rep.cfg"
+    cfg.write_text("[model]\ngroup = cyclic:3\n\n"
+                   "[reps]\n0 = tensor:100000(defining)\n1 = defining\n")
+    code, out, err = run(capsys, "basis", "--config", str(cfg))
+    assert code == 2
+    assert "intertwiner dim" not in out
+    assert "'tensor:100000(defining)' has degree 300000" in err
+    assert "MAX_IMAGE_STACK_BYTES" in err
+
+
+def test_check_model_with_oversized_rep_exits_2(tmp_path, capsys, monkeypatch):
+    model = _train_small_model(tmp_path, capsys)
+    text = model.read_text()
+    rep_line = next(ln for ln in text.splitlines() if ln.startswith("rep:"))
+    model.write_text(text.replace(rep_line, "rep: tensor:100000(defining)", 1))
+    monkeypatch.setattr(reps, "_tensor_images", _no_images)
+    code, out, err = run(capsys, "check", "--model", str(model))
+    assert code == 2
+    assert "PASS" not in out
+    assert "'tensor:100000(defining)' has degree 300000" in err
+
+
 # --- memory: the CLI path builds no dense (|G|, n, n) stack -----------------
 
 def _save_grid_model(path, group_spec, rep_specs):

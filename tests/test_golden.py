@@ -18,9 +18,9 @@ from equikit.cli import main
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BASIS_PRINT_SHA256 = {
-    "c4_chain": "593f105d9bc41a4c361aa2b1bb8c0409b0865ada52e0b2b574f79a22c885eab8",
-    "deepsets_s5": "603b59230f3886a63b650ed7a334aab58d06816f533429bfce8c3093fbecc5f0",
-    "p4_grid2": "ac77c1422bfb8cdddd6c99f047f4362d614b51ac45c9b16c9857c4e611f29d11",
+    "c4_chain": "39d67042f6fd020b3d634d8629115c79eb59e99015e7db9d84c86e199d9d7d17",
+    "deepsets_s5": "40d41b31621ab618de23d2c78e4096ed0f21661912e3a84b9e2d629413e174ce",
+    "p4_grid2": "02f9da633f9cef29bcde73688a87b11a10a4e9a280f048443535819182290a24",
 }
 
 # (argv after "--exact train", stdout sha256, model file sha256)
@@ -68,6 +68,17 @@ def test_basis_print_bytes(name, capsys):
                     "--print")
     assert code == 0
     assert sha256(out) == BASIS_PRINT_SHA256[name]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+def test_basis_print_has_no_negative_zero(config, exact, capsys):
+    # every zero of a solved basis is +0.0, on the orbit and dense paths alike
+    code, out = run(capsys, *(["--exact"] if exact else []), "basis", "--config",
+                    str(config), "--print")
+    assert code == 0
+    assert "basis element 0:" in out
+    assert "-0" not in out.split()
 
 
 @pytest.mark.parametrize("name", sorted(TRAIN_RUNS))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,35 @@ def test_index_of_every_element():
     g = named_group("p4m", 3)
     for i, e in enumerate(g.elements):
         assert g.index_of(e + 1e-9) == i
+
+
+def test_signed_lookup_keeps_the_match_tolerance():
+    g = named_group("p4m", 3)
+    assert g.targets is not None
+    e = g.generators[2]
+    assert g.index_of(e + 9e-7) == g.index_of(e - 9e-7) == 3
+    assert not g.contains(e + 2e-6)
+    assert not g.contains(np.zeros((9, 9)))
+    assert not g.contains(np.ones((9, 9)))
+    assert not g.contains(-e)  # a signed permutation outside the group
+
+
+def test_signed_lookup_builds_no_dense_stack():
+    g = named_group("p4m", 12)  # one dense (|G|, n, n) stack is 191 MB
+    tracemalloc.start()
+    try:
+        found = g.index_of(g.generators[2])
+        inverses = [g.inverse_index(i) for i in range(g.order)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == 3
+    assert peak < 5e6
+    # element i times element inverses[i] maps e_k to +e_k for every k
+    after = g.targets[inverses]
+    assert np.array_equal(np.take_along_axis(g.targets, after, axis=1),
+                          np.broadcast_to(np.arange(g.dim), after.shape))
+    assert (np.take_along_axis(g.signs, after, axis=1) * g.signs[inverses] == 1).all()
 
 
 def test_group_from_spec():

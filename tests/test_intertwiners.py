@@ -204,8 +204,10 @@ def test_oracle_rejects_non_integer_average():
 
 
 def dense_basis(rep_in, rep_out):
-    """The dense path's basis, which the orbit path must reproduce bitwise."""
+    """The dense path's basis, whose zeros are all +0.0; the union-find
+    orbit path must reproduce it bitwise."""
     ns = nullspace(intertwiners._constraint_stack(rep_in, rep_out))
+    assert not np.signbit(ns[ns == 0.0]).any()
     return ns.T.reshape(ns.shape[1], rep_out.degree, rep_in.degree)
 
 
@@ -223,6 +225,10 @@ SIGNED_CASES = CASES + [
     # the benchmark's grid-solve and signed-solve boundaries
     ("p4m", 4, "defining", "defining"),
     ("symmetric", 6, "tensor:3(sum(defining;sign))", "tensor:3(sum(defining;sign))"),
+    ("cyclic", 6, "sum(defining;sign)", "sum(defining;sign)"),
+    # odd sign cycles zero whole orbits
+    ("symmetric", 3, "sign", "trivial:1"),
+    ("symmetric", 3, "sum(defining;sign)", "defining"),
 ]
 
 
@@ -260,6 +266,37 @@ def test_sign_conflict_forces_zero():
     assert basis.dim == 0
     assert basis.basis.shape == (0, 1, 3)
     assert np.array_equal(basis.realize(np.zeros(0)), np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("spec_in,spec_out,dim", [
+    ("sign", "trivial:1", 0),
+    ("sum(defining;sign)", "defining", 2),
+])
+def test_odd_sign_cycle_zeroes_its_orbit(spec_in, spec_out, dim):
+    # a transposition links each pair in the last input column (the sign)
+    # to a pair in that column with parity -1, closing an odd sign cycle
+    # on every orbit there
+    g = named_group("symmetric", 3)
+    rep_in, rep_out = parse_rep_spec(g, spec_in), parse_rep_spec(g, spec_out)
+    basis = solve_basis(rep_in, rep_out)
+    assert basis.dim == dim == hom_dim_oracle(rep_in, rep_out)
+    assert basis.basis.shape == (dim, rep_out.degree, rep_in.degree)
+    assert np.array_equal(basis.basis[:, :, -1], np.zeros((dim, rep_out.degree)))
+
+
+def max_commutation_residual_at_generators(basis, rep_in, rep_out):
+    return max(np.abs(b @ g_in - g_out @ b).max()
+               for b in basis.basis
+               for g_in, g_out in zip(rep_in.gen_images, rep_out.gen_images))
+
+
+def test_p4m12_defining_pair_has_the_oracle_dimension():
+    # 20736 unknowns: far beyond the dense solve, a few rounds of union-find
+    rep = defining_rep(named_group("p4m", 12))
+    basis = solve_basis(rep, rep)
+    assert basis.dim == hom_dim_oracle(rep, rep) == 28
+    assert basis.basis.shape == (28, 144, 144)
+    assert max_commutation_residual_at_generators(basis, rep, rep) == 0.0
 
 
 def test_perturbed_rep_falls_back_to_dense(monkeypatch):

@@ -92,10 +92,12 @@ def test_rep_spec_round_trips(pair):
 @given(rep_pairs())
 def test_orbit_basis_is_bitwise_the_dense_basis(pair):
     # every rep drawn here has signed permutation generator images, so
-    # solve_basis takes the orbit path; the dense nullspace is the oracle
+    # solve_basis takes the union-find orbit path; the dense nullspace,
+    # whose zeros are all +0.0, is the oracle
     rep_in, rep_out = pair
     basis = solve_basis(rep_in, rep_out).basis
     ns = nullspace(intertwiners._constraint_stack(rep_in, rep_out))
+    assert not np.signbit(ns[ns == 0.0]).any()
     dense = ns.T.reshape(ns.shape[1], rep_out.degree, rep_in.degree)
     assert basis.shape == dense.shape
     assert basis.strides == dense.strides

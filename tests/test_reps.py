@@ -405,3 +405,22 @@ def test_two_inconsistent_parts_report_the_outermost_pair(s3):
     assert _error(s3, BAD_A) == (3, 0, 1.0)
     assert _error(s3, BAD_B) == (1, 0, 1.0)
     assert _error(s3, f"sum({BAD_A};{BAD_B})") == (1, 0, 1.0)
+
+
+# --- oversized specs are refused before any image is built ------------------
+
+@pytest.mark.parametrize("spec,degree", [
+    ("trivial:8", 8),
+    ("sum(tensor:2(defining);trivial:2)", 8),
+    ("tensor:2(sum(defining;sign))", 8),
+    ("perm:0,1,2,3,4,5,6,7|1,0,2,3,4,5,6,7", 8),
+])
+def test_rep_spec_above_the_image_cap_builds_nothing(s3, monkeypatch, spec, degree):
+    # s3 has two generators: a cap of two 7 x 7 float64 images admits degree 7
+    monkeypatch.setattr(reps, "MAX_IMAGE_STACK_BYTES", 2 * 7 * 7 * 8)
+    assert parse_rep_spec(s3, "sum(tensor:2(defining);sign)").degree == 7
+    for builder in ("_trivial_images", "_sign_images", "_perm_images",
+                    "_sum_images", "_tensor_images"):
+        monkeypatch.setattr(reps, builder, lambda *args: pytest.fail("image built"))
+    with pytest.raises(ValueError, match=rf"has degree {degree}: .* above the cap"):
+        parse_rep_spec(s3, spec)
