@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import check_tol
 from .reps import is_permutation_rep
 
 KINDS = ("relu", "tanh", "threshold", "sign_threshold")
@@ -141,14 +142,17 @@ def is_compatible(spec, b, rep, tol=1e-9):
     """Certified-sufficient condition for pointwise equivariance.
 
     True iff the representation is a permutation representation and the
-    bias is fixed by every generator. Sufficient, not necessary.
+    finite bias is fixed by every generator: no generator moves it by
+    more than ``tol`` (finite and non-negative). Sufficient, not
+    necessary.
     """
+    check_tol(tol, strict=False)
     b = np.asarray(b, dtype=np.float64)
-    if b.shape != (rep.degree,):
+    if b.shape != (rep.degree,) or not np.isfinite(b).all():
         return False
     if not is_permutation_rep(rep):
         return False
     for g in rep.gen_images:
-        if np.abs(g @ b - b).max() >= tol:
+        if np.abs(g @ b - b).max() > tol:
             return False
     return True

@@ -142,44 +142,28 @@ DEMO_X = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
 DEMO_V = np.array([2.1, 3.4, 0.2])
 
 
-def _demo_permutation_threshold():
+def _demo_sign_threshold(bias, title, s, expect_commutes, claim):
+    """Print the square of sign_threshold:3 with ``bias`` (the map named
+    ``s``) around the permutation DEMO_X, and exit 0 when it commutes or
+    not as expected, printing ``claim``."""
     spec = ActivationSpec("sign_threshold", 3.0)
-    zero = np.zeros(3)
-    xv = DEMO_X @ DEMO_V
-    sxv = apply_pointwise(spec, zero, xv)
-    back = DEMO_X.T @ sxv
-    sv = apply_pointwise(spec, zero, DEMO_V)
-    print("pointwise map sign_threshold:3, permutation X = rows [0 1 0; 0 0 1; 1 0 0]")
-    print(f"v           = {_fmt_vec(DEMO_V)}")
-    print(f"X v         = {_fmt_vec(xv)}")
-    print(f"s(X v)      = {_fmt_pm(sxv)}")
-    print(f"X^-1 s(X v) = {_fmt_pm(back)}")
-    print(f"s(v)        = {_fmt_pm(sv)}")
-    if np.array_equal(back, sv):
-        print("X^-1 s(X v) == s(v): the pointwise map is equivariant")
-        return 0
-    print("X^-1 s(X v) != s(v)")
-    return 1
-
-
-def _demo_bias_counterexample():
-    spec = ActivationSpec("sign_threshold", 3.0)
-    bias = np.array([-1.0, 0.0, 0.0])
     xv = DEMO_X @ DEMO_V
     sxv = apply_pointwise(spec, bias, xv)
     back = DEMO_X.T @ sxv
     sv = apply_pointwise(spec, bias, DEMO_V)
-    print("pointwise map sign_threshold:3 with bias b = (-1, 0, 0)")
-    print(f"v             = {_fmt_vec(DEMO_V)}")
-    print(f"X v           = {_fmt_vec(xv)}")
-    print(f"s_b(X v)      = {_fmt_pm(sxv)}")
-    print(f"X^-1 s_b(X v) = {_fmt_pm(back)}")
-    print(f"s_b(v)        = {_fmt_pm(sv)}")
-    if np.array_equal(back, sv):
-        print("X^-1 s_b(X v) == s_b(v)")
-        return 1
-    print("X^-1 s_b(X v) != s_b(v): the biased map is not equivariant")
-    return 0
+    rows = [("v", _fmt_vec(DEMO_V)), ("X v", _fmt_vec(xv)), (f"{s}(X v)", _fmt_pm(sxv)),
+            (f"X^-1 {s}(X v)", _fmt_pm(back)), (f"{s}(v)", _fmt_pm(sv))]
+    width = len(rows[3][0])
+    print(title)
+    for label, value in rows:
+        print(f"{label:<{width}} = {value}")
+    commutes = np.array_equal(back, sv)
+    relation = f"X^-1 {s}(X v) {'==' if commutes else '!='} {s}(v)"
+    if commutes == expect_commutes:
+        print(f"{relation}: {claim}")
+        return 0
+    print(relation)
+    return 1
 
 
 def _demo_decolor_flip(image=None, out=None):
@@ -223,8 +207,13 @@ def _demo_antisymmetry():
 
 
 DEMOS = {
-    "permutation-threshold": _demo_permutation_threshold,
-    "bias-counterexample": _demo_bias_counterexample,
+    "permutation-threshold": lambda: _demo_sign_threshold(
+        np.zeros(3),
+        "pointwise map sign_threshold:3, permutation X = rows [0 1 0; 0 0 1; 1 0 0]",
+        "s", True, "the pointwise map is equivariant"),
+    "bias-counterexample": lambda: _demo_sign_threshold(
+        np.array([-1.0, 0.0, 0.0]), "pointwise map sign_threshold:3 with bias b = (-1, 0, 0)",
+        "s_b", False, "the biased map is not equivariant"),
     "decolor-flip": _demo_decolor_flip,
     "antisymmetry": _demo_antisymmetry,
 }

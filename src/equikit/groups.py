@@ -4,13 +4,15 @@ Element 0 is always the identity. BFS order (queue order, generators
 tried in index order) fixes a canonical element indexing. Each element
 carries the generator word that reproduces it and its BFS parent link
 (parent element, generator); representation extension replays the
-parent links.
+parent links level by level.
 
-When every generator is exactly a signed permutation matrix (entries
--1, 0 or 1, one nonzero per row and column, as
-``numerics.signed_permutations`` detects), the closure runs on integer
-signed codes (see ``numerics.sign_flips``) and deduplicates on their
-exact bytes. The group then stores each element as an integer
+Generators (and ``reps``' generator images) pass one validator,
+``_generator_stack``, which calls ``det`` only when they are not all
+signed permutation matrices (entries -1, 0 or 1, one nonzero per row and
+column, as ``numerics.signed_permutations`` detects): those are
+invertible by construction. For such generators the closure runs on
+integer signed codes (see ``numerics.sign_flips``) and deduplicates on
+their exact bytes. The group then stores each element as an integer
 (targets, signs) pair of index arrays, and ``elements`` is a dense view
 scattered on first read. Only other generator sets close on dense
 matrices deduplicated by the rounding key ``_key``, and store them. On
@@ -29,6 +31,10 @@ from .numerics import (
 )
 
 DEFAULT_MAX_ORDER = 20000
+
+# A named group or rep spec is refused, before any matrix is built, when
+# its dense (gen_count, n, n) float64 generator stack would exceed this.
+MAX_IMAGE_STACK_BYTES = 2 ** 28
 
 # Dedup per the small-integer / exact-trig entry regime: hash on entries
 # rounded to 9 decimals (equal keys put entries within 1e-9 of each
@@ -94,10 +100,6 @@ class FiniteGroup:
     def gen_count(self):
         return self.generators.shape[0]
 
-    @property
-    def identity(self):
-        return np.eye(self.dim)
-
     def index_of(self, m):
         """Index of a matrix in the group, or ValueError if absent.
 
@@ -160,21 +162,31 @@ def close(generators, max_order=DEFAULT_MAX_ORDER, spec=None):
     Raises ClosureError if more than ``max_order`` elements appear, and
     ValueError for non-square, mismatched, or non-invertible generators.
     """
-    gens = [as_matrix(g, f"generator {i}") for i, g in enumerate(generators)]
-    if not gens:
-        raise ValueError("at least one generator is required")
-    dim = gens[0].shape[0]
-    for i, g in enumerate(gens):
-        if g.shape != (dim, dim):
-            raise ValueError(
-                f"generator {i} has shape {g.shape}, expected ({dim}, {dim})"
-            )
-        if abs(np.linalg.det(g)) <= 1e-9:
-            raise ValueError(f"generator {i} is not invertible")
-    perm = signed_permutations(np.stack(gens))
+    gens, perm = _generator_stack(generators, "generator")
     if perm is None:
         return _close_dense(gens, max_order, spec)
     return _close_signed(gens, *perm, max_order, spec)
+
+
+def _generator_stack(matrices, name):
+    """The (count, n, n) float64 stack of ``matrices`` and its
+    ``signed_permutations`` reading, or ValueError naming ``f"{name} {i}"``
+    unless they are nonempty, finite, square, of one shape and (tested
+    only when not all are signed permutations) invertible."""
+    mats = [as_matrix(m, f"{name} {i}") for i, m in enumerate(matrices)]
+    if not mats:
+        raise ValueError(f"at least one {name} is required")
+    n = mats[0].shape[0]
+    for i, m in enumerate(mats):
+        if m.shape != (n, n):
+            raise ValueError(f"{name} {i} has shape {m.shape}, expected ({n}, {n})")
+    stack = np.stack(mats)
+    perm = signed_permutations(stack)
+    if perm is None:
+        for i, m in enumerate(mats):
+            if abs(np.linalg.det(m)) <= 1e-9:
+                raise ValueError(f"{name} {i} is not invertible")
+    return stack, perm
 
 
 def _close_dense(gens, max_order=DEFAULT_MAX_ORDER, spec=None):
@@ -205,7 +217,7 @@ def _close_signed(gens, targets, signs, max_order, spec):
         np.arange(dim, dtype=flips.dtype), len(gens),
         lambda front: (front[:, targets] ^ flips).reshape(-1, dim),
         _row_bytes, max_order)
-    return FiniteGroup(dim, None, np.stack(gens), words, cayley, parents, spec,
+    return FiniteGroup(dim, None, gens, words, cayley, parents, spec,
                        *split_signed_codes(codes))
 
 
@@ -257,38 +269,25 @@ def _bfs(identity, gen_count, multiply, keys, max_order):
 
 def permutation_matrix(perm):
     """Matrix P with P e_j = e_perm[j] for a permutation of 0..n-1."""
-    perm = list(perm)
+    perm = np.asarray(perm)
     n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
+    if not np.array_equal(np.sort(perm), np.arange(n)):
+        raise ValueError(f"not a permutation of 0..{n - 1}: {perm.tolist()}")
     p = np.zeros((n, n))
-    for j, i in enumerate(perm):
-        p[i, j] = 1.0
+    p[perm.astype(np.intp), np.arange(n)] = 1.0
     return p
 
 
-def _pixel_permutation(n_grid, pixel_map):
-    perm = [0] * (n_grid * n_grid)
-    for r in range(n_grid):
-        for c in range(n_grid):
-            r2, c2 = pixel_map(r, c)
-            perm[r * n_grid + c] = (r2 % n_grid) * n_grid + (c2 % n_grid)
-    return permutation_matrix(perm)
-
-
-def _grid_generators(n_grid, kind):
-    # Pixel (r, c) of the periodic n x n grid sits at index r*n + c.
-    gens = [
-        _pixel_permutation(n_grid, lambda r, c: (r + 1, c)),
-        _pixel_permutation(n_grid, lambda r, c: (r, c + 1)),
-    ]
+def _grid_permutations(n_grid, kind):
+    """Each grid generator as the index map sending pixel j to perm[j];
+    pixel (r, c) of the periodic n x n grid sits at index r*n + c."""
+    r, c = np.divmod(np.arange(n_grid * n_grid), n_grid)
+    maps = [(r + 1, c), (r, c + 1)]
     if kind in ("p4", "p4m"):
-        # quarter turn about the origin: (r, c) -> (-c, r)
-        gens.append(_pixel_permutation(n_grid, lambda r, c: (-c, r)))
+        maps.append((-c, r))  # quarter turn about the origin
     if kind == "p4m":
-        # reflection negating the row coordinate
-        gens.append(_pixel_permutation(n_grid, lambda r, c: (-r, c)))
-    return gens
+        maps.append((-r, c))  # reflection negating the row coordinate
+    return [r2 % n_grid * n_grid + c2 % n_grid for r2, c2 in maps]
 
 
 def named_group(kind, size, max_order=DEFAULT_MAX_ORDER):
@@ -299,7 +298,9 @@ def named_group(kind, size, max_order=DEFAULT_MAX_ORDER):
     permutations of the N x N pixel grid with periodic boundary
     (translations; plus quarter-turn rotations; plus reflections).
     A size whose group provably has more than ``max_order`` elements
-    raises ClosureError before any generator is built.
+    raises ClosureError, and one whose dense generator stack would exceed
+    ``MAX_IMAGE_STACK_BYTES`` raises ValueError, before any generator
+    matrix is built.
     """
     if size < 1:
         raise ValueError(f"group size parameter must be >= 1, got {size}")
@@ -307,27 +308,28 @@ def named_group(kind, size, max_order=DEFAULT_MAX_ORDER):
         raise ValueError(f"unknown group kind {kind!r}")
     _check_order_fits(kind, size, max_order)
     spec = f"{kind}:{size}"
-    if kind == "symmetric":
-        if size == 1:
-            gens = [np.eye(1)]
-        elif size == 2:
-            gens = [permutation_matrix([1, 0])]
-        else:
-            swap = list(range(size))
-            swap[0], swap[1] = 1, 0
-            cycle = [(j + 1) % size for j in range(size)]
-            gens = [permutation_matrix(swap), permutation_matrix(cycle)]
+    if size == 1:
+        perms = [[0]]
+    elif kind == "symmetric":
+        perms = [[1, 0] + list(range(2, size))]
+        if size > 2:
+            perms.append((np.arange(size) + 1) % size)
     elif kind == "cyclic":
-        if size == 1:
-            gens = [np.eye(1)]
-        else:
-            gens = [permutation_matrix([(j + 1) % size for j in range(size)])]
+        perms = [(np.arange(size) + 1) % size]
     else:
-        if size == 1:
-            gens = [np.eye(1)]
-        else:
-            gens = _grid_generators(size, kind)
-    return close(gens, max_order=max_order, spec=spec)
+        perms = _grid_permutations(size, kind)
+    _check_stack_fits(f"group {spec}", len(perms), len(perms[0]), MAX_IMAGE_STACK_BYTES)
+    return close([permutation_matrix(p) for p in perms], max_order=max_order, spec=spec)
+
+
+def _check_stack_fits(what, count, degree, cap):
+    """Refuse ``count`` dense degree x degree float64 matrices above ``cap`` bytes."""
+    nbytes = count * degree * degree * 8
+    if nbytes > cap:
+        raise ValueError(
+            f"{what} has degree {degree}: its {count} generator images would "
+            f"take {nbytes} bytes, above the cap MAX_IMAGE_STACK_BYTES={cap}"
+        )
 
 
 def _check_order_fits(kind, size, max_order):

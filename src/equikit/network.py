@@ -188,9 +188,7 @@ class EquivariantNetwork:
                 # layer i's output is not read again, so it takes its slope
                 g_z *= self.activation.slope(inputs[i + 1], out=inputs[i + 1])
                 grads_b[i] = self.bias_bases[i].T @ g_z.sum(axis=0)
-            grads_w[i] = np.tensordot(
-                self.weight_bases[i].basis, g_z.T @ inputs[i], axes=[[1, 2], [0, 1]]
-            )
+            grads_w[i] = self.weight_bases[i].project(g_z.T @ inputs[i])
         return mse, np.concatenate(_interleave(grads_w, grads_b))
 
     def _batch_buffers(self, batch):

@@ -1,9 +1,11 @@
 """Representations of a finite matrix group, defined by generator images.
 
-A representation is stored per group element, built by replaying the
-BFS parent links. Extension verifies the homomorphism property (images
-consistent with the cayley table), which is exactly the
-well-definedness check for the generator images.
+A representation is stored per group element, built by one replay of
+the group's BFS tree, a level at a time (``_replay``). Extension then
+verifies the homomorphism property (images consistent with the cayley
+table), which is exactly the well-definedness check for the generator
+images. The images pass the group's validator, which calls ``det`` only
+when they are not all signed permutations.
 
 When every generator image is exactly a signed permutation matrix
 (``numerics.signed_permutations``), the replay and the check run on
@@ -16,22 +18,21 @@ multiplied, compared and stored as dense matrices.
 
 import numpy as np
 
-from .groups import permutation_matrix
+from .groups import (
+    MAX_IMAGE_STACK_BYTES,
+    _check_stack_fits,
+    _generator_stack,
+    permutation_matrix,
+)
 from .numerics import (
-    as_matrix,
     check_tol,
     nullspace,
     sign_flips,
     signed_permutation_matrices,
-    signed_permutations,
     split_signed_codes,
 )
 
 CONSISTENCY_TOL = 1e-8
-
-# A rep spec is refused, before any image is built, when its dense
-# (gen_count, n, n) float64 generator-image stack would exceed this.
-MAX_IMAGE_STACK_BYTES = 2 ** 28
 
 
 class InconsistentImagesError(ValueError):
@@ -79,9 +80,6 @@ class Representation:
             self._images = signed_permutation_matrices(self.targets, self.signs)
         return self._images
 
-    def image(self, i):
-        return self.images[i]
-
     def act(self, i, vectors):
         """rho(element i) applied to each row of ``vectors``, i.e.
         ``vectors @ images[i].T``; a signed permutation moves and signs
@@ -107,9 +105,8 @@ def extend(group, gen_images, spec=None, tol=CONSISTENCY_TOL):
     and ValueError for a ``tol`` that is not finite and non-negative.
     """
     check_tol(tol, strict=False)
-    gen_images = _image_stack(group, gen_images)
+    gen_images, perm = _image_stack(group, gen_images)
     degree = gen_images.shape[1]
-    perm = signed_permutations(gen_images)
     if perm is None:
         images = _extend_dense(group, gen_images, tol)
         return Representation(group, degree, gen_images, images, spec)
@@ -118,73 +115,77 @@ def extend(group, gen_images, spec=None, tol=CONSISTENCY_TOL):
 
 
 def _image_stack(group, gen_images):
-    """The validated (gen_count, n, n) float64 stack of generator images."""
-    imgs = [as_matrix(m, f"generator image {i}") for i, m in enumerate(gen_images)]
-    if len(imgs) != group.gen_count:
+    """``groups._generator_stack`` of one image per generator."""
+    if len(gen_images) != group.gen_count:
         raise ValueError(
-            f"need {group.gen_count} generator images, got {len(imgs)}"
+            f"need {group.gen_count} generator images, got {len(gen_images)}"
         )
-    degree = imgs[0].shape[0]
-    for i, m in enumerate(imgs):
-        if m.shape != (degree, degree):
-            raise ValueError(f"generator image {i} has shape {m.shape}")
-        if abs(np.linalg.det(m)) <= 1e-9:
-            raise ValueError(f"generator image {i} is not invertible")
-    return np.stack(imgs)
+    return _generator_stack(gen_images, "generator image")
 
 
 def _extend_dense(group, gen_images, tol):
     """Images by matmul replay of the parent links, checked against the
     cayley table: the path of every image set that is not all signed
-    permutations, and the test oracle for the other."""
-    degree = gen_images.shape[1]
-    images = np.empty((group.order, degree, degree))
-    images[0] = np.eye(degree)
-    for e in range(1, group.order):
-        parent, gi = group.parents[e]
-        images[e] = images[parent] @ gen_images[gi]
-
-    for gi in range(group.gen_count):
+    permutations, and the test oracle for the other. A level's products
+    are one stacked ``np.matmul``, bitwise the per-element ``@``."""
+    def residuals(images, gi):
         dev = images @ gen_images[gi]
         dev -= images[group.cayley[:, gi]]
         np.abs(dev, out=dev)
-        _raise_if_inconsistent(dev.max(axis=(1, 2)), gi, tol)
-    return images
+        return dev.max(axis=(1, 2))
+
+    return _replay(group, np.eye(gen_images.shape[1]),
+                   lambda front, gi: np.matmul(front, gen_images[gi]), residuals, tol)
 
 
 def _extend_signed(group, targets, signs, tol):
     """``_extend_dense`` for signed permutation images, on signed codes;
     returns the (targets, signs) index arrays of every image.
 
-    The parents of BFS depth d + 1 all sit at depth d, and each depth is
-    a contiguous run of elements, so the replay is one gather per depth.
-    The residual of a column is what the dense ``|lhs - rhs|`` gives: 1
-    where the targets differ, 2 where only the sign does, else 0. So
-    ``tol`` and the error are the dense path's, and the images, scattered
-    into zeros, are bitwise the dense products (whose zeros are all +0.0).
+    A level's products are one gather and one xor. The residual of a
+    column is what the dense ``|lhs - rhs|`` gives: 1 where the targets
+    differ, 2 where only the sign does, else 0. So ``tol`` and the error
+    are the dense path's, and the images, scattered into zeros, are
+    bitwise the dense products (whose zeros are all +0.0).
     """
     flips = sign_flips(signs)
-    codes = np.empty((group.order, targets.shape[1]), dtype=flips.dtype)
-    codes[0] = np.arange(targets.shape[1])
-    depth = np.array([len(w) for w in group.words])
-    starts = np.flatnonzero(np.diff(depth)) + 1
-    for lo, hi in zip(starts, np.append(starts[1:], group.order)):
-        parent, gi = group.parents[lo:hi].T
-        codes[lo:hi] = np.take_along_axis(codes[parent], targets[gi], axis=1) ^ flips[gi]
 
-    for gi in range(group.gen_count):
+    def residuals(codes, gi):
         lhs = codes[:, targets[gi]] ^ flips[gi]
         rhs = codes[group.cayley[:, gi]]
-        dev = np.where(lhs == rhs, 0.0, np.where(lhs == ~rhs, 2.0, 1.0))
-        _raise_if_inconsistent(dev.max(axis=1), gi, tol)
+        return np.where(lhs == rhs, 0.0, np.where(lhs == ~rhs, 2.0, 1.0)).max(axis=1)
+
+    codes = _replay(
+        group, np.arange(targets.shape[1], dtype=flips.dtype),
+        lambda front, gi: np.take_along_axis(front, targets[gi], axis=1) ^ flips[gi],
+        residuals, tol)
     return split_signed_codes(codes)
 
 
-def _raise_if_inconsistent(dev, gi, tol):
-    """``dev`` holds each element's residual against generator ``gi``."""
-    worst = int(np.argmax(dev))
-    if dev[worst] > tol:
-        raise InconsistentImagesError(worst, gi, float(dev[worst]))
+def _replay(group, identity, multiply, residuals, tol):
+    """Replay the BFS tree from ``identity``, then check the cayley table.
+
+    A level is the run of elements whose parents precede the level's
+    start (``parents`` is non-decreasing in BFS order), and
+    ``multiply(front, gi)`` stacks front[k] times generator gi[k].
+    ``residuals(images, gi)`` gives each element's residual against
+    generator ``gi``, and the first generator with one above ``tol``
+    raises InconsistentImagesError.
+    """
+    images = np.empty((group.order,) + identity.shape, dtype=identity.dtype)
+    images[0] = identity
+    parent_of = group.parents[:, 0]
+    lo = 1
+    while lo < group.order:
+        hi = int(np.searchsorted(parent_of, lo))
+        images[lo:hi] = multiply(images[parent_of[lo:hi]], group.parents[lo:hi, 1])
+        lo = hi
+    for gi in range(group.gen_count):
+        dev = residuals(images, gi)
+        worst = int(np.argmax(dev))
+        if dev[worst] > tol:
+            raise InconsistentImagesError(worst, gi, float(dev[worst]))
+    return images
 
 
 # --- generator images of the named representations ------------------------
@@ -194,7 +195,7 @@ def _raise_if_inconsistent(dev, gi, tol):
 
 
 def _trivial_images(group, degree):
-    return _image_stack(group, [np.eye(degree)] * group.gen_count)
+    return np.stack([np.eye(degree)] * group.gen_count)
 
 
 def _sign_images(group):
@@ -202,7 +203,7 @@ def _sign_images(group):
 
 
 def _perm_images(group, perms):
-    return _image_stack(group, [permutation_matrix(p) for p in perms])
+    return _image_stack(group, [permutation_matrix(p) for p in perms])[0]
 
 
 def _perm_spec(perms):
@@ -327,13 +328,7 @@ def parse_rep_spec(group, text):
     degree, images, spec, pos = _parse_spec(group, text.strip(), 0)
     if pos != len(text.strip()):
         raise ValueError(f"trailing characters in rep spec {text!r}")
-    stack_bytes = group.gen_count * degree * degree * 8
-    if stack_bytes > MAX_IMAGE_STACK_BYTES:
-        raise ValueError(
-            f"rep spec {spec!r} has degree {degree}: its {group.gen_count} "
-            f"generator images would take {stack_bytes} bytes, above the cap "
-            f"MAX_IMAGE_STACK_BYTES={MAX_IMAGE_STACK_BYTES}"
-        )
+    _check_stack_fits(f"rep spec {spec!r}", group.gen_count, degree, MAX_IMAGE_STACK_BYTES)
     return extend(group, images(), spec=spec)
 
 

@@ -166,6 +166,7 @@ def check_antisymmetry(f, m, dim=3, trials=10, seed=0, tol=1e-10):
     )
     if report.witness is not None:
         g, v = report.witness
-        perm = tuple(int(i) for i in np.argmax(group.elements[g], axis=1))
+        # g sends e_j to e_targets[j]: row i has its 1 in column argsort(targets)[i]
+        perm = tuple(int(i) for i in np.argsort(group.targets[g]))
         report.witness = (perm, v.reshape(m, dim))
     return report

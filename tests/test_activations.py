@@ -137,6 +137,22 @@ def test_is_compatible_cases():
     assert not is_compatible(SIGN3, np.zeros(1), sign_rep(g))
 
 
+@pytest.mark.parametrize("bias,tol,expected", [
+    ([np.nan] * 3, 1e-9, False),  # a non-finite bias certifies nothing
+    ([np.inf] * 3, 1e-9, False),
+    ([1.0, 2.0, 3.0], np.nan, ValueError),  # a NaN tol is refused
+    ([2.0, 2.0, 2.0], 0.0, True),  # an exactly fixed bias passes at tol 0
+])
+def test_is_compatible_edge_cases(bias, tol, expected):
+    rep = defining_rep(named_group("symmetric", 3))
+    relu = ActivationSpec("relu")
+    if expected is ValueError:
+        with pytest.raises(ValueError, match="tol must be finite"):
+            is_compatible(relu, bias, rep, tol=tol)
+    else:
+        assert is_compatible(relu, bias, rep, tol=tol) is expected
+
+
 def test_pass_is_monotone_in_tol():
     g = named_group("symmetric", 3)
     rep = defining_rep(g)

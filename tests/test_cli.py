@@ -357,6 +357,19 @@ def test_basis_oversize_group_exits_2(tmp_path, capsys, monkeypatch):
     assert "symmetric:9 has at least" in err and "max_order=20000" in err
 
 
+def test_basis_oversized_named_group_exits_2(tmp_path, capsys, monkeypatch):
+    # cyclic:6000 passes the order cap, but its one dense generator is 288 MB
+    monkeypatch.setattr(groups, "permutation_matrix", _no_images)
+    monkeypatch.setattr(groups, "close", _no_images)
+    cfg = tmp_path / "huge_group.cfg"
+    cfg.write_text("[model]\ngroup = cyclic:6000\n\n[reps]\n0 = defining\n1 = defining\n")
+    code, out, err = run(capsys, "basis", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "group cyclic:6000 has degree 6000" in err
+    assert "MAX_IMAGE_STACK_BYTES" in err
+
+
 def _no_images(*args):
     raise AssertionError("generator images were built for an oversized rep spec")
 

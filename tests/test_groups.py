@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from equikit import groups
+from equikit import groups, reps
 from equikit.groups import (
     ClosureError,
     close,
@@ -227,6 +227,49 @@ def test_named_group_at_the_cap_still_closes():
     assert named_group("cyclic", 20, max_order=20).order == 20
     assert named_group("symmetric", 5, max_order=120).order == 120
     assert named_group("torus", 5, max_order=25).order == 25
+
+
+def _must_not_build(*args, **kwargs):
+    raise AssertionError("a generator was built for a group above the stack cap")
+
+
+# a dense (gen_count, n, n) float64 generator stack above 256 MiB is refused:
+# cyclic n > 5792, torus N > 64, p4 N > 57 (p4m is held to N <= 50 by the
+# order cap); permutation_matrix and close are patched, so no matrix is built
+@pytest.mark.parametrize("kind,size,refused", [
+    ("cyclic", 5792, False), ("cyclic", 5793, True),
+    ("torus", 64, False), ("torus", 65, True),
+    ("p4", 57, False), ("p4", 58, True),
+])
+def test_named_group_refuses_an_oversized_generator_stack(kind, size, refused, monkeypatch):
+    for name in ("permutation_matrix", "close"):
+        monkeypatch.setattr(groups, name, _must_not_build)
+    if refused:
+        with pytest.raises(ValueError, match=rf"group {kind}:{size} has degree \d+: .* "
+                                             r"above the cap MAX_IMAGE_STACK_BYTES"):
+            named_group(kind, size)
+    else:
+        with pytest.raises(AssertionError, match="was built"):
+            named_group(kind, size)
+
+
+def test_named_group_stack_cap_reads_the_constant(monkeypatch):
+    monkeypatch.setattr(groups, "MAX_IMAGE_STACK_BYTES", 4 * 4 * 8 - 1)
+    with pytest.raises(ValueError, match="group cyclic:4 has degree 4"):
+        named_group("cyclic", 4)
+    assert named_group("cyclic", 3).order == 3
+
+
+def _no_det(*args):
+    raise AssertionError("det called on signed permutations")
+
+
+def test_signed_permutation_builds_call_no_det(monkeypatch):
+    monkeypatch.setattr(np.linalg, "det", _no_det)
+    g = named_group("p4m", 4)
+    assert reps.defining_rep(g).targets is not None
+    rep = reps.parse_rep_spec(g, "tensor:2(sum(defining;trivial:1))")
+    assert rep.degree == 34 and rep.targets is not None
 
 
 # --- signed-permutation fast path against the dense closure --------------

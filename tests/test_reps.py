@@ -229,6 +229,20 @@ def test_parse_rep_spec_rejects_malformed(s3, bad):
         parse_rep_spec(s3, bad)
 
 
+@pytest.mark.parametrize("bad", [
+    "perm:1,0,2",  # one permutation for two generators
+    "perm:1,0,2|1,0",  # two sizes
+    "perm:0,0,1|1,0,2",  # not a permutation
+])
+def test_nested_bad_perm_raises_its_own_error(s3, bad):
+    with pytest.raises(ValueError) as alone:
+        parse_rep_spec(s3, bad)
+    for nested in (f"sum({bad};sign)", f"tensor:2({bad})"):
+        with pytest.raises(ValueError) as inner:
+            parse_rep_spec(s3, nested)
+        assert str(inner.value) == str(alone.value)
+
+
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
 def test_extend_rejects_bad_tol(tol):
     # diag(1, -1, 1) is not an image of the order-3 shift; a NaN tol would

@@ -4,9 +4,10 @@ import itertools
 import numpy as np
 import pytest
 
+from equikit import groups
 from equikit.activations import ActivationSpec
-from equikit.groups import named_group
-from equikit.network import build
+from equikit.groups import group_from_spec, named_group
+from equikit.network import build, check_map_equivariance
 from equikit.reps import parse_rep_spec
 from equikit.tasks import (
     GridImage,
@@ -217,6 +218,31 @@ def test_symmetric_function_fails_antisymmetry():
     report = check_antisymmetry(f, 2, trials=5, seed=1, tol=1e-10)
     assert not report.passed
     assert report.witness is not None
+
+
+def _lopsided(points):
+    return float(3.0 * points[0, 0] + points[1, 0] ** 2 + points[2, 1])
+
+
+def test_antisymmetry_witness_reads_no_dense_group(monkeypatch):
+    # the witness as the dense matrices give it: row i of element g has its
+    # 1 in column perm[i]
+    group = group_from_spec("symmetric:4")
+    report = check_map_equivariance(
+        lambda batch: np.array([[_lopsided(v.reshape(4, 3))] for v in batch]),
+        parse_rep_spec(group, "tensor:3(defining)"), parse_rep_spec(group, "sign"),
+        trials=5, seed=3, tol=1e-10)
+    g, v = report.witness
+    perm = tuple(int(i) for i in np.argmax(group.elements[g], axis=1))
+    assert perm != tuple(int(i) for i in np.argsort(perm))  # not an involution
+
+    def no_dense(targets, signs):
+        raise AssertionError("a dense signed-permutation stack was built")
+
+    monkeypatch.setattr(groups, "signed_permutation_matrices", no_dense)
+    witness = check_antisymmetry(_lopsided, 4, trials=5, seed=3, tol=1e-10).witness
+    assert witness[0] == perm
+    assert witness[1].tobytes() == v.reshape(4, 3).tobytes()
 
 
 def test_single_particle_always_passes():
