@@ -101,11 +101,13 @@ def parse_activation(text):
 
 @dataclass
 class Report:
-    """Outcome of a sampled/exhaustive check."""
+    """Outcome of a sampled/exhaustive check. ``coverage`` names the
+    elements tested: ``exhaustive (|G|)`` or ``sampled (m of |G|)``."""
 
     passed: bool
     max_residual: float
     witness: tuple | None = None
+    coverage: str | None = None
 
 
 def apply_pointwise(spec, b, v):

@@ -10,6 +10,13 @@ Hidden biases live on the all-coordinates-equal line (the threshold
 form), which every permutation representation fixes; together with the
 permutation-representation requirement on hidden layers this certifies
 pointwise compatibility.
+
+The equivariance check (``_check_on_vectors``) evaluates a map on blocks
+of group elements: one ``Representation.act`` and one call of the map per
+block of stacked rows, with each block-sized array bounded by
+``_BLOCK_CELLS`` values. It covers the same elements as testing one
+element at a time and, for a map that computes each row on its own,
+gives the same residual and witness bit for bit.
 """
 
 from dataclasses import dataclass
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import Report, parse_activation
-from .groups import group_from_spec
+from .groups import MAX_IMAGE_STACK_BYTES, group_from_spec
 from .intertwiners import solve_basis
 from .numerics import check_tol
 from .reps import is_permutation_rep, parse_rep_spec
@@ -295,54 +302,75 @@ def build(group, layer_reps, activation, seed=0):
 
 EXHAUSTIVE_LIMIT = 5000
 
+# Cells (rows x coordinates) of one block of the check: a block's
+# transformed inputs, outputs and scatter indices stay near 128 KiB each.
+_BLOCK_CELLS = 2 ** 14
+
 
 def check_map_equivariance(apply, rep_in, rep_out, trials=8, seed=0, tol=1e-8):
     """Check f(rho_in(g) v) = rho_out(g) f(v) on seeded random vectors.
 
-    ``apply`` must accept a (batch, n_in) array. Exhaustive over the
-    group when |G| <= 5000, else over ``trials`` sampled elements;
-    residuals are infinity norms normalized by 1 + ||f(v)||_inf.
+    ``apply`` must accept a (batch, n_in) array and map each row on its
+    own. Exhaustive over the group when |G| <= 5000, else over
+    ``trials`` sampled elements; residuals are infinity norms normalized
+    by 1 + ||f(v)||_inf.
     """
     return _check_on_vectors(apply, rep_in, rep_out, (-1.0, 1.0), trials, seed, tol,
                              relative=True)
 
 
 def _check_on_vectors(apply, rep_in, rep_out, box, trials, seed, tol, relative):
-    """The loop over group elements behind every equivariance check.
+    """The verifier behind every equivariance check.
 
     Draws ``trials`` seeded vectors v uniform in ``box`` = (low, high)
     and tests each against every element when |G| <= EXHAUSTIVE_LIMIT,
     else against ``trials`` elements drawn from the same generator.
-    Residuals are infinity norms, divided by 1 + ||f(v)||_inf when
-    ``relative``; a NaN residual fails at once. Returns a Report with
-    the worst (g, v) witness on failure.
+    Elements are taken a block at a time: one ``act`` of the block on
+    the vectors, one ``apply`` of the stacked rows and one ``act`` on
+    f(v), with blocks of about ``_BLOCK_CELLS`` cells (at least one
+    element). Residuals are infinity norms, divided by
+    1 + ||f(v)||_inf when ``relative``; the first NaN residual in
+    (element, vector) order fails at once. Returns a Report with its
+    coverage and, on failure, the first worst (g, v) in that order.
+    Raises ValueError, before drawing anything, when ``trials`` rows of
+    the larger degree would exceed ``MAX_IMAGE_STACK_BYTES`` as float64.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     check_tol(tol, strict=False)
+    width = max(rep_in.degree, rep_out.degree)
+    if trials * width * 8 > MAX_IMAGE_STACK_BYTES:
+        raise ValueError(
+            f"{trials} trials of degree {width} would take {trials * width * 8} "
+            f"bytes, above the cap MAX_IMAGE_STACK_BYTES={MAX_IMAGE_STACK_BYTES}"
+        )
     rng = np.random.default_rng(seed)
     vectors = rng.uniform(*box, size=(trials, rep_in.degree))
     base = np.asarray(apply(vectors))
     scale = 1.0 + np.abs(base).max(axis=1) if relative else 1.0
-    group = rep_in.group
-    if group.order <= EXHAUSTIVE_LIMIT:
-        indices = np.arange(group.order)
+    order = rep_in.group.order
+    if order <= EXHAUSTIVE_LIMIT:
+        indices = np.arange(order)
+        coverage = f"exhaustive ({order})"
     else:
-        indices = rng.integers(0, group.order, size=trials)
+        indices = rng.integers(0, order, size=trials)
+        coverage = f"sampled ({trials} of {order})"
+    step = max(1, _BLOCK_CELLS // (trials * width))
     worst = 0.0
     witness = None
-    for g in indices:
-        lhs = np.asarray(apply(rep_in.act(g, vectors)))
-        rhs = rep_out.act(g, base)
-        dev = np.abs(lhs - rhs).max(axis=1) / scale
-        i = int(np.argmax(dev))  # the first NaN, if any
-        if dev[i] > worst or np.isnan(dev[i]):
-            worst = float(dev[i])
-            witness = (int(g), vectors[i].copy())
+    for lo in range(0, indices.size, step):
+        block = indices[lo:lo + step]
+        moved = rep_in.act(block, vectors).reshape(-1, rep_in.degree)
+        lhs = np.asarray(apply(moved)).reshape(block.size, trials, -1)
+        dev = np.abs(lhs - rep_out.act(block, base)).max(axis=2) / scale
+        e, i = np.unravel_index(np.argmax(dev), dev.shape)  # the first NaN, if any
+        if dev[e, i] > worst or np.isnan(dev[e, i]):
+            worst = float(dev[e, i])
+            witness = (int(block[e]), vectors[i].copy())
             if np.isnan(worst):
                 break
     passed = worst <= tol
-    return Report(passed, worst, None if passed else witness)
+    return Report(passed, worst, None if passed else witness, coverage)
 
 
 # --- model files -----------------------------------------------------------

@@ -80,14 +80,19 @@ class Representation:
             self._images = signed_permutation_matrices(self.targets, self.signs)
         return self._images
 
-    def act(self, i, vectors):
-        """rho(element i) applied to each row of ``vectors``, i.e.
-        ``vectors @ images[i].T``; a signed permutation moves and signs
-        the coordinates without building the image."""
+    def act(self, indices, vectors):
+        """rho(element e) applied to each row of ``vectors``, for each e
+        in the index array ``indices``: the (k, batch, n) stack of
+        ``vectors @ images[e].T``. Dense images take one stacked matmul;
+        a signed permutation moves and signs the coordinates in one
+        scatter, without building an image."""
+        indices = np.asarray(indices)
         if self.targets is None:
-            return vectors @ self.images[i].T
-        out = np.empty(vectors.shape)
-        out[:, self.targets[i]] = vectors * self.signs[i]
+            return np.matmul(vectors, self.images[indices].transpose(0, 2, 1))
+        k, (batch, n) = indices.size, vectors.shape
+        out = np.empty((k, batch, n))
+        at = self.targets[indices][:, None, :] + np.arange(0, out.size, n).reshape(k, batch, 1)
+        out.reshape(-1)[at] = vectors * self.signs[indices][:, None, :]
         return out
 
     def __repr__(self):
@@ -146,13 +151,18 @@ def _extend_signed(group, targets, signs, tol):
     column is what the dense ``|lhs - rhs|`` gives: 1 where the targets
     differ, 2 where only the sign does, else 0. So ``tol`` and the error
     are the dense path's, and the images, scattered into zeros, are
-    bitwise the dense products (whose zeros are all +0.0).
+    bitwise the dense products (whose zeros are all +0.0). The codes are
+    compared first, and the float residuals are built only when some
+    differ.
     """
     flips = sign_flips(signs)
 
     def residuals(codes, gi):
-        lhs = codes[:, targets[gi]] ^ flips[gi]
+        lhs = codes[:, targets[gi]]
+        lhs ^= flips[gi]
         rhs = codes[group.cayley[:, gi]]
+        if np.array_equal(lhs, rhs):
+            return np.zeros(group.order)
         return np.where(lhs == rhs, 0.0, np.where(lhs == ~rhs, 2.0, 1.0)).max(axis=1)
 
     codes = _replay(

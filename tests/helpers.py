@@ -1,6 +1,10 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking and a
+per-element reference for the equivariance check."""
 
 import numpy as np
+
+from equikit import network
+from equikit.activations import Report
 
 
 def activation_pattern(net, inputs):
@@ -57,3 +61,36 @@ def finite_difference_check(net, data, h=1e-5, indices=None):
         denom = max(abs(fd), abs(grad[idx]))
         errors.append(0.0 if denom < 1e-12 else abs(fd - grad[idx]) / denom)
     return errors, excluded, len(list(indices))
+
+
+def reference_check(apply, rep_in, rep_out, box, trials, seed, tol, relative):
+    """The equivariance check one group element at a time: the oracle for
+    ``network._check_on_vectors``, which takes elements a block at a time.
+
+    Same seeded draws and residuals; the witness is the first strict
+    maximum in (element, vector) order, and the first NaN stops the loop.
+    Reads ``network.EXHAUSTIVE_LIMIT`` at call time.
+    """
+    rng = np.random.default_rng(seed)
+    vectors = rng.uniform(*box, size=(trials, rep_in.degree))
+    base = np.asarray(apply(vectors))
+    scale = 1.0 + np.abs(base).max(axis=1) if relative else 1.0
+    group = rep_in.group
+    if group.order <= network.EXHAUSTIVE_LIMIT:
+        indices = np.arange(group.order)
+    else:
+        indices = rng.integers(0, group.order, size=trials)
+    worst = 0.0
+    witness = None
+    for g in indices:
+        lhs = np.asarray(apply(rep_in.act([g], vectors)[0]))
+        rhs = rep_out.act([g], base)[0]
+        dev = np.abs(lhs - rhs).max(axis=1) / scale
+        i = int(np.argmax(dev))  # the first NaN, if any
+        if dev[i] > worst or np.isnan(dev[i]):
+            worst = float(dev[i])
+            witness = (int(g), vectors[i].copy())
+            if np.isnan(worst):
+                break
+    passed = worst <= tol
+    return Report(passed, worst, None if passed else witness)

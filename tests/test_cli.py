@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 
@@ -228,6 +229,23 @@ def test_check_trials_below_one_exits_2(tmp_path, capsys, trials):
     assert code == 2
     assert "PASS" not in out
     assert "trials must be >= 1" in err
+
+
+def test_check_too_many_trials_exits_2_before_allocating(tmp_path, capsys):
+    model = _train_small_model(tmp_path, capsys)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "check", "--model", str(model),
+                             "--trials", "100000000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "PASS" not in out
+    assert "100000000000 trials of degree 9" in err
+    assert "MAX_IMAGE_STACK_BYTES" in err
+    # the test vectors alone would take 7.2 TB
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1e-8"])

@@ -2,15 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import finite_difference_check
+from helpers import finite_difference_check, reference_check
 
-from equikit import activations
+from equikit import activations, network
 from equikit.activations import (
     ActivationSpec,
     apply_pointwise,
     check_pointwise_equivariance,
 )
-from equikit.groups import close, named_group
+from equikit.groups import close, group_from_spec, named_group
 from equikit.network import (
     Dataset,
     DivergenceError,
@@ -21,7 +21,7 @@ from equikit.network import (
     save_model,
     stack_forward,
 )
-from equikit.reps import defining_rep, parse_rep_spec, trivial_rep
+from equikit.reps import Representation, defining_rep, extend, parse_rep_spec, trivial_rep
 from equikit.tasks import check_antisymmetry
 
 RELU = ActivationSpec("relu")
@@ -363,35 +363,52 @@ def test_linear_combination_of_nets_is_equivariant():
 
 
 def _map_check(monkeypatch, rep, counted):
-    return check_map_equivariance(counted(lambda x: x), rep, rep, trials=5, seed=1)
+    report = check_map_equivariance(counted(lambda x: x), rep, rep, trials=5, seed=1)
+    return report, (-1.0, 1.0)
 
 
 def _pointwise_check(monkeypatch, rep, counted):
     monkeypatch.setattr(activations, "apply_pointwise", counted(apply_pointwise))
-    return check_pointwise_equivariance(RELU, np.zeros(rep.degree), rep, trials=5, seed=1)
+    report = check_pointwise_equivariance(RELU, np.zeros(rep.degree), rep, trials=5, seed=1)
+    return report, (-2.0, 4.0)
 
 
 @pytest.mark.parametrize("check", [_map_check, _pointwise_check],
                          ids=["check_map_equivariance", "check_pointwise_equivariance"])
 def test_large_group_check_samples_elements(monkeypatch, check):
-    import equikit.network as network_module
-
     rep = defining_rep(named_group("cyclic", 4))
-    calls = []
+    rows, acted = [], []
 
     def counted(fn):
         def wrapped(*args):
-            calls.append(args)
+            rows.append(args[-1])
             return fn(*args)
         return wrapped
 
-    # one call for f(v), then one per tested element
-    assert check(monkeypatch, rep, counted).passed
-    assert len(calls) == 1 + 4  # exhaustive: every element of the group
-    calls.clear()
-    monkeypatch.setattr(network_module, "EXHAUSTIVE_LIMIT", 3)
-    assert check(monkeypatch, rep, counted).passed
-    assert len(calls) == 1 + 5  # over the cap: `trials` sampled elements
+    def spy(indices, vectors):
+        acted.append(np.asarray(indices))
+        return Representation.act(rep, indices, vectors)
+
+    monkeypatch.setattr(rep, "act", spy)
+
+    def tested_and_received(report, box, sampled):
+        # the seeded draws: the vectors, then (when sampled) the elements
+        rng = np.random.default_rng(1)
+        vectors = rng.uniform(*box, size=(5, 4))
+        want = rng.integers(0, 4, size=5) if sampled else np.arange(4)
+        assert report.passed
+        # act runs on rho_in, then rho_out (the same rep), per block
+        assert all(np.array_equal(a, b) for a, b in zip(acted[0::2], acted[1::2]))
+        assert np.array_equal(np.concatenate(acted[0::2]), want)
+        # the map sees the vectors, then rho(g) v for every tested g in order
+        expected = np.vstack([vectors] + [vectors @ rep.images[g].T for g in want])
+        assert np.array_equal(np.vstack(rows), expected)
+        rows.clear()
+        acted.clear()
+
+    tested_and_received(*check(monkeypatch, rep, counted), sampled=False)
+    monkeypatch.setattr(network, "EXHAUSTIVE_LIMIT", 3)
+    tested_and_received(*check(monkeypatch, rep, counted), sampled=True)
 
 
 @pytest.mark.parametrize("where", ["everywhere", "transformed-only"])
@@ -433,6 +450,154 @@ def test_sampled_check_fails_non_equivariant_map(s7_defining):
     rep = s7_defining
     report = check_map_equivariance(lambda x: x[:, ::-1] ** 2, rep, rep, trials=1)
     assert not report.passed
+
+
+# --- the blocked check against the per-element reference -----------------
+
+
+def _quarter_turn_rep(d=3):
+    """C_4 by a rotation block lifted to R^2 (x) R^d: cos/sin residues keep
+    it off the signed-permutation path, so it acts by dense matmul."""
+    quarter = np.array([[np.cos(np.pi / 2), -np.sin(np.pi / 2)],
+                        [np.sin(np.pi / 2), np.cos(np.pi / 2)]])
+    rep = extend(close([quarter]), [np.kron(quarter, np.eye(d))])
+    assert rep.targets is None
+    return rep
+
+
+@pytest.fixture(scope="module")
+def p4m3_signed():
+    rep = parse_rep_spec(group_from_spec("p4m:3"), "sum(tensor:2(defining);sign)")
+    assert rep.targets is not None
+    return rep
+
+
+def _mixing_map(n, seed=0):
+    """A row-wise map that is not equivariant: each output row depends on
+    its own input row only, so batching cannot change its bits."""
+    perm = np.random.default_rng(seed).permutation(n)
+    return lambda x: np.tanh(x[:, perm] * 0.75 + x ** 3)
+
+
+def _assert_same_as_reference(rep_in, rep_out, make_map, box=(-1.0, 1.0), trials=8,
+                              seed=0, tol=1e-8, relative=True):
+    got = network._check_on_vectors(make_map(), rep_in, rep_out, box, trials, seed, tol,
+                                    relative)
+    want = reference_check(make_map(), rep_in, rep_out, box, trials, seed, tol, relative)
+    assert got.passed == want.passed
+    if np.isnan(want.max_residual):
+        assert np.isnan(got.max_residual)
+    else:
+        assert np.float64(got.max_residual).tobytes() == np.float64(want.max_residual).tobytes()
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        assert got.witness[0] == want.witness[0]
+        assert got.witness[1].tobytes() == want.witness[1].tobytes()
+    return got
+
+
+def _nearly_equivariant(x):
+    # residuals of about 1e-12, nonzero but inside the default tolerance
+    return x * (1.0 + 1e-12 * np.arange(x.shape[1]))
+
+
+@pytest.mark.parametrize("rep_name", ["signed", "dense"])
+@pytest.mark.parametrize("block_cells", [None, 1])
+def test_blocked_check_is_the_reference(monkeypatch, p4m3_signed, rep_name, block_cells):
+    if block_cells is not None:  # one element per block
+        monkeypatch.setattr(network, "_BLOCK_CELLS", block_cells)
+    rep = p4m3_signed if rep_name == "signed" else _quarter_turn_rep()
+    failed = _assert_same_as_reference(rep, rep, lambda: _mixing_map(rep.degree))
+    assert not failed.passed
+    _assert_same_as_reference(rep, rep, lambda: _mixing_map(rep.degree, seed=1),
+                              box=(-2.0, 4.0), trials=3, seed=5, relative=False)
+    near = _assert_same_as_reference(rep, rep, lambda: _nearly_equivariant)
+    assert near.passed and near.max_residual > 0.0
+    trivial = trivial_rep(rep.group, 2)
+    _assert_same_as_reference(rep, trivial, lambda: lambda x: x[:, :2] ** 2, trials=1)
+
+
+def _nan_map(where, rep, trials=4, seed=0):
+    """Factory of maps that give NaN: on every row, on every row after the
+    first call (f(v) is finite), or only on rho(g) v_2 for one element g
+    near the end of the group, with residuals before it."""
+    if where == "everywhere":
+        return lambda: lambda x: np.full_like(x, np.nan)
+    if where == "transformed-only":
+        def make():
+            calls = []
+
+            def f(x):
+                calls.append(1)
+                return x if len(calls) == 1 else np.full_like(x, np.nan)
+            return f
+        return make
+    vectors = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(trials, rep.degree))
+    marked = rep.act([rep.group.order - 2], vectors)[0, 2]
+    mixing = _mixing_map(rep.degree)
+
+    def f(x):
+        out = mixing(x)
+        out[(x == marked).all(axis=1)] = np.nan
+        return out
+    return lambda: f
+
+
+@pytest.mark.parametrize("where", ["everywhere", "transformed-only", "later-block"])
+def test_blocked_check_stops_at_the_reference_nan(monkeypatch, p4m3_signed, where):
+    rep = p4m3_signed
+    monkeypatch.setattr(network, "_BLOCK_CELLS", 4 * rep.degree * 3)  # 3 elements a block
+    report = _assert_same_as_reference(rep, rep, _nan_map(where, rep), trials=4)
+    assert np.isnan(report.max_residual) and not report.passed
+    if where == "later-block":
+        assert report.witness[0] == rep.group.order - 2
+
+
+def test_blocked_check_keeps_the_first_of_tied_maxima(monkeypatch):
+    # reversal R and shift S satisfy R S = S^-1 R, so elements S and S^3
+    # have residual vectors a and -a: an exact tie, in different blocks
+    rep = defining_rep(named_group("cyclic", 4))
+    monkeypatch.setattr(network, "_BLOCK_CELLS", 2 * 5 * rep.degree)  # 2 elements a block
+    vectors = np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, rep.degree))
+    moved = rep.act([1, 3], vectors)
+    tie = np.abs(moved[:, :, ::-1] - rep.act([1, 3], vectors[:, ::-1])).max(axis=2)
+    assert tie[0].tobytes() == tie[1].tobytes() and tie.max() > 0.0
+    report = _assert_same_as_reference(rep, rep, lambda: lambda x: x[:, ::-1], trials=5)
+    assert report.witness[0] == 1
+
+
+@pytest.mark.parametrize("block_cells", [None, 1])
+def test_blocked_sampled_check_is_the_reference(monkeypatch, block_cells):
+    if block_cells is not None:
+        monkeypatch.setattr(network, "_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(network, "EXHAUSTIVE_LIMIT", 10)
+    rep = defining_rep(named_group("symmetric", 4))
+    report = _assert_same_as_reference(rep, rep, lambda: _mixing_map(4), trials=8, seed=3)
+    assert report.coverage == "sampled (8 of 24)"
+
+
+def test_check_reports_its_coverage(s7_defining):
+    c4 = defining_rep(named_group("cyclic", 4))
+    assert check_map_equivariance(lambda x: x, c4, c4).coverage == "exhaustive (4)"
+    assert (check_pointwise_equivariance(RELU, np.zeros(4), c4, trials=3).coverage
+            == "exhaustive (4)")
+    rep = s7_defining
+    assert check_map_equivariance(lambda x: x, rep, rep).coverage == "sampled (8 of 5040)"
+    assert (check_map_equivariance(lambda x: x, rep, rep, trials=3).coverage
+            == "sampled (3 of 5040)")
+
+
+def test_check_refuses_trials_beyond_the_stack_cap(monkeypatch):
+    rep = defining_rep(named_group("cyclic", 4))
+    monkeypatch.setattr(network, "MAX_IMAGE_STACK_BYTES", 5 * 4 * 8)
+    assert check_map_equivariance(lambda x: x, rep, rep, trials=5).passed
+    calls = []
+    with pytest.raises(ValueError, match="6 trials of degree 4 would take 192 bytes"):
+        check_map_equivariance(lambda x: calls.append(x), rep, rep, trials=6)
+    with pytest.raises(ValueError, match="MAX_IMAGE_STACK_BYTES=160"):
+        check_pointwise_equivariance(RELU, np.zeros(4), rep, trials=6)
+    assert not calls
 
 
 @pytest.mark.parametrize("tol", [np.inf, np.nan, -1e-8])

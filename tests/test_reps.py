@@ -359,11 +359,21 @@ def test_dense_extension_keeps_two_image_sized_temporaries():
 
 def test_signed_act_is_bitwise_the_image_matmul():
     group = group_from_spec("p4m:3")
-    rep = parse_rep_spec(group, "sum(tensor:2(defining);sign)")
-    assert rep.targets is not None
-    vectors = np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, rep.degree))
-    for i in range(group.order):
-        assert rep.act(i, vectors).tobytes() == (vectors @ rep.images[i].T).tobytes()
+    signed = parse_rep_spec(group, "sum(tensor:2(defining);sign)")
+    assert signed.targets is not None
+    # a C_4 rotation block (cos/sin residues keep it off the signed path), lifted
+    quarter = np.array([[np.cos(np.pi / 2), -np.sin(np.pi / 2)],
+                        [np.sin(np.pi / 2), np.cos(np.pi / 2)]])
+    dense = extend(close([quarter]), [np.kron(quarter, np.eye(3))])
+    assert dense.targets is None
+    rng = np.random.default_rng(0)
+    for rep in (signed, dense):
+        vectors = rng.uniform(-1.0, 1.0, size=(5, rep.degree))
+        order = rep.group.order
+        want = np.stack([vectors @ rep.images[i].T for i in range(order)])
+        assert rep.act(np.arange(order), vectors).tobytes() == want.tobytes()
+        picks = np.array([order - 1, 0, order - 1])
+        assert rep.act(picks, vectors).tobytes() == want[picks].tobytes()
 
 
 def test_signed_closure_and_extension_build_no_dense_stack_until_read():
