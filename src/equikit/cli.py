@@ -8,6 +8,7 @@ formulas) and ``demo`` (golden worked examples). Exit codes: 0 pass,
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -227,7 +228,10 @@ def cmd_demo(args):
     return DEMOS[args.example]()
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every in-process call of ``main`` shares it."""
     parser = argparse.ArgumentParser(
         prog="equikit",
         description="Construction kit and verifier for equivariant "

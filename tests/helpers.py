@@ -1,5 +1,6 @@
-"""Shared test utilities: finite-difference gradient checking and a
-per-element reference for the equivariance check."""
+"""Shared test utilities: finite-difference gradient checking, a
+row-major reference for the training gradient and a per-element
+reference for the equivariance check."""
 
 import numpy as np
 
@@ -63,13 +64,49 @@ def finite_difference_check(net, data, h=1e-5, indices=None):
     return errors, excluded, len(list(indices))
 
 
+def _row_major_forward(weights, biases, activation, x):
+    """The network's forward pass on a (batch, n_in) batch, one row per
+    sample: (output, layer inputs)."""
+    out = [np.empty((x.shape[0], w.shape[0])) for w in weights]
+    inputs = [x]
+    for w, b, h in zip(weights, biases, out):
+        np.matmul(inputs[-1], w.T, out=h)
+        h += b
+        inputs.append(activation.scalar(h, out=h))
+    return np.matmul(inputs[-1], weights[-1].T, out=out[-1]), inputs
+
+
+def row_major_loss_grad(net, data):
+    """``EquivariantNetwork.loss_grad`` computed with every activation and
+    gradient (batch, width): the oracle for the feature-major pass."""
+    weights = net.weights()
+    x = np.ascontiguousarray(data.inputs)
+    out, inputs = _row_major_forward(weights, net.biases(), net.activation, x)
+    err = np.subtract(out, data.targets, out=out)
+    g_z = np.empty_like(err)
+    mse = float(np.mean(np.square(err, out=g_z)))
+    np.multiply(err, 2.0, out=g_z)
+    g_z /= err.size
+    grads_w, grads_b = [None] * net.k, [None] * (net.k - 1)
+    for i in range(net.k - 1, -1, -1):
+        if i < net.k - 1:
+            g_z = np.matmul(g_z, weights[i + 1])
+            # layer i's output is not read again, so it takes its slope
+            g_z *= net.activation.slope(inputs[i + 1], out=inputs[i + 1])
+            grads_b[i] = net.bias_bases[i].T @ g_z.sum(axis=0)
+        grads_w[i] = net.weight_bases[i].project(g_z.T @ inputs[i])
+    return mse, np.concatenate(network._interleave(grads_w, grads_b))
+
+
 def reference_check(apply, rep_in, rep_out, box, trials, seed, tol, relative):
     """The equivariance check one group element at a time: the oracle for
     ``network._check_on_vectors``, which takes elements a block at a time.
 
-    Same seeded draws and residuals; the witness is the first strict
-    maximum in (element, vector) order, and the first NaN stops the loop.
-    Reads ``network.EXHAUSTIVE_LIMIT`` at call time.
+    Same seeded draws and residuals; the first NaN stops the loop and is
+    the witness. Otherwise the witness is the first element whose worst
+    residual is within ``network.WITNESS_SLACK`` of the maximum, with its
+    first vector within the slack of that element's worst. Reads
+    ``network.EXHAUSTIVE_LIMIT`` at call time.
     """
     rng = np.random.default_rng(seed)
     vectors = rng.uniform(*box, size=(trials, rep_in.degree))
@@ -80,17 +117,19 @@ def reference_check(apply, rep_in, rep_out, box, trials, seed, tol, relative):
         indices = np.arange(group.order)
     else:
         indices = rng.integers(0, group.order, size=trials)
-    worst = 0.0
-    witness = None
+    slack = 1.0 - network.WITNESS_SLACK
+    per_element = []
     for g in indices:
         lhs = np.asarray(apply(rep_in.act([g], vectors)[0]))
         rhs = rep_out.act([g], base)[0]
         dev = np.abs(lhs - rhs).max(axis=1) / scale
         i = int(np.argmax(dev))  # the first NaN, if any
-        if dev[i] > worst or np.isnan(dev[i]):
-            worst = float(dev[i])
-            witness = (int(g), vectors[i].copy())
-            if np.isnan(worst):
-                break
-    passed = worst <= tol
-    return Report(passed, worst, None if passed else witness)
+        if np.isnan(dev[i]):
+            return Report(False, float("nan"), (int(g), vectors[i].copy()))
+        near = next(j for j in range(trials) if dev[j] >= dev[i] * slack)
+        per_element.append((float(dev[i]), int(g), near))
+    worst = max(top for top, _, _ in per_element)
+    if worst <= tol:
+        return Report(True, worst, None)
+    g, i = next((g, i) for top, g, i in per_element if top >= worst * slack)
+    return Report(False, worst, (g, vectors[i].copy()))

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -301,6 +302,42 @@ def test_argparse_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_in_process_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    # main builds its parser once per process: alternating commands and an
+    # argparse error in one process prints and exits as fresh processes do
+    config = str(Path(__file__).resolve().parent.parent / "configs" / "c4_chain.cfg")
+    small = ["--m", "3", "--steps", "20", "--train-samples", "40", "--test-samples", "10"]
+    calls = [
+        ["basis", "--config", config, "--print"],
+        ["train", *small, "--out", "M"],
+        ["check", "--model", "M"],
+        ["basis", "--config", config, "--layer", "one"],
+        ["--exact", "train", *small, "--seed", "2", "--activation", "relu"],
+        ["--exact", "check", "--model", "M", "--trials", "3"],
+        ["frobnicate"],
+        ["basis", "--config", config, "--layer", "2"],
+    ]
+    src = os.path.dirname(os.path.dirname(equikit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    (tmp_path / "fresh").mkdir()
+    (tmp_path / "shared").mkdir()
+    fresh, shared = [], []
+    for argv in calls:
+        result = subprocess.run([sys.executable, "-m", "equikit.cli", *argv],
+                                cwd=tmp_path / "fresh", env=env, capture_output=True,
+                                text=True, timeout=120)
+        fresh.append((result.returncode, result.stdout))
+    monkeypatch.chdir(tmp_path / "shared")
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        shared.append((code, capsys.readouterr().out))
+    assert [code for code, _ in fresh] == [0, 0, 0, 2, 0, 0, 2, 0]
+    assert shared == fresh
 
 
 def test_check_non_numeric_model_value_exits_2(tmp_path, capsys):

@@ -27,13 +27,13 @@ BASIS_PRINT_SHA256 = {
 TRAIN_RUNS = {
     "tanh-300": (
         ["--steps", "300"],
-        "635786b38f47ddb3f0faa7dec476b09f8e96a47c87326648f94d734c16639baf",
-        "09e36a394b0d9943906ff43a2fdd5354ec3010be830a5b507f15cd74611f26ad",
+        "c60bd48cc6bb6ee4c966b00c34e30021a12beadb56040dac909b2ebe10fbc4a6",
+        "4f4667fe025c4b42901771df785d236c52c7e91a2d3bf59a34239c07c028a4b1",
     ),
     "relu-200": (
         ["--m", "4", "--seed", "3", "--activation", "relu", "--steps", "200"],
         "7313564657894b5dbdd1a72e4c2583f607cd26a7ed3ab906dc9a4183ff992e8f",
-        "3bbd722a4ae556f03961e5be1e14a3b7ef16dfb387379b87fdf8d8609b1c992e",
+        "881adf462438874f6b2254535e15baca99f24214a431ee8b7d22b40a6b770d56",
     ),
     "threshold-200": (
         ["--activation", "threshold:0.5", "--steps", "200"],
@@ -42,7 +42,15 @@ TRAIN_RUNS = {
     ),
 }
 
-CHECK_TANH_300_SHA256 = "5c6ae128586a55d2c7b59988dafe9e29cbb5e92845bc21092cc447993256346e"
+# stdout sha256 of the same runs at default precision (no --exact): the
+# %.6g figures a user reads, which last-bit changes must not move
+TRAIN_DEFAULT_SHA256 = {
+    "tanh-300": "ac7961c17fdc2d3d2af700844d003f8c88245d78458d3880d1b69ec6e0b25c38",
+    "relu-200": "4b4db6838e313bd14e152a2b990646a3dd237d85e042a773b316048a4ae12ff7",
+    "threshold-200": "79275545fc9c34e3b9edf4e1bf34fcd2cf6631a1631bd8dd8922952a525deea0",
+}
+
+CHECK_TANH_300_SHA256 = "516a1acbeb83f97038073ce29f89dbbb23fcca88a25d07a02ac60bc4e77899da"
 
 # p4m:4 defining -> trivial:2 -> trivial:1 (tanh, seed 0), built with the
 # library and written with save_model; then `--exact check` on it intact
@@ -50,7 +58,7 @@ CHECK_TANH_300_SHA256 = "5c6ae128586a55d2c7b59988dafe9e29cbb5e92845bc21092cc4479
 # a group element by its BFS index, so this pins the grid closure too.
 GRID_MODEL_SHA256 = "b68510d63a2fc6c1aace0838f4dafc7407285c4a84879906a87b921c1ef555fa"
 GRID_CHECK_SHA256 = "076eea977283baa07d9614587ace2a426721eba59f947d80cc17586404691618"
-GRID_CHECK_TAMPERED_SHA256 = "3c93549766031cf7dccad3b05759287745e4b85fde42bc1eb5ca7cb796e73340"
+GRID_CHECK_TAMPERED_SHA256 = "1e03450e5b8b860382a74a8221c3152b7f473e7f3cdfb775b66c846668114de2"
 
 
 def sha256(data):
@@ -93,6 +101,15 @@ def test_train_bytes(name, tmp_path, monkeypatch, capsys):
         code, out = run(capsys, "--exact", "check", "--model", "M")
         assert code == 0
         assert sha256(out) == CHECK_TANH_300_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(TRAIN_RUNS))
+def test_train_default_precision_bytes(name, tmp_path, monkeypatch, capsys):
+    argv = TRAIN_RUNS[name][0]
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, "train", *argv, "--out", "M")
+    assert code == 0
+    assert sha256(out) == TRAIN_DEFAULT_SHA256[name]
 
 
 def test_grid_model_bytes(tmp_path, monkeypatch, capsys):

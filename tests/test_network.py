@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import finite_difference_check, reference_check
+from helpers import finite_difference_check, reference_check, row_major_loss_grad
 
 from equikit import activations, network
 from equikit.activations import (
@@ -265,6 +265,29 @@ def test_training_step_allocates_no_batch_sized_array():
     buffers = sum(b.nbytes for part in net._batch_buffers(len(data)) for b in part)
     widest = data.inputs.nbytes
     assert peak < buffers + widest / 2
+
+
+def _two_hidden_layer_net(activation, seed=0):
+    g = named_group("symmetric", 4)
+    chain = [parse_rep_spec(g, spec) for spec in
+             ("tensor:3(defining)", "tensor:2(defining)", "defining", "trivial:2")]
+    return build(g, chain, activation, seed=seed)
+
+
+@pytest.mark.parametrize("make", [deep_sets_net, _two_hidden_layer_net],
+                         ids=["one-hidden", "two-hidden"])
+@pytest.mark.parametrize("activation", [RELU, TANH, ActivationSpec("threshold", 0.1)],
+                         ids=str)
+def test_loss_grad_matches_the_row_major_reference(make, activation):
+    net = make(activation=activation, seed=5)
+    data = random_dataset(net, 300, seed=7)
+    for i, c in enumerate(net.bias_coeffs):  # biases away from zero
+        c += 0.1 * (i + 1)
+    mse, grad = net.loss_grad(data)
+    want_mse, want_grad = row_major_loss_grad(net, data)
+    assert np.count_nonzero(want_grad) > grad.size // 2
+    assert abs(mse - want_mse) <= 1e-12 * want_mse
+    assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
 
 
 @pytest.mark.parametrize("activation", [RELU, TANH, ActivationSpec("threshold", 0.5)])
@@ -565,6 +588,61 @@ def test_blocked_check_keeps_the_first_of_tied_maxima(monkeypatch):
     assert tie[0].tobytes() == tie[1].tobytes() and tie.max() > 0.0
     report = _assert_same_as_reference(rep, rep, lambda: lambda x: x[:, ::-1], trials=5)
     assert report.witness[0] == 1
+
+
+@pytest.mark.parametrize("group_spec, chain, activation, seed", [
+    ("p4m:4", ("defining", "defining", "trivial:1"), TANH, 0),
+    ("p4:4", ("defining", "tensor:2(defining)", "defining"), RELU, 3),
+], ids=["p4m4-tanh", "p4-relu"])
+def test_check_witness_does_not_depend_on_product_layout(group_spec, chain, activation,
+                                                         seed):
+    # a model with its first weight moved by 0.25: many elements' residuals
+    # are equal in exact arithmetic, and the two maps below differ only in
+    # how BLAS rounds their products (a strict argmax named different
+    # witnesses for them: elements 73 and 68, and 12 and 34)
+    group = group_from_spec(group_spec)
+    reps = [parse_rep_spec(group, spec) for spec in chain]
+    net = build(group, reps, activation, seed=seed)
+    (w1, w2), (b1,) = net.weights(), net.biases()
+    w1[0, 0] += 0.25
+
+    def row_major(x):
+        return activation.scalar(x @ w1.T + b1) @ w2.T
+
+    def feature_major(x):
+        return (w2 @ activation.scalar(w1 @ np.ascontiguousarray(x.T) + b1[:, None])).T
+
+    rows, cols = (check_map_equivariance(f, reps[0], reps[-1])
+                  for f in (row_major, feature_major))
+    assert not rows.passed and not cols.passed
+    assert abs(rows.max_residual - cols.max_residual) <= 1e-15
+    assert rows.witness[0] == cols.witness[0]
+    assert rows.witness[1].tobytes() == cols.witness[1].tobytes()
+
+
+def test_check_witness_is_the_first_within_the_slack(monkeypatch):
+    # residuals 1.0 and 1.0 + 1e-14 tie within the slack, so the element
+    # tested first is the witness; with no slack the larger one is
+    rep = defining_rep(named_group("cyclic", 4))
+    vectors = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2, 4))
+    bump = {1: 1.0, 3: 1.0 + 1e-14}
+    moved = {g: rep.act([g], vectors)[0, 1].tobytes() for g in bump}
+
+    def f(x):
+        out = x.copy()
+        for g, size in bump.items():
+            out[[row.tobytes() == moved[g] for row in x], 0] += size
+        return out
+
+    def check():
+        return network._check_on_vectors(f, rep, rep, (-1.0, 1.0), 2, 0, 1e-8,
+                                         relative=False)
+
+    report = check()
+    assert report.max_residual == 1.0 + 1e-14
+    assert report.witness[0] == 1 and report.witness[1].tobytes() == vectors[1].tobytes()
+    monkeypatch.setattr(network, "WITNESS_SLACK", 0.0)
+    assert check().witness[0] == 3
 
 
 @pytest.mark.parametrize("block_cells", [None, 1])

@@ -75,6 +75,13 @@ def test_com_dataset_targets_and_determinism():
     assert not np.array_equal(data.inputs, other.inputs)
 
 
+@pytest.mark.parametrize("m", [1, 4, 5, 7])
+def test_com_dataset_targets_are_bitwise_center_of_mass(m):
+    data = com_dataset(m, 200, seed=m)
+    expected = np.stack([center_of_mass(row.reshape(m, 3)) for row in data.inputs])
+    assert data.targets.tobytes() == expected.tobytes()
+
+
 def test_trained_deep_sets_net_is_permutation_invariant():
     m = 4
     g = named_group("symmetric", m)
