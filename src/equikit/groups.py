@@ -2,9 +2,11 @@
 
 Element 0 is always the identity. BFS order (queue order, generators
 tried in index order) fixes a canonical element indexing. Each element
-carries the generator word that reproduces it and its BFS parent link
-(parent element, generator); representation extension replays the
-parent links level by level.
+carries its BFS parent link (parent element, generator); representation
+extension replays the parent links level by level, and the generator
+word that reproduces an element (``words``) is read off them on demand.
+The BFS looks up each level's products in one pass over their keys and
+runs Python code only for the products it has not seen.
 
 Generators (and ``reps``' generator images) pass one validator,
 ``_generator_stack``, which calls ``det`` only when they are not all
@@ -19,6 +21,8 @@ matrices deduplicated by the rounding key ``_key``, and store them. On
 signed permutations both give the same elements, words, cayley table
 and parent links, bit for bit.
 """
+
+from itertools import repeat
 
 import numpy as np
 
@@ -62,8 +66,9 @@ class FiniteGroup:
             and ``signs`` on first read and then kept.
         generators: (gen_count, dim, dim) array of the input generators.
         words: per element, the generator-index word replaying it from
-            the identity (left-to-right products). BFS gives the
-            shortest word, lexicographically smallest among ties.
+            the identity (left-to-right products), derived from
+            ``parents`` on first read. BFS gives the shortest word,
+            lexicographically smallest among ties.
         cayley: (order, gen_count) int array; cayley[e, g] is the index
             of elements[e] @ generators[g].
         parents: (order, 2) int array of (parent element, generator)
@@ -74,12 +79,12 @@ class FiniteGroup:
             when the group is stored dense.
     """
 
-    def __init__(self, dim, elements, generators, words, cayley, parents,
+    def __init__(self, dim, elements, generators, cayley, parents,
                  spec=None, targets=None, signs=None):
         self.dim = dim
         self._elements = elements
         self.generators = generators
-        self.words = words
+        self._words = None
         self.cayley = cayley
         self.parents = parents
         self.spec = spec
@@ -91,6 +96,16 @@ class FiniteGroup:
         if self._elements is None:
             self._elements = signed_permutation_matrices(self.targets, self.signs)
         return self._elements
+
+    @property
+    def words(self):
+        if self._words is None:
+            # a parent precedes its children in BFS order
+            words = [()]
+            for parent, gi in self.parents[1:].tolist():
+                words.append(words[parent] + (gi,))
+            self._words = words
+        return self._words
 
     @property
     def order(self):
@@ -180,7 +195,10 @@ def _generator_stack(matrices, name):
     for i, m in enumerate(mats):
         if m.shape != (n, n):
             raise ValueError(f"{name} {i} has shape {m.shape}, expected ({n}, {n})")
-    stack = np.stack(mats)
+    if isinstance(matrices, np.ndarray):  # a float64 stack, as named_group's, is not copied
+        stack = np.ascontiguousarray(matrices, np.float64)
+    else:
+        stack = np.stack(mats)
     perm = signed_permutations(stack)
     if perm is None:
         for i, m in enumerate(mats):
@@ -194,11 +212,11 @@ def _close_dense(gens, max_order=DEFAULT_MAX_ORDER, spec=None):
     every generator set that is not all signed permutations, and the
     test oracle for the other."""
     dim = gens[0].shape[0]
-    elements, words, cayley, parents = _bfs(
+    elements, cayley, parents = _bfs(
         np.eye(dim), len(gens),
         lambda front: np.stack([m @ g for m in front for g in gens]),
         lambda products: [_key(m) for m in products], max_order)
-    return FiniteGroup(dim, elements, np.stack(gens), words, cayley, parents, spec)
+    return FiniteGroup(dim, elements, np.stack(gens), cayley, parents, spec)
 
 
 def _close_signed(gens, targets, signs, max_order, spec):
@@ -207,18 +225,20 @@ def _close_signed(gens, targets, signs, max_order, spec):
     The products of a frontier of codes with every generator are one
     gather and one xor (``numerics.sign_flips``), and two elements are
     equal exactly when their code bytes are. The BFS is the dense one, so
-    words, cayley and parents are too, and the elements, when scattered
+    cayley and parents (hence words) are too, and the elements, when scattered
     into zeros, are bitwise the dense products (a matmul sum of +-0.0
     terms starts from +0.0, so every zero it leaves is +0.0).
     """
     dim = gens[0].shape[0]
-    flips = sign_flips(signs)
-    codes, words, cayley, parents = _bfs(
-        np.arange(dim, dtype=flips.dtype), len(gens),
+    # the narrowest type for codes -dim..dim-1, as short keys hash fast
+    code_type = np.min_scalar_type(-dim)
+    flips = sign_flips(signs).astype(code_type)
+    codes, cayley, parents = _bfs(
+        np.arange(dim, dtype=code_type), len(gens),
         lambda front: (front[:, targets] ^ flips).reshape(-1, dim),
         _row_bytes, max_order)
-    return FiniteGroup(dim, None, gens, words, cayley, parents, spec,
-                       *split_signed_codes(codes))
+    return FiniteGroup(dim, None, gens, cayley, parents, spec,
+                       *split_signed_codes(codes.astype(np.int64)))
 
 
 def _row_bytes(rows):
@@ -232,50 +252,50 @@ def _bfs(identity, gen_count, multiply, keys, max_order):
     ``multiply(frontier)`` stacks the product of every frontier element
     with every generator, in (element, generator) order, and ``keys``
     gives one hashable key per stacked product; equal keys mean equal
-    elements. New elements are numbered in (element, generator) order,
-    which is the order a one-element-at-a-time queue finds them in.
-    Returns the stacked elements in BFS order, their words, the cayley
-    table and the (parent, generator) links.
+    elements. A level's keys are looked up in one ``map``, and Python
+    visits only the products not seen before the level. New elements are
+    numbered in (element, generator) order, which is the order a
+    one-element-at-a-time queue finds them in. Returns the stacked
+    elements in BFS order, the cayley table and the parent links.
     """
     levels = [identity[None]]
-    words = [()]
-    parents = [(-1, -1)]
+    parents = [np.array([[-1, -1]], dtype=np.int64)]
     index = {keys(levels[0])[0]: 0}
     cayley_rows = []
     start = 0
     while len(levels[-1]):
         products = multiply(levels[-1])
-        row = np.empty(len(products), dtype=np.int64)
+        product_keys = keys(products)
+        row = np.array(list(map(index.get, product_keys, repeat(-1))), dtype=np.int64)
         new = []
-        for p, k in enumerate(keys(products)):
-            j = index.get(k)
-            if j is None:
-                if len(words) >= max_order:
+        for p in np.flatnonzero(row < 0).tolist():
+            size = len(index)
+            row[p] = j = index.setdefault(product_keys[p], size)
+            if j == size:
+                if size >= max_order:
                     raise ClosureError(
                         f"group not closed within cap max_order={max_order}"
                     )
-                j = index[k] = len(words)
-                e, gi = divmod(p, gen_count)
-                words.append(words[start + e] + (gi,))
-                parents.append((start + e, gi))
                 new.append(p)
-            row[p] = j
         cayley_rows.append(row.reshape(-1, gen_count))
+        parent, gi = np.divmod(np.array(new, dtype=np.int64), gen_count)
+        parents.append(np.stack([start + parent, gi], axis=1))
         start += len(levels[-1])
         levels.append(products[new])
-    return (np.concatenate(levels), words, np.concatenate(cayley_rows),
-            np.array(parents, dtype=np.int64))
+    return np.concatenate(levels), np.concatenate(cayley_rows), np.concatenate(parents)
 
 
 def permutation_matrix(perm):
-    """Matrix P with P e_j = e_perm[j] for a permutation of 0..n-1."""
+    """Matrix P with P e_j = e_perm[j] for a permutation of 0..n-1; a
+    (count, n) array of permutations gives the (count, n, n) stack."""
     perm = np.asarray(perm)
-    n = len(perm)
-    if not np.array_equal(np.sort(perm), np.arange(n)):
+    n = perm.shape[-1]
+    if not (np.sort(perm, axis=-1) == np.arange(n)).all():
         raise ValueError(f"not a permutation of 0..{n - 1}: {perm.tolist()}")
-    p = np.zeros((n, n))
-    p[perm.astype(np.intp), np.arange(n)] = 1.0
-    return p
+    rows = perm.reshape(-1, n).astype(np.intp)
+    p = np.zeros((len(rows), n, n))
+    p[np.arange(len(rows))[:, None], rows, np.arange(n)] = 1.0
+    return p.reshape(perm.shape + (n,))
 
 
 def _grid_permutations(n_grid, kind):
@@ -319,7 +339,7 @@ def named_group(kind, size, max_order=DEFAULT_MAX_ORDER):
     else:
         perms = _grid_permutations(size, kind)
     _check_stack_fits(f"group {spec}", len(perms), len(perms[0]), MAX_IMAGE_STACK_BYTES)
-    return close([permutation_matrix(p) for p in perms], max_order=max_order, spec=spec)
+    return close(permutation_matrix(perms), max_order=max_order, spec=spec)
 
 
 def _check_stack_fits(what, count, degree, cap):

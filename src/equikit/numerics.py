@@ -67,9 +67,11 @@ def sign_flips(signs):
 
 
 def split_signed_codes(codes):
-    """(targets, int8 signs) of an array of signed codes (``sign_flips``)."""
+    """(targets, int8 signs) of an array of signed codes (``sign_flips``);
+    the targets overwrite ``codes``."""
     negative = codes < 0
-    return np.where(negative, ~codes, codes), np.where(negative, -1, 1).astype(np.int8)
+    signs = np.where(negative, np.int8(-1), np.int8(1))
+    return np.invert(codes, out=codes, where=negative), signs
 
 
 def check_tol(tol, strict=True):

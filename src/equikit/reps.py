@@ -14,7 +14,14 @@ stores an integer (targets, signs) pair of index arrays per element;
 ``images`` is a dense view scattered from them on first read. Residuals,
 errors and images are bitwise the dense path's. Only other images are
 multiplied, compared and stored as dense matrices.
+
+A spec on a signed permutation group is composed from the group's own
+index arrays, not extended (``parse_rep_spec``); only its ``perm:``
+leaves, whose images the user supplies, are replayed and checked.
+``direct_sum`` and ``tensor_identity`` compose signed parts likewise.
 """
+
+from functools import partial
 
 import numpy as np
 
@@ -55,24 +62,40 @@ class Representation:
     """Group representation with per-element images.
 
     ``images[e] @ gen_images[g]`` matches ``images[cayley[e, g]]`` for
-    every element and generator (verified by ``extend``), and
-    ``images[0]`` is the identity. ``gen_images`` is the
-    (gen_count, n, n) stack. A signed permutation representation keeps
-    (order, n) ``targets`` and int8 ``signs`` with
+    every element and generator (verified by ``extend``, or true by
+    construction), and ``images[0]`` is the identity. ``gen_images`` is
+    the (gen_count, n, n) stack. A signed permutation representation
+    keeps (order, n) ``targets`` and int8 ``signs`` with
     images[e] e_j = signs[e, j] e_{targets[e, j]}, and scatters
     ``images`` from them on first read; any other keeps the dense
-    (order, n, n) ``images`` and None for both.
+    (order, n, n) ``images`` and None for both. ``gen_images`` may also
+    be given as a function returning the stack, and ``targets`` as one
+    returning (targets, signs); each is called on first read.
     """
 
     def __init__(self, group, degree, gen_images, images,
                  spec=None, targets=None, signs=None):
         self.group = group
         self.degree = degree
-        self.gen_images = gen_images
+        self._gen_images = gen_images
         self._images = images
         self.spec = spec
-        self.targets = targets
-        self.signs = signs
+        self._targets = targets
+        self._signs = signs
+
+    @property
+    def gen_images(self):
+        if callable(self._gen_images):
+            self._gen_images = self._gen_images()
+        return self._gen_images
+
+    def _index_arrays(self):
+        if callable(self._targets):
+            self._targets, self._signs = self._targets()
+        return self._targets, self._signs
+
+    targets = property(lambda self: self._index_arrays()[0])
+    signs = property(lambda self: self._index_arrays()[1])
 
     @property
     def images(self):
@@ -172,15 +195,12 @@ def _extend_signed(group, targets, signs, tol):
     return split_signed_codes(codes)
 
 
-def _replay(group, identity, multiply, residuals, tol):
-    """Replay the BFS tree from ``identity``, then check the cayley table.
+def _walk(group, identity, multiply):
+    """Every element's image, by replaying the BFS tree from ``identity``.
 
     A level is the run of elements whose parents precede the level's
     start (``parents`` is non-decreasing in BFS order), and
     ``multiply(front, gi)`` stacks front[k] times generator gi[k].
-    ``residuals(images, gi)`` gives each element's residual against
-    generator ``gi``, and the first generator with one above ``tol``
-    raises InconsistentImagesError.
     """
     images = np.empty((group.order,) + identity.shape, dtype=identity.dtype)
     images[0] = identity
@@ -190,6 +210,16 @@ def _replay(group, identity, multiply, residuals, tol):
         hi = int(np.searchsorted(parent_of, lo))
         images[lo:hi] = multiply(images[parent_of[lo:hi]], group.parents[lo:hi, 1])
         lo = hi
+    return images
+
+
+def _replay(group, identity, multiply, residuals, tol):
+    """``_walk`` the BFS tree from ``identity``, then check the cayley
+    table: ``residuals(images, gi)`` gives each element's residual
+    against generator ``gi``, and the first generator with one above
+    ``tol`` raises InconsistentImagesError.
+    """
+    images = _walk(group, identity, multiply)
     for gi in range(group.gen_count):
         dev = residuals(images, gi)
         worst = int(np.argmax(dev))
@@ -209,11 +239,24 @@ def _trivial_images(group, degree):
 
 
 def _sign_images(group):
-    return np.stack([np.array([[np.linalg.det(g)]]) for g in group.generators])
+    if group.targets is None:
+        return np.stack([np.array([[np.linalg.det(g)]]) for g in group.generators])
+    # a signed permutation's determinant is the parity of its targets
+    # times the product of its signs; least[:, i] becomes the smallest
+    # point on i's cycle by doubling the stretch of the cycle it covers
+    targets = group.targets[group.cayley[0]]
+    least = np.tile(np.arange(group.dim), (group.gen_count, 1))
+    for _ in range((group.dim - 1).bit_length()):
+        np.minimum(least, np.take_along_axis(least, targets, axis=1), out=least)
+        targets = np.take_along_axis(targets, targets, axis=1)
+    odd = (group.dim - (least == np.arange(group.dim)).sum(axis=1)) % 2
+    dets = (1 - 2 * odd) * group.signs[group.cayley[0]].prod(axis=1)
+    return dets.astype(np.float64).reshape(-1, 1, 1)
 
 
 def _perm_images(group, perms):
-    return _image_stack(group, [permutation_matrix(p) for p in perms])[0]
+    """``_image_stack`` of one permutation per generator."""
+    return _image_stack(group, [permutation_matrix(p) for p in perms])
 
 
 def _perm_spec(perms):
@@ -235,14 +278,50 @@ def _sum_images(parts):
 
 def _tensor_images(gen_images, d):
     """Generator images of rho (x) I_d; size-d blocks move together."""
+    _check_tensor_factor(d)
+    return np.stack([np.kron(g, np.eye(d)) for g in gen_images])
+
+
+def _check_tensor_factor(d):
     if d < 1:
         raise ValueError("tensor factor must be >= 1")
-    return np.stack([np.kron(g, np.eye(d)) for g in gen_images])
+
+
+# --- index arrays of composed representations ------------------------------
+#
+# Each returns the (count, n) targets (int64, as ``extend`` stores them)
+# and signs of a stack of signed permutations.
+
+
+def _sum_arrays(parts):
+    """Block-diagonal sum of (targets, signs) pairs: part k's targets
+    shift by the degrees of the parts before it."""
+    targets = np.empty((len(parts[0][0]), sum(t.shape[1] for t, _ in parts)), dtype=np.int64)
+    at = 0
+    for t, _ in parts:
+        np.add(t, at, out=targets[:, at:at + t.shape[1]])
+        at += t.shape[1]
+    return targets, np.concatenate([s for _, s in parts], axis=1)
+
+
+def _tensor_arrays(targets, signs, d):
+    """rho (x) I_d: column j*d + a goes to targets[j]*d + a, with sign
+    signs[j]."""
+    lifted = np.repeat(targets * d, d, axis=1)
+    lifted += np.tile(np.arange(d), targets.shape[1])
+    return lifted, np.repeat(signs, d, axis=1)
+
+
+def _determinants(group):
+    """Each element's determinant (int8) on a signed permutation group,
+    accumulated along the BFS tree from the generators' (``_sign_images``)."""
+    gen_dets = _sign_images(group)[:, 0, 0].astype(np.int8)
+    return _walk(group, np.ones((), dtype=np.int8), lambda front, gi: front * gen_dets[gi])
 
 
 def defining_rep(group):
     """The group acting by its own matrices."""
-    return extend(group, group.generators, spec="defining")
+    return parse_rep_spec(group, "defining")
 
 
 def trivial_rep(group, degree=1):
@@ -252,16 +331,17 @@ def trivial_rep(group, degree=1):
 
 def sign_rep(group):
     """Degree-1 representation by generator determinants."""
-    return extend(group, _sign_images(group), spec="sign")
+    return parse_rep_spec(group, "sign")
 
 
 def permutation_rep(group, perms):
     """Representation from one coordinate permutation per generator."""
-    return extend(group, _perm_images(group, perms), spec=_perm_spec(perms))
+    return extend(group, _perm_images(group, perms)[0], spec=_perm_spec(perms))
 
 
 def direct_sum(reps):
-    """Block-diagonal sum of representations of the same group."""
+    """Block-diagonal sum of representations of the same group; signed
+    permutation parts are composed, any other is extended."""
     if not reps:
         raise ValueError("direct_sum needs at least one representation")
     group = reps[0].group
@@ -270,13 +350,22 @@ def direct_sum(reps):
     spec = None
     if all(r.spec for r in reps):
         spec = "sum(" + ";".join(r.spec for r in reps) + ")"
-    return extend(group, _sum_images([r.gen_images for r in reps]), spec=spec)
+    gen_images = _sum_images([r.gen_images for r in reps])
+    if any(r.targets is None for r in reps):
+        return extend(group, gen_images, spec=spec)
+    return Representation(group, gen_images.shape[1], gen_images, None, spec,
+                          *_sum_arrays([(r.targets, r.signs) for r in reps]))
 
 
 def tensor_identity(rep, d):
-    """Kronecker lift rho(g) (x) I_d; size-d blocks move together."""
+    """Kronecker lift rho(g) (x) I_d; size-d blocks move together. A
+    signed permutation rep is composed, any other is extended."""
     spec = f"tensor:{d}({rep.spec})" if rep.spec else None
-    return extend(rep.group, _tensor_images(rep.gen_images, d), spec=spec)
+    gen_images = _tensor_images(rep.gen_images, d)
+    if rep.targets is None:
+        return extend(rep.group, gen_images, spec=spec)
+    return Representation(rep.group, rep.degree * d, gen_images, None, spec,
+                          *_tensor_arrays(rep.targets, rep.signs, d))
 
 
 def is_permutation_rep(rep, tol=1e-9):
@@ -327,35 +416,94 @@ def parse_rep_spec(group, text):
     ``MAX_IMAGE_STACK_BYTES`` raises ValueError naming the spec and its
     degree, and builds nothing.
 
-    Sub-specs yield only generator images; ``extend`` runs once, on the
-    outermost spec, and its check covers every part. So when the images
-    of a part do not factor through the group, the
-    InconsistentImagesError names the outermost representation's first
-    failing pair: the first generator whose check fails, at the first
-    element with the largest residual over all parts. With one failing
-    part that is the part's own pair.
+    On a signed permutation group the representation is composed (see
+    the module docstring); its generator images and index arrays are
+    built on first read, so a solve, which reads only generator images,
+    composes nothing per element. The ``perm:`` leaves are validated as
+    their image builders validate them, then replayed and checked once,
+    together, as one block-diagonal representation. On any other group
+    ``extend`` runs once, on the outermost spec's images. Either way one
+    check covers every part, so when the images of a part do not factor
+    through the group, the InconsistentImagesError names the outermost
+    representation's first failing pair: the first generator whose
+    check fails, at the first element with the largest residual over
+    all parts. With one failing part that is the part's own pair.
     """
-    degree, images, spec, pos = _parse_spec(group, text.strip(), 0)
+    degree, node, spec, pos = _parse_spec(group, text.strip(), 0)
     if pos != len(text.strip()):
         raise ValueError(f"trailing characters in rep spec {text!r}")
     _check_stack_fits(f"rep spec {spec!r}", group.gen_count, degree, MAX_IMAGE_STACK_BYTES)
-    return extend(group, images(), spec=spec)
+    if group.targets is None:
+        return extend(group, _spec_images(group, node), spec=spec)
+    leaves = []
+    compose = _composer(group, node, leaves)
+    if degree == 0:  # the image validator's message for a (gen_count, 0, 0) stack
+        raise ValueError("generator image 0 must be nonempty")
+    # one replay and cayley check of the perm: leaves' block-diagonal sum
+    block = _extend_signed(group, *_sum_arrays(leaves), CONSISTENCY_TOL) if leaves else None
+    return Representation(group, degree, partial(_spec_images, group, node), None,
+                          spec, partial(compose, block))
+
+
+# A parsed spec is a (kind, argument) node: ("defining", None),
+# ("sign", None), ("trivial", D), ("perm", perms), ("tensor", (D, node))
+# or ("sum", [node, ...]).
+
+
+def _spec_images(group, node):
+    """The (gen_count, n, n) generator-image stack of a parsed spec."""
+    kind, arg = node
+    if kind == "tensor":
+        return _tensor_images(_spec_images(group, arg[1]), arg[0])
+    if kind == "sum":
+        return _sum_images([_spec_images(group, part) for part in arg])
+    if kind == "perm":
+        return _perm_images(group, arg)[0]
+    if kind == "trivial":
+        return _trivial_images(group, arg)
+    return group.generators if kind == "defining" else _sign_images(group)
+
+
+def _composer(group, node, leaves):
+    """Raise what ``_spec_images`` would raise, in its order, append each
+    ``perm:`` leaf's generator (targets, signs) to ``leaves``, and return
+    the function that maps the leaves' replayed block-diagonal sum to
+    every element's (targets, signs) under the spec."""
+    kind, arg = node
+    if kind == "tensor":
+        inner = _composer(group, arg[1], leaves)
+        _check_tensor_factor(arg[0])
+        return lambda block: _tensor_arrays(*inner(block), arg[0])
+    if kind == "sum":
+        parts = [_composer(group, part, leaves) for part in arg]
+        return lambda block: _sum_arrays([part(block) for part in parts])
+    if kind == "perm":
+        at = sum(t.shape[1] for t, _ in leaves)
+        leaves.append(_perm_images(group, arg)[1])
+        end = at + leaves[-1][0].shape[1]
+        return lambda block: (block[0][:, at:end] - at, np.ascontiguousarray(block[1][:, at:end]))
+    if kind == "trivial":
+        return lambda block: (np.tile(np.arange(arg, dtype=np.int64), (group.order, 1)),
+                              np.ones((group.order, arg), dtype=np.int8))
+    if kind == "defining":
+        return lambda block: (group.targets, group.signs)
+    return lambda block: (np.zeros((group.order, 1), dtype=np.int64),
+                          _determinants(group)[:, None])
 
 
 def _parse_spec(group, text, pos):
-    """(degree, generator image stack builder, canonical spec, end
-    position) of the spec starting at ``pos``; the builder takes no
-    arguments and returns the (gen_count, n, n) stack."""
+    """(degree, parsed node, canonical spec, end position) of the spec
+    starting at ``pos``."""
     rest = text[pos:]
     if rest.startswith("defining"):
-        return group.dim, lambda: group.generators, "defining", pos + len("defining")
+        return group.dim, ("defining", None), "defining", pos + len("defining")
     if rest.startswith("sign"):
-        return 1, lambda: _sign_images(group), "sign", pos + len("sign")
+        return 1, ("sign", None), "sign", pos + len("sign")
     if rest.startswith("trivial:"):
         num, end = _parse_int(text, pos + len("trivial:"))
-        return num, lambda: _trivial_images(group, num), f"trivial:{num}", end
+        return num, ("trivial", num), f"trivial:{num}", end
     if rest.startswith("perm:"):
-        return _parse_perm(group, text, pos + len("perm:"))
+        return _parse_perm(text, pos + len("perm:"))
     if rest.startswith("tensor:"):
         num, end = _parse_int(text, pos + len("tensor:"))
         if end >= len(text) or text[end] != "(":
@@ -363,8 +511,7 @@ def _parse_spec(group, text, pos):
         degree, inner, spec, end = _parse_spec(group, text, end + 1)
         if end >= len(text) or text[end] != ")":
             raise ValueError(f"expected ')' at position {end} in rep spec {text!r}")
-        return (degree * num, lambda: _tensor_images(inner(), num),
-                f"tensor:{num}({spec})", end + 1)
+        return degree * num, ("tensor", (num, inner)), f"tensor:{num}({spec})", end + 1
     if rest.startswith("sum("):
         degree, parts, specs = 0, [], []
         pos += len("sum(")
@@ -377,8 +524,7 @@ def _parse_spec(group, text, pos):
                 pos += 1
                 continue
             if pos < len(text) and text[pos] == ")":
-                return (degree, lambda: _sum_images([p() for p in parts]),
-                        "sum(" + ";".join(specs) + ")", pos + 1)
+                return degree, ("sum", parts), "sum(" + ";".join(specs) + ")", pos + 1
             raise ValueError(f"expected ';' or ')' at position {pos} in rep spec {text!r}")
     raise ValueError(f"unrecognized rep spec at position {pos} in {text!r}")
 
@@ -392,7 +538,7 @@ def _parse_int(text, pos):
     return int(text[pos:end]), end
 
 
-def _parse_perm(group, text, pos):
+def _parse_perm(text, pos):
     end = pos
     while end < len(text) and (text[end].isdigit() or text[end] in ",|"):
         end += 1
@@ -402,4 +548,4 @@ def _parse_perm(group, text, pos):
             raise ValueError(f"empty permutation in rep spec {text!r}")
         perms.append([int(i) for i in part.split(",")])
     degree = max(len(p) for p in perms)
-    return degree, lambda: _perm_images(group, perms), _perm_spec(perms), end
+    return degree, ("perm", perms), _perm_spec(perms), end

@@ -165,6 +165,51 @@ def test_basis_bad_config_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+# each malformed or inconsistent rep spec exits 2 with the message that
+# the image builders and the extension give, also where the rep is
+# composed from index arrays, as on this signed-permutation group
+REP_SPEC_ERRORS = {
+    "trivial:0": "generator image 0 must be nonempty",
+    "sum(tensor:2(trivial:0))": "generator image 0 must be nonempty",
+    "tensor:0(defining)": "tensor factor must be >= 1",
+    "tensor:0(perm:0,0,1|1,0,2)": "not a permutation of 0..2: [0, 0, 1]",
+    "sum()": "unrecognized rep spec at position 4 in 'sum()'",
+    "sum(defining;)": "unrecognized rep spec at position 13 in 'sum(defining;)'",
+    "tensor:2(defining": "expected ')' at position 17 in rep spec 'tensor:2(defining'",
+    "perm:": "empty permutation in rep spec 'perm:'",
+    "perm:0,0,1|1,0,2": "not a permutation of 0..2: [0, 0, 1]",
+    "perm:0,1|1,0,2": "generator image 1 has shape (3, 3), expected (2, 2)",
+    "perm:1,0,2": "need 2 generator images, got 1",
+    "tensor:99999999999(defining)": (
+        "rep spec 'tensor:99999999999(defining)' has degree 299999999997: its 2 "
+        "generator images would take 1439999999971200000000144 bytes, above the cap "
+        "MAX_IMAGE_STACK_BYTES=268435456"),
+    "sum(sign;tensor:3(perm:1,0,2|1,0,2))": (
+        "generator images are inconsistent: element 3 * generator 0 deviates by 1.000e+00"),
+    "sum(perm:1,2,0|0,1,2;perm:1,0,2|1,0,2)": (
+        "generator images are inconsistent: element 1 * generator 0 deviates by 1.000e+00"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(REP_SPEC_ERRORS))
+def test_basis_bad_rep_spec_exits_2_with_its_message(tmp_path, capsys, spec):
+    cfg = tmp_path / "bad_rep.cfg"
+    cfg.write_text(f"[model]\ngroup = symmetric:3\n\n[reps]\n0 = {spec}\n1 = defining\n")
+    code, out, err = run(capsys, "basis", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: reps: {REP_SPEC_ERRORS[spec]}\n"
+
+
+def test_basis_accepts_a_zero_width_summand(tmp_path, capsys):
+    cfg = tmp_path / "zero_width.cfg"
+    cfg.write_text("[model]\ngroup = symmetric:3\n\n[reps]\n"
+                   "0 = sum(trivial:0;defining)\n1 = defining\n")
+    code, out, _ = run(capsys, "basis", "--config", str(cfg))
+    assert code == 0
+    assert "(3) -> defining (3), intertwiner dim 2" in out
+
+
 def test_train_check_round_trip(tmp_path, capsys):
     model = tmp_path / "model.txt"
     code, out, _ = run(

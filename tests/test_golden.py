@@ -21,6 +21,7 @@ BASIS_PRINT_SHA256 = {
     "c4_chain": "39d67042f6fd020b3d634d8629115c79eb59e99015e7db9d84c86e199d9d7d17",
     "deepsets_s5": "40d41b31621ab618de23d2c78e4096ed0f21661912e3a84b9e2d629413e174ce",
     "p4_grid2": "02f9da633f9cef29bcde73688a87b11a10a4e9a280f048443535819182290a24",
+    "p4m4_spec_forms": "cfb6609c70df6d6f6b611a0db8bd91cedd1d7b8c4fc72750dff16b7a75d6cfe1",
 }
 
 # (argv after "--exact train", stdout sha256, model file sha256)

@@ -268,8 +268,9 @@ def test_signed_permutation_builds_call_no_det(monkeypatch):
     monkeypatch.setattr(np.linalg, "det", _no_det)
     g = named_group("p4m", 4)
     assert reps.defining_rep(g).targets is not None
-    rep = reps.parse_rep_spec(g, "tensor:2(sum(defining;trivial:1))")
-    assert rep.degree == 34 and rep.targets is not None
+    rep = reps.parse_rep_spec(g, "tensor:2(sum(defining;sign;trivial:1))")
+    assert rep.degree == 36 and rep.targets is not None
+    assert rep.gen_images.shape == (4, 36, 36)
 
 
 # --- signed-permutation fast path against the dense closure --------------
@@ -326,3 +327,67 @@ def test_rotation_matrix_group_closes_on_the_rounding_key(monkeypatch):
     rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
     assert close([rot]).order == 6
     assert calls
+
+
+# --- words from parent links, one generator stack, closure memory ----------
+
+def queue_words(gens):
+    """Each element's word from a one-element-at-a-time BFS queue over
+    dense products: the construction ``words`` had before it was derived
+    from ``parents``."""
+    words = [()]
+    elements = [np.eye(gens[0].shape[0])]
+    seen = {groups._key(elements[0])}
+    e = 0
+    while e < len(elements):
+        for gi, g in enumerate(gens):
+            product = elements[e] @ g
+            if groups._key(product) not in seen:
+                seen.add(groups._key(product))
+                elements.append(product)
+                words.append(words[e] + (gi,))
+        e += 1
+    return words
+
+
+@pytest.mark.parametrize("spec", ["symmetric:4", "cyclic:5", "p4:3", "p4m:4"])
+def test_words_match_the_one_element_queue(spec):
+    group = group_from_spec(spec)
+    assert group.words == queue_words(list(group.generators))
+    assert group.words is group.words
+
+
+def test_signed_group_words_match_the_one_element_queue():
+    gens = [permutation_matrix([1, 2, 0, 3]) * np.array([1.0, -1.0, 1.0, -1.0]),
+            -permutation_matrix([0, 1, 3, 2])]
+    assert close(gens).words == queue_words(gens)
+
+
+def test_permutation_matrix_stacks_rows():
+    perms = [[1, 2, 0], [0, 2, 1]]
+    stack = permutation_matrix(np.array(perms))
+    assert stack.tobytes() == np.stack([permutation_matrix(p) for p in perms]).tobytes()
+    with pytest.raises(ValueError, match=r"not a permutation of 0..2: \[\[1, 2, 0\], \[0, 0, 1\]\]"):
+        permutation_matrix([[1, 2, 0], [0, 0, 1]])
+
+
+def test_named_group_closes_one_generator_stack(monkeypatch):
+    stacks = []
+    real_close = groups.close
+    monkeypatch.setattr(groups, "close", lambda gens, **kw: stacks.append(gens) or real_close(gens, **kw))
+    group = named_group("p4m", 3)
+    assert len(stacks) == 1 and stacks[0].shape == (4, 9, 9)
+    assert group.generators is stacks[0]
+
+
+def test_cyclic_2000_closure_peak():
+    # a 30.5 MiB generator: one generator stack, int16 codes during the
+    # BFS and an in-place split keep the peak under four generator sizes
+    tracemalloc.start()
+    try:
+        group = group_from_spec("cyclic:2000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group.order == 2000
+    assert peak / 2 ** 20 < 120

@@ -3,14 +3,18 @@
 Groups are closures of random permutation and signed-permutation
 generator sets of degree <= 4; representations come from the spec
 language. The signed-permutation paths of the solver, the closure and
-the extension are compared bitwise with their dense oracles. Rotation
-groups through cos/sin exercise the dense closure itself. Examples are
-derandomized so the suite is reproducible.
+the extension are compared bitwise with their dense oracles, and spec
+reps composed from a named group's index arrays with the extension of
+their generator images. Rotation groups through cos/sin exercise the
+dense closure itself. Examples are derandomized so the suite is
+reproducible.
 """
 
+import functools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +22,15 @@ from equikit import groups, intertwiners, reps
 from equikit.groups import close, permutation_matrix
 from equikit.intertwiners import hom_dim_oracle, solve_basis
 from equikit.numerics import nullspace, signed_permutations
-from equikit.reps import CONSISTENCY_TOL, extend, parse_rep_spec
+from equikit.reps import (
+    CONSISTENCY_TOL,
+    InconsistentImagesError,
+    defining_rep,
+    direct_sum,
+    extend,
+    parse_rep_spec,
+    tensor_identity,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None)
@@ -149,3 +161,80 @@ def test_dense_closure_of_rotations_has_cyclic_or_dihedral_order(step, reflect):
     assert group.order == (2 * n if reflect else n)
     rep = extend(group, gens)
     assert rep.images.shape == (group.order, 2, 2)
+
+
+# --- spec reps composed from index arrays against the extension ------------
+
+COMPOSED_GROUPS = [f"symmetric:{m}" for m in range(1, 6)] + [
+    f"{kind}:{n}" for kind in ("cyclic", "torus", "p4", "p4m") for n in (1, 2, 3, 4, 8)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def named(spec):
+    return groups.group_from_spec(spec)
+
+
+def perm_leaves(group):
+    """``perm:`` specs for a signed permutation group: its generators'
+    underlying permutations with the points reversed, the action of the
+    determinant on two points, and every generator to one transposition
+    (a homomorphism on some groups, not on others)."""
+    n = group.dim
+    flip = np.arange(n)[::-1]
+    gen_targets = group.targets[group.cayley[0]]
+    dets = np.linalg.det(group.generators)
+
+    def spec(perms):
+        return "perm:" + "|".join(",".join(str(i) for i in p) for p in perms)
+
+    return [
+        spec([flip[t[flip]] for t in gen_targets]),
+        spec([[1, 0] if d < 0 else [0, 1] for d in dets]),
+        spec([[1, 0, 2]] * group.gen_count),
+    ]
+
+
+def spec_trees(group):
+    leaves = st.sampled_from(["defining", "sign", "trivial:0", "trivial:1", "trivial:2"]
+                             + perm_leaves(group))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(st.integers(1, 2), inner).map(lambda t: f"tensor:{t[0]}({t[1]})"),
+        st.lists(inner, min_size=1, max_size=3).map(lambda p: "sum(" + ";".join(p) + ")"),
+    ), max_leaves=4)
+
+
+def arrays_outcome(build):
+    """A built rep's index arrays (with dtypes) and generator-image bytes,
+    or the error it raised."""
+    try:
+        rep = build()
+    except InconsistentImagesError as err:
+        return "inconsistent", err.element, err.generator, err.residual
+    except ValueError as err:
+        return "invalid", str(err)
+    return (rep.degree, rep.spec, rep.targets.dtype, rep.targets.shape, rep.targets.tobytes(),
+            rep.signs.dtype, rep.signs.shape, rep.signs.tobytes(), rep.gen_images.dtype,
+            rep.gen_images.shape, rep.gen_images.tobytes())
+
+
+@pytest.mark.parametrize("group_spec", COMPOSED_GROUPS)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_composed_spec_rep_is_bitwise_the_extension(group_spec, data):
+    group = named(group_spec)
+    spec = data.draw(spec_trees(group))
+    node = reps._parse_spec(group, spec, 0)[1]
+    composed = arrays_outcome(lambda: parse_rep_spec(group, spec))
+    assert composed == arrays_outcome(
+        lambda: extend(group, reps._spec_images(group, node), spec=spec)), spec
+    if composed[0] in ("inconsistent", "invalid"):
+        return
+    rep = parse_rep_spec(group, spec)
+    lifted = arrays_outcome(lambda: tensor_identity(rep, 2))
+    assert lifted == arrays_outcome(
+        lambda: extend(group, reps._tensor_images(rep.gen_images, 2), spec=f"tensor:2({spec})"))
+    parts = [rep, defining_rep(group)]
+    summed = arrays_outcome(lambda: direct_sum(parts))
+    assert summed == arrays_outcome(lambda: extend(
+        group, reps._sum_images([r.gen_images for r in parts]), spec=f"sum({spec};defining)"))

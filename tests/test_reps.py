@@ -51,6 +51,24 @@ def test_sign_rep_matches_element_parity(s3):
     assert values == [-1, -1, -1, 1, 1, 1]  # three transpositions odd, id + two 3-cycles even
 
 
+def negated_signed_group():
+    # -1.0 * 0.0 leaves -0.0 in the zero entries of the negated columns
+    return close([permutation_matrix([1, 2, 0, 3]) * np.array([1.0, -1.0, 1.0, -1.0]),
+                  -permutation_matrix([0, 1, 3, 2])])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: group_from_spec("symmetric:5"), lambda: group_from_spec("cyclic:6"),
+    lambda: group_from_spec("p4m:5"), negated_signed_group,
+])
+def test_signed_generator_determinants_are_lapack_det(build):
+    # _sign_images reads parity times signs off a signed permutation group
+    group = build()
+    assert group.targets is not None
+    det = np.stack([np.array([[np.linalg.det(m)]]) for m in group.generators])
+    assert reps._sign_images(group).tobytes() == det.tobytes()
+
+
 def test_sign_images_on_transposition_generators():
     g = close([permutation_matrix([1, 0, 2]), permutation_matrix([0, 2, 1])])
     assert g.order == 6
@@ -394,17 +412,25 @@ def test_signed_closure_and_extension_build_no_dense_stack_until_read():
     assert rep.group.elements is rep.group.elements
 
 
-# --- nested specs extend once ----------------------------------------------
+# --- nested specs replay only their perm: leaves, once --------------------
 
-def test_nested_spec_makes_one_extend_call(s3, monkeypatch):
-    calls = []
-    real_extend = reps.extend
-    monkeypatch.setattr(reps, "extend",
-                        lambda *args, **kw: calls.append(kw.get("spec")) or real_extend(*args, **kw))
-    rep = parse_rep_spec(s3, "tensor:3(sum(perm:1,0,2|1,2,0;sign))")
-    assert calls == ["tensor:3(sum(perm:1,0,2|1,2,0;sign))"]
-    assert rep.spec == calls[0]
-    assert rep.degree == 12
+def test_nested_spec_replays_only_its_perm_leaves_once(s3, monkeypatch):
+    # a spec on a signed group is composed: no extend, and one replay
+    # (recorded by its degree) of the block-diagonal sum of its perm: leaves
+    degrees = []
+    real_replay = reps._replay
+    monkeypatch.setattr(reps, "_replay", lambda group, identity, *args:
+                        degrees.append(identity.shape[0]) or real_replay(group, identity, *args))
+    monkeypatch.setattr(reps, "extend", lambda *args, **kw: pytest.fail("extend called"))
+    for spec, replayed in [
+        ("tensor:3(sum(perm:1,0,2|1,2,0;sign))", [3]),
+        ("sum(perm:1,0,2|1,2,0;tensor:2(perm:1,0|0,1))", [5]),
+        ("tensor:3(sum(defining;sign;trivial:2))", []),
+    ]:
+        rep = parse_rep_spec(s3, spec)
+        assert degrees == replayed
+        assert rep.spec == spec
+        degrees.clear()
 
 
 BAD_A = "perm:1,0,2|1,0,2"  # both S_3 generators to one transposition
