@@ -17,6 +17,7 @@ from .network import (
     EquivariantNetwork,
     build,
     check_map_equivariance,
+    check_stack_equivariance,
     load_model,
     save_model,
 )
@@ -28,6 +29,7 @@ from .reps import (
     extend,
     fixed_subspace,
     is_permutation_rep,
+    parse_rep_chain,
     parse_rep_spec,
     permutation_rep,
     sign_rep,
@@ -53,6 +55,7 @@ __all__ = [
     "build",
     "check_map_equivariance",
     "check_pointwise_equivariance",
+    "check_stack_equivariance",
     "circulant",
     "circulant_basis",
     "close",
@@ -72,6 +75,7 @@ __all__ = [
     "orthonormalize",
     "param_count",
     "parse_activation",
+    "parse_rep_chain",
     "parse_rep_spec",
     "permutation_rep",
     "save_model",

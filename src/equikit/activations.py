@@ -101,8 +101,10 @@ def parse_activation(text):
 
 @dataclass
 class Report:
-    """Outcome of a sampled/exhaustive check. ``coverage`` names the
-    elements tested: ``exhaustive (|G|)`` or ``sampled (m of |G|)``."""
+    """Outcome of an equivariance check. ``coverage`` names what it
+    covers: ``exhaustive (|G|)`` or ``sampled (m of |G|)`` elements, the
+    ``generators (k of |G|)`` where a generator sweep failed, or an exact
+    ``certificate (k generators)``."""
 
     passed: bool
     max_residual: float

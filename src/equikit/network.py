@@ -23,6 +23,16 @@ cost. ``Dataset`` stores its arrays column-major, so training reads
 their transposes as C-contiguous views; ``stack_forward`` takes and
 returns (batch, width) rows through transposed views.
 
+A network's stack (``check_stack_equivariance``, behind
+``EquivariantNetwork.check_equivariance`` and ``equikit check``) is
+checked at the generators first: by the homomorphism property, a map
+that commutes with every generator commutes with all of G, so every
+failure over G shows at some generator. A stack that passes there and
+is exactly equivariant at the generators (``_certified``, no tolerance)
+passes; built and trained models are, since each realized entry has one
+nonzero term. Only a stack that is neither refuted nor certified gets
+the element sweep of ``check_map_equivariance``.
+
 The equivariance check (``_check_on_vectors``) evaluates a map on blocks
 of group elements: one ``Representation.act`` and one call of the map per
 block of stacked rows, with each block-sized array bounded by
@@ -38,11 +48,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import Report, parse_activation
+from .activations import Report, is_compatible, parse_activation
 from .groups import MAX_IMAGE_STACK_BYTES, group_from_spec
 from .intertwiners import solve_basis
 from .numerics import check_tol
-from .reps import is_permutation_rep, parse_rep_spec
+from .reps import is_permutation_rep, parse_rep_chain
 
 
 class DivergenceError(RuntimeError):
@@ -187,10 +197,8 @@ class EquivariantNetwork:
         return stack_forward(self.weights(), self.biases(), self.activation, v)
 
     def check_equivariance(self, trials=8, seed=0, tol=1e-8):
-        return check_map_equivariance(
-            self.forward, self.layer_reps[0], self.layer_reps[-1],
-            trials=trials, seed=seed, tol=tol,
-        )
+        return check_stack_equivariance(self.weights(), self.biases(), self.activation,
+                                        self.layer_reps, trials=trials, seed=seed, tol=tol)
 
     # --- training ---------------------------------------------------
 
@@ -354,12 +362,79 @@ def check_map_equivariance(apply, rep_in, rep_out, trials=8, seed=0, tol=1e-8):
                              relative=True)
 
 
-def _check_on_vectors(apply, rep_in, rep_out, box, trials, seed, tol, relative):
+def check_stack_equivariance(weights, biases, activation, layer_reps, trials=8, seed=0,
+                             tol=1e-8):
+    """Check the stack ``stack_forward(weights, biases, activation, .)``
+    over the rep chain ``layer_reps``, in three steps:
+
+    1. the generator sweep: ``_check_on_vectors`` over the generators
+       only, with the vectors, residuals and ``trials`` cap of
+       ``check_map_equivariance``. A residual above ``tol`` fails, and
+       the witness is a generator: coverage ``generators (k of |G|)``;
+    2. else, when ``_certified`` holds, the stack passes with the sweep's
+       residual: coverage ``certificate (k generators)``;
+    3. else ``check_map_equivariance``, exhaustive or sampled.
+    """
+    rep_in, rep_out = layer_reps[0], layer_reps[-1]
+    group = rep_in.group
+
+    def apply(x):
+        return stack_forward(weights, biases, activation, x)
+
+    report = _check_on_vectors(apply, rep_in, rep_out, (-1.0, 1.0), trials, seed, tol,
+                               relative=True, indices=group.cayley[0],
+                               coverage=f"generators ({group.gen_count} of {group.order})")
+    if not report.passed:
+        return report
+    if _certified(weights, biases, activation, layer_reps):
+        report.coverage = f"certificate ({group.gen_count} generators)"
+        return report
+    return check_map_equivariance(apply, rep_in, rep_out, trials=trials, seed=seed, tol=tol)
+
+
+def _certified(weights, biases, activation, layer_reps):
+    """True when the stack is exactly equivariant by an algebraic
+    certificate: every layer rep is a signed permutation rep, every
+    weight commutes exactly with every generator
+    (``_commutes_at_generators``) and every hidden bias is fixed by its
+    rep's generators (``is_compatible`` at tol 0, which also requires a
+    permutation rep, so the pointwise activation commutes). Generators
+    suffice by the homomorphism property."""
+    if any(rep.targets is None for rep in layer_reps):
+        return False
+    return (all(_commutes_at_generators(w, a, b).all()
+                for w, a, b in zip(weights, layer_reps, layer_reps[1:]))
+            and all(is_compatible(activation, b, rep, tol=0.0)
+                    for b, rep in zip(biases, layer_reps[1:-1])))
+
+
+def _commutes_at_generators(w, rep_in, rep_out):
+    """Per generator g, whether ``w @ rho_in(g) == rho_out(g) @ w`` holds
+    exactly, for signed permutation reps, read off their index arrays.
+
+    With rho(g) e_j = s_j e_{t_j}, the two sides agree at (t_out[i], j)
+    iff w[t_out[i], t_in[j]] * s_out[i] * s_in[j] == w[i, j]. Sign
+    flips are exact, so this is the dense products' equality (each of
+    their entries has one nonzero term) at O(n_out * n_in) per generator.
+    """
+    gens = rep_in.group.cayley[0]
+    t_in, s_in = rep_in.targets[gens], rep_in.signs[gens]
+    t_out, s_out = rep_out.targets[gens], rep_out.signs[gens]
+    return np.array([
+        np.array_equal(w[t_out[k][:, None], t_in[k]] * (s_out[k][:, None] * s_in[k]), w)
+        for k in range(gens.size)
+    ], dtype=bool)
+
+
+def _check_on_vectors(apply, rep_in, rep_out, box, trials, seed, tol, relative,
+                      indices=None, coverage=None):
     """The verifier behind every equivariance check.
 
     Draws ``trials`` seeded vectors v uniform in ``box`` = (low, high)
-    and tests each against every element when |G| <= EXHAUSTIVE_LIMIT,
-    else against ``trials`` elements drawn from the same generator.
+    and tests each against the elements ``indices`` (named by
+    ``coverage``) when given, else against every element when
+    |G| <= EXHAUSTIVE_LIMIT, else against ``trials`` elements drawn from
+    the same generator.
     Elements are taken a block at a time: one ``act`` of the block on
     the vectors, one ``apply`` of the stacked rows and one ``act`` on
     f(v), with blocks of about ``_BLOCK_CELLS`` cells (at least one
@@ -388,10 +463,10 @@ def _check_on_vectors(apply, rep_in, rep_out, box, trials, seed, tol, relative):
     base = np.asarray(apply(vectors))
     scale = 1.0 + np.abs(base).max(axis=1) if relative else 1.0
     order = rep_in.group.order
-    if order <= EXHAUSTIVE_LIMIT:
+    if indices is None and order <= EXHAUSTIVE_LIMIT:
         indices = np.arange(order)
         coverage = f"exhaustive ({order})"
-    else:
+    elif indices is None:
         indices = rng.integers(0, order, size=trials)
         coverage = f"sampled ({trials} of {order})"
     step = max(1, _BLOCK_CELLS // (trials * width))
@@ -486,11 +561,6 @@ class LoadedModel:
         declared = _interleave(self.declared_weights, self.declared_biases)
         return all(np.abs(a - b).max() <= tol for a, b in zip(realized, declared))
 
-    def declared_forward(self, x):
-        """Evaluate the function the file declares (the raw stack)."""
-        return stack_forward(self.declared_weights, self.declared_biases,
-                             self.network.activation, x)
-
 
 class _Reader:
     def __init__(self, path):
@@ -560,7 +630,7 @@ def load_model(path):
     (k,) = r.ints("layers:")
     if k < 1:
         raise ModelFormatError("layer count must be >= 1")
-    reps = [parse_rep_spec(group, r.expect("rep:")) for _ in range(k + 1)]
+    reps = parse_rep_chain(group, (r.expect("rep:") for _ in range(k + 1)))
     net = build(group, reps, activation, seed=0)
     declared_weights = []
     declared_biases = []

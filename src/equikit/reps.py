@@ -445,6 +445,19 @@ def parse_rep_spec(group, text):
                           spec, partial(compose, block))
 
 
+def parse_rep_chain(group, specs):
+    """``parse_rep_spec`` of each spec string in turn, parsing each
+    distinct string once: equal specs in a chain share one
+    Representation, whose index arrays are then composed once."""
+    parsed = {}
+    chain = []
+    for spec in specs:
+        if spec not in parsed:
+            parsed[spec] = parse_rep_spec(group, spec)
+        chain.append(parsed[spec])
+    return chain
+
+
 # A parsed spec is a (kind, argument) node: ("defining", None),
 # ("sign", None), ("trivial", D), ("perm", perms), ("tensor", (D, node))
 # or ("sum", [node, ...]).
@@ -511,7 +524,16 @@ def _parse_spec(group, text, pos):
         degree, inner, spec, end = _parse_spec(group, text, end + 1)
         if end >= len(text) or text[end] != ")":
             raise ValueError(f"expected ')' at position {end} in rep spec {text!r}")
-        return degree * num, ("tensor", (num, inner)), f"tensor:{num}({spec})", end + 1
+        spec = f"tensor:{num}({spec})"
+        # the node's own stack, kron(g, I_num), holds I_num too; the cap on
+        # the spec's total degree bounds it unless the inner rep has width 0
+        if degree == 0 and num * num * 8 > MAX_IMAGE_STACK_BYTES:
+            raise ValueError(
+                f"rep spec {spec!r} has degree 0 but tensor factor {num}: its identity "
+                f"I_{num} would take {num * num * 8} bytes, above the cap "
+                f"MAX_IMAGE_STACK_BYTES={MAX_IMAGE_STACK_BYTES}"
+            )
+        return degree * num, ("tensor", (num, inner)), spec, end + 1
     if rest.startswith("sum("):
         degree, parts, specs = 0, [], []
         pos += len("sum(")

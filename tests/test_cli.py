@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import equikit
-from equikit import groups, numerics, reps
+from equikit import cli, groups, network, numerics, reps
 from equikit.activations import parse_activation
 from equikit.cli import main
-from equikit.network import build, save_model
+from equikit.network import build, load_model, save_model
 
 DEEPSETS_CFG = """\
 [model]
@@ -188,6 +188,11 @@ REP_SPEC_ERRORS = {
         "generator images are inconsistent: element 3 * generator 0 deviates by 1.000e+00"),
     "sum(perm:1,2,0|0,1,2;perm:1,0,2|1,0,2)": (
         "generator images are inconsistent: element 1 * generator 0 deviates by 1.000e+00"),
+    # a zero-width part hides its tensor factor from the spec's total degree
+    "sum(defining;tensor:9999999(trivial:0))": (
+        "rep spec 'tensor:9999999(trivial:0)' has degree 0 but tensor factor 9999999: its "
+        "identity I_9999999 would take 799999840000008 bytes, above the cap "
+        "MAX_IMAGE_STACK_BYTES=268435456"),
 }
 
 
@@ -205,6 +210,16 @@ def test_basis_accepts_a_zero_width_summand(tmp_path, capsys):
     cfg = tmp_path / "zero_width.cfg"
     cfg.write_text("[model]\ngroup = symmetric:3\n\n[reps]\n"
                    "0 = sum(trivial:0;defining)\n1 = defining\n")
+    code, out, _ = run(capsys, "basis", "--config", str(cfg))
+    assert code == 0
+    assert "(3) -> defining (3), intertwiner dim 2" in out
+
+
+def test_basis_accepts_a_zero_width_tensor_within_the_cap(tmp_path, capsys):
+    # a zero-width part whose identity factor fits the cap is still accepted
+    cfg = tmp_path / "zero_width.cfg"
+    cfg.write_text("[model]\ngroup = symmetric:3\n\n[reps]\n"
+                   "0 = sum(tensor:100(trivial:0);defining)\n1 = defining\n")
     code, out, _ = run(capsys, "basis", "--config", str(cfg))
     assert code == 0
     assert "(3) -> defining (3), intertwiner dim 2" in out
@@ -256,6 +271,54 @@ def test_check_tampered_model_exits_1(tmp_path, capsys):
     assert code == 1
     assert "FAIL" in out
     assert "witness" in out
+
+
+def test_check_prints_its_coverage(tmp_path, capsys, monkeypatch):
+    # symmetric:3 has 6 elements; its 2 generators are BFS elements 1 and 2
+    model = _train_small_model(tmp_path, capsys)
+    code, out, _ = run(capsys, "check", "--model", str(model))
+    assert code == 0
+    assert "coverage certificate (2 generators)\n" in out and out.endswith(": PASS\n")
+
+    # a last-bit change keeps the map equivariant within tol but breaks the
+    # exact certificate, so the element sweep decides
+    first = float(model.read_text().split("weight-matrix:")[1].splitlines()[1].split()[0])
+    _set_first_declared_weight(model, repr(first * (1.0 + 1e-13)))
+    code, out, _ = run(capsys, "check", "--model", str(model))
+    assert code == 0
+    assert "coverage exhaustive (6)\n" in out and out.endswith(": PASS\n")
+    monkeypatch.setattr(network, "EXHAUSTIVE_LIMIT", 5)
+    code, out, _ = run(capsys, "check", "--model", str(model), "--trials", "3")
+    assert code == 0
+    assert "coverage sampled (3 of 6)\n" in out and out.endswith(": PASS\n")
+
+    _set_first_declared_weight(model, "2.25")
+    code, out, _ = run(capsys, "check", "--model", str(model))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-3] == "coverage generators (2 of 6)"
+    assert lines[-2].endswith(": FAIL")
+    assert lines[-1].split(",")[0] in ("witness element 1", "witness element 2")
+
+
+def test_chains_parse_each_spec_once(tmp_path, capsys, monkeypatch):
+    parsed = []
+    parse = reps.parse_rep_spec
+    monkeypatch.setattr(reps, "parse_rep_spec",
+                        lambda group, spec: parsed.append(spec) or parse(group, spec))
+    once = ["tensor:3(defining)", "trivial:3"]
+    cfg = tmp_path / "deepsets.cfg"
+    cfg.write_text(DEEPSETS_CFG)
+    chain = cli._load_chain(str(cfg))[2]
+    assert chain[0] is chain[1] and chain[1] is not chain[2]
+    assert parsed == once
+    parsed.clear()
+    model = _train_small_model(tmp_path, capsys)
+    assert parsed == once
+    parsed.clear()
+    chain = load_model(str(model)).network.layer_reps
+    assert chain[0] is chain[1] and chain[1] is not chain[2]
+    assert parsed == once
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

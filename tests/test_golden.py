@@ -51,15 +51,16 @@ TRAIN_DEFAULT_SHA256 = {
     "threshold-200": "79275545fc9c34e3b9edf4e1bf34fcd2cf6631a1631bd8dd8922952a525deea0",
 }
 
-CHECK_TANH_300_SHA256 = "516a1acbeb83f97038073ce29f89dbbb23fcca88a25d07a02ac60bc4e77899da"
+CHECK_TANH_300_SHA256 = "e8c31429bbc3c4bc3ac2d4442e1b53c94c3f84d9de1d81c1d0b508c2e5616a91"
 
 # p4m:4 defining -> trivial:2 -> trivial:1 (tanh, seed 0), built with the
 # library and written with save_model; then `--exact check` on it intact
-# and with its first declared weight replaced by 2.25. The witness names
-# a group element by its BFS index, so this pins the grid closure too.
+# (coverage certificate) and with its first declared weight replaced by
+# 2.25 (coverage generators). The witness names a generator by its BFS
+# index, so this pins the grid closure too.
 GRID_MODEL_SHA256 = "b68510d63a2fc6c1aace0838f4dafc7407285c4a84879906a87b921c1ef555fa"
-GRID_CHECK_SHA256 = "076eea977283baa07d9614587ace2a426721eba59f947d80cc17586404691618"
-GRID_CHECK_TAMPERED_SHA256 = "1e03450e5b8b860382a74a8221c3152b7f473e7f3cdfb775b66c846668114de2"
+GRID_CHECK_SHA256 = "5a0f2ef4da86bca8dd5f95434d9ef521d491ca509c86cd7f54a54b43f5cfc17f"
+GRID_CHECK_TAMPERED_SHA256 = "6d45f7b315efbd432e5ef0c301cb58191cbe354ef4eb15ef818e0e133920b84a"
 
 
 def sha256(data):

@@ -17,6 +17,7 @@ from equikit.network import (
     ModelFormatError,
     build,
     check_map_equivariance,
+    check_stack_equivariance,
     load_model,
     save_model,
     stack_forward,
@@ -189,6 +190,25 @@ def test_fresh_nets_are_equivariant(seed):
     net = deep_sets_net(seed=seed, activation=RELU if seed % 2 else TANH)
     report = net.check_equivariance(trials=6, seed=seed, tol=1e-8)
     assert report.passed
+
+
+def test_check_equivariance_certifies_built_nets():
+    net = deep_sets_net(seed=2, activation=TANH)
+    net.bias_coeffs = [np.array([0.3])]
+    report = net.check_equivariance()
+    assert report.passed and report.coverage == "certificate (2 generators)"
+    # a bias off the invariant line is refuted at a generator
+    net.bias_bases = [np.arange(12.0)[:, None]]
+    report = net.check_equivariance()
+    assert not report.passed and report.coverage == "generators (2 of 24)"
+    assert report.witness[0] in net.group.cayley[0]
+
+
+def test_check_equivariance_of_dense_reps_sweeps_every_element():
+    rep = _quarter_turn_rep()
+    net = build(rep.group, [rep, rep], TANH, seed=0)
+    report = net.check_equivariance()
+    assert report.passed and report.coverage == "exhaustive (4)"
 
 
 def test_tampered_weight_breaks_equivariance():
@@ -733,7 +753,9 @@ def test_loaded_model_evaluates_identically(tmp_path):
     save_model(net, path)
     loaded = load_model(path)
     v = np.linspace(-1, 1, 12)
-    assert np.abs(loaded.declared_forward(v) - net.forward(v)).max() < 1e-12
+    declared = stack_forward(loaded.declared_weights, loaded.declared_biases,
+                             loaded.network.activation, v)
+    assert np.abs(declared - net.forward(v)).max() < 1e-12
 
 
 def _saved_with_first_declared_weight(tmp_path, net, value):
@@ -754,11 +776,9 @@ def test_tampered_model_file_fails_check(tmp_path):
     path, _ = _saved_with_first_declared_weight(tmp_path, deep_sets_net(seed=2), "3.5")
     loaded = load_model(path)
     assert not loaded.declared_matches()
-    report = check_map_equivariance(
-        loaded.declared_forward,
-        loaded.network.layer_reps[0],
-        loaded.network.layer_reps[-1],
-        trials=6, seed=0, tol=1e-8,
+    report = check_stack_equivariance(
+        loaded.declared_weights, loaded.declared_biases, loaded.network.activation,
+        loaded.network.layer_reps, trials=6, seed=0, tol=1e-8,
     )
     assert not report.passed
     assert report.witness is not None

@@ -7,7 +7,8 @@ the extension are compared bitwise with their dense oracles, and spec
 reps composed from a named group's index arrays with the extension of
 their generator images. Rotation groups through cos/sin exercise the
 dense closure itself. Examples are derandomized so the suite is
-reproducible.
+reproducible. The check's exact certificate is compared with dense
+products of the generator images and with the per-element check.
 """
 
 import functools
@@ -15,10 +16,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from helpers import reference_check
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from equikit import groups, intertwiners, reps
+from equikit import groups, intertwiners, network, reps
+from equikit.activations import ActivationSpec
 from equikit.groups import close, permutation_matrix
 from equikit.intertwiners import hom_dim_oracle, solve_basis
 from equikit.numerics import nullspace, signed_permutations
@@ -238,3 +241,94 @@ def test_composed_spec_rep_is_bitwise_the_extension(group_spec, data):
     summed = arrays_outcome(lambda: direct_sum(parts))
     assert summed == arrays_outcome(lambda: extend(
         group, reps._sum_images([r.gen_images for r in parts]), spec=f"sum({spec};defining)"))
+
+
+# --- the check's certificate against the dense oracle ------------------------
+
+CERTIFIED_GROUPS = [f"{kind}:{n}" for kind in ("symmetric", "cyclic") for n in (1, 3, 4)] + [
+    f"{kind}:{n}" for kind in ("torus", "p4", "p4m") for n in (2, 3, 4)
+]
+END_SPECS = ["defining", "tensor:2(defining)", "sum(defining;sign)", "trivial:1", "trivial:3"]
+HIDDEN_SPECS = ["defining", "tensor:2(defining)", "trivial:2"]  # permutation reps
+TANH = ActivationSpec("tanh")
+
+
+@st.composite
+def built_stacks(draw, group):
+    """(weights, biases, chain) of a seeded build with random hidden biases."""
+    specs = ([draw(st.sampled_from(END_SPECS))]
+             + draw(st.lists(st.sampled_from(HIDDEN_SPECS), max_size=1))
+             + [draw(st.sampled_from(END_SPECS))])
+    chain = reps.parse_rep_chain(group, specs)
+    assume(all(hom_dim_oracle(a, b) for a, b in zip(chain, chain[1:])))
+    seed = draw(st.integers(0, 2 ** 16))
+    net = network.build(group, chain, TANH, seed=seed)
+    rng = np.random.default_rng(seed)
+    net.bias_coeffs = [rng.standard_normal(c.shape) for c in net.bias_coeffs]
+    return net.weights(), net.biases(), chain
+
+
+def assert_certificate_is_the_oracle(weights, biases, chain):
+    """The certificate, per layer and generator, against dense products;
+    the verdict against the per-element check; a generator witness
+    against the dense images. Returns the certificate."""
+    group = chain[0].group
+    for w, rep_in, rep_out in zip(weights, chain, chain[1:]):
+        dense = [np.array_equal(w @ a, b @ w)
+                 for a, b in zip(rep_in.gen_images, rep_out.gen_images)]
+        assert network._commutes_at_generators(w, rep_in, rep_out).tolist() == dense
+    certified = network._certified(weights, biases, TANH, chain)
+
+    def apply(x):
+        return network.stack_forward(weights, biases, TANH, x)
+
+    reference = reference_check(apply, chain[0], chain[-1], (-1.0, 1.0), 8, 0, 1e-8, True)
+    if certified:
+        assert reference.passed
+    report = network.check_stack_equivariance(weights, biases, TANH, chain)
+    assert report.passed == reference.passed
+    if report.coverage.startswith("generators"):
+        assert report.coverage == f"generators ({group.gen_count} of {group.order})"
+        g, v = report.witness
+        assert g in group.cayley[0]
+        fv = apply(v)
+        residual = np.abs(apply(chain[0].images[g] @ v) - chain[-1].images[g] @ fv).max()
+        assert residual / (1.0 + np.abs(fv).max()) > 1e-8
+    elif certified:
+        assert report.coverage == f"certificate ({group.gen_count} generators)"
+    else:
+        assert report.coverage == f"exhaustive ({group.order})"
+    return certified
+
+
+def fixed_by_generators(diagonals):
+    """Whether every generator fixes a coordinate (or weight entry) with
+    sign +1, from the diagonal entries of its dense generator images."""
+    return bool((np.prod(diagonals, axis=0) == 1.0).all())
+
+
+@pytest.mark.parametrize("group_spec", CERTIFIED_GROUPS)
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_certificate_is_the_dense_oracle(group_spec, data):
+    group = named(group_spec)
+    weights, biases, chain = data.draw(built_stacks(group))
+    assert assert_certificate_is_the_oracle(weights, biases, chain)
+
+    # one declared weight entry, or one hidden bias entry, moved by 0.5
+    # fails the certificate unless every generator fixes it with sign +1,
+    # in which case the moved stack is still equivariant
+    weights, biases = [w.copy() for w in weights], [b.copy() for b in biases]
+    layer = data.draw(st.integers(0, len(weights) + len(biases) - 1))
+    if layer < len(weights):
+        rows, cols = weights[layer].shape
+        i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+        weights[layer][i, j] += 0.5
+        fixed = fixed_by_generators([chain[layer + 1].gen_images[:, i, i],
+                                     chain[layer].gen_images[:, j, j]])
+    else:
+        bias = biases[layer - len(weights)]
+        i = data.draw(st.integers(0, bias.size - 1))
+        bias[i] += 0.5
+        fixed = fixed_by_generators([chain[layer - len(weights) + 1].gen_images[:, i, i]])
+    assert assert_certificate_is_the_oracle(weights, biases, chain) == fixed
