@@ -10,7 +10,7 @@ from .activations import (
     parse_activation,
 )
 from .groups import FiniteGroup, ClosureError, close, group_from_spec, named_group
-from .intertwiners import IntertwinerBasis, hom_dim_oracle, solve_basis
+from .intertwiners import IntertwinerBasis, fixed_subspace, hom_dim_oracle, solve_basis
 from .network import (
     Dataset,
     DivergenceError,
@@ -27,7 +27,6 @@ from .reps import (
     defining_rep,
     direct_sum,
     extend,
-    fixed_subspace,
     is_permutation_rep,
     parse_rep_chain,
     parse_rep_spec,

@@ -147,8 +147,9 @@ def is_compatible(spec, b, rep, tol=1e-9):
 
     True iff the representation is a permutation representation and the
     finite bias is fixed by every generator: no generator moves it by
-    more than ``tol`` (finite and non-negative). Sufficient, not
-    necessary.
+    more than ``tol`` (finite and non-negative). A signed permutation
+    rep's generators move b by |b[targets] - b|, read off ``gen_arrays``.
+    Sufficient, not necessary.
     """
     check_tol(tol, strict=False)
     b = np.asarray(b, dtype=np.float64)
@@ -156,7 +157,6 @@ def is_compatible(spec, b, rep, tol=1e-9):
         return False
     if not is_permutation_rep(rep):
         return False
-    for g in rep.gen_images:
-        if np.abs(g @ b - b).max() > tol:
-            return False
-    return True
+    if rep.gen_arrays is not None:
+        return bool(np.abs(b[rep.gen_arrays[0]] - b).max() <= tol)
+    return all(np.abs(g @ b - b).max() <= tol for g in rep.gen_images)

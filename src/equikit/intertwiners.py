@@ -6,19 +6,19 @@ property makes that equivalent to constraining over every element (the
 full-group version is kept in the test suite as an independent oracle,
 together with the character-based dimension count below).
 
-``solve_basis`` is the one entry point and has two paths. When every
-generator image of both representations is an exact signed permutation
-matrix (entries exactly -1, 0 or 1, one nonzero per row and column),
-the nullspace is spanned by signed orbit indicators on index pairs
-(i, j), one per orbit without an odd sign cycle. Union-find with parity
-over the generator links finds the orbits (see ``_orbit_nullspace``),
-without building the constraint stack, and the result is bit for bit
-the dense path's. Every other representation goes through the dense
-elimination in ``numerics.nullspace``, which is also the test oracle for
-the orbit path. ``tol`` is validated on both paths but only the dense
-path uses it.
+``solve_basis`` is the one entry point and has two paths. When both
+representations are signed permutation reps (they carry ``gen_arrays``,
+decided once when their images were validated), the nullspace is
+spanned by signed orbit indicators on index pairs (i, j), one per orbit
+without an odd sign cycle. Union-find with parity over the generator
+links finds the orbits (see ``_orbit_nullspace``), without building the
+constraint stack or a dense image, and the result is bit for bit the
+dense path's. Every other pair goes through the dense elimination in
+``numerics.nullspace``, which is also the test oracle for the orbit
+path. ``tol`` is validated on both paths but only the dense path uses
+it. ``fixed_subspace`` is the solve from the trivial rep.
 
-The solve reads generator images only. The character oracle reads every
+The solve reads the generators only. The character oracle reads every
 element: the (targets, signs) index arrays of a signed permutation
 representation, counting signed fixed points, or the dense images of
 any other, so it builds no dense view of an index-array representation.
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, check_tol, nullspace, signed_permutations
-from .reps import Representation
+from .numerics import DEFAULT_TOL, check_tol, nullspace
+from .reps import Representation, parse_rep_spec
 
 
 @dataclass
@@ -69,23 +69,31 @@ def solve_basis(rep_in, rep_out, tol=DEFAULT_TOL):
 
     Stacks, per generator g, the constraint on vec(A) induced by
     A rho_in(g) - rho_out(g) A = 0 (row-major vectorization) and returns
-    the orthonormalized nullspace reshaped to matrices. Signed
-    permutation representations take the orbit path (see the module
-    docstring); its result is bitwise the dense one.
+    the orthonormalized nullspace reshaped to matrices. Two signed
+    permutation representations take the orbit path on their
+    ``gen_arrays`` (see the module docstring); its result is bitwise the
+    dense one.
     """
     if rep_in.group is not rep_out.group:
         raise ValueError("representations must share the same group")
     check_tol(tol)
     n_in, n_out = rep_in.degree, rep_out.degree
-    perm_in = signed_permutations(rep_in.gen_images)
-    perm_out = signed_permutations(rep_out.gen_images)
-    if perm_in is not None and perm_out is not None:
-        ns = _orbit_nullspace(perm_in, perm_out)
+    if rep_in.gen_arrays is not None and rep_out.gen_arrays is not None:
+        ns = _orbit_nullspace(rep_in.gen_arrays, rep_out.gen_arrays)
     else:
         ns = nullspace(_constraint_stack(rep_in, rep_out), tol=tol)
     dim = ns.shape[1]
     basis = ns.T.reshape(dim, n_out, n_in)
     return IntertwinerBasis(rep_in, rep_out, dim, basis)
+
+
+def fixed_subspace(rep, tol=DEFAULT_TOL):
+    """Orthonormal basis of {b : rho(g) b = b for all generators g}: the
+    intertwiners from the trivial rep, one column per basis map. The
+    columns are fixed by the whole group (generators suffice), and the
+    result may legitimately have zero columns."""
+    basis = solve_basis(parse_rep_spec(rep.group, "trivial:1"), rep, tol)
+    return np.ascontiguousarray(basis.basis[:, :, 0].T)
 
 
 def _constraint_stack(rep_in, rep_out):
@@ -176,7 +184,7 @@ def _character(rep):
     """trace(rho(g)) for every element: the signed count of fixed points
     for a signed permutation representation (exact integers, as the
     dense trace of its images is), else the trace of the dense images."""
-    if rep.targets is None:
+    if rep.gen_arrays is None:
         return np.trace(rep.images, axis1=1, axis2=2)
     fixed = rep.targets == np.arange(rep.degree)
     return (rep.signs * fixed).sum(axis=1, dtype=np.int64)

@@ -400,7 +400,7 @@ def _certified(weights, biases, activation, layer_reps):
     rep's generators (``is_compatible`` at tol 0, which also requires a
     permutation rep, so the pointwise activation commutes). Generators
     suffice by the homomorphism property."""
-    if any(rep.targets is None for rep in layer_reps):
+    if any(rep.gen_arrays is None for rep in layer_reps):
         return False
     return (all(_commutes_at_generators(w, a, b).all()
                 for w, a, b in zip(weights, layer_reps, layer_reps[1:]))
@@ -410,19 +410,17 @@ def _certified(weights, biases, activation, layer_reps):
 
 def _commutes_at_generators(w, rep_in, rep_out):
     """Per generator g, whether ``w @ rho_in(g) == rho_out(g) @ w`` holds
-    exactly, for signed permutation reps, read off their index arrays.
+    exactly, for signed permutation reps, read off their ``gen_arrays``.
 
     With rho(g) e_j = s_j e_{t_j}, the two sides agree at (t_out[i], j)
     iff w[t_out[i], t_in[j]] * s_out[i] * s_in[j] == w[i, j]. Sign
     flips are exact, so this is the dense products' equality (each of
     their entries has one nonzero term) at O(n_out * n_in) per generator.
     """
-    gens = rep_in.group.cayley[0]
-    t_in, s_in = rep_in.targets[gens], rep_in.signs[gens]
-    t_out, s_out = rep_out.targets[gens], rep_out.signs[gens]
+    (t_in, s_in), (t_out, s_out) = rep_in.gen_arrays, rep_out.gen_arrays
     return np.array([
         np.array_equal(w[t_out[k][:, None], t_in[k]] * (s_out[k][:, None] * s_in[k]), w)
-        for k in range(gens.size)
+        for k in range(len(t_in))
     ], dtype=bool)
 
 

@@ -1,7 +1,7 @@
 """Minimal dense linear algebra: nullspace, orthonormalization, rank, det,
-the signed-permutation detector that picks the exact integer paths of
-``groups.close``, ``reps.extend`` and ``intertwiners.solve_basis``, and
-the signed codes those paths compose.
+the signed-permutation detector, which only the input validator
+``groups._generator_stack`` runs (every later reader takes the index
+arrays it returns), and the signed codes the exact integer paths compose.
 
 Everything is plain float64 numpy. The nullspace is computed by Gaussian
 elimination with partial pivoting followed by back-substitution and

@@ -7,21 +7,21 @@ table), which is exactly the well-definedness check for the generator
 images. The images pass the group's validator, which calls ``det`` only
 when they are not all signed permutations.
 
-When every generator image is exactly a signed permutation matrix
-(``numerics.signed_permutations``), the replay and the check run on
-integer signed codes (``numerics.sign_flips``), and the representation
-stores an integer (targets, signs) pair of index arrays per element;
-``images`` is a dense view scattered from them on first read. Residuals,
-errors and images are bitwise the dense path's. Only other images are
-multiplied, compared and stored as dense matrices.
+When that validator finds every generator image exactly a signed
+permutation matrix (``numerics.signed_permutations``), the replay and
+the check run on integer signed codes (``numerics.sign_flips``), and the
+representation stores integer (targets, signs) index arrays, the one
+source every consumer reads (see ``Representation``); ``images`` and
+``gen_images`` are dense views scattered from them on first read.
+Residuals, errors and images are bitwise the dense path's. Only other
+images are multiplied, compared and stored as dense matrices.
 
 A spec on a signed permutation group is composed from the group's own
 index arrays, not extended (``parse_rep_spec``); only its ``perm:``
 leaves, whose images the user supplies, are replayed and checked.
-``direct_sum`` and ``tensor_identity`` compose signed parts likewise.
+``direct_sum`` and ``tensor_identity`` compose signed parts likewise,
+and compose the generators' rows without touching anything group-sized.
 """
-
-from functools import partial
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .groups import (
 )
 from .numerics import (
     check_tol,
-    nullspace,
+    nullspace,  # unused here; perfbench/selftest.py checks the tracer rebinds it in reps
     sign_flips,
     signed_permutation_matrices,
     split_signed_codes,
@@ -64,35 +64,35 @@ class Representation:
     ``images[e] @ gen_images[g]`` matches ``images[cayley[e, g]]`` for
     every element and generator (verified by ``extend``, or true by
     construction), and ``images[0]`` is the identity. ``gen_images`` is
-    the (gen_count, n, n) stack. A signed permutation representation
-    keeps (order, n) ``targets`` and int8 ``signs`` with
-    images[e] e_j = signs[e, j] e_{targets[e, j]}, and scatters
-    ``images`` from them on first read; any other keeps the dense
-    (order, n, n) ``images`` and None for both. ``gen_images`` may also
-    be given as a function returning the stack, and ``targets`` as one
-    returning (targets, signs); each is called on first read.
+    the (gen_count, n, n) stack. A signed permutation representation is
+    given by ``arrays(rows)``, the (len(rows), n) ``targets`` and int8
+    ``signs`` of the elements ``rows`` (an index array, or slice(None)
+    for all), with images[e] e_j = signs[e, j] e_{targets[e, j]}. It
+    keeps the generators' ``gen_arrays`` and, on first read, builds
+    ``targets``/``signs`` and scatters ``gen_images``/``images``. Any
+    other keeps the dense stacks, and None for the arrays.
     """
 
-    def __init__(self, group, degree, gen_images, images,
-                 spec=None, targets=None, signs=None):
+    def __init__(self, group, degree, gen_images=None, images=None, spec=None, arrays=None):
         self.group = group
         self.degree = degree
         self._gen_images = gen_images
         self._images = images
         self.spec = spec
-        self._targets = targets
-        self._signs = signs
+        self._arrays = arrays
+        self._every = None if arrays else (None, None)
+        self.gen_arrays = arrays(group.cayley[0]) if arrays else None
 
     @property
     def gen_images(self):
-        if callable(self._gen_images):
-            self._gen_images = self._gen_images()
+        if self._gen_images is None:
+            self._gen_images = signed_permutation_matrices(*self.gen_arrays)
         return self._gen_images
 
     def _index_arrays(self):
-        if callable(self._targets):
-            self._targets, self._signs = self._targets()
-        return self._targets, self._signs
+        if self._every is None:
+            self._every = self._arrays(slice(None))
+        return self._every
 
     targets = property(lambda self: self._index_arrays()[0])
     signs = property(lambda self: self._index_arrays()[1])
@@ -139,7 +139,8 @@ def extend(group, gen_images, spec=None, tol=CONSISTENCY_TOL):
         images = _extend_dense(group, gen_images, tol)
         return Representation(group, degree, gen_images, images, spec)
     targets, signs = _extend_signed(group, *perm, tol)
-    return Representation(group, degree, gen_images, None, spec, targets, signs)
+    return Representation(group, degree, spec=spec,
+                          arrays=lambda rows: (targets[rows], signs[rows]))
 
 
 def _image_stack(group, gen_images):
@@ -230,8 +231,8 @@ def _replay(group, identity, multiply, residuals, tol):
 
 # --- generator images of the named representations ------------------------
 #
-# Each builder returns a (gen_count, n, n) stack; the public constructors
-# below and ``parse_rep_spec`` extend it to the whole group.
+# Each builder returns a (gen_count, n, n) stack, which ``extend`` takes to
+# the whole group; on a signed permutation group a spec is composed instead.
 
 
 def _trivial_images(group, degree):
@@ -239,19 +240,7 @@ def _trivial_images(group, degree):
 
 
 def _sign_images(group):
-    if group.targets is None:
-        return np.stack([np.array([[np.linalg.det(g)]]) for g in group.generators])
-    # a signed permutation's determinant is the parity of its targets
-    # times the product of its signs; least[:, i] becomes the smallest
-    # point on i's cycle by doubling the stretch of the cycle it covers
-    targets = group.targets[group.cayley[0]]
-    least = np.tile(np.arange(group.dim), (group.gen_count, 1))
-    for _ in range((group.dim - 1).bit_length()):
-        np.minimum(least, np.take_along_axis(least, targets, axis=1), out=least)
-        targets = np.take_along_axis(targets, targets, axis=1)
-    odd = (group.dim - (least == np.arange(group.dim)).sum(axis=1)) % 2
-    dets = (1 - 2 * odd) * group.signs[group.cayley[0]].prod(axis=1)
-    return dets.astype(np.float64).reshape(-1, 1, 1)
+    return np.stack([np.array([[np.linalg.det(g)]]) for g in group.generators])
 
 
 def _perm_images(group, perms):
@@ -312,11 +301,24 @@ def _tensor_arrays(targets, signs, d):
     return lifted, np.repeat(signs, d, axis=1)
 
 
-def _determinants(group):
-    """Each element's determinant (int8) on a signed permutation group,
-    accumulated along the BFS tree from the generators' (``_sign_images``)."""
-    gen_dets = _sign_images(group)[:, 0, 0].astype(np.int8)
-    return _walk(group, np.ones((), dtype=np.int8), lambda front, gi: front * gen_dets[gi])
+def _determinants(group, rows):
+    """The determinants (int8) of the elements ``rows`` of a signed
+    permutation group. At an index array each is the parity of the
+    element's targets times the product of its signs; at slice(None)
+    the generators' are accumulated along the BFS tree."""
+    if isinstance(rows, slice):
+        gen_dets = _determinants(group, group.cayley[0])
+        return _walk(group, np.ones((), dtype=np.int8), lambda front, gi: front * gen_dets[gi])
+    signs = group.signs[rows]
+    k, n = signs.shape
+    targets = (group.targets[rows] + np.arange(0, k * n, n)[:, None]).ravel()
+    # least[i] becomes the least (flat) point on i's cycle by doubling its stretch
+    least = np.arange(k * n)
+    for _ in range((n - 1).bit_length()):
+        np.minimum(least, least[targets], out=least)
+        targets = targets[targets]
+    odd = (n - (least == np.arange(k * n)).reshape(k, n).sum(axis=1)) % 2
+    return ((1 - 2 * odd) * signs.prod(axis=1)).astype(np.int8)
 
 
 def defining_rep(group):
@@ -350,56 +352,42 @@ def direct_sum(reps):
     spec = None
     if all(r.spec for r in reps):
         spec = "sum(" + ";".join(r.spec for r in reps) + ")"
-    gen_images = _sum_images([r.gen_images for r in reps])
-    if any(r.targets is None for r in reps):
-        return extend(group, gen_images, spec=spec)
-    return Representation(group, gen_images.shape[1], gen_images, None, spec,
-                          *_sum_arrays([(r.targets, r.signs) for r in reps]))
+    if any(r.gen_arrays is None for r in reps):
+        return extend(group, _sum_images([r.gen_images for r in reps]), spec=spec)
+    parts = [r._arrays for r in reps]
+    return Representation(group, sum(r.degree for r in reps), spec=spec,
+                          arrays=lambda rows: _sum_arrays([part(rows) for part in parts]))
 
 
 def tensor_identity(rep, d):
     """Kronecker lift rho(g) (x) I_d; size-d blocks move together. A
     signed permutation rep is composed, any other is extended."""
     spec = f"tensor:{d}({rep.spec})" if rep.spec else None
-    gen_images = _tensor_images(rep.gen_images, d)
-    if rep.targets is None:
-        return extend(rep.group, gen_images, spec=spec)
-    return Representation(rep.group, rep.degree * d, gen_images, None, spec,
-                          *_tensor_arrays(rep.targets, rep.signs, d))
+    if rep.gen_arrays is None:
+        return extend(rep.group, _tensor_images(rep.gen_images, d), spec=spec)
+    _check_tensor_factor(d)
+    return Representation(rep.group, rep.degree * d, spec=spec,
+                          arrays=lambda rows: _tensor_arrays(*rep._arrays(rows), d))
 
 
 def is_permutation_rep(rep, tol=1e-9):
     """True iff every element image is a permutation matrix.
 
-    Only the generator images are tested: ``extend`` builds every image
-    as a product of generator images (and checks it against the cayley
+    Only the generators are tested: ``extend`` builds every image as a
+    product of generator images (and checks it against the cayley
     table), and products of permutation matrices are permutation
-    matrices. ``tol`` must be finite and non-negative.
+    matrices. A signed permutation rep is one iff every generator sign
+    is +1, read off ``gen_arrays``; a dense rep's generator images are
+    tested entrywise within ``tol``, which must be finite and
+    non-negative.
     """
     check_tol(tol, strict=False)
+    if rep.gen_arrays is not None:
+        return bool((rep.gen_arrays[1] == 1).all())
     imgs = rep.gen_images
     near_one = np.abs(imgs - 1.0) <= tol
-    near_zero = np.abs(imgs) <= tol
-    if not (near_one | near_zero).all():
-        return False
-    ones = near_one.sum(axis=2)
-    if not (ones == 1).all():
-        return False
-    return bool((near_one.sum(axis=1) == 1).all())
-
-
-def fixed_subspace(rep, tol=1e-9):
-    """Orthonormal basis of {b : rho(g) b = b for all generators g}.
-
-    Computed as the nullspace of the stacked (rho(g) - I) blocks. The
-    columns are fixed by the whole group (generators suffice), and the
-    result may legitimately have zero columns.
-    """
-    eye = np.eye(rep.degree)
-    stacked = np.vstack([g - eye for g in rep.gen_images])
-    if np.abs(stacked).max() == 0.0:
-        return np.eye(rep.degree)
-    return nullspace(stacked, tol=tol)
+    return bool((near_one | (np.abs(imgs) <= tol)).all()
+                and (near_one.sum(axis=2) == 1).all() and (near_one.sum(axis=1) == 1).all())
 
 
 # --- representation spec strings ------------------------------------------
@@ -417,17 +405,18 @@ def parse_rep_spec(group, text):
     degree, and builds nothing.
 
     On a signed permutation group the representation is composed (see
-    the module docstring); its generator images and index arrays are
-    built on first read, so a solve, which reads only generator images,
-    composes nothing per element. The ``perm:`` leaves are validated as
-    their image builders validate them, then replayed and checked once,
-    together, as one block-diagonal representation. On any other group
-    ``extend`` runs once, on the outermost spec's images. Either way one
-    check covers every part, so when the images of a part do not factor
-    through the group, the InconsistentImagesError names the outermost
-    representation's first failing pair: the first generator whose
-    check fails, at the first element with the largest residual over
-    all parts. With one failing part that is the part's own pair.
+    the module docstring): the generators' index arrays at once, every
+    element's on first read, so a solve, which reads only the
+    generators', composes nothing per element. The ``perm:`` leaves are
+    validated as their image builders validate them, then replayed and
+    checked once, together, as one block-diagonal representation. On any
+    other group ``extend`` runs once, on the outermost spec's images.
+    Either way one check covers every part, so when the images of a part
+    do not factor through the group, the InconsistentImagesError names
+    the outermost representation's first failing pair: the first
+    generator whose check fails, at the first element with the largest
+    residual over all parts. With one failing part that is the part's
+    own pair.
     """
     degree, node, spec, pos = _parse_spec(group, text.strip(), 0)
     if pos != len(text.strip()):
@@ -441,8 +430,7 @@ def parse_rep_spec(group, text):
         raise ValueError("generator image 0 must be nonempty")
     # one replay and cayley check of the perm: leaves' block-diagonal sum
     block = _extend_signed(group, *_sum_arrays(leaves), CONSISTENCY_TOL) if leaves else None
-    return Representation(group, degree, partial(_spec_images, group, node), None,
-                          spec, partial(compose, block))
+    return Representation(group, degree, spec=spec, arrays=lambda rows: compose(block, rows))
 
 
 def parse_rep_chain(group, specs):
@@ -480,28 +468,30 @@ def _spec_images(group, node):
 def _composer(group, node, leaves):
     """Raise what ``_spec_images`` would raise, in its order, append each
     ``perm:`` leaf's generator (targets, signs) to ``leaves``, and return
-    the function that maps the leaves' replayed block-diagonal sum to
-    every element's (targets, signs) under the spec."""
+    the function of the leaves' replayed block-diagonal sum and element
+    rows that gives those elements' (targets, signs) under the spec."""
     kind, arg = node
     if kind == "tensor":
         inner = _composer(group, arg[1], leaves)
         _check_tensor_factor(arg[0])
-        return lambda block: _tensor_arrays(*inner(block), arg[0])
+        return lambda block, rows: _tensor_arrays(*inner(block, rows), arg[0])
     if kind == "sum":
         parts = [_composer(group, part, leaves) for part in arg]
-        return lambda block: _sum_arrays([part(block) for part in parts])
+        return lambda block, rows: _sum_arrays([part(block, rows) for part in parts])
     if kind == "perm":
         at = sum(t.shape[1] for t, _ in leaves)
         leaves.append(_perm_images(group, arg)[1])
         end = at + leaves[-1][0].shape[1]
-        return lambda block: (block[0][:, at:end] - at, np.ascontiguousarray(block[1][:, at:end]))
+        return lambda block, rows: (block[0][rows, at:end] - at,
+                                    np.ascontiguousarray(block[1][rows, at:end]))
     if kind == "trivial":
-        return lambda block: (np.tile(np.arange(arg, dtype=np.int64), (group.order, 1)),
-                              np.ones((group.order, arg), dtype=np.int8))
+        return lambda block, rows: (
+            np.tile(np.arange(arg, dtype=np.int64), (len(group.cayley[rows]), 1)),
+            np.ones((len(group.cayley[rows]), arg), dtype=np.int8))
     if kind == "defining":
-        return lambda block: (group.targets, group.signs)
-    return lambda block: (np.zeros((group.order, 1), dtype=np.int64),
-                          _determinants(group)[:, None])
+        return lambda block, rows: (group.targets[rows], group.signs[rows])
+    return lambda block, rows: (np.zeros((len(group.cayley[rows]), 1), dtype=np.int64),
+                                _determinants(group, rows)[:, None])
 
 
 def _parse_spec(group, text, pos):

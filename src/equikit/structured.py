@@ -52,9 +52,14 @@ def param_count(kind, k, n=None, m1=None, m2=None):
     dense: k*n^2 + (k-1)*n; toeplitz: k*(2n-1) + (k-1)*n;
     bttb: k*(2*m1-1)*(2*m2-1) + (k-1)*m1*m2 (width n = m1*m2).
     The (k-1)*width term is the biases; the last layer carries none.
+    ``k`` and any given ``n``, ``m1`` or ``m2`` must be >= 1.
     """
     if k < 1:
         raise ValueError("layer count k must be >= 1")
+    bad = [f"{name}={w}" for name, w in (("n", n), ("m1", m1), ("m2", m2))
+           if w is not None and w < 1]
+    if bad:
+        raise ValueError(f"widths must be >= 1, got {', '.join(bad)}")
     if kind == "dense":
         if n is None:
             raise ValueError("dense count needs n")

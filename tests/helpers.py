@@ -5,6 +5,7 @@ reference for the equivariance check."""
 import numpy as np
 
 from equikit import network
+from equikit.numerics import nullspace
 from equikit.activations import Report
 
 
@@ -133,3 +134,14 @@ def reference_check(apply, rep_in, rep_out, box, trials, seed, tol, relative):
         return Report(True, worst, None)
     g, i = next((g, i) for top, g, i in per_element if top >= worst * slack)
     return Report(False, worst, (g, vectors[i].copy()))
+
+
+def stacked_fixed_subspace(rep, tol=1e-9):
+    """The nullspace of the stacked (rho(g) - I) generator blocks: the
+    oracle for ``intertwiners.fixed_subspace``, which solves for the
+    intertwiners from the trivial rep instead."""
+    eye = np.eye(rep.degree)
+    stacked = np.vstack([g - eye for g in rep.gen_images])
+    if np.abs(stacked).max() == 0.0:
+        return np.eye(rep.degree)
+    return nullspace(stacked, tol=tol)

@@ -8,8 +8,16 @@ from equikit.activations import (
     is_compatible,
     parse_activation,
 )
-from equikit.groups import named_group
-from equikit.reps import defining_rep, direct_sum, fixed_subspace, sign_rep
+from equikit.groups import group_from_spec, named_group
+from equikit.intertwiners import fixed_subspace
+from equikit.reps import (
+    Representation,
+    defining_rep,
+    direct_sum,
+    is_permutation_rep,
+    parse_rep_spec,
+    sign_rep,
+)
 
 SIGN3 = ActivationSpec("sign_threshold", 3.0)
 
@@ -135,6 +143,24 @@ def test_is_compatible_cases():
     assert is_compatible(SIGN3, np.full(3, 2.0), rep)
     assert not is_compatible(SIGN3, np.array([-1.0, 0.0, 0.0]), rep)
     assert not is_compatible(SIGN3, np.zeros(1), sign_rep(g))
+
+
+@pytest.mark.parametrize("group_spec,spec", [
+    ("symmetric:3", "defining"), ("symmetric:3", "sign"), ("symmetric:4", "sum(defining;sign)"),
+    ("cyclic:4", "sum(trivial:2;defining)"), ("p4m:3", "tensor:2(defining)"),
+])
+def test_index_array_reads_are_the_dense_ones(group_spec, spec):
+    # is_permutation_rep and is_compatible read a signed rep's gen_arrays;
+    # the same images as a hand-built dense rep take the entrywise tests
+    rep = parse_rep_spec(group_from_spec(group_spec), spec)
+    dense = Representation(rep.group, rep.degree, rep.gen_images, rep.images)
+    assert rep.gen_arrays is not None and dense.gen_arrays is None
+    assert is_permutation_rep(rep) is is_permutation_rep(dense)
+    n = rep.degree
+    for b in (np.full(n, 2.0), np.random.default_rng(0).standard_normal(n),
+              np.full(n, 1.0) + 1e-10 * (np.arange(n) == 0)):
+        for tol in (0.0, 1e-9, 10.0):
+            assert is_compatible(SIGN3, b, rep, tol=tol) is is_compatible(SIGN3, b, dense, tol=tol)
 
 
 @pytest.mark.parametrize("bias,tol,expected", [

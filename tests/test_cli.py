@@ -76,6 +76,18 @@ def test_count_missing_argument_is_config_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("args", [
+    ("--structure", "toeplitz", "--k", "2", "--n", "-5"),
+    ("--structure", "toeplitz", "--k", "2", "--n", "0"),
+    ("--structure", "dense", "--k", "2", "--n", "-3"),
+    ("--structure", "bttb", "--k", "2", "--m1", "0", "--m2", "3"),
+])
+def test_count_non_positive_width_exits_2(capsys, args):
+    code, out, err = run(capsys, "count", *args)
+    assert (code, out) == (2, "")
+    assert "widths must be >= 1" in err
+
+
 def test_demo_permutation_threshold_golden(capsys):
     code, out, _ = run(capsys, "demo", "--example", "permutation-threshold")
     assert code == 0

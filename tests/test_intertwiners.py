@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,43 @@ def test_orbit_path_is_bitwise_the_dense_path(kind, size, spec_in, spec_out, mon
     basis = solve_basis(rep_in, rep_out)
     assert basis.dim == hom_dim_oracle(rep_in, rep_out)
     assert_same_array(basis.basis, expected)
+
+
+@pytest.mark.parametrize("kind,size,spec_in,spec_out", SIGNED_CASES[len(CASES):])
+def test_hand_built_dense_rep_solves_to_the_orbit_basis(kind, size, spec_in, spec_out):
+    # a Representation built from dense stacks carries no index arrays, so
+    # it takes the dense solve, even when its images are signed permutations
+    g = named_group(kind, size)
+    rep_in, rep_out = parse_rep_spec(g, spec_in), parse_rep_spec(g, spec_out)
+    dense_in = Representation(g, rep_in.degree, rep_in.gen_images.copy(), rep_in.images.copy())
+    assert dense_in.gen_arrays is None and dense_in.targets is None
+    calls = []
+    original = kernels.row_echelon
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "row_echelon", counting)
+        basis = solve_basis(dense_in, rep_out)
+    assert len(calls) == 1
+    assert_same_array(basis.basis, solve_basis(rep_in, rep_out).basis)
+
+
+def test_p4m32_signed_solve_reads_no_dense_stack():
+    # the orbit solve reads the generators' index arrays; scattering the
+    # tensor:2(defining) generator stack alone would take 128 MiB
+    g = named_group("p4m", 32)
+    rep_in, rep_out = parse_rep_spec(g, "tensor:2(defining)"), parse_rep_spec(g, "trivial:1")
+    tracemalloc.start()
+    try:
+        basis = solve_basis(rep_in, rep_out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.dim == 2
+    assert peak < 8 * 2 ** 20
 
 
 def test_orbit_path_entries_are_signed_orbit_indicators():

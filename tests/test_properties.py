@@ -208,16 +208,26 @@ def spec_trees(group):
 
 
 def arrays_outcome(build):
-    """A built rep's index arrays (with dtypes) and generator-image bytes,
-    or the error it raised."""
+    """A built rep's index arrays and generators' index arrays (with
+    dtypes) and generator-image bytes, or the error it raised. The
+    generators' arrays are checked against every element's at the
+    generators and against the reading of the generator images."""
     try:
         rep = build()
     except InconsistentImagesError as err:
         return "inconsistent", err.element, err.generator, err.residual
     except ValueError as err:
         return "invalid", str(err)
+    gen_targets, gen_signs = rep.gen_arrays
+    at_gens = rep.group.cayley[0]
+    assert np.array_equal(gen_targets, rep.targets[at_gens])
+    assert np.array_equal(gen_signs, rep.signs[at_gens])
+    read_targets, read_signs = signed_permutations(rep.gen_images)
+    assert np.array_equal(gen_targets, read_targets) and np.array_equal(gen_signs, read_signs)
     return (rep.degree, rep.spec, rep.targets.dtype, rep.targets.shape, rep.targets.tobytes(),
-            rep.signs.dtype, rep.signs.shape, rep.signs.tobytes(), rep.gen_images.dtype,
+            rep.signs.dtype, rep.signs.shape, rep.signs.tobytes(),
+            gen_targets.dtype, gen_targets.shape, gen_targets.tobytes(),
+            gen_signs.dtype, gen_signs.shape, gen_signs.tobytes(), rep.gen_images.dtype,
             rep.gen_images.shape, rep.gen_images.tobytes())
 
 

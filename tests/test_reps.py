@@ -2,9 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import stacked_fixed_subspace
 
 from equikit import reps
 from equikit.groups import close, group_from_spec, named_group, permutation_matrix
+from equikit.intertwiners import fixed_subspace
 from equikit.numerics import signed_permutations
 from equikit.reps import (
     CONSISTENCY_TOL,
@@ -12,7 +14,6 @@ from equikit.reps import (
     defining_rep,
     direct_sum,
     extend,
-    fixed_subspace,
     is_permutation_rep,
     parse_rep_spec,
     permutation_rep,
@@ -62,11 +63,14 @@ def negated_signed_group():
     lambda: group_from_spec("p4m:5"), negated_signed_group,
 ])
 def test_signed_generator_determinants_are_lapack_det(build):
-    # _sign_images reads parity times signs off a signed permutation group
+    # _determinants reads parity times signs off a signed permutation group
     group = build()
     assert group.targets is not None
-    det = np.stack([np.array([[np.linalg.det(m)]]) for m in group.generators])
-    assert reps._sign_images(group).tobytes() == det.tobytes()
+    det = np.array([np.linalg.det(m) for m in group.generators])
+    assert reps._determinants(group, group.cayley[0]).astype(np.float64).tobytes() == det.tobytes()
+    every = reps._determinants(group, slice(None))
+    assert every.dtype == np.int8
+    assert np.array_equal(every, reps._determinants(group, np.arange(group.order)))
 
 
 def test_sign_images_on_transposition_generators():
@@ -176,6 +180,37 @@ def test_fixed_subspace_torus_pixels():
     g = named_group("torus", 3)
     basis = fixed_subspace(defining_rep(g))
     assert basis.shape == (9, 1)
+
+
+def generator_perm_spec(group):
+    """A ``perm:`` spec giving each generator its own point permutation."""
+    return "perm:" + "|".join(",".join(map(str, t)) for t in group.targets[group.cayley[0]])
+
+
+FIXED_SPECS = ["defining", "sign", "trivial:2", "tensor:2(defining)", "sum(defining;sign)",
+               "tensor:2(sum(sign;trivial:1))", "PERM"]
+
+
+@pytest.mark.parametrize("group_spec", ["symmetric:4", "cyclic:5", "torus:3", "p4:3", "p4m:3"])
+@pytest.mark.parametrize("spec", FIXED_SPECS)
+def test_fixed_subspace_is_bitwise_the_stacked_nullspace(group_spec, spec):
+    group = group_from_spec(group_spec)
+    rep = parse_rep_spec(group, spec.replace("PERM", generator_perm_spec(group)))
+    basis, expected = fixed_subspace(rep), stacked_fixed_subspace(rep)
+    assert basis.flags.c_contiguous
+    assert (basis.shape, basis.tobytes()) == (expected.shape, expected.tobytes())
+
+
+@pytest.mark.parametrize("generator", [
+    [[0.5, -np.sqrt(0.75)], [np.sqrt(0.75), 0.5]],  # a sixth turn of the plane
+    [[0.5, -np.sqrt(0.75), 0.0], [np.sqrt(0.75), 0.5, 0.0], [0.0, 0.0, 1.0]],  # about z
+])
+@pytest.mark.parametrize("spec", FIXED_SPECS[:-1])
+def test_dense_fixed_subspace_is_bitwise_the_stacked_nullspace(generator, spec):
+    rep = parse_rep_spec(close([np.array(generator)]), spec)
+    assert rep.group.targets is None
+    basis, expected = fixed_subspace(rep), stacked_fixed_subspace(rep)
+    assert (basis.shape, basis.tobytes()) == (expected.shape, expected.tobytes())
 
 
 @pytest.mark.parametrize("kind,size,spec", [

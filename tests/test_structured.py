@@ -141,3 +141,8 @@ def test_param_count_validation():
         param_count("bttb", k=2, m1=3, m2=3, n=10)
     with pytest.raises(ValueError):
         param_count("butterfly", k=1, n=2)
+    for kind, widths in [("toeplitz", dict(n=-5)), ("toeplitz", dict(n=0)),
+                         ("dense", dict(n=-3)), ("bttb", dict(m1=0, m2=3)),
+                         ("bttb", dict(m1=3, m2=-1)), ("bttb", dict(m1=2, m2=2, n=0))]:
+        with pytest.raises(ValueError, match="widths must be >= 1"):
+            param_count(kind, k=2, **widths)
