@@ -1,26 +1,26 @@
 """Representations of a finite matrix group, defined by generator images.
 
-A representation is stored per group element, built by one replay of
-the group's BFS tree, a level at a time (``_replay``). Extension then
-verifies the homomorphism property (images consistent with the cayley
-table), which is exactly the well-definedness check for the generator
-images. The images pass the group's validator, which calls ``det`` only
-when they are not all signed permutations.
-
-When that validator finds every generator image exactly a signed
+Only images the user supplies (``extend``, hence ``permutation_rep`` and
+a spec's ``perm:`` leaves) are replayed: one walk of the group's BFS
+tree, a level at a time (``_replay``), then a check of the homomorphism
+property (images consistent with the cayley table), which is exactly the
+well-definedness check for the generator images. The images pass the
+group's validator, which calls ``det`` only when they are not all
+signed permutations. When it finds every image exactly a signed
 permutation matrix (``numerics.signed_permutations``), the replay and
 the check run on integer signed codes (``numerics.sign_flips``), and the
 representation stores integer (targets, signs) index arrays, the one
-source every consumer reads (see ``Representation``); ``images`` and
-``gen_images`` are dense views scattered from them on first read.
-Residuals, errors and images are bitwise the dense path's. Only other
-images are multiplied, compared and stored as dense matrices.
+source every consumer reads (see ``Representation``); the dense images
+are views scattered from them on first read, bitwise the dense path's.
 
-A spec on a signed permutation group is composed from the group's own
-index arrays, not extended (``parse_rep_spec``); only its ``perm:``
-leaves, whose images the user supplies, are replayed and checked.
-``direct_sum`` and ``tensor_identity`` compose signed parts likewise,
-and compose the generators' rows without touching anything group-sized.
+Every other representation is a homomorphism by construction and is
+built without a replay, in its parts' storage: ``defining_rep`` is the
+group itself, ``trivial_rep`` constant arrays, ``sign_rep`` the
+determinants, and ``direct_sum`` and ``tensor_identity`` compose their
+parts' index arrays (the generators' rows touch nothing group-sized) or,
+with a dense part, their image stacks, since a block-diagonal sum or a
+Kronecker lift of homomorphisms is one. ``parse_rep_spec`` builds a spec
+through these constructors.
 """
 
 import numpy as np
@@ -68,12 +68,16 @@ class Representation:
     given by ``arrays(rows)``, the (len(rows), n) ``targets`` and int8
     ``signs`` of the elements ``rows`` (an index array, or slice(None)
     for all), with images[e] e_j = signs[e, j] e_{targets[e, j]}. It
-    keeps the generators' ``gen_arrays`` and, on first read, builds
-    ``targets``/``signs`` and scatters ``gen_images``/``images``. Any
-    other keeps the dense stacks, and None for the arrays.
+    keeps the generators' ``gen_arrays`` (``arrays`` at the generators
+    unless given) and, on first read, builds ``targets``/``signs`` and
+    scatters ``gen_images``/``images``. Any other keeps the dense
+    ``gen_images`` and ``images``, which may be a function of no
+    arguments that composes the stack on first read, and None for the
+    arrays.
     """
 
-    def __init__(self, group, degree, gen_images=None, images=None, spec=None, arrays=None):
+    def __init__(self, group, degree, gen_images=None, images=None, spec=None, arrays=None,
+                 gen_arrays=None):
         self.group = group
         self.degree = degree
         self._gen_images = gen_images
@@ -81,7 +85,9 @@ class Representation:
         self.spec = spec
         self._arrays = arrays
         self._every = None if arrays else (None, None)
-        self.gen_arrays = arrays(group.cayley[0]) if arrays else None
+        if arrays and gen_arrays is None:
+            gen_arrays = arrays(group.cayley[0])
+        self.gen_arrays = gen_arrays
 
     @property
     def gen_images(self):
@@ -101,6 +107,8 @@ class Representation:
     def images(self):
         if self._images is None:
             self._images = signed_permutation_matrices(self.targets, self.signs)
+        elif callable(self._images):
+            self._images = self._images()
         return self._images
 
     def act(self, indices, vectors):
@@ -229,23 +237,12 @@ def _replay(group, identity, multiply, residuals, tol):
     return images
 
 
-# --- generator images of the named representations ------------------------
-#
-# Each builder returns a (gen_count, n, n) stack, which ``extend`` takes to
-# the whole group; on a signed permutation group a spec is composed instead.
+# --- the constructors: only permutation_rep replays (through extend) ------
 
 
-def _trivial_images(group, degree):
-    return np.stack([np.eye(degree)] * group.gen_count)
-
-
-def _sign_images(group):
-    return np.stack([np.array([[np.linalg.det(g)]]) for g in group.generators])
-
-
-def _perm_images(group, perms):
-    """``_image_stack`` of one permutation per generator."""
-    return _image_stack(group, [permutation_matrix(p) for p in perms])
+def _count(group, rows):
+    """How many elements ``rows`` (an index array, or slice(None)) names."""
+    return group.order if isinstance(rows, slice) else len(rows)
 
 
 def _perm_spec(perms):
@@ -253,7 +250,8 @@ def _perm_spec(perms):
 
 
 def _sum_images(parts):
-    """Block-diagonal generator images of a direct sum of image stacks."""
+    """Block-diagonal sum of (count, n, n) image stacks, scattered into
+    zeros (so every zero off the blocks is +0.0)."""
     count = parts[0].shape[0]
     total = sum(p.shape[1] for p in parts)
     stack = np.zeros((count, total, total))
@@ -265,21 +263,15 @@ def _sum_images(parts):
     return stack
 
 
-def _tensor_images(gen_images, d):
-    """Generator images of rho (x) I_d; size-d blocks move together."""
-    _check_tensor_factor(d)
-    return np.stack([np.kron(g, np.eye(d)) for g in gen_images])
-
-
-def _check_tensor_factor(d):
-    if d < 1:
-        raise ValueError("tensor factor must be >= 1")
-
-
-# --- index arrays of composed representations ------------------------------
-#
-# Each returns the (count, n) targets (int64, as ``extend`` stores them)
-# and signs of a stack of signed permutations.
+def _tensor_images(stack, d):
+    """rho (x) I_d of a (count, n, n) image stack, scattered into zeros
+    (``np.kron`` would leave -0.0 beside each negative entry); size-d
+    blocks move together."""
+    count, n = stack.shape[:2]
+    lifted = np.zeros((count, n, d, n, d))
+    at = np.arange(d)
+    lifted[:, :, at, :, at] = stack
+    return lifted.reshape(count, n * d, n * d)
 
 
 def _sum_arrays(parts):
@@ -322,52 +314,74 @@ def _determinants(group, rows):
 
 
 def defining_rep(group):
-    """The group acting by its own matrices."""
-    return parse_rep_spec(group, "defining")
+    """The group acting by its own matrices (or index arrays)."""
+    if group.targets is None:
+        return Representation(group, group.dim, group.generators, group.elements, "defining")
+    return Representation(group, group.dim, spec="defining",
+                          arrays=lambda rows: (group.targets[rows], group.signs[rows]))
 
 
 def trivial_rep(group, degree=1):
-    """Every element acts as the identity on R^degree."""
-    return extend(group, _trivial_images(group, degree), spec=f"trivial:{degree}")
+    """Every element acts as the identity on R^degree (degree may be 0)."""
+    return Representation(group, degree, spec=f"trivial:{degree}", arrays=lambda rows: (
+        np.tile(np.arange(degree, dtype=np.int64), (_count(group, rows), 1)),
+        np.ones((_count(group, rows), degree), dtype=np.int8)))
 
 
 def sign_rep(group):
-    """Degree-1 representation by generator determinants."""
-    return parse_rep_spec(group, "sign")
+    """Degree-1 representation by element determinants: on a signed
+    permutation group read off the index arrays (``_determinants``),
+    on any other extended from the generators'."""
+    if group.targets is None:
+        return extend(group, [np.array([[np.linalg.det(g)]]) for g in group.generators],
+                      spec="sign")
+    return Representation(group, 1, spec="sign", arrays=lambda rows: (
+        np.zeros((_count(group, rows), 1), dtype=np.int64), _determinants(group, rows)[:, None]))
 
 
 def permutation_rep(group, perms):
-    """Representation from one coordinate permutation per generator."""
-    return extend(group, _perm_images(group, perms)[0], spec=_perm_spec(perms))
+    """Representation from one coordinate permutation per generator,
+    extended (replayed and checked), since the user supplies it."""
+    return extend(group, [permutation_matrix(p) for p in perms], spec=_perm_spec(perms))
 
 
 def direct_sum(reps):
-    """Block-diagonal sum of representations of the same group; signed
-    permutation parts are composed, any other is extended."""
+    """Block-diagonal sum of representations of the same group. Signed
+    permutation parts compose their index arrays; otherwise the dense
+    generator images are composed at once and every element's on first
+    read."""
     if not reps:
         raise ValueError("direct_sum needs at least one representation")
     group = reps[0].group
     if any(r.group is not group for r in reps):
         raise ValueError("direct_sum requires representations of the same group")
+    degree = sum(r.degree for r in reps)
     spec = None
     if all(r.spec for r in reps):
         spec = "sum(" + ";".join(r.spec for r in reps) + ")"
     if any(r.gen_arrays is None for r in reps):
-        return extend(group, _sum_images([r.gen_images for r in reps]), spec=spec)
+        parts = list(reps)
+        return Representation(group, degree, _sum_images([r.gen_images for r in parts]),
+                              lambda: _sum_images([r.images for r in parts]), spec)
     parts = [r._arrays for r in reps]
-    return Representation(group, sum(r.degree for r in reps), spec=spec,
-                          arrays=lambda rows: _sum_arrays([part(rows) for part in parts]))
+    return Representation(group, degree, spec=spec,
+                          arrays=lambda rows: _sum_arrays([part(rows) for part in parts]),
+                          gen_arrays=_sum_arrays([r.gen_arrays for r in reps]))
 
 
 def tensor_identity(rep, d):
-    """Kronecker lift rho(g) (x) I_d; size-d blocks move together. A
-    signed permutation rep is composed, any other is extended."""
+    """Kronecker lift rho(g) (x) I_d; size-d blocks move together. Composed
+    as ``direct_sum`` composes: from the index arrays of a signed
+    permutation rep, else from the dense images."""
+    if d < 1:
+        raise ValueError("tensor factor must be >= 1")
     spec = f"tensor:{d}({rep.spec})" if rep.spec else None
     if rep.gen_arrays is None:
-        return extend(rep.group, _tensor_images(rep.gen_images, d), spec=spec)
-    _check_tensor_factor(d)
+        return Representation(rep.group, rep.degree * d, _tensor_images(rep.gen_images, d),
+                              lambda: _tensor_images(rep.images, d), spec)
     return Representation(rep.group, rep.degree * d, spec=spec,
-                          arrays=lambda rows: _tensor_arrays(*rep._arrays(rows), d))
+                          arrays=lambda rows: _tensor_arrays(*rep._arrays(rows), d),
+                          gen_arrays=_tensor_arrays(*rep.gen_arrays, d))
 
 
 def is_permutation_rep(rep, tol=1e-9):
@@ -404,33 +418,20 @@ def parse_rep_spec(group, text):
     ``MAX_IMAGE_STACK_BYTES`` raises ValueError naming the spec and its
     degree, and builds nothing.
 
-    On a signed permutation group the representation is composed (see
-    the module docstring): the generators' index arrays at once, every
-    element's on first read, so a solve, which reads only the
-    generators', composes nothing per element. The ``perm:`` leaves are
-    validated as their image builders validate them, then replayed and
-    checked once, together, as one block-diagonal representation. On any
-    other group ``extend`` runs once, on the outermost spec's images.
-    Either way one check covers every part, so when the images of a part
-    do not factor through the group, the InconsistentImagesError names
-    the outermost representation's first failing pair: the first
-    generator whose check fails, at the first element with the largest
-    residual over all parts. With one failing part that is the part's
-    own pair.
+    The parsed spec is then built through the public constructors (see
+    the module docstring), so only its ``perm:`` leaves, whose images the
+    user supplies, are replayed and checked, each on its own. Errors come
+    in spec order, from the first failing term (inner terms first); an
+    inconsistent leaf names its own (element, generator) pair.
     """
     degree, node, spec, pos = _parse_spec(group, text.strip(), 0)
     if pos != len(text.strip()):
         raise ValueError(f"trailing characters in rep spec {text!r}")
     _check_stack_fits(f"rep spec {spec!r}", group.gen_count, degree, MAX_IMAGE_STACK_BYTES)
-    if group.targets is None:
-        return extend(group, _spec_images(group, node), spec=spec)
-    leaves = []
-    compose = _composer(group, node, leaves)
+    rep = _build(group, node)
     if degree == 0:  # the image validator's message for a (gen_count, 0, 0) stack
         raise ValueError("generator image 0 must be nonempty")
-    # one replay and cayley check of the perm: leaves' block-diagonal sum
-    block = _extend_signed(group, *_sum_arrays(leaves), CONSISTENCY_TOL) if leaves else None
-    return Representation(group, degree, spec=spec, arrays=lambda rows: compose(block, rows))
+    return rep
 
 
 def parse_rep_chain(group, specs):
@@ -451,47 +452,18 @@ def parse_rep_chain(group, specs):
 # or ("sum", [node, ...]).
 
 
-def _spec_images(group, node):
-    """The (gen_count, n, n) generator-image stack of a parsed spec."""
+def _build(group, node):
+    """The representation of a parsed spec, through the constructors."""
     kind, arg = node
     if kind == "tensor":
-        return _tensor_images(_spec_images(group, arg[1]), arg[0])
+        return tensor_identity(_build(group, arg[1]), arg[0])
     if kind == "sum":
-        return _sum_images([_spec_images(group, part) for part in arg])
+        return direct_sum([_build(group, part) for part in arg])
     if kind == "perm":
-        return _perm_images(group, arg)[0]
+        return permutation_rep(group, arg)
     if kind == "trivial":
-        return _trivial_images(group, arg)
-    return group.generators if kind == "defining" else _sign_images(group)
-
-
-def _composer(group, node, leaves):
-    """Raise what ``_spec_images`` would raise, in its order, append each
-    ``perm:`` leaf's generator (targets, signs) to ``leaves``, and return
-    the function of the leaves' replayed block-diagonal sum and element
-    rows that gives those elements' (targets, signs) under the spec."""
-    kind, arg = node
-    if kind == "tensor":
-        inner = _composer(group, arg[1], leaves)
-        _check_tensor_factor(arg[0])
-        return lambda block, rows: _tensor_arrays(*inner(block, rows), arg[0])
-    if kind == "sum":
-        parts = [_composer(group, part, leaves) for part in arg]
-        return lambda block, rows: _sum_arrays([part(block, rows) for part in parts])
-    if kind == "perm":
-        at = sum(t.shape[1] for t, _ in leaves)
-        leaves.append(_perm_images(group, arg)[1])
-        end = at + leaves[-1][0].shape[1]
-        return lambda block, rows: (block[0][rows, at:end] - at,
-                                    np.ascontiguousarray(block[1][rows, at:end]))
-    if kind == "trivial":
-        return lambda block, rows: (
-            np.tile(np.arange(arg, dtype=np.int64), (len(group.cayley[rows]), 1)),
-            np.ones((len(group.cayley[rows]), arg), dtype=np.int8))
-    if kind == "defining":
-        return lambda block, rows: (group.targets[rows], group.signs[rows])
-    return lambda block, rows: (np.zeros((len(group.cayley[rows]), 1), dtype=np.int64),
-                                _determinants(group, rows)[:, None])
+        return trivial_rep(group, arg)
+    return defining_rep(group) if kind == "defining" else sign_rep(group)
 
 
 def _parse_spec(group, text, pos):
@@ -558,6 +530,11 @@ def _parse_perm(text, pos):
     for part in text[pos:end].split("|"):
         if not part:
             raise ValueError(f"empty permutation in rep spec {text!r}")
-        perms.append([int(i) for i in part.split(",")])
+        perms.append([])
+        for entry in part.split(","):
+            if not entry:
+                raise ValueError(f"expected integer at position {pos} in rep spec {text!r}")
+            perms[-1].append(int(entry))
+            pos += len(entry) + 1  # past the entry and its ',' or '|'
     degree = max(len(p) for p in perms)
     return degree, ("perm", perms), _perm_spec(perms), end

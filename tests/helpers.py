@@ -1,10 +1,12 @@
 """Shared test utilities: finite-difference gradient checking, a
-row-major reference for the training gradient and a per-element
-reference for the equivariance check."""
+row-major reference for the training gradient, a per-element
+reference for the equivariance check and the generator images of a
+rep spec."""
 
 import numpy as np
 
-from equikit import network
+from equikit import network, reps
+from equikit.groups import permutation_matrix
 from equikit.numerics import nullspace
 from equikit.activations import Report
 
@@ -145,3 +147,23 @@ def stacked_fixed_subspace(rep, tol=1e-9):
     if np.abs(stacked).max() == 0.0:
         return np.eye(rep.degree)
     return nullspace(stacked, tol=tol)
+
+
+def spec_images(group, node):
+    """The (gen_count, n, n) generator-image stack of a parsed rep spec
+    (``reps._parse_spec``), raising what its leaves' images raise: the
+    oracle whose ``extend`` every composed representation matches."""
+    kind, arg = node
+    if kind == "tensor":
+        if arg[0] < 1:
+            raise ValueError("tensor factor must be >= 1")
+        return reps._tensor_images(spec_images(group, arg[1]), arg[0])
+    if kind == "sum":
+        return reps._sum_images([spec_images(group, part) for part in arg])
+    if kind == "perm":
+        return reps._image_stack(group, [permutation_matrix(p) for p in arg])[0]
+    if kind == "trivial":
+        return np.stack([np.eye(arg)] * group.gen_count)
+    if kind == "sign":
+        return np.stack([np.array([[np.linalg.det(g)]]) for g in group.generators])
+    return group.generators

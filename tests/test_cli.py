@@ -177,9 +177,10 @@ def test_basis_bad_config_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-# each malformed or inconsistent rep spec exits 2 with the message that
-# the image builders and the extension give, also where the rep is
-# composed from index arrays, as on this signed-permutation group
+# each malformed or inconsistent rep spec exits 2 with the message of its
+# first failing term, in spec order: the parser's, the cap's, a
+# constructor's, or the extension's for a perm: leaf (the one term that
+# is replayed and checked)
 REP_SPEC_ERRORS = {
     "trivial:0": "generator image 0 must be nonempty",
     "sum(tensor:2(trivial:0))": "generator image 0 must be nonempty",
@@ -189,6 +190,8 @@ REP_SPEC_ERRORS = {
     "sum(defining;)": "unrecognized rep spec at position 13 in 'sum(defining;)'",
     "tensor:2(defining": "expected ')' at position 17 in rep spec 'tensor:2(defining'",
     "perm:": "empty permutation in rep spec 'perm:'",
+    "perm:0,1,,2|0,1,2": "expected integer at position 9 in rep spec 'perm:0,1,,2|0,1,2'",
+    "perm:,0,1|0,1,2": "expected integer at position 5 in rep spec 'perm:,0,1|0,1,2'",
     "perm:0,0,1|1,0,2": "not a permutation of 0..2: [0, 0, 1]",
     "perm:0,1|1,0,2": "generator image 1 has shape (3, 3), expected (2, 2)",
     "perm:1,0,2": "need 2 generator images, got 1",

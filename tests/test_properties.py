@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import reference_check
+from helpers import reference_check, spec_images
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -240,7 +240,7 @@ def test_composed_spec_rep_is_bitwise_the_extension(group_spec, data):
     node = reps._parse_spec(group, spec, 0)[1]
     composed = arrays_outcome(lambda: parse_rep_spec(group, spec))
     assert composed == arrays_outcome(
-        lambda: extend(group, reps._spec_images(group, node), spec=spec)), spec
+        lambda: extend(group, spec_images(group, node), spec=spec)), spec
     if composed[0] in ("inconsistent", "invalid"):
         return
     rep = parse_rep_spec(group, spec)

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import stacked_fixed_subspace
+from helpers import spec_images, stacked_fixed_subspace
 
 from equikit import reps
 from equikit.groups import close, group_from_spec, named_group, permutation_matrix
@@ -447,25 +447,103 @@ def test_signed_closure_and_extension_build_no_dense_stack_until_read():
     assert rep.group.elements is rep.group.elements
 
 
+# --- dense composition against the extension of the spec's images --------
+
+def rotation_group(n, flip):
+    """C_n rotating R^2, or D_n (the rotation about z plus a mirror) on R^3;
+    cos/sin residues keep both off the signed path."""
+    c, s = np.cos(2 * np.pi / n), np.sin(2 * np.pi / n)
+    if not flip:
+        return close([np.array([[c, -s], [s, c]])])
+    return close([np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]),
+                  np.diag([1.0, -1.0, 1.0])])
+
+
+DENSE_SPECS = ["defining", "sign", "sum(defining;sign)", "tensor:3(defining)",
+               "tensor:2(sum(defining;sign;trivial:2))", "sum(tensor:2(defining);defining)"]
+
+
+def _constructed(group, node):
+    """A parsed spec's rep, built by calling the constructors directly."""
+    kind, arg = node
+    if kind == "tensor":
+        return tensor_identity(_constructed(group, arg[1]), arg[0])
+    if kind == "sum":
+        return direct_sum([_constructed(group, part) for part in arg])
+    if kind == "trivial":
+        return trivial_rep(group, arg)
+    return defining_rep(group) if kind == "defining" else sign_rep(group)
+
+
+@pytest.mark.parametrize("n", [5, 6, 12])
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("spec", DENSE_SPECS)
+def test_dense_composition_is_bitwise_the_extension(n, flip, spec):
+    # sums and Kronecker lifts of dense reps are composed, not replayed;
+    # their images match the replay's to the bit, zeros all +0.0
+    group = rotation_group(n, flip)
+    assert group.targets is None and group.order == (2 * n if flip else n)
+    node = reps._parse_spec(group, spec, 0)[1]
+    want = extend(group, spec_images(group, node), spec=spec)
+    for rep in (parse_rep_spec(group, spec), _constructed(group, node)):
+        assert (rep.spec, rep.degree) == (spec, want.degree)
+        assert rep.gen_images.tobytes() == want.gen_images.tobytes()
+        assert rep.images.tobytes() == want.images.tobytes()
+
+
 # --- nested specs replay only their perm: leaves, once --------------------
 
-def test_nested_spec_replays_only_its_perm_leaves_once(s3, monkeypatch):
-    # a spec on a signed group is composed: no extend, and one replay
-    # (recorded by its degree) of the block-diagonal sum of its perm: leaves
-    degrees = []
-    real_replay = reps._replay
+def _record_replays(monkeypatch):
+    """The degrees of the ``_replay`` calls, and the specs ``extend`` gets."""
+    degrees, extended = [], []
+    real_replay, real_extend = reps._replay, reps.extend
     monkeypatch.setattr(reps, "_replay", lambda group, identity, *args:
                         degrees.append(identity.shape[0]) or real_replay(group, identity, *args))
-    monkeypatch.setattr(reps, "extend", lambda *args, **kw: pytest.fail("extend called"))
+    monkeypatch.setattr(reps, "extend", lambda group, images, spec=None, **kw:
+                        extended.append(spec) or real_extend(group, images, spec, **kw))
+    return degrees, extended
+
+
+def test_nested_spec_replays_only_its_perm_leaves_once(s3, monkeypatch):
+    # a spec on a signed group is composed: only its perm: leaves are
+    # extended, and each is replayed (recorded by its degree) once, alone
+    degrees, extended = _record_replays(monkeypatch)
     for spec, replayed in [
         ("tensor:3(sum(perm:1,0,2|1,2,0;sign))", [3]),
-        ("sum(perm:1,0,2|1,2,0;tensor:2(perm:1,0|0,1))", [5]),
+        ("sum(perm:1,0,2|1,2,0;tensor:2(perm:1,0|0,1))", [3, 2]),
         ("tensor:3(sum(defining;sign;trivial:2))", []),
     ]:
         rep = parse_rep_spec(s3, spec)
         assert degrees == replayed
+        assert len(extended) == len(replayed)
+        assert all(leaf.startswith("perm:") for leaf in extended)
         assert rep.spec == spec
         degrees.clear()
+        extended.clear()
+
+
+def test_constructors_replay_nothing(monkeypatch):
+    # every constructor but permutation_rep builds a homomorphism by
+    # construction, so none replays or checks the BFS
+    degrees, extended = _record_replays(monkeypatch)
+    group = group_from_spec("p4m:4")
+    defining, sign = defining_rep(group), sign_rep(group)
+    for rep in (defining, sign, trivial_rep(group, 2), trivial_rep(group, 0),
+                direct_sum([defining, sign, trivial_rep(group, 2)]),
+                tensor_identity(direct_sum([sign, defining]), 3)):
+        rep.targets, rep.images
+    rotation = np.array([[0.5, -np.sqrt(0.75)], [np.sqrt(0.75), 0.5]])
+    dense = defining_rep(close([rotation]))
+    assert dense.targets is None
+    assert dense.images is dense.group.elements
+    assert (degrees, extended) == ([], [])
+
+
+def test_trivial_rep_of_degree_zero_is_the_composed_one(s3):
+    rep = trivial_rep(s3, 0)
+    assert (rep.degree, rep.spec, rep.images.shape) == (0, "trivial:0", (6, 0, 0))
+    summed = parse_rep_spec(s3, "sum(trivial:0;defining)")
+    assert direct_sum([rep, defining_rep(s3)]).images.tobytes() == summed.images.tobytes()
 
 
 BAD_A = "perm:1,0,2|1,0,2"  # both S_3 generators to one transposition
@@ -484,12 +562,13 @@ def test_nested_inconsistent_part_reports_its_own_pair(s3, nested):
     assert _error(s3, nested.replace("BAD", BAD_A)) == _error(s3, BAD_A)
 
 
-def test_two_inconsistent_parts_report_the_outermost_pair(s3):
-    # each part alone fails at generator 0, at elements 3 and 1; the sum's
-    # check names the first element with the largest residual over both
+def test_two_inconsistent_parts_report_the_first_parts_pair(s3):
+    # each part alone fails at generator 0, at elements 3 and 1; the parts
+    # are built and checked in spec order, so the first one's pair is named
     assert _error(s3, BAD_A) == (3, 0, 1.0)
     assert _error(s3, BAD_B) == (1, 0, 1.0)
-    assert _error(s3, f"sum({BAD_A};{BAD_B})") == (1, 0, 1.0)
+    assert _error(s3, f"sum({BAD_A};{BAD_B})") == (3, 0, 1.0)
+    assert _error(s3, f"sum({BAD_B};{BAD_A})") == (1, 0, 1.0)
 
 
 # --- oversized specs are refused before any image is built ------------------
@@ -504,8 +583,8 @@ def test_rep_spec_above_the_image_cap_builds_nothing(s3, monkeypatch, spec, degr
     # s3 has two generators: a cap of two 7 x 7 float64 images admits degree 7
     monkeypatch.setattr(reps, "MAX_IMAGE_STACK_BYTES", 2 * 7 * 7 * 8)
     assert parse_rep_spec(s3, "sum(tensor:2(defining);sign)").degree == 7
-    for builder in ("_trivial_images", "_sign_images", "_perm_images",
-                    "_sum_images", "_tensor_images"):
+    for builder in ("defining_rep", "sign_rep", "trivial_rep", "permutation_rep",
+                    "direct_sum", "tensor_identity", "_sum_images", "_tensor_images"):
         monkeypatch.setattr(reps, builder, lambda *args: pytest.fail("image built"))
     with pytest.raises(ValueError, match=rf"has degree {degree}: .* above the cap"):
         parse_rep_spec(s3, spec)
