@@ -67,17 +67,14 @@ class Representation:
     the (gen_count, n, n) stack. A signed permutation representation is
     given by ``arrays(rows)``, the (len(rows), n) ``targets`` and int8
     ``signs`` of the elements ``rows`` (an index array, or slice(None)
-    for all), with images[e] e_j = signs[e, j] e_{targets[e, j]}. It
-    keeps the generators' ``gen_arrays`` (``arrays`` at the generators
-    unless given) and, on first read, builds ``targets``/``signs`` and
-    scatters ``gen_images``/``images``. Any other keeps the dense
-    ``gen_images`` and ``images``, which may be a function of no
-    arguments that composes the stack on first read, and None for the
-    arrays.
+    for all), with images[e] e_j = signs[e, j] e_{targets[e, j]}. On
+    first read it builds the generators' ``gen_arrays`` (``arrays`` at
+    the generators), every element's ``targets``/``signs``, and scatters
+    ``gen_images``/``images``. Any other keeps the dense ``gen_images``
+    and ``images``, and None for the arrays.
     """
 
-    def __init__(self, group, degree, gen_images=None, images=None, spec=None, arrays=None,
-                 gen_arrays=None):
+    def __init__(self, group, degree, gen_images=None, images=None, spec=None, arrays=None):
         self.group = group
         self.degree = degree
         self._gen_images = gen_images
@@ -85,9 +82,13 @@ class Representation:
         self.spec = spec
         self._arrays = arrays
         self._every = None if arrays else (None, None)
-        if arrays and gen_arrays is None:
-            gen_arrays = arrays(group.cayley[0])
-        self.gen_arrays = gen_arrays
+        self._gen_arrays = None
+
+    @property
+    def gen_arrays(self):
+        if self._gen_arrays is None and self._arrays:
+            self._gen_arrays = self._arrays(self.group.cayley[0])
+        return self._gen_arrays
 
     @property
     def gen_images(self):
@@ -107,8 +108,6 @@ class Representation:
     def images(self):
         if self._images is None:
             self._images = signed_permutation_matrices(self.targets, self.signs)
-        elif callable(self._images):
-            self._images = self._images()
         return self._images
 
     def act(self, indices, vectors):
@@ -237,7 +236,7 @@ def _replay(group, identity, multiply, residuals, tol):
     return images
 
 
-# --- the constructors: only permutation_rep replays (through extend) ------
+# --- the constructors: only extend replays (permutation_rep; dense sign) --
 
 
 def _count(group, rows):
@@ -347,9 +346,9 @@ def permutation_rep(group, perms):
 
 def direct_sum(reps):
     """Block-diagonal sum of representations of the same group. Signed
-    permutation parts compose their index arrays; otherwise the dense
-    generator images are composed at once and every element's on first
-    read."""
+    permutation parts compose their index arrays, any other their dense
+    image stacks. The parts are trusted, not replayed: a hand-built
+    dense part is composed as given, and the sum stays dense."""
     if not reps:
         raise ValueError("direct_sum needs at least one representation")
     group = reps[0].group
@@ -360,28 +359,30 @@ def direct_sum(reps):
     if all(r.spec for r in reps):
         spec = "sum(" + ";".join(r.spec for r in reps) + ")"
     if any(r.gen_arrays is None for r in reps):
-        parts = list(reps)
-        return Representation(group, degree, _sum_images([r.gen_images for r in parts]),
-                              lambda: _sum_images([r.images for r in parts]), spec)
+        return Representation(group, degree, _sum_images([r.gen_images for r in reps]),
+                              _sum_images([r.images for r in reps]), spec)
     parts = [r._arrays for r in reps]
-    return Representation(group, degree, spec=spec,
-                          arrays=lambda rows: _sum_arrays([part(rows) for part in parts]),
-                          gen_arrays=_sum_arrays([r.gen_arrays for r in reps]))
+    rep = Representation(group, degree, spec=spec,
+                         arrays=lambda rows: _sum_arrays([part(rows) for part in parts]))
+    # from the parts' generator arrays: a nested spec evaluates each leaf there once
+    rep._gen_arrays = _sum_arrays([r.gen_arrays for r in reps])
+    return rep
 
 
 def tensor_identity(rep, d):
     """Kronecker lift rho(g) (x) I_d; size-d blocks move together. Composed
     as ``direct_sum`` composes: from the index arrays of a signed
-    permutation rep, else from the dense images."""
+    permutation rep, else from the dense images, taken as given."""
     if d < 1:
         raise ValueError("tensor factor must be >= 1")
     spec = f"tensor:{d}({rep.spec})" if rep.spec else None
     if rep.gen_arrays is None:
         return Representation(rep.group, rep.degree * d, _tensor_images(rep.gen_images, d),
-                              lambda: _tensor_images(rep.images, d), spec)
-    return Representation(rep.group, rep.degree * d, spec=spec,
-                          arrays=lambda rows: _tensor_arrays(*rep._arrays(rows), d),
-                          gen_arrays=_tensor_arrays(*rep.gen_arrays, d))
+                              _tensor_images(rep.images, d), spec)
+    lifted = Representation(rep.group, rep.degree * d, spec=spec,
+                            arrays=lambda rows: _tensor_arrays(*rep._arrays(rows), d))
+    lifted._gen_arrays = _tensor_arrays(*rep.gen_arrays, d)
+    return lifted
 
 
 def is_permutation_rep(rep, tol=1e-9):

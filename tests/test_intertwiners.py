@@ -10,8 +10,10 @@ from equikit.numerics import nullspace
 from equikit.reps import (
     Representation,
     defining_rep,
+    direct_sum,
     extend,
     parse_rep_spec,
+    sign_rep,
     tensor_identity,
     trivial_rep,
 )
@@ -270,6 +272,21 @@ def test_hand_built_dense_rep_solves_to_the_orbit_basis(kind, size, spec_in, spe
         basis = solve_basis(dense_in, rep_out)
     assert len(calls) == 1
     assert_same_array(basis.basis, solve_basis(rep_in, rep_out).basis)
+
+
+@pytest.mark.parametrize("kind,size,spec_in,spec_out", SIGNED_CASES[len(CASES):])
+def test_sum_of_a_hand_built_dense_rep_stays_dense(kind, size, spec_in, spec_out):
+    # direct_sum and tensor_identity take a hand-built part as given, with no
+    # replay: its dense images are composed, and the solve is the orbit one's
+    g = named_group(kind, size)
+    rep_in, rep_out = parse_rep_spec(g, spec_in), parse_rep_spec(g, spec_out)
+    dense_in = Representation(g, rep_in.degree, rep_in.gen_images.copy(), rep_in.images.copy())
+    for compose in (lambda r: direct_sum([r, sign_rep(g)]), lambda r: tensor_identity(r, 2)):
+        dense, signed = compose(dense_in), compose(rep_in)
+        assert dense.gen_arrays is None and signed.gen_arrays is not None
+        assert_same_array(dense.gen_images, signed.gen_images)
+        assert_same_array(dense.images, signed.images)
+        assert_same_array(solve_basis(dense, rep_out).basis, solve_basis(signed, rep_out).basis)
 
 
 def test_p4m32_signed_solve_reads_no_dense_stack():
