@@ -21,6 +21,7 @@ exact orbit path of ``solve_basis``, which uses no tolerance.
 import configparser
 from dataclasses import dataclass
 
+from .activations import parse_activation
 from .numerics import check_tol
 
 
@@ -54,6 +55,10 @@ def parse_config(path):
         raise ConfigError("model.group is required")
     group_spec = model.pop("group")
     activation = model.pop("activation", "relu")
+    try:
+        parse_activation(activation)
+    except ValueError as exc:
+        raise ConfigError(f"model.activation: {exc}") from None
     try:
         seed = int(model.pop("seed", "0"))
     except ValueError:

@@ -8,18 +8,18 @@ word that reproduces an element (``words``) is read off them on demand.
 The BFS looks up each level's products in one pass over their keys and
 runs Python code only for the products it has not seen.
 
-Generators (and ``reps``' generator images) pass one validator,
+A named group closes from its generators' index maps. Generators given
+as matrices (and ``reps``' generator images) pass one validator,
 ``_generator_stack``, which calls ``det`` only when they are not all
 signed permutation matrices (entries -1, 0 or 1, one nonzero per row and
-column, as ``numerics.signed_permutations`` detects): those are
-invertible by construction. For such generators the closure runs on
-integer signed codes (see ``numerics.sign_flips``) and deduplicates on
-their exact bytes. The group then stores each element as an integer
-(targets, signs) pair of index arrays, and ``elements`` is a dense view
-scattered on first read. Only other generator sets close on dense
-matrices deduplicated by the rounding key ``_key``, and store them. On
-signed permutations both give the same elements, words, cayley table
-and parent links, bit for bit.
+column, as ``numerics.signed_permutations`` detects). Signed permutation
+generators close on integer signed codes (``numerics.sign_flips``),
+deduplicated on their exact bytes; the group stores each element as
+(targets, signs) index arrays and scatters ``elements`` (and a named
+group's ``generators``) on first read. Other generator sets close on
+dense matrices deduplicated by the rounding key ``_key``. On signed
+permutations both give the same elements, words, cayley table and parent
+links, bit for bit.
 """
 
 from itertools import repeat
@@ -64,7 +64,8 @@ class FiniteGroup:
         elements: (order, dim, dim) array, elements[0] = identity. For
             a signed permutation group it is scattered from ``targets``
             and ``signs`` on first read and then kept.
-        generators: (gen_count, dim, dim) array of the input generators.
+        generators: (gen_count, dim, dim) array of the generators; a
+            named group's is scattered on first read and then kept.
         words: per element, the generator-index word replaying it from
             the identity (left-to-right products), derived from
             ``parents`` on first read. BFS gives the shortest word,
@@ -83,7 +84,7 @@ class FiniteGroup:
                  spec=None, targets=None, signs=None):
         self.dim = dim
         self._elements = elements
-        self.generators = generators
+        self._generators = generators
         self._words = None
         self.cayley = cayley
         self.parents = parents
@@ -96,6 +97,13 @@ class FiniteGroup:
         if self._elements is None:
             self._elements = signed_permutation_matrices(self.targets, self.signs)
         return self._elements
+
+    @property
+    def generators(self):
+        if self._generators is None:
+            rows = self.cayley[0]
+            self._generators = signed_permutation_matrices(self.targets[rows], self.signs[rows])
+        return self._generators
 
     @property
     def words(self):
@@ -113,7 +121,7 @@ class FiniteGroup:
 
     @property
     def gen_count(self):
-        return self.generators.shape[0]
+        return self.cayley.shape[1]
 
     def index_of(self, m):
         """Index of a matrix in the group, or ValueError if absent.
@@ -180,7 +188,7 @@ def close(generators, max_order=DEFAULT_MAX_ORDER, spec=None):
     gens, perm = _generator_stack(generators, "generator")
     if perm is None:
         return _close_dense(gens, max_order, spec)
-    return _close_signed(gens, *perm, max_order, spec)
+    return _close_signed(*perm, max_order, spec, gens)
 
 
 def _generator_stack(matrices, name):
@@ -195,10 +203,7 @@ def _generator_stack(matrices, name):
     for i, m in enumerate(mats):
         if m.shape != (n, n):
             raise ValueError(f"{name} {i} has shape {m.shape}, expected ({n}, {n})")
-    if isinstance(matrices, np.ndarray):  # a float64 stack, as named_group's, is not copied
-        stack = np.ascontiguousarray(matrices, np.float64)
-    else:
-        stack = np.stack(mats)
+    stack = np.stack(mats)
     perm = signed_permutations(stack)
     if perm is None:
         for i, m in enumerate(mats):
@@ -219,8 +224,10 @@ def _close_dense(gens, max_order=DEFAULT_MAX_ORDER, spec=None):
     return FiniteGroup(dim, elements, np.stack(gens), cayley, parents, spec)
 
 
-def _close_signed(gens, targets, signs, max_order, spec):
-    """``_close_dense`` for signed permutation generators, on signed codes.
+def _close_signed(targets, signs, max_order, spec, generators=None):
+    """``_close_dense`` on signed codes, for the generators with (count,
+    dim) ``targets`` and ``signs``; the group keeps ``generators``, the
+    caller's validated stack, if given, else scatters them on first read.
 
     The products of a frontier of codes with every generator are one
     gather and one xor (``numerics.sign_flips``), and two elements are
@@ -229,16 +236,14 @@ def _close_signed(gens, targets, signs, max_order, spec):
     into zeros, are bitwise the dense products (a matmul sum of +-0.0
     terms starts from +0.0, so every zero it leaves is +0.0).
     """
-    dim = gens[0].shape[0]
-    # the narrowest type for codes -dim..dim-1, as short keys hash fast
-    code_type = np.min_scalar_type(-dim)
-    flips = sign_flips(signs).astype(code_type)
+    dim = targets.shape[1]
+    flips = sign_flips(signs)  # in the narrowest code type, as short keys hash fast
     codes, cayley, parents = _bfs(
-        np.arange(dim, dtype=code_type), len(gens),
+        np.arange(dim, dtype=flips.dtype), len(targets),
         lambda front: (front[:, targets] ^ flips).reshape(-1, dim),
         _row_bytes, max_order)
-    return FiniteGroup(dim, None, gens, cayley, parents, spec,
-                       *split_signed_codes(codes.astype(np.int64)))
+    return FiniteGroup(dim, None, generators, cayley, parents, spec,
+                       *split_signed_codes(codes))
 
 
 def _row_bytes(rows):
@@ -319,8 +324,7 @@ def named_group(kind, size, max_order=DEFAULT_MAX_ORDER):
     (translations; plus quarter-turn rotations; plus reflections).
     A size whose group provably has more than ``max_order`` elements
     raises ClosureError, and one whose dense generator stack would exceed
-    ``MAX_IMAGE_STACK_BYTES`` raises ValueError, before any generator
-    matrix is built.
+    ``MAX_IMAGE_STACK_BYTES`` raises ValueError, before anything is built.
     """
     if size < 1:
         raise ValueError(f"group size parameter must be >= 1, got {size}")
@@ -339,7 +343,8 @@ def named_group(kind, size, max_order=DEFAULT_MAX_ORDER):
     else:
         perms = _grid_permutations(size, kind)
     _check_stack_fits(f"group {spec}", len(perms), len(perms[0]), MAX_IMAGE_STACK_BYTES)
-    return close(permutation_matrix(perms), max_order=max_order, spec=spec)
+    targets = np.array(perms, dtype=np.int64)
+    return _close_signed(targets, np.ones(targets.shape, np.int8), max_order, spec)
 
 
 def _check_stack_fits(what, count, degree, cap):

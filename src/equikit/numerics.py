@@ -61,17 +61,19 @@ def sign_flips(signs):
     codes ``codes[targets] ^ sign_flips(signs)``, since e @ g maps e_j to
     signs[j] e(e_{targets[j]}) and ~x = x ^ -1. Equal elements have equal
     codes, and two codes name the same target exactly when they are equal
-    or bitwise complements.
+    or bitwise complements. The masks have the narrowest integer type
+    that holds the codes -n..n-1 of degree n = signs.shape[-1], and codes
+    are kept in that type.
     """
-    return np.where(signs < 0, -1, 0).astype(np.int64)
+    return np.where(signs < 0, -1, 0).astype(np.min_scalar_type(-max(signs.shape[-1], 1)))
 
 
 def split_signed_codes(codes):
-    """(targets, int8 signs) of an array of signed codes (``sign_flips``);
-    the targets overwrite ``codes``."""
-    negative = codes < 0
-    signs = np.where(negative, np.int8(-1), np.int8(1))
-    return np.invert(codes, out=codes, where=negative), signs
+    """(int64 targets, int8 signs) of an array of signed codes
+    (``sign_flips``), which it overwrites."""
+    signs = np.where(codes < 0, np.int8(-1), np.int8(1))
+    np.invert(codes, out=codes, where=codes < 0)
+    return codes.astype(np.int64), signs
 
 
 def check_tol(tol, strict=True):

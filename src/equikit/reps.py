@@ -1,26 +1,24 @@
-"""Representations of a finite matrix group, defined by generator images.
+"""Representations of a finite matrix group, stored as their generators' data.
+
+A representation is fixed by its generators' images: a dense
+(gen_count, n, n) stack, or the integer (targets, signs) index arrays of
+a signed permutation rep, the one source every consumer reads. Every
+element's data is walked from them down the group's BFS tree on first
+read (``_walk``) and kept, unless the caller already holds it:
+``extend``'s replay, ``defining_rep``'s group, ``trivial_rep``'s
+constants. Index arrays walk as signed codes (``numerics.sign_flips``)
+of the narrowest integer type, then split; dense images walk by stacked
+matmuls, and a signed rep's are scattered from its arrays.
 
 Only images the user supplies (``extend``, hence ``permutation_rep`` and
-a spec's ``perm:`` leaves) are replayed: one walk of the group's BFS
-tree, a level at a time (``_replay``), then a check of the homomorphism
-property (images consistent with the cayley table), which is exactly the
-well-definedness check for the generator images. The images pass the
-group's validator, which calls ``det`` only when they are not all
-signed permutations. When it finds every image exactly a signed
-permutation matrix (``numerics.signed_permutations``), the replay and
-the check run on integer signed codes (``numerics.sign_flips``), and the
-representation stores integer (targets, signs) index arrays, the one
-source every consumer reads (see ``Representation``); the dense images
-are views scattered from them on first read, bitwise the dense path's.
-
-Every other representation is a homomorphism by construction and is
-built without a replay, in its parts' storage: ``defining_rep`` is the
-group itself, ``trivial_rep`` constant arrays, ``sign_rep`` the
-determinants, and ``direct_sum`` and ``tensor_identity`` compose their
-parts' index arrays (the generators' rows touch nothing group-sized) or,
-with a dense part, their image stacks, since a block-diagonal sum or a
-Kronecker lift of homomorphisms is one. ``parse_rep_spec`` builds a spec
-through these constructors.
+``perm:`` spec leaves) are replayed: the walk, then a check against the
+cayley table, which is exactly the well-definedness check for the
+generator images. Their validator calls ``det`` only when they are not
+all signed permutations (``numerics.signed_permutations``), which replay
+and check on codes. Every other constructor builds a homomorphism
+(``sign_rep`` from the generators' determinants, ``direct_sum`` and
+``tensor_identity`` from their parts' generator data), so its walk is
+bitwise the replay. ``parse_rep_spec`` builds through the constructors.
 """
 
 import numpy as np
@@ -59,36 +57,24 @@ class InconsistentImagesError(ValueError):
 
 
 class Representation:
-    """Group representation with per-element images.
-
-    ``images[e] @ gen_images[g]`` matches ``images[cayley[e, g]]`` for
-    every element and generator (verified by ``extend``, or true by
-    construction), and ``images[0]`` is the identity. ``gen_images`` is
-    the (gen_count, n, n) stack. A signed permutation representation is
-    given by ``arrays(rows)``, the (len(rows), n) ``targets`` and int8
-    ``signs`` of the elements ``rows`` (an index array, or slice(None)
-    for all), with images[e] e_j = signs[e, j] e_{targets[e, j]}. On
-    first read it builds the generators' ``gen_arrays`` (``arrays`` at
-    the generators), every element's ``targets``/``signs``, and scatters
-    ``gen_images``/``images``. Any other keeps the dense ``gen_images``
-    and ``images``, and None for the arrays.
+    """Group representation, stored as its generators' data (see the
+    module docstring): the dense ``gen_images`` (``gen_arrays`` None), or
+    a signed permutation rep's ``gen_arrays``, the generators' (targets,
+    int8 signs) with gen_images[g] e_j = signs[g, j] e_{targets[g, j]}.
+    Every element's ``images``, or (order, n) ``targets`` and ``signs``
+    (``arrays`` when passed), is walked from them on first read unless
+    passed; ``images[e] @ gen_images[g]`` matches ``images[cayley[e, g]]``.
     """
 
-    def __init__(self, group, degree, gen_images=None, images=None, spec=None, arrays=None):
+    def __init__(self, group, degree, gen_images=None, images=None, spec=None,
+                 gen_arrays=None, arrays=None):
         self.group = group
         self.degree = degree
         self._gen_images = gen_images
         self._images = images
         self.spec = spec
+        self.gen_arrays = gen_arrays
         self._arrays = arrays
-        self._every = None if arrays else (None, None)
-        self._gen_arrays = None
-
-    @property
-    def gen_arrays(self):
-        if self._gen_arrays is None and self._arrays:
-            self._gen_arrays = self._arrays(self.group.cayley[0])
-        return self._gen_arrays
 
     @property
     def gen_images(self):
@@ -96,18 +82,20 @@ class Representation:
             self._gen_images = signed_permutation_matrices(*self.gen_arrays)
         return self._gen_images
 
-    def _index_arrays(self):
-        if self._every is None:
-            self._every = self._arrays(slice(None))
-        return self._every
+    def _element_arrays(self):
+        if self._arrays is None:
+            self._arrays = (None, None) if self.gen_arrays is None else (
+                split_signed_codes(_walk_codes(self.group, *self.gen_arrays)))
+        return self._arrays
 
-    targets = property(lambda self: self._index_arrays()[0])
-    signs = property(lambda self: self._index_arrays()[1])
+    targets = property(lambda self: self._element_arrays()[0])
+    signs = property(lambda self: self._element_arrays()[1])
 
     @property
     def images(self):
         if self._images is None:
-            self._images = signed_permutation_matrices(self.targets, self.signs)
+            self._images = (_walk_dense(self.group, self.gen_images) if self.gen_arrays is None
+                            else signed_permutation_matrices(self.targets, self.signs))
         return self._images
 
     def act(self, indices, vectors):
@@ -146,8 +134,9 @@ def extend(group, gen_images, spec=None, tol=CONSISTENCY_TOL):
         images = _extend_dense(group, gen_images, tol)
         return Representation(group, degree, gen_images, images, spec)
     targets, signs = _extend_signed(group, *perm, tol)
-    return Representation(group, degree, spec=spec,
-                          arrays=lambda rows: (targets[rows], signs[rows]))
+    rows = group.cayley[0]
+    return Representation(group, degree, spec=spec, gen_arrays=(targets[rows], signs[rows]),
+                          arrays=(targets, signs))
 
 
 def _image_stack(group, gen_images):
@@ -160,32 +149,23 @@ def _image_stack(group, gen_images):
 
 
 def _extend_dense(group, gen_images, tol):
-    """Images by matmul replay of the parent links, checked against the
-    cayley table: the path of every image set that is not all signed
-    permutations, and the test oracle for the other. A level's products
-    are one stacked ``np.matmul``, bitwise the per-element ``@``."""
+    """Images by the matmul walk, checked against the cayley table: the
+    path of every image set that is not all signed permutations, and the
+    test oracle for the other."""
     def residuals(images, gi):
         dev = images @ gen_images[gi]
         dev -= images[group.cayley[:, gi]]
         np.abs(dev, out=dev)
         return dev.max(axis=(1, 2))
 
-    return _replay(group, np.eye(gen_images.shape[1]),
-                   lambda front, gi: np.matmul(front, gen_images[gi]), residuals, tol)
+    return _replay(group, _walk_dense(group, gen_images), residuals, tol)
 
 
 def _extend_signed(group, targets, signs, tol):
-    """``_extend_dense`` for signed permutation images, on signed codes;
-    returns the (targets, signs) index arrays of every image.
-
-    A level's products are one gather and one xor. The residual of a
-    column is what the dense ``|lhs - rhs|`` gives: 1 where the targets
-    differ, 2 where only the sign does, else 0. So ``tol`` and the error
-    are the dense path's, and the images, scattered into zeros, are
-    bitwise the dense products (whose zeros are all +0.0). The codes are
-    compared first, and the float residuals are built only when some
-    differ.
-    """
+    """``_extend_dense`` on signed codes; returns every image's (targets,
+    signs). A column's residual is the dense ``|lhs - rhs|``: 1 where the
+    targets differ, 2 where only the sign does, else 0, so ``tol`` and the
+    error are the dense path's. Floats are built only when codes differ."""
     flips = sign_flips(signs)
 
     def residuals(codes, gi):
@@ -196,52 +176,61 @@ def _extend_signed(group, targets, signs, tol):
             return np.zeros(group.order)
         return np.where(lhs == rhs, 0.0, np.where(lhs == ~rhs, 2.0, 1.0)).max(axis=1)
 
-    codes = _replay(
-        group, np.arange(targets.shape[1], dtype=flips.dtype),
-        lambda front, gi: np.take_along_axis(front, targets[gi], axis=1) ^ flips[gi],
-        residuals, tol)
-    return split_signed_codes(codes)
+    return split_signed_codes(_replay(group, _walk_codes(group, targets, signs), residuals, tol))
 
 
 def _walk(group, identity, multiply):
-    """Every element's image, by replaying the BFS tree from ``identity``.
-
-    A level is the run of elements whose parents precede the level's
-    start (``parents`` is non-decreasing in BFS order), and
-    ``multiply(front, gi)`` stacks front[k] times generator gi[k].
-    """
-    images = np.empty((group.order,) + identity.shape, dtype=identity.dtype)
-    images[0] = identity
-    parent_of = group.parents[:, 0]
+    """Every element's data, walked from ``identity`` down the BFS tree a
+    level (the elements whose parents precede it) at a time; ``multiply``
+    fills ``out`` with data[parents[k]] times generator gens[k]."""
+    data = np.empty((group.order,) + identity.shape, dtype=identity.dtype)
+    data[0] = identity
+    parent_of, gen_of = group.parents[:, 0], group.parents[:, 1]
     lo = 1
     while lo < group.order:
         hi = int(np.searchsorted(parent_of, lo))
-        images[lo:hi] = multiply(images[parent_of[lo:hi]], group.parents[lo:hi, 1])
+        multiply(data, parent_of[lo:hi], gen_of[lo:hi], data[lo:hi])
         lo = hi
-    return images
+    return data
 
 
-def _replay(group, identity, multiply, residuals, tol):
-    """``_walk`` the BFS tree from ``identity``, then check the cayley
-    table: ``residuals(images, gi)`` gives each element's residual
-    against generator ``gi``, and the first generator with one above
-    ``tol`` raises InconsistentImagesError.
-    """
-    images = _walk(group, identity, multiply)
+def _walk_dense(group, gen_images):
+    """``_walk`` of dense images, a level's products in one stacked
+    ``np.matmul``, bitwise the per-element ``@``."""
+    return _walk(group, np.eye(gen_images.shape[1]), lambda images, parents, gens, out:
+                 np.matmul(images[parents], gen_images[gens], out=out))
+
+
+def _walk_codes(group, targets, signs):
+    """``_walk`` of every element's signed codes from the generators'
+    (targets, signs): per level and generator, one gather of the
+    parents' codes at the generator's targets, and one xor."""
+    flips = sign_flips(signs)
+
+    def multiply(codes, parents, gens, out):
+        for gi in range(len(targets)):
+            at = gens == gi
+            product = codes[parents[at]].take(targets[gi], axis=1)
+            product ^= flips[gi]
+            out[at] = product
+
+    return _walk(group, np.arange(targets.shape[1], dtype=flips.dtype), multiply)
+
+
+def _replay(group, walked, residuals, tol):
+    """Check the ``walked`` data against the cayley table and return it:
+    ``residuals(walked, gi)`` gives each element's residual against
+    generator ``gi``, and the first one above ``tol`` raises
+    InconsistentImagesError."""
     for gi in range(group.gen_count):
-        dev = residuals(images, gi)
+        dev = residuals(walked, gi)
         worst = int(np.argmax(dev))
         if dev[worst] > tol:
             raise InconsistentImagesError(worst, gi, float(dev[worst]))
-    return images
+    return walked
 
 
-# --- the constructors: only extend replays (permutation_rep; dense sign) --
-
-
-def _count(group, rows):
-    """How many elements ``rows`` (an index array, or slice(None)) names."""
-    return group.order if isinstance(rows, slice) else len(rows)
+# --- the constructors build generator data; only extend replays -----------
 
 
 def _perm_spec(perms):
@@ -292,14 +281,11 @@ def _tensor_arrays(targets, signs, d):
     return lifted, np.repeat(signs, d, axis=1)
 
 
-def _determinants(group, rows):
-    """The determinants (int8) of the elements ``rows`` of a signed
-    permutation group. At an index array each is the parity of the
-    element's targets times the product of its signs; at slice(None)
-    the generators' are accumulated along the BFS tree."""
-    if isinstance(rows, slice):
-        gen_dets = _determinants(group, group.cayley[0])
-        return _walk(group, np.ones((), dtype=np.int8), lambda front, gi: front * gen_dets[gi])
+def _determinants(group):
+    """The generators' determinants (int8) on a signed permutation
+    group: each is the parity of its targets times the product of its
+    signs."""
+    rows = group.cayley[0]
     signs = group.signs[rows]
     k, n = signs.shape
     targets = (group.targets[rows] + np.arange(0, k * n, n)[:, None]).ravel()
@@ -313,29 +299,35 @@ def _determinants(group, rows):
 
 
 def defining_rep(group):
-    """The group acting by its own matrices (or index arrays)."""
+    """The group acting by its own matrices (or index arrays), which it
+    passes as every element's data."""
     if group.targets is None:
         return Representation(group, group.dim, group.generators, group.elements, "defining")
+    rows = group.cayley[0]
     return Representation(group, group.dim, spec="defining",
-                          arrays=lambda rows: (group.targets[rows], group.signs[rows]))
+                          gen_arrays=(group.targets[rows], group.signs[rows]),
+                          arrays=(group.targets, group.signs))
 
 
 def trivial_rep(group, degree=1):
-    """Every element acts as the identity on R^degree (degree may be 0)."""
-    return Representation(group, degree, spec=f"trivial:{degree}", arrays=lambda rows: (
-        np.tile(np.arange(degree, dtype=np.int64), (_count(group, rows), 1)),
-        np.ones((_count(group, rows), degree), dtype=np.int8)))
+    """Every element acts as the identity on R^degree (degree may be 0).
+    Its index arrays are constant broadcast views, which take no memory."""
+    identity = np.arange(degree, dtype=np.int64), np.ones(degree, dtype=np.int8)
+    gen_arrays, arrays = [tuple(np.broadcast_to(a, (count, degree)) for a in identity)
+                          for count in (group.gen_count, group.order)]
+    return Representation(group, degree, spec=f"trivial:{degree}",
+                          gen_arrays=gen_arrays, arrays=arrays)
 
 
 def sign_rep(group):
     """Degree-1 representation by element determinants: on a signed
-    permutation group read off the index arrays (``_determinants``),
-    on any other extended from the generators'."""
+    permutation group walked from the generators' (``_determinants``),
+    on any other extended from the generators' LAPACK determinants."""
     if group.targets is None:
         return extend(group, [np.array([[np.linalg.det(g)]]) for g in group.generators],
                       spec="sign")
-    return Representation(group, 1, spec="sign", arrays=lambda rows: (
-        np.zeros((_count(group, rows), 1), dtype=np.int64), _determinants(group, rows)[:, None]))
+    return Representation(group, 1, spec="sign", gen_arrays=(
+        np.zeros((group.gen_count, 1), dtype=np.int64), _determinants(group)[:, None]))
 
 
 def permutation_rep(group, perms):
@@ -345,10 +337,9 @@ def permutation_rep(group, perms):
 
 
 def direct_sum(reps):
-    """Block-diagonal sum of representations of the same group. Signed
-    permutation parts compose their index arrays, any other their dense
-    image stacks. The parts are trusted, not replayed: a hand-built
-    dense part is composed as given, and the sum stays dense."""
+    """Block-diagonal sum of representations of the same group, from
+    the parts' generator index arrays, or, if one part is dense, their
+    generator images; a hand-built dense part's ``images`` go unread."""
     if not reps:
         raise ValueError("direct_sum needs at least one representation")
     group = reps[0].group
@@ -359,42 +350,33 @@ def direct_sum(reps):
     if all(r.spec for r in reps):
         spec = "sum(" + ";".join(r.spec for r in reps) + ")"
     if any(r.gen_arrays is None for r in reps):
-        return Representation(group, degree, _sum_images([r.gen_images for r in reps]),
-                              _sum_images([r.images for r in reps]), spec)
-    parts = [r._arrays for r in reps]
-    rep = Representation(group, degree, spec=spec,
-                         arrays=lambda rows: _sum_arrays([part(rows) for part in parts]))
-    # from the parts' generator arrays: a nested spec evaluates each leaf there once
-    rep._gen_arrays = _sum_arrays([r.gen_arrays for r in reps])
-    return rep
+        return Representation(group, degree, _sum_images([r.gen_images for r in reps]), spec=spec)
+    return Representation(group, degree, spec=spec,
+                          gen_arrays=_sum_arrays([r.gen_arrays for r in reps]))
 
 
 def tensor_identity(rep, d):
-    """Kronecker lift rho(g) (x) I_d; size-d blocks move together. Composed
-    as ``direct_sum`` composes: from the index arrays of a signed
-    permutation rep, else from the dense images, taken as given."""
+    """Kronecker lift rho(g) (x) I_d; size-d blocks move together. Built
+    from the generator data, as ``direct_sum`` is."""
     if d < 1:
         raise ValueError("tensor factor must be >= 1")
     spec = f"tensor:{d}({rep.spec})" if rep.spec else None
     if rep.gen_arrays is None:
         return Representation(rep.group, rep.degree * d, _tensor_images(rep.gen_images, d),
-                              _tensor_images(rep.images, d), spec)
-    lifted = Representation(rep.group, rep.degree * d, spec=spec,
-                            arrays=lambda rows: _tensor_arrays(*rep._arrays(rows), d))
-    lifted._gen_arrays = _tensor_arrays(*rep.gen_arrays, d)
-    return lifted
+                              spec=spec)
+    return Representation(rep.group, rep.degree * d, spec=spec,
+                          gen_arrays=_tensor_arrays(*rep.gen_arrays, d))
 
 
 def is_permutation_rep(rep, tol=1e-9):
     """True iff every element image is a permutation matrix.
 
-    Only the generators are tested: ``extend`` builds every image as a
-    product of generator images (and checks it against the cayley
-    table), and products of permutation matrices are permutation
-    matrices. A signed permutation rep is one iff every generator sign
-    is +1, read off ``gen_arrays``; a dense rep's generator images are
-    tested entrywise within ``tol``, which must be finite and
-    non-negative.
+    Only the generators are tested: every image is a product of
+    generator images (see the module docstring), and products of
+    permutation matrices are permutation matrices. A signed permutation
+    rep is one iff every generator sign is +1, read off ``gen_arrays``;
+    a dense rep's generator images are tested entrywise within ``tol``,
+    which must be finite and non-negative.
     """
     check_tol(tol, strict=False)
     if rep.gen_arrays is not None:
@@ -438,7 +420,7 @@ def parse_rep_spec(group, text):
 def parse_rep_chain(group, specs):
     """``parse_rep_spec`` of each spec string in turn, parsing each
     distinct string once: equal specs in a chain share one
-    Representation, whose index arrays are then composed once."""
+    Representation, whose element data is then walked once."""
     parsed = {}
     chain = []
     for spec in specs:

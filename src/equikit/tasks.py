@@ -90,18 +90,23 @@ def write_image(img, fh):
 
 
 def read_image(fh):
+    """Read an 'N 3' header, N a positive integer, then N*N pixel lines
+    of three values each. The pixels are read before the array is built,
+    so a header naming more pixels than the file holds fails early."""
     header = fh.readline().split()
-    if len(header) != 2 or header[1] != "3":
-        raise ValueError("image header must be 'N 3'")
-    n = int(header[0])
-    values = np.zeros((n, n, 3))
+    valid = len(header) == 2 and header[1] == "3" and header[0].isdecimal()
+    n = int(header[0]) if valid else 0
+    if n < 1:
+        raise ValueError(f"image header must be 'N 3' with N a positive integer, "
+                         f"got {' '.join(header)!r}")
+    pixels = []
     for r in range(n):
         for c in range(n):
             parts = fh.readline().split()
             if len(parts) != 3:
                 raise ValueError(f"pixel ({r}, {c}): expected three values")
-            values[r, c] = [float(v) for v in parts]
-    return GridImage(n, values)
+            pixels.append([float(v) for v in parts])
+    return GridImage(n, np.array(pixels).reshape(n, n, 3))
 
 
 def slater_det(feature_matrix):

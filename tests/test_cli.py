@@ -126,6 +126,11 @@ def test_demo_decolor_flip_image_files(tmp_path, capsys):
     code, _, err = run(capsys, "demo", "--example", "antisymmetry",
                        "--image", str(src))
     assert code == 2
+    # a header naming 10^16 pixels is refused before any array is built
+    src.write_text("100000000 3\n")
+    code, _, err = run(capsys, "demo", "--example", "decolor-flip", "--image", str(src))
+    assert code == 2
+    assert "pixel (0, 0): expected three values" in err
 
 
 def test_basis_reports_dimensions(tmp_path, capsys):
@@ -393,6 +398,19 @@ def test_basis_bad_config_tol_exits_2(tmp_path, capsys, tol):
     assert code == 2
     assert "intertwiner dim" not in out
     assert "tol must be finite and positive" in err
+
+
+@pytest.mark.parametrize("activation", ["bogus", "threshold:nan", "relu:1", "threshold"])
+def test_basis_bad_config_activation_exits_2(tmp_path, capsys, activation):
+    cfg = tmp_path / "bad_activation.cfg"
+    cfg.write_text(
+        f"[model]\ngroup = symmetric:4\nactivation = {activation}\n\n"
+        "[reps]\n0 = defining\n1 = defining\n"
+    )
+    code, out, err = run(capsys, "basis", "--config", str(cfg))
+    assert code == 2
+    assert "intertwiner dim" not in out
+    assert "model.activation: " in err
 
 
 def test_check_unreadable_model_exits_2(tmp_path, capsys):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from equikit import groups, reps
+from equikit import groups, numerics, reps
 from equikit.groups import (
     ClosureError,
     close,
@@ -235,15 +235,14 @@ def _must_not_build(*args, **kwargs):
 
 # a dense (gen_count, n, n) float64 generator stack above 256 MiB is refused:
 # cyclic n > 5792, torus N > 64, p4 N > 57 (p4m is held to N <= 50 by the
-# order cap); permutation_matrix and close are patched, so no matrix is built
+# order cap); the closure that named groups call is patched, so nothing is built
 @pytest.mark.parametrize("kind,size,refused", [
     ("cyclic", 5792, False), ("cyclic", 5793, True),
     ("torus", 64, False), ("torus", 65, True),
     ("p4", 57, False), ("p4", 58, True),
 ])
 def test_named_group_refuses_an_oversized_generator_stack(kind, size, refused, monkeypatch):
-    for name in ("permutation_matrix", "close"):
-        monkeypatch.setattr(groups, name, _must_not_build)
+    monkeypatch.setattr(groups, "_close_signed", _must_not_build)
     if refused:
         with pytest.raises(ValueError, match=rf"group {kind}:{size} has degree \d+: .* "
                                              r"above the cap MAX_IMAGE_STACK_BYTES"):
@@ -371,23 +370,44 @@ def test_permutation_matrix_stacks_rows():
         permutation_matrix([[1, 2, 0], [0, 0, 1]])
 
 
-def test_named_group_closes_one_generator_stack(monkeypatch):
-    stacks = []
-    real_close = groups.close
-    monkeypatch.setattr(groups, "close", lambda gens, **kw: stacks.append(gens) or real_close(gens, **kw))
+def _no_dense_stack(*args):
+    raise AssertionError("a named group built a dense generator stack")
+
+
+def test_named_group_closes_from_its_index_maps(monkeypatch):
+    # no dense stack is built or read back; generators is scattered on
+    # first read, bitwise the permutation matrices of the index maps
+    want = permutation_matrix(groups._grid_permutations(3, "p4m"))
+    monkeypatch.setattr(groups, "permutation_matrix", _no_dense_stack)
+    monkeypatch.setattr(groups, "signed_permutations", _no_dense_stack)
+    monkeypatch.setattr(numerics, "signed_permutations", _no_dense_stack)
     group = named_group("p4m", 3)
-    assert len(stacks) == 1 and stacks[0].shape == (4, 9, 9)
-    assert group.generators is stacks[0]
+    assert group.gen_count == 4
+    assert group.generators.tobytes() == want.tobytes()
+    assert group.generators is group.generators
 
 
-def test_cyclic_2000_closure_peak():
-    # a 30.5 MiB generator: one generator stack, int16 codes during the
-    # BFS and an in-place split keep the peak under four generator sizes
+def _closure_peak_mib(spec):
     tracemalloc.start()
     try:
-        group = group_from_spec("cyclic:2000")
+        group = group_from_spec(spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return group, peak / 2 ** 20
+
+
+def test_cyclic_2000_closure_peak():
+    # a 30.5 MiB dense generator is never built: int16 codes during the
+    # BFS, split in place before the 30.5 MiB int64 targets are widened
+    group, peak = _closure_peak_mib("cyclic:2000")
     assert group.order == 2000
-    assert peak / 2 ** 20 < 120
+    assert peak < 60
+
+
+def test_p4m_32_closure_peak():
+    # 8192 elements of degree 1024: 16 MiB of int16 codes, 64 MiB of
+    # int64 targets and 8 MiB of signs, and no 32 MiB dense generator stack
+    group, peak = _closure_peak_mib("p4m:32")
+    assert group.order == 8192
+    assert peak < 110

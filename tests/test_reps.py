@@ -11,6 +11,7 @@ from equikit.numerics import signed_permutations
 from equikit.reps import (
     CONSISTENCY_TOL,
     InconsistentImagesError,
+    Representation,
     defining_rep,
     direct_sum,
     extend,
@@ -63,14 +64,16 @@ def negated_signed_group():
     lambda: group_from_spec("p4m:5"), negated_signed_group,
 ])
 def test_signed_generator_determinants_are_lapack_det(build):
-    # _determinants reads parity times signs off a signed permutation group
+    # _determinants reads parity times signs off the generators' rows, and
+    # sign_rep walks them to every element's determinant
     group = build()
     assert group.targets is not None
     det = np.array([np.linalg.det(m) for m in group.generators])
-    assert reps._determinants(group, group.cayley[0]).astype(np.float64).tobytes() == det.tobytes()
-    every = reps._determinants(group, slice(None))
-    assert every.dtype == np.int8
-    assert np.array_equal(every, reps._determinants(group, np.arange(group.order)))
+    assert reps._determinants(group).astype(np.float64).tobytes() == det.tobytes()
+    every = sign_rep(group).signs
+    assert every.dtype == np.int8 and every.shape == (group.order, 1)
+    det = np.array([np.linalg.det(m) for m in group.elements])
+    assert every[:, 0].astype(np.float64).tobytes() == det.tobytes()
 
 
 def test_sign_images_on_transposition_generators():
@@ -491,14 +494,29 @@ def test_dense_composition_is_bitwise_the_extension(n, flip, spec):
         assert rep.images.tobytes() == want.images.tobytes()
 
 
+@pytest.mark.parametrize("build", [lambda: rotation_group(5, True),
+                                   lambda: named_group("symmetric", 3)])
+def test_sum_of_a_hand_built_dense_part_walks_its_generators(build):
+    # a sum or lift keeps only its parts' generator images and walks its
+    # own element images, so a hand-built part's corrupted images are
+    # never read; on a signed group the sum of a dense part stays dense
+    group = build()
+    rep = defining_rep(group)
+    corrupted = Representation(group, rep.degree, rep.gen_images.copy(), rep.images.copy())
+    corrupted.images[2] += 0.37
+    for built in (direct_sum([corrupted, sign_rep(group)]), tensor_identity(corrupted, 2)):
+        assert built.gen_arrays is None
+        assert built.images.tobytes() == extend(group, built.gen_images).images.tobytes()
+
+
 # --- nested specs replay only their perm: leaves, once --------------------
 
 def _record_replays(monkeypatch):
     """The degrees of the ``_replay`` calls, and the specs ``extend`` gets."""
     degrees, extended = [], []
     real_replay, real_extend = reps._replay, reps.extend
-    monkeypatch.setattr(reps, "_replay", lambda group, identity, *args:
-                        degrees.append(identity.shape[0]) or real_replay(group, identity, *args))
+    monkeypatch.setattr(reps, "_replay", lambda group, walked, *args:
+                        degrees.append(walked.shape[1]) or real_replay(group, walked, *args))
     monkeypatch.setattr(reps, "extend", lambda group, images, spec=None, **kw:
                         extended.append(spec) or real_extend(group, images, spec, **kw))
     return degrees, extended

@@ -166,9 +166,16 @@ def test_image_text_round_trip():
     assert np.array_equal(back.values, img.values)
 
 
-def test_read_image_rejects_bad_header():
-    with pytest.raises(ValueError, match="header"):
-        read_image(io.StringIO("3 4\n"))
+@pytest.mark.parametrize("text,message", [
+    (header + "\n0 0 0\n", "header must be 'N 3' with N a positive integer")
+    for header in ("3 4", "x 3", "0 3", "-2 3", "3", "")
+] + [
+    # a header naming 10^16 pixels fails at the first missing pixel line
+    ("100000000 3\n0 0 0\n", r"pixel \(0, 1\): expected three values"),
+])
+def test_read_image_rejects_bad_header(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_image(io.StringIO(text))
 
 
 # --- antisymmetry ----------------------------------------------------
