@@ -1,4 +1,17 @@
-"""Finite matrix groups built by breadth-first closure of a generator set.
+"""Finite matrix groups, stored as their generators' data and their order.
+
+A group is its generators: their (targets, signs) index arrays when they
+are signed permutations, else their dense stack. Its elements are
+enumerated by one breadth-first search, run on the first read of any
+element-level attribute and then kept. A named group takes its order
+from a closed form (``_named_order``), so building it enumerates
+nothing, and its search must find exactly that order; ``close`` runs
+the search at once, since only the search finds a generator set's order.
+Callers that read generators only (the solve, the certificate, the
+generator sweep of a check, ``generator_ids``) never enumerate. Those
+that read elements do: the exhaustive or sampled element sweep, the
+character oracle, the replay of user-supplied images (``perm:`` leaves),
+a walked rep's first element read, and the dense path.
 
 Element 0 is always the identity. BFS order (queue order, generators
 tried in index order) fixes a canonical element indexing. Each element
@@ -8,18 +21,17 @@ word that reproduces an element (``words``) is read off them on demand.
 The BFS looks up each level's products in one pass over their keys and
 runs Python code only for the products it has not seen.
 
-A named group closes from its generators' index maps. Generators given
-as matrices (and ``reps``' generator images) pass one validator,
-``_generator_stack``, which calls ``det`` only when they are not all
-signed permutation matrices (entries -1, 0 or 1, one nonzero per row and
-column, as ``numerics.signed_permutations`` detects). Signed permutation
-generators close on integer signed codes (``numerics.sign_flips``),
-deduplicated on their exact bytes; the group stores each element as
-(targets, signs) index arrays and scatters ``elements`` (and a named
-group's ``generators``) on first read. Other generator sets close on
-dense matrices deduplicated by the rounding key ``_key``. On signed
-permutations both give the same elements, words, cayley table and parent
-links, bit for bit.
+Generators given as matrices (and ``reps``' generator images) pass one
+validator, ``_generator_stack``, which calls ``det`` only when they are
+not all signed permutation matrices (entries -1, 0 or 1, one nonzero per
+row and column, as ``numerics.signed_permutations`` detects). Signed
+permutation generators enumerate on integer signed codes
+(``numerics.sign_flips``), deduplicated on their exact bytes; the group
+stores each element as (targets, signs) index arrays and scatters
+``elements`` (and a named group's ``generators``) on first read. Other
+generator sets enumerate on dense matrices deduplicated by the rounding
+key ``_key``. On signed permutations both give the same elements, words,
+cayley table and parent links, bit for bit.
 """
 
 from itertools import repeat
@@ -57,15 +69,29 @@ class ClosureError(RuntimeError):
 
 
 class FiniteGroup:
-    """Closure of a generator set, with canonical indexing.
+    """A group given by its generators, with canonical element indexing.
+
+    The group is its generators' data and its order. Every element-level
+    attribute (``cayley``, ``parents``, ``targets``, ``signs``,
+    ``elements``, ``words``) comes from one BFS enumeration, run on the
+    first read of any of them and then kept.
 
     Attributes:
         dim: matrix size of the defining representation.
+        order: the number of elements. A named group takes it from a
+            closed form, and its enumeration must find exactly that many;
+            ``close`` enumerates at once to find it.
+        gen_arrays: the generators' (targets, int8 signs), with
+            generators[g] e_j = signs[g, j] e_{targets[g, j]}, or None
+            for a group stored dense.
+        generators: (gen_count, dim, dim) array of the generators; a
+            named group's is scattered from ``gen_arrays`` on first read
+            and then kept.
+        generator_ids: each generator's element index, found without
+            enumerating (see the property).
         elements: (order, dim, dim) array, elements[0] = identity. For
             a signed permutation group it is scattered from ``targets``
             and ``signs`` on first read and then kept.
-        generators: (gen_count, dim, dim) array of the generators; a
-            named group's is scattered on first read and then kept.
         words: per element, the generator-index word replaying it from
             the identity (left-to-right products), derived from
             ``parents`` on first read. BFS gives the shortest word,
@@ -75,35 +101,51 @@ class FiniteGroup:
         parents: (order, 2) int array of (parent element, generator)
             BFS links; (-1, -1) for the identity.
         spec: the named-group spec string when built by name, else None.
-        targets, signs: (order, dim) integer and int8 arrays with
+        targets, signs: (order, dim) int64 and int8 arrays with
             elements[e] e_j = signs[e, j] e_{targets[e, j]}, or None
             when the group is stored dense.
     """
 
-    def __init__(self, dim, elements, generators, cayley, parents,
-                 spec=None, targets=None, signs=None):
+    def __init__(self, dim, order=None, spec=None, gen_arrays=None, generators=None):
         self.dim = dim
-        self._elements = elements
-        self._generators = generators
-        self._words = None
-        self.cayley = cayley
-        self.parents = parents
+        self.order = order
         self.spec = spec
-        self.targets = targets
-        self.signs = signs
+        self.gen_arrays = gen_arrays
+        self._generators = generators
+        self._cayley = self._parents = self._elements = self._targets = self._signs = None
+        self._words = None
 
     @property
-    def elements(self):
-        if self._elements is None:
-            self._elements = signed_permutation_matrices(self.targets, self.signs)
-        return self._elements
+    def gen_count(self):
+        return len(self._generators if self.gen_arrays is None else self.gen_arrays[0])
 
     @property
     def generators(self):
         if self._generators is None:
-            rows = self.cayley[0]
-            self._generators = signed_permutation_matrices(self.targets[rows], self.signs[rows])
+            self._generators = signed_permutation_matrices(*self.gen_arrays)
         return self._generators
+
+    @property
+    def cayley(self):
+        return self._enumerate()._cayley
+
+    @property
+    def parents(self):
+        return self._enumerate()._parents
+
+    @property
+    def targets(self):
+        return None if self.gen_arrays is None else self._enumerate()._targets
+
+    @property
+    def signs(self):
+        return None if self.gen_arrays is None else self._enumerate()._signs
+
+    @property
+    def elements(self):
+        if self._enumerate()._elements is None:
+            self._elements = signed_permutation_matrices(self._targets, self._signs)
+        return self._elements
 
     @property
     def words(self):
@@ -116,12 +158,52 @@ class FiniteGroup:
         return self._words
 
     @property
-    def order(self):
-        return self.cayley.shape[0]
+    def generator_ids(self):
+        """Each generator's element index, without enumerating: the first
+        BFS level alone. The identity is 0, each distinct non-identity
+        generator takes the next index in generator order, and a repeated
+        generator shares the earlier one's, as in ``cayley[0]``."""
+        identity, multiply, keys = self._closure_steps()
+        index = {}
+        ids = [index.setdefault(k, len(index))
+               for k in keys(identity[None]) + keys(multiply(identity[None]))]
+        return np.array(ids[1:], dtype=np.int64)
 
-    @property
-    def gen_count(self):
-        return self.cayley.shape[1]
+    def _closure_steps(self):
+        """(identity, multiply, keys) of ``_bfs`` on this group's element
+        data: dense matrices deduplicated on ``_key``, or signed codes
+        (``numerics.sign_flips``) deduplicated on their exact bytes."""
+        if self.gen_arrays is None:
+            gens = self._generators
+            return (np.eye(self.dim),
+                    lambda front: np.stack([m @ g for m in front for g in gens]),
+                    lambda products: [_key(m) for m in products])
+        targets, signs = self.gen_arrays
+        flips = sign_flips(signs)  # in the narrowest code type, as short keys hash fast
+        return (np.arange(self.dim, dtype=flips.dtype),
+                lambda front: (front[:, targets] ^ flips).reshape(-1, self.dim),
+                _row_bytes)
+
+    def _enumerate(self, max_order=None):
+        """Run the BFS, once, and keep its tables; return the group. A
+        group of known order enumerates with that order as its cap and
+        raises ClosureError unless it finds exactly that many elements;
+        otherwise the order is what the BFS finds within ``max_order``."""
+        if self._cayley is not None:
+            return self
+        identity, multiply, keys = self._closure_steps()
+        data, cayley, parents = _bfs(identity, self.gen_count, multiply, keys,
+                                     max_order if self.order is None else self.order)
+        if self.order is None:
+            self.order = len(cayley)
+        elif len(cayley) != self.order:
+            raise ClosureError(f"{self!r} enumerates {len(cayley)} elements")
+        self._cayley, self._parents = cayley, parents
+        if self.gen_arrays is None:
+            self._elements = data
+        else:
+            self._targets, self._signs = split_signed_codes(data)
+        return self
 
     def index_of(self, m):
         """Index of a matrix in the group, or ValueError if absent.
@@ -137,7 +219,7 @@ class FiniteGroup:
             raise ValueError(
                 f"element has shape {m.shape}, expected ({self.dim}, {self.dim})"
             )
-        if self.targets is None:
+        if self.gen_arrays is None:
             hits = np.flatnonzero(np.abs(self.elements - m).max(axis=(1, 2)) <= _MATCH_TOL)
         else:
             cols = np.arange(self.dim)
@@ -163,7 +245,7 @@ class FiniteGroup:
             return False
 
     def inverse_index(self, i):
-        if self.targets is None:
+        if self.gen_arrays is None:
             return self.index_of(np.linalg.inv(self.elements[i]))
         # e e_j = s_j e_{t_j}, so e^-1 e_{t_j} = s_j e_j
         targets = np.empty_like(self.targets[i])
@@ -180,15 +262,15 @@ class FiniteGroup:
 def close(generators, max_order=DEFAULT_MAX_ORDER, spec=None):
     """Close a generator set under multiplication (BFS, right products).
 
-    Signed permutation generators close on exact integer keys; any
-    other set closes on rounded dense keys (see the module docstring).
-    Raises ClosureError if more than ``max_order`` elements appear, and
+    The closure runs at once, since it alone finds the order. Signed
+    permutation generators close on exact integer keys; any other set
+    closes on rounded dense keys (see the module docstring). Raises
+    ClosureError if more than ``max_order`` elements appear, and
     ValueError for non-square, mismatched, or non-invertible generators.
     """
     gens, perm = _generator_stack(generators, "generator")
-    if perm is None:
-        return _close_dense(gens, max_order, spec)
-    return _close_signed(*perm, max_order, spec, gens)
+    return FiniteGroup(gens.shape[1], spec=spec, gen_arrays=perm,
+                       generators=gens)._enumerate(max_order)
 
 
 def _generator_stack(matrices, name):
@@ -213,37 +295,15 @@ def _generator_stack(matrices, name):
 
 
 def _close_dense(gens, max_order=DEFAULT_MAX_ORDER, spec=None):
-    """BFS over dense matrices, deduplicated on ``_key``: the path of
-    every generator set that is not all signed permutations, and the
-    test oracle for the other."""
-    dim = gens[0].shape[0]
-    elements, cayley, parents = _bfs(
-        np.eye(dim), len(gens),
-        lambda front: np.stack([m @ g for m in front for g in gens]),
-        lambda products: [_key(m) for m in products], max_order)
-    return FiniteGroup(dim, elements, np.stack(gens), cayley, parents, spec)
-
-
-def _close_signed(targets, signs, max_order, spec, generators=None):
-    """``_close_dense`` on signed codes, for the generators with (count,
-    dim) ``targets`` and ``signs``; the group keeps ``generators``, the
-    caller's validated stack, if given, else scatters them on first read.
-
-    The products of a frontier of codes with every generator are one
-    gather and one xor (``numerics.sign_flips``), and two elements are
-    equal exactly when their code bytes are. The BFS is the dense one, so
-    cayley and parents (hence words) are too, and the elements, when scattered
-    into zeros, are bitwise the dense products (a matmul sum of +-0.0
-    terms starts from +0.0, so every zero it leaves is +0.0).
-    """
-    dim = targets.shape[1]
-    flips = sign_flips(signs)  # in the narrowest code type, as short keys hash fast
-    codes, cayley, parents = _bfs(
-        np.arange(dim, dtype=flips.dtype), len(targets),
-        lambda front: (front[:, targets] ^ flips).reshape(-1, dim),
-        _row_bytes, max_order)
-    return FiniteGroup(dim, None, generators, cayley, parents, spec,
-                       *split_signed_codes(codes))
+    """``close`` on dense matrices deduplicated by ``_key``, whatever the
+    generators: the path of every generator set that is not all signed
+    permutations, and the test oracle for the other. On signed
+    permutations both give the same elements, words, cayley table and
+    parent links, bit for bit: the elements, when scattered into zeros,
+    are bitwise the dense products (a matmul sum of +-0.0 terms starts
+    from +0.0, so every zero it leaves is +0.0)."""
+    gens = np.stack(gens)
+    return FiniteGroup(gens.shape[1], spec=spec, generators=gens)._enumerate(max_order)
 
 
 def _row_bytes(rows):
@@ -316,21 +376,23 @@ def _grid_permutations(n_grid, kind):
 
 
 def named_group(kind, size, max_order=DEFAULT_MAX_ORDER):
-    """Construct one of the named groups.
+    """Construct one of the named groups, from its generators alone.
 
     Kinds: ``symmetric(m)`` and ``cyclic(n)`` act on R^m / R^n by
     coordinate permutation; ``torus(N)``, ``p4(N)``, ``p4m(N)`` act as
     permutations of the N x N pixel grid with periodic boundary
     (translations; plus quarter-turn rotations; plus reflections).
-    A size whose group provably has more than ``max_order`` elements
-    raises ClosureError, and one whose dense generator stack would exceed
+    The group keeps its generators' index maps and its closed-form order
+    (``_named_order``) and enumerates no element until one is read.
+    A size whose group has more than ``max_order`` elements raises
+    ClosureError, and one whose dense generator stack would exceed
     ``MAX_IMAGE_STACK_BYTES`` raises ValueError, before anything is built.
     """
     if size < 1:
         raise ValueError(f"group size parameter must be >= 1, got {size}")
     if kind not in ("symmetric", "cyclic", "torus", "p4", "p4m"):
         raise ValueError(f"unknown group kind {kind!r}")
-    _check_order_fits(kind, size, max_order)
+    order = _named_order(kind, size, max_order)
     spec = f"{kind}:{size}"
     if size == 1:
         perms = [[0]]
@@ -344,7 +406,8 @@ def named_group(kind, size, max_order=DEFAULT_MAX_ORDER):
         perms = _grid_permutations(size, kind)
     _check_stack_fits(f"group {spec}", len(perms), len(perms[0]), MAX_IMAGE_STACK_BYTES)
     targets = np.array(perms, dtype=np.int64)
-    return _close_signed(targets, np.ones(targets.shape, np.int8), max_order, spec)
+    return FiniteGroup(targets.shape[1], order, spec,
+                       gen_arrays=(targets, np.ones(targets.shape, np.int8)))
 
 
 def _check_stack_fits(what, count, degree, cap):
@@ -357,25 +420,30 @@ def _check_stack_fits(what, count, degree, cap):
         )
 
 
-def _check_order_fits(kind, size, max_order):
-    """Raise ClosureError, before any generator is built, when the named
-    group provably has more than ``max_order`` elements: n for cyclic:n,
-    m! for symmetric:m, and the N^2 translations of the grid kinds."""
+def _named_order(kind, size, max_order):
+    """The order of a named group, or ClosureError, before any generator
+    is built, when it exceeds ``max_order``: n for cyclic:n, m! for
+    symmetric:m, N^2 translations for torus:N, times the point group's
+    c rotations (and reflections) for p4:N and p4m:N, where c is 4 (8)
+    for N >= 3, 2 for N = 2 (on a 2 x 2 grid the quarter turn is the
+    transpose and the reflection is trivial) and 1 for N = 1."""
     if kind == "cyclic":
-        least = size
+        order = size
     elif kind == "symmetric":
-        least = 1
+        order = 1
         for factor in range(2, size + 1):
-            if least > max_order:
-                break
-            least *= factor
+            if order > max_order:
+                break  # a lower bound suffices to refuse
+            order *= factor
     else:
-        least = size * size
-    if least > max_order:
+        point = {"torus": 1, "p4": 4, "p4m": 8}[kind]
+        order = size * size * (point if size >= 3 else min(point, size))
+    if order > max_order:
         raise ClosureError(
-            f"{kind}:{size} has at least {least} elements, above the cap "
+            f"{kind}:{size} has at least {order} elements, above the cap "
             f"max_order={max_order}"
         )
+    return order
 
 
 def group_from_spec(spec, max_order=DEFAULT_MAX_ORDER):

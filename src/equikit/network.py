@@ -30,8 +30,9 @@ that commutes with every generator commutes with all of G, so every
 failure over G shows at some generator. A stack that passes there and
 is exactly equivariant at the generators (``_certified``, no tolerance)
 passes; built and trained models are, since each realized entry has one
-nonzero term. Only a stack that is neither refuted nor certified gets
-the element sweep of ``check_map_equivariance``.
+nonzero term. Both steps read the reps' generator data only, so neither
+enumerates the group. Only a stack that is neither refuted nor certified
+gets the element sweep of ``check_map_equivariance``.
 
 The equivariance check (``_check_on_vectors``) evaluates a map on blocks
 of group elements: one ``Representation.act`` and one call of the map per
@@ -368,9 +369,10 @@ def check_stack_equivariance(weights, biases, activation, layer_reps, trials=8, 
     over the rep chain ``layer_reps``, in three steps:
 
     1. the generator sweep: ``_check_on_vectors`` over the generators
-       only, with the vectors, residuals and ``trials`` cap of
-       ``check_map_equivariance``. A residual above ``tol`` fails, and
-       the witness is a generator: coverage ``generators (k of |G|)``;
+       only, through their data, with the vectors, residuals and
+       ``trials`` cap of ``check_map_equivariance``. A residual above
+       ``tol`` fails, and the witness is a generator, named by its
+       element index: coverage ``generators (k of |G|)``;
     2. else, when ``_certified`` holds, the stack passes with the sweep's
        residual: coverage ``certificate (k generators)``;
     3. else ``check_map_equivariance``, exhaustive or sampled.
@@ -382,8 +384,7 @@ def check_stack_equivariance(weights, biases, activation, layer_reps, trials=8, 
         return stack_forward(weights, biases, activation, x)
 
     report = _check_on_vectors(apply, rep_in, rep_out, (-1.0, 1.0), trials, seed, tol,
-                               relative=True, indices=group.cayley[0],
-                               coverage=f"generators ({group.gen_count} of {group.order})")
+                               relative=True, generators=True)
     if not report.passed:
         return report
     if _certified(weights, biases, activation, layer_reps):
@@ -425,14 +426,15 @@ def _commutes_at_generators(w, rep_in, rep_out):
 
 
 def _check_on_vectors(apply, rep_in, rep_out, box, trials, seed, tol, relative,
-                      indices=None, coverage=None):
+                      generators=False):
     """The verifier behind every equivariance check.
 
     Draws ``trials`` seeded vectors v uniform in ``box`` = (low, high)
-    and tests each against the elements ``indices`` (named by
-    ``coverage``) when given, else against every element when
-    |G| <= EXHAUSTIVE_LIMIT, else against ``trials`` elements drawn from
-    the same generator.
+    and tests each against every generator when ``generators`` (acting
+    through the reps' generator data, so no element is enumerated or
+    walked, and naming each generator by its element index), else
+    against every element when |G| <= EXHAUSTIVE_LIMIT, else against
+    ``trials`` elements drawn from the same random generator.
     Elements are taken a block at a time: one ``act`` of the block on
     the vectors, one ``apply`` of the stacked rows and one ``act`` on
     f(v), with blocks of about ``_BLOCK_CELLS`` cells (at least one
@@ -460,24 +462,27 @@ def _check_on_vectors(apply, rep_in, rep_out, box, trials, seed, tol, relative,
     vectors = rng.uniform(*box, size=(trials, rep_in.degree))
     base = np.asarray(apply(vectors))
     scale = 1.0 + np.abs(base).max(axis=1) if relative else 1.0
-    order = rep_in.group.order
-    if indices is None and order <= EXHAUSTIVE_LIMIT:
-        indices = np.arange(order)
-        coverage = f"exhaustive ({order})"
-    elif indices is None:
-        indices = rng.integers(0, order, size=trials)
-        coverage = f"sampled ({trials} of {order})"
+    group = rep_in.group
+    if generators:
+        indices, names = np.arange(group.gen_count), group.generator_ids
+        coverage = f"generators ({group.gen_count} of {group.order})"
+    elif group.order <= EXHAUSTIVE_LIMIT:
+        indices = names = np.arange(group.order)
+        coverage = f"exhaustive ({group.order})"
+    else:
+        indices = names = rng.integers(0, group.order, size=trials)
+        coverage = f"sampled ({trials} of {group.order})"
     step = max(1, _BLOCK_CELLS // (trials * width))
     worst = np.empty(indices.size)  # per tested element
     first = np.empty(indices.size, dtype=np.intp)  # its first near-worst vector
     for lo in range(0, indices.size, step):
         block = indices[lo:lo + step]
-        moved = rep_in.act(block, vectors).reshape(-1, rep_in.degree)
+        moved = rep_in.act(block, vectors, generators).reshape(-1, rep_in.degree)
         lhs = np.asarray(apply(moved)).reshape(block.size, trials, -1)
-        dev = np.abs(lhs - rep_out.act(block, base)).max(axis=2) / scale
+        dev = np.abs(lhs - rep_out.act(block, base, generators)).max(axis=2) / scale
         e, i = np.unravel_index(np.argmax(dev), dev.shape)  # the first NaN, if any
         if np.isnan(dev[e, i]):
-            return Report(False, float("nan"), (int(block[e]), vectors[i].copy()), coverage)
+            return Report(False, float("nan"), (int(names[lo + e]), vectors[i].copy()), coverage)
         top = dev.max(axis=1)
         worst[lo:lo + block.size] = top
         first[lo:lo + block.size] = np.argmax(dev >= top[:, None] * (1.0 - WITNESS_SLACK),
@@ -486,7 +491,7 @@ def _check_on_vectors(apply, rep_in, rep_out, box, trials, seed, tol, relative,
     if peak <= tol:
         return Report(True, peak, None, coverage)
     e = int(np.argmax(worst >= peak * (1.0 - WITNESS_SLACK)))
-    return Report(False, peak, (int(indices[e]), vectors[first[e]].copy()), coverage)
+    return Report(False, peak, (int(names[e]), vectors[first[e]].copy()), coverage)
 
 
 # --- model files -----------------------------------------------------------

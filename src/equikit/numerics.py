@@ -29,10 +29,11 @@ def as_matrix(m, name="matrix"):
 
 
 def signed_permutations(images):
-    """(targets, signs) with images[g] e_j = signs[g, j] e_{targets[g, j]},
-    or None unless every image of the (count, n, n) stack is exactly a
-    signed permutation matrix: entries -1, 0 or 1, one nonzero per row
-    and per column. -0.0 counts as zero."""
+    """(int64 targets, int8 signs) with
+    images[g] e_j = signs[g, j] e_{targets[g, j]}, or None unless every
+    image of the (count, n, n) stack is exactly a signed permutation
+    matrix: entries -1, 0 or 1, one nonzero per row and per column. -0.0
+    counts as zero."""
     nonzero = images != 0.0
     if not ((np.abs(images[nonzero]) == 1.0).all()
             and (nonzero.sum(axis=1) == 1).all()
@@ -40,7 +41,7 @@ def signed_permutations(images):
         return None
     targets = nonzero.argmax(axis=1)
     signs = np.take_along_axis(images, targets[:, None, :], axis=1)[:, 0, :]
-    return targets, signs
+    return targets.astype(np.int64), signs.astype(np.int8)
 
 
 def signed_permutation_matrices(targets, signs):

@@ -4,11 +4,16 @@ A representation is fixed by its generators' images: a dense
 (gen_count, n, n) stack, or the integer (targets, signs) index arrays of
 a signed permutation rep, the one source every consumer reads. Every
 element's data is walked from them down the group's BFS tree on first
-read (``_walk``) and kept, unless the caller already holds it:
-``extend``'s replay, ``defining_rep``'s group, ``trivial_rep``'s
-constants. Index arrays walk as signed codes (``numerics.sign_flips``)
-of the narrowest integer type, then split; dense images walk by stacked
-matmuls, and a signed rep's are scattered from its arrays.
+read (``_walk``, which enumerates the group if nothing has yet) and
+kept, unless the caller already holds it: ``extend``'s replay,
+``defining_rep``'s group (whose own element arrays it shares, read on
+first use), ``trivial_rep``'s constants. Index arrays walk as signed
+codes (``numerics.sign_flips``) of the narrowest integer type, then
+split; dense images walk by stacked matmuls, and a signed rep's are
+scattered from its arrays. Constructing a rep from a named group
+enumerates nothing except through ``extend``; the solve, the
+certificate and ``act`` at the generators read generator data only, so
+a ``check`` that certifies never enumerates the group.
 
 Only images the user supplies (``extend``, hence ``permutation_rep`` and
 ``perm:`` spec leaves) are replayed: the walk, then a check against the
@@ -63,7 +68,8 @@ class Representation:
     int8 signs) with gen_images[g] e_j = signs[g, j] e_{targets[g, j]}.
     Every element's ``images``, or (order, n) ``targets`` and ``signs``
     (``arrays`` when passed), is walked from them on first read unless
-    passed; ``images[e] @ gen_images[g]`` matches ``images[cayley[e, g]]``.
+    passed, or read from the group when ``gen_arrays`` is the group's own;
+    ``images[e] @ gen_images[g]`` matches ``images[cayley[e, g]]``.
     """
 
     def __init__(self, group, degree, gen_images=None, images=None, spec=None,
@@ -84,8 +90,12 @@ class Representation:
 
     def _element_arrays(self):
         if self._arrays is None:
-            self._arrays = (None, None) if self.gen_arrays is None else (
-                split_signed_codes(_walk_codes(self.group, *self.gen_arrays)))
+            if self.gen_arrays is None:
+                self._arrays = None, None
+            elif self.gen_arrays is self.group.gen_arrays:  # the defining rep
+                self._arrays = self.group.targets, self.group.signs
+            else:
+                self._arrays = split_signed_codes(_walk_codes(self.group, *self.gen_arrays))
         return self._arrays
 
     targets = property(lambda self: self._element_arrays()[0])
@@ -98,19 +108,22 @@ class Representation:
                             else signed_permutation_matrices(self.targets, self.signs))
         return self._images
 
-    def act(self, indices, vectors):
-        """rho(element e) applied to each row of ``vectors``, for each e
-        in the index array ``indices``: the (k, batch, n) stack of
-        ``vectors @ images[e].T``. Dense images take one stacked matmul;
-        a signed permutation moves and signs the coordinates in one
-        scatter, without building an image."""
+    def act(self, indices, vectors, generators=False):
+        """rho(e) applied to each row of ``vectors``, for each e in the
+        index array ``indices`` of elements, or of generators when
+        ``generators`` (read from the generator data, so no element's is
+        walked): the (k, batch, n) stack of ``vectors @ rho(e).T``. Dense
+        images take one stacked matmul; a signed permutation moves and
+        signs the coordinates in one scatter, without building an image."""
         indices = np.asarray(indices)
-        if self.targets is None:
-            return np.matmul(vectors, self.images[indices].transpose(0, 2, 1))
+        if self.gen_arrays is None:
+            images = self.gen_images if generators else self.images
+            return np.matmul(vectors, images[indices].transpose(0, 2, 1))
+        targets, signs = self.gen_arrays if generators else self._element_arrays()
         k, (batch, n) = indices.size, vectors.shape
         out = np.empty((k, batch, n))
-        at = self.targets[indices][:, None, :] + np.arange(0, out.size, n).reshape(k, batch, 1)
-        out.reshape(-1)[at] = vectors * self.signs[indices][:, None, :]
+        at = targets[indices][:, None, :] + np.arange(0, out.size, n).reshape(k, batch, 1)
+        out.reshape(-1)[at] = vectors * signs[indices][:, None, :]
         return out
 
     def __repr__(self):
@@ -133,10 +146,8 @@ def extend(group, gen_images, spec=None, tol=CONSISTENCY_TOL):
     if perm is None:
         images = _extend_dense(group, gen_images, tol)
         return Representation(group, degree, gen_images, images, spec)
-    targets, signs = _extend_signed(group, *perm, tol)
-    rows = group.cayley[0]
-    return Representation(group, degree, spec=spec, gen_arrays=(targets[rows], signs[rows]),
-                          arrays=(targets, signs))
+    return Representation(group, degree, spec=spec, gen_arrays=perm,
+                          arrays=_extend_signed(group, *perm, tol))
 
 
 def _image_stack(group, gen_images):
@@ -285,10 +296,9 @@ def _determinants(group):
     """The generators' determinants (int8) on a signed permutation
     group: each is the parity of its targets times the product of its
     signs."""
-    rows = group.cayley[0]
-    signs = group.signs[rows]
+    targets, signs = group.gen_arrays
     k, n = signs.shape
-    targets = (group.targets[rows] + np.arange(0, k * n, n)[:, None]).ravel()
+    targets = (targets + np.arange(0, k * n, n)[:, None]).ravel()
     # least[i] becomes the least (flat) point on i's cycle by doubling its stretch
     least = np.arange(k * n)
     for _ in range((n - 1).bit_length()):
@@ -299,14 +309,12 @@ def _determinants(group):
 
 
 def defining_rep(group):
-    """The group acting by its own matrices (or index arrays), which it
-    passes as every element's data."""
-    if group.targets is None:
+    """The group acting by its own matrices (or index arrays): its
+    generator data is the group's, and so, on first read, is every
+    element's (a dense group is enumerated when it is closed)."""
+    if group.gen_arrays is None:
         return Representation(group, group.dim, group.generators, group.elements, "defining")
-    rows = group.cayley[0]
-    return Representation(group, group.dim, spec="defining",
-                          gen_arrays=(group.targets[rows], group.signs[rows]),
-                          arrays=(group.targets, group.signs))
+    return Representation(group, group.dim, spec="defining", gen_arrays=group.gen_arrays)
 
 
 def trivial_rep(group, degree=1):
@@ -323,7 +331,7 @@ def sign_rep(group):
     """Degree-1 representation by element determinants: on a signed
     permutation group walked from the generators' (``_determinants``),
     on any other extended from the generators' LAPACK determinants."""
-    if group.targets is None:
+    if group.gen_arrays is None:
         return extend(group, [np.array([[np.linalg.det(g)]]) for g in group.generators],
                       spec="sign")
     return Representation(group, 1, spec="sign", gen_arrays=(
@@ -405,13 +413,20 @@ def parse_rep_spec(group, text):
     the module docstring), so only its ``perm:`` leaves, whose images the
     user supplies, are replayed and checked, each on its own. Errors come
     in spec order, from the first failing term (inner terms first); an
-    inconsistent leaf names its own (element, generator) pair.
+    inconsistent leaf names its own (element, generator) pair. A spec
+    nested too deeply for Python's recursion limit to parse or build
+    (about a thousand levels) raises ValueError naming the spec, cut
+    after 60 characters.
     """
-    degree, node, spec, pos = _parse_spec(group, text.strip(), 0)
-    if pos != len(text.strip()):
-        raise ValueError(f"trailing characters in rep spec {text!r}")
-    _check_stack_fits(f"rep spec {spec!r}", group.gen_count, degree, MAX_IMAGE_STACK_BYTES)
-    rep = _build(group, node)
+    try:
+        degree, node, spec, pos = _parse_spec(group, text.strip(), 0)
+        if pos != len(text.strip()):
+            raise ValueError(f"trailing characters in rep spec {text!r}")
+        _check_stack_fits(f"rep spec {spec!r}", group.gen_count, degree, MAX_IMAGE_STACK_BYTES)
+        rep = _build(group, node)
+    except RecursionError:
+        shown = text if len(text) <= 60 else text[:60] + "..."
+        raise ValueError(f"rep spec {shown!r} is nested too deeply") from None
     if degree == 0:  # the image validator's message for a (gen_count, 0, 0) stack
         raise ValueError("generator image 0 must be nonempty")
     return rep

@@ -651,3 +651,46 @@ def test_p4m12_build_save_check_peak_rss(tmp_path):
     assert code == "0"
     assert verdict.endswith(": PASS")
     assert int(peak_kb) / 1024 < 150
+
+
+# --- the certified path enumerates no group element ------------------------
+
+def _no_enumeration(*args, **kwargs):
+    raise AssertionError("an element was enumerated or walked on the certified path")
+
+
+def test_certified_path_enumerates_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(groups, "_bfs", _no_enumeration)
+    monkeypatch.setattr(reps, "_walk_codes", _no_enumeration)
+    model = tmp_path / "com.model"
+    code, out, _ = run(capsys, "train", "--m", "5", "--steps", "5", "--out", str(model))
+    assert code == 0 and "parameters 28 vs dense 285 " in out
+    code, out, _ = run(capsys, "check", "--model", str(model))
+    assert code == 0 and "coverage certificate (2 generators)\n" in out
+
+    grid = tmp_path / "p4m8.model"
+    _save_grid_model(grid, "p4m:8", ["defining", "trivial:2", "trivial:1"])
+    code, out, _ = run(capsys, "check", "--model", str(grid))
+    assert code == 0 and "coverage certificate (4 generators)\n" in out
+    _set_first_declared_weight(grid, "2.25")
+    code, out, _ = run(capsys, "check", "--model", str(grid))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-3] == "coverage generators (4 of 512)" and lines[-2].endswith(": FAIL")
+    witness = int(lines[-1].split(",")[0].removeprefix("witness element "))
+    monkeypatch.undo()
+    assert witness in groups.group_from_spec("p4m:8").cayley[0]
+
+
+@pytest.mark.parametrize("term", ["sum(", "tensor:1("])
+def test_a_deeply_nested_rep_spec_exits_2_naming_it(tmp_path, capsys, term):
+    deep = term * 2000 + "defining" + ")" * 2000
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(f"[model]\ngroup = cyclic:3\n\n[reps]\n0 = {deep}\n1 = defining\n")
+    code, out, err = run(capsys, "basis", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: reps: rep spec {deep[:60] + '...'!r} is nested too deeply\n"
+    shallow = term * 300 + "defining" + ")" * 300
+    cfg.write_text(f"[model]\ngroup = cyclic:3\n\n[reps]\n0 = {shallow}\n1 = defining\n")
+    code, out, _ = run(capsys, "basis", "--config", str(cfg))
+    assert code == 0 and out.endswith("intertwiner dim 3\n")

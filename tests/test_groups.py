@@ -206,8 +206,12 @@ def test_permutation_matrix_validates():
         permutation_matrix([0, 0, 1])
 
 
-def _close_must_not_run(*args, **kwargs):
-    raise AssertionError("close() ran for a group above the cap")
+def _must_not_enumerate(*args, **kwargs):
+    raise AssertionError("the group's elements were enumerated")
+
+
+def _must_not_build(*args, **kwargs):
+    raise AssertionError("a group was built above its cap")
 
 
 @pytest.mark.parametrize("kind,size,cap", [
@@ -216,9 +220,11 @@ def _close_must_not_run(*args, **kwargs):
     ("torus", 5, 24),
     ("p4", 5, 24),
     ("p4m", 5, 24),
+    ("p4m", 51, 20000),
 ])
 def test_named_group_refuses_oversize_before_closing(kind, size, cap, monkeypatch):
-    monkeypatch.setattr(groups, "close", _close_must_not_run)
+    monkeypatch.setattr(groups, "_grid_permutations", _must_not_build)
+    monkeypatch.setattr(groups, "FiniteGroup", _must_not_build)
     with pytest.raises(ClosureError, match=f"max_order={cap}"):
         named_group(kind, size, max_order=cap)
 
@@ -227,29 +233,34 @@ def test_named_group_at_the_cap_still_closes():
     assert named_group("cyclic", 20, max_order=20).order == 20
     assert named_group("symmetric", 5, max_order=120).order == 120
     assert named_group("torus", 5, max_order=25).order == 25
-
-
-def _must_not_build(*args, **kwargs):
-    raise AssertionError("a generator was built for a group above the stack cap")
+    assert named_group("p4m", 50).order == 20000
+    for group in (named_group("cyclic", 20, max_order=20), named_group("torus", 5, max_order=25)):
+        assert len(group.cayley) == group.order
 
 
 # a dense (gen_count, n, n) float64 generator stack above 256 MiB is refused:
 # cyclic n > 5792, torus N > 64, p4 N > 57 (p4m is held to N <= 50 by the
-# order cap); the closure that named groups call is patched, so nothing is built
+# order cap). The enumeration is patched: an admitted size returns a group
+# of its closed-form order with nothing enumerated, and a refused one
+# raises before any group is built
 @pytest.mark.parametrize("kind,size,refused", [
     ("cyclic", 5792, False), ("cyclic", 5793, True),
     ("torus", 64, False), ("torus", 65, True),
     ("p4", 57, False), ("p4", 58, True),
 ])
 def test_named_group_refuses_an_oversized_generator_stack(kind, size, refused, monkeypatch):
-    monkeypatch.setattr(groups, "_close_signed", _must_not_build)
+    monkeypatch.setattr(groups, "_bfs", _must_not_enumerate)
     if refused:
+        monkeypatch.setattr(groups, "FiniteGroup", _must_not_build)
         with pytest.raises(ValueError, match=rf"group {kind}:{size} has degree \d+: .* "
                                              r"above the cap MAX_IMAGE_STACK_BYTES"):
             named_group(kind, size)
     else:
-        with pytest.raises(AssertionError, match="was built"):
-            named_group(kind, size)
+        group = named_group(kind, size)
+        assert group.order == {"cyclic": size, "torus": size ** 2, "p4": 4 * size ** 2}[kind]
+        assert group.gen_count == {"cyclic": 1, "torus": 2, "p4": 3}[kind]
+        with pytest.raises(AssertionError, match="enumerated"):
+            group.cayley
 
 
 def test_named_group_stack_cap_reads_the_constant(monkeypatch):
@@ -391,6 +402,7 @@ def _closure_peak_mib(spec):
     tracemalloc.start()
     try:
         group = group_from_spec(spec)
+        assert len(group.cayley) == group.order  # a named group encloses on first read
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -411,3 +423,61 @@ def test_p4m_32_closure_peak():
     group, peak = _closure_peak_mib("p4m:32")
     assert group.order == 8192
     assert peak < 110
+
+
+# --- a named group is its generators plus a closed-form order --------------
+
+CLOSED_FORM_SPECS = [f"symmetric:{m}" for m in range(1, 8)] + [
+    f"{kind}:{n}" for kind in ("cyclic", "torus", "p4", "p4m") for n in range(1, 13)
+]
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
+def test_closed_form_order_and_generator_ids_are_the_bfs(spec, monkeypatch):
+    group = group_from_spec(spec)
+    order, ids = group.order, group.generator_ids
+    runs = []
+    bfs = groups._bfs
+    monkeypatch.setattr(groups, "_bfs", lambda *args: runs.append(spec) or bfs(*args))
+    assert group.cayley.shape == (order, group.gen_count)
+    assert np.array_equal(ids, group.cayley[0])
+    assert group.parents.shape == (order, 2) and group.targets.shape == (order, group.dim)
+    assert group.elements.shape == (order, group.dim, group.dim)
+    assert runs == [spec]  # forced twice and more, enumerated once
+    # the order a closure finds with no closed form to meet
+    assert close(list(group.generators)).order == order
+
+
+@pytest.mark.parametrize("wrong", [-1, 1])
+def test_an_enumeration_off_the_closed_form_order_raises(wrong, monkeypatch):
+    real = groups._named_order
+    monkeypatch.setattr(groups, "_named_order", lambda *args: real(*args) + wrong)
+    group = named_group("p4m", 3)
+    # 72 elements: short of a closed form of 73, or past a cap of 71
+    with pytest.raises(ClosureError, match="enumerates 72 elements|max_order=71"):
+        group.cayley
+
+
+def test_generator_ids_share_a_repeated_generator_and_the_identity():
+    # generators: a shift, the identity, the shift again, its square
+    shift = cyclic_shift(5)
+    group = close([shift, np.eye(5), shift, shift @ shift])
+    assert group.generator_ids.tolist() == group.cayley[0].tolist() == [1, 0, 1, 2]
+    fresh = groups.FiniteGroup(5, 5, gen_arrays=group.gen_arrays)
+    assert fresh.generator_ids.tolist() == [1, 0, 1, 2]
+    assert fresh._cayley is None
+
+
+def test_named_group_construction_enumerates_nothing(monkeypatch):
+    monkeypatch.setattr(groups, "_bfs", _must_not_enumerate)
+    tracemalloc.start()
+    try:
+        group = group_from_spec("p4m:32")
+        rep = reps.defining_rep(group)
+        ids = group.generator_ids
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (group.order, group.gen_count, ids.tolist()) == (8192, 4, [1, 2, 3, 4])
+    assert rep.gen_arrays is group.gen_arrays
+    assert peak < 2 ** 20

@@ -428,9 +428,9 @@ def test_large_group_check_samples_elements(monkeypatch, check):
             return fn(*args)
         return wrapped
 
-    def spy(indices, vectors):
+    def spy(indices, vectors, generators=False):
         acted.append(np.asarray(indices))
-        return Representation.act(rep, indices, vectors)
+        return Representation.act(rep, indices, vectors, generators)
 
     monkeypatch.setattr(rep, "act", spy)
 
