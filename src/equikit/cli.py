@@ -84,17 +84,17 @@ def cmd_basis(args):
 
 def cmd_check(args):
     loaded = load_model(args.model)
-    net = loaded.network
     print(f"model {args.model}")
     print(
-        f"group {net.group.spec}, layers {net.k}, activation {net.activation}"
+        f"group {loaded.group.spec}, layers {len(loaded.declared_weights)}, "
+        f"activation {loaded.activation}"
     )
     if not loaded.declared_matches():
         print("note: declared weight matrices deviate from the coefficients; "
               "checking the declared function")
     report = check_stack_equivariance(
-        loaded.declared_weights, loaded.declared_biases, net.activation, net.layer_reps,
-        trials=args.trials, seed=args.seed, tol=args.tol,
+        loaded.declared_weights, loaded.declared_biases, loaded.activation,
+        loaded.layer_reps, trials=args.trials, seed=args.seed, tol=args.tol,
     )
     print(f"coverage {report.coverage}")
     verdict = "PASS" if report.passed else "FAIL"

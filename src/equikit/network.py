@@ -283,6 +283,18 @@ class EquivariantNetwork:
         return ParameterCount(equi, dense)
 
 
+def _require_permutation_hidden(layer_reps):
+    """Raise unless every hidden rep of the chain is a permutation rep
+    (``is_permutation_rep``, read off the generators' data)."""
+    for i in range(1, len(layer_reps) - 1):
+        if not is_permutation_rep(layer_reps[i]):
+            raise ValueError(
+                f"hidden representation {i} is not a permutation "
+                "representation; pointwise nonlinearities are only "
+                "certified equivariant for permutation actions"
+            )
+
+
 def build(group, layer_reps, activation, seed=0):
     """Assemble an equivariant network for a representation chain.
 
@@ -299,13 +311,7 @@ def build(group, layer_reps, activation, seed=0):
         if rep.group is not group:
             raise ValueError("all representations must belong to the given group")
     k = len(layer_reps) - 1
-    for i in range(1, k):
-        if not is_permutation_rep(layer_reps[i]):
-            raise ValueError(
-                f"hidden representation {i} is not a permutation "
-                "representation; pointwise nonlinearities are only "
-                "certified equivariant for permutation actions"
-            )
+    _require_permutation_hidden(layer_reps)
     weight_bases = []
     for i in range(k):
         basis = solve_basis(layer_reps[i], layer_reps[i + 1])
@@ -496,21 +502,30 @@ def _check_on_vectors(apply, rep_in, rep_out, box, trials, seed, tol, relative,
 
 # --- model files -----------------------------------------------------------
 #
-# Line-oriented text; floats are %.17g so values round-trip exactly. The
-# file carries the group/rep/activation specs plus, per layer, the basis
-# coefficients and the realized weight matrix (and bias vector for hidden
-# layers). The realized matrices are the function the file declares;
-# `equikit check` verifies them, so edits that break equivariance fail.
+# Line-oriented text; floats are %.17g so values round-trip exactly. A v2
+# file, the only version save_model writes, holds the function the model
+# declares and nothing else: the group, activation and rep specs, then per
+# layer the weight matrix (and the bias vector of a hidden layer).
+# `equikit check` verifies exactly those matrices, so an edit that breaks
+# equivariance fails, and loading them solves no basis: the file means the
+# same function whichever solver version reads it. A v1 file also carries
+# each layer's basis coefficients (`weight-coeffs:`, `bias-coeffs:`), which
+# depend on the solver's basis order; loading one still builds the network
+# to check their counts against the solved bases and to report whether the
+# declared matrices deviate from them (`LoadedModel.declared_matches`).
 
-FORMAT_HEADER = "equikit model v1"
+FORMAT_HEADER = "equikit model v2"
+_FORMAT_VERSIONS = {"equikit model v1": 1, FORMAT_HEADER: 2}
 
 
 def _fmt_floats(values):
-    return " ".join(f"{v:.17g}" for v in np.asarray(values, dtype=np.float64).ravel())
+    return " ".join(map("{:.17g}".format, np.asarray(values, dtype=np.float64).tolist()))
 
 
 def save_model(net, path):
-    """Write a network to the text model format."""
+    """Write the function a network declares, its weight matrices and
+    hidden biases, as a v2 model file. ``net`` is an EquivariantNetwork
+    or a LoadedModel."""
     for rep in net.layer_reps:
         if rep.spec is None:
             raise ValueError(
@@ -521,24 +536,15 @@ def save_model(net, path):
         raise ValueError("model serialization needs a named group")
     weights = net.weights()
     biases = net.biases()
-    lines = [FORMAT_HEADER]
-    lines.append(f"group: {net.group.spec}")
-    lines.append(f"activation: {net.activation}")
-    lines.append(f"layers: {net.k}")
-    for rep in net.layer_reps:
-        lines.append(f"rep: {rep.spec}")
-    for i in range(net.k):
+    k = len(weights)
+    lines = [FORMAT_HEADER, f"group: {net.group.spec}", f"activation: {net.activation}",
+             f"layers: {k}"]
+    lines += [f"rep: {rep.spec}" for rep in net.layer_reps]
+    for i, w in enumerate(weights):
         lines.append(f"layer: {i + 1}")
-        lines.append(f"weight-coeffs: {net.weight_coeffs[i].size}")
-        lines.append(_fmt_floats(net.weight_coeffs[i]))
-        if i < net.k - 1:
-            lines.append(f"bias-coeffs: {net.bias_coeffs[i].size}")
-            lines.append(_fmt_floats(net.bias_coeffs[i]))
-        rows, cols = weights[i].shape
-        lines.append(f"weight-matrix: {rows} {cols}")
-        for row in weights[i]:
-            lines.append(_fmt_floats(row))
-        if i < net.k - 1:
+        lines.append("weight-matrix: {} {}".format(*w.shape))
+        lines += map(_fmt_floats, w)
+        if i < k - 1:
             lines.append(f"bias-vector: {biases[i].size}")
             lines.append(_fmt_floats(biases[i]))
     lines.append("end")
@@ -552,14 +558,28 @@ class ModelFormatError(ValueError):
 
 @dataclass
 class LoadedModel:
-    """A parsed model file: the network plus the declared matrices."""
+    """A parsed model file: the function it declares (group, rep chain,
+    activation, weight matrices and hidden biases) and, for a v1 file,
+    the network its coefficients realize."""
 
-    network: EquivariantNetwork
+    group: object
+    layer_reps: list
+    activation: object
     declared_weights: list
     declared_biases: list
+    network: EquivariantNetwork = None
+
+    def weights(self):
+        return self.declared_weights
+
+    def biases(self):
+        return self.declared_biases
 
     def declared_matches(self, tol=1e-9):
-        """True when the declared matrices equal the realized ones."""
+        """True when the declared matrices equal the ones the file's
+        coefficients realize; a v2 file has no coefficients to differ from."""
+        if self.network is None:
+            return True
         realized = _interleave(self.network.weights(), self.network.biases())
         declared = _interleave(self.declared_weights, self.declared_biases)
         return all(np.abs(a - b).max() <= tol for a, b in zip(realized, declared))
@@ -604,16 +624,21 @@ class _Reader:
         return values
 
     def floats(self, count):
-        line = self.next()
-        values = []
-        for token in line.split():
-            try:
-                values.append(float(token))
-            except ValueError:
-                raise ModelFormatError(
-                    f"line {self.at}: {token!r} is not a number"
-                ) from None
-        values = np.array(values, dtype=np.float64)
+        """The ``count`` finite floats on the next line, parsed by one
+        ``np.array`` call; only a line that fails is parsed token by token,
+        to name its first bad token."""
+        tokens = self.next().split()
+        try:
+            values = np.array(tokens, dtype=np.float64)
+        except ValueError:
+            for token in tokens:
+                try:
+                    float(token)
+                except ValueError:
+                    raise ModelFormatError(
+                        f"line {self.at}: {token!r} is not a number"
+                    ) from None
+            raise
         if values.size != count:
             raise ModelFormatError(
                 f"line {self.at}: expected {count} values, got {values.size}"
@@ -624,9 +649,17 @@ class _Reader:
 
 
 def load_model(path):
-    """Read a model file back into a LoadedModel."""
+    """Read a model file into a LoadedModel.
+
+    A v2 file is parsed as written: its group, reps and declared
+    matrices, with hidden reps held to ``build``'s permutation rule and
+    no basis solved. A v1 file is also built (``build``, seed 0) and its
+    coefficients are read into that network, after their counts are
+    checked against the solved bases.
+    """
     r = _Reader(path)
-    if r.next() != FORMAT_HEADER:
+    version = _FORMAT_VERSIONS.get(r.next())
+    if version is None:
         raise ModelFormatError("not an equikit model file")
     group = group_from_spec(r.expect("group:"))
     activation = parse_activation(r.expect("activation:"))
@@ -634,31 +667,24 @@ def load_model(path):
     if k < 1:
         raise ModelFormatError("layer count must be >= 1")
     reps = parse_rep_chain(group, (r.expect("rep:") for _ in range(k + 1)))
-    net = build(group, reps, activation, seed=0)
+    if version == 1:
+        net = build(group, reps, activation, seed=0)
+    else:
+        net = None
+        _require_permutation_hidden(reps)
     declared_weights = []
     declared_biases = []
     for i in range(k):
         r.expect("layer:")
-        (d,) = r.ints("weight-coeffs:")
-        if d != net.weight_bases[i].dim:
-            raise ModelFormatError(
-                f"layer {i + 1}: file has {d} weight coefficients but the "
-                f"basis dimension is {net.weight_bases[i].dim}"
-            )
-        net.weight_coeffs[i] = r.floats(d)
-        if i < k - 1:
-            (db,) = r.ints("bias-coeffs:")
-            if db != net.bias_bases[i].shape[1]:
-                raise ModelFormatError(
-                    f"layer {i + 1}: file has {db} bias coefficients but the "
-                    f"bias space dimension is {net.bias_bases[i].shape[1]}"
-                )
-            net.bias_coeffs[i] = r.floats(db)
+        if net is not None:
+            _read_coefficients(r, net, i)
         rows, cols = r.ints("weight-matrix:", 2)
-        want = (reps[i + 1].degree, reps[i].degree)
-        if (rows, cols) != want:
+        if (rows, cols) != (reps[i + 1].degree, reps[i].degree):
             raise ModelFormatError(f"layer {i + 1}: weight matrix shape mismatch")
-        declared_weights.append(np.vstack([r.floats(cols) for _ in range(rows)]))
+        w = np.empty((rows, cols))
+        for row in w:
+            row[:] = r.floats(cols)
+        declared_weights.append(w)
         if i < k - 1:
             (nb,) = r.ints("bias-vector:")
             if nb != reps[i + 1].degree:
@@ -666,4 +692,24 @@ def load_model(path):
             declared_biases.append(r.floats(nb))
     if r.next() != "end":
         raise ModelFormatError("missing end marker")
-    return LoadedModel(net, declared_weights, declared_biases)
+    return LoadedModel(group, reps, activation, declared_weights, declared_biases, net)
+
+
+def _read_coefficients(r, net, i):
+    """Read layer ``i``'s v1 coefficient lines into ``net``, checking
+    each count against the built network's basis dimension."""
+    (d,) = r.ints("weight-coeffs:")
+    if d != net.weight_bases[i].dim:
+        raise ModelFormatError(
+            f"layer {i + 1}: file has {d} weight coefficients but the "
+            f"basis dimension is {net.weight_bases[i].dim}"
+        )
+    net.weight_coeffs[i] = r.floats(d)
+    if i < net.k - 1:
+        (db,) = r.ints("bias-coeffs:")
+        if db != net.bias_bases[i].shape[1]:
+            raise ModelFormatError(
+                f"layer {i + 1}: file has {db} bias coefficients but the "
+                f"bias space dimension is {net.bias_bases[i].shape[1]}"
+            )
+        net.bias_coeffs[i] = r.floats(db)

@@ -1,7 +1,7 @@
 """Shared test utilities: finite-difference gradient checking, a
 row-major reference for the training gradient, a per-element
-reference for the equivariance check and the generator images of a
-rep spec."""
+reference for the equivariance check, the generator images of a
+rep spec and a model-file editor."""
 
 import numpy as np
 
@@ -167,3 +167,15 @@ def spec_images(group, node):
     if kind == "sign":
         return np.stack([np.array([[np.linalg.det(g)]]) for g in group.generators])
     return group.generators
+
+
+def set_first_declared_weight(path, value):
+    """Replace the first declared weight of the model file ``path`` by the
+    text ``value``; returns the line number edited."""
+    lines = path.read_text().splitlines()
+    row = next(i + 1 for i, ln in enumerate(lines) if ln.startswith("weight-matrix:"))
+    tokens = lines[row].split()
+    tokens[0] = value
+    lines[row] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+    return row + 1

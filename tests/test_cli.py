@@ -6,6 +6,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from helpers import set_first_declared_weight
 
 import equikit
 from equikit import cli, groups, network, numerics, reps
@@ -274,19 +275,9 @@ def _train_small_model(tmp_path, capsys):
     return model
 
 
-def _set_first_declared_weight(model, value):
-    lines = model.read_text().splitlines()
-    row = next(i + 1 for i, ln in enumerate(lines) if ln.startswith("weight-matrix:"))
-    tokens = lines[row].split()
-    tokens[0] = value
-    lines[row] = " ".join(tokens)
-    model.write_text("\n".join(lines) + "\n")
-    return row + 1
-
-
 def test_check_tampered_model_exits_1(tmp_path, capsys):
     model = _train_small_model(tmp_path, capsys)
-    _set_first_declared_weight(model, "2.25")
+    set_first_declared_weight(model, "2.25")
     code, out, _ = run(capsys, "check", "--model", str(model))
     assert code == 1
     assert "FAIL" in out
@@ -303,7 +294,7 @@ def test_check_prints_its_coverage(tmp_path, capsys, monkeypatch):
     # a last-bit change keeps the map equivariant within tol but breaks the
     # exact certificate, so the element sweep decides
     first = float(model.read_text().split("weight-matrix:")[1].splitlines()[1].split()[0])
-    _set_first_declared_weight(model, repr(first * (1.0 + 1e-13)))
+    set_first_declared_weight(model, repr(first * (1.0 + 1e-13)))
     code, out, _ = run(capsys, "check", "--model", str(model))
     assert code == 0
     assert "coverage exhaustive (6)\n" in out and out.endswith(": PASS\n")
@@ -312,7 +303,7 @@ def test_check_prints_its_coverage(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "coverage sampled (3 of 6)\n" in out and out.endswith(": PASS\n")
 
-    _set_first_declared_weight(model, "2.25")
+    set_first_declared_weight(model, "2.25")
     code, out, _ = run(capsys, "check", "--model", str(model))
     assert code == 1
     lines = out.splitlines()
@@ -336,7 +327,7 @@ def test_chains_parse_each_spec_once(tmp_path, capsys, monkeypatch):
     model = _train_small_model(tmp_path, capsys)
     assert parsed == once
     parsed.clear()
-    chain = load_model(str(model)).network.layer_reps
+    chain = load_model(str(model)).layer_reps
     assert chain[0] is chain[1] and chain[1] is not chain[2]
     assert parsed == once
 
@@ -344,7 +335,7 @@ def test_chains_parse_each_spec_once(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_check_non_finite_model_exits_2(tmp_path, capsys, value):
     model = _train_small_model(tmp_path, capsys)
-    line = _set_first_declared_weight(model, value)
+    line = set_first_declared_weight(model, value)
     code, out, err = run(capsys, "check", "--model", str(model))
     assert code == 2
     assert "PASS" not in out
@@ -380,7 +371,7 @@ def test_check_too_many_trials_exits_2_before_allocating(tmp_path, capsys):
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1e-8"])
 def test_check_bad_tol_exits_2(tmp_path, capsys, tol):
     model = _train_small_model(tmp_path, capsys)
-    _set_first_declared_weight(model, "2.25")  # tampered: fails at any finite tol
+    set_first_declared_weight(model, "2.25")  # tampered: fails at any finite tol
     code, out, err = run(capsys, "check", "--model", str(model), f"--tol={tol}")
     assert code == 2
     assert "PASS" not in out
@@ -483,18 +474,32 @@ def test_in_process_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
 
 def test_check_non_numeric_model_value_exits_2(tmp_path, capsys):
     model = _train_small_model(tmp_path, capsys)
-    line = _set_first_declared_weight(model, "abc")
+    line = set_first_declared_weight(model, "abc")
     code, out, err = run(capsys, "check", "--model", str(model))
     assert code == 2
     assert "PASS" not in out
     assert f"line {line}: 'abc' is not a number" in err
 
 
+V1_DATA = Path(__file__).resolve().parent / "data"
+V1_COM_MODEL = V1_DATA / "com_tanh300_v1.model"  # S_5, 28 coefficients
+
+
+def _v1_model(tmp_path):
+    """A copy of the v1 center-of-mass model, which has coefficient lines."""
+    model = tmp_path / "v1.model"
+    model.write_text(V1_COM_MODEL.read_text())
+    return model
+
+
 @pytest.mark.parametrize("prefix", [
     "layers:", "weight-coeffs:", "bias-coeffs:", "weight-matrix:", "bias-vector:",
 ])
 def test_check_non_integer_count_exits_2(tmp_path, capsys, prefix):
-    model = _train_small_model(tmp_path, capsys)
+    if prefix.endswith("coeffs:"):
+        model = _v1_model(tmp_path)
+    else:
+        model = _train_small_model(tmp_path, capsys)
     lines = model.read_text().splitlines()
     at = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
     tokens = lines[at].split()
@@ -505,6 +510,102 @@ def test_check_non_integer_count_exits_2(tmp_path, capsys, prefix):
     assert code == 2
     assert "PASS" not in out
     assert f"line {at + 1}: 'two' is not an integer" in err
+
+
+@pytest.mark.parametrize("prefix,count,message", [
+    ("weight-coeffs:", "3",
+     "layer 1: file has 3 weight coefficients but the basis dimension is 18"),
+    ("bias-coeffs:", "2",
+     "layer 1: file has 2 bias coefficients but the bias space dimension is 1"),
+])
+def test_check_v1_coefficient_count_mismatch_exits_2(tmp_path, capsys, prefix, count,
+                                                     message):
+    model = _v1_model(tmp_path)
+    text = model.read_text()
+    at = text.index(prefix)
+    end = text.index("\n", at)
+    model.write_text(text[:at] + f"{prefix} {count}" + text[end:])
+    code, out, err = run(capsys, "check", "--model", str(model))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# --- malformed model files: truncation and bad counts -----------------------
+
+def _check_rejects(capsys, model):
+    """`check` on ``model`` exits 2 with one `error:` line, prints nothing
+    on stdout and allocates little: no count is acted on before the shape
+    checks pass."""
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "check", "--model", str(model))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert peak < 2 ** 21
+    return err
+
+
+def _model_files(tmp_path, capsys):
+    """(v2 path, v1 path) of small center-of-mass models."""
+    return _train_small_model(tmp_path, capsys), _v1_model(tmp_path)
+
+
+def test_truncated_model_files_exit_2(tmp_path, capsys):
+    for model in _model_files(tmp_path, capsys):
+        lines = model.read_text().splitlines()
+        for keep in range(len(lines)):
+            model.write_text("".join(ln + "\n" for ln in lines[:keep]))
+            assert _check_rejects(capsys, model) == "error: unexpected end of model file\n"
+
+
+BAD_COUNTS = ["2.5", "two", "-1", "-3", "0", str(10 ** 18), "1e9"]
+
+
+@pytest.mark.parametrize("bad", BAD_COUNTS + ["extra"])
+def test_bad_model_counts_exit_2(tmp_path, capsys, bad):
+    for model in _model_files(tmp_path, capsys):
+        lines = model.read_text().splitlines()
+        counted = [i for i, ln in enumerate(lines)
+                   if ln.split(":")[0] in ("layers", "weight-coeffs", "bias-coeffs",
+                                           "weight-matrix", "bias-vector")]
+        assert len(counted) == (7 if model.name == "v1.model" else 4)
+        for at in counted:
+            tokens = lines[at].split()
+            if bad == "extra":
+                edits = [tokens + ["1"]]
+            else:
+                edits = [tokens[:i] + [bad] + tokens[i + 1:] for i in range(1, len(tokens))]
+            for edited in edits:
+                model.write_text("\n".join(lines[:at] + [" ".join(edited)] + lines[at + 1:])
+                                 + "\n")
+                _check_rejects(capsys, model)
+
+
+def _zero_boundary_model(path, last):
+    """A v2 symmetric:3 model `defining -> trivial:1 -> sign`, whose
+    second boundary has no nonzero intertwiner, declaring ``last`` as
+    that layer's 1x1 weight."""
+    path.write_text("\n".join([
+        "equikit model v2", "group: symmetric:3", "activation: tanh", "layers: 2",
+        "rep: defining", "rep: trivial:1", "rep: sign",
+        "layer: 1", "weight-matrix: 1 3", "0.5 0.5 0.5", "bias-vector: 1", "-0.25",
+        "layer: 2", "weight-matrix: 1 1", last, "end"]) + "\n")
+
+
+def test_v2_zero_dim_boundary_is_checked_as_written(tmp_path, capsys):
+    model = tmp_path / "zero.model"
+    _zero_boundary_model(model, "0")
+    code, out, _ = run(capsys, "check", "--model", str(model))
+    assert code == 0
+    assert "coverage certificate (2 generators)\n" in out and out.endswith(": PASS\n")
+    _zero_boundary_model(model, "0.5")
+    code, out, _ = run(capsys, "check", "--model", str(model))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-3] == "coverage generators (2 of 6)" and lines[-2].endswith(": FAIL")
+    assert lines[-1].split(",")[0] in ("witness element 1", "witness element 2")
 
 
 BAD_THRESHOLDS = [
@@ -672,7 +773,7 @@ def test_certified_path_enumerates_nothing(tmp_path, capsys, monkeypatch):
     _save_grid_model(grid, "p4m:8", ["defining", "trivial:2", "trivial:1"])
     code, out, _ = run(capsys, "check", "--model", str(grid))
     assert code == 0 and "coverage certificate (4 generators)\n" in out
-    _set_first_declared_weight(grid, "2.25")
+    set_first_declared_weight(grid, "2.25")
     code, out, _ = run(capsys, "check", "--model", str(grid))
     assert code == 1
     lines = out.splitlines()

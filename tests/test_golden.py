@@ -11,6 +11,7 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from helpers import set_first_declared_weight
 
 from equikit import activations, groups, network, reps
 from equikit.cli import main
@@ -24,22 +25,22 @@ BASIS_PRINT_SHA256 = {
     "p4m4_spec_forms": "cfb6609c70df6d6f6b611a0db8bd91cedd1d7b8c4fc72750dff16b7a75d6cfe1",
 }
 
-# (argv after "--exact train", stdout sha256, model file sha256)
+# (argv after "--exact train", stdout sha256, v2 model file sha256)
 TRAIN_RUNS = {
     "tanh-300": (
         ["--steps", "300"],
         "c60bd48cc6bb6ee4c966b00c34e30021a12beadb56040dac909b2ebe10fbc4a6",
-        "4f4667fe025c4b42901771df785d236c52c7e91a2d3bf59a34239c07c028a4b1",
+        "022a4841322ad238fae4dfc82b5995d8fedea1b495267b33d015b54a80481a3e",
     ),
     "relu-200": (
         ["--m", "4", "--seed", "3", "--activation", "relu", "--steps", "200"],
         "7313564657894b5dbdd1a72e4c2583f607cd26a7ed3ab906dc9a4183ff992e8f",
-        "881adf462438874f6b2254535e15baca99f24214a431ee8b7d22b40a6b770d56",
+        "48b88f35fce2261347f68bb2fff6f70cf232ed5cc373f161aea191ca9cc8b765",
     ),
     "threshold-200": (
         ["--activation", "threshold:0.5", "--steps", "200"],
         "5492df798dfe5181079a031c7bc53aedb60fcdb617c82341b9799ba38cc8b379",
-        "e96446988edb48c8e14bf09f475a440b4a5d4501f5b68407c5a428e502ca71bb",
+        "298cfb0e58afe560e9ff611ebc7cc4ceb0cfcffd4f6818d5d38d30f915fed7fa",
     ),
 }
 
@@ -57,10 +58,23 @@ CHECK_TANH_300_SHA256 = "e8c31429bbc3c4bc3ac2d4442e1b53c94c3f84d9de1d81c1d0b508c
 # library and written with save_model; then `--exact check` on it intact
 # (coverage certificate) and with its first declared weight replaced by
 # 2.25 (coverage generators). The witness names a generator by its BFS
-# index, so this pins the grid closure too.
-GRID_MODEL_SHA256 = "b68510d63a2fc6c1aace0838f4dafc7407285c4a84879906a87b921c1ef555fa"
+# index, so this pins the grid closure too. A v2 file has no coefficients,
+# so its tampered check prints no note line.
+GRID_MODEL_SHA256 = "da2fb9c40d2502a145b33307ff3e06f75bd931e820c47e6b1849a125cf005860"
 GRID_CHECK_SHA256 = "5a0f2ef4da86bca8dd5f95434d9ef521d491ca509c86cd7f54a54b43f5cfc17f"
-GRID_CHECK_TAMPERED_SHA256 = "6d45f7b315efbd432e5ef0c301cb58191cbe354ef4eb15ef818e0e133920b84a"
+GRID_CHECK_TAMPERED_SHA256 = "4ecf2dc9de15fd3ec04ea07dac20f6c2fd29f6192ac6ed80ca8e9de90ed40d27"
+
+# v1 files (with basis coefficients) as the previous writer saved them: the
+# grid model above and the tanh-300 train model. They still load, and
+# `check` prints the bytes it printed for them; the tampered v1 grid model
+# prints the note that its declared matrices deviate from its coefficients.
+V1_DATA = Path(__file__).resolve().parent / "data"
+V1_MODELS_SHA256 = {
+    "grid_p4m4_v1.model": "b68510d63a2fc6c1aace0838f4dafc7407285c4a84879906a87b921c1ef555fa",
+    "com_tanh300_v1.model": "4f4667fe025c4b42901771df785d236c52c7e91a2d3bf59a34239c07c028a4b1",
+}
+GRID_CHECK_TAMPERED_V1_SHA256 = (
+    "6d45f7b315efbd432e5ef0c301cb58191cbe354ef4eb15ef818e0e133920b84a")
 
 
 def sha256(data):
@@ -114,25 +128,48 @@ def test_train_default_precision_bytes(name, tmp_path, monkeypatch, capsys):
     assert sha256(out) == TRAIN_DEFAULT_SHA256[name]
 
 
+def _check_grid_model_and_its_tampered_copy(capsys, tmp_path, text):
+    """`--exact check` stdout of the model ``text`` saved as M, and of
+    a copy T with its first declared weight replaced by 2.25."""
+    (tmp_path / "M").write_text(text)
+    (tmp_path / "T").write_text(text)
+    set_first_declared_weight(tmp_path / "T", "2.25")
+    code, out = run(capsys, "--exact", "check", "--model", "M")
+    assert code == 0
+    code, tampered = run(capsys, "--exact", "check", "--model", "T")
+    assert code == 1
+    return out, tampered
+
+
 def test_grid_model_bytes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     group = groups.group_from_spec("p4m:4")
     chain = [reps.parse_rep_spec(group, spec)
              for spec in ("defining", "trivial:2", "trivial:1")]
     net = network.build(group, chain, activations.parse_activation("tanh"), seed=0)
-    network.save_model(net, "M")
-    text = (tmp_path / "M").read_text()
+    network.save_model(net, "G")
+    text = (tmp_path / "G").read_text()
     assert sha256(text) == GRID_MODEL_SHA256
+    out, tampered = _check_grid_model_and_its_tampered_copy(capsys, tmp_path, text)
+    assert sha256(out) == GRID_CHECK_SHA256
+    assert sha256(tampered) == GRID_CHECK_TAMPERED_SHA256
+    assert "note:" not in tampered
+
+
+@pytest.mark.parametrize("name", sorted(V1_MODELS_SHA256))
+def test_v1_model_fixture_bytes(name):
+    assert sha256((V1_DATA / name).read_bytes()) == V1_MODELS_SHA256[name]
+
+
+def test_v1_models_check_the_same_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    text = (V1_DATA / "grid_p4m4_v1.model").read_text()
+    out, tampered = _check_grid_model_and_its_tampered_copy(capsys, tmp_path, text)
+    assert sha256(out) == GRID_CHECK_SHA256
+    assert sha256(tampered) == GRID_CHECK_TAMPERED_V1_SHA256
+    assert "\nnote: declared weight matrices deviate from the coefficients" in tampered
+
+    (tmp_path / "M").write_text((V1_DATA / "com_tanh300_v1.model").read_text())
     code, out = run(capsys, "--exact", "check", "--model", "M")
     assert code == 0
-    assert sha256(out) == GRID_CHECK_SHA256
-
-    lines = text.splitlines()
-    row = next(i + 1 for i, ln in enumerate(lines) if ln.startswith("weight-matrix:"))
-    tokens = lines[row].split()
-    tokens[0] = "2.25"
-    lines[row] = " ".join(tokens)
-    (tmp_path / "T").write_text("\n".join(lines) + "\n")
-    code, out = run(capsys, "--exact", "check", "--model", "T")
-    assert code == 1
-    assert sha256(out) == GRID_CHECK_TAMPERED_SHA256
+    assert sha256(out) == CHECK_TANH_300_SHA256

@@ -1,8 +1,14 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import finite_difference_check, reference_check, row_major_loss_grad
+from helpers import (
+    finite_difference_check,
+    reference_check,
+    row_major_loss_grad,
+    set_first_declared_weight,
+)
 
 from equikit import activations, network
 from equikit.activations import (
@@ -719,19 +725,23 @@ def test_constant_width_weights_commute_with_group():
 # --- serialization ---------------------------------------------------
 
 
+V1_DATA = Path(__file__).resolve().parent / "data"
+
+
 def test_save_load_round_trip(tmp_path):
     net = deep_sets_net(seed=4, activation=TANH)
     data = random_dataset(net, 20, seed=1)
     trained, _ = net.train(data, steps=20, learning_rate=0.1)
     path = tmp_path / "model.txt"
     save_model(trained, path)
+    assert "coeffs" not in path.read_text()
     loaded = load_model(path)
-    assert np.array_equal(
-        loaded.network.coefficient_vector(), trained.coefficient_vector()
-    )
+    assert loaded.network is None
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.declared_weights, trained.weights()))
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.declared_biases, trained.biases()))
     assert loaded.declared_matches()
     again = tmp_path / "model2.txt"
-    save_model(loaded.network, again)
+    save_model(loaded, again)
     assert path.read_text() == again.read_text()
 
 
@@ -742,8 +752,7 @@ def test_single_layer_model_round_trip(tmp_path):
     path = tmp_path / "model.txt"
     save_model(net, path)
     loaded = load_model(path)
-    assert np.array_equal(loaded.network.coefficient_vector(), net.coefficient_vector())
-    assert loaded.declared_matches()
+    assert np.array_equal(loaded.declared_weights[0], net.weights()[0])
     assert loaded.declared_biases == []
 
 
@@ -754,8 +763,41 @@ def test_loaded_model_evaluates_identically(tmp_path):
     loaded = load_model(path)
     v = np.linspace(-1, 1, 12)
     declared = stack_forward(loaded.declared_weights, loaded.declared_biases,
-                             loaded.network.activation, v)
+                             loaded.activation, v)
     assert np.abs(declared - net.forward(v)).max() < 1e-12
+
+
+def test_loading_a_model_solves_no_basis(tmp_path, monkeypatch):
+    net = deep_sets_net(seed=3)
+    path = tmp_path / "model.txt"
+    save_model(net, path)
+
+    def banned(*args, **kwargs):
+        raise AssertionError("load_model solved a basis")
+
+    monkeypatch.setattr(network, "solve_basis", banned)
+    monkeypatch.setattr(network, "build", banned)
+    loaded = load_model(path)
+    report = check_stack_equivariance(loaded.weights(), loaded.biases(), loaded.activation,
+                                      loaded.layer_reps)
+    assert report.passed and report.coverage.startswith("certificate ")
+
+
+def test_v2_model_rejects_a_non_permutation_hidden_rep_as_build_does(tmp_path):
+    g = named_group("symmetric", 3)
+    chain = [parse_rep_spec(g, spec) for spec in ("defining", "sign", "trivial:1")]
+    with pytest.raises(ValueError) as built:
+        build(g, chain, TANH)
+    path = tmp_path / "model.txt"
+    path.write_text("\n".join([
+        "equikit model v2", "group: symmetric:3", "activation: tanh", "layers: 2",
+        "rep: defining", "rep: sign", "rep: trivial:1",
+        "layer: 1", "weight-matrix: 1 3", "0 0 0", "bias-vector: 1", "0",
+        "layer: 2", "weight-matrix: 1 1", "0", "end"]) + "\n")
+    with pytest.raises(ValueError) as loaded:
+        load_model(path)
+    assert str(loaded.value) == str(built.value)
+    assert "hidden representation 1 is not a permutation representation" in str(built.value)
 
 
 def _saved_with_first_declared_weight(tmp_path, net, value):
@@ -763,25 +805,33 @@ def _saved_with_first_declared_weight(tmp_path, net, value):
     ``value``; returns the path and the line number edited."""
     path = tmp_path / "model.txt"
     save_model(net, path)
-    lines = path.read_text().splitlines()
-    row = next(i + 1 for i, ln in enumerate(lines) if ln.startswith("weight-matrix:"))
-    tokens = lines[row].split()
-    tokens[0] = value
-    lines[row] = " ".join(tokens)
-    path.write_text("\n".join(lines) + "\n")
-    return path, row + 1
+    return path, set_first_declared_weight(path, value)
 
 
 def test_tampered_model_file_fails_check(tmp_path):
     path, _ = _saved_with_first_declared_weight(tmp_path, deep_sets_net(seed=2), "3.5")
     loaded = load_model(path)
-    assert not loaded.declared_matches()
     report = check_stack_equivariance(
-        loaded.declared_weights, loaded.declared_biases, loaded.network.activation,
-        loaded.network.layer_reps, trials=6, seed=0, tol=1e-8,
+        loaded.declared_weights, loaded.declared_biases, loaded.activation,
+        loaded.layer_reps, trials=6, seed=0, tol=1e-8,
     )
     assert not report.passed
     assert report.witness is not None
+
+
+def test_v1_model_loads_its_coefficients(tmp_path):
+    loaded = load_model(V1_DATA / "com_tanh300_v1.model")
+    net = loaded.network
+    assert net is not None and net.layer_reps == loaded.layer_reps
+    assert net.coefficient_vector().size == 28
+    assert loaded.declared_matches()
+    assert all(np.abs(a - b).max() <= 1e-9
+               for a, b in zip(net.weights(), loaded.declared_weights))
+
+    path = tmp_path / "model.txt"
+    path.write_text((V1_DATA / "com_tanh300_v1.model").read_text())
+    set_first_declared_weight(path, "3.5")
+    assert not load_model(path).declared_matches()
 
 
 def test_model_format_errors(tmp_path):
@@ -806,11 +856,8 @@ def test_model_file_rejects_non_finite_values(tmp_path, value):
         load_model(path)
 
 
-def test_declared_matches_rejects_nan(tmp_path):
-    net = deep_sets_net(seed=0)
-    path = tmp_path / "model.txt"
-    save_model(net, path)
-    loaded = load_model(path)
+def test_declared_matches_rejects_nan():
+    loaded = load_model(V1_DATA / "com_tanh300_v1.model")
     assert loaded.declared_matches()
     loaded.declared_weights[0][0, 0] = np.nan
     assert not loaded.declared_matches()

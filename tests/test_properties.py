@@ -13,6 +13,9 @@ products of the generator images and with the per-element check.
 
 import functools
 import math
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -264,8 +267,8 @@ TANH = ActivationSpec("tanh")
 
 
 @st.composite
-def built_stacks(draw, group):
-    """(weights, biases, chain) of a seeded build with random hidden biases."""
+def built_nets(draw, group):
+    """A seeded build of a random chain, with random hidden biases."""
     specs = ([draw(st.sampled_from(END_SPECS))]
              + draw(st.lists(st.sampled_from(HIDDEN_SPECS), max_size=1))
              + [draw(st.sampled_from(END_SPECS))])
@@ -275,7 +278,14 @@ def built_stacks(draw, group):
     net = network.build(group, chain, TANH, seed=seed)
     rng = np.random.default_rng(seed)
     net.bias_coeffs = [rng.standard_normal(c.shape) for c in net.bias_coeffs]
-    return net.weights(), net.biases(), chain
+    return net
+
+
+@st.composite
+def built_stacks(draw, group):
+    """(weights, biases, chain) of ``built_nets``."""
+    net = draw(built_nets(group))
+    return net.weights(), net.biases(), net.layer_reps
 
 
 def assert_certificate_is_the_oracle(weights, biases, chain):
@@ -342,3 +352,61 @@ def test_certificate_is_the_dense_oracle(group_spec, data):
         bias[i] += 0.5
         fixed = fixed_by_generators([chain[layer - len(weights) + 1].gen_images[:, i, i]])
     assert assert_certificate_is_the_oracle(weights, biases, chain) == fixed
+
+
+# --- model files: a v2 round trip is bitwise, and needs no solve -------------
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a model file load solved a basis")
+
+
+@pytest.mark.parametrize("group_spec", CERTIFIED_GROUPS)
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_v2_model_round_trip_is_bitwise(group_spec, data):
+    group = named(group_spec)
+    net = data.draw(built_nets(group))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(network, "solve_basis", _no_solve):
+        path = os.path.join(tmp, "M")
+        network.save_model(net, path)
+        loaded = network.load_model(path)
+        for declared, realized in ((loaded.weights(), net.weights()),
+                                   (loaded.biases(), net.biases())):
+            assert [a.shape for a in declared] == [a.shape for a in realized]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(declared, realized))
+        again = os.path.join(tmp, "again")
+        network.save_model(loaded, again)
+        with open(path) as fh, open(again) as fh_again:
+            text = fh.read()
+            assert text == fh_again.read()
+        report = network.check_stack_equivariance(loaded.weights(), loaded.biases(),
+                                                  loaded.activation, loaded.layer_reps)
+        assert report.passed
+        assert report.coverage == f"certificate ({group.gen_count} generators)"
+
+        # one first-layer entry off its orbit, in a column the input rep
+        # moves (an edit where the input is fixed leaves an invariant
+        # stack invariant), moved by 0.5
+        chain = net.layer_reps
+        w = net.weights()[0]
+        off = [(i, j) for i in range(w.shape[0]) for j in range(w.shape[1])
+               if not fixed_by_generators([chain[0].gen_images[:, j, j]])
+               and not fixed_by_generators([chain[1].gen_images[:, i, i],
+                                            chain[0].gen_images[:, j, j]])]
+        if not off:
+            return
+        i, j = data.draw(st.sampled_from(off))
+        lines = text.splitlines()
+        row = lines.index("weight-matrix: {} {}".format(*w.shape)) + 1 + i
+        tokens = lines[row].split()
+        tokens[j] = f"{float(tokens[j]) + 0.5:.17g}"
+        lines[row] = " ".join(tokens)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        edited = network.load_model(path)
+        report = network.check_stack_equivariance(edited.weights(), edited.biases(),
+                                                  edited.activation, edited.layer_reps)
+        assert not report.passed
+        assert report.coverage == f"generators ({group.gen_count} of {group.order})"
+        assert report.witness[0] in group.generator_ids
