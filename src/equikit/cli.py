@@ -84,6 +84,11 @@ def cmd_basis(args):
 
 def cmd_check(args):
     loaded = load_model(args.model)
+    # the report validates --trials and --tol, so a rejected run prints nothing
+    report = check_stack_equivariance(
+        loaded.declared_weights, loaded.declared_biases, loaded.activation,
+        loaded.layer_reps, trials=args.trials, seed=args.seed, tol=args.tol,
+    )
     print(f"model {args.model}")
     print(
         f"group {loaded.group.spec}, layers {len(loaded.declared_weights)}, "
@@ -92,10 +97,6 @@ def cmd_check(args):
     if not loaded.declared_matches():
         print("note: declared weight matrices deviate from the coefficients; "
               "checking the declared function")
-    report = check_stack_equivariance(
-        loaded.declared_weights, loaded.declared_biases, loaded.activation,
-        loaded.layer_reps, trials=args.trials, seed=args.seed, tol=args.tol,
-    )
     print(f"coverage {report.coverage}")
     verdict = "PASS" if report.passed else "FAIL"
     print(f"residual {report.max_residual:.3e} (tol {args.tol:g}): {verdict}")

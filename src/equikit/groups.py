@@ -15,23 +15,25 @@ a walked rep's first element read, and the dense path.
 
 Element 0 is always the identity. BFS order (queue order, generators
 tried in index order) fixes a canonical element indexing. Each element
-carries its BFS parent link (parent element, generator); representation
-extension replays the parent links level by level, and the generator
-word that reproduces an element (``words``) is read off them on demand.
-The BFS looks up each level's products in one pass over their keys and
-runs Python code only for the products it has not seen.
+carries its BFS parent link (parent element, generator), down which a
+rep's element data is walked (``reps._walk``) and off which the word
+that reproduces an element (``words``) is read on demand. The BFS looks
+up each level's products in one pass over their keys and runs Python
+code only for the products it has not seen.
 
-Generators given as matrices (and ``reps``' generator images) pass one
-validator, ``_generator_stack``, which calls ``det`` only when they are
-not all signed permutation matrices (entries -1, 0 or 1, one nonzero per
-row and column, as ``numerics.signed_permutations`` detects). Signed
-permutation generators enumerate on integer signed codes
-(``numerics.sign_flips``), deduplicated on their exact bytes; the group
-stores each element as (targets, signs) index arrays and scatters
-``elements`` (and a named group's ``generators``) on first read. Other
-generator sets enumerate on dense matrices deduplicated by the rounding
-key ``_key``. On signed permutations both give the same elements, words,
-cayley table and parent links, bit for bit.
+Every element is a product of generators, so closing a group, walking a
+rep and checking generator images share one step, per storage kind:
+``_element_steps``, whose only traversals are ``_bfs``,
+``generator_ids``, ``reps._walk`` and ``reps._replay``. Signed
+permutation generators (entries -1, 0 or 1, one nonzero per row and
+column, as the validator ``_generator_stack`` detects) multiply integer
+signed codes (``numerics.sign_flips``) by a gather and an xor and key
+them on their exact bytes; the group keeps each element's (targets,
+signs), the targets in the codes' narrow type, and scatters ``elements``
+(and a named group's ``generators``) on first read. Other generator
+sets multiply dense matrices keyed by the rounding key ``_key``; the
+validator calls ``det`` only for them. On signed permutations both give
+the same elements, words, cayley table and parent links, bit for bit.
 """
 
 from itertools import repeat
@@ -101,7 +103,8 @@ class FiniteGroup:
         parents: (order, 2) int array of (parent element, generator)
             BFS links; (-1, -1) for the identity.
         spec: the named-group spec string when built by name, else None.
-        targets, signs: (order, dim) int64 and int8 arrays with
+        targets, signs: (order, dim) arrays of the codes' integer type
+            (int8 up to degree 128, int16 up to 32768) and int8, with
             elements[e] e_j = signs[e, j] e_{targets[e, j]}, or None
             when the group is stored dense.
     """
@@ -163,26 +166,11 @@ class FiniteGroup:
         BFS level alone. The identity is 0, each distinct non-identity
         generator takes the next index in generator order, and a repeated
         generator shares the earlier one's, as in ``cayley[0]``."""
-        identity, multiply, keys = self._closure_steps()
+        identity, _, times_all, keys, _ = _element_steps(self.gen_arrays, self._generators)
         index = {}
         ids = [index.setdefault(k, len(index))
-               for k in keys(identity[None]) + keys(multiply(identity[None]))]
+               for k in keys(identity[None]) + keys(times_all(identity[None]))]
         return np.array(ids[1:], dtype=np.int64)
-
-    def _closure_steps(self):
-        """(identity, multiply, keys) of ``_bfs`` on this group's element
-        data: dense matrices deduplicated on ``_key``, or signed codes
-        (``numerics.sign_flips``) deduplicated on their exact bytes."""
-        if self.gen_arrays is None:
-            gens = self._generators
-            return (np.eye(self.dim),
-                    lambda front: np.stack([m @ g for m in front for g in gens]),
-                    lambda products: [_key(m) for m in products])
-        targets, signs = self.gen_arrays
-        flips = sign_flips(signs)  # in the narrowest code type, as short keys hash fast
-        return (np.arange(self.dim, dtype=flips.dtype),
-                lambda front: (front[:, targets] ^ flips).reshape(-1, self.dim),
-                _row_bytes)
 
     def _enumerate(self, max_order=None):
         """Run the BFS, once, and keep its tables; return the group. A
@@ -191,9 +179,9 @@ class FiniteGroup:
         otherwise the order is what the BFS finds within ``max_order``."""
         if self._cayley is not None:
             return self
-        identity, multiply, keys = self._closure_steps()
-        data, cayley, parents = _bfs(identity, self.gen_count, multiply, keys,
-                                     max_order if self.order is None else self.order)
+        cap = max_order if self.order is None else self.order
+        data, cayley, parents = _bfs(_element_steps(self.gen_arrays, self._generators),
+                                     self.gen_count, cap)
         if self.order is None:
             self.order = len(cayley)
         elif len(cayley) != self.order:
@@ -311,25 +299,61 @@ def _row_bytes(rows):
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
 
 
-def _bfs(identity, gen_count, multiply, keys, max_order):
-    """Level-synchronous breadth-first closure from ``identity``.
+def _element_steps(gen_arrays=None, generators=None):
+    """(identity, times, times_all, keys, residuals): right products by
+    generators given as (targets, signs) ``gen_arrays``, on signed codes
+    (``numerics.sign_flips``), or else as a dense ``generators`` stack.
+    ``times(data, g)`` is each element of ``data`` times generator g, a
+    new C-contiguous array; ``times_all(front)`` stacks every product of
+    a ``front`` element with a generator in (element, generator) order;
+    ``keys`` are equal exactly for equal elements (exact code bytes, or
+    ``_key``); ``residuals(lhs, rhs)`` is each element's largest dense
+    ``|lhs - rhs|``, overwriting ``lhs``: on codes, 1 where the targets
+    differ and 2 where only the sign does."""
+    if gen_arrays is None:
+        n = generators.shape[1]
+        return (np.eye(n), lambda data, g: np.matmul(data, generators[g]),
+                lambda front: np.matmul(front[:, None], generators).reshape(-1, n, n),
+                lambda products: [_key(m) for m in products],
+                lambda lhs, rhs: np.abs(np.subtract(lhs, rhs, out=lhs), out=lhs).max(axis=(1, 2)))
+    targets, signs = gen_arrays
+    flips = sign_flips(signs)  # in the narrowest code type, as short keys hash fast
 
-    ``multiply(frontier)`` stacks the product of every frontier element
-    with every generator, in (element, generator) order, and ``keys``
-    gives one hashable key per stacked product; equal keys mean equal
-    elements. A level's keys are looked up in one ``map``, and Python
-    visits only the products not seen before the level. New elements are
-    numbered in (element, generator) order, which is the order a
-    one-element-at-a-time queue finds them in. Returns the stacked
-    elements in BFS order, the cayley table and the parent links.
+    def times(codes, g):
+        product = codes.take(targets[g], axis=1)
+        product ^= flips[g]
+        return product
+
+    def residuals(lhs, rhs):
+        if np.array_equal(lhs, rhs):
+            return np.zeros(len(lhs))
+        return np.where(lhs == rhs, 0.0, np.where(lhs == ~rhs, 2.0, 1.0)).max(axis=1)
+
+    return (np.arange(targets.shape[1], dtype=flips.dtype), times,
+            lambda front: (front[:, targets] ^ flips).reshape(-1, targets.shape[1]),
+            _row_bytes, residuals)
+
+
+def _bfs(steps, gen_count, max_order):
+    """Level-synchronous breadth-first closure from the identity of the
+    element algebra ``steps`` (``_element_steps``).
+
+    Each level's products with every generator come from one
+    ``times_all``, and ``keys`` tells equal elements. A level's keys are
+    looked up in one ``map``, and Python visits only the products not
+    seen before the level. New elements are numbered in (element,
+    generator) order, which is the order a one-element-at-a-time queue
+    finds them in. Returns the stacked elements in BFS order, the cayley
+    table and the parent links.
     """
+    identity, _, times_all, keys, _ = steps
     levels = [identity[None]]
     parents = [np.array([[-1, -1]], dtype=np.int64)]
     index = {keys(levels[0])[0]: 0}
     cayley_rows = []
     start = 0
     while len(levels[-1]):
-        products = multiply(levels[-1])
+        products = times_all(levels[-1])
         product_keys = keys(products)
         row = np.array(list(map(index.get, product_keys, repeat(-1))), dtype=np.int64)
         new = []

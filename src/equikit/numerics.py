@@ -1,7 +1,8 @@
 """Minimal dense linear algebra: nullspace, orthonormalization, rank, det,
 the signed-permutation detector, which only the input validator
 ``groups._generator_stack`` runs (every later reader takes the index
-arrays it returns), and the signed codes the exact integer paths compose.
+arrays it returns), and the format of the signed codes on which
+``groups._element_steps`` multiplies signed permutations.
 
 Everything is plain float64 numpy. The nullspace is computed by Gaussian
 elimination with partial pivoting followed by back-substitution and
@@ -62,19 +63,24 @@ def sign_flips(signs):
     codes ``codes[targets] ^ sign_flips(signs)``, since e @ g maps e_j to
     signs[j] e(e_{targets[j]}) and ~x = x ^ -1. Equal elements have equal
     codes, and two codes name the same target exactly when they are equal
-    or bitwise complements. The masks have the narrowest integer type
-    that holds the codes -n..n-1 of degree n = signs.shape[-1], and codes
-    are kept in that type.
+    or bitwise complements. The masks have the code type of degree
+    n = signs.shape[-1], and codes are kept in that type.
     """
-    return np.where(signs < 0, -1, 0).astype(np.min_scalar_type(-max(signs.shape[-1], 1)))
+    return np.where(signs < 0, -1, 0).astype(_code_type(signs.shape[-1]))
+
+
+def _code_type(n):
+    """The narrowest integer type of the signed codes -n..n-1 of degree n."""
+    return np.min_scalar_type(-max(n, 1))
 
 
 def split_signed_codes(codes):
-    """(int64 targets, int8 signs) of an array of signed codes
-    (``sign_flips``), which it overwrites."""
+    """(targets, int8 signs) of an array of signed codes (``sign_flips``);
+    the targets are ``codes`` itself, overwritten, so they keep its
+    integer type."""
     signs = np.where(codes < 0, np.int8(-1), np.int8(1))
     np.invert(codes, out=codes, where=codes < 0)
-    return codes.astype(np.int64), signs
+    return codes, signs
 
 
 def check_tol(tol, strict=True):

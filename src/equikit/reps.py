@@ -7,13 +7,14 @@ element's data is walked from them down the group's BFS tree on first
 read (``_walk``, which enumerates the group if nothing has yet) and
 kept, unless the caller already holds it: ``extend``'s replay,
 ``defining_rep``'s group (whose own element arrays it shares, read on
-first use), ``trivial_rep``'s constants. Index arrays walk as signed
-codes (``numerics.sign_flips``) of the narrowest integer type, then
-split; dense images walk by stacked matmuls, and a signed rep's are
-scattered from its arrays. Constructing a rep from a named group
-enumerates nothing except through ``extend``; the solve, the
-certificate and ``act`` at the generators read generator data only, so
-a ``check`` that certifies never enumerates the group.
+first use), ``trivial_rep``'s constants. The walk takes the group's
+products (``groups._element_steps``) of either storage kind: index
+arrays walk as signed codes (``numerics.sign_flips``), then split into
+targets of the codes' type and int8 signs; dense images walk by
+matmuls, and a signed rep's are scattered from its arrays. Constructing
+a rep from a named group enumerates nothing except through ``extend``;
+the solve, the certificate and ``act`` at the generators read generator
+data only, so a ``check`` that certifies never enumerates the group.
 
 Only images the user supplies (``extend``, hence ``permutation_rep`` and
 ``perm:`` spec leaves) are replayed: the walk, then a check against the
@@ -31,13 +32,14 @@ import numpy as np
 from .groups import (
     MAX_IMAGE_STACK_BYTES,
     _check_stack_fits,
+    _element_steps,
     _generator_stack,
     permutation_matrix,
 )
 from .numerics import (
+    _code_type,
     check_tol,
     nullspace,  # unused here; perfbench/selftest.py checks the tracer rebinds it in reps
-    sign_flips,
     signed_permutation_matrices,
     split_signed_codes,
 )
@@ -70,6 +72,7 @@ class Representation:
     (``arrays`` when passed), is walked from them on first read unless
     passed, or read from the group when ``gen_arrays`` is the group's own;
     ``images[e] @ gen_images[g]`` matches ``images[cayley[e, g]]``.
+    Element targets keep the signed codes' type; generator targets are int64.
     """
 
     def __init__(self, group, degree, gen_images=None, images=None, spec=None,
@@ -95,7 +98,8 @@ class Representation:
             elif self.gen_arrays is self.group.gen_arrays:  # the defining rep
                 self._arrays = self.group.targets, self.group.signs
             else:
-                self._arrays = split_signed_codes(_walk_codes(self.group, *self.gen_arrays))
+                self._arrays = split_signed_codes(_walk(self.group,
+                                                        _element_steps(self.gen_arrays)))
         return self._arrays
 
     targets = property(lambda self: self._element_arrays()[0])
@@ -104,7 +108,8 @@ class Representation:
     @property
     def images(self):
         if self._images is None:
-            self._images = (_walk_dense(self.group, self.gen_images) if self.gen_arrays is None
+            self._images = (_walk(self.group, _element_steps(generators=self.gen_images))
+                            if self.gen_arrays is None
                             else signed_permutation_matrices(self.targets, self.signs))
         return self._images
 
@@ -134,20 +139,20 @@ class Representation:
 def extend(group, gen_images, spec=None, tol=CONSISTENCY_TOL):
     """Build the representation generated by one image per generator.
 
-    Signed permutation images are replayed and checked on integer arrays;
-    any other images by dense products (see the module docstring).
-    Raises InconsistentImagesError when the images do not define a
-    homomorphism (the map fails to factor through the group relations),
-    and ValueError for a ``tol`` that is not finite and non-negative.
+    The images are replayed (``_replay``) on signed codes when they are
+    all signed permutations, else on dense matrices (see the module
+    docstring). Raises InconsistentImagesError when the images do not
+    define a homomorphism (the map fails to factor through the group
+    relations), and ValueError for a ``tol`` that is not finite and
+    non-negative.
     """
     check_tol(tol, strict=False)
     gen_images, perm = _image_stack(group, gen_images)
-    degree = gen_images.shape[1]
+    data = _replay(group, _element_steps(perm, gen_images), tol)
     if perm is None:
-        images = _extend_dense(group, gen_images, tol)
-        return Representation(group, degree, gen_images, images, spec)
-    return Representation(group, degree, spec=spec, gen_arrays=perm,
-                          arrays=_extend_signed(group, *perm, tol))
+        return Representation(group, gen_images.shape[1], gen_images, data, spec)
+    return Representation(group, gen_images.shape[1], spec=spec, gen_arrays=perm,
+                          arrays=split_signed_codes(data))
 
 
 def _image_stack(group, gen_images):
@@ -160,85 +165,44 @@ def _image_stack(group, gen_images):
 
 
 def _extend_dense(group, gen_images, tol):
-    """Images by the matmul walk, checked against the cayley table: the
-    path of every image set that is not all signed permutations, and the
-    test oracle for the other."""
-    def residuals(images, gi):
-        dev = images @ gen_images[gi]
-        dev -= images[group.cayley[:, gi]]
-        np.abs(dev, out=dev)
-        return dev.max(axis=(1, 2))
-
-    return _replay(group, _walk_dense(group, gen_images), residuals, tol)
+    """``extend`` on dense matrices, whatever the images: the test oracle
+    for signed permutation images."""
+    return _replay(group, _element_steps(generators=gen_images), tol)
 
 
-def _extend_signed(group, targets, signs, tol):
-    """``_extend_dense`` on signed codes; returns every image's (targets,
-    signs). A column's residual is the dense ``|lhs - rhs|``: 1 where the
-    targets differ, 2 where only the sign does, else 0, so ``tol`` and the
-    error are the dense path's. Floats are built only when codes differ."""
-    flips = sign_flips(signs)
-
-    def residuals(codes, gi):
-        lhs = codes[:, targets[gi]]
-        lhs ^= flips[gi]
-        rhs = codes[group.cayley[:, gi]]
-        if np.array_equal(lhs, rhs):
-            return np.zeros(group.order)
-        return np.where(lhs == rhs, 0.0, np.where(lhs == ~rhs, 2.0, 1.0)).max(axis=1)
-
-    return split_signed_codes(_replay(group, _walk_codes(group, targets, signs), residuals, tol))
-
-
-def _walk(group, identity, multiply):
-    """Every element's data, walked from ``identity`` down the BFS tree a
-    level (the elements whose parents precede it) at a time; ``multiply``
-    fills ``out`` with data[parents[k]] times generator gens[k]."""
+def _walk(group, steps):
+    """Every element's data in the element algebra ``steps``
+    (``groups._element_steps``), walked from the identity down the BFS
+    tree a level (the elements whose parents precede it) at a time: per
+    level and generator, one ``times`` of the parents' data."""
+    identity, times = steps[:2]
     data = np.empty((group.order,) + identity.shape, dtype=identity.dtype)
     data[0] = identity
     parent_of, gen_of = group.parents[:, 0], group.parents[:, 1]
     lo = 1
     while lo < group.order:
         hi = int(np.searchsorted(parent_of, lo))
-        multiply(data, parent_of[lo:hi], gen_of[lo:hi], data[lo:hi])
+        level, parents, gens = data[lo:hi], parent_of[lo:hi], gen_of[lo:hi]
+        for gi in range(group.gen_count):
+            at = gens == gi
+            level[at] = times(data[parents[at]], gi)
         lo = hi
     return data
 
 
-def _walk_dense(group, gen_images):
-    """``_walk`` of dense images, a level's products in one stacked
-    ``np.matmul``, bitwise the per-element ``@``."""
-    return _walk(group, np.eye(gen_images.shape[1]), lambda images, parents, gens, out:
-                 np.matmul(images[parents], gen_images[gens], out=out))
-
-
-def _walk_codes(group, targets, signs):
-    """``_walk`` of every element's signed codes from the generators'
-    (targets, signs): per level and generator, one gather of the
-    parents' codes at the generator's targets, and one xor."""
-    flips = sign_flips(signs)
-
-    def multiply(codes, parents, gens, out):
-        for gi in range(len(targets)):
-            at = gens == gi
-            product = codes[parents[at]].take(targets[gi], axis=1)
-            product ^= flips[gi]
-            out[at] = product
-
-    return _walk(group, np.arange(targets.shape[1], dtype=flips.dtype), multiply)
-
-
-def _replay(group, walked, residuals, tol):
-    """Check the ``walked`` data against the cayley table and return it:
-    ``residuals(walked, gi)`` gives each element's residual against
-    generator ``gi``, and the first one above ``tol`` raises
-    InconsistentImagesError."""
+def _replay(group, steps, tol):
+    """``_walk`` the element data of ``steps`` and check it against the
+    cayley table: the first element whose product with generator ``gi``
+    deviates from element ``cayley[e, gi]`` by more than ``tol`` raises
+    InconsistentImagesError. One product per generator is held at once."""
+    data = _walk(group, steps)
+    times, residuals = steps[1], steps[4]
     for gi in range(group.gen_count):
-        dev = residuals(walked, gi)
+        dev = residuals(times(data, gi), data[group.cayley[:, gi]])
         worst = int(np.argmax(dev))
         if dev[worst] > tol:
             raise InconsistentImagesError(worst, gi, float(dev[worst]))
-    return walked
+    return data
 
 
 # --- the constructors build generator data; only extend replays -----------
@@ -319,10 +283,13 @@ def defining_rep(group):
 
 def trivial_rep(group, degree=1):
     """Every element acts as the identity on R^degree (degree may be 0).
-    Its index arrays are constant broadcast views, which take no memory."""
-    identity = np.arange(degree, dtype=np.int64), np.ones(degree, dtype=np.int8)
-    gen_arrays, arrays = [tuple(np.broadcast_to(a, (count, degree)) for a in identity)
-                          for count in (group.gen_count, group.order)]
+    Its index arrays are constant broadcast views, which take no memory;
+    the elements' targets take the code type of the degree, as a walk's."""
+    signs = np.ones(degree, dtype=np.int8)
+    gen_arrays, arrays = [tuple(np.broadcast_to(a, (count, degree))
+                                for a in (np.arange(degree, dtype=dtype), signs))
+                          for dtype, count in ((np.int64, group.gen_count),
+                                               (_code_type(degree), group.order))]
     return Representation(group, degree, spec=f"trivial:{degree}",
                           gen_arrays=gen_arrays, arrays=arrays)
 

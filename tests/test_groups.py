@@ -410,19 +410,22 @@ def _closure_peak_mib(spec):
 
 
 def test_cyclic_2000_closure_peak():
-    # a 30.5 MiB dense generator is never built: int16 codes during the
-    # BFS, split in place before the 30.5 MiB int64 targets are widened
+    # a 30.5 MiB dense generator is never built: 7.6 MiB of int16 codes
+    # during the BFS, split in place into the int16 targets
     group, peak = _closure_peak_mib("cyclic:2000")
     assert group.order == 2000
-    assert peak < 60
+    assert group.targets.dtype == np.int16
+    assert peak < 36
 
 
 def test_p4m_32_closure_peak():
-    # 8192 elements of degree 1024: 16 MiB of int16 codes, 64 MiB of
-    # int64 targets and 8 MiB of signs, and no 32 MiB dense generator stack
+    # 8192 elements of degree 1024: 16 MiB of int16 codes, which become
+    # the targets in place, and 8 MiB of signs; no 32 MiB dense generator
+    # stack and no int64 widening
     group, peak = _closure_peak_mib("p4m:32")
     assert group.order == 8192
-    assert peak < 110
+    assert group.targets.dtype == np.int16
+    assert peak < 64
 
 
 # --- a named group is its generators plus a closed-form order --------------

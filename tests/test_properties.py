@@ -169,6 +169,79 @@ def test_dense_closure_of_rotations_has_cyclic_or_dihedral_order(step, reflect):
     assert rep.images.shape == (group.order, 2, 2)
 
 
+# --- the walk and the replay against products along each word --------------
+
+
+def word_products(group, gen_images):
+    """Each element's image as the left-to-right product of the generator
+    images along its word, one ``@`` at a time: a traversal that shares
+    nothing with ``reps._walk``."""
+    products = []
+    for word in group.words:
+        image = np.eye(gen_images.shape[1])
+        for gi in word:
+            image = image @ gen_images[gi]
+        products.append(image)
+    return np.stack(products)
+
+
+def cayley_outcome(group, gen_images, tol=CONSISTENCY_TOL):
+    """(element, generator, residual) of the first generator, and its
+    first worst element, at which the word products fail the cayley
+    table by more than ``tol``, by a plain loop; else the products."""
+    products = word_products(group, gen_images)
+    for gi in range(group.gen_count):
+        dev = [np.abs(products[e] @ gen_images[gi] - products[group.cayley[e, gi]]).max()
+               for e in range(group.order)]
+        worst = int(np.argmax(dev))
+        if dev[worst] > tol:
+            return "inconsistent", worst, gi, float(dev[worst])
+    return products.tobytes()
+
+
+def extend_outcome(group, gen_images):
+    try:
+        return extend(group, gen_images).images.tobytes()
+    except InconsistentImagesError as err:
+        return "inconsistent", err.element, err.generator, err.residual
+
+
+def assert_walk_is_the_word_products(rep, data):
+    """The rep's images are the products along the words, bitwise, and
+    ``extend`` of one perturbed generator image (an entry nudged off the
+    signed path, or a column negated on it) fails where the plain loop
+    does, with the same residual."""
+    group, gen_images = rep.group, rep.gen_images
+    assert rep.images.tobytes() == word_products(group, gen_images).tobytes()
+    perturbed = gen_images.copy()
+    gi = data.draw(st.integers(0, group.gen_count - 1))
+    col = data.draw(st.integers(0, rep.degree - 1))
+    if data.draw(st.booleans()):
+        perturbed[gi, col, col] += 1e-3
+    else:
+        perturbed[gi, :, col] *= -1.0
+        perturbed += 0.0  # the negated zeros back to +0.0
+    assert extend_outcome(group, perturbed) == cayley_outcome(group, perturbed)
+
+
+@PROPERTY_SETTINGS
+@given(generator_sets(), st.data())
+def test_walked_images_are_the_word_products(drawn, data):
+    gens, perms = drawn
+    group = close(gens)
+    assert_walk_is_the_word_products(parse_rep_spec(group, data.draw(rep_specs(perms))), data)
+
+
+@PROPERTY_SETTINGS
+@given(rotation_steps(), st.data())
+def test_walked_rotation_images_are_the_word_products(step, data):
+    n, k = step
+    gens = [rotation(2 * np.pi * k / n), np.diag([1.0, -1.0])]
+    rep = extend(close(gens), gens)
+    assert rep.targets is None
+    assert_walk_is_the_word_products(rep, data)
+
+
 # --- spec reps composed from index arrays against the extension ------------
 
 COMPOSED_GROUPS = [f"symmetric:{m}" for m in range(1, 6)] + [

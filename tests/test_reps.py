@@ -450,6 +450,22 @@ def test_signed_closure_and_extension_build_no_dense_stack_until_read():
     assert rep.group.elements is rep.group.elements
 
 
+def test_p4m_32_tensor_walk_keeps_the_code_type():
+    group = group_from_spec("p4m:32")
+    group.parents  # enumerated before the trace
+    rep = parse_rep_spec(group, "tensor:2(defining)")
+    tracemalloc.start()
+    try:
+        targets = rep.targets
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 8192 x 2048 codes: 32 MiB of int16 that become the targets in
+    # place, 16 MiB of signs and one 16 MiB mask; no 128 MiB int64 copy
+    assert targets.dtype == np.int16 and targets.shape == (8192, 2048)
+    assert peak < 96 * 2 ** 20
+
+
 # --- dense composition against the extension of the spec's images --------
 
 def rotation_group(n, flip):
@@ -515,8 +531,8 @@ def _record_replays(monkeypatch):
     """The degrees of the ``_replay`` calls, and the specs ``extend`` gets."""
     degrees, extended = [], []
     real_replay, real_extend = reps._replay, reps.extend
-    monkeypatch.setattr(reps, "_replay", lambda group, walked, *args:
-                        degrees.append(walked.shape[1]) or real_replay(group, walked, *args))
+    monkeypatch.setattr(reps, "_replay", lambda group, steps, tol:
+                        degrees.append(len(steps[0])) or real_replay(group, steps, tol))
     monkeypatch.setattr(reps, "extend", lambda group, images, spec=None, **kw:
                         extended.append(spec) or real_extend(group, images, spec, **kw))
     return degrees, extended
