@@ -13,9 +13,11 @@ Example::
     2 = trivial:3
 
 Rep keys are consecutive integers from 0; they order the layer chain.
-A ``tol`` key in [model] is accepted and ignored, once it parses as a
-finite positive float: every rep the spec language builds takes the
-exact orbit path of ``solve_basis``, which uses no tolerance.
+``basis``, the only reader of a config, reads ``group`` and [reps]. The
+[model] keys ``activation`` (an activation spec), ``seed`` (an integer)
+and ``tol`` (a finite positive float) are validated and unused: every
+rep the spec language builds takes the exact orbit path of
+``solve_basis``, which uses no tolerance.
 """
 
 import configparser
@@ -33,8 +35,6 @@ class ConfigError(ValueError):
 class ModelConfig:
     group_spec: str
     rep_specs: list
-    activation: str = "relu"
-    seed: int = 0
 
 
 def parse_config(path):
@@ -54,13 +54,12 @@ def parse_config(path):
     if "group" not in model:
         raise ConfigError("model.group is required")
     group_spec = model.pop("group")
-    activation = model.pop("activation", "relu")
     try:
-        parse_activation(activation)
+        parse_activation(model.pop("activation", "relu"))
     except ValueError as exc:
         raise ConfigError(f"model.activation: {exc}") from None
     try:
-        seed = int(model.pop("seed", "0"))
+        int(model.pop("seed", "0"))
     except ValueError:
         raise ConfigError("model.seed must be an integer") from None
     try:
@@ -94,4 +93,4 @@ def parse_config(path):
     if len(entries) < 2:
         raise ConfigError("need at least two reps (input and output)")
     rep_specs = [entries[i] for i in expected]
-    return ModelConfig(group_spec, rep_specs, activation, seed)
+    return ModelConfig(group_spec, rep_specs)

@@ -1,39 +1,43 @@
 """Finite matrix groups, stored as their generators' data and their order.
 
 A group is its generators: their (targets, signs) index arrays when they
-are signed permutations, else their dense stack. Its elements are
-enumerated by one breadth-first search, run on the first read of any
-element-level attribute and then kept. A named group takes its order
-from a closed form (``_named_order``), so building it enumerates
-nothing, and its search must find exactly that order; ``close`` runs
-the search at once, since only the search finds a generator set's order.
-Callers that read generators only (the solve, the certificate, the
-generator sweep of a check, ``generator_ids``) never enumerate. Those
-that read elements do: the exhaustive or sampled element sweep, the
-character oracle, the replay of user-supplied images (``perm:`` leaves),
-a walked rep's first element read, and the dense path.
+are signed permutations, else their dense stack. One breadth-first
+search, run on the first read of the cayley table, the parent links or
+any element's data and then kept, finds the BFS tree: the cayley table
+and each element's parent link (parent element, generator). It holds
+one level's element data at a time and keeps none. A named group takes
+its order from a closed form (``_named_order``), so building it
+enumerates nothing, and its search must find exactly that order;
+``close`` runs the search at once, since only the search finds a
+generator set's order. Callers that read generators only (the solve,
+the certificate, the generator sweep of a check, ``generator_ids``)
+never enumerate. Those that read elements do: the exhaustive or sampled
+element sweep, the character oracle, the replay of user-supplied images
+(``perm:`` leaves), and any first read of element data.
 
 Element 0 is always the identity. BFS order (queue order, generators
-tried in index order) fixes a canonical element indexing. Each element
-carries its BFS parent link (parent element, generator), down which a
-rep's element data is walked (``reps._walk``) and off which the word
-that reproduces an element (``words``) is read on demand. The BFS looks
-up each level's products in one pass over their keys and runs Python
-code only for the products it has not seen.
+tried in index order) fixes a canonical element indexing. Every
+element's data, a group's and a rep's alike, is walked down the BFS
+tree from its generators' data (``_walk``) on first read and kept
+(``_ElementData``), and the word that reproduces an element (``words``)
+is read off the parent links on demand. The BFS looks up each level's
+products in one pass over their keys and runs Python code only for the
+products it has not seen.
 
-Every element is a product of generators, so closing a group, walking a
-rep and checking generator images share one step, per storage kind:
-``_element_steps``, whose only traversals are ``_bfs``,
-``generator_ids``, ``reps._walk`` and ``reps._replay``. Signed
-permutation generators (entries -1, 0 or 1, one nonzero per row and
-column, as the validator ``_generator_stack`` detects) multiply integer
-signed codes (``numerics.sign_flips``) by a gather and an xor and key
-them on their exact bytes; the group keeps each element's (targets,
-signs), the targets in the codes' narrow type, and scatters ``elements``
-(and a named group's ``generators``) on first read. Other generator
-sets multiply dense matrices keyed by the rounding key ``_key``; the
-validator calls ``det`` only for them. On signed permutations both give
-the same elements, words, cayley table and parent links, bit for bit.
+Every element is a product of generators, so closing a group, walking
+element data and checking generator images share one step, per storage
+kind: ``_element_steps``, whose only traversals are ``_bfs``,
+``generator_ids``, ``_walk`` and ``reps._replay``. Signed permutation
+generators (entries -1, 0 or 1, one nonzero per row and column, as the
+validator ``_generator_stack`` detects) multiply integer signed codes
+(``numerics.sign_flips``) by a gather and an xor and key them on their
+exact bytes; their walk splits the codes into each element's (targets,
+signs), the targets in the codes' narrow type, from which ``elements``
+(and a named group's ``generators``) are scattered on first read. Other
+generator sets multiply dense matrices keyed by the rounding key
+``_key``; the validator calls ``det`` only for them. On signed
+permutations both give the same elements, words, cayley table and
+parent links, bit for bit.
 """
 
 from itertools import repeat
@@ -73,10 +77,11 @@ class ClosureError(RuntimeError):
 class FiniteGroup:
     """A group given by its generators, with canonical element indexing.
 
-    The group is its generators' data and its order. Every element-level
-    attribute (``cayley``, ``parents``, ``targets``, ``signs``,
-    ``elements``, ``words``) comes from one BFS enumeration, run on the
-    first read of any of them and then kept.
+    The group is its generators' data and its order. ``cayley`` and
+    ``parents`` come from one BFS enumeration, run on the first read of
+    either or of any element's data, and then kept; ``targets``,
+    ``signs`` and ``elements`` are walked from the generators' data down
+    that tree on first read and then kept, and ``words`` are read off it.
 
     Attributes:
         dim: matrix size of the defining representation.
@@ -93,7 +98,7 @@ class FiniteGroup:
             enumerating (see the property).
         elements: (order, dim, dim) array, elements[0] = identity. For
             a signed permutation group it is scattered from ``targets``
-            and ``signs`` on first read and then kept.
+            and ``signs``.
         words: per element, the generator-index word replaying it from
             the identity (left-to-right products), derived from
             ``parents`` on first read. BFS gives the shortest word,
@@ -115,8 +120,8 @@ class FiniteGroup:
         self.spec = spec
         self.gen_arrays = gen_arrays
         self._generators = generators
-        self._cayley = self._parents = self._elements = self._targets = self._signs = None
-        self._words = None
+        self._data = _ElementData(gen_arrays, generators)
+        self._cayley = self._parents = self._words = None
 
     @property
     def gen_count(self):
@@ -136,19 +141,9 @@ class FiniteGroup:
     def parents(self):
         return self._enumerate()._parents
 
-    @property
-    def targets(self):
-        return None if self.gen_arrays is None else self._enumerate()._targets
-
-    @property
-    def signs(self):
-        return None if self.gen_arrays is None else self._enumerate()._signs
-
-    @property
-    def elements(self):
-        if self._enumerate()._elements is None:
-            self._elements = signed_permutation_matrices(self._targets, self._signs)
-        return self._elements
+    targets = property(lambda self: self._data.arrays(self)[0])
+    signs = property(lambda self: self._data.arrays(self)[1])
+    elements = property(lambda self: self._data.stack(self))
 
     @property
     def words(self):
@@ -173,24 +168,20 @@ class FiniteGroup:
         return np.array(ids[1:], dtype=np.int64)
 
     def _enumerate(self, max_order=None):
-        """Run the BFS, once, and keep its tables; return the group. A
+        """Run the BFS, once, and keep its tree; return the group. A
         group of known order enumerates with that order as its cap and
         raises ClosureError unless it finds exactly that many elements;
         otherwise the order is what the BFS finds within ``max_order``."""
         if self._cayley is not None:
             return self
         cap = max_order if self.order is None else self.order
-        data, cayley, parents = _bfs(_element_steps(self.gen_arrays, self._generators),
-                                     self.gen_count, cap)
+        cayley, parents = _bfs(_element_steps(self.gen_arrays, self._generators),
+                               self.gen_count, cap)
         if self.order is None:
             self.order = len(cayley)
         elif len(cayley) != self.order:
             raise ClosureError(f"{self!r} enumerates {len(cayley)} elements")
         self._cayley, self._parents = cayley, parents
-        if self.gen_arrays is None:
-            self._elements = data
-        else:
-            self._targets, self._signs = split_signed_codes(data)
         return self
 
     def index_of(self, m):
@@ -343,17 +334,18 @@ def _bfs(steps, gen_count, max_order):
     looked up in one ``map``, and Python visits only the products not
     seen before the level. New elements are numbered in (element,
     generator) order, which is the order a one-element-at-a-time queue
-    finds them in. Returns the stacked elements in BFS order, the cayley
-    table and the parent links.
+    finds them in. Returns only the tree, as the cayley table and the
+    parent links: the search holds one level's element data at a time,
+    and ``_walk`` gives every element's on demand.
     """
     identity, _, times_all, keys, _ = steps
-    levels = [identity[None]]
+    level = identity[None]
     parents = [np.array([[-1, -1]], dtype=np.int64)]
-    index = {keys(levels[0])[0]: 0}
+    index = {keys(level)[0]: 0}
     cayley_rows = []
     start = 0
-    while len(levels[-1]):
-        products = times_all(levels[-1])
+    while len(level):
+        products = times_all(level)
         product_keys = keys(products)
         row = np.array(list(map(index.get, product_keys, repeat(-1))), dtype=np.int64)
         new = []
@@ -369,9 +361,58 @@ def _bfs(steps, gen_count, max_order):
         cayley_rows.append(row.reshape(-1, gen_count))
         parent, gi = np.divmod(np.array(new, dtype=np.int64), gen_count)
         parents.append(np.stack([start + parent, gi], axis=1))
-        start += len(levels[-1])
-        levels.append(products[new])
-    return np.concatenate(levels), np.concatenate(cayley_rows), np.concatenate(parents)
+        start += len(level)
+        level = products[new]
+    return np.concatenate(cayley_rows), np.concatenate(parents)
+
+
+def _walk(group, steps):
+    """Every element's data in the element algebra ``steps``
+    (``_element_steps``), walked from the identity down ``group``'s BFS
+    tree a level (the elements whose parents precede it) at a time: per
+    level and generator, one ``times`` of the parents' data."""
+    identity, times = steps[:2]
+    data = np.empty((group.order,) + identity.shape, dtype=identity.dtype)
+    data[0] = identity
+    parent_of, gen_of = group.parents[:, 0], group.parents[:, 1]
+    lo = 1
+    while lo < group.order:
+        hi = int(np.searchsorted(parent_of, lo))
+        level, parents, gens = data[lo:hi], parent_of[lo:hi], gen_of[lo:hi]
+        for gi in range(group.gen_count):
+            at = gens == gi
+            level[at] = times(data[parents[at]], gi)
+        lo = hi
+    return data
+
+
+class _ElementData:
+    """Every element's data, walked (``_walk``) from the generators' data
+    on first read and then kept: for signed permutation ``gen_arrays``,
+    ``arrays`` are the (order, n) targets, in the codes' type, and int8
+    signs, and for a dense ``generators`` stack (None, None); ``stack``
+    is the dense (order, n, n) stack, scattered from the arrays or walked
+    from the dense generators. A group and each rep hold one, and the
+    defining rep holds its group's; each read names the group whose tree
+    is walked, so a group holds no reference to itself.
+    """
+
+    def __init__(self, gen_arrays, generators):
+        self.gen_arrays, self.generators = gen_arrays, generators
+        self._arrays = self._stack = None
+
+    def arrays(self, group):
+        if self._arrays is None:
+            self._arrays = (None, None) if self.gen_arrays is None else split_signed_codes(
+                _walk(group, _element_steps(self.gen_arrays)))
+        return self._arrays
+
+    def stack(self, group):
+        if self._stack is None:
+            self._stack = (_walk(group, _element_steps(generators=self.generators))
+                           if self.gen_arrays is None
+                           else signed_permutation_matrices(*self.arrays(group)))
+        return self._stack
 
 
 def permutation_matrix(perm):

@@ -72,13 +72,16 @@ def solve_basis(rep_in, rep_out, tol=DEFAULT_TOL):
     the orthonormalized nullspace reshaped to matrices. Two signed
     permutation representations take the orbit path on their
     ``gen_arrays`` (see the module docstring); its result is bitwise the
-    dense one.
+    dense one. A degree-0 representation on either side gives the zero
+    space: ``dim`` 0 and a (0, n_out, n_in) ``basis``.
     """
     if rep_in.group is not rep_out.group:
         raise ValueError("representations must share the same group")
     check_tol(tol)
     n_in, n_out = rep_in.degree, rep_out.degree
-    if rep_in.gen_arrays is not None and rep_out.gen_arrays is not None:
+    if n_in * n_out == 0:  # no unknowns: the zero space, which neither path takes
+        ns = np.zeros((0, 0))
+    elif rep_in.gen_arrays is not None and rep_out.gen_arrays is not None:
         ns = _orbit_nullspace(rep_in.gen_arrays, rep_out.gen_arrays)
     else:
         ns = nullspace(_constraint_stack(rep_in, rep_out), tol=tol)

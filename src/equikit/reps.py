@@ -4,27 +4,28 @@ A representation is fixed by its generators' images: a dense
 (gen_count, n, n) stack, or the integer (targets, signs) index arrays of
 a signed permutation rep, the one source every consumer reads. Every
 element's data is walked from them down the group's BFS tree on first
-read (``_walk``, which enumerates the group if nothing has yet) and
-kept, unless the caller already holds it: ``extend``'s replay,
-``defining_rep``'s group (whose own element arrays it shares, read on
-first use), ``trivial_rep``'s constants. The walk takes the group's
-products (``groups._element_steps``) of either storage kind: index
-arrays walk as signed codes (``numerics.sign_flips``), then split into
-targets of the codes' type and int8 signs; dense images walk by
-matmuls, and a signed rep's are scattered from its arrays. Constructing
-a rep from a named group enumerates nothing except through ``extend``;
-the solve, the certificate and ``act`` at the generators read generator
-data only, so a ``check`` that certifies never enumerates the group.
+read and kept (``groups._ElementData``), as the group's own is; the
+defining rep shares its group's. The walk (``groups._walk``, which
+enumerates the group if nothing has yet) takes the group's products
+(``groups._element_steps``) of either storage kind: index arrays walk
+as signed codes (``numerics.sign_flips``), then split into targets of
+the codes' type and int8 signs; dense images walk by matmuls, and a
+signed rep's are scattered from its arrays. Constructing a rep from a
+named group enumerates nothing except through ``extend``; the solve,
+the certificate and ``act`` at the generators read generator data only,
+so a ``check`` that certifies never enumerates the group.
 
 Only images the user supplies (``extend``, hence ``permutation_rep`` and
 ``perm:`` spec leaves) are replayed: the walk, then a check against the
 cayley table, which is exactly the well-definedness check for the
-generator images. Their validator calls ``det`` only when they are not
-all signed permutations (``numerics.signed_permutations``), which replay
-and check on codes. Every other constructor builds a homomorphism
-(``sign_rep`` from the generators' determinants, ``direct_sum`` and
-``tensor_identity`` from their parts' generator data), so its walk is
-bitwise the replay. ``parse_rep_spec`` builds through the constructors.
+generator images. The rep ``extend`` returns keeps only the generator
+data, and walks again on its first element read. The image validator
+calls ``det`` only when the images are not all signed permutations
+(``numerics.signed_permutations``), which replay and check on codes.
+Every other constructor builds a homomorphism (``sign_rep`` from the
+generators' determinants, ``direct_sum`` and ``tensor_identity`` from
+their parts' generator data), so its walk is bitwise the replay.
+``parse_rep_spec`` builds through the constructors.
 """
 
 import numpy as np
@@ -33,15 +34,15 @@ from .groups import (
     MAX_IMAGE_STACK_BYTES,
     _check_stack_fits,
     _element_steps,
+    _ElementData,
     _generator_stack,
+    _walk,
     permutation_matrix,
 )
 from .numerics import (
-    _code_type,
     check_tol,
     nullspace,  # unused here; perfbench/selftest.py checks the tracer rebinds it in reps
     signed_permutation_matrices,
-    split_signed_codes,
 )
 
 CONSISTENCY_TOL = 1e-8
@@ -68,22 +69,19 @@ class Representation:
     module docstring): the dense ``gen_images`` (``gen_arrays`` None), or
     a signed permutation rep's ``gen_arrays``, the generators' (targets,
     int8 signs) with gen_images[g] e_j = signs[g, j] e_{targets[g, j]}.
-    Every element's ``images``, or (order, n) ``targets`` and ``signs``
-    (``arrays`` when passed), is walked from them on first read unless
-    passed, or read from the group when ``gen_arrays`` is the group's own;
+    Every element's ``images``, or (order, n) ``targets`` and ``signs``,
+    is walked from them on first read and kept;
     ``images[e] @ gen_images[g]`` matches ``images[cayley[e, g]]``.
     Element targets keep the signed codes' type; generator targets are int64.
     """
 
-    def __init__(self, group, degree, gen_images=None, images=None, spec=None,
-                 gen_arrays=None, arrays=None):
+    def __init__(self, group, degree, gen_images=None, spec=None, gen_arrays=None):
         self.group = group
         self.degree = degree
         self._gen_images = gen_images
-        self._images = images
         self.spec = spec
         self.gen_arrays = gen_arrays
-        self._arrays = arrays
+        self._data = _ElementData(gen_arrays, gen_images)
 
     @property
     def gen_images(self):
@@ -91,27 +89,9 @@ class Representation:
             self._gen_images = signed_permutation_matrices(*self.gen_arrays)
         return self._gen_images
 
-    def _element_arrays(self):
-        if self._arrays is None:
-            if self.gen_arrays is None:
-                self._arrays = None, None
-            elif self.gen_arrays is self.group.gen_arrays:  # the defining rep
-                self._arrays = self.group.targets, self.group.signs
-            else:
-                self._arrays = split_signed_codes(_walk(self.group,
-                                                        _element_steps(self.gen_arrays)))
-        return self._arrays
-
-    targets = property(lambda self: self._element_arrays()[0])
-    signs = property(lambda self: self._element_arrays()[1])
-
-    @property
-    def images(self):
-        if self._images is None:
-            self._images = (_walk(self.group, _element_steps(generators=self.gen_images))
-                            if self.gen_arrays is None
-                            else signed_permutation_matrices(self.targets, self.signs))
-        return self._images
+    targets = property(lambda self: self._data.arrays(self.group)[0])
+    signs = property(lambda self: self._data.arrays(self.group)[1])
+    images = property(lambda self: self._data.stack(self.group))
 
     def act(self, indices, vectors, generators=False):
         """rho(e) applied to each row of ``vectors``, for each e in the
@@ -124,7 +104,7 @@ class Representation:
         if self.gen_arrays is None:
             images = self.gen_images if generators else self.images
             return np.matmul(vectors, images[indices].transpose(0, 2, 1))
-        targets, signs = self.gen_arrays if generators else self._element_arrays()
+        targets, signs = self.gen_arrays if generators else self._data.arrays(self.group)
         k, (batch, n) = indices.size, vectors.shape
         out = np.empty((k, batch, n))
         at = targets[indices][:, None, :] + np.arange(0, out.size, n).reshape(k, batch, 1)
@@ -148,11 +128,9 @@ def extend(group, gen_images, spec=None, tol=CONSISTENCY_TOL):
     """
     check_tol(tol, strict=False)
     gen_images, perm = _image_stack(group, gen_images)
-    data = _replay(group, _element_steps(perm, gen_images), tol)
-    if perm is None:
-        return Representation(group, gen_images.shape[1], gen_images, data, spec)
-    return Representation(group, gen_images.shape[1], spec=spec, gen_arrays=perm,
-                          arrays=split_signed_codes(data))
+    _replay(group, _element_steps(perm, gen_images), tol)
+    return Representation(group, gen_images.shape[1], gen_images if perm is None else None,
+                          spec, perm)
 
 
 def _image_stack(group, gen_images):
@@ -168,26 +146,6 @@ def _extend_dense(group, gen_images, tol):
     """``extend`` on dense matrices, whatever the images: the test oracle
     for signed permutation images."""
     return _replay(group, _element_steps(generators=gen_images), tol)
-
-
-def _walk(group, steps):
-    """Every element's data in the element algebra ``steps``
-    (``groups._element_steps``), walked from the identity down the BFS
-    tree a level (the elements whose parents precede it) at a time: per
-    level and generator, one ``times`` of the parents' data."""
-    identity, times = steps[:2]
-    data = np.empty((group.order,) + identity.shape, dtype=identity.dtype)
-    data[0] = identity
-    parent_of, gen_of = group.parents[:, 0], group.parents[:, 1]
-    lo = 1
-    while lo < group.order:
-        hi = int(np.searchsorted(parent_of, lo))
-        level, parents, gens = data[lo:hi], parent_of[lo:hi], gen_of[lo:hi]
-        for gi in range(group.gen_count):
-            at = gens == gi
-            level[at] = times(data[parents[at]], gi)
-        lo = hi
-    return data
 
 
 def _replay(group, steps, tol):
@@ -274,24 +232,20 @@ def _determinants(group):
 
 def defining_rep(group):
     """The group acting by its own matrices (or index arrays): its
-    generator data is the group's, and so, on first read, is every
-    element's (a dense group is enumerated when it is closed)."""
-    if group.gen_arrays is None:
-        return Representation(group, group.dim, group.generators, group.elements, "defining")
-    return Representation(group, group.dim, spec="defining", gen_arrays=group.gen_arrays)
+    generator data is the group's, and so is its element data, which the
+    two share and walk once, on the first read of either."""
+    dense = group.gen_arrays is None
+    rep = Representation(group, group.dim, group.generators if dense else None, "defining",
+                         group.gen_arrays)
+    rep._data = group._data
+    return rep
 
 
 def trivial_rep(group, degree=1):
-    """Every element acts as the identity on R^degree (degree may be 0).
-    Its index arrays are constant broadcast views, which take no memory;
-    the elements' targets take the code type of the degree, as a walk's."""
-    signs = np.ones(degree, dtype=np.int8)
-    gen_arrays, arrays = [tuple(np.broadcast_to(a, (count, degree))
-                                for a in (np.arange(degree, dtype=dtype), signs))
-                          for dtype, count in ((np.int64, group.gen_count),
-                                               (_code_type(degree), group.order))]
+    """Every element acts as the identity on R^degree (degree may be 0)."""
+    targets = np.broadcast_to(np.arange(degree, dtype=np.int64), (group.gen_count, degree))
     return Representation(group, degree, spec=f"trivial:{degree}",
-                          gen_arrays=gen_arrays, arrays=arrays)
+                          gen_arrays=(targets, np.ones(targets.shape, dtype=np.int8)))
 
 
 def sign_rep(group):

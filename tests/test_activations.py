@@ -153,7 +153,7 @@ def test_index_array_reads_are_the_dense_ones(group_spec, spec):
     # is_permutation_rep and is_compatible read a signed rep's gen_arrays;
     # the same images as a hand-built dense rep take the entrywise tests
     rep = parse_rep_spec(group_from_spec(group_spec), spec)
-    dense = Representation(rep.group, rep.degree, rep.gen_images, rep.images)
+    dense = Representation(rep.group, rep.degree, rep.gen_images)
     assert rep.gen_arrays is not None and dense.gen_arrays is None
     assert is_permutation_rep(rep) is is_permutation_rep(dense)
     n = rep.degree

@@ -404,6 +404,19 @@ def test_basis_bad_config_activation_exits_2(tmp_path, capsys, activation):
     assert "model.activation: " in err
 
 
+@pytest.mark.parametrize("seed", ["x", "1.5", ""])
+def test_basis_bad_config_seed_exits_2(tmp_path, capsys, seed):
+    # seed, like activation and tol, is validated though basis does not use it
+    cfg = tmp_path / "bad_seed.cfg"
+    cfg.write_text(
+        f"[model]\ngroup = symmetric:4\nseed = {seed}\n\n"
+        "[reps]\n0 = defining\n1 = defining\n"
+    )
+    code, out, err = run(capsys, "basis", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "model.seed must be an integer" in err
+
+
 def test_check_unreadable_model_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("garbage\n")
@@ -762,6 +775,7 @@ def _no_enumeration(*args, **kwargs):
 
 def test_certified_path_enumerates_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(groups, "_bfs", _no_enumeration)
+    monkeypatch.setattr(groups, "_walk", _no_enumeration)
     monkeypatch.setattr(reps, "_walk", _no_enumeration)
     model = tmp_path / "com.model"
     code, out, _ = run(capsys, "train", "--m", "5", "--steps", "5", "--out", str(model))

@@ -398,34 +398,38 @@ def test_named_group_closes_from_its_index_maps(monkeypatch):
     assert group.generators is group.generators
 
 
-def _closure_peak_mib(spec):
+def _closure_mib(spec):
+    """The group of ``spec`` and the MiB traced at the peak of its
+    enumeration and held once it is done."""
     tracemalloc.start()
     try:
         group = group_from_spec(spec)
         assert len(group.cayley) == group.order  # a named group encloses on first read
-        _, peak = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return group, peak / 2 ** 20
+    return group, peak / 2 ** 20, held / 2 ** 20
 
 
 def test_cyclic_2000_closure_peak():
-    # a 30.5 MiB dense generator is never built: 7.6 MiB of int16 codes
-    # during the BFS, split in place into the int16 targets
-    group, peak = _closure_peak_mib("cyclic:2000")
+    # a 30.5 MiB dense generator is never built, and the BFS holds one
+    # level's int16 codes and the keys of the elements it has seen; the
+    # int16 targets are walked on their first read
+    group, peak, _ = _closure_mib("cyclic:2000")
     assert group.order == 2000
+    assert peak < 16
     assert group.targets.dtype == np.int16
-    assert peak < 36
 
 
 def test_p4m_32_closure_peak():
-    # 8192 elements of degree 1024: 16 MiB of int16 codes, which become
-    # the targets in place, and 8 MiB of signs; no 32 MiB dense generator
-    # stack and no int64 widening
-    group, peak = _closure_peak_mib("p4m:32")
+    # 8192 elements of degree 1024: no 32 MiB dense generator stack, no
+    # int64 widening, and no element data kept past the BFS, which the
+    # targets' (16 MiB of int16) and signs' (8 MiB) first read walks
+    group, peak, held = _closure_mib("p4m:32")
     assert group.order == 8192
+    assert peak < 40
+    assert held < 2
     assert group.targets.dtype == np.int16
-    assert peak < 64
 
 
 # --- a named group is its generators plus a closed-form order --------------

@@ -5,7 +5,7 @@ import pytest
 
 from equikit import intertwiners, kernels
 from equikit.groups import close, named_group
-from equikit.intertwiners import hom_dim_oracle, solve_basis
+from equikit.intertwiners import fixed_subspace, hom_dim_oracle, solve_basis
 from equikit.numerics import nullspace
 from equikit.reps import (
     Representation,
@@ -99,6 +99,22 @@ def test_real_rotation_rep_has_two_dim_commutant():
     basis = solve_basis(rep, rep)
     assert basis.dim == 2
     assert hom_dim_oracle(rep, rep) == 2
+
+
+@pytest.mark.parametrize("rotation", [False, True])
+def test_degree_zero_solves_to_the_zero_space(rotation):
+    # a signed group's trivial reps take the orbit path; beside a dense
+    # rotation rep, the dense one
+    c, s = np.cos(2.0 * np.pi / 3.0), np.sin(2.0 * np.pi / 3.0)
+    g = close([np.array([[c, -s], [s, c]])]) if rotation else named_group("symmetric", 3)
+    zero, one, defining = trivial_rep(g, 0), trivial_rep(g, 1), defining_rep(g)
+    for rep_in, rep_out in [(zero, one), (one, zero), (zero, zero),
+                            (zero, defining), (defining, zero)]:
+        basis = solve_basis(rep_in, rep_out)
+        assert basis.dim == hom_dim_oracle(rep_in, rep_out) == 0
+        assert basis.basis.shape == (0, rep_out.degree, rep_in.degree)
+        assert basis.realize(np.zeros(0)).shape == (rep_out.degree, rep_in.degree)
+    assert fixed_subspace(zero).shape == (0, 0)
 
 
 CASES = [
@@ -199,9 +215,7 @@ def test_signed_character_is_the_dense_trace(spec):
 def test_oracle_rejects_non_integer_average():
     g = named_group("symmetric", 3)
     rep = defining_rep(g)
-    corrupted = Representation(
-        g, 3, rep.gen_images.copy(), rep.images.copy(), spec=None
-    )
+    corrupted = Representation(g, 3, rep.gen_images.copy())
     corrupted.images[2] = corrupted.images[2] + 0.37
     with pytest.raises(ValueError, match="not an integer"):
         hom_dim_oracle(corrupted, corrupted)
@@ -258,7 +272,7 @@ def test_hand_built_dense_rep_solves_to_the_orbit_basis(kind, size, spec_in, spe
     # it takes the dense solve, even when its images are signed permutations
     g = named_group(kind, size)
     rep_in, rep_out = parse_rep_spec(g, spec_in), parse_rep_spec(g, spec_out)
-    dense_in = Representation(g, rep_in.degree, rep_in.gen_images.copy(), rep_in.images.copy())
+    dense_in = Representation(g, rep_in.degree, rep_in.gen_images.copy())
     assert dense_in.gen_arrays is None and dense_in.targets is None
     calls = []
     original = kernels.row_echelon
@@ -280,7 +294,7 @@ def test_sum_of_a_hand_built_dense_rep_stays_dense(kind, size, spec_in, spec_out
     # replay: its dense images are composed, and the solve is the orbit one's
     g = named_group(kind, size)
     rep_in, rep_out = parse_rep_spec(g, spec_in), parse_rep_spec(g, spec_out)
-    dense_in = Representation(g, rep_in.degree, rep_in.gen_images.copy(), rep_in.images.copy())
+    dense_in = Representation(g, rep_in.degree, rep_in.gen_images.copy())
     for compose in (lambda r: direct_sum([r, sign_rep(g)]), lambda r: tensor_identity(r, 2)):
         dense, signed = compose(dense_in), compose(rep_in)
         assert dense.gen_arrays is None and signed.gen_arrays is not None

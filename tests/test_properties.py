@@ -27,7 +27,7 @@ from equikit import groups, intertwiners, network, reps
 from equikit.activations import ActivationSpec
 from equikit.groups import close, permutation_matrix
 from equikit.intertwiners import hom_dim_oracle, solve_basis
-from equikit.numerics import nullspace, signed_permutations
+from equikit.numerics import nullspace, signed_permutation_matrices, signed_permutations
 from equikit.reps import (
     CONSISTENCY_TOL,
     InconsistentImagesError,
@@ -207,12 +207,19 @@ def extend_outcome(group, gen_images):
 
 
 def assert_walk_is_the_word_products(rep, data):
-    """The rep's images are the products along the words, bitwise, and
-    ``extend`` of one perturbed generator image (an entry nudged off the
-    signed path, or a column negated on it) fails where the plain loop
-    does, with the same residual."""
+    """The rep's images and its group's element data are the products
+    along the words, bitwise, and ``extend`` of one perturbed generator
+    image (an entry nudged off the signed path, or a column negated on
+    it) fails where the plain loop does, with the same residual."""
     group, gen_images = rep.group, rep.gen_images
     assert rep.images.tobytes() == word_products(group, gen_images).tobytes()
+    if group.gen_arrays is None:
+        assert group.elements.tobytes() == word_products(group, group.generators).tobytes()
+    else:
+        products = word_products(group, signed_permutation_matrices(*group.gen_arrays))
+        targets, signs = signed_permutations(products)
+        assert np.array_equal(group.targets, targets) and np.array_equal(group.signs, signs)
+        assert group.elements.tobytes() == products.tobytes()
     perturbed = gen_images.copy()
     gi = data.draw(st.integers(0, group.gen_count - 1))
     col = data.draw(st.integers(0, rep.degree - 1))

@@ -518,7 +518,7 @@ def test_sum_of_a_hand_built_dense_part_walks_its_generators(build):
     # never read; on a signed group the sum of a dense part stays dense
     group = build()
     rep = defining_rep(group)
-    corrupted = Representation(group, rep.degree, rep.gen_images.copy(), rep.images.copy())
+    corrupted = Representation(group, rep.degree, rep.gen_images.copy())
     corrupted.images[2] += 0.37
     for built in (direct_sum([corrupted, sign_rep(group)]), tensor_identity(corrupted, 2)):
         assert built.gen_arrays is None
