@@ -291,8 +291,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

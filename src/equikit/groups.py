@@ -45,6 +45,7 @@ from itertools import repeat
 import numpy as np
 
 from .numerics import (
+    _code_type,
     as_matrix,
     sign_flips,
     signed_permutation_matrices,
@@ -54,8 +55,8 @@ from .numerics import (
 
 DEFAULT_MAX_ORDER = 20000
 
-# A named group or rep spec is refused, before any matrix is built, when
-# its dense (gen_count, n, n) float64 generator stack would exceed this.
+# A named group or rep spec is refused, before anything is built, when
+# the element data it could walk would exceed this (``_check_fits``).
 MAX_IMAGE_STACK_BYTES = 2 ** 28
 
 # Dedup per the small-integer / exact-trig entry regime: hash on entries
@@ -415,17 +416,22 @@ class _ElementData:
         return self._stack
 
 
-def permutation_matrix(perm):
-    """Matrix P with P e_j = e_perm[j] for a permutation of 0..n-1; a
-    (count, n) array of permutations gives the (count, n, n) stack."""
+def _permutation(perm):
+    """``perm`` as an array, or ValueError unless each row permutes 0..n-1."""
     perm = np.asarray(perm)
     n = perm.shape[-1]
     if not (np.sort(perm, axis=-1) == np.arange(n)).all():
         raise ValueError(f"not a permutation of 0..{n - 1}: {perm.tolist()}")
-    rows = perm.reshape(-1, n).astype(np.intp)
-    p = np.zeros((len(rows), n, n))
-    p[np.arange(len(rows))[:, None], rows, np.arange(n)] = 1.0
-    return p.reshape(perm.shape + (n,))
+    return perm
+
+
+def permutation_matrix(perm):
+    """Matrix P with P e_j = e_perm[j] for a permutation of 0..n-1; a
+    (count, n) array of permutations gives the (count, n, n) stack."""
+    perm = _permutation(perm)
+    rows = perm.reshape(-1, perm.shape[-1]).astype(np.intp)
+    stack = signed_permutation_matrices(rows, np.ones(rows.shape))
+    return stack.reshape(perm.shape + rows.shape[-1:])
 
 
 def _grid_permutations(n_grid, kind):
@@ -450,8 +456,8 @@ def named_group(kind, size, max_order=DEFAULT_MAX_ORDER):
     The group keeps its generators' index maps and its closed-form order
     (``_named_order``) and enumerates no element until one is read.
     A size whose group has more than ``max_order`` elements raises
-    ClosureError, and one whose dense generator stack would exceed
-    ``MAX_IMAGE_STACK_BYTES`` raises ValueError, before anything is built.
+    ClosureError, then one whose element index arrays would exceed
+    ``MAX_IMAGE_STACK_BYTES`` ValueError, before any group is built.
     """
     if size < 1:
         raise ValueError(f"group size parameter must be >= 1, got {size}")
@@ -469,20 +475,20 @@ def named_group(kind, size, max_order=DEFAULT_MAX_ORDER):
         perms = [(np.arange(size) + 1) % size]
     else:
         perms = _grid_permutations(size, kind)
-    _check_stack_fits(f"group {spec}", len(perms), len(perms[0]), MAX_IMAGE_STACK_BYTES)
+    _check_fits(f"group {spec}", order, len(perms[0]), True)
     targets = np.array(perms, dtype=np.int64)
     return FiniteGroup(targets.shape[1], order, spec,
                        gen_arrays=(targets, np.ones(targets.shape, np.int8)))
 
 
-def _check_stack_fits(what, count, degree, cap):
-    """Refuse ``count`` dense degree x degree float64 matrices above ``cap`` bytes."""
-    nbytes = count * degree * degree * 8
-    if nbytes > cap:
-        raise ValueError(
-            f"{what} has degree {degree}: its {count} generator images would "
-            f"take {nbytes} bytes, above the cap MAX_IMAGE_STACK_BYTES={cap}"
-        )
+def _check_fits(what, order, degree, signed):
+    """Refuse the element data a group or rep could walk above
+    ``MAX_IMAGE_STACK_BYTES``: (order, degree) signed codes if ``signed``,
+    else an (order, degree, degree) float64 stack."""
+    nbytes = order * degree * (_code_type(degree).itemsize if signed else degree * 8)
+    if nbytes > MAX_IMAGE_STACK_BYTES:
+        raise ValueError(f"{what} has degree {degree}: its {order} elements' data would "
+                         f"take {nbytes} bytes, above the cap {MAX_IMAGE_STACK_BYTES=}")
 
 
 def _named_order(kind, size, max_order):

@@ -10,34 +10,31 @@ enumerates the group if nothing has yet) takes the group's products
 (``groups._element_steps``) of either storage kind: index arrays walk
 as signed codes (``numerics.sign_flips``), then split into targets of
 the codes' type and int8 signs; dense images walk by matmuls, and a
-signed rep's are scattered from its arrays. Constructing a rep from a
-named group enumerates nothing except through ``extend``; the solve,
-the certificate and ``act`` at the generators read generator data only,
-so a ``check`` that certifies never enumerates the group.
-
-Only images the user supplies (``extend``, hence ``permutation_rep`` and
-``perm:`` spec leaves) are replayed: the walk, then a check against the
-cayley table, which is exactly the well-definedness check for the
-generator images. The rep ``extend`` returns keeps only the generator
-data, and walks again on its first element read. The image validator
-calls ``det`` only when the images are not all signed permutations
-(``numerics.signed_permutations``), which replay and check on codes.
-Every other constructor builds a homomorphism (``sign_rep`` from the
-generators' determinants, ``direct_sum`` and ``tensor_identity`` from
-their parts' generator data), so its walk is bitwise the replay.
-``parse_rep_spec`` builds through the constructors.
+signed rep's are scattered from its arrays. Only what the user supplies
+is replayed (``_replay``: the walk, then the cayley-table check that is
+exactly the well-definedness check), and so enumerates the group:
+``extend``'s images, and ``permutation_rep``'s index maps (hence
+``perm:`` spec leaves), which go straight into index arrays, never into
+dense images. ``extend``'s validator calls ``det`` only when the images
+are not all signed permutations (``numerics.signed_permutations``),
+which replay on codes. Every other constructor builds a homomorphism
+(``sign_rep`` from the generators' determinants, ``direct_sum`` and
+``tensor_identity`` from their parts' generator data), so its walk is
+bitwise the replay; ``parse_rep_spec`` builds through the constructors.
+A rep is built from generator data, and the solve, the certificate and
+``act`` at the generators read nothing else, so a ``check`` that
+certifies never enumerates the group.
 """
 
 import numpy as np
 
 from .groups import (
-    MAX_IMAGE_STACK_BYTES,
-    _check_stack_fits,
+    _check_fits,
     _element_steps,
     _ElementData,
     _generator_stack,
+    _permutation,
     _walk,
-    permutation_matrix,
 )
 from .numerics import (
     check_tol,
@@ -127,24 +124,21 @@ def extend(group, gen_images, spec=None, tol=CONSISTENCY_TOL):
     non-negative.
     """
     check_tol(tol, strict=False)
-    gen_images, perm = _image_stack(group, gen_images)
+    gen_images, perm = _generator_stack(_one_per_generator(group, gen_images), "generator image")
     _replay(group, _element_steps(perm, gen_images), tol)
     return Representation(group, gen_images.shape[1], gen_images if perm is None else None,
                           spec, perm)
 
 
-def _image_stack(group, gen_images):
-    """``groups._generator_stack`` of one image per generator."""
-    if len(gen_images) != group.gen_count:
-        raise ValueError(
-            f"need {group.gen_count} generator images, got {len(gen_images)}"
-        )
-    return _generator_stack(gen_images, "generator image")
+def _one_per_generator(group, images):
+    """``images``, or ValueError unless there is one per generator."""
+    if len(images) != group.gen_count:
+        raise ValueError(f"need {group.gen_count} generator images, got {len(images)}")
+    return images
 
 
 def _extend_dense(group, gen_images, tol):
-    """``extend`` on dense matrices, whatever the images: the test oracle
-    for signed permutation images."""
+    """``extend`` on dense matrices, whatever the images: the test oracle."""
     return _replay(group, _element_steps(generators=gen_images), tol)
 
 
@@ -260,9 +254,17 @@ def sign_rep(group):
 
 
 def permutation_rep(group, perms):
-    """Representation from one coordinate permutation per generator,
-    extended (replayed and checked), since the user supplies it."""
-    return extend(group, [permutation_matrix(p) for p in perms], spec=_perm_spec(perms))
+    """Representation from one coordinate permutation per generator, built
+    straight into index arrays; since the user supplies them, they are
+    validated with ``extend``'s messages and replayed as ``extend`` replays."""
+    maps = _one_per_generator(group, [_permutation(p) for p in perms])
+    n = len(maps[0])
+    for i, m in enumerate(maps):
+        if m.shape != (n,):
+            raise ValueError(f"generator image {i} has shape {m.shape * 2}, expected ({n}, {n})")
+    arrays = (np.array(maps, dtype=np.int64), np.ones((len(maps), n), dtype=np.int8))
+    _replay(group, _element_steps(arrays), CONSISTENCY_TOL)
+    return Representation(group, n, spec=_perm_spec(perms), gen_arrays=arrays)
 
 
 def direct_sum(reps):
@@ -290,11 +292,12 @@ def tensor_identity(rep, d):
     if d < 1:
         raise ValueError("tensor factor must be >= 1")
     spec = f"tensor:{d}({rep.spec})" if rep.spec else None
+    lift = d if rep.degree else 1  # zero width: build nothing of size d
     if rep.gen_arrays is None:
-        return Representation(rep.group, rep.degree * d, _tensor_images(rep.gen_images, d),
+        return Representation(rep.group, rep.degree * d, _tensor_images(rep.gen_images, lift),
                               spec=spec)
     return Representation(rep.group, rep.degree * d, spec=spec,
-                          gen_arrays=_tensor_arrays(*rep.gen_arrays, d))
+                          gen_arrays=_tensor_arrays(*rep.gen_arrays, lift))
 
 
 def is_permutation_rep(rep, tol=1e-9):
@@ -325,8 +328,8 @@ def is_permutation_rep(rep, tol=1e-9):
 def parse_rep_spec(group, text):
     """Build a representation from its spec string.
 
-    The spec's degree n is known before any image is built: a spec whose
-    dense (gen_count, n, n) float64 generator-image stack would exceed
+    The spec's degree n is known before anything is built: a spec whose
+    element data (``groups._check_fits``) would exceed
     ``MAX_IMAGE_STACK_BYTES`` raises ValueError naming the spec and its
     degree, and builds nothing.
 
@@ -343,7 +346,7 @@ def parse_rep_spec(group, text):
         degree, node, spec, pos = _parse_spec(group, text.strip(), 0)
         if pos != len(text.strip()):
             raise ValueError(f"trailing characters in rep spec {text!r}")
-        _check_stack_fits(f"rep spec {spec!r}", group.gen_count, degree, MAX_IMAGE_STACK_BYTES)
+        _check_fits(f"rep spec {spec!r}", group.order, degree, group.gen_arrays is not None)
         rep = _build(group, node)
     except RecursionError:
         shown = text if len(text) <= 60 else text[:60] + "..."
@@ -405,16 +408,7 @@ def _parse_spec(group, text, pos):
         degree, inner, spec, end = _parse_spec(group, text, end + 1)
         if end >= len(text) or text[end] != ")":
             raise ValueError(f"expected ')' at position {end} in rep spec {text!r}")
-        spec = f"tensor:{num}({spec})"
-        # the node's own stack, kron(g, I_num), holds I_num too; the cap on
-        # the spec's total degree bounds it unless the inner rep has width 0
-        if degree == 0 and num * num * 8 > MAX_IMAGE_STACK_BYTES:
-            raise ValueError(
-                f"rep spec {spec!r} has degree 0 but tensor factor {num}: its identity "
-                f"I_{num} would take {num * num * 8} bytes, above the cap "
-                f"MAX_IMAGE_STACK_BYTES={MAX_IMAGE_STACK_BYTES}"
-            )
-        return degree * num, ("tensor", (num, inner)), spec, end + 1
+        return degree * num, ("tensor", (num, inner)), f"tensor:{num}({spec})", end + 1
     if rest.startswith("sum("):
         degree, parts, specs = 0, [], []
         pos += len("sum(")

@@ -5,7 +5,7 @@ rep spec and a model-file editor."""
 
 import numpy as np
 
-from equikit import network, reps
+from equikit import groups, network, reps
 from equikit.groups import permutation_matrix
 from equikit.numerics import nullspace
 from equikit.activations import Report
@@ -161,7 +161,8 @@ def spec_images(group, node):
     if kind == "sum":
         return reps._sum_images([spec_images(group, part) for part in arg])
     if kind == "perm":
-        return reps._image_stack(group, [permutation_matrix(p) for p in arg])[0]
+        images = reps._one_per_generator(group, [permutation_matrix(p) for p in arg])
+        return groups._generator_stack(images, "generator image")[0]
     if kind == "trivial":
         return np.stack([np.eye(arg)] * group.gen_count)
     if kind == "sign":

@@ -199,21 +199,20 @@ REP_SPEC_ERRORS = {
     "perm:0,1,,2|0,1,2": "expected integer at position 9 in rep spec 'perm:0,1,,2|0,1,2'",
     "perm:,0,1|0,1,2": "expected integer at position 5 in rep spec 'perm:,0,1|0,1,2'",
     "perm:0,0,1|1,0,2": "not a permutation of 0..2: [0, 0, 1]",
+    # an entry beyond int64 is named, not overflowed
+    "perm:0,1,99999999999999999999|0,1,2": (
+        "not a permutation of 0..2: [0, 1, 99999999999999999999]"),
     "perm:0,1|1,0,2": "generator image 1 has shape (3, 3), expected (2, 2)",
     "perm:1,0,2": "need 2 generator images, got 1",
+    # the cap counts the int64 signed codes of symmetric:3's six elements
     "tensor:99999999999(defining)": (
-        "rep spec 'tensor:99999999999(defining)' has degree 299999999997: its 2 "
-        "generator images would take 1439999999971200000000144 bytes, above the cap "
+        "rep spec 'tensor:99999999999(defining)' has degree 299999999997: its 6 "
+        "elements' data would take 14399999999856 bytes, above the cap "
         "MAX_IMAGE_STACK_BYTES=268435456"),
     "sum(sign;tensor:3(perm:1,0,2|1,0,2))": (
         "generator images are inconsistent: element 3 * generator 0 deviates by 1.000e+00"),
     "sum(perm:1,2,0|0,1,2;perm:1,0,2|1,0,2)": (
         "generator images are inconsistent: element 1 * generator 0 deviates by 1.000e+00"),
-    # a zero-width part hides its tensor factor from the spec's total degree
-    "sum(defining;tensor:9999999(trivial:0))": (
-        "rep spec 'tensor:9999999(trivial:0)' has degree 0 but tensor factor 9999999: its "
-        "identity I_9999999 would take 799999840000008 bytes, above the cap "
-        "MAX_IMAGE_STACK_BYTES=268435456"),
 }
 
 
@@ -228,16 +227,17 @@ def test_basis_bad_rep_spec_exits_2_with_its_message(tmp_path, capsys, spec):
 
 
 def test_basis_accepts_a_zero_width_summand(tmp_path, capsys):
-    cfg = tmp_path / "zero_width.cfg"
-    cfg.write_text("[model]\ngroup = symmetric:3\n\n[reps]\n"
-                   "0 = sum(trivial:0;defining)\n1 = defining\n")
-    code, out, _ = run(capsys, "basis", "--config", str(cfg))
-    assert code == 0
-    assert "(3) -> defining (3), intertwiner dim 2" in out
+    # a zero-width part builds nothing of its tensor factor's size
+    for spec in ("sum(trivial:0;defining)", "sum(defining;tensor:9999999(trivial:0))"):
+        cfg = tmp_path / "zero_width.cfg"
+        cfg.write_text(f"[model]\ngroup = symmetric:3\n\n[reps]\n0 = {spec}\n1 = defining\n")
+        code, out, _ = run(capsys, "basis", "--config", str(cfg))
+        assert code == 0
+        assert "(3) -> defining (3), intertwiner dim 2" in out
 
 
 def test_basis_accepts_a_zero_width_tensor_within_the_cap(tmp_path, capsys):
-    # a zero-width part whose identity factor fits the cap is still accepted
+    # a zero-width tensor node leading a sum adds nothing to its degree
     cfg = tmp_path / "zero_width.cfg"
     cfg.write_text("[model]\ngroup = symmetric:3\n\n[reps]\n"
                    "0 = sum(tensor:100(trivial:0);defining)\n1 = defining\n")
@@ -668,16 +668,30 @@ def test_basis_oversize_group_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_basis_oversized_named_group_exits_2(tmp_path, capsys, monkeypatch):
-    # cyclic:6000 passes the order cap, but its one dense generator is 288 MB
+    # cyclic:11586 passes the order cap, but its elements' int16 index
+    # arrays would take 268 MB
     monkeypatch.setattr(groups, "permutation_matrix", _no_images)
     monkeypatch.setattr(groups, "close", _no_images)
+    monkeypatch.setattr(groups, "FiniteGroup", _no_images)
     cfg = tmp_path / "huge_group.cfg"
-    cfg.write_text("[model]\ngroup = cyclic:6000\n\n[reps]\n0 = defining\n1 = defining\n")
+    cfg.write_text("[model]\ngroup = cyclic:11586\n\n[reps]\n0 = defining\n1 = defining\n")
     code, out, err = run(capsys, "basis", "--config", str(cfg))
     assert code == 2
     assert out == ""
-    assert "group cyclic:6000 has degree 6000" in err
+    assert "group cyclic:11586 has degree 11586" in err
     assert "MAX_IMAGE_STACK_BYTES" in err
+
+
+def test_basis_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 59.6 GiB")
+
+    monkeypatch.setattr(cli, "solve_basis", out_of_memory)
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text("[model]\ngroup = cyclic:3\n\n[reps]\n0 = defining\n1 = defining\n")
+    code, _, err = run(capsys, "basis", "--config", str(cfg))
+    assert code == 2
+    assert err == "error: Unable to allocate 59.6 GiB\n"
 
 
 def _no_images(*args):
@@ -688,11 +702,11 @@ def test_basis_oversized_rep_spec_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(reps, "_tensor_images", _no_images)
     cfg = tmp_path / "huge_rep.cfg"
     cfg.write_text("[model]\ngroup = cyclic:3\n\n"
-                   "[reps]\n0 = tensor:100000(defining)\n1 = defining\n")
+                   "[reps]\n0 = tensor:10000000(defining)\n1 = defining\n")
     code, out, err = run(capsys, "basis", "--config", str(cfg))
     assert code == 2
     assert "intertwiner dim" not in out
-    assert "'tensor:100000(defining)' has degree 300000" in err
+    assert "'tensor:10000000(defining)' has degree 30000000" in err
     assert "MAX_IMAGE_STACK_BYTES" in err
 
 
@@ -700,12 +714,12 @@ def test_check_model_with_oversized_rep_exits_2(tmp_path, capsys, monkeypatch):
     model = _train_small_model(tmp_path, capsys)
     text = model.read_text()
     rep_line = next(ln for ln in text.splitlines() if ln.startswith("rep:"))
-    model.write_text(text.replace(rep_line, "rep: tensor:100000(defining)", 1))
+    model.write_text(text.replace(rep_line, "rep: tensor:10000000(defining)", 1))
     monkeypatch.setattr(reps, "_tensor_images", _no_images)
     code, out, err = run(capsys, "check", "--model", str(model))
     assert code == 2
     assert "PASS" not in out
-    assert "'tensor:100000(defining)' has degree 300000" in err
+    assert "'tensor:10000000(defining)' has degree 30000000" in err
 
 
 # --- memory: the CLI path builds no dense (|G|, n, n) stack -----------------

@@ -220,6 +220,7 @@ def _must_not_build(*args, **kwargs):
     ("torus", 5, 24),
     ("p4", 5, 24),
     ("p4m", 5, 24),
+    ("p4", 71, 20000),
     ("p4m", 51, 20000),
 ])
 def test_named_group_refuses_oversize_before_closing(kind, size, cap, monkeypatch):
@@ -238,15 +239,15 @@ def test_named_group_at_the_cap_still_closes():
         assert len(group.cayley) == group.order
 
 
-# a dense (gen_count, n, n) float64 generator stack above 256 MiB is refused:
-# cyclic n > 5792, torus N > 64, p4 N > 57 (p4m is held to N <= 50 by the
-# order cap). The enumeration is patched: an admitted size returns a group
-# of its closed-form order with nothing enumerated, and a refused one
-# raises before any group is built
+# a named group whose elements' (order, n) int16 index arrays would take
+# above 256 MiB is refused: cyclic n > 11585, torus N > 107 (p4 and p4m
+# are held to N <= 70 and N <= 50 by the order cap). The enumeration is
+# patched: an admitted size returns a group of its closed-form order with
+# nothing enumerated, and a refused one raises before any group is built
 @pytest.mark.parametrize("kind,size,refused", [
-    ("cyclic", 5792, False), ("cyclic", 5793, True),
-    ("torus", 64, False), ("torus", 65, True),
-    ("p4", 57, False), ("p4", 58, True),
+    ("cyclic", 5792, False), ("cyclic", 11585, False), ("cyclic", 11586, True),
+    ("torus", 64, False), ("torus", 107, False), ("torus", 108, True),
+    ("p4", 57, False), ("p4", 70, False),
 ])
 def test_named_group_refuses_an_oversized_generator_stack(kind, size, refused, monkeypatch):
     monkeypatch.setattr(groups, "_bfs", _must_not_enumerate)
@@ -264,7 +265,8 @@ def test_named_group_refuses_an_oversized_generator_stack(kind, size, refused, m
 
 
 def test_named_group_stack_cap_reads_the_constant(monkeypatch):
-    monkeypatch.setattr(groups, "MAX_IMAGE_STACK_BYTES", 4 * 4 * 8 - 1)
+    # cyclic:4's elements are four int8 index rows of degree 4
+    monkeypatch.setattr(groups, "MAX_IMAGE_STACK_BYTES", 4 * 4 - 1)
     with pytest.raises(ValueError, match="group cyclic:4 has degree 4"):
         named_group("cyclic", 4)
     assert named_group("cyclic", 3).order == 3

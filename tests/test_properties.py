@@ -140,6 +140,21 @@ def test_signed_closure_and_extension_are_bitwise_dense(drawn, negative_zeros, d
     assert rep.images.tobytes() == images.tobytes()
 
 
+@PROPERTY_SETTINGS
+@given(generator_sets())
+def test_perm_leaf_arrays_are_bitwise_the_dense_route(drawn):
+    # a perm: leaf's index arrays are bitwise the signed reading of its
+    # dense permutation matrices, and so are its walked element arrays
+    gens, perms = drawn
+    group = close(gens)
+    rep = parse_rep_spec(group, "perm:" + "|".join(",".join(map(str, p)) for p in perms))
+    matrices = [permutation_matrix(p) for p in perms]
+    dense = extend(group, matrices)
+    for got, want in [*zip(rep.gen_arrays, signed_permutations(np.stack(matrices))),
+                      (rep.targets, dense.targets), (rep.signs, dense.signs)]:
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 @st.composite
 def rotation_steps(draw):
     """(n, k) with 2 <= n <= 12 and k coprime to n: R(2 pi k / n) has order n."""

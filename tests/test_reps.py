@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import spec_images, stacked_fixed_subspace
 
-from equikit import reps
+from equikit import groups, numerics, reps
 from equikit.groups import close, group_from_spec, named_group, permutation_matrix
 from equikit.intertwiners import fixed_subspace
 from equikit.numerics import signed_permutations
@@ -466,6 +466,57 @@ def test_p4m_32_tensor_walk_keeps_the_code_type():
     assert peak < 96 * 2 ** 20
 
 
+def _no_dense_stack(*args):
+    raise AssertionError("a perm: leaf built or read a dense stack")
+
+
+def test_perm_leaves_build_no_dense_stack(s3, monkeypatch):
+    # a perm: leaf is checked and replayed on its index maps alone, with
+    # the messages of the dense validator
+    for module in (groups, numerics, reps):
+        for name in ("permutation_matrix", "_generator_stack", "signed_permutations"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _no_dense_stack)
+    rep = parse_rep_spec(s3, "sum(perm:1,0,2|1,2,0;tensor:2(perm:1,0|0,1))")
+    assert (rep.degree, rep.gen_arrays[0].dtype, rep.gen_arrays[1].dtype) == (7, np.int64, np.int8)
+    assert parse_rep_spec(named_group("p4m", 3), "perm:0,1|0,1|1,0|1,0").degree == 2
+    for spec, message in [
+        ("perm:0,0,1|1,0,2", r"not a permutation of 0..2: \[0, 0, 1\]"),
+        ("perm:0,1|1,0,2", r"generator image 1 has shape \(3, 3\), expected \(2, 2\)"),
+        ("perm:1,0,2", "need 2 generator images, got 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            parse_rep_spec(s3, spec)
+    with pytest.raises(InconsistentImagesError):
+        parse_rep_spec(s3, "perm:1,2,0|0,1,2")
+
+
+def test_p4m_32_perm_leaf_parse_peak():
+    # the group's own generator maps: the parse enumerates the group and
+    # replays the leaf on (8192, 1024) int16 codes; no dense image is built
+    group = group_from_spec("p4m:32")
+    spec = "perm:" + "|".join(",".join(map(str, m)) for m in group.gen_arrays[0].tolist())
+    tracemalloc.start()
+    try:
+        rep = parse_rep_spec(group, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.degree == 1024
+    assert peak < 70 * 2 ** 20
+
+
+def test_zero_width_tensor_builds_nothing_of_its_factor(s3):
+    tracemalloc.start()
+    try:
+        rep = parse_rep_spec(s3, "sum(defining;tensor:1000000000000(trivial:0))")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.degree == 3
+    assert peak < 2 ** 20
+
+
 # --- dense composition against the extension of the spec's images --------
 
 def rotation_group(n, flip):
@@ -528,19 +579,22 @@ def test_sum_of_a_hand_built_dense_part_walks_its_generators(build):
 # --- nested specs replay only their perm: leaves, once --------------------
 
 def _record_replays(monkeypatch):
-    """The degrees of the ``_replay`` calls, and the specs ``extend`` gets."""
+    """The degrees of the ``_replay`` calls, and the specs ``extend`` and
+    ``permutation_rep`` build."""
     degrees, extended = [], []
-    real_replay, real_extend = reps._replay, reps.extend
+    real_replay, real_extend, real_perm = reps._replay, reps.extend, reps.permutation_rep
     monkeypatch.setattr(reps, "_replay", lambda group, steps, tol:
                         degrees.append(len(steps[0])) or real_replay(group, steps, tol))
     monkeypatch.setattr(reps, "extend", lambda group, images, spec=None, **kw:
                         extended.append(spec) or real_extend(group, images, spec, **kw))
+    monkeypatch.setattr(reps, "permutation_rep", lambda group, perms:
+                        extended.append(reps._perm_spec(perms)) or real_perm(group, perms))
     return degrees, extended
 
 
 def test_nested_spec_replays_only_its_perm_leaves_once(s3, monkeypatch):
     # a spec on a signed group is composed: only its perm: leaves are
-    # extended, and each is replayed (recorded by its degree) once, alone
+    # replayed (recorded by their degree), each once, alone
     degrees, extended = _record_replays(monkeypatch)
     for spec, replayed in [
         ("tensor:3(sum(perm:1,0,2|1,2,0;sign))", [3]),
@@ -614,8 +668,8 @@ def test_two_inconsistent_parts_report_the_first_parts_pair(s3):
     ("perm:0,1,2,3,4,5,6,7|1,0,2,3,4,5,6,7", 8),
 ])
 def test_rep_spec_above_the_image_cap_builds_nothing(s3, monkeypatch, spec, degree):
-    # s3 has two generators: a cap of two 7 x 7 float64 images admits degree 7
-    monkeypatch.setattr(reps, "MAX_IMAGE_STACK_BYTES", 2 * 7 * 7 * 8)
+    # s3 has six elements: a cap of six int8 index rows of degree 7 admits degree 7
+    monkeypatch.setattr(groups, "MAX_IMAGE_STACK_BYTES", 6 * 7)
     assert parse_rep_spec(s3, "sum(tensor:2(defining);sign)").degree == 7
     for builder in ("defining_rep", "sign_rep", "trivial_rep", "permutation_rep",
                     "direct_sum", "tensor_identity", "_sum_images", "_tensor_images"):
