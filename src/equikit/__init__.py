@@ -21,7 +21,7 @@ from .network import (
     load_model,
     save_model,
 )
-from .numerics import determinant, matrix_rank, nullspace, orthonormalize
+from .numerics import determinant, nullspace
 from .reps import (
     Representation,
     defining_rep,
@@ -68,10 +68,8 @@ __all__ = [
     "is_compatible",
     "is_permutation_rep",
     "load_model",
-    "matrix_rank",
     "named_group",
     "nullspace",
-    "orthonormalize",
     "param_count",
     "parse_activation",
     "parse_rep_chain",

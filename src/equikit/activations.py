@@ -63,12 +63,6 @@ class ActivationSpec:
             return out
         return np.greater(h, 0.0, out=out)
 
-    def derivative(self, t):
-        """Elementwise derivative (subgradient 0 at kinks)."""
-        t = np.asarray(t, dtype=np.float64)
-        h = self.scalar(t, out=np.empty_like(t))
-        return self.slope(h, out=h)
-
     def __str__(self):
         if self.kind in ("relu", "tanh"):
             return self.kind

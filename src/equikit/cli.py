@@ -62,12 +62,12 @@ def _load_chain(path):
 
 def cmd_basis(args):
     cfg, group, reps = _load_chain(args.config)
-    print(f"group {cfg.group_spec} (order {group.order})")
     boundaries = range(1, len(reps))
     if args.layer is not None:
         if not 1 <= args.layer < len(reps):
             raise ConfigError(f"--layer must be in 1..{len(reps) - 1}")
         boundaries = [args.layer]
+    print(f"group {cfg.group_spec} (order {group.order})")
     for i in boundaries:
         basis = solve_basis(reps[i - 1], reps[i])
         print(

@@ -1,28 +1,28 @@
-"""Finite matrix groups, stored as their generators' data and their order.
+"""Finite matrix groups, stored as their generators' data, order and BFS tree.
 
 A group is its generators: their (targets, signs) index arrays when they
 are signed permutations, else their dense stack. One breadth-first
-search, run on the first read of the cayley table, the parent links or
-any element's data and then kept, finds the BFS tree: the cayley table
-and each element's parent link (parent element, generator). It holds
-one level's element data at a time and keeps none. A named group takes
-its order from a closed form (``_named_order``), so building it
-enumerates nothing, and its search must find exactly that order;
-``close`` runs the search at once, since only the search finds a
-generator set's order. Callers that read generators only (the solve,
-the certificate, the generator sweep of a check, ``generator_ids``)
-never enumerate. Those that read elements do: the exhaustive or sampled
-element sweep, the character oracle, the replay of user-supplied images
-(``perm:`` leaves), and any first read of element data.
+search, run on the first read of the cayley table or the parent links
+and then kept, finds the BFS tree: the cayley table and each element's
+parent link (parent element, generator). It holds one level's element
+data at a time and keeps none: a group stores no element's data, and a
+representation (``reps.Representation``, the defining one included)
+walks its own down the tree (``_walk``). A named group takes its order
+from a closed form (``_named_order``), so building it enumerates
+nothing, and its search must find exactly that order; ``close`` runs
+the search at once, since only the search finds a generator set's
+order. Callers that read generators only (the solve, the certificate,
+the generator sweep of a check, ``generator_ids``) never enumerate.
+Those that read elements do: the exhaustive or sampled element sweep,
+the character oracle, the replay of user-supplied images (``perm:``
+leaves), and any first read of a rep's element data.
 
 Element 0 is always the identity. BFS order (queue order, generators
-tried in index order) fixes a canonical element indexing. Every
-element's data, a group's and a rep's alike, is walked down the BFS
-tree from its generators' data (``_walk``) on first read and kept
-(``_ElementData``), and the word that reproduces an element (``words``)
-is read off the parent links on demand. The BFS looks up each level's
-products in one pass over their keys and runs Python code only for the
-products it has not seen.
+tried in index order) fixes a canonical element indexing, and an
+element's word, its generator sequence from the identity, is read off
+the parent links. The BFS looks up each level's products in one pass
+over their keys and runs Python code only for the products it has not
+seen.
 
 Every element is a product of generators, so closing a group, walking
 element data and checking generator images share one step, per storage
@@ -31,13 +31,11 @@ kind: ``_element_steps``, whose only traversals are ``_bfs``,
 generators (entries -1, 0 or 1, one nonzero per row and column, as the
 validator ``_generator_stack`` detects) multiply integer signed codes
 (``numerics.sign_flips``) by a gather and an xor and key them on their
-exact bytes; their walk splits the codes into each element's (targets,
-signs), the targets in the codes' narrow type, from which ``elements``
-(and a named group's ``generators``) are scattered on first read. Other
-generator sets multiply dense matrices keyed by the rounding key
-``_key``; the validator calls ``det`` only for them. On signed
-permutations both give the same elements, words, cayley table and
-parent links, bit for bit.
+exact bytes; a named group's ``generators`` are scattered from their
+index arrays on first read. Other generator sets multiply dense
+matrices keyed by the rounding key ``_key``; the validator calls
+``det`` only for them. On signed permutations both give the same
+cayley table and parent links, bit for bit.
 """
 
 from itertools import repeat
@@ -50,7 +48,6 @@ from .numerics import (
     sign_flips,
     signed_permutation_matrices,
     signed_permutations,
-    split_signed_codes,
 )
 
 DEFAULT_MAX_ORDER = 20000
@@ -61,9 +58,8 @@ MAX_IMAGE_STACK_BYTES = 2 ** 28
 
 # Dedup per the small-integer / exact-trig entry regime: hash on entries
 # rounded to 9 decimals (equal keys put entries within 1e-9 of each
-# other); ``index_of`` matches entrywise at 1e-6.
+# other).
 _ROUND_DECIMALS = 9
-_MATCH_TOL = 1e-6
 
 
 def _key(m):
@@ -78,41 +74,32 @@ class ClosureError(RuntimeError):
 class FiniteGroup:
     """A group given by its generators, with canonical element indexing.
 
-    The group is its generators' data and its order. ``cayley`` and
-    ``parents`` come from one BFS enumeration, run on the first read of
-    either or of any element's data, and then kept; ``targets``,
-    ``signs`` and ``elements`` are walked from the generators' data down
-    that tree on first read and then kept, and ``words`` are read off it.
+    The group is its generators' data, its order and, once enumerated,
+    its BFS tree: ``cayley`` and ``parents`` come from one BFS, run on
+    the first read of either, and then kept. It keeps no element's data;
+    representations walk theirs down the tree.
 
     Attributes:
         dim: matrix size of the defining representation.
         order: the number of elements. A named group takes it from a
             closed form, and its enumeration must find exactly that many;
             ``close`` enumerates at once to find it.
+        spec: the named-group spec string when built by name, else None.
         gen_arrays: the generators' (targets, int8 signs), with
             generators[g] e_j = signs[g, j] e_{targets[g, j]}, or None
             for a group stored dense.
         generators: (gen_count, dim, dim) array of the generators; a
             named group's is scattered from ``gen_arrays`` on first read
             and then kept.
+        cayley: (order, gen_count) int array; cayley[e, g] is the index
+            of element e times generator g.
+        parents: (order, 2) int array of (parent element, generator)
+            BFS links; (-1, -1) for the identity. Element e is
+            element parents[e, 0] times generator parents[e, 1], and
+            following the links back to the identity reads off e's
+            shortest word, lexicographically smallest among ties.
         generator_ids: each generator's element index, found without
             enumerating (see the property).
-        elements: (order, dim, dim) array, elements[0] = identity. For
-            a signed permutation group it is scattered from ``targets``
-            and ``signs``.
-        words: per element, the generator-index word replaying it from
-            the identity (left-to-right products), derived from
-            ``parents`` on first read. BFS gives the shortest word,
-            lexicographically smallest among ties.
-        cayley: (order, gen_count) int array; cayley[e, g] is the index
-            of elements[e] @ generators[g].
-        parents: (order, 2) int array of (parent element, generator)
-            BFS links; (-1, -1) for the identity.
-        spec: the named-group spec string when built by name, else None.
-        targets, signs: (order, dim) arrays of the codes' integer type
-            (int8 up to degree 128, int16 up to 32768) and int8, with
-            elements[e] e_j = signs[e, j] e_{targets[e, j]}, or None
-            when the group is stored dense.
     """
 
     def __init__(self, dim, order=None, spec=None, gen_arrays=None, generators=None):
@@ -121,8 +108,7 @@ class FiniteGroup:
         self.spec = spec
         self.gen_arrays = gen_arrays
         self._generators = generators
-        self._data = _ElementData(gen_arrays, generators)
-        self._cayley = self._parents = self._words = None
+        self._cayley = self._parents = None
 
     @property
     def gen_count(self):
@@ -141,20 +127,6 @@ class FiniteGroup:
     @property
     def parents(self):
         return self._enumerate()._parents
-
-    targets = property(lambda self: self._data.arrays(self)[0])
-    signs = property(lambda self: self._data.arrays(self)[1])
-    elements = property(lambda self: self._data.stack(self))
-
-    @property
-    def words(self):
-        if self._words is None:
-            # a parent precedes its children in BFS order
-            words = [()]
-            for parent, gi in self.parents[1:].tolist():
-                words.append(words[parent] + (gi,))
-            self._words = words
-        return self._words
 
     @property
     def generator_ids(self):
@@ -184,55 +156,6 @@ class FiniteGroup:
             raise ClosureError(f"{self!r} enumerates {len(cayley)} elements")
         self._cayley, self._parents = cayley, parents
         return self
-
-    def index_of(self, m):
-        """Index of a matrix in the group, or ValueError if absent.
-
-        The matrix matches an element within ``_MATCH_TOL`` entrywise. A
-        signed permutation group rounds it to the nearest signed
-        permutation (the largest entry of each column, with its sign)
-        and finds that by its exact targets and signs, so it builds no
-        dense view of the elements.
-        """
-        m = as_matrix(m, "element")
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(
-                f"element has shape {m.shape}, expected ({self.dim}, {self.dim})"
-            )
-        if self.gen_arrays is None:
-            hits = np.flatnonzero(np.abs(self.elements - m).max(axis=(1, 2)) <= _MATCH_TOL)
-        else:
-            cols = np.arange(self.dim)
-            targets = np.abs(m).argmax(axis=0)
-            signs = np.where(m[targets, cols] < 0.0, -1, 1).astype(np.int8)
-            dev = np.abs(m)
-            dev[targets, cols] = np.abs(m[targets, cols] - signs)
-            hits = self._signed_hits(targets, signs) if dev.max() <= _MATCH_TOL else []
-        if len(hits) == 0:
-            raise ValueError("matrix is not an element of the group")
-        return int(hits[0])
-
-    def _signed_hits(self, targets, signs):
-        """Indices of the elements with exactly these targets and signs."""
-        return np.flatnonzero((self.targets == targets).all(axis=1)
-                              & (self.signs == signs).all(axis=1))
-
-    def contains(self, m):
-        try:
-            self.index_of(m)
-            return True
-        except ValueError:
-            return False
-
-    def inverse_index(self, i):
-        if self.gen_arrays is None:
-            return self.index_of(np.linalg.inv(self.elements[i]))
-        # e e_j = s_j e_{t_j}, so e^-1 e_{t_j} = s_j e_j
-        targets = np.empty_like(self.targets[i])
-        targets[self.targets[i]] = np.arange(self.dim)
-        signs = np.empty_like(self.signs[i])
-        signs[self.targets[i]] = self.signs[i]
-        return int(self._signed_hits(targets, signs)[0])
 
     def __repr__(self):
         name = self.spec or f"<{self.gen_count} generators>"
@@ -278,10 +201,10 @@ def _close_dense(gens, max_order=DEFAULT_MAX_ORDER, spec=None):
     """``close`` on dense matrices deduplicated by ``_key``, whatever the
     generators: the path of every generator set that is not all signed
     permutations, and the test oracle for the other. On signed
-    permutations both give the same elements, words, cayley table and
-    parent links, bit for bit: the elements, when scattered into zeros,
-    are bitwise the dense products (a matmul sum of +-0.0 terms starts
-    from +0.0, so every zero it leaves is +0.0)."""
+    permutations both give the same cayley table and parent links, bit
+    for bit, and their defining reps the same images: scattered into
+    zeros, they are bitwise the dense products (a matmul sum of +-0.0
+    terms starts from +0.0, so every zero it leaves is +0.0)."""
     gens = np.stack(gens)
     return FiniteGroup(gens.shape[1], spec=spec, generators=gens)._enumerate(max_order)
 
@@ -385,35 +308,6 @@ def _walk(group, steps):
             level[at] = times(data[parents[at]], gi)
         lo = hi
     return data
-
-
-class _ElementData:
-    """Every element's data, walked (``_walk``) from the generators' data
-    on first read and then kept: for signed permutation ``gen_arrays``,
-    ``arrays`` are the (order, n) targets, in the codes' type, and int8
-    signs, and for a dense ``generators`` stack (None, None); ``stack``
-    is the dense (order, n, n) stack, scattered from the arrays or walked
-    from the dense generators. A group and each rep hold one, and the
-    defining rep holds its group's; each read names the group whose tree
-    is walked, so a group holds no reference to itself.
-    """
-
-    def __init__(self, gen_arrays, generators):
-        self.gen_arrays, self.generators = gen_arrays, generators
-        self._arrays = self._stack = None
-
-    def arrays(self, group):
-        if self._arrays is None:
-            self._arrays = (None, None) if self.gen_arrays is None else split_signed_codes(
-                _walk(group, _element_steps(self.gen_arrays)))
-        return self._arrays
-
-    def stack(self, group):
-        if self._stack is None:
-            self._stack = (_walk(group, _element_steps(generators=self.generators))
-                           if self.gen_arrays is None
-                           else signed_permutation_matrices(*self.arrays(group)))
-        return self._stack
 
 
 def _permutation(perm):

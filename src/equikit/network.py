@@ -23,9 +23,8 @@ cost. ``Dataset`` stores its arrays column-major, so training reads
 their transposes as C-contiguous views; ``stack_forward`` takes and
 returns (batch, width) rows through transposed views.
 
-A network's stack (``check_stack_equivariance``, behind
-``EquivariantNetwork.check_equivariance`` and ``equikit check``) is
-checked at the generators first: by the homomorphism property, a map
+A network's stack (``check_stack_equivariance``, behind ``equikit check``)
+is checked at the generators first: by the homomorphism property, a map
 that commutes with every generator commutes with all of G, so every
 failure over G shows at some generator. A stack that passes there and
 is exactly equivariant at the generators (``_certified``, no tolerance)
@@ -196,10 +195,6 @@ class EquivariantNetwork:
 
     def forward(self, v):
         return stack_forward(self.weights(), self.biases(), self.activation, v)
-
-    def check_equivariance(self, trials=8, seed=0, tol=1e-8):
-        return check_stack_equivariance(self.weights(), self.biases(), self.activation,
-                                        self.layer_reps, trials=trials, seed=seed, tol=tol)
 
     # --- training ---------------------------------------------------
 

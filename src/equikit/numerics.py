@@ -1,8 +1,8 @@
-"""Minimal dense linear algebra: nullspace, orthonormalization, rank, det,
-the signed-permutation detector, which only the input validator
-``groups._generator_stack`` runs (every later reader takes the index
-arrays it returns), and the format of the signed codes on which
-``groups._element_steps`` multiplies signed permutations.
+"""Minimal dense linear algebra: nullspace, det, the signed-permutation
+detector, which only the input validator ``groups._generator_stack``
+runs (every later reader takes the index arrays it returns), and the
+format of the signed codes on which ``groups._element_steps`` multiplies
+signed permutations.
 
 Everything is plain float64 numpy. The nullspace is computed by Gaussian
 elimination with partial pivoting followed by back-substitution and
@@ -125,34 +125,6 @@ def nullspace(m, tol=DEFAULT_TOL):
     # back-substitution and Gram-Schmidt leave -0.0 entries; + 0.0 makes
     # every zero +0.0, so equal bases print and hash alike
     return np.ascontiguousarray(q[:kept].T) + 0.0
-
-
-def orthonormalize(v):
-    """Orthonormalize the columns of ``v``, preserving their span.
-
-    Modified Gram-Schmidt in column order; a column is dropped when its
-    projection residual falls below ``1e-12`` times its initial norm
-    (columns are pre-normalized, making the kernel threshold exactly
-    that). All-zero input yields an explicit zero-dimension ``(n, 0)``.
-    """
-    a = as_matrix(v, "basis")
-    norms = np.sqrt((a * a).sum(axis=0))
-    if norms.max() == 0.0:
-        return np.zeros((a.shape[0], 0))
-    scaled = a[:, norms > 0.0] / norms[norms > 0.0]
-    q, kept = kernels.orthonormal_rows(np.ascontiguousarray(scaled.T), 1e-12)
-    return np.ascontiguousarray(q[:kept].T)
-
-
-def matrix_rank(m, tol=DEFAULT_TOL):
-    """Numerical rank at pivot threshold ``tol * max|entry|``."""
-    check_tol(tol)
-    a = as_matrix(m).copy()
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return 0
-    _, rank = kernels.row_echelon(a, tol * scale)
-    return rank
 
 
 def determinant(m):

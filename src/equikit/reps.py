@@ -1,29 +1,31 @@
-"""Representations of a finite matrix group, stored as their generators' data.
+"""Representations of a finite matrix group: the only owners of element data.
 
 A representation is fixed by its generators' images: a dense
 (gen_count, n, n) stack, or the integer (targets, signs) index arrays of
-a signed permutation rep, the one source every consumer reads. Every
-element's data is walked from them down the group's BFS tree on first
-read and kept (``groups._ElementData``), as the group's own is; the
-defining rep shares its group's. The walk (``groups._walk``, which
-enumerates the group if nothing has yet) takes the group's products
-(``groups._element_steps``) of either storage kind: index arrays walk
-as signed codes (``numerics.sign_flips``), then split into targets of
-the codes' type and int8 signs; dense images walk by matmuls, and a
-signed rep's are scattered from its arrays. Only what the user supplies
-is replayed (``_replay``: the walk, then the cayley-table check that is
-exactly the well-definedness check), and so enumerates the group:
-``extend``'s images, and ``permutation_rep``'s index maps (hence
-``perm:`` spec leaves), which go straight into index arrays, never into
-dense images. ``extend``'s validator calls ``det`` only when the images
-are not all signed permutations (``numerics.signed_permutations``),
-which replay on codes. Every other constructor builds a homomorphism
-(``sign_rep`` from the generators' determinants, ``direct_sum`` and
-``tensor_identity`` from their parts' generator data), so its walk is
-bitwise the replay; ``parse_rep_spec`` builds through the constructors.
-A rep is built from generator data, and the solve, the certificate and
-``act`` at the generators read nothing else, so a ``check`` that
-certifies never enumerates the group.
+a signed permutation rep, the one source every consumer reads. The group
+keeps only its generators and BFS tree (``groups.FiniteGroup``); each
+rep, the defining one included, walks its own element data from its
+generators' data down that tree on first read and keeps it, in two lazy
+caches: the (targets, signs) arrays of a signed rep and the dense
+``images``. The walk (``groups._walk``, which enumerates the group if
+nothing has yet) takes the group's products (``groups._element_steps``)
+of either storage kind: index arrays walk as signed codes
+(``numerics.sign_flips``), then split into targets of the codes' type
+and int8 signs; dense images walk by matmuls, and a signed rep's are
+scattered from its arrays. Only what the user supplies is replayed
+(``_replay``: the walk, then the cayley-table check that is exactly the
+well-definedness check), and so enumerates the group: ``extend``'s
+images, and ``permutation_rep``'s index maps (hence ``perm:`` spec
+leaves), which go straight into index arrays, never into dense images.
+``extend``'s validator calls ``det`` only when the images are not all
+signed permutations (``numerics.signed_permutations``), which replay on
+codes. Every other constructor builds a homomorphism (``sign_rep`` from
+the generators' determinants, ``direct_sum`` and ``tensor_identity``
+from their parts' generator data), so its walk is bitwise the replay;
+``parse_rep_spec`` builds through the constructors. A rep is built from
+generator data, and the solve, the certificate and ``act`` at the
+generators read nothing else, so a ``check`` that certifies never
+enumerates the group.
 """
 
 import numpy as np
@@ -31,7 +33,6 @@ import numpy as np
 from .groups import (
     _check_fits,
     _element_steps,
-    _ElementData,
     _generator_stack,
     _permutation,
     _walk,
@@ -40,6 +41,7 @@ from .numerics import (
     check_tol,
     nullspace,  # unused here; perfbench/selftest.py checks the tracer rebinds it in reps
     signed_permutation_matrices,
+    split_signed_codes,
 )
 
 CONSISTENCY_TOL = 1e-8
@@ -66,10 +68,11 @@ class Representation:
     module docstring): the dense ``gen_images`` (``gen_arrays`` None), or
     a signed permutation rep's ``gen_arrays``, the generators' (targets,
     int8 signs) with gen_images[g] e_j = signs[g, j] e_{targets[g, j]}.
-    Every element's ``images``, or (order, n) ``targets`` and ``signs``,
-    is walked from them on first read and kept;
-    ``images[e] @ gen_images[g]`` matches ``images[cayley[e, g]]``.
-    Element targets keep the signed codes' type; generator targets are int64.
+    Every element's ``images``, or (order, n) ``targets`` and ``signs``
+    (None for a dense rep), is walked from them down ``group``'s BFS tree
+    on first read and kept; ``images[e] @ gen_images[g]`` matches
+    ``images[cayley[e, g]]``. Element targets keep the signed codes'
+    type; generator targets are int64.
     """
 
     def __init__(self, group, degree, gen_images=None, spec=None, gen_arrays=None):
@@ -78,7 +81,7 @@ class Representation:
         self._gen_images = gen_images
         self.spec = spec
         self.gen_arrays = gen_arrays
-        self._data = _ElementData(gen_arrays, gen_images)
+        self._arrays = self._images = None
 
     @property
     def gen_images(self):
@@ -86,9 +89,22 @@ class Representation:
             self._gen_images = signed_permutation_matrices(*self.gen_arrays)
         return self._gen_images
 
-    targets = property(lambda self: self._data.arrays(self.group)[0])
-    signs = property(lambda self: self._data.arrays(self.group)[1])
-    images = property(lambda self: self._data.stack(self.group))
+    def _element_arrays(self):
+        if self._arrays is None:
+            self._arrays = (None, None) if self.gen_arrays is None else split_signed_codes(
+                _walk(self.group, _element_steps(self.gen_arrays)))
+        return self._arrays
+
+    targets = property(lambda self: self._element_arrays()[0])
+    signs = property(lambda self: self._element_arrays()[1])
+
+    @property
+    def images(self):
+        if self._images is None:
+            self._images = (_walk(self.group, _element_steps(generators=self._gen_images))
+                            if self.gen_arrays is None
+                            else signed_permutation_matrices(*self._element_arrays()))
+        return self._images
 
     def act(self, indices, vectors, generators=False):
         """rho(e) applied to each row of ``vectors``, for each e in the
@@ -101,7 +117,7 @@ class Representation:
         if self.gen_arrays is None:
             images = self.gen_images if generators else self.images
             return np.matmul(vectors, images[indices].transpose(0, 2, 1))
-        targets, signs = self.gen_arrays if generators else self._data.arrays(self.group)
+        targets, signs = self.gen_arrays if generators else self._element_arrays()
         k, (batch, n) = indices.size, vectors.shape
         out = np.empty((k, batch, n))
         at = targets[indices][:, None, :] + np.arange(0, out.size, n).reshape(k, batch, 1)
@@ -226,13 +242,11 @@ def _determinants(group):
 
 def defining_rep(group):
     """The group acting by its own matrices (or index arrays): its
-    generator data is the group's, and so is its element data, which the
-    two share and walk once, on the first read of either."""
+    generator data is the group's, and it walks its element data itself,
+    as every rep does."""
     dense = group.gen_arrays is None
-    rep = Representation(group, group.dim, group.generators if dense else None, "defining",
-                         group.gen_arrays)
-    rep._data = group._data
-    return rep
+    return Representation(group, group.dim, group.generators if dense else None, "defining",
+                          group.gen_arrays)
 
 
 def trivial_rep(group, degree=1):
@@ -300,22 +314,20 @@ def tensor_identity(rep, d):
                           gen_arrays=_tensor_arrays(*rep.gen_arrays, lift))
 
 
-def is_permutation_rep(rep, tol=1e-9):
+def is_permutation_rep(rep):
     """True iff every element image is a permutation matrix.
 
     Only the generators are tested: every image is a product of
     generator images (see the module docstring), and products of
     permutation matrices are permutation matrices. A signed permutation
     rep is one iff every generator sign is +1, read off ``gen_arrays``;
-    a dense rep's generator images are tested entrywise within ``tol``,
-    which must be finite and non-negative.
+    a dense rep's generator images are tested entrywise within 1e-9.
     """
-    check_tol(tol, strict=False)
     if rep.gen_arrays is not None:
         return bool((rep.gen_arrays[1] == 1).all())
     imgs = rep.gen_images
-    near_one = np.abs(imgs - 1.0) <= tol
-    return bool((near_one | (np.abs(imgs) <= tol)).all()
+    near_one = np.abs(imgs - 1.0) <= 1e-9
+    return bool((near_one | (np.abs(imgs) <= 1e-9)).all()
                 and (near_one.sum(axis=2) == 1).all() and (near_one.sum(axis=1) == 1).all())
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from .groups import group_from_spec
 from .network import Dataset, check_map_equivariance
 from .numerics import determinant
-from .reps import parse_rep_spec
+from .reps import defining_rep, parse_rep_spec
 
 
 def center_of_mass(points):
@@ -134,25 +134,6 @@ def slater_wavefunction(dim=3, seed=0):
     return f
 
 
-def permutation_sign(perm):
-    """Parity of a permutation given as a tuple of indices."""
-    perm = list(perm)
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def check_antisymmetry(f, m, dim=3, trials=10, seed=0, tol=1e-10):
     """Exhaustively test f(pi v) = sign(pi) f(v) over all of S_m.
 
@@ -175,6 +156,6 @@ def check_antisymmetry(f, m, dim=3, trials=10, seed=0, tol=1e-10):
     if report.witness is not None:
         g, v = report.witness
         # g sends e_j to e_targets[j]: row i has its 1 in column argsort(targets)[i]
-        perm = tuple(int(i) for i in np.argsort(group.targets[g]))
+        perm = tuple(int(i) for i in np.argsort(defining_rep(group).targets[g]))
         report.witness = (perm, v.reshape(m, dim))
     return report

@@ -1,7 +1,8 @@
 """Shared test utilities: finite-difference gradient checking, a
 row-major reference for the training gradient, a per-element
 reference for the equivariance check, the generator images of a
-rep spec and a model-file editor."""
+rep spec, a model-file editor, and a group's element words and
+element lookup."""
 
 import numpy as np
 
@@ -180,3 +181,20 @@ def set_first_declared_weight(path, value):
     lines[row] = " ".join(tokens)
     path.write_text("\n".join(lines) + "\n")
     return row + 1
+
+
+def words(group):
+    """Each element's generator word from the identity (left-to-right
+    products), read off the group's BFS parent links: a parent precedes
+    its children."""
+    out = [()]
+    for parent, gi in group.parents[1:].tolist():
+        out.append(out[parent] + (gi,))
+    return out
+
+
+def element_index(images, m):
+    """Index of the first of the (order, n, n) ``images`` within 1e-6 of
+    the matrix ``m`` entrywise, or None."""
+    hits = np.flatnonzero(np.abs(images - m).max(axis=(1, 2)) <= 1e-6)
+    return int(hits[0]) if len(hits) else None

@@ -13,7 +13,7 @@ from test_structured import count_by_construction
 from equikit.activations import ActivationSpec, apply_pointwise
 from equikit.groups import close, named_group
 from equikit.intertwiners import hom_dim_oracle, solve_basis
-from equikit.network import Dataset, build, check_map_equivariance
+from equikit.network import Dataset, build, check_map_equivariance, check_stack_equivariance
 from equikit.reps import defining_rep, parse_rep_spec, trivial_rep
 from equikit.structured import circulant_basis, param_count, toeplitz
 from equikit.tasks import (
@@ -122,7 +122,8 @@ def test_criterion_3_equivariance_by_construction():
     for seed in range(20):
         group, reps, activation = chains[seed % len(chains)]
         net = build(group, reps, activation, seed=seed)
-        before = net.check_equivariance(trials=5, seed=seed, tol=1e-8)
+        before = check_stack_equivariance(net.weights(), net.biases(), net.activation,
+                                          net.layer_reps, trials=5, seed=seed, tol=1e-8)
         assert before.passed, f"seed {seed} fails before training"
         rng = np.random.default_rng(1000 + seed)
         data = Dataset(
@@ -130,7 +131,8 @@ def test_criterion_3_equivariance_by_construction():
             rng.uniform(-1, 1, size=(40, net.widths[-1])),
         )
         trained, _ = net.train(data, steps=100, learning_rate=0.05)
-        after = trained.check_equivariance(trials=5, seed=seed, tol=1e-8)
+        after = check_stack_equivariance(trained.weights(), trained.biases(), trained.activation,
+                                         trained.layer_reps, trials=5, seed=seed, tol=1e-8)
         assert after.passed, f"seed {seed} fails after training"
         built += 1
     elapsed = time.perf_counter() - start

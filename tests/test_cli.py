@@ -153,6 +153,15 @@ def test_basis_single_layer_and_print(tmp_path, capsys):
     assert out.count("basis element") == 9
 
 
+@pytest.mark.parametrize("layer", ["0", "3"])
+def test_basis_layer_out_of_range_exits_2(capsys, layer):
+    config = str(Path(__file__).resolve().parent.parent / "configs" / "c4_chain.cfg")
+    code, out, err = run(capsys, "basis", "--config", config, "--layer", layer)
+    assert code == 2
+    assert out == ""  # nothing is printed before the layer is validated
+    assert err.splitlines() == ["error: --layer must be in 1..2"]
+
+
 def test_basis_output_is_deterministic(tmp_path, capsys):
     cfg = tmp_path / "deepsets.cfg"
     cfg.write_text(DEEPSETS_CFG)

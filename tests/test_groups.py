@@ -11,6 +11,7 @@ from equikit.groups import (
     named_group,
     permutation_matrix,
 )
+from helpers import element_index, words
 
 
 def cyclic_shift(n):
@@ -20,7 +21,7 @@ def cyclic_shift(n):
 def test_close_cyclic_shift_order_3():
     g = close([cyclic_shift(3)])
     assert g.order == 3
-    assert np.array_equal(g.elements[0], np.eye(3))
+    assert np.array_equal(reps.defining_rep(g).images[0], np.eye(3))
 
 
 def test_close_s3_from_adjacent_swaps():
@@ -36,43 +37,47 @@ def test_close_quarter_turn_order_4():
 
 def test_closed_under_generator_products():
     g = named_group("symmetric", 4)
+    elements = reps.defining_rep(g).images
     for e in range(g.order):
         for gi in range(g.gen_count):
-            prod = g.elements[e] @ g.generators[gi]
-            assert g.index_of(prod) == g.cayley[e, gi]
+            prod = elements[e] @ g.generators[gi]
+            assert element_index(elements, prod) == g.cayley[e, gi]
 
 
 def test_no_duplicate_elements():
     g = named_group("p4", 3)
+    elements = reps.defining_rep(g).images
     for i in range(g.order):
-        diffs = np.abs(g.elements - g.elements[i]).max(axis=(1, 2))
+        diffs = np.abs(elements - elements[i]).max(axis=(1, 2))
         diffs[i] = np.inf
         assert diffs.min() > 1e-6
 
 
 def test_words_replay_elements():
     g = named_group("p4m", 2)
-    for i, word in enumerate(g.words):
+    elements = reps.defining_rep(g).images
+    for i, word in enumerate(words(g)):
         m = np.eye(g.dim)
         for gi in word:
             m = m @ g.generators[gi]
-        assert np.abs(m - g.elements[i]).max() < 1e-9
+        assert np.abs(m - elements[i]).max() < 1e-9
 
 
 def test_words_are_shortest_first():
     g = named_group("symmetric", 4)
-    lengths = [len(w) for w in g.words]
+    lengths = [len(w) for w in words(g)]
     assert lengths == sorted(lengths)
-    assert g.words[0] == ()
+    assert words(g)[0] == ()
 
 
 def test_cayley_associativity():
     g = named_group("symmetric", 3)
+    elements = reps.defining_rep(g).images
     for a in range(g.order):
         for g1 in range(g.gen_count):
             for g2 in range(g.gen_count):
                 left = g.cayley[g.cayley[a, g1], g2]
-                direct = g.index_of(g.elements[a] @ g.generators[g1] @ g.generators[g2])
+                direct = element_index(elements, elements[a] @ g.generators[g1] @ g.generators[g2])
                 assert left == direct
 
 
@@ -85,9 +90,11 @@ def test_cayley_columns_are_permutations():
 
 def test_every_element_has_inverse():
     g = named_group("p4m", 2)
+    elements = reps.defining_rep(g).images
     for i in range(g.order):
-        j = g.inverse_index(i)
-        assert np.abs(g.elements[i] @ g.elements[j] - np.eye(g.dim)).max() < 1e-9
+        j = element_index(elements, np.linalg.inv(elements[i]))
+        assert j is not None
+        assert np.abs(elements[i] @ elements[j] - np.eye(g.dim)).max() < 1e-9
 
 
 @pytest.mark.parametrize("kind,size,order", [
@@ -121,13 +128,12 @@ def test_square_groups_collapse_on_two_pixel_grid():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_grid_group_nesting(n):
-    torus = named_group("torus", n)
-    p4 = named_group("p4", n)
-    p4m = named_group("p4m", n)
-    for e in torus.elements:
-        assert p4.contains(e)
-    for e in p4.elements:
-        assert p4m.contains(e)
+    torus, p4, p4m = (reps.defining_rep(named_group(kind, n)).images
+                      for kind in ("torus", "p4", "p4m"))
+    for e in torus:
+        assert element_index(p4, e) is not None
+    for e in p4:
+        assert element_index(p4m, e) is not None
 
 
 def test_closure_cap_error_names_cap():
@@ -143,50 +149,6 @@ def test_non_invertible_generator_rejected():
 def test_mismatched_generator_shapes_rejected():
     with pytest.raises(ValueError):
         close([np.eye(2), np.eye(3)])
-
-
-def test_index_of_missing_element():
-    g = named_group("cyclic", 3)
-    with pytest.raises(ValueError, match="not an element"):
-        g.index_of(np.diag([1.0, 1.0, -1.0]))
-    with pytest.raises(ValueError, match="shape"):
-        g.index_of(np.eye(2))
-    assert not g.contains(np.eye(4))
-
-
-def test_index_of_every_element():
-    g = named_group("p4m", 3)
-    for i, e in enumerate(g.elements):
-        assert g.index_of(e + 1e-9) == i
-
-
-def test_signed_lookup_keeps_the_match_tolerance():
-    g = named_group("p4m", 3)
-    assert g.targets is not None
-    e = g.generators[2]
-    assert g.index_of(e + 9e-7) == g.index_of(e - 9e-7) == 3
-    assert not g.contains(e + 2e-6)
-    assert not g.contains(np.zeros((9, 9)))
-    assert not g.contains(np.ones((9, 9)))
-    assert not g.contains(-e)  # a signed permutation outside the group
-
-
-def test_signed_lookup_builds_no_dense_stack():
-    g = named_group("p4m", 12)  # one dense (|G|, n, n) stack is 191 MB
-    tracemalloc.start()
-    try:
-        found = g.index_of(g.generators[2])
-        inverses = [g.inverse_index(i) for i in range(g.order)]
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert found == 3
-    assert peak < 5e6
-    # element i times element inverses[i] maps e_k to +e_k for every k
-    after = g.targets[inverses]
-    assert np.array_equal(np.take_along_axis(g.targets, after, axis=1),
-                          np.broadcast_to(np.arange(g.dim), after.shape))
-    assert (np.take_along_axis(g.signs, after, axis=1) * g.signs[inverses] == 1).all()
 
 
 def test_group_from_spec():
@@ -293,9 +255,10 @@ NAMED_SPECS = [f"symmetric:{m}" for m in range(1, 6)] + [
 
 
 def assert_same_group(fast, dense):
-    assert fast.elements.tobytes() == dense.elements.tobytes()
+    assert (reps.defining_rep(fast).images.tobytes()
+            == reps.defining_rep(dense).images.tobytes())
     assert fast.generators.tobytes() == dense.generators.tobytes()
-    assert fast.words == dense.words
+    assert words(fast) == words(dense)
     assert fast.cayley.tobytes() == dense.cayley.tobytes()
     assert fast.parents.tobytes() == dense.parents.tobytes()
 
@@ -345,8 +308,7 @@ def test_rotation_matrix_group_closes_on_the_rounding_key(monkeypatch):
 
 def queue_words(gens):
     """Each element's word from a one-element-at-a-time BFS queue over
-    dense products: the construction ``words`` had before it was derived
-    from ``parents``."""
+    dense products: the oracle for the words read off ``parents``."""
     words = [()]
     elements = [np.eye(gens[0].shape[0])]
     seen = {groups._key(elements[0])}
@@ -365,14 +327,13 @@ def queue_words(gens):
 @pytest.mark.parametrize("spec", ["symmetric:4", "cyclic:5", "p4:3", "p4m:4"])
 def test_words_match_the_one_element_queue(spec):
     group = group_from_spec(spec)
-    assert group.words == queue_words(list(group.generators))
-    assert group.words is group.words
+    assert words(group) == queue_words(list(group.generators))
 
 
 def test_signed_group_words_match_the_one_element_queue():
     gens = [permutation_matrix([1, 2, 0, 3]) * np.array([1.0, -1.0, 1.0, -1.0]),
             -permutation_matrix([0, 1, 3, 2])]
-    assert close(gens).words == queue_words(gens)
+    assert words(close(gens)) == queue_words(gens)
 
 
 def test_permutation_matrix_stacks_rows():
@@ -416,22 +377,22 @@ def _closure_mib(spec):
 def test_cyclic_2000_closure_peak():
     # a 30.5 MiB dense generator is never built, and the BFS holds one
     # level's int16 codes and the keys of the elements it has seen; the
-    # int16 targets are walked on their first read
+    # defining rep walks its int16 targets on their first read
     group, peak, _ = _closure_mib("cyclic:2000")
     assert group.order == 2000
     assert peak < 16
-    assert group.targets.dtype == np.int16
+    assert reps.defining_rep(group).targets.dtype == np.int16
 
 
 def test_p4m_32_closure_peak():
     # 8192 elements of degree 1024: no 32 MiB dense generator stack, no
-    # int64 widening, and no element data kept past the BFS, which the
-    # targets' (16 MiB of int16) and signs' (8 MiB) first read walks
+    # int64 widening, and no element data kept past the BFS; the defining
+    # rep's first read walks its targets (16 MiB of int16) and signs (8 MiB)
     group, peak, held = _closure_mib("p4m:32")
     assert group.order == 8192
     assert peak < 40
     assert held < 2
-    assert group.targets.dtype == np.int16
+    assert reps.defining_rep(group).targets.dtype == np.int16
 
 
 # --- a named group is its generators plus a closed-form order --------------
@@ -450,8 +411,9 @@ def test_closed_form_order_and_generator_ids_are_the_bfs(spec, monkeypatch):
     monkeypatch.setattr(groups, "_bfs", lambda *args: runs.append(spec) or bfs(*args))
     assert group.cayley.shape == (order, group.gen_count)
     assert np.array_equal(ids, group.cayley[0])
-    assert group.parents.shape == (order, 2) and group.targets.shape == (order, group.dim)
-    assert group.elements.shape == (order, group.dim, group.dim)
+    rep = reps.defining_rep(group)
+    assert group.parents.shape == (order, 2) and rep.targets.shape == (order, group.dim)
+    assert rep.images.shape == (order, group.dim, group.dim)
     assert runs == [spec]  # forced twice and more, enumerated once
     # the order a closure finds with no closed form to meet
     assert close(list(group.generators)).order == order
@@ -490,3 +452,34 @@ def test_named_group_construction_enumerates_nothing(monkeypatch):
     assert (group.order, group.gen_count, ids.tolist()) == (8192, 4, [1, 2, 3, 4])
     assert rep.gen_arrays is group.gen_arrays
     assert peak < 2 ** 20
+
+
+def test_a_group_holds_only_its_tree(monkeypatch):
+    # p4m:16: 2048 elements of degree 256, whose defining rep's targets
+    # and signs take 1.5 MiB and the tree (cayley and parents) 96 KiB. A
+    # first walk warms numpy's caches; 4 KiB covers the arrays' headers
+    assert reps.defining_rep(group_from_spec("p4m:16")).targets is not None
+    group = group_from_spec("p4m:16")
+    tracemalloc.start()
+    try:
+        rep = reps.defining_rep(group)
+        assert rep.targets.dtype == np.int16
+        del rep
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= group.cayley.nbytes + group.parents.nbytes + 4096
+    assert [k for k, v in vars(group).items() if isinstance(v, np.ndarray)] == [
+        "_cayley", "_parents"]
+
+    walks = []
+    walk = reps._walk
+    monkeypatch.setattr(reps, "_walk", lambda *args: walks.append(1) or walk(*args))
+    before = dict(vars(group))
+    first, second = reps.defining_rep(group), reps.defining_rep(group)
+    assert first.targets is not second.targets
+    assert np.array_equal(first.targets, second.targets)
+    assert np.array_equal(first.signs, second.signs)
+    assert len(walks) == 2
+    assert vars(group).keys() == before.keys()
+    assert all(vars(group)[k] is v for k, v in before.items())

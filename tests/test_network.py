@@ -138,7 +138,8 @@ def test_identity_single_layer_net():
     net.weight_coeffs[0] = net.weight_bases[0].project(np.eye(4))
     v = np.array([0.3, -1.2, 5.0, 0.0])
     assert np.array_equal(net.forward(v), v)
-    report = net.check_equivariance(trials=4, seed=0)
+    report = check_stack_equivariance(net.weights(), net.biases(), net.activation,
+                                      net.layer_reps, trials=4, seed=0)
     assert report.passed and report.max_residual == 0.0
 
 
@@ -194,18 +195,21 @@ def test_forward_rejects_wrong_length():
 @pytest.mark.parametrize("seed", range(4))
 def test_fresh_nets_are_equivariant(seed):
     net = deep_sets_net(seed=seed, activation=RELU if seed % 2 else TANH)
-    report = net.check_equivariance(trials=6, seed=seed, tol=1e-8)
+    report = check_stack_equivariance(net.weights(), net.biases(), net.activation,
+                                      net.layer_reps, trials=6, seed=seed, tol=1e-8)
     assert report.passed
 
 
 def test_check_equivariance_certifies_built_nets():
     net = deep_sets_net(seed=2, activation=TANH)
     net.bias_coeffs = [np.array([0.3])]
-    report = net.check_equivariance()
+    report = check_stack_equivariance(net.weights(), net.biases(), net.activation,
+                                      net.layer_reps)
     assert report.passed and report.coverage == "certificate (2 generators)"
     # a bias off the invariant line is refuted at a generator
     net.bias_bases = [np.arange(12.0)[:, None]]
-    report = net.check_equivariance()
+    report = check_stack_equivariance(net.weights(), net.biases(), net.activation,
+                                      net.layer_reps)
     assert not report.passed and report.coverage == "generators (2 of 24)"
     assert report.witness[0] in net.group.cayley[0]
 
@@ -213,7 +217,8 @@ def test_check_equivariance_certifies_built_nets():
 def test_check_equivariance_of_dense_reps_sweeps_every_element():
     rep = _quarter_turn_rep()
     net = build(rep.group, [rep, rep], TANH, seed=0)
-    report = net.check_equivariance()
+    report = check_stack_equivariance(net.weights(), net.biases(), net.activation,
+                                      net.layer_reps)
     assert report.passed and report.coverage == "exhaustive (4)"
 
 
@@ -352,7 +357,8 @@ def test_training_preserves_equivariance():
     net = deep_sets_net(seed=8)
     data = random_dataset(net, 25, seed=3)
     trained, _ = net.train(data, steps=60, learning_rate=0.1)
-    report = trained.check_equivariance(trials=6, seed=1, tol=1e-8)
+    report = check_stack_equivariance(trained.weights(), trained.biases(), trained.activation,
+                                      trained.layer_reps, trials=6, seed=1, tol=1e-8)
     assert report.passed
 
 
@@ -718,7 +724,7 @@ def test_constant_width_weights_commute_with_group():
     rep = defining_rep(g)
     net = build(g, [rep, rep, rep], RELU, seed=5)
     for a in net.weights():
-        for x in g.elements:
+        for x in rep.images:
             assert np.abs(np.linalg.inv(x) @ a @ x - a).max() < 1e-8
 
 

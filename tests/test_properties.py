@@ -19,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import reference_check, spec_images
+from helpers import reference_check, spec_images, words
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -131,8 +131,9 @@ def test_signed_closure_and_extension_are_bitwise_dense(drawn, negative_zeros, d
     assert signed_permutations(np.stack(gens)) is not None
     group = close(gens)
     dense = groups._close_dense(gens)
-    assert group.elements.tobytes() == dense.elements.tobytes()
-    assert group.words == dense.words
+    assert (reps.defining_rep(group).images.tobytes()
+            == reps.defining_rep(dense).images.tobytes())
+    assert words(group) == words(dense)
     assert group.cayley.tobytes() == dense.cayley.tobytes()
     assert group.parents.tobytes() == dense.parents.tobytes()
     rep = parse_rep_spec(group, data.draw(rep_specs(perms)))
@@ -178,7 +179,7 @@ def test_dense_closure_of_rotations_has_cyclic_or_dihedral_order(step, reflect):
     # rotation is not an exact signed permutation: the dense path runs
     assert signed_permutations(np.stack(gens)) is None
     group = close(gens)
-    assert group.targets is None
+    assert group.gen_arrays is None
     assert group.order == (2 * n if reflect else n)
     rep = extend(group, gens)
     assert rep.images.shape == (group.order, 2, 2)
@@ -192,7 +193,7 @@ def word_products(group, gen_images):
     images along its word, one ``@`` at a time: a traversal that shares
     nothing with ``reps._walk``."""
     products = []
-    for word in group.words:
+    for word in words(group):
         image = np.eye(gen_images.shape[1])
         for gi in word:
             image = image @ gen_images[gi]
@@ -222,19 +223,22 @@ def extend_outcome(group, gen_images):
 
 
 def assert_walk_is_the_word_products(rep, data):
-    """The rep's images and its group's element data are the products
-    along the words, bitwise, and ``extend`` of one perturbed generator
-    image (an entry nudged off the signed path, or a column negated on
-    it) fails where the plain loop does, with the same residual."""
+    """The rep's images and its group's defining rep's element data are
+    the products along the words, bitwise, and ``extend`` of one
+    perturbed generator image (an entry nudged off the signed path, or a
+    column negated on it) fails where the plain loop does, with the same
+    residual."""
     group, gen_images = rep.group, rep.gen_images
     assert rep.images.tobytes() == word_products(group, gen_images).tobytes()
+    defining = reps.defining_rep(group)
     if group.gen_arrays is None:
-        assert group.elements.tobytes() == word_products(group, group.generators).tobytes()
+        assert defining.images.tobytes() == word_products(group, group.generators).tobytes()
     else:
         products = word_products(group, signed_permutation_matrices(*group.gen_arrays))
         targets, signs = signed_permutations(products)
-        assert np.array_equal(group.targets, targets) and np.array_equal(group.signs, signs)
-        assert group.elements.tobytes() == products.tobytes()
+        assert np.array_equal(defining.targets, targets)
+        assert np.array_equal(defining.signs, signs)
+        assert defining.images.tobytes() == products.tobytes()
     perturbed = gen_images.copy()
     gi = data.draw(st.integers(0, group.gen_count - 1))
     col = data.draw(st.integers(0, rep.degree - 1))
@@ -283,7 +287,7 @@ def perm_leaves(group):
     (a homomorphism on some groups, not on others)."""
     n = group.dim
     flip = np.arange(n)[::-1]
-    gen_targets = group.targets[group.cayley[0]]
+    gen_targets = reps.defining_rep(group).targets[group.cayley[0]]
     dets = np.linalg.det(group.generators)
 
     def spec(perms):

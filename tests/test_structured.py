@@ -3,7 +3,6 @@ import pytest
 
 from equikit.groups import named_group
 from equikit.intertwiners import solve_basis
-from equikit.numerics import matrix_rank
 from equikit.reps import defining_rep
 from equikit.structured import bttb, circulant, circulant_basis, param_count, toeplitz
 
@@ -114,7 +113,7 @@ def count_by_construction(kind, k, n=None, m1=None, m2=None):
     else:
         width, nparams, make = n, n * n, lambda p: p.reshape(n, n)
     stacked = np.stack([make(np.eye(nparams)[i]).ravel() for i in range(nparams)])
-    per_layer = matrix_rank(stacked)
+    per_layer = np.linalg.matrix_rank(stacked)
     return k * per_layer + (k - 1) * width
 
 

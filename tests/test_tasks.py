@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from equikit import groups
+from equikit import groups, reps
 from equikit.activations import ActivationSpec
 from equikit.groups import group_from_spec, named_group
 from equikit.network import build, check_map_equivariance
@@ -17,7 +17,6 @@ from equikit.tasks import (
     decolor,
     flip,
     monomial_features,
-    permutation_sign,
     random_image,
     read_image,
     slater_det,
@@ -181,13 +180,6 @@ def test_read_image_rejects_bad_header(text, message):
 # --- antisymmetry ----------------------------------------------------
 
 
-def test_permutation_sign_values():
-    assert permutation_sign((0, 1, 2)) == 1
-    assert permutation_sign((1, 0, 2)) == -1
-    assert permutation_sign((1, 2, 0)) == 1
-    assert permutation_sign((1, 0, 3, 2)) == 1
-
-
 def test_slater_det_m1_is_feature_value():
     assert slater_det(np.array([[3.25]])) == 3.25
 
@@ -247,13 +239,14 @@ def test_antisymmetry_witness_reads_no_dense_group(monkeypatch):
         parse_rep_spec(group, "tensor:3(defining)"), parse_rep_spec(group, "sign"),
         trials=5, seed=3, tol=1e-10)
     g, v = report.witness
-    perm = tuple(int(i) for i in np.argmax(group.elements[g], axis=1))
+    perm = tuple(int(i) for i in np.argmax(reps.defining_rep(group).images[g], axis=1))
     assert perm != tuple(int(i) for i in np.argsort(perm))  # not an involution
 
     def no_dense(targets, signs):
         raise AssertionError("a dense signed-permutation stack was built")
 
     monkeypatch.setattr(groups, "signed_permutation_matrices", no_dense)
+    monkeypatch.setattr(reps, "signed_permutation_matrices", no_dense)
     witness = check_antisymmetry(_lopsided, 4, trials=5, seed=3, tol=1e-10).witness
     assert witness[0] == perm
     assert witness[1].tobytes() == v.reshape(4, 3).tobytes()
