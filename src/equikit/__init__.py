@@ -35,7 +35,6 @@ from .reps import (
     tensor_identity,
     trivial_rep,
 )
-from .structured import bttb, circulant, circulant_basis, param_count, toeplitz
 
 __version__ = "0.1.0"
 
@@ -50,13 +49,10 @@ __all__ = [
     "Report",
     "Representation",
     "apply_pointwise",
-    "bttb",
     "build",
     "check_map_equivariance",
     "check_pointwise_equivariance",
     "check_stack_equivariance",
-    "circulant",
-    "circulant_basis",
     "close",
     "defining_rep",
     "determinant",
@@ -70,7 +66,6 @@ __all__ = [
     "load_model",
     "named_group",
     "nullspace",
-    "param_count",
     "parse_activation",
     "parse_rep_chain",
     "parse_rep_spec",
@@ -79,6 +74,5 @@ __all__ = [
     "sign_rep",
     "solve_basis",
     "tensor_identity",
-    "toeplitz",
     "trivial_rep",
 ]

@@ -2,9 +2,10 @@
 
 Subcommands: ``basis`` (intertwiner dimensions for a config's rep
 chain), ``check`` (equivariance report for a saved model, exit 1 on
-failure), ``train`` (toy tasks), ``count`` (structured parameter
-formulas) and ``demo`` (golden worked examples). Exit codes: 0 pass,
-1 failed check, 2 malformed input.
+failure), ``train`` (toy tasks), ``count`` (free parameters of a
+dense, Toeplitz or BTTB layer stack, ``param_count``) and ``demo``
+(golden worked examples). Exit codes: 0 pass, 1 failed check, 2
+malformed input.
 """
 
 import argparse
@@ -21,7 +22,6 @@ from .network import build, check_stack_equivariance, load_model, save_model
 # parse_rep_spec stays bound here for perfbench, whose self-test checks
 # that the tracer wraps it in this module
 from .reps import parse_rep_chain, parse_rep_spec  # noqa: F401
-from .structured import param_count
 from .tasks import (
     check_antisymmetry,
     com_dataset,
@@ -118,6 +118,8 @@ def cmd_train(args):
     test_data = com_dataset(args.m, args.test_samples, seed=args.seed + 1)
     trained, history = net.train(train_data, args.steps, args.lr)
     counts = trained.count_parameters()
+    if args.out:  # written before the report, so a failed write prints nothing
+        save_model(trained, args.out)
     print(f"task center-of-mass, m {args.m}, chain "
           "tensor:3(defining) -> tensor:3(defining) -> trivial:3")
     print(f"steps {args.steps}, learning rate {_fmt(args.lr, args.exact)}, "
@@ -128,9 +130,39 @@ def cmd_train(args):
     print(f"parameters {counts.equivariant} vs dense {counts.dense} "
           f"(ratio {_fmt(counts.ratio, args.exact)})")
     if args.out:
-        save_model(trained, args.out)
         print(f"model written to {args.out}")
     return 0
+
+
+def param_count(kind, k, n=None, m1=None, m2=None):
+    """Free-parameter count of a k-layer constant-width stack.
+
+    dense: k*n^2 + (k-1)*n; toeplitz: k*(2n-1) + (k-1)*n;
+    bttb: k*(2*m1-1)*(2*m2-1) + (k-1)*m1*m2 (width n = m1*m2).
+    The (k-1)*width term is the biases; the last layer carries none.
+    ``k`` and any given ``n``, ``m1`` or ``m2`` must be >= 1.
+    """
+    if k < 1:
+        raise ValueError("layer count k must be >= 1")
+    bad = [f"{name}={w}" for name, w in (("n", n), ("m1", m1), ("m2", m2))
+           if w is not None and w < 1]
+    if bad:
+        raise ValueError(f"widths must be >= 1, got {', '.join(bad)}")
+    if kind == "dense":
+        if n is None:
+            raise ValueError("dense count needs n")
+        return k * n * n + (k - 1) * n
+    if kind == "toeplitz":
+        if n is None:
+            raise ValueError("toeplitz count needs n")
+        return k * (2 * n - 1) + (k - 1) * n
+    if kind == "bttb":
+        if m1 is None or m2 is None:
+            raise ValueError("bttb count needs m1 and m2")
+        if n is not None and n != m1 * m2:
+            raise ValueError(f"bttb width must satisfy n = m1*m2, got n={n}")
+        return k * (2 * m1 - 1) * (2 * m2 - 1) + (k - 1) * m1 * m2
+    raise ValueError(f"unknown structure kind {kind!r}")
 
 
 def cmd_count(args):
@@ -171,10 +203,14 @@ def _demo_decolor_flip(image=None, out=None):
     if image is not None:
         with open(image) as fh:
             candidates = [read_image(fh)]
-        print(f"commuting square on {image}")
+        title = f"commuting square on {image}"
     else:
         candidates = [random_image(8, seed=seed) for seed in range(100)]
-        print("commuting square on 100 seeded random 8x8 images")
+        title = "commuting square on 100 seeded random 8x8 images"
+    if out is not None:  # written before the report, so a failed write prints nothing
+        with open(out, "w") as fh:
+            write_image(decolor(flip(candidates[0], "top_bottom")), fh)
+    print(title)
     for i, img in enumerate(candidates):
         for axis in ("top_bottom", "left_right"):
             a = decolor(flip(img, axis)).values
@@ -184,8 +220,6 @@ def _demo_decolor_flip(image=None, out=None):
                 return 1
     print("decolor(flip(img)) == flip(decolor(img)): bit-exact on every image")
     if out is not None:
-        with open(out, "w") as fh:
-            write_image(decolor(flip(candidates[0], "top_bottom")), fh)
         print(f"decolored top-bottom flip written to {out}")
     return 0
 
@@ -268,7 +302,7 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("count", help="structured parameter-count formulas")
+    p = sub.add_parser("count", help="parameter counts of dense, Toeplitz or BTTB stacks")
     p.add_argument("--structure", required=True, choices=["dense", "toeplitz", "bttb"])
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, default=None)

@@ -162,7 +162,7 @@ class FiniteGroup:
         return f"FiniteGroup({name}, dim={self.dim}, order={self.order})"
 
 
-def close(generators, max_order=DEFAULT_MAX_ORDER, spec=None):
+def close(generators, max_order=DEFAULT_MAX_ORDER):
     """Close a generator set under multiplication (BFS, right products).
 
     The closure runs at once, since it alone finds the order. Signed
@@ -170,9 +170,10 @@ def close(generators, max_order=DEFAULT_MAX_ORDER, spec=None):
     closes on rounded dense keys (see the module docstring). Raises
     ClosureError if more than ``max_order`` elements appear, and
     ValueError for non-square, mismatched, or non-invertible generators.
+    The group has no spec, so a model over it cannot be saved.
     """
     gens, perm = _generator_stack(generators, "generator")
-    return FiniteGroup(gens.shape[1], spec=spec, gen_arrays=perm,
+    return FiniteGroup(gens.shape[1], gen_arrays=perm,
                        generators=gens)._enumerate(max_order)
 
 
@@ -197,7 +198,7 @@ def _generator_stack(matrices, name):
     return stack, perm
 
 
-def _close_dense(gens, max_order=DEFAULT_MAX_ORDER, spec=None):
+def _close_dense(gens, max_order=DEFAULT_MAX_ORDER):
     """``close`` on dense matrices deduplicated by ``_key``, whatever the
     generators: the path of every generator set that is not all signed
     permutations, and the test oracle for the other. On signed
@@ -206,7 +207,7 @@ def _close_dense(gens, max_order=DEFAULT_MAX_ORDER, spec=None):
     zeros, they are bitwise the dense products (a matmul sum of +-0.0
     terms starts from +0.0, so every zero it leaves is +0.0)."""
     gens = np.stack(gens)
-    return FiniteGroup(gens.shape[1], spec=spec, generators=gens)._enumerate(max_order)
+    return FiniteGroup(gens.shape[1], generators=gens)._enumerate(max_order)
 
 
 def _row_bytes(rows):
@@ -317,15 +318,6 @@ def _permutation(perm):
     if not (np.sort(perm, axis=-1) == np.arange(n)).all():
         raise ValueError(f"not a permutation of 0..{n - 1}: {perm.tolist()}")
     return perm
-
-
-def permutation_matrix(perm):
-    """Matrix P with P e_j = e_perm[j] for a permutation of 0..n-1; a
-    (count, n) array of permutations gives the (count, n, n) stack."""
-    perm = _permutation(perm)
-    rows = perm.reshape(-1, perm.shape[-1]).astype(np.intp)
-    stack = signed_permutation_matrices(rows, np.ones(rows.shape))
-    return stack.reshape(perm.shape + rows.shape[-1:])
 
 
 def _grid_permutations(n_grid, kind):

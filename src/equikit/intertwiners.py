@@ -14,9 +14,9 @@ without an odd sign cycle. Union-find with parity over the generator
 links finds the orbits (see ``_orbit_nullspace``), without building the
 constraint stack or a dense image, and the result is bit for bit the
 dense path's. Every other pair goes through the dense elimination in
-``numerics.nullspace``, which is also the test oracle for the orbit
-path. ``tol`` is validated on both paths but only the dense path uses
-it. ``fixed_subspace`` is the solve from the trivial rep.
+``numerics.nullspace`` at its default pivot threshold, which is also
+the test oracle for the orbit path. ``fixed_subspace`` is the solve
+from the trivial rep.
 
 The solve reads the generators only. The character oracle reads every
 element: the (targets, signs) index arrays of a signed permutation
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, check_tol, nullspace
+from .numerics import nullspace
 from .reps import Representation, parse_rep_spec
 
 
@@ -64,7 +64,7 @@ class IntertwinerBasis:
         return self.basis.reshape(self.dim, self.basis.shape[1] * self.basis.shape[2])
 
 
-def solve_basis(rep_in, rep_out, tol=DEFAULT_TOL):
+def solve_basis(rep_in, rep_out):
     """Solve for the intertwiner space between two representations.
 
     Stacks, per generator g, the constraint on vec(A) induced by
@@ -77,25 +77,24 @@ def solve_basis(rep_in, rep_out, tol=DEFAULT_TOL):
     """
     if rep_in.group is not rep_out.group:
         raise ValueError("representations must share the same group")
-    check_tol(tol)
     n_in, n_out = rep_in.degree, rep_out.degree
     if n_in * n_out == 0:  # no unknowns: the zero space, which neither path takes
         ns = np.zeros((0, 0))
     elif rep_in.gen_arrays is not None and rep_out.gen_arrays is not None:
         ns = _orbit_nullspace(rep_in.gen_arrays, rep_out.gen_arrays)
     else:
-        ns = nullspace(_constraint_stack(rep_in, rep_out), tol=tol)
+        ns = nullspace(_constraint_stack(rep_in, rep_out))
     dim = ns.shape[1]
     basis = ns.T.reshape(dim, n_out, n_in)
     return IntertwinerBasis(rep_in, rep_out, dim, basis)
 
 
-def fixed_subspace(rep, tol=DEFAULT_TOL):
+def fixed_subspace(rep):
     """Orthonormal basis of {b : rho(g) b = b for all generators g}: the
     intertwiners from the trivial rep, one column per basis map. The
     columns are fixed by the whole group (generators suffice), and the
     result may legitimately have zero columns."""
-    basis = solve_basis(parse_rep_spec(rep.group, "trivial:1"), rep, tol)
+    basis = solve_basis(parse_rep_spec(rep.group, "trivial:1"), rep)
     return np.ascontiguousarray(basis.basis[:, :, 0].T)
 
 

@@ -177,13 +177,6 @@ class EquivariantNetwork:
     def coefficient_vector(self):
         return np.concatenate(_interleave(self.weight_coeffs, self.bias_coeffs))
 
-    def set_coefficient_vector(self, flat):
-        flat = np.array(flat, dtype=np.float64)
-        size = sum(c.size for c in self.weight_coeffs + self.bias_coeffs)
-        if flat.shape != (size,):
-            raise ValueError(f"expected {size} coefficients, got {flat.size}")
-        self._view_coefficients(flat)
-
     def _view_coefficients(self, flat):
         """Make every coefficient array a view of the flat vector ``flat``,
         so that updating ``flat`` in place updates the network."""
@@ -570,14 +563,14 @@ class LoadedModel:
     def biases(self):
         return self.declared_biases
 
-    def declared_matches(self, tol=1e-9):
-        """True when the declared matrices equal the ones the file's
-        coefficients realize; a v2 file has no coefficients to differ from."""
+    def declared_matches(self):
+        """True when the declared matrices are within 1e-9 of the ones the
+        file's coefficients realize; a v2 file has no coefficients."""
         if self.network is None:
             return True
         realized = _interleave(self.network.weights(), self.network.biases())
         declared = _interleave(self.declared_weights, self.declared_biases)
-        return all(np.abs(a - b).max() <= tol for a, b in zip(realized, declared))
+        return all(np.abs(a - b).max() <= 1e-9 for a, b in zip(realized, declared))
 
 
 class _Reader:

@@ -12,31 +12,17 @@ from .numerics import determinant
 from .reps import defining_rep, parse_rep_spec
 
 
-def center_of_mass(points):
-    """Mean of m unit-mass positions, an (m, 3) array -> length-3 vector.
-
-    Coordinates are accumulated with an exactly rounded sum, so the
-    result is bit-identical under any reordering of the points.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] == 0:
-        raise ValueError(f"expected a nonempty (m, 3) array, got {points.shape}")
-    m = points.shape[0]
-    return np.array([math.fsum(points[:, c]) / m for c in range(3)])
-
-
 def com_dataset(m, samples, seed=0):
     """Flattened random point clouds paired with their centers of mass.
 
     Inputs are uniform in [-1, 1]; deterministic per seed. Each target is
-    bitwise ``center_of_mass`` of its row.
+    the mean of the row's m points by an exactly rounded sum per coordinate.
     """
     if m < 1 or samples < 1:
         raise ValueError("m and samples must be >= 1")
     rng = np.random.default_rng(seed)
     inputs = rng.uniform(-1.0, 1.0, size=(samples, 3 * m))
-    # center_of_mass of every row, one coordinate at a time: an exactly
-    # rounded sum over Python floats, without a numpy call per row
+    # one coordinate of every row at a time, without a numpy call per row
     targets = [[math.fsum(p) / m for p in inputs[:, c::3].tolist()] for c in range(3)]
     return Dataset(inputs, np.array(targets).T)
 

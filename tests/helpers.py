@@ -1,14 +1,16 @@
 """Shared test utilities: finite-difference gradient checking, a
 row-major reference for the training gradient, a per-element
 reference for the equivariance check, the generator images of a
-rep spec, a model-file editor, and a group's element words and
-element lookup."""
+rep spec, a model-file editor, a group's element words and element
+lookup, permutation matrices, the center-of-mass oracle, and the
+Toeplitz / BTTB / circulant weight parameterizations."""
+
+import math
 
 import numpy as np
 
 from equikit import groups, network, reps
-from equikit.groups import permutation_matrix
-from equikit.numerics import nullspace
+from equikit.numerics import nullspace, signed_permutation_matrices
 from equikit.activations import Report
 
 
@@ -50,10 +52,10 @@ def finite_difference_check(net, data, h=1e-5, indices=None):
         up[idx] += h
         down = flat.copy()
         down[idx] -= h
-        probe.set_coefficient_vector(up)
+        probe._view_coefficients(up)
         loss_up = probe.loss(data)
         pat_up = activation_pattern(probe, data.inputs)
-        probe.set_coefficient_vector(down)
+        probe._view_coefficients(down)
         loss_down = probe.loss(data)
         pat_down = activation_pattern(probe, data.inputs)
         crossed = any(
@@ -198,3 +200,68 @@ def element_index(images, m):
     the matrix ``m`` entrywise, or None."""
     hits = np.flatnonzero(np.abs(images - m).max(axis=(1, 2)) <= 1e-6)
     return int(hits[0]) if len(hits) else None
+
+
+def permutation_matrix(perm):
+    """Matrix P with P e_j = e_perm[j] for a permutation of 0..n-1; a
+    (count, n) array of permutations gives the (count, n, n) stack."""
+    perm = groups._permutation(perm)
+    rows = perm.reshape(-1, perm.shape[-1]).astype(np.intp)
+    stack = signed_permutation_matrices(rows, np.ones(rows.shape))
+    return stack.reshape(perm.shape + rows.shape[-1:])
+
+
+def center_of_mass(points):
+    """Mean of m unit-mass positions, an (m, 3) array -> length-3 vector.
+
+    Coordinates are accumulated with an exactly rounded sum, so the
+    result is bit-identical under any reordering of the points.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] == 0:
+        raise ValueError(f"expected a nonempty (m, 3) array, got {points.shape}")
+    m = points.shape[0]
+    return np.array([math.fsum(points[:, c]) / m for c in range(3)])
+
+
+def toeplitz(n, params):
+    """n x n matrix with A[i, j] = params[i - j + n - 1] (2n-1 values)."""
+    params = np.asarray(params, dtype=np.float64)
+    if params.shape != (2 * n - 1,):
+        raise ValueError(f"toeplitz({n}) needs {2 * n - 1} parameters, got {params.shape}")
+    idx = np.arange(n)
+    return params[idx[:, None] - idx[None, :] + n - 1]
+
+
+def bttb(m1, m2, params):
+    """Block-Toeplitz matrix with Toeplitz blocks, (m1*m2) x (m1*m2).
+
+    ``params`` has length (2*m1-1)*(2*m2-1); block (I, J) is the m2 x m2
+    Toeplitz matrix built from the parameter slice indexed by I - J.
+    """
+    params = np.asarray(params, dtype=np.float64)
+    want = (2 * m1 - 1) * (2 * m2 - 1)
+    if params.shape != (want,):
+        raise ValueError(f"bttb({m1}, {m2}) needs {want} parameters, got {params.shape}")
+    slices = params.reshape(2 * m1 - 1, 2 * m2 - 1)
+    n = m1 * m2
+    a = np.empty((n, n))
+    for bi in range(m1):
+        for bj in range(m1):
+            block = toeplitz(m2, slices[bi - bj + m1 - 1])
+            a[bi * m2:(bi + 1) * m2, bj * m2:(bj + 1) * m2] = block
+    return a
+
+
+def circulant(n, params):
+    """n x n matrix with A[i, j] = params[(i - j) mod n] (wraparound)."""
+    params = np.asarray(params, dtype=np.float64)
+    if params.shape != (n,):
+        raise ValueError(f"circulant({n}) needs {n} parameters, got {params.shape}")
+    idx = np.arange(n)
+    return params[(idx[:, None] - idx[None, :]) % n]
+
+
+def circulant_basis(n):
+    """The n unit-parameter circulants, shape (n, n, n)."""
+    return np.stack([circulant(n, np.eye(n)[i]) for i in range(n)])

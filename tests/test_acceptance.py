@@ -7,15 +7,15 @@ import time
 
 import numpy as np
 import pytest
-from helpers import finite_difference_check
+from helpers import circulant_basis, finite_difference_check, toeplitz
 from test_structured import count_by_construction
 
 from equikit.activations import ActivationSpec, apply_pointwise
+from equikit.cli import param_count
 from equikit.groups import close, named_group
 from equikit.intertwiners import hom_dim_oracle, solve_basis
 from equikit.network import Dataset, build, check_map_equivariance, check_stack_equivariance
 from equikit.reps import defining_rep, parse_rep_spec, trivial_rep
-from equikit.structured import circulant_basis, param_count, toeplitz
 from equikit.tasks import (
     check_antisymmetry,
     com_dataset,

@@ -5,6 +5,7 @@ import textwrap
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from helpers import set_first_declared_weight
 
@@ -443,6 +444,32 @@ def test_check_unreadable_model_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("train", "--m", "3", "--steps", "5", "--train-samples", "40", "--test-samples", "10"),
+    ("demo", "--example", "decolor-flip"),
+])
+def test_unwritable_out_exits_2_printing_nothing(tmp_path, capsys, argv):
+    out_path = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_fuzzed_configs_exit_0_1_or_2(tmp_path, capsys):
+    # 25 seeded truncations and 25 one-byte edits of each shipped config
+    rng = np.random.default_rng(22)
+    alphabet = b"0123456789:()|;,=[]\n -.x"
+    cfg = tmp_path / "fuzzed.cfg"
+    for source in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg")):
+        text = source.read_bytes()
+        for _ in range(25):
+            at, cut = rng.integers(len(text), size=2)
+            byte = rng.choice(list(alphabet)) if rng.random() < 0.5 else rng.integers(256)
+            for variant in (text[:cut], text[:at] + bytes([byte]) + text[at + 1:]):
+                cfg.write_bytes(variant)
+                assert run(capsys, "basis", "--config", str(cfg))[0] in (0, 1, 2), variant
+
+
 def test_train_unknown_task_exits_2(capsys):
     code, _, err = run(capsys, "train", "--task", "orbit-count")
     assert code == 2
@@ -688,7 +715,7 @@ def test_basis_oversize_group_exits_2(tmp_path, capsys, monkeypatch):
 def test_basis_oversized_named_group_exits_2(tmp_path, capsys, monkeypatch):
     # cyclic:11586 passes the order cap, but its elements' int16 index
     # arrays would take 268 MB
-    monkeypatch.setattr(groups, "permutation_matrix", _no_images)
+    monkeypatch.setattr(groups, "signed_permutation_matrices", _no_images)
     monkeypatch.setattr(groups, "close", _no_images)
     monkeypatch.setattr(groups, "FiniteGroup", _no_images)
     cfg = tmp_path / "huge_group.cfg"

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from equikit import groups, numerics, reps
-from equikit.groups import (
-    ClosureError,
-    close,
-    group_from_spec,
-    named_group,
-    permutation_matrix,
-)
-from helpers import element_index, words
+from equikit.groups import ClosureError, close, group_from_spec, named_group
+from helpers import element_index, permutation_matrix, words
 
 
 def cyclic_shift(n):
@@ -266,7 +260,7 @@ def assert_same_group(fast, dense):
 @pytest.mark.parametrize("spec", NAMED_SPECS)
 def test_signed_closure_is_bitwise_the_dense_closure(spec):
     fast = group_from_spec(spec)
-    assert_same_group(fast, groups._close_dense(list(fast.generators), spec=spec))
+    assert_same_group(fast, groups._close_dense(list(fast.generators)))
 
 
 def test_signed_closure_with_negative_zeros_is_bitwise_the_dense_closure():
@@ -352,7 +346,6 @@ def test_named_group_closes_from_its_index_maps(monkeypatch):
     # no dense stack is built or read back; generators is scattered on
     # first read, bitwise the permutation matrices of the index maps
     want = permutation_matrix(groups._grid_permutations(3, "p4m"))
-    monkeypatch.setattr(groups, "permutation_matrix", _no_dense_stack)
     monkeypatch.setattr(groups, "signed_permutations", _no_dense_stack)
     monkeypatch.setattr(numerics, "signed_permutations", _no_dense_stack)
     group = named_group("p4m", 3)

@@ -386,10 +386,3 @@ def test_perturbed_rep_falls_back_to_dense(monkeypatch):
     assert basis.dim == 4
     solve_basis(rep, rep)
     assert len(calls) == 1
-
-
-@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-9])
-def test_orbit_path_still_validates_tol(tol):
-    rep = defining_rep(named_group("cyclic", 3))
-    with pytest.raises(ValueError, match="tol must be finite and positive"):
-        solve_basis(rep, rep, tol=tol)

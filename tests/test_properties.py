@@ -19,13 +19,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import reference_check, spec_images, words
+from helpers import permutation_matrix, reference_check, spec_images, words
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from equikit import groups, intertwiners, network, reps
 from equikit.activations import ActivationSpec
-from equikit.groups import close, permutation_matrix
+from equikit.groups import close
 from equikit.intertwiners import hom_dim_oracle, solve_basis
 from equikit.numerics import nullspace, signed_permutation_matrices, signed_permutations
 from equikit.reps import (

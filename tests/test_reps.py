@@ -2,10 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import element_index, spec_images, stacked_fixed_subspace, words
+from helpers import element_index, permutation_matrix, spec_images, stacked_fixed_subspace, words
 
 from equikit import groups, numerics, reps
-from equikit.groups import close, group_from_spec, named_group, permutation_matrix
+from equikit.groups import close, group_from_spec, named_group
 from equikit.intertwiners import fixed_subspace
 from equikit.numerics import signed_permutations
 from equikit.reps import (
@@ -478,7 +478,7 @@ def test_perm_leaves_build_no_dense_stack(s3, monkeypatch):
     # a perm: leaf is checked and replayed on its index maps alone, with
     # the messages of the dense validator
     for module in (groups, numerics, reps):
-        for name in ("permutation_matrix", "_generator_stack", "signed_permutations"):
+        for name in ("signed_permutation_matrices", "_generator_stack", "signed_permutations"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, _no_dense_stack)
     rep = parse_rep_spec(s3, "sum(perm:1,0,2|1,2,0;tensor:2(perm:1,0|0,1))")

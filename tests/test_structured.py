@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from helpers import bttb, circulant, circulant_basis, toeplitz
 
+from equikit.cli import param_count
 from equikit.groups import named_group
 from equikit.intertwiners import solve_basis
 from equikit.reps import defining_rep
-from equikit.structured import bttb, circulant, circulant_basis, param_count, toeplitz
 
 
 def shift_matrix(n):

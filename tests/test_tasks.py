@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from helpers import center_of_mass
 
 from equikit import groups, reps
 from equikit.activations import ActivationSpec
@@ -11,7 +12,6 @@ from equikit.network import build, check_map_equivariance
 from equikit.reps import parse_rep_spec
 from equikit.tasks import (
     GridImage,
-    center_of_mass,
     check_antisymmetry,
     com_dataset,
     decolor,
