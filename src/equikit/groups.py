@@ -12,10 +12,15 @@ from a closed form (``_named_order``), so building it enumerates
 nothing, and its search must find exactly that order; ``close`` runs
 the search at once, since only the search finds a generator set's
 order. Callers that read generators only (the solve, the certificate,
-the generator sweep of a check, ``generator_ids``) never enumerate.
+the generator sweep of a check, ``generator_ids``) never enumerate, and
+neither does the test that user-supplied signed permutation images
+(``perm:`` leaves) define a homomorphism (``_is_homomorphism``): it
+builds a stabilizer chain of the group beside the images
+(``_chain_order``), from generators and Schreier generators alone.
 Those that read elements do: the exhaustive or sampled element sweep,
-the character oracle, the replay of user-supplied images (``perm:``
-leaves), and any first read of a rep's element data.
+the character oracle, the replay that names the failing element of
+images that test rejects or checks dense images (``reps._replay``),
+and any first read of a rep's element data.
 
 Element 0 is always the identity. BFS order (queue order, generators
 tried in index order) fixes a canonical element indexing, and an
@@ -309,6 +314,133 @@ def _walk(group, steps):
             level[at] = times(data[parents[at]], gi)
         lo = hi
     return data
+
+
+def _signed_point_maps(targets, signs):
+    """Signed permutation generators as index maps on their signed
+    points: the n points themselves when every sign is +1, else 2n, where
+    j stands for +e_j and n + j for -e_j."""
+    if (signs == 1).all():
+        return targets
+    flip = np.where(signs < 0, targets.shape[1], 0)
+    return np.concatenate([targets + flip, targets + (targets.shape[1] - flip)], axis=1)
+
+
+def _is_homomorphism(group, gen_arrays):
+    """Whether the signed permutation images ``gen_arrays`` of a signed
+    permutation group's generators extend to a homomorphism, decided
+    without enumerating the group.
+
+    D, generated by each generator beside its image, acts on the group's
+    signed points X beside the images' Y and maps onto the group, which
+    acts faithfully on X. So the images extend exactly when no
+    non-identity element of D fixes X pointwise, which ``_chain_order``
+    decides; its chain's order is then |D| = |G|, and any other order
+    returns False too, leaving the verdict to the replay.
+    """
+    x = _signed_point_maps(*group.gen_arrays)
+    y = _signed_point_maps(*gen_arrays)
+    size = x.shape[1] + y.shape[1]
+    maps = np.concatenate([x, y + x.shape[1]], axis=1).astype(np.min_scalar_type(size - 1))
+    return _chain_order(maps, x.shape[1]) == group.order
+
+
+# Schreier generators are formed this many entries at a time.
+_CHUNK_ENTRIES = 2 ** 16
+
+
+def _chain_order(maps, x):
+    """The product of the basic orbit lengths of a stabilizer chain, with
+    base points among the first ``x`` points X, of the permutation group
+    D generated by the index maps ``maps`` (maps[g, j] is generator g's
+    image of point j); or 0 when a non-identity element of D fixes X
+    pointwise.
+
+    Sims' construction, top down. Level i's group H_i, the pointwise
+    stabilizer in D of the base points before it, is given by generators,
+    and its base point is the first point of X they move. One search of
+    that point's orbit gives the transversal u (``_transversal``), and
+    Schreier's lemma gives H_{i+1} as generated by the u_{s(p)}^-1 s u_p
+    of each generator s and orbit point p, formed in chunks and each kept
+    once (``_distinct``). Two of them that agree on X but not elsewhere
+    give a non-identity element fixing X pointwise, and end the search.
+    Otherwise the chain ends when no generator is left, and the product
+    of its orbit lengths is |D|.
+    """
+    identity = np.arange(maps.shape[1], dtype=maps.dtype)
+    # seeded with the identity: identity elements are dropped, and one
+    # that is the identity on X alone ends the search
+    start = {identity[:x].tobytes(): identity[x:].tobytes()}
+    gens = _distinct(maps, dict(start), x)
+    chunk = max(1, _CHUNK_ENTRIES // len(identity))
+    order = 1
+    while gens is not None and len(gens):
+        base = int(np.argmax((gens[:, :x] != identity[:x]).any(axis=0)))
+        table, back = _transversal(gens, base, x)
+        order *= len(table)
+        seen, found = dict(start), [gens[:0]]
+        for lo in range(0, len(back), chunk):
+            p, s, q = back[lo:lo + chunk].T
+            # u_q^-1, scattered from u_q; then u_q^-1 s u_p
+            rows = np.arange(len(q))
+            inverse = np.empty(len(q) * len(identity), dtype=identity.dtype)
+            inverse[_flat(table[q], rows)] = identity
+            moved = gens.ravel().take(_flat(table[p], s))
+            found.append(_distinct(inverse.take(_flat(moved, rows)), seen, x))
+            if found[-1] is None:
+                return 0
+        gens = np.concatenate(found)
+    return 0 if gens is None else order
+
+
+def _flat(rows, which):
+    """Indices into a flattened stack of index maps of the entries
+    ``rows`` name, each row in the map ``which`` names."""
+    flat = rows.astype(np.intp)
+    flat += which[:, None] * rows.shape[1]
+    return flat
+
+
+def _distinct(elements, seen, x):
+    """The rows of ``elements`` not yet in ``seen``, which maps the bytes
+    of each kept element's first ``x`` entries to the bytes of the rest;
+    or None when two elements agree on the first ``x`` entries but not on
+    the rest."""
+    cut = x * elements.itemsize
+    new = []
+    for i, key in enumerate(_row_bytes(elements)):
+        size = len(seen)
+        if seen.setdefault(key[:cut], key[cut:]) != key[cut:]:
+            return None
+        if len(seen) > size:
+            new.append(i)
+    return elements[new]
+
+
+def _transversal(gens, base, x):
+    """(table, back) for the orbit of point ``base`` under the index maps
+    ``gens``, searched breadth first: table[k] maps ``base`` to the k-th
+    orbit point found, and is generator s times the table row of the
+    point k was first reached from; ``back`` lists as (p, s, q) rows
+    every other step, generator s taking orbit point p to point q."""
+    images = gens[:, :x].tolist()
+    found = [-1] * x
+    found[base] = 0
+    points, tree, back = [base], [], []
+    for p, point in enumerate(points):
+        for s, image in enumerate(images):
+            q = found[image[point]]
+            if q < 0:
+                found[image[point]] = len(points)
+                points.append(image[point])
+                tree.append((p, s))
+            else:
+                back.append((p, s, q))
+    table = np.empty((len(points), gens.shape[1]), dtype=gens.dtype)
+    table[0] = np.arange(gens.shape[1])
+    for k, (p, s) in enumerate(tree, 1):
+        gens[s].take(table[p], out=table[k])
+    return table, np.array(back, dtype=np.int64).reshape(-1, 3)
 
 
 def _permutation(perm):

@@ -93,21 +93,20 @@ def check_tol(tol, strict=True):
         )
 
 
-def nullspace(m, tol=DEFAULT_TOL):
+def nullspace(m):
     """Orthonormal basis of the (numerical) nullspace of ``m``.
 
-    Pivots below ``tol * max|entry|`` are treated as zero, so the result
-    has ``cols - rank`` columns at that threshold. Columns are
+    Pivots below ``DEFAULT_TOL * max|entry|`` are treated as zero, so the
+    result has ``cols - rank`` columns at that threshold. Columns are
     orthonormal and ordered deterministically (free columns of the
     echelon form, in index order), and every zero entry is +0.0.
     """
-    check_tol(tol)
     a = as_matrix(m).copy()
     rows, cols = a.shape
     scale = np.abs(a).max()
     if scale == 0.0:
         return np.eye(cols)
-    pivots, rank = kernels.row_echelon(a, tol * scale)
+    pivots, rank = kernels.row_echelon(a, DEFAULT_TOL * scale)
     pivot_set = set(pivots.tolist())
     free = [c for c in range(cols) if c not in pivot_set]
     d = cols - rank

@@ -12,20 +12,25 @@ nothing has yet) takes the group's products (``groups._element_steps``)
 of either storage kind: index arrays walk as signed codes
 (``numerics.sign_flips``), then split into targets of the codes' type
 and int8 signs; dense images walk by matmuls, and a signed rep's are
-scattered from its arrays. Only what the user supplies is replayed
-(``_replay``: the walk, then the cayley-table check that is exactly the
-well-definedness check), and so enumerates the group: ``extend``'s
-images, and ``permutation_rep``'s index maps (hence ``perm:`` spec
-leaves), which go straight into index arrays, never into dense images.
-``extend``'s validator calls ``det`` only when the images are not all
-signed permutations (``numerics.signed_permutations``), which replay on
-codes. Every other constructor builds a homomorphism (``sign_rep`` from
-the generators' determinants, ``direct_sum`` and ``tensor_identity``
-from their parts' generator data), so its walk is bitwise the replay;
+scattered from its arrays. Only what the user supplies is checked:
+``extend``'s images, and ``permutation_rep``'s index maps (hence
+``perm:`` spec leaves), which go straight into index arrays, never into
+dense images. Signed permutation images of a signed permutation group
+pass the closure-free test ``groups._is_homomorphism``, a stabilizer
+chain that enumerates nothing. Only images it rejects, and images or
+groups stored dense, are replayed (``_replay``: the walk, then the cayley-table check that is
+exactly the well-definedness check), which enumerates the group and
+raises naming the first failing (element, generator) pair; the test is
+exact, so every verdict and message is the replay's. ``extend``'s
+validator calls ``det`` only when the images are not all signed
+permutations (``numerics.signed_permutations``), which replay on codes.
+Every other constructor builds a homomorphism (``sign_rep`` from the
+generators' determinants, ``direct_sum`` and ``tensor_identity`` from
+their parts' generator data), so its walk is bitwise the replay;
 ``parse_rep_spec`` builds through the constructors. A rep is built from
 generator data, and the solve, the certificate and ``act`` at the
-generators read nothing else, so a ``check`` that certifies never
-enumerates the group.
+generators read nothing else, so neither ``basis`` nor a ``check`` that
+certifies enumerates the group.
 """
 
 import numpy as np
@@ -34,6 +39,7 @@ from .groups import (
     _check_fits,
     _element_steps,
     _generator_stack,
+    _is_homomorphism,
     _permutation,
     _walk,
 )
@@ -132,16 +138,19 @@ class Representation:
 def extend(group, gen_images, spec=None, tol=CONSISTENCY_TOL):
     """Build the representation generated by one image per generator.
 
-    The images are replayed (``_replay``) on signed codes when they are
-    all signed permutations, else on dense matrices (see the module
-    docstring). Raises InconsistentImagesError when the images do not
-    define a homomorphism (the map fails to factor through the group
-    relations), and ValueError for a ``tol`` that is not finite and
+    Signed permutation images of a signed permutation group are checked
+    by ``groups._is_homomorphism``, without enumerating the group; other
+    images, and images that check rejects, are replayed (``_replay``), on
+    signed codes when they are all signed permutations, else on dense
+    matrices (see the module docstring). Raises InconsistentImagesError
+    when the replay finds the images do not define a homomorphism (the
+    map fails to factor through the group relations) by more than
+    ``tol``, and ValueError for a ``tol`` that is not finite and
     non-negative.
     """
     check_tol(tol, strict=False)
     gen_images, perm = _generator_stack(_one_per_generator(group, gen_images), "generator image")
-    _replay(group, _element_steps(perm, gen_images), tol)
+    _check_images(group, perm, gen_images, tol)
     return Representation(group, gen_images.shape[1], gen_images if perm is None else None,
                           spec, perm)
 
@@ -156,6 +165,17 @@ def _one_per_generator(group, images):
 def _extend_dense(group, gen_images, tol):
     """``extend`` on dense matrices, whatever the images: the test oracle."""
     return _replay(group, _element_steps(generators=gen_images), tol)
+
+
+def _check_images(group, gen_arrays, gen_images, tol):
+    """Raise InconsistentImagesError unless the generator images, as
+    (targets, signs) ``gen_arrays`` or else the dense ``gen_images``,
+    define a homomorphism within ``tol``: by ``groups._is_homomorphism``
+    when they and the group's generators are signed permutations, and by
+    the replay, which names the failing element, when that test rejects
+    them or cannot run."""
+    if gen_arrays is None or group.gen_arrays is None or not _is_homomorphism(group, gen_arrays):
+        _replay(group, _element_steps(gen_arrays, gen_images), tol)
 
 
 def _replay(group, steps, tol):
@@ -173,7 +193,7 @@ def _replay(group, steps, tol):
     return data
 
 
-# --- the constructors build generator data; only extend replays -----------
+# --- the constructors build generator data; only user images are checked ---
 
 
 def _perm_spec(perms):
@@ -270,14 +290,14 @@ def sign_rep(group):
 def permutation_rep(group, perms):
     """Representation from one coordinate permutation per generator, built
     straight into index arrays; since the user supplies them, they are
-    validated with ``extend``'s messages and replayed as ``extend`` replays."""
+    validated with ``extend``'s messages and checked as ``extend`` checks."""
     maps = _one_per_generator(group, [_permutation(p) for p in perms])
     n = len(maps[0])
     for i, m in enumerate(maps):
         if m.shape != (n,):
             raise ValueError(f"generator image {i} has shape {m.shape * 2}, expected ({n}, {n})")
     arrays = (np.array(maps, dtype=np.int64), np.ones((len(maps), n), dtype=np.int8))
-    _replay(group, _element_steps(arrays), CONSISTENCY_TOL)
+    _check_images(group, arrays, None, CONSISTENCY_TOL)
     return Representation(group, n, spec=_perm_spec(perms), gen_arrays=arrays)
 
 
@@ -347,7 +367,7 @@ def parse_rep_spec(group, text):
 
     The parsed spec is then built through the public constructors (see
     the module docstring), so only its ``perm:`` leaves, whose images the
-    user supplies, are replayed and checked, each on its own. Errors come
+    user supplies, are checked, each on its own. Errors come
     in spec order, from the first failing term (inner terms first); an
     inconsistent leaf names its own (element, generator) pair. A spec
     nested too deeply for Python's recursion limit to parse or build

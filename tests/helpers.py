@@ -1,9 +1,10 @@
 """Shared test utilities: finite-difference gradient checking, a
 row-major reference for the training gradient, a per-element
 reference for the equivariance check, the generator images of a
-rep spec, a model-file editor, a group's element words and element
-lookup, permutation matrices, the center-of-mass oracle, and the
-Toeplitz / BTTB / circulant weight parameterizations."""
+rep spec, a model-file editor, a group's element words, the products
+along them and the cayley-table check of generator images on them,
+element lookup, permutation matrices, the center-of-mass oracle, and
+the Toeplitz / BTTB / circulant weight parameterizations."""
 
 import math
 
@@ -12,6 +13,7 @@ import numpy as np
 from equikit import groups, network, reps
 from equikit.numerics import nullspace, signed_permutation_matrices
 from equikit.activations import Report
+from equikit.reps import CONSISTENCY_TOL
 
 
 def activation_pattern(net, inputs):
@@ -141,7 +143,7 @@ def reference_check(apply, rep_in, rep_out, box, trials, seed, tol, relative):
     return Report(False, worst, (g, vectors[i].copy()))
 
 
-def stacked_fixed_subspace(rep, tol=1e-9):
+def stacked_fixed_subspace(rep):
     """The nullspace of the stacked (rho(g) - I) generator blocks: the
     oracle for ``intertwiners.fixed_subspace``, which solves for the
     intertwiners from the trivial rep instead."""
@@ -149,7 +151,7 @@ def stacked_fixed_subspace(rep, tol=1e-9):
     stacked = np.vstack([g - eye for g in rep.gen_images])
     if np.abs(stacked).max() == 0.0:
         return np.eye(rep.degree)
-    return nullspace(stacked, tol=tol)
+    return nullspace(stacked)
 
 
 def spec_images(group, node):
@@ -193,6 +195,33 @@ def words(group):
     for parent, gi in group.parents[1:].tolist():
         out.append(out[parent] + (gi,))
     return out
+
+
+def word_products(group, gen_images):
+    """Each element's image as the left-to-right product of the generator
+    images along its word, one ``@`` at a time: a traversal that shares
+    nothing with ``reps._walk``."""
+    products = []
+    for word in words(group):
+        image = np.eye(gen_images.shape[1])
+        for gi in word:
+            image = image @ gen_images[gi]
+        products.append(image)
+    return np.stack(products)
+
+
+def cayley_outcome(group, gen_images, tol=CONSISTENCY_TOL):
+    """(element, generator, residual) of the first generator, and its
+    first worst element, at which the word products fail the cayley
+    table by more than ``tol``, by a plain loop; else the products."""
+    products = word_products(group, gen_images)
+    for gi in range(group.gen_count):
+        dev = [np.abs(products[e] @ gen_images[gi] - products[group.cayley[e, gi]]).max()
+               for e in range(group.order)]
+        worst = int(np.argmax(dev))
+        if dev[worst] > tol:
+            return "inconsistent", worst, gi, float(dev[worst])
+    return products.tobytes()
 
 
 def element_index(images, m):

@@ -10,7 +10,7 @@ import pytest
 from helpers import set_first_declared_weight
 
 import equikit
-from equikit import cli, groups, network, numerics, reps
+from equikit import cli, groups, intertwiners, network, numerics, reps
 from equikit.activations import parse_activation
 from equikit.cli import main
 from equikit.network import build, load_model, save_model
@@ -196,7 +196,7 @@ def test_basis_bad_config_exits_2(tmp_path, capsys):
 # each malformed or inconsistent rep spec exits 2 with the message of its
 # first failing term, in spec order: the parser's, the cap's, a
 # constructor's, or the extension's for a perm: leaf (the one term that
-# is replayed and checked)
+# is checked, and replayed when rejected)
 REP_SPEC_ERRORS = {
     "trivial:0": "generator image 0 must be nonempty",
     "sum(tensor:2(trivial:0))": "generator image 0 must be nonempty",
@@ -854,6 +854,38 @@ def test_certified_path_enumerates_nothing(tmp_path, capsys, monkeypatch):
     witness = int(lines[-1].split(",")[0].removeprefix("witness element "))
     monkeypatch.undo()
     assert witness in groups.group_from_spec("p4m:8").cayley[0]
+
+
+def _reversed_leaf(group_spec):
+    """``perm:`` spec of a named group's own generator maps with the
+    points numbered in reverse."""
+    maps = groups.group_from_spec(group_spec).gen_arrays[0]
+    flip = np.arange(maps.shape[1])[::-1]
+    return "perm:" + "|".join(",".join(map(str, flip[m[flip]])) for m in maps)
+
+
+@pytest.mark.parametrize("group_spec, chain", [
+    ("symmetric:6", ["tensor:3(sum({leaf};sign))"] * 2),
+    ("p4m:4", ["{leaf}", "{leaf}", "trivial:1"]),
+])
+def test_basis_on_perm_leaves_enumerates_nothing(tmp_path, capsys, monkeypatch,
+                                                 group_spec, chain):
+    # a perm: leaf is checked by its stabilizer chain, so basis on a chain
+    # of them neither enumerates the group nor walks an element
+    chain = [spec.format(leaf=_reversed_leaf(group_spec)) for spec in chain]
+    group = groups.group_from_spec(group_spec)
+    parsed = [reps.parse_rep_spec(group, spec) for spec in chain]
+    oracle = [intertwiners.hom_dim_oracle(a, b) for a, b in zip(parsed, parsed[1:])]
+    cfg = tmp_path / "leaves.cfg"
+    cfg.write_text(f"[model]\ngroup = {group_spec}\n\n[reps]\n"
+                   + "".join(f"{i} = {spec}\n" for i, spec in enumerate(chain)))
+    monkeypatch.setattr(groups, "_bfs", _no_enumeration)
+    monkeypatch.setattr(groups, "_walk", _no_enumeration)
+    monkeypatch.setattr(reps, "_walk", _no_enumeration)
+    code, out, _ = run(capsys, "basis", "--config", str(cfg))
+    assert code == 0
+    assert [int(ln.rsplit(" ", 1)[1]) for ln in out.splitlines()
+            if "intertwiner dim" in ln] == oracle
 
 
 @pytest.mark.parametrize("term", ["sum(", "tensor:1("])

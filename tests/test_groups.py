@@ -408,8 +408,11 @@ def test_closed_form_order_and_generator_ids_are_the_bfs(spec, monkeypatch):
     assert group.parents.shape == (order, 2) and rep.targets.shape == (order, group.dim)
     assert rep.images.shape == (order, group.dim, group.dim)
     assert runs == [spec]  # forced twice and more, enumerated once
-    # the order a closure finds with no closed form to meet
+    # the order a closure finds with no closed form to meet, and the
+    # order of the stabilizer chain on the generators' points alone
     assert close(list(group.generators)).order == order
+    maps = groups._signed_point_maps(*group.gen_arrays)
+    assert groups._chain_order(maps.astype(np.uint16), group.dim) == order
 
 
 @pytest.mark.parametrize("wrong", [-1, 1])

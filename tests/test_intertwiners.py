@@ -23,7 +23,7 @@ def trivial_group():
     return close([np.eye(1)])
 
 
-def all_elements_nullspace(rep_in, rep_out, tol=1e-9):
+def all_elements_nullspace(rep_in, rep_out):
     """Independent route: constrain over every element, not just generators."""
     n_in, n_out = rep_in.degree, rep_out.degree
     blocks = []
@@ -32,7 +32,7 @@ def all_elements_nullspace(rep_in, rep_out, tol=1e-9):
             np.kron(np.eye(n_out), rep_in.images[e].T)
             - np.kron(rep_out.images[e], np.eye(n_in))
         )
-    return nullspace(np.vstack(blocks), tol=tol)
+    return nullspace(np.vstack(blocks))
 
 
 def max_commutation_residual(basis, rep_in, rep_out):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from equikit import kernels
-from equikit.numerics import determinant, nullspace
+from equikit.numerics import DEFAULT_TOL, determinant, nullspace
 
 
 def subspace_projector(q):
@@ -17,18 +17,18 @@ def orthonormalize(v):
 
 
 def test_nullspace_zero_matrix_full_basis():
-    q = nullspace(np.zeros((3, 3)), tol=1e-9)
+    q = nullspace(np.zeros((3, 3)))
     assert q.shape == (3, 3)
     assert np.abs(q @ q.T - np.eye(3)).max() < 1e-12
 
 
 def test_nullspace_identity_is_empty():
-    q = nullspace(np.eye(3), tol=1e-9)
+    q = nullspace(np.eye(3))
     assert q.shape == (3, 0)
 
 
 def test_nullspace_rank_one_2x2():
-    q = nullspace(np.array([[1.0, 1.0], [2.0, 2.0]]), tol=1e-9)
+    q = nullspace(np.array([[1.0, 1.0], [2.0, 2.0]]))
     assert q.shape == (2, 1)
     expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
     assert abs(abs(q[:, 0] @ expected) - 1.0) < 1e-12
@@ -40,13 +40,12 @@ def test_nullspace_residual_and_rank_split(seed):
     m, n = 18, 14
     r = int(rng.integers(0, n + 1))
     a = rng.standard_normal((m, r)) @ rng.standard_normal((r, n)) if r else np.zeros((m, n))
-    tol = 1e-9
-    q = nullspace(a, tol=tol)
+    q = nullspace(a)
     d = q.shape[1]
     assert d + np.linalg.matrix_rank(a) == n
     if d:
         assert np.abs(q.T @ q - np.eye(d)).max() < 1e-12
-        bound = tol * (1.0 + (np.abs(a).max() if a.size else 0.0) * n)
+        bound = DEFAULT_TOL * (1.0 + (np.abs(a).max() if a.size else 0.0) * n)
         assert np.abs(a @ q).max() <= bound
 
 
@@ -65,17 +64,6 @@ def test_nullspace_rejects_nan_inf():
         nullspace(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         nullspace(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-
-def test_nullspace_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        nullspace(np.eye(2), tol=0.0)
-
-
-@pytest.mark.parametrize("tol", [-1e-9, np.nan, np.inf])
-def test_nullspace_rejects_non_finite_or_negative_tol(tol):
-    with pytest.raises(ValueError, match="tol must be finite and positive"):
-        nullspace(np.eye(2), tol=tol)
 
 
 def test_orthonormalize_identity_unchanged():

@@ -19,7 +19,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import permutation_matrix, reference_check, spec_images, words
+from helpers import (
+    cayley_outcome,
+    permutation_matrix,
+    reference_check,
+    spec_images,
+    word_products,
+    words,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -188,33 +195,6 @@ def test_dense_closure_of_rotations_has_cyclic_or_dihedral_order(step, reflect):
 # --- the walk and the replay against products along each word --------------
 
 
-def word_products(group, gen_images):
-    """Each element's image as the left-to-right product of the generator
-    images along its word, one ``@`` at a time: a traversal that shares
-    nothing with ``reps._walk``."""
-    products = []
-    for word in words(group):
-        image = np.eye(gen_images.shape[1])
-        for gi in word:
-            image = image @ gen_images[gi]
-        products.append(image)
-    return np.stack(products)
-
-
-def cayley_outcome(group, gen_images, tol=CONSISTENCY_TOL):
-    """(element, generator, residual) of the first generator, and its
-    first worst element, at which the word products fail the cayley
-    table by more than ``tol``, by a plain loop; else the products."""
-    products = word_products(group, gen_images)
-    for gi in range(group.gen_count):
-        dev = [np.abs(products[e] @ gen_images[gi] - products[group.cayley[e, gi]]).max()
-               for e in range(group.order)]
-        worst = int(np.argmax(dev))
-        if dev[worst] > tol:
-            return "inconsistent", worst, gi, float(dev[worst])
-    return products.tobytes()
-
-
 def extend_outcome(group, gen_images):
     try:
         return extend(group, gen_images).images.tobytes()
@@ -353,6 +333,91 @@ def test_composed_spec_rep_is_bitwise_the_extension(group_spec, data):
     summed = arrays_outcome(lambda: direct_sum(parts))
     assert summed == arrays_outcome(lambda: extend(
         group, reps._sum_images([r.gen_images for r in parts]), spec=f"sum({spec};defining)"))
+
+
+# --- the closure-free homomorphism test against the replay ----------------
+
+HOMOMORPHISM_GROUPS = [f"{kind}:{n}" for kind in ("cyclic", "symmetric", "torus", "p4", "p4m")
+                       for n in range(1, 6)]
+
+
+@st.composite
+def generator_image_arrays(draw, group):
+    """(targets, signs) images of a named group's generators: its own
+    maps with the points relabelled, random permutations, the relabelled
+    maps with two entries of one image swapped, the maps beside a
+    trivial block of up to three points with all points relabelled, or
+    the relabelled maps with random signs or each image's signs its
+    generator's determinant."""
+    targets = group.gen_arrays[0]
+    n = group.dim
+    sigma = np.array(draw(st.permutations(range(n))))
+    relabelled = np.empty_like(targets)
+    relabelled[:, sigma] = sigma[targets]
+    kind = draw(st.sampled_from(["relabelled", "random", "swapped", "trivial block", "signed"]))
+    if kind == "random":
+        relabelled = np.array([draw(st.permutations(range(n))) for _ in targets])
+    elif kind == "swapped" and n > 1:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        row = relabelled[draw(st.integers(0, len(targets) - 1))]
+        row[[i, j]] = row[[j, i]]
+    elif kind == "trivial block":
+        k = draw(st.integers(1, 3))
+        summed = np.concatenate([targets, np.broadcast_to(np.arange(n, n + k), (len(targets), k))],
+                                axis=1)
+        tau = np.array(draw(st.permutations(range(summed.shape[1]))))
+        relabelled = np.empty_like(summed)
+        relabelled[:, tau] = tau[summed]
+    signs = np.ones(relabelled.shape, dtype=np.int8)
+    if kind == "signed":
+        signs = (np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=signs.size,
+                                         max_size=signs.size)), dtype=np.int8).reshape(signs.shape)
+                 if draw(st.booleans()) else signs * reps._determinants(group)[:, None])
+    return relabelled, signs
+
+
+def assert_homomorphism_test_is_the_replay(group, targets, signs):
+    """``groups._is_homomorphism`` agrees with the replay, and the public
+    constructor for the images (``permutation_rep`` when every sign is +1,
+    else ``extend``) raises what the plain cayley-table loop finds."""
+    try:
+        reps._replay(group, groups._element_steps((targets, signs)), CONSISTENCY_TOL)
+        consistent = True
+    except InconsistentImagesError:
+        consistent = False
+    assert groups._is_homomorphism(group, (targets, signs)) == consistent
+    images = signed_permutation_matrices(targets, signs)
+    try:
+        built = (reps.permutation_rep(group, targets.tolist()) if (signs == 1).all()
+                 else extend(group, images)).images.tobytes()
+    except InconsistentImagesError as err:
+        built = "inconsistent", err.element, err.generator, err.residual
+    assert built == cayley_outcome(group, images)
+
+
+@pytest.mark.parametrize("group_spec", HOMOMORPHISM_GROUPS)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_homomorphism_test_is_the_replay(group_spec, data):
+    group = named(group_spec)
+    assert_homomorphism_test_is_the_replay(group, *data.draw(generator_image_arrays(group)))
+
+
+# p4m:2's reflection is the identity of the 2 x 2 grid, and cyclic:1's
+# one generator is the identity: each must map to the identity
+@pytest.mark.parametrize("group_spec, maps, signs", [
+    ("p4m:2", [[2, 3, 0, 1], [1, 0, 3, 2], [0, 2, 1, 3], [0, 1, 2, 3]], None),
+    ("p4m:2", [[2, 3, 0, 1], [1, 0, 3, 2], [0, 2, 1, 3], [1, 0, 2, 3]], None),
+    ("p4m:2", [[0], [0], [0], [0]], [[1], [1], [-1], [-1]]),
+    ("p4m:2", [[0], [0], [0], [0]], [[1], [1], [-1], [1]]),
+    ("cyclic:1", [[0]], None),
+    ("cyclic:1", [[1, 0]], None),
+    ("cyclic:1", [[0]], [[-1]]),
+])
+def test_identity_generators_must_map_to_the_identity(group_spec, maps, signs):
+    maps = np.array(maps)
+    signs = np.ones(maps.shape, np.int8) if signs is None else np.array(signs, np.int8)
+    assert_homomorphism_test_is_the_replay(named(group_spec), maps, signs)
 
 
 # --- the check's certificate against the dense oracle ------------------------

@@ -475,8 +475,8 @@ def _no_dense_stack(*args):
 
 
 def test_perm_leaves_build_no_dense_stack(s3, monkeypatch):
-    # a perm: leaf is checked and replayed on its index maps alone, with
-    # the messages of the dense validator
+    # a perm: leaf is checked, and replayed when rejected, on its index
+    # maps alone, with the messages of the dense validator
     for module in (groups, numerics, reps):
         for name in ("signed_permutation_matrices", "_generator_stack", "signed_permutations"):
             if hasattr(module, name):
@@ -496,8 +496,8 @@ def test_perm_leaves_build_no_dense_stack(s3, monkeypatch):
 
 
 def test_p4m_32_perm_leaf_parse_peak():
-    # the group's own generator maps: the parse enumerates the group and
-    # replays the leaf on (8192, 1024) int16 codes; no dense image is built
+    # the group's own generator maps: the parse checks the leaf by a
+    # stabilizer chain, enumerating nothing; no dense image is built
     group = group_from_spec("p4m:32")
     spec = "perm:" + "|".join(",".join(map(str, m)) for m in group.gen_arrays[0].tolist())
     tracemalloc.start()
@@ -580,44 +580,54 @@ def test_sum_of_a_hand_built_dense_part_walks_its_generators(build):
         assert built.images.tobytes() == extend(group, built.gen_images).images.tobytes()
 
 
-# --- nested specs replay only their perm: leaves, once --------------------
+# --- nested specs check only their perm: leaves, once ---------------------
 
-def _record_replays(monkeypatch):
-    """The degrees of the ``_replay`` calls, and the specs ``extend`` and
-    ``permutation_rep`` build."""
-    degrees, extended = [], []
-    real_replay, real_extend, real_perm = reps._replay, reps.extend, reps.permutation_rep
+def _record_checks(monkeypatch):
+    """The degrees of the images ``_is_homomorphism`` checks and of those
+    ``_replay`` replays, and the specs ``extend`` and ``permutation_rep``
+    build."""
+    checked, replayed, extended = [], [], []
+    real_check, real_replay = reps._is_homomorphism, reps._replay
+    real_extend, real_perm = reps.extend, reps.permutation_rep
+    monkeypatch.setattr(reps, "_is_homomorphism", lambda group, arrays:
+                        checked.append(arrays[0].shape[1]) or real_check(group, arrays))
     monkeypatch.setattr(reps, "_replay", lambda group, steps, tol:
-                        degrees.append(len(steps[0])) or real_replay(group, steps, tol))
+                        replayed.append(len(steps[0])) or real_replay(group, steps, tol))
     monkeypatch.setattr(reps, "extend", lambda group, images, spec=None, **kw:
                         extended.append(spec) or real_extend(group, images, spec, **kw))
     monkeypatch.setattr(reps, "permutation_rep", lambda group, perms:
                         extended.append(reps._perm_spec(perms)) or real_perm(group, perms))
-    return degrees, extended
+    return checked, replayed, extended
 
 
 def test_nested_spec_replays_only_its_perm_leaves_once(s3, monkeypatch):
     # a spec on a signed group is composed: only its perm: leaves are
-    # replayed (recorded by their degree), each once, alone
-    degrees, extended = _record_replays(monkeypatch)
-    for spec, replayed in [
-        ("tensor:3(sum(perm:1,0,2|1,2,0;sign))", [3]),
-        ("sum(perm:1,0,2|1,2,0;tensor:2(perm:1,0|0,1))", [3, 2]),
-        ("tensor:3(sum(defining;sign;trivial:2))", []),
+    # checked (recorded by their degree), each once, alone, and only a
+    # leaf the check rejects is replayed, for its error
+    checked, replayed, extended = _record_checks(monkeypatch)
+    for spec, leaves, rejected in [
+        ("tensor:3(sum(perm:1,0,2|1,2,0;sign))", [3], []),
+        ("sum(perm:1,0,2|1,2,0;tensor:2(perm:1,0|0,1))", [3, 2], []),
+        ("tensor:3(sum(defining;sign;trivial:2))", [], []),
+        ("sum(perm:1,0,2|1,2,0;tensor:2(perm:1,0|1,0))", [3, 2], [2]),
     ]:
-        rep = parse_rep_spec(s3, spec)
-        assert degrees == replayed
-        assert len(extended) == len(replayed)
+        if rejected:
+            with pytest.raises(InconsistentImagesError):
+                parse_rep_spec(s3, spec)
+        else:
+            assert parse_rep_spec(s3, spec).spec == spec
+        assert (checked, replayed) == (leaves, rejected)
+        assert len(extended) == len(leaves)
         assert all(leaf.startswith("perm:") for leaf in extended)
-        assert rep.spec == spec
-        degrees.clear()
+        checked.clear()
+        replayed.clear()
         extended.clear()
 
 
 def test_constructors_replay_nothing(monkeypatch):
     # every constructor but permutation_rep builds a homomorphism by
-    # construction, so none replays or checks the BFS
-    degrees, extended = _record_replays(monkeypatch)
+    # construction, so none checks or replays its images
+    recorded = _record_checks(monkeypatch)
     group = group_from_spec("p4m:4")
     defining, sign = defining_rep(group), sign_rep(group)
     for rep in (defining, sign, trivial_rep(group, 2), trivial_rep(group, 0),
@@ -628,7 +638,7 @@ def test_constructors_replay_nothing(monkeypatch):
     dense = defining_rep(close([rotation]))
     assert dense.targets is None
     assert dense.images is dense.images
-    assert (degrees, extended) == ([], [])
+    assert recorded == ([], [], [])
 
 
 def test_trivial_rep_of_degree_zero_is_the_composed_one(s3):
