@@ -14,12 +14,12 @@ the search at once, since only the search finds a generator set's
 order. Callers that read generators only (the solve, the certificate,
 the generator sweep of a check, ``generator_ids``) never enumerate, and
 neither does the test that user-supplied signed permutation images
-(``perm:`` leaves) define a homomorphism (``_is_homomorphism``): it
-builds a stabilizer chain of the group beside the images
-(``_chain_order``), from generators and Schreier generators alone.
-Those that read elements do: the exhaustive or sampled element sweep,
-the character oracle, the replay that names the failing element of
-images that test rejects or checks dense images (``reps._replay``),
+(``perm:`` leaves) of a named group define a homomorphism
+(``_satisfies_relators``): it evaluates the group's defining relators
+(``_named_relators``) on the images. Those that read elements do: the
+exhaustive or sampled element sweep, the character oracle, the replay
+that names the failing element of images that test rejects or checks
+dense images or images of a ``close``-built group (``reps._replay``),
 and any first read of a rep's element data.
 
 Element 0 is always the identity. BFS order (queue order, generators
@@ -326,121 +326,94 @@ def _signed_point_maps(targets, signs):
     return np.concatenate([targets + flip, targets + (targets.shape[1] - flip)], axis=1)
 
 
-def _is_homomorphism(group, gen_arrays):
-    """Whether the signed permutation images ``gen_arrays`` of a signed
-    permutation group's generators extend to a homomorphism, decided
-    without enumerating the group.
+def _satisfies_relators(group, gen_arrays):
+    """Whether the signed permutation images ``gen_arrays`` of a named
+    group's generators extend to a homomorphism, decided without
+    enumerating the group: whether they satisfy every defining relator
+    (``_named_relators``) of the group.
 
-    D, generated by each generator beside its image, acts on the group's
-    signed points X beside the images' Y and maps onto the group, which
-    acts faithfully on X. So the images extend exactly when no
-    non-identity element of D fixes X pointwise, which ``_chain_order``
-    decides; its chain's order is then |D| = |G|, and any other order
-    returns False too, leaving the verdict to the replay.
+    The test is exact by von Dyck's theorem: images extend to a
+    homomorphism exactly when they satisfy a set of defining relators.
+    The group's own generators satisfy its relators (the test suite
+    checks this for every kind), so the group they present maps onto G,
+    and it is G itself when it has at most |G| elements. For cyclic:n,
+    a^n alone leaves n elements. For the grid kinds, the relators let q
+    and f pass a and b (turning them into other translations) and f
+    pass q, so they rewrite any word as a^i b^j q^k f^l with 0 <= i, j
+    < N and k and l below the orders of q and f: at most |G| words. For
+    S_m this is the Coxeter-Moser presentation (Coxeter & Moser,
+    Generators and Relations for Discrete Groups, 1957, section 6.2).
+
+    Each relator is evaluated on the images' signed point maps
+    (``_signed_point_maps``) by ``take``, with powers by repeated
+    squaring, so ``a^N`` costs O(log N) compositions.
     """
-    x = _signed_point_maps(*group.gen_arrays)
-    y = _signed_point_maps(*gen_arrays)
-    size = x.shape[1] + y.shape[1]
-    maps = np.concatenate([x, y + x.shape[1]], axis=1).astype(np.min_scalar_type(size - 1))
-    return _chain_order(maps, x.shape[1]) == group.order
-
-
-# Schreier generators are formed this many entries at a time.
-_CHUNK_ENTRIES = 2 ** 16
-
-
-def _chain_order(maps, x):
-    """The product of the basic orbit lengths of a stabilizer chain, with
-    base points among the first ``x`` points X, of the permutation group
-    D generated by the index maps ``maps`` (maps[g, j] is generator g's
-    image of point j); or 0 when a non-identity element of D fixes X
-    pointwise.
-
-    Sims' construction, top down. Level i's group H_i, the pointwise
-    stabilizer in D of the base points before it, is given by generators,
-    and its base point is the first point of X they move. One search of
-    that point's orbit gives the transversal u (``_transversal``), and
-    Schreier's lemma gives H_{i+1} as generated by the u_{s(p)}^-1 s u_p
-    of each generator s and orbit point p, formed in chunks and each kept
-    once (``_distinct``). Two of them that agree on X but not elsewhere
-    give a non-identity element fixing X pointwise, and end the search.
-    Otherwise the chain ends when no generator is left, and the product
-    of its orbit lengths is |D|.
-    """
+    kind, _, size = group.spec.partition(":")
+    maps = _signed_point_maps(*gen_arrays)
     identity = np.arange(maps.shape[1], dtype=maps.dtype)
-    # seeded with the identity: identity elements are dropped, and one
-    # that is the identity on X alone ends the search
-    start = {identity[:x].tobytes(): identity[x:].tobytes()}
-    gens = _distinct(maps, dict(start), x)
-    chunk = max(1, _CHUNK_ENTRIES // len(identity))
-    order = 1
-    while gens is not None and len(gens):
-        base = int(np.argmax((gens[:, :x] != identity[:x]).any(axis=0)))
-        table, back = _transversal(gens, base, x)
-        order *= len(table)
-        seen, found = dict(start), [gens[:0]]
-        for lo in range(0, len(back), chunk):
-            p, s, q = back[lo:lo + chunk].T
-            # u_q^-1, scattered from u_q; then u_q^-1 s u_p
-            rows = np.arange(len(q))
-            inverse = np.empty(len(q) * len(identity), dtype=identity.dtype)
-            inverse[_flat(table[q], rows)] = identity
-            moved = gens.ravel().take(_flat(table[p], s))
-            found.append(_distinct(inverse.take(_flat(moved, rows)), seen, x))
-            if found[-1] is None:
-                return 0
-        gens = np.concatenate(found)
-    return 0 if gens is None else order
+    letters = {}
+
+    def power(m, e):  # m^e for e >= 1, by repeated squaring
+        out = None
+        while e > 1:
+            if e & 1:
+                out = m if out is None else m.take(out)
+            m, e = m.take(m), e >> 1
+        return m if out is None else m.take(out)
+
+    def letter(g, e):
+        if (g, e) not in letters:
+            m = maps[g]
+            if e < 0:
+                m = np.empty_like(m)
+                m[maps[g]] = identity
+            letters[g, e] = power(m, abs(e))
+        return letters[g, e]
+
+    for word, times in _named_relators(kind, int(size)):
+        product = letter(*word[0])
+        for g, e in word[1:]:
+            product = letter(g, e).take(product)  # the letter acts after the word so far
+        if not (power(product, times) == identity).all():
+            return False
+    return True
 
 
-def _flat(rows, which):
-    """Indices into a flattened stack of index maps of the entries
-    ``rows`` name, each row in the map ``which`` names."""
-    flat = rows.astype(np.intp)
-    flat += which[:, None] * rows.shape[1]
-    return flat
+def _named_relators(kind, size):
+    """The defining relators of a named group, as (word, power) pairs
+    standing for word^power: a word is a tuple of (generator, exponent)
+    letters in ``named_group``'s generator order, and applies its maps
+    left to right (in "x y", x acts first).
 
-
-def _distinct(elements, seen, x):
-    """The rows of ``elements`` not yet in ``seen``, which maps the bytes
-    of each kept element's first ``x`` entries to the bytes of the rest;
-    or None when two elements agree on the first ``x`` entries but not on
-    the rest."""
-    cut = x * elements.itemsize
-    new = []
-    for i, key in enumerate(_row_bytes(elements)):
-        size = len(seen)
-        if seen.setdefault(key[:cut], key[cut:]) != key[cut:]:
-            return None
-        if len(seen) > size:
-            new.append(i)
-    return elements[new]
-
-
-def _transversal(gens, base, x):
-    """(table, back) for the orbit of point ``base`` under the index maps
-    ``gens``, searched breadth first: table[k] maps ``base`` to the k-th
-    orbit point found, and is generator s times the table row of the
-    point k was first reached from; ``back`` lists as (p, s, q) rows
-    every other step, generator s taking orbit point p to point q."""
-    images = gens[:, :x].tolist()
-    found = [-1] * x
-    found[base] = 0
-    points, tree, back = [base], [], []
-    for p, point in enumerate(points):
-        for s, image in enumerate(images):
-            q = found[image[point]]
-            if q < 0:
-                found[image[point]] = len(points)
-                points.append(image[point])
-                tree.append((p, s))
-            else:
-                back.append((p, s, q))
-    table = np.empty((len(points), gens.shape[1]), dtype=gens.dtype)
-    table[0] = np.arange(gens.shape[1])
-    for k, (p, s) in enumerate(tree, 1):
-        gens[s].take(table[p], out=table[k])
-    return table, np.array(back, dtype=np.int64).reshape(-1, 3)
+    - size 1, any kind (one identity generator g): g;
+    - ``cyclic:n`` (a): a^n;
+    - ``symmetric:2`` (s): s^2;
+    - ``symmetric:m``, m >= 3 (s = (0 1), c: j -> j+1): s^2, c^m,
+      (s c)^(m-1), (s c^-1 s c)^3, and (s c^-j s c^j)^2 for
+      2 <= j <= m-2;
+    - ``torus:N`` (a, b): a^N, b^N, a b a^-1 b^-1;
+    - ``p4:N`` (a, b, q) adds q^4 (q^2 when N = 2, where the quarter turn
+      is the transpose), q a q^-1 b and q b q^-1 a^-1;
+    - ``p4m:N`` (a, b, q, f) adds f^2 (f when N = 2, where the
+      reflection is trivial), (f q)^2, f a f a and f b f b^-1.
+    """
+    a, b, q, f = (0, 1), (1, 1), (2, 1), (3, 1)  # s, c for symmetric
+    if size == 1 or kind == "cyclic":
+        return [((a,), size)]
+    if kind == "symmetric":
+        s, c = a, b
+        if size == 2:
+            return [((s,), 2)]
+        return ([((s,), 2), ((c,), size), ((s, c), size - 1), ((s, (1, -1), s, c), 3)]
+                + [((s, (1, -j), s, (1, j)), 2) for j in range(2, size - 1)])
+    a_, b_, q_ = (0, -1), (1, -1), (2, -1)
+    relators = [((a,), size), ((b,), size), ((a, b, a_, b_), 1)]
+    if kind in ("p4", "p4m"):
+        relators += [((q,), 2 if size == 2 else 4), ((q, a, q_, b), 1), ((q, b, q_, a_), 1)]
+    if kind == "p4m":
+        relators += [((f,), 1 if size == 2 else 2), ((f, q), 2), ((f, a, f, a), 1),
+                     ((f, b, f, b_), 1)]
+    return relators
 
 
 def _permutation(perm):

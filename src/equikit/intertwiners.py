@@ -52,13 +52,13 @@ class IntertwinerBasis:
             raise ValueError(f"expected {self.dim} coefficients, got {coeffs.shape}")
         if self.dim == 0:
             return np.zeros((self.rep_out.degree, self.rep_in.degree))
-        return np.dot(coeffs, self._flat()).reshape(self.rep_out.degree, self.rep_in.degree)
+        return np.dot(coeffs, self._rows()).reshape(self.rep_out.degree, self.rep_in.degree)
 
     def project(self, a):
         """Coefficients of the Frobenius-orthogonal projection of ``a``."""
-        return np.dot(self._flat(), np.reshape(a, -1))
+        return np.dot(self._rows(), np.reshape(a, -1))
 
-    def _flat(self):
+    def _rows(self):
         """The (dim, n_out * n_in) view of ``basis``: realize and project
         are one matrix-vector product on it."""
         return self.basis.reshape(self.dim, self.basis.shape[1] * self.basis.shape[2])

@@ -15,11 +15,12 @@ and int8 signs; dense images walk by matmuls, and a signed rep's are
 scattered from its arrays. Only what the user supplies is checked:
 ``extend``'s images, and ``permutation_rep``'s index maps (hence
 ``perm:`` spec leaves), which go straight into index arrays, never into
-dense images. Signed permutation images of a signed permutation group
-pass the closure-free test ``groups._is_homomorphism``, a stabilizer
-chain that enumerates nothing. Only images it rejects, and images or
-groups stored dense, are replayed (``_replay``: the walk, then the cayley-table check that is
-exactly the well-definedness check), which enumerates the group and
+dense images. Signed permutation images of a named group are checked
+against its defining relators (``groups._satisfies_relators``), which
+enumerates nothing. Only images the relators reject, dense images, and
+images of a group built by ``close`` (enumerated when it was built)
+are replayed (``_replay``: the walk, then the cayley-table check that
+is exactly the well-definedness check), which enumerates the group and
 raises naming the first failing (element, generator) pair; the test is
 exact, so every verdict and message is the replay's. ``extend``'s
 validator calls ``det`` only when the images are not all signed
@@ -39,12 +40,11 @@ from .groups import (
     _check_fits,
     _element_steps,
     _generator_stack,
-    _is_homomorphism,
     _permutation,
+    _satisfies_relators,
     _walk,
 )
 from .numerics import (
-    check_tol,
     nullspace,  # unused here; perfbench/selftest.py checks the tracer rebinds it in reps
     signed_permutation_matrices,
     split_signed_codes,
@@ -135,22 +135,21 @@ class Representation:
         return f"Representation({name}, degree={self.degree}, |G|={self.group.order})"
 
 
-def extend(group, gen_images, spec=None, tol=CONSISTENCY_TOL):
+def extend(group, gen_images, spec=None):
     """Build the representation generated by one image per generator.
 
-    Signed permutation images of a signed permutation group are checked
-    by ``groups._is_homomorphism``, without enumerating the group; other
-    images, and images that check rejects, are replayed (``_replay``), on
-    signed codes when they are all signed permutations, else on dense
+    Signed permutation images of a named group are checked against its
+    defining relators (``groups._satisfies_relators``), without
+    enumerating the group; other images, images that check rejects, and
+    any images of a group built by ``close`` are replayed (``_replay``),
+    on signed codes when they are all signed permutations, else on dense
     matrices (see the module docstring). Raises InconsistentImagesError
     when the replay finds the images do not define a homomorphism (the
     map fails to factor through the group relations) by more than
-    ``tol``, and ValueError for a ``tol`` that is not finite and
-    non-negative.
+    ``CONSISTENCY_TOL``.
     """
-    check_tol(tol, strict=False)
     gen_images, perm = _generator_stack(_one_per_generator(group, gen_images), "generator image")
-    _check_images(group, perm, gen_images, tol)
+    _check_images(group, perm, gen_images)
     return Representation(group, gen_images.shape[1], gen_images if perm is None else None,
                           spec, perm)
 
@@ -162,33 +161,34 @@ def _one_per_generator(group, images):
     return images
 
 
-def _extend_dense(group, gen_images, tol):
+def _extend_dense(group, gen_images):
     """``extend`` on dense matrices, whatever the images: the test oracle."""
-    return _replay(group, _element_steps(generators=gen_images), tol)
+    return _replay(group, _element_steps(generators=gen_images))
 
 
-def _check_images(group, gen_arrays, gen_images, tol):
+def _check_images(group, gen_arrays, gen_images):
     """Raise InconsistentImagesError unless the generator images, as
     (targets, signs) ``gen_arrays`` or else the dense ``gen_images``,
-    define a homomorphism within ``tol``: by ``groups._is_homomorphism``
-    when they and the group's generators are signed permutations, and by
-    the replay, which names the failing element, when that test rejects
-    them or cannot run."""
-    if gen_arrays is None or group.gen_arrays is None or not _is_homomorphism(group, gen_arrays):
-        _replay(group, _element_steps(gen_arrays, gen_images), tol)
+    define a homomorphism: by ``groups._satisfies_relators`` when they
+    are signed permutations of a named group, and by the replay, which
+    names the failing element, when that test rejects them or the group
+    has no relators (it was built by ``close``)."""
+    if gen_arrays is None or group.spec is None or not _satisfies_relators(group, gen_arrays):
+        _replay(group, _element_steps(gen_arrays, gen_images))
 
 
-def _replay(group, steps, tol):
+def _replay(group, steps):
     """``_walk`` the element data of ``steps`` and check it against the
     cayley table: the first element whose product with generator ``gi``
-    deviates from element ``cayley[e, gi]`` by more than ``tol`` raises
-    InconsistentImagesError. One product per generator is held at once."""
+    deviates from element ``cayley[e, gi]`` by more than
+    ``CONSISTENCY_TOL`` raises InconsistentImagesError. One product per
+    generator is held at once."""
     data = _walk(group, steps)
     times, residuals = steps[1], steps[4]
     for gi in range(group.gen_count):
         dev = residuals(times(data, gi), data[group.cayley[:, gi]])
         worst = int(np.argmax(dev))
-        if dev[worst] > tol:
+        if dev[worst] > CONSISTENCY_TOL:
             raise InconsistentImagesError(worst, gi, float(dev[worst]))
     return data
 
@@ -290,14 +290,16 @@ def sign_rep(group):
 def permutation_rep(group, perms):
     """Representation from one coordinate permutation per generator, built
     straight into index arrays; since the user supplies them, they are
-    validated with ``extend``'s messages and checked as ``extend`` checks."""
+    validated with ``extend``'s messages and checked as ``extend`` checks:
+    against a named group's relators, and by the replay when those reject
+    them or the group was built by ``close``."""
     maps = _one_per_generator(group, [_permutation(p) for p in perms])
     n = len(maps[0])
     for i, m in enumerate(maps):
         if m.shape != (n,):
             raise ValueError(f"generator image {i} has shape {m.shape * 2}, expected ({n}, {n})")
     arrays = (np.array(maps, dtype=np.int64), np.ones((len(maps), n), dtype=np.int8))
-    _check_images(group, arrays, None, CONSISTENCY_TOL)
+    _check_images(group, arrays, None)
     return Representation(group, n, spec=_perm_spec(perms), gen_arrays=arrays)
 
 

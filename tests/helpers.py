@@ -199,14 +199,14 @@ def words(group):
 
 def word_products(group, gen_images):
     """Each element's image as the left-to-right product of the generator
-    images along its word, one ``@`` at a time: a traversal that shares
-    nothing with ``reps._walk``."""
-    products = []
-    for word in words(group):
-        image = np.eye(gen_images.shape[1])
-        for gi in word:
-            image = image @ gen_images[gi]
-        products.append(image)
+    images along its word, one ``@`` at a time, element by element: a
+    traversal that shares nothing with ``reps._walk``. A word extends its
+    parent's by one generator, so each element takes one ``@`` on its
+    parent's product, the same sequence of products as from the
+    identity."""
+    products = [np.eye(gen_images.shape[1])]
+    for parent, gi in group.parents[1:].tolist():
+        products.append(products[parent] @ gen_images[gi])
     return np.stack(products)
 
 
@@ -215,9 +215,9 @@ def cayley_outcome(group, gen_images, tol=CONSISTENCY_TOL):
     first worst element, at which the word products fail the cayley
     table by more than ``tol``, by a plain loop; else the products."""
     products = word_products(group, gen_images)
-    for gi in range(group.gen_count):
-        dev = [np.abs(products[e] @ gen_images[gi] - products[group.cayley[e, gi]]).max()
-               for e in range(group.order)]
+    for gi, column in enumerate(group.cayley.T.tolist()):
+        image = gen_images[gi]
+        dev = [np.abs(products[e] @ image - products[j]).max() for e, j in enumerate(column)]
         worst = int(np.argmax(dev))
         if dev[worst] > tol:
             return "inconsistent", worst, gi, float(dev[worst])

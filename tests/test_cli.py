@@ -870,8 +870,8 @@ def _reversed_leaf(group_spec):
 ])
 def test_basis_on_perm_leaves_enumerates_nothing(tmp_path, capsys, monkeypatch,
                                                  group_spec, chain):
-    # a perm: leaf is checked by its stabilizer chain, so basis on a chain
-    # of them neither enumerates the group nor walks an element
+    # a perm: leaf is checked against the group's relators, so basis on a
+    # chain of them neither enumerates the group nor walks an element
     chain = [spec.format(leaf=_reversed_leaf(group_spec)) for spec in chain]
     group = groups.group_from_spec(group_spec)
     parsed = [reps.parse_rep_spec(group, spec) for spec in chain]

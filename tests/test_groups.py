@@ -409,10 +409,9 @@ def test_closed_form_order_and_generator_ids_are_the_bfs(spec, monkeypatch):
     assert rep.images.shape == (order, group.dim, group.dim)
     assert runs == [spec]  # forced twice and more, enumerated once
     # the order a closure finds with no closed form to meet, and the
-    # order of the stabilizer chain on the generators' points alone
+    # group's own generators satisfy its defining relators
     assert close(list(group.generators)).order == order
-    maps = groups._signed_point_maps(*group.gen_arrays)
-    assert groups._chain_order(maps.astype(np.uint16), group.dim) == order
+    assert groups._satisfies_relators(group, group.gen_arrays)
 
 
 @pytest.mark.parametrize("wrong", [-1, 1])

@@ -12,6 +12,7 @@ products of the generator images and with the per-element check.
 """
 
 import functools
+import itertools
 import math
 import os
 import tempfile
@@ -36,7 +37,6 @@ from equikit.groups import close
 from equikit.intertwiners import hom_dim_oracle, solve_basis
 from equikit.numerics import nullspace, signed_permutation_matrices, signed_permutations
 from equikit.reps import (
-    CONSISTENCY_TOL,
     InconsistentImagesError,
     defining_rep,
     direct_sum,
@@ -144,7 +144,7 @@ def test_signed_closure_and_extension_are_bitwise_dense(drawn, negative_zeros, d
     assert group.cayley.tobytes() == dense.cayley.tobytes()
     assert group.parents.tobytes() == dense.parents.tobytes()
     rep = parse_rep_spec(group, data.draw(rep_specs(perms)))
-    images = reps._extend_dense(group, rep.gen_images, CONSISTENCY_TOL)
+    images = reps._extend_dense(group, rep.gen_images)
     assert rep.images.tobytes() == images.tobytes()
 
 
@@ -335,7 +335,7 @@ def test_composed_spec_rep_is_bitwise_the_extension(group_spec, data):
         group, reps._sum_images([r.gen_images for r in parts]), spec=f"sum({spec};defining)"))
 
 
-# --- the closure-free homomorphism test against the replay ----------------
+# --- the relator test against the replay ---------------------------------
 
 HOMOMORPHISM_GROUPS = [f"{kind}:{n}" for kind in ("cyclic", "symmetric", "torus", "p4", "p4m")
                        for n in range(1, 6)]
@@ -377,15 +377,16 @@ def generator_image_arrays(draw, group):
 
 
 def assert_homomorphism_test_is_the_replay(group, targets, signs):
-    """``groups._is_homomorphism`` agrees with the replay, and the public
-    constructor for the images (``permutation_rep`` when every sign is +1,
-    else ``extend``) raises what the plain cayley-table loop finds."""
+    """``groups._satisfies_relators`` agrees with the replay, and the
+    public constructor for the images (``permutation_rep`` when every
+    sign is +1, else ``extend``) raises what the plain cayley-table loop
+    finds."""
     try:
-        reps._replay(group, groups._element_steps((targets, signs)), CONSISTENCY_TOL)
+        reps._replay(group, groups._element_steps((targets, signs)))
         consistent = True
     except InconsistentImagesError:
         consistent = False
-    assert groups._is_homomorphism(group, (targets, signs)) == consistent
+    assert groups._satisfies_relators(group, (targets, signs)) == consistent
     images = signed_permutation_matrices(targets, signs)
     try:
         built = (reps.permutation_rep(group, targets.tolist()) if (signs == 1).all()
@@ -401,6 +402,33 @@ def assert_homomorphism_test_is_the_replay(group, targets, signs):
 def test_homomorphism_test_is_the_replay(group_spec, data):
     group = named(group_spec)
     assert_homomorphism_test_is_the_replay(group, *data.draw(generator_image_arrays(group)))
+
+
+# every kind at sizes 1-4 into S_3, and S_4 and S_5 into S_4
+EXHAUSTIVE_GROUPS = [(f"{kind}:{n}", 3) for kind in ("cyclic", "symmetric", "torus", "p4", "p4m")
+                     for n in range(1, 5)] + [("symmetric:4", 4), ("symmetric:5", 4)]
+
+
+@pytest.mark.parametrize("group_spec, degree", EXHAUSTIVE_GROUPS)
+def test_relators_decide_every_generator_tuple_as_the_replay(group_spec, degree):
+    # every tuple of generator images into S_degree, or into the signed
+    # permutations of degree 3 for a group of one or two generators: the
+    # relators accept exactly the tuples the plain cayley-table loop does
+    group = named(group_spec)
+    signs = [(1,) * degree]
+    if degree == 3 and group.gen_count <= 2:
+        signs = list(itertools.product((1, -1), repeat=degree))
+    pairs = list(itertools.product(itertools.permutations(range(degree)), signs))
+    targets = np.array([t for t, _ in pairs])
+    signs = np.array([s for _, s in pairs], np.int8)
+    matrices = signed_permutation_matrices(targets, signs)
+    accepted = 0
+    for images in itertools.product(range(len(pairs)), repeat=group.gen_count):
+        images = list(images)
+        verdict = groups._satisfies_relators(group, (targets[images], signs[images]))
+        assert verdict == isinstance(cayley_outcome(group, matrices[images]), bytes), images
+        accepted += verdict
+    assert 0 < accepted < len(pairs) ** group.gen_count
 
 
 # p4m:2's reflection is the identity of the 2 x 2 grid, and cyclic:1's

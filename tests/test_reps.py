@@ -9,7 +9,6 @@ from equikit.groups import close, group_from_spec, named_group
 from equikit.intertwiners import fixed_subspace
 from equikit.numerics import signed_permutations
 from equikit.reps import (
-    CONSISTENCY_TOL,
     InconsistentImagesError,
     Representation,
     defining_rep,
@@ -309,17 +308,6 @@ def test_nested_bad_perm_raises_its_own_error(s3, bad):
         assert str(inner.value) == str(alone.value)
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
-def test_extend_rejects_bad_tol(tol):
-    # diag(1, -1, 1) is not an image of the order-3 shift; a NaN tol would
-    # accept it, since no deviation compares greater than NaN
-    g = named_group("cyclic", 3)
-    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
-        extend(g, [np.diag([1.0, -1.0, 1.0])], tol=tol)
-    with pytest.raises(InconsistentImagesError):
-        extend(g, [np.diag([1.0, -1.0, 1.0])])
-
-
 # --- signed-permutation fast path against the dense extension -------------
 
 NAMED_SPECS = [f"symmetric:{m}" for m in range(1, 6)] + [
@@ -352,7 +340,7 @@ def test_signed_extension_is_bitwise_the_dense_extension(group_spec):
     perm = relabelled_perm_spec(group)
     for shape in SPEC_SHAPES:
         rep = parse_rep_spec(group, shape.replace("PERM", perm))
-        dense = reps._extend_dense(group, rep.gen_images, CONSISTENCY_TOL)
+        dense = reps._extend_dense(group, rep.gen_images)
         assert rep.images.tobytes() == dense.tobytes(), shape
 
 
@@ -361,7 +349,7 @@ def test_signed_extension_with_negative_zeros_is_bitwise_the_dense_extension(c4)
     image = permutation_matrix([1, 2, 3, 0]) * np.array([-1.0, 1.0, -1.0, 1.0])
     assert np.signbit(image[0, 0])
     rep = extend(c4, [image])
-    assert rep.images.tobytes() == reps._extend_dense(c4, rep.gen_images, 1e-8).tobytes()
+    assert rep.images.tobytes() == reps._extend_dense(c4, rep.gen_images).tobytes()
 
 
 def _outcome(build):
@@ -372,31 +360,30 @@ def _outcome(build):
     return images.tobytes()
 
 
-# (group spec, generator images, tol, residual the dense path raises or None)
+# (group spec, generator images, residual the dense path raises). The
+# "-at-" cases name a tolerance of 1 or 1.5, which a replay of a target
+# mismatch (residual 1) passes and of a sign flip (residual 2) does not;
+# extend takes no tolerance, so each raises at CONSISTENCY_TOL.
 INCONSISTENT = {
-    "sign-flip": ("cyclic:3", [np.diag([1.0, -1.0, 1.0])], 1e-8, 2.0),
-    "sign-flip-at-1.5": ("cyclic:3", [np.diag([1.0, -1.0, 1.0])], 1.5, 2.0),
-    "target-mismatch": ("cyclic:3", [permutation_matrix([1, 0, 2])], 1e-8, 1.0),
-    "target-mismatch-at-1": ("cyclic:3", [permutation_matrix([1, 0, 2])], 1.0, None),
-    "target-mismatch-at-1.5": ("cyclic:3", [permutation_matrix([1, 0, 2])], 1.5, None),
+    "sign-flip": ("cyclic:3", [np.diag([1.0, -1.0, 1.0])], 2.0),
+    "sign-flip-at-1.5": ("cyclic:3", [np.diag([1.0, -1.0, 1.0])], 2.0),
+    "target-mismatch": ("cyclic:3", [permutation_matrix([1, 0, 2])], 1.0),
+    "target-mismatch-at-1": ("cyclic:3", [permutation_matrix([1, 0, 2])], 1.0),
+    "target-mismatch-at-1.5": ("cyclic:3", [permutation_matrix([1, 0, 2])], 1.0),
     "second-generator": ("symmetric:3", [permutation_matrix([1, 0, 2]),
-                                         permutation_matrix([1, 0, 2])], 1e-8, 1.0),
+                                         permutation_matrix([1, 0, 2])], 1.0),
     "mismatch-and-flip": ("cyclic:3", [permutation_matrix([1, 0, 2]) * np.array(
-        [1.0, 1.0, -1.0])], 1.5, 2.0),
+        [1.0, 1.0, -1.0])], 2.0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INCONSISTENT))
 def test_inconsistent_images_report_the_dense_residual(case):
-    group_spec, images, tol, residual = INCONSISTENT[case]
+    group_spec, images, residual = INCONSISTENT[case]
     group = group_from_spec(group_spec)
-    fast = _outcome(lambda: extend(group, images, tol=tol).images)
-    dense = _outcome(lambda: reps._extend_dense(group, np.stack(images), tol))
-    assert fast == dense
-    if residual is None:
-        assert isinstance(fast, bytes)
-    else:
-        assert fast[2] == residual
+    fast = _outcome(lambda: extend(group, images).images)
+    assert fast == _outcome(lambda: reps._extend_dense(group, np.stack(images)))
+    assert fast[2] == residual
 
 
 def test_dense_extension_keeps_two_image_sized_temporaries():
@@ -496,8 +483,8 @@ def test_perm_leaves_build_no_dense_stack(s3, monkeypatch):
 
 
 def test_p4m_32_perm_leaf_parse_peak():
-    # the group's own generator maps: the parse checks the leaf by a
-    # stabilizer chain, enumerating nothing; no dense image is built
+    # the group's own generator maps: the parse checks the leaf against
+    # the group's relators, enumerating nothing; no dense image is built
     group = group_from_spec("p4m:32")
     spec = "perm:" + "|".join(",".join(map(str, m)) for m in group.gen_arrays[0].tolist())
     tracemalloc.start()
@@ -583,18 +570,18 @@ def test_sum_of_a_hand_built_dense_part_walks_its_generators(build):
 # --- nested specs check only their perm: leaves, once ---------------------
 
 def _record_checks(monkeypatch):
-    """The degrees of the images ``_is_homomorphism`` checks and of those
-    ``_replay`` replays, and the specs ``extend`` and ``permutation_rep``
-    build."""
+    """The degrees of the images ``_satisfies_relators`` checks and of
+    those ``_replay`` replays, and the specs ``extend`` and
+    ``permutation_rep`` build."""
     checked, replayed, extended = [], [], []
-    real_check, real_replay = reps._is_homomorphism, reps._replay
+    real_check, real_replay = reps._satisfies_relators, reps._replay
     real_extend, real_perm = reps.extend, reps.permutation_rep
-    monkeypatch.setattr(reps, "_is_homomorphism", lambda group, arrays:
+    monkeypatch.setattr(reps, "_satisfies_relators", lambda group, arrays:
                         checked.append(arrays[0].shape[1]) or real_check(group, arrays))
-    monkeypatch.setattr(reps, "_replay", lambda group, steps, tol:
-                        replayed.append(len(steps[0])) or real_replay(group, steps, tol))
-    monkeypatch.setattr(reps, "extend", lambda group, images, spec=None, **kw:
-                        extended.append(spec) or real_extend(group, images, spec, **kw))
+    monkeypatch.setattr(reps, "_replay", lambda group, steps:
+                        replayed.append(len(steps[0])) or real_replay(group, steps))
+    monkeypatch.setattr(reps, "extend", lambda group, images, spec=None:
+                        extended.append(spec) or real_extend(group, images, spec))
     monkeypatch.setattr(reps, "permutation_rep", lambda group, perms:
                         extended.append(reps._perm_spec(perms)) or real_perm(group, perms))
     return checked, replayed, extended
@@ -602,8 +589,9 @@ def _record_checks(monkeypatch):
 
 def test_nested_spec_replays_only_its_perm_leaves_once(s3, monkeypatch):
     # a spec on a signed group is composed: only its perm: leaves are
-    # checked (recorded by their degree), each once, alone, and only a
-    # leaf the check rejects is replayed, for its error
+    # checked against the group's relators (recorded by their degree),
+    # each once, alone, and only a leaf the relators reject is replayed,
+    # for its error
     checked, replayed, extended = _record_checks(monkeypatch)
     for spec, leaves, rejected in [
         ("tensor:3(sum(perm:1,0,2|1,2,0;sign))", [3], []),
