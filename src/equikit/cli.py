@@ -18,7 +18,13 @@ from .activations import ActivationSpec, apply_pointwise, parse_activation
 from .config import ConfigError, parse_config
 from .groups import group_from_spec
 from .intertwiners import solve_basis
-from .network import build, check_stack_equivariance, load_model, save_model
+from .network import (
+    build,
+    check_learning_rate,
+    check_stack_equivariance,
+    load_model,
+    save_model,
+)
 # parse_rep_spec stays bound here for perfbench, whose self-test checks
 # that the tracer wraps it in this module
 from .reps import parse_rep_chain, parse_rep_spec  # noqa: F401
@@ -110,6 +116,7 @@ def cmd_check(args):
 def cmd_train(args):
     if args.task != "center-of-mass":
         raise ConfigError(f"unknown task {args.task!r}")
+    check_learning_rate(args.lr)  # before anything is built
     group = group_from_spec(f"symmetric:{args.m}")
     reps = parse_rep_chain(group, ["tensor:3(defining)", "tensor:3(defining)", "trivial:3"])
     activation = parse_activation(args.activation)

@@ -52,15 +52,13 @@ class IntertwinerBasis:
             raise ValueError(f"expected {self.dim} coefficients, got {coeffs.shape}")
         if self.dim == 0:
             return np.zeros((self.rep_out.degree, self.rep_in.degree))
-        return np.dot(coeffs, self._rows()).reshape(self.rep_out.degree, self.rep_in.degree)
+        return np.dot(coeffs, self.rows).reshape(self.rep_out.degree, self.rep_in.degree)
 
-    def project(self, a):
-        """Coefficients of the Frobenius-orthogonal projection of ``a``."""
-        return np.dot(self._rows(), np.reshape(a, -1))
-
-    def _rows(self):
-        """The (dim, n_out * n_in) view of ``basis``: realize and project
-        are one matrix-vector product on it."""
+    @property
+    def rows(self):
+        """The (dim, n_out * n_in) view of ``basis``: realizing
+        coefficients is one vector-matrix product on it, and projecting a
+        matrix onto the basis one matrix-vector product."""
         return self.basis.reshape(self.dim, self.basis.shape[1] * self.basis.shape[2])
 
 

@@ -9,19 +9,29 @@ construction and stays so under any coefficient update.
 Hidden biases live on the all-coordinates-equal line (the threshold
 form), which every permutation representation fixes; together with the
 permutation-representation requirement on hidden layers this certifies
-pointwise compatibility.
+pointwise compatibility. A hidden bias is one coefficient c on the unit
+vector of that line, so it is the scalar ``_bias_unit(n) * c`` in every
+coordinate, and the network keeps no bias basis.
 
 Batches run feature-major: every activation, buffer and gradient is a
 (width, batch) array, and ``_forward`` is the one forward pass for
 training, evaluation and the check. Each layer makes the product
-``W @ x`` and adds its bias as a column; the backward pass makes
-``W.T @ g``, sums bias gradients along rows and projects ``g @ x.T``
-onto the weight basis. With the batch as the long contiguous axis, BLAS
-takes its untransposed path and bias adds and sums run over contiguous
-rows, which at the small widths of these networks is most of a step's
-cost. ``Dataset`` stores its arrays column-major, so training reads
-their transposes as C-contiguous views; ``stack_forward`` takes and
-returns (batch, width) rows through transposed views.
+``W @ x`` and adds its bias, a scalar in training and an (n, 1) column
+for a declared bias vector; the backward pass makes ``W.T @ g``, sums
+bias gradients along rows and projects ``g @ x.T`` onto the weight
+basis. With the batch as the long contiguous axis, BLAS takes its
+untransposed path and bias adds and sums run over contiguous rows,
+which at the small widths of these networks is most of a step's cost.
+``Dataset`` stores its arrays column-major, so training reads their
+transposes as C-contiguous views; ``stack_forward`` takes and returns
+(batch, width) rows through transposed views.
+
+Training runs one planned step, ``_Step``, built once per network and
+batch size and shared by ``loss_grad`` and ``train``. It refills each
+layer's weight buffer in place from the basis rows, writes the gradient
+into the slices of one flat buffer, and adds each hidden bias as a
+scalar, which is bitwise the broadcast column. A step so calls no
+``realize``, allocates no batch-sized array and concatenates nothing.
 
 A network's stack (``check_stack_equivariance``, behind ``equikit check``)
 is checked at the generators first: by the homomorphism property, a map
@@ -106,45 +116,57 @@ def _forward(weights, biases, activation, x, out=None):
     """Run the stack on a feature-major (n_in, batch) batch: (output,
     layer inputs), every array (width, batch).
 
-    Each layer computes ``W @ x`` and adds its bias as a column. ``out``,
-    when given, holds one (width, batch) array per layer that receives
-    that layer's output (hidden activations are computed in place over
-    their pre-activations), so a repeated call allocates no batch-sized
-    array.
+    Each layer computes ``W @ x`` and adds its bias: a scalar (a
+    network's hidden bias, which lies on the all-ones line) or an (n, 1)
+    column (any declared bias vector). ``out``, when given, holds one
+    (width, batch) array per layer that receives that layer's output
+    (hidden activations are computed in place over their
+    pre-activations), so a repeated call allocates no batch-sized array.
     """
     if out is None:
         out = [np.empty((w.shape[0], x.shape[1])) for w in weights]
     inputs = [x]
     for w, b, h in zip(weights, biases, out):
         np.matmul(w, inputs[-1], out=h)
-        h += b[:, None]
+        h += b
         inputs.append(activation.scalar(h, out=h))
     return np.matmul(weights[-1], inputs[-1], out=out[-1]), inputs
 
 
 def stack_forward(weights, biases, activation, x):
     """Apply the alternating stack A_k sigma_b ... sigma_b A_1 to a vector
-    or to each row of a (batch, n_in) array.
+    or to each row of a (batch, n_in) array; each hidden bias is a
+    vector, added as an (n, 1) column.
 
     The rows go in as the transposed view and the (batch, n_out) result
     is the transposed view of the feature-major output.
     """
     h = np.asarray(x, dtype=np.float64)
     single = h.ndim == 1
-    out = _forward(weights, biases, activation, (h[None, :] if single else h).T)[0].T
+    columns = [np.reshape(b, (-1, 1)) for b in biases]
+    out = _forward(weights, columns, activation, (h[None, :] if single else h).T)[0].T
     return out[0] if single else out
 
 
-class EquivariantNetwork:
-    """Network over a fixed representation chain rho_0 ... rho_k."""
+def _bias_unit(n):
+    """The entry of the unit vector on the all-ones line of R^n: a hidden
+    bias with coefficient c is ``_bias_unit(n) * c`` in every coordinate."""
+    return 1.0 / np.sqrt(n)
 
-    def __init__(self, group, layer_reps, weight_bases, weight_coeffs,
-                 bias_bases, bias_coeffs, activation):
+
+class EquivariantNetwork:
+    """Network over a fixed representation chain rho_0 ... rho_k.
+
+    Hidden layer i's bias has one coefficient, ``bias_coeffs[i][0]``, on
+    the unit vector ``_bias_unit(n) * (1, ..., 1)`` of the all-ones line.
+    """
+
+    def __init__(self, group, layer_reps, weight_bases, weight_coeffs, bias_coeffs,
+                 activation):
         self.group = group
         self.layer_reps = list(layer_reps)
         self.weight_bases = list(weight_bases)
         self.weight_coeffs = [np.asarray(c, dtype=np.float64) for c in weight_coeffs]
-        self.bias_bases = list(bias_bases)
         self.bias_coeffs = [np.asarray(c, dtype=np.float64) for c in bias_coeffs]
         self.activation = activation
 
@@ -161,13 +183,14 @@ class EquivariantNetwork:
         return [b.realize(c) for b, c in zip(self.weight_bases, self.weight_coeffs)]
 
     def biases(self):
-        return [basis @ c for basis, c in zip(self.bias_bases, self.bias_coeffs)]
+        """Hidden bias vectors, each constant: ``_bias_unit(n) * c``."""
+        return [np.full(n, _bias_unit(n) * c[0])
+                for n, c in zip(self.widths[1:-1], self.bias_coeffs)]
 
     def copy(self):
         return EquivariantNetwork(
             self.group, self.layer_reps, self.weight_bases,
             [c.copy() for c in self.weight_coeffs],
-            self.bias_bases,
             [c.copy() for c in self.bias_coeffs],
             self.activation,
         )
@@ -194,40 +217,13 @@ class EquivariantNetwork:
     def loss(self, data):
         return float(np.mean((self.forward(data.inputs) - data.targets) ** 2))
 
-    def loss_grad(self, data, buffers=None):
-        """Mean squared error and its gradient over all coefficients.
-
-        The gradient is taken with respect to the basis coefficients
-        (reverse-mode chain rule through the alternating composition),
-        flattened in the coefficient-vector layout. The pass runs
-        feature-major on ``data.inputs.T``: the backward step is
-        ``g = W.T @ g``, the bias gradient ``g.sum(axis=1)`` and the
-        weight gradient the projection of ``g @ x.T``. ``buffers`` (from
-        ``_batch_buffers``) receive every batch-sized intermediate; their
-        contents are overwritten.
+    def loss_grad(self, data):
+        """Mean squared error and its gradient over all coefficients,
+        flattened in the coefficient-vector layout: one run of a
+        ``_Step`` planned for this network and ``len(data)`` samples.
         """
-        outs, grads = buffers or self._batch_buffers(len(data))
-        weights = self.weights()
-        out, inputs = _forward(weights, self.biases(), self.activation, data.inputs.T, outs)
-        err = np.subtract(out, data.targets.T, out=out)
-        g = grads[-1]
-        mse = float(np.mean(np.square(err, out=g)))
-        np.multiply(err, 2.0, out=g)
-        g /= err.size
-        grads_w, grads_b = [None] * self.k, [None] * (self.k - 1)
-        for i in range(self.k - 1, -1, -1):
-            if i < self.k - 1:
-                g = np.matmul(weights[i + 1].T, g, out=grads[i])
-                # layer i's output is not read again, so it takes its slope
-                g *= self.activation.slope(inputs[i + 1], out=inputs[i + 1])
-                grads_b[i] = self.bias_bases[i].T @ g.sum(axis=1)
-            grads_w[i] = self.weight_bases[i].project(g @ inputs[i].T)
-        return mse, np.concatenate(_interleave(grads_w, grads_b))
-
-    def _batch_buffers(self, batch):
-        """Per-layer (width, batch) arrays for ``loss_grad``: the layer
-        outputs, then their gradients."""
-        return tuple([np.empty((n, batch)) for n in self.widths[1:]] for _ in range(2))
+        step = _Step(self, len(data))
+        return step.run(data), step.grad
 
     def train(self, data, steps, learning_rate):
         """Full-batch gradient descent; returns (trained copy, history).
@@ -236,26 +232,30 @@ class EquivariantNetwork:
         Coefficients-only updates cannot leave the intertwiner space, so
         equivariance is preserved at every step. The copy's coefficient
         arrays are views of one flat vector that each step updates in
-        place, and every step reuses one set of batch buffers, so the
-        loop allocates only coefficient-sized arrays.
+        place, and every step runs one ``_Step`` planned up front, so
+        the loop allocates no batch-sized array. A diverging run
+        overflows before its loss is checked, so the steps run with
+        numpy's overflow and invalid-value warnings off; the check
+        raises ``DivergenceError``.
         """
         if steps < 1:
             raise ValueError("steps must be >= 1")
-        if learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        check_learning_rate(learning_rate)
         net = self.copy()
         flat = net.coefficient_vector()
         net._view_coefficients(flat)
         history = np.empty(steps)
-        buffers = net._batch_buffers(len(data))
-        for t in range(steps):
-            mse, grad = net.loss_grad(data, buffers)
-            if not np.isfinite(mse) or mse > 1e12:
-                raise DivergenceError(
-                    f"loss {mse:.3e} at step {t}; use a smaller learning rate"
-                )
-            history[t] = mse
-            flat -= learning_rate * grad
+        step = _Step(net, len(data))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(steps):
+                mse = step.run(data)
+                if not np.isfinite(mse) or mse > 1e12:
+                    raise DivergenceError(
+                        f"loss {mse:.3e} at step {t}; use a smaller learning rate"
+                    )
+                history[t] = mse
+                step.grad *= learning_rate
+                flat -= step.grad
         return net, history
 
     def count_parameters(self):
@@ -269,6 +269,68 @@ class EquivariantNetwork:
         dense = sum(widths[i] * widths[i + 1] for i in range(self.k))
         dense += sum(widths[i] for i in range(1, self.k))
         return ParameterCount(equi, dense)
+
+
+def check_learning_rate(learning_rate):
+    """Reject a learning rate that is not finite and non-negative; a NaN
+    one would pass a ``< 0`` test and poison the first update."""
+    if not (np.isfinite(learning_rate) and learning_rate >= 0):
+        raise ValueError(f"learning rate must be finite and >= 0, got {learning_rate}")
+
+
+class _Step:
+    """One training step of ``net`` on batches of ``batch`` samples,
+    planned once and run at the network's current coefficients.
+
+    The plan holds each layer's basis rows, a weight buffer that
+    ``np.dot(c, rows, out=...)`` refills in place, the (width, batch)
+    layer outputs and their gradients, and ``grad``: one flat buffer in
+    the coefficient-vector layout whose slices the projections write
+    into. A run realizes no matrix through ``IntertwinerBasis.realize``
+    and allocates no batch-sized array.
+    """
+
+    def __init__(self, net, batch):
+        self.net = net
+        self.rows = [basis.rows for basis in net.weight_bases]
+        self.weights = [np.empty(shape) for shape in zip(net.widths[1:], net.widths[:-1])]
+        hidden = net.widths[1:-1]
+        self.units = [_bias_unit(n) for n in hidden]
+        self.unit_rows = [np.full((1, n), u) for n, u in zip(hidden, self.units)]
+        self.outs = [np.empty((n, batch)) for n in net.widths[1:]]
+        self.deltas = [np.empty((n, batch)) for n in net.widths[1:]]
+        sizes = [rows.shape[0] for rows in self.rows]
+        self.grad = np.empty(sum(sizes) + len(hidden))
+        parts = np.split(self.grad, np.cumsum(_interleave(sizes, [1] * len(hidden)))[:-1])
+        self.grads_w, self.grads_b = parts[0::2], parts[1::2]
+
+    def run(self, data):
+        """Mean squared error on ``data``; ``grad`` receives its gradient.
+
+        The pass runs feature-major on ``data.inputs.T``: the backward
+        step is ``g = W.T @ g``, a bias gradient is the unit row times
+        ``g.sum(axis=1)`` and a weight gradient the projection of
+        ``g @ x.T``.
+        """
+        net, k, weights = self.net, len(self.weights), self.weights
+        for c, rows, w in zip(net.weight_coeffs, self.rows, weights):
+            np.dot(c, rows, out=w.reshape(-1))
+        biases = [u * c[0] for u, c in zip(self.units, net.bias_coeffs)]
+        out, inputs = _forward(weights, biases, net.activation, data.inputs.T, self.outs)
+        err = np.subtract(out, data.targets.T, out=out)
+        g = self.deltas[-1]
+        # np.mean's own sum and division, without its wrapper
+        mse = float(np.add.reduce(np.square(err, out=g), axis=None) / err.size)
+        np.multiply(err, 2.0, out=g)
+        g /= err.size
+        for i in range(k - 1, -1, -1):
+            if i < k - 1:
+                g = np.matmul(weights[i + 1].T, g, out=self.deltas[i])
+                # layer i's output is not read again, so it takes its slope
+                g *= net.activation.slope(inputs[i + 1], out=inputs[i + 1])
+                np.matmul(self.unit_rows[i], np.add.reduce(g, axis=1), out=self.grads_b[i])
+            np.dot(self.rows[i], (g @ inputs[i].T).reshape(-1), out=self.grads_w[i])
+        return mse
 
 
 def _require_permutation_hidden(layer_reps):
@@ -320,17 +382,9 @@ def build(group, layer_reps, activation, seed=0):
             c *= np.sqrt(2.0 / layer_reps[i].degree) / fro
         weight_coeffs.append(c)
 
-    bias_bases = []
-    bias_coeffs = []
-    for i in range(1, k):
-        n = layer_reps[i].degree
-        bias_bases.append(np.full((n, 1), 1.0 / np.sqrt(n)))
-        bias_coeffs.append(np.zeros(1))
-
-    return EquivariantNetwork(
-        group, layer_reps, weight_bases, weight_coeffs,
-        bias_bases, bias_coeffs, activation,
-    )
+    bias_coeffs = [np.zeros(1) for _ in range(k - 1)]
+    return EquivariantNetwork(group, layer_reps, weight_bases, weight_coeffs, bias_coeffs,
+                              activation)
 
 
 EXHAUSTIVE_LIMIT = 5000
@@ -695,9 +749,9 @@ def _read_coefficients(r, net, i):
     net.weight_coeffs[i] = r.floats(d)
     if i < net.k - 1:
         (db,) = r.ints("bias-coeffs:")
-        if db != net.bias_bases[i].shape[1]:
+        if db != 1:
             raise ModelFormatError(
                 f"layer {i + 1}: file has {db} bias coefficients but the "
-                f"bias space dimension is {net.bias_bases[i].shape[1]}"
+                "bias space dimension is 1"
             )
         net.bias_coeffs[i] = r.floats(db)

@@ -34,6 +34,8 @@ generators read nothing else, so neither ``basis`` nor a ``check`` that
 certifies enumerates the group.
 """
 
+import re
+
 import numpy as np
 
 from .groups import (
@@ -460,6 +462,10 @@ def _parse_spec(group, text, pos):
     raise ValueError(f"unrecognized rep spec at position {pos} in {text!r}")
 
 
+# A run of the ASCII characters of a perm: leaf
+_PERM_RUN = re.compile(r"[0-9,|]*")
+
+
 def _parse_int(text, pos):
     end = pos
     while end < len(text) and text[end].isdigit():
@@ -470,18 +476,24 @@ def _parse_int(text, pos):
 
 
 def _parse_perm(text, pos):
-    end = pos
-    while end < len(text) and (text[end].isdigit() or text[end] in ",|"):
-        end += 1
+    """The ``perm:`` leaf from ``pos`` to the first character that is
+    neither a digit (``str.isdigit``) nor ',' or '|', found a run at a
+    time and read by slicing and ``str.split``. Each part's entries go
+    through ``int`` in order, up to its first empty one, which is named
+    by its position."""
+    end = _PERM_RUN.match(text, pos).end()
+    while end < len(text) and text[end].isdigit():  # a digit outside ASCII
+        end = _PERM_RUN.match(text, end + 1).end()
     perms = []
     for part in text[pos:end].split("|"):
         if not part:
             raise ValueError(f"empty permutation in rep spec {text!r}")
-        perms.append([])
-        for entry in part.split(","):
-            if not entry:
-                raise ValueError(f"expected integer at position {pos} in rep spec {text!r}")
-            perms[-1].append(int(entry))
-            pos += len(entry) + 1  # past the entry and its ',' or '|'
+        entries = part.split(",")
+        empty = entries.index("") if "" in entries else len(entries)
+        perms.append(list(map(int, entries[:empty])))
+        if empty < len(entries):
+            at = pos + sum(map(len, entries[:empty])) + empty
+            raise ValueError(f"expected integer at position {at} in rep spec {text!r}")
+        pos += len(part) + 1  # past the part and its '|'
     degree = max(len(p) for p in perms)
     return degree, ("perm", perms), _perm_spec(perms), end

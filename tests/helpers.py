@@ -1,5 +1,6 @@
-"""Shared test utilities: finite-difference gradient checking, a
-row-major reference for the training gradient, a per-element
+"""Shared test utilities: finite-difference gradient checking, the
+projection of a matrix onto an intertwiner basis, a row-major reference for the training gradient, the training loop as it
+was before the planned step (a bitwise oracle), a per-element
 reference for the equivariance check, the generator images of a
 rep spec, a model-file editor, a group's element words, the products
 along them and the cayley-table check of generator images on them,
@@ -84,6 +85,12 @@ def _row_major_forward(weights, biases, activation, x):
     return np.matmul(inputs[-1], weights[-1].T, out=out[-1]), inputs
 
 
+def project(basis, a):
+    """Coefficients of the Frobenius-orthogonal projection of ``a`` onto
+    the orthonormal intertwiner basis ``basis``."""
+    return np.dot(basis.rows, np.reshape(a, -1))
+
+
 def row_major_loss_grad(net, data):
     """``EquivariantNetwork.loss_grad`` computed with every activation and
     gradient (batch, width): the oracle for the feature-major pass."""
@@ -101,9 +108,62 @@ def row_major_loss_grad(net, data):
             g_z = np.matmul(g_z, weights[i + 1])
             # layer i's output is not read again, so it takes its slope
             g_z *= net.activation.slope(inputs[i + 1], out=inputs[i + 1])
-            grads_b[i] = net.bias_bases[i].T @ g_z.sum(axis=0)
-        grads_w[i] = net.weight_bases[i].project(g_z.T @ inputs[i])
+            grads_b[i] = [g_z.sum() / np.sqrt(g_z.shape[1])]  # the bias is c / sqrt(n) * ones
+        grads_w[i] = project(net.weight_bases[i], g_z.T @ inputs[i])
     return mse, np.concatenate(network._interleave(grads_w, grads_b))
+
+
+def _reference_forward(weights, biases, activation, x, out):
+    """``network._forward`` as it was before the planned step: each hidden
+    bias is a vector, added as a broadcast column."""
+    inputs = [x]
+    for w, b, h in zip(weights, biases, out):
+        np.matmul(w, inputs[-1], out=h)
+        h += b[:, None]
+        inputs.append(activation.scalar(h, out=h))
+    return np.matmul(weights[-1], inputs[-1], out=out[-1]), inputs
+
+
+def _reference_loss_grad(net, bias_bases, data, buffers):
+    """``EquivariantNetwork.loss_grad`` as it was before the planned step:
+    every call realizes the weights, builds the biases from their (n, 1)
+    bases, projects each weight gradient and concatenates the parts."""
+    outs, grads = buffers
+    weights = [b.realize(c) for b, c in zip(net.weight_bases, net.weight_coeffs)]
+    biases = [basis @ c for basis, c in zip(bias_bases, net.bias_coeffs)]
+    out, inputs = _reference_forward(weights, biases, net.activation, data.inputs.T, outs)
+    err = np.subtract(out, data.targets.T, out=out)
+    g = grads[-1]
+    mse = float(np.mean(np.square(err, out=g)))
+    np.multiply(err, 2.0, out=g)
+    g /= err.size
+    grads_w, grads_b = [None] * net.k, [None] * (net.k - 1)
+    for i in range(net.k - 1, -1, -1):
+        if i < net.k - 1:
+            g = np.matmul(weights[i + 1].T, g, out=grads[i])
+            g *= net.activation.slope(inputs[i + 1], out=inputs[i + 1])
+            grads_b[i] = bias_bases[i].T @ g.sum(axis=1)
+        grads_w[i] = project(net.weight_bases[i], g @ inputs[i].T)
+    return mse, np.concatenate(network._interleave(grads_w, grads_b))
+
+
+def reference_train(net, data, steps, learning_rate):
+    """``EquivariantNetwork.train`` as it was before the planned step, with
+    its bias bases, the (n, 1) columns 1/sqrt(n) that ``build`` made: the
+    bitwise oracle for the planned step. Returns (trained copy, history)."""
+    net = net.copy()
+    flat = net.coefficient_vector()
+    net._view_coefficients(flat)
+    bias_bases = [np.full((n, 1), 1.0 / np.sqrt(n)) for n in net.widths[1:-1]]
+    buffers = tuple([np.empty((n, len(data))) for n in net.widths[1:]] for _ in range(2))
+    history = np.empty(steps)
+    for t in range(steps):
+        mse, grad = _reference_loss_grad(net, bias_bases, data, buffers)
+        if not np.isfinite(mse) or mse > 1e12:
+            raise network.DivergenceError(f"loss {mse:.3e} at step {t}")
+        history[t] = mse
+        flat -= learning_rate * grad
+    return net, history
 
 
 def reference_check(apply, rep_in, rep_out, box, trials, seed, tol, relative):

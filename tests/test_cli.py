@@ -674,17 +674,50 @@ BAD_THRESHOLDS = [
 ]
 
 
-@pytest.mark.parametrize("activation,message", BAD_THRESHOLDS)
-def test_train_bad_threshold_exits_2(tmp_path, capsys, activation, message):
+# (option, value, error line); a learning rate is refused before the
+# group or the network is built
+BAD_TRAIN_VALUES = [
+    pytest.param("--activation", activation, f"activation {activation!r} {message}",
+                 id=f"{activation}-{message}")
+    for activation, message in BAD_THRESHOLDS
+] + [
+    pytest.param("--lr", lr, f"learning rate must be finite and >= 0, got {float(lr)}",
+                 id=f"lr={lr}")
+    for lr in ("nan", "inf", "-inf", "-0.5")
+]
+
+
+def _nothing_built(*args, **kwargs):
+    raise AssertionError("a group or network was built for a refused command")
+
+
+@pytest.mark.parametrize("option,value,message", BAD_TRAIN_VALUES)
+def test_train_bad_threshold_exits_2(tmp_path, capsys, monkeypatch, option, value, message):
+    if option == "--lr":
+        monkeypatch.setattr(cli, "group_from_spec", _nothing_built)
+        monkeypatch.setattr(cli, "build", _nothing_built)
     model = tmp_path / "model.txt"
     code, out, err = run(
         capsys, "train", "--task", "center-of-mass", "--m", "3", "--steps", "5",
-        "--activation", activation, "--out", str(model),
+        f"{option}={value}", "--out", str(model),
     )
     assert code == 2
     assert out == ""
-    assert f"activation {activation!r} {message}" in err
+    assert err == f"error: {message}\n"
     assert not model.exists()
+
+
+def test_diverging_train_prints_one_error_line(tmp_path):
+    # the overflow on the way to a non-finite loss writes no numpy warning
+    # to stderr, in a fresh process as a user runs it; the divergence
+    # check reports it
+    src = os.path.dirname(os.path.dirname(equikit.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "equikit.cli", "train", "--steps", "3", "--lr", "1e300"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: loss inf at step 1; use a smaller learning rate\n"
 
 
 @pytest.mark.parametrize("activation,message", BAD_THRESHOLDS)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from helpers import (
     finite_difference_check,
+    project,
     reference_check,
+    reference_train,
     row_major_loss_grad,
     set_first_declared_weight,
 )
@@ -47,6 +49,13 @@ def deep_sets_net(m=4, seed=0, activation=RELU):
         parse_rep_spec(g, "trivial:3"),
     ]
     return build(g, reps, activation, seed=seed)
+
+
+def _two_hidden_layer_net(activation, seed=0):
+    g = named_group("symmetric", 4)
+    chain = [parse_rep_spec(g, spec) for spec in
+             ("tensor:3(defining)", "tensor:2(defining)", "defining", "trivial:2")]
+    return build(g, chain, activation, seed=seed)
 
 
 def random_dataset(net, samples, seed):
@@ -135,7 +144,7 @@ def test_initial_weight_scale():
 def test_identity_single_layer_net():
     g = trivial_group()
     net = build(g, [trivial_rep(g, 4), trivial_rep(g, 4)], RELU, seed=0)
-    net.weight_coeffs[0] = net.weight_bases[0].project(np.eye(4))
+    net.weight_coeffs[0] = project(net.weight_bases[0], np.eye(4))
     v = np.array([0.3, -1.2, 5.0, 0.0])
     assert np.array_equal(net.forward(v), v)
     report = check_stack_equivariance(net.weights(), net.biases(), net.activation,
@@ -198,8 +207,7 @@ def test_check_equivariance_certifies_built_nets():
                                       net.layer_reps)
     assert report.passed and report.coverage == "certificate (2 generators)"
     # a bias off the invariant line is refuted at a generator
-    net.bias_bases = [np.arange(12.0)[:, None]]
-    report = check_stack_equivariance(net.weights(), net.biases(), net.activation,
+    report = check_stack_equivariance(net.weights(), [0.3 * np.arange(12.0)], net.activation,
                                       net.layer_reps)
     assert not report.passed and report.coverage == "generators (2 of 24)"
     assert report.witness[0] in net.group.cayley[0]
@@ -255,45 +263,44 @@ def test_single_layer_gradient_matches_least_squares():
     residual = x @ a.T - y
     assert abs(mse - np.mean(residual ** 2)) < 1e-14
     grad_a = 2.0 * residual.T @ x / residual.size
-    expected = net.weight_bases[0].project(grad_a)
+    expected = project(net.weight_bases[0], grad_a)
     assert np.abs(grad - expected).max() < 1e-12
 
 
 @pytest.mark.parametrize("activation", [RELU, TANH, ActivationSpec("sign_threshold", 0.5)])
 def test_loss_grad_with_buffers_is_bitwise_fresh(activation):
-    net = deep_sets_net(seed=2, activation=activation)
-    data = random_dataset(net, 50, seed=3)
-    mse, grad = net.loss_grad(data)
-    buffers = net._batch_buffers(len(data))
-    for _ in range(2):  # stale buffer contents must not leak into a step
-        again = net.loss_grad(data, buffers)
-        assert again[0] == mse
-        assert again[1].tobytes() == grad.tobytes()
+    # a planned step, run again and again, gives what a fresh call gives
+    # at the network's coefficients of the moment
+    for make in (deep_sets_net, _two_hidden_layer_net):
+        net = make(seed=2, activation=activation)
+        data = random_dataset(net, 50, seed=3)
+        step = network._Step(net, len(data))
+        for t in range(3):  # stale buffer contents must not leak into a step
+            mse, grad = net.loss_grad(data)
+            assert step.run(data) == mse
+            assert step.grad.tobytes() == grad.tobytes()
+            net.weight_coeffs[0] += 0.1  # the step reads the coefficients anew
+            net.bias_coeffs[-1][0] = 0.2 * t
 
 
 def test_training_step_allocates_no_batch_sized_array():
     # every batch-sized intermediate of a step lives in the buffers that
-    # train makes once, so the traced peak stays below them plus half of
+    # train plans once, so the traced peak stays below them plus half of
     # one (batch, width) array
-    net = deep_sets_net(seed=1, activation=TANH)
-    data = random_dataset(net, 2000, seed=4)
-    net.train(data, 2, 0.1)
-    tracemalloc.start()
-    try:
-        net.train(data, 3, 0.1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    buffers = sum(b.nbytes for part in net._batch_buffers(len(data)) for b in part)
-    widest = data.inputs.nbytes
-    assert peak < buffers + widest / 2
-
-
-def _two_hidden_layer_net(activation, seed=0):
-    g = named_group("symmetric", 4)
-    chain = [parse_rep_spec(g, spec) for spec in
-             ("tensor:3(defining)", "tensor:2(defining)", "defining", "trivial:2")]
-    return build(g, chain, activation, seed=seed)
+    for make in (deep_sets_net, _two_hidden_layer_net):
+        net = make(seed=1, activation=TANH)
+        data = random_dataset(net, 2000, seed=4)
+        net.train(data, 2, 0.1)
+        tracemalloc.start()
+        try:
+            net.train(data, 3, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        step = network._Step(net, len(data))
+        buffers = sum(b.nbytes for b in step.outs + step.deltas)
+        widest = data.inputs.nbytes
+        assert peak < buffers + widest / 2, make.__name__
 
 
 @pytest.mark.parametrize("make", [deep_sets_net, _two_hidden_layer_net],
@@ -310,6 +317,26 @@ def test_loss_grad_matches_the_row_major_reference(make, activation):
     assert np.count_nonzero(want_grad) > grad.size // 2
     assert abs(mse - want_mse) <= 1e-12 * want_mse
     assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+
+
+@pytest.mark.parametrize("batch", [1, 300])
+@pytest.mark.parametrize("make", [deep_sets_net, _two_hidden_layer_net],
+                         ids=["one-hidden", "two-hidden"])
+@pytest.mark.parametrize("activation", [RELU, TANH, ActivationSpec("threshold", 0.1),
+                                        ActivationSpec("sign_threshold", 0.5)], ids=str)
+def test_train_is_bitwise_the_reference_loop(make, activation, batch):
+    # the planned step with scalar hidden biases gives, bit for bit, the
+    # coefficients and history of the loop that realized every weight,
+    # added each bias as a column and concatenated the gradient
+    net = make(activation=activation, seed=4)
+    for i, c in enumerate(net.bias_coeffs):  # biases away from zero
+        c += 0.1 * (i + 1)
+    data = random_dataset(net, batch, seed=8)
+    trained, history = net.train(data, 25, 0.05)
+    want, want_history = reference_train(net, data, 25, 0.05)
+    assert np.ptp(history) > 0.0
+    assert history.tobytes() == want_history.tobytes()
+    assert trained.coefficient_vector().tobytes() == want.coefficient_vector().tobytes()
 
 
 @pytest.mark.parametrize("activation", [RELU, TANH, ActivationSpec("threshold", 0.5)])

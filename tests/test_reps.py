@@ -482,6 +482,44 @@ def test_perm_leaves_build_no_dense_stack(s3, monkeypatch):
         parse_rep_spec(s3, "perm:1,2,0|0,1,2")
 
 
+def _scanned_perm_leaf(text, pos):
+    """A perm: leaf read one character at a time: the oracle for the
+    sliced ``reps._parse_perm``. Returns (perms, end) or the error text."""
+    end = pos
+    while end < len(text) and (text[end].isdigit() or text[end] in ",|"):
+        end += 1
+    perms = []
+    try:
+        for part in text[pos:end].split("|"):
+            if not part:
+                raise ValueError(f"empty permutation in rep spec {text!r}")
+            perms.append([])
+            for entry in part.split(","):
+                if not entry:
+                    raise ValueError(f"expected integer at position {pos} in rep spec {text!r}")
+                perms[-1].append(int(entry))
+                pos += len(entry) + 1
+    except ValueError as exc:
+        return str(exc)
+    return perms, end
+
+
+def test_perm_leaf_slicing_matches_the_character_scan():
+    # the same leaves, ends and messages on seeded strings over digits
+    # (ASCII, Arabic-Indic and a superscript that int refuses), the
+    # separators and characters that end a leaf
+    rng = np.random.default_rng(26)
+    alphabet = list("0123456789,,,|||;)x") + ["\u0663", "\u00b2"]
+    for _ in range(3000):
+        text = "perm:" + "".join(rng.choice(alphabet, size=rng.integers(0, 14)))
+        try:
+            _, (_, perms), _, end = reps._parse_perm(text, len("perm:"))
+            got = perms, end
+        except ValueError as exc:
+            got = str(exc)
+        assert got == _scanned_perm_leaf(text, len("perm:")), text
+
+
 def test_p4m_32_perm_leaf_parse_peak():
     # the group's own generator maps: the parse checks the leaf against
     # the group's relators, enumerating nothing; no dense image is built
