@@ -38,7 +38,8 @@ class ModelConfig:
 
 
 def parse_config(path):
-    parser = configparser.ConfigParser()
+    # no interpolation: a '%' in a value reaches the value's own parser
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
         with open(path) as fh:

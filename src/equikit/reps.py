@@ -289,12 +289,13 @@ def sign_rep(group):
         np.zeros((group.gen_count, 1), dtype=np.int64), _determinants(group)[:, None]))
 
 
-def permutation_rep(group, perms):
+def permutation_rep(group, perms, spec=None):
     """Representation from one coordinate permutation per generator, built
     straight into index arrays; since the user supplies them, they are
     validated with ``extend``'s messages and checked as ``extend`` checks:
     against a named group's relators, and by the replay when those reject
-    them or the group was built by ``close``."""
+    them or the group was built by ``close``. ``spec`` is the maps'
+    canonical ``perm:`` spec, written from them when not given."""
     maps = _one_per_generator(group, [_permutation(p) for p in perms])
     n = len(maps[0])
     for i, m in enumerate(maps):
@@ -302,7 +303,7 @@ def permutation_rep(group, perms):
             raise ValueError(f"generator image {i} has shape {m.shape * 2}, expected ({n}, {n})")
     arrays = (np.array(maps, dtype=np.int64), np.ones((len(maps), n), dtype=np.int8))
     _check_images(group, arrays, None)
-    return Representation(group, n, spec=_perm_spec(perms), gen_arrays=arrays)
+    return Representation(group, n, spec=spec or _perm_spec(perms), gen_arrays=arrays)
 
 
 def direct_sum(reps):
@@ -406,8 +407,8 @@ def parse_rep_chain(group, specs):
 
 
 # A parsed spec is a (kind, argument) node: ("defining", None),
-# ("sign", None), ("trivial", D), ("perm", perms), ("tensor", (D, node))
-# or ("sum", [node, ...]).
+# ("sign", None), ("trivial", D), ("perm", (perms, canonical spec)),
+# ("tensor", (D, node)) or ("sum", [node, ...]).
 
 
 def _build(group, node):
@@ -418,7 +419,7 @@ def _build(group, node):
     if kind == "sum":
         return direct_sum([_build(group, part) for part in arg])
     if kind == "perm":
-        return permutation_rep(group, arg)
+        return permutation_rep(group, *arg)
     if kind == "trivial":
         return trivial_rep(group, arg)
     return defining_rep(group) if kind == "defining" else sign_rep(group)
@@ -464,6 +465,8 @@ def _parse_spec(group, text, pos):
 
 # A run of the ASCII characters of a perm: leaf
 _PERM_RUN = re.compile(r"[0-9,|]*")
+# A leading zero of an ASCII entry
+_LEADING_ZERO = re.compile(r"(?<![0-9])0[0-9]")
 
 
 def _parse_int(text, pos):
@@ -480,8 +483,9 @@ def _parse_perm(text, pos):
     neither a digit (``str.isdigit``) nor ',' or '|', found a run at a
     time and read by slicing and ``str.split``. Each part's entries go
     through ``int`` in order, up to its first empty one, which is named
-    by its position."""
-    end = _PERM_RUN.match(text, pos).end()
+    by its position. A leaf of ASCII entries without leading zeros is
+    its own canonical spec; any other is written from its integers."""
+    start, end = pos, _PERM_RUN.match(text, pos).end()
     while end < len(text) and text[end].isdigit():  # a digit outside ASCII
         end = _PERM_RUN.match(text, end + 1).end()
     perms = []
@@ -496,4 +500,7 @@ def _parse_perm(text, pos):
             raise ValueError(f"expected integer at position {at} in rep spec {text!r}")
         pos += len(part) + 1  # past the part and its '|'
     degree = max(len(p) for p in perms)
-    return degree, ("perm", perms), _perm_spec(perms), end
+    leaf = text[start:end]
+    spec = ("perm:" + leaf if leaf.isascii() and not _LEADING_ZERO.search(leaf)
+            else _perm_spec(perms))
+    return degree, ("perm", (perms, spec)), spec, end

@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference gradient checking, the
-projection of a matrix onto an intertwiner basis, a row-major reference for the training gradient, the training loop as it
+dense signed-orbit nullspace (the oracle for the solver's orbit form),
+the projection of a matrix onto an intertwiner basis, a row-major reference for the training gradient, the training loop as it
 was before the planned step (a bitwise oracle), a per-element
 reference for the equivariance check, the generator images of a
 rep spec, a model-file editor, a group's element words, the products
@@ -83,6 +84,60 @@ def _row_major_forward(weights, biases, activation, x):
         h += b
         inputs.append(activation.scalar(h, out=h))
     return np.matmul(inputs[-1], weights[-1].T, out=out[-1]), inputs
+
+
+def orbit_nullspace(perm_in, perm_out):
+    """``nullspace(stack)`` for signed permutation reps, by union-find with
+    parity: the dense (n_out * n_in, dim) result the orbit-form solve
+    (``intertwiners._orbits``) replaced, kept as its oracle.
+
+    Generator g links pair (i, j) to (t_out[g][i], t_in[g][j]) with
+    parity s_out[g][i] * s_in[g][j]. Each pair keeps a root and a sign,
+    v[p] = sign[p] * v[root[p]]. A round hooks every pair to the largest
+    root among its own and its links' (both directions), then
+    pointer-jumps until the roots stop changing; rounds repeat until one
+    changes no root. A link whose parity disagrees with the settled signs
+    zeroes its orbit. Every other orbit is one column, in root order:
+    sign / sqrt(|orbit|) on the orbit, positive at the root.
+    """
+    (t_in, s_in), (t_out, s_out) = perm_in, perm_out
+    n_in, n_out = t_in.shape[1], t_out.shape[1]
+    size = n_out * n_in
+    pairs = np.arange(size)
+    link = (t_out[:, :, None] * n_in + t_in[:, None, :]).reshape(-1, size)
+    parity = (s_out[:, :, None] * s_in[:, None, :]).reshape(-1, size).astype(np.int8)
+    back = np.empty_like(link)  # back[g, link[g, p]] = p
+    np.put_along_axis(back, link, pairs[None], axis=1)
+    # v[p] = near_parity[k, p] * v[near[k, p]] for each link k of p
+    near = np.concatenate([link, back])
+    near_parity = np.concatenate([parity, np.take_along_axis(parity, back, axis=1)])
+
+    root, sign = pairs, np.ones(size, dtype=np.int8)
+    while True:
+        roots = np.concatenate([root[None], root[near]])
+        signs = np.concatenate([sign[None], near_parity * sign[near]])
+        best = roots.argmax(axis=0)
+        hooked, sign = roots[best, pairs], signs[best, pairs]
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            sign = sign * sign[hooked]
+            hooked = jumped
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
+
+    odd = np.zeros(size, dtype=bool)
+    odd[root[(sign != parity * sign[link]).any(axis=0)]] = True
+    free = np.flatnonzero((root == pairs) & ~odd)
+    dim = free.size
+    ns = np.zeros((size, dim))
+    member = np.flatnonzero(~odd[root])
+    element = np.searchsorted(free, root[member])
+    counts = np.bincount(element, minlength=dim)
+    ns[member, element] = sign[member] / np.sqrt(counts[element])
+    return ns
 
 
 def project(basis, a):
@@ -226,7 +281,7 @@ def spec_images(group, node):
     if kind == "sum":
         return reps._sum_images([spec_images(group, part) for part in arg])
     if kind == "perm":
-        images = reps._one_per_generator(group, [permutation_matrix(p) for p in arg])
+        images = reps._one_per_generator(group, [permutation_matrix(p) for p in arg[0]])
         return groups._generator_stack(images, "generator image")[0]
     if kind == "trivial":
         return np.stack([np.eye(arg)] * group.gen_count)

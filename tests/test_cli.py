@@ -436,6 +436,19 @@ def test_basis_bad_config_seed_exits_2(tmp_path, capsys, seed):
     assert "model.seed must be an integer" in err
 
 
+@pytest.mark.parametrize("model, rep", [
+    ("", "defining%x"), ("", "%(x)s"), ("seed = 1%\n", "defining"),
+])
+def test_basis_config_percent_exits_2(tmp_path, capsys, model, rep):
+    # a '%' reaches the spec parser (or the seed check) as text and exits 2
+    # with one error line, never an interpolation traceback
+    cfg = tmp_path / "percent.cfg"
+    cfg.write_text(f"[model]\ngroup = cyclic:3\n{model}\n[reps]\n0 = {rep}\n1 = defining\n")
+    code, out, err = run(capsys, "basis", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_check_unreadable_model_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("garbage\n")
@@ -458,7 +471,7 @@ def test_unwritable_out_exits_2_printing_nothing(tmp_path, capsys, argv):
 def test_fuzzed_configs_exit_0_1_or_2(tmp_path, capsys):
     # 25 seeded truncations and 25 one-byte edits of each shipped config
     rng = np.random.default_rng(22)
-    alphabet = b"0123456789:()|;,=[]\n -.x"
+    alphabet = b"0123456789:()|;,=[]\n -.x%"
     cfg = tmp_path / "fuzzed.cfg"
     for source in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg")):
         text = source.read_bytes()
@@ -758,6 +771,21 @@ def test_basis_oversized_named_group_exits_2(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert "group cyclic:11586 has degree 11586" in err
     assert "MAX_IMAGE_STACK_BYTES" in err
+
+
+def test_basis_builds_a_dense_basis_only_to_print_it(capsys, monkeypatch):
+    # the solve keeps orbit form: basis prints dims from it, and only
+    # --print scatters the dense basis
+    def banned(*args):
+        raise AssertionError("basis built a dense basis")
+
+    monkeypatch.setattr(intertwiners, "_dense_basis", banned)
+    config = str(Path(__file__).resolve().parent.parent / "configs" / "p4m4_spec_forms.cfg")
+    code, out, _ = run(capsys, "basis", "--config", config)
+    assert code == 0
+    assert out.count("intertwiner dim") == 2
+    with pytest.raises(AssertionError, match="dense basis"):
+        main(["basis", "--config", config, "--print"])
 
 
 def test_basis_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):

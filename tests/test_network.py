@@ -12,7 +12,7 @@ from helpers import (
     set_first_declared_weight,
 )
 
-from equikit import activations, network
+from equikit import activations, intertwiners, network
 from equikit.activations import (
     ActivationSpec,
     apply_pointwise,
@@ -805,6 +805,21 @@ def test_loading_a_model_solves_no_basis(tmp_path, monkeypatch):
     report = check_stack_equivariance(loaded.weights(), loaded.biases(), loaded.activation,
                                       loaded.layer_reps)
     assert report.passed and report.coverage.startswith("certificate ")
+
+
+def test_build_save_and_weights_build_no_dense_basis(tmp_path, monkeypatch):
+    # orbit-form bases realize by a gather, so building, saving and reading
+    # a model's weights never scatter a dense basis
+    def banned(*args):
+        raise AssertionError("a dense basis was built")
+
+    monkeypatch.setattr(intertwiners, "_dense_basis", banned)
+    g = group_from_spec("p4m:4")
+    chain = [parse_rep_spec(g, spec) for spec in ("defining", "defining", "trivial:1")]
+    net = build(g, chain, TANH, seed=2)
+    save_model(net, tmp_path / "model.txt")
+    assert [w.shape for w in net.weights()] == [(16, 16), (1, 16)]
+    assert all(basis.orbits is not None for basis in net.weight_bases)
 
 
 def test_v2_model_rejects_a_non_permutation_hidden_rep_as_build_does(tmp_path):

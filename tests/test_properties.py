@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from helpers import (
     cayley_outcome,
+    orbit_nullspace,
     permutation_matrix,
     reference_check,
     spec_images,
@@ -333,6 +334,85 @@ def test_composed_spec_rep_is_bitwise_the_extension(group_spec, data):
     summed = arrays_outcome(lambda: direct_sum(parts))
     assert summed == arrays_outcome(lambda: extend(
         group, reps._sum_images([r.gen_images for r in parts]), spec=f"sum({spec};defining)"))
+
+
+# --- orbit-form bases against the dense orbit oracle ----------------------
+
+ORBIT_GROUPS = ["cyclic:5", "symmetric:3", "symmetric:4", "torus:3", "p4:2", "p4:3",
+                "p4m:2", "p4m:3"]
+
+
+def relabelled_leaf(group, relabel):
+    """``perm:`` spec of the group's defining permutation rep with its
+    points renamed by ``relabel``: q[relabel[j]] = relabel[t[j]]."""
+    targets = group.gen_arrays[0]
+    maps = np.empty_like(targets)
+    maps[:, relabel] = relabel[targets]
+    return "perm:" + "|".join(",".join(map(str, m)) for m in maps.tolist())
+
+
+@st.composite
+def signed_chains(draw):
+    """A pair of spec reps of a named group built from relabelled
+    ``perm:`` leaves, ``sum(...;sign)``, ``tensor:d(...)`` and sums, at
+    most 1600 index pairs; a sign part against a permutation part gives
+    orbits with odd sign cycles, which the solve zeroes."""
+    group = named(draw(st.sampled_from(ORBIT_GROUPS)))
+    relabel = np.array(draw(st.permutations(range(group.dim))))
+    leaves = st.sampled_from(["defining", "sign", "trivial:1", "trivial:2",
+                              relabelled_leaf(group, relabel)])
+    specs = st.recursive(leaves, lambda inner: st.one_of(
+        inner.map(lambda s: f"sum({s};sign)"),
+        st.tuples(st.integers(2, 3), inner).map(lambda t: f"tensor:{t[0]}({t[1]})"),
+        st.lists(inner, min_size=2, max_size=3).map(lambda p: "sum(" + ";".join(p) + ")"),
+    ), max_leaves=3)
+    rep_in, rep_out = (parse_rep_spec(group, draw(specs)) for _ in range(2))
+    assume(rep_in.degree * rep_out.degree <= 1600)
+    return rep_in, rep_out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(signed_chains(), st.integers(0, 2 ** 32 - 1))
+def test_orbit_form_is_bitwise_the_orbit_oracle(chain, seed):
+    # the dense view scattered from the orbit form is the oracle's basis,
+    # memory layout included, and realize (a gather) is bitwise the dot
+    # product with its rows, zero and negative-zero coefficients included
+    rep_in, rep_out = chain
+    basis = solve_basis(rep_in, rep_out)
+    shape = (rep_out.degree, rep_in.degree)
+    rng = np.random.default_rng(seed)
+    dim = basis.dim
+    trials = [rng.standard_normal(dim), np.where(rng.random(dim) < 0.5, 0.0, -rng.random(dim)),
+              np.full(dim, -0.0)]
+    realized = [basis.realize(c) for c in trials]  # before the dense view exists
+    ns = orbit_nullspace(rep_in.gen_arrays, rep_out.gen_arrays)
+    dense = ns.T.reshape(ns.shape[1], *shape)
+    assert (dim, basis.basis.shape, basis.basis.strides) == (
+        dense.shape[0], dense.shape, dense.strides)
+    assert basis.basis.tobytes() == dense.tobytes()
+    for c, got in zip(trials, realized):
+        assert got.tobytes() == np.dot(c, basis.rows).reshape(shape).tobytes()
+
+
+@pytest.mark.parametrize("group_spec, spec_in, spec_out", [
+    ("symmetric:3", "sum(defining;sign)", "tensor:2(defining)"),
+    ("symmetric:4", "sign", "sum(defining;sign)"),
+    ("p4m:3", "sum(defining;sign)", "sum(sign;trivial:2)"),
+    ("symmetric:6", "tensor:3(sum(defining;sign))", "tensor:3(sum(defining;sign))"),
+])
+def test_zeroed_orbits_match_the_orbit_oracle(group_spec, spec_in, spec_out):
+    # chains with odd-sign-cycle orbits: their pairs get id -1 and value 0,
+    # and are zero rows of the oracle
+    group = named(group_spec)
+    rep_in, rep_out = parse_rep_spec(group, spec_in), parse_rep_spec(group, spec_out)
+    basis = solve_basis(rep_in, rep_out)
+    ids, values = basis.orbits
+    ns = orbit_nullspace(rep_in.gen_arrays, rep_out.gen_arrays)
+    assert (ids < 0).any()
+    assert not values[ids < 0].any()
+    assert np.array_equal(ids < 0, ~ns.any(axis=1))
+    assert basis.basis.tobytes() == ns.T.tobytes(order="C")
+    assert basis.dim == hom_dim_oracle(rep_in, rep_out)
 
 
 # --- the relator test against the replay ---------------------------------

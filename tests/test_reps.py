@@ -513,11 +513,34 @@ def test_perm_leaf_slicing_matches_the_character_scan():
     for _ in range(3000):
         text = "perm:" + "".join(rng.choice(alphabet, size=rng.integers(0, 14)))
         try:
-            _, (_, perms), _, end = reps._parse_perm(text, len("perm:"))
+            _, (_, (perms, _)), _, end = reps._parse_perm(text, len("perm:"))
             got = perms, end
         except ValueError as exc:
             got = str(exc)
         assert got == _scanned_perm_leaf(text, len("perm:")), text
+
+
+def test_perm_leaf_spec_is_the_join_of_its_integers(s3):
+    # a leaf's canonical spec, whether its text is kept (ASCII, no leading
+    # zero) or rewritten, is the join of its integers' str on seeded
+    # multi-part leaves with leading zeros and Arabic-Indic digits
+    rng = np.random.default_rng(27)
+    arabic = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+    def render(i):
+        entry = "0" * int(rng.integers(0, 3) == 0) * int(rng.integers(1, 3)) + str(i)
+        return entry.translate(arabic) if rng.random() < 0.15 else entry
+
+    for _ in range(500):
+        perms = [rng.permutation(int(rng.integers(1, 13))).tolist()
+                 for _ in range(int(rng.integers(1, 4)))]
+        text = "perm:" + "|".join(",".join(map(render, p)) for p in perms) + ";"
+        _, (_, (parsed, spec)), canonical, end = reps._parse_perm(text, len("perm:"))
+        assert (parsed, end) == (perms, len(text) - 1)
+        assert spec == canonical == "perm:" + "|".join(",".join(str(i) for i in p)
+                                                       for p in perms), text
+    for text in ("perm:01,00,2|1,2,000", "perm:\u0661,0,2|1,2,0", "perm:1,0,2|1,2,0"):
+        assert parse_rep_spec(s3, text).spec == "perm:1,0,2|1,2,0"
 
 
 def test_p4m_32_perm_leaf_parse_peak():
@@ -620,8 +643,8 @@ def _record_checks(monkeypatch):
                         replayed.append(len(steps[0])) or real_replay(group, steps))
     monkeypatch.setattr(reps, "extend", lambda group, images, spec=None:
                         extended.append(spec) or real_extend(group, images, spec))
-    monkeypatch.setattr(reps, "permutation_rep", lambda group, perms:
-                        extended.append(reps._perm_spec(perms)) or real_perm(group, perms))
+    monkeypatch.setattr(reps, "permutation_rep", lambda group, perms, spec=None:
+                        extended.append(reps._perm_spec(perms)) or real_perm(group, perms, spec))
     return checked, replayed, extended
 
 
