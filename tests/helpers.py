@@ -5,9 +5,11 @@ was before the planned step (a bitwise oracle), a per-element
 reference for the equivariance check, the generator images of a
 rep spec, a model-file editor, a group's element words, the products
 along them and the cayley-table check of generator images on them,
-element lookup, permutation matrices, the center-of-mass oracle, and
-the Toeplitz / BTTB / circulant weight parameterizations."""
+element lookup, permutation matrices, the center-of-mass oracle, the
+Toeplitz / BTTB / circulant weight parameterizations, and the standard
+library's reading of a config file (the oracle for ``config``'s reader)."""
 
+import configparser
 import math
 
 import numpy as np
@@ -409,3 +411,17 @@ def circulant(n, params):
 def circulant_basis(n):
     """The n unit-parameter circulants, shape (n, n, n)."""
     return np.stack([circulant(n, np.eye(n)[i]) for i in range(n)])
+
+
+def configparser_sections(path):
+    """``{section: {key: value}}`` as ``ConfigParser(interpolation=None)``
+    with case-kept keys reads ``path``, [DEFAULT]'s keys merged into each
+    section; a parse error is raised as ``ValueError``."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except configparser.Error as exc:
+        raise ValueError(str(exc)) from exc
+    return {name: dict(parser.items(name)) for name in parser.sections()}

@@ -469,9 +469,10 @@ def test_unwritable_out_exits_2_printing_nothing(tmp_path, capsys, argv):
 
 
 def test_fuzzed_configs_exit_0_1_or_2(tmp_path, capsys):
-    # 25 seeded truncations and 25 one-byte edits of each shipped config
+    # 25 seeded truncations and 25 one-byte edits of each shipped config;
+    # a rejected one prints nothing to stdout and one error line
     rng = np.random.default_rng(22)
-    alphabet = b"0123456789:()|;,=[]\n -.x%"
+    alphabet = b"0123456789:()|;,=[]\n -.x%#\t\r"
     cfg = tmp_path / "fuzzed.cfg"
     for source in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg")):
         text = source.read_bytes()
@@ -480,7 +481,11 @@ def test_fuzzed_configs_exit_0_1_or_2(tmp_path, capsys):
             byte = rng.choice(list(alphabet)) if rng.random() < 0.5 else rng.integers(256)
             for variant in (text[:cut], text[:at] + bytes([byte]) + text[at + 1:]):
                 cfg.write_bytes(variant)
-                assert run(capsys, "basis", "--config", str(cfg))[0] in (0, 1, 2), variant
+                code, out, err = run(capsys, "basis", "--config", str(cfg))
+                assert code in (0, 1, 2), variant
+                if code == 2:
+                    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (
+                        variant, out, err)
 
 
 def test_train_unknown_task_exits_2(capsys):
@@ -798,6 +803,36 @@ def test_basis_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "basis", "--config", str(cfg))
     assert code == 2
     assert err == "error: Unable to allocate 59.6 GiB\n"
+
+
+def test_basis_solves_every_boundary_before_printing(tmp_path, capsys, monkeypatch):
+    # the last boundary's solve fails: nothing was printed for the first
+    solve = cli.solve_basis
+
+    def out_of_memory_at_the_last(rep_in, rep_out):
+        if rep_out.degree == 1:
+            raise MemoryError("Unable to allocate 59.6 GiB")
+        return solve(rep_in, rep_out)
+
+    monkeypatch.setattr(cli, "solve_basis", out_of_memory_at_the_last)
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text("[model]\ngroup = cyclic:3\n\n[reps]\n0 = defining\n1 = defining\n"
+                   "2 = trivial:1\n")
+    for flags in ([], ["--print"]):
+        code, out, err = run(capsys, "basis", "--config", str(cfg), *flags)
+        assert (code, out) == (2, "")
+        assert err == "error: Unable to allocate 59.6 GiB\n"
+
+
+@pytest.mark.parametrize("other", ["01", "+1"])
+def test_basis_two_rep_keys_naming_one_rep_exit_2(tmp_path, capsys, other):
+    # int() reads each of these as 1, the key of the second rep
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("[model]\ngroup = cyclic:3\n\n[reps]\n0 = defining\n1 = defining\n"
+                   f"{other} = trivial:1\n")
+    code, out, err = run(capsys, "basis", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: reps.1 and reps.{other} both name rep 1\n"
 
 
 def _no_images(*args):
