@@ -73,25 +73,24 @@ def cmd_basis(args):
         if not 1 <= args.layer < len(reps):
             raise ConfigError(f"--layer must be in 1..{len(reps) - 1}")
         boundaries = [args.layer]
-    # every boundary is solved before anything is printed, so a failed
-    # solve prints nothing; without --print only the dims are kept
+    # every boundary is solved, and with --print every dense basis read,
+    # before anything is printed, so a failure prints nothing; without
+    # --print only the dims are kept
     if args.print:
-        solved = [solve_basis(reps[i - 1], reps[i]) for i in boundaries]
+        solved = [solve_basis(reps[i - 1], reps[i]).basis for i in boundaries]
+        dims = [len(basis) for basis in solved]
     else:
-        solved = [solve_basis(reps[i - 1], reps[i]).dim for i in boundaries]
+        dims = [solve_basis(reps[i - 1], reps[i]).dim for i in boundaries]
     print(f"group {cfg.group_spec} (order {group.order})")
     for k, i in enumerate(boundaries):
-        # the list lets go of each basis, so its dense view dies once printed
-        basis, solved[k] = solved[k], None
-        dim = basis.dim if args.print else basis
         print(
             f"layer {i}: {cfg.rep_specs[i - 1]} ({reps[i - 1].degree}) -> "
-            f"{cfg.rep_specs[i]} ({reps[i].degree}), intertwiner dim {dim}"
+            f"{cfg.rep_specs[i]} ({reps[i].degree}), intertwiner dim {dims[k]}"
         )
         if args.print:
-            for j in range(dim):
+            for j, element in enumerate(solved[k]):
                 print(f"  basis element {j}:")
-                for row in basis.basis[j]:
+                for row in element:
                     print("    " + " ".join(_fmt(x, args.exact) for x in row))
     return 0
 

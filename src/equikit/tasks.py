@@ -1,7 +1,6 @@
 """Executable toy tasks: center of mass, image decoloring/flips, and
 antisymmetric (Slater-determinant) functions."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,15 +15,22 @@ def com_dataset(m, samples, seed=0):
     """Flattened random point clouds paired with their centers of mass.
 
     Inputs are uniform in [-1, 1]; deterministic per seed. Each target is
-    the mean of the row's m points by an exactly rounded sum per coordinate.
+    the mean of the row's m points by an exactly rounded sum per
+    coordinate, bitwise ``math.fsum(points) / m``, with no call per row.
+    numpy's uniform draw is -1 + 2u with u a multiple of 2^-53, so every
+    input is an exact multiple of 2^-52 in [-1, 1]. Each input splits
+    into hi, its nearest multiple of 2^-26, and lo = x - hi. For
+    m < 2^26 the m values of either part sum exactly in any order, so
+    adding the two sums rounds the exact sum once, as fsum does.
     """
     if m < 1 or samples < 1:
         raise ValueError("m and samples must be >= 1")
     rng = np.random.default_rng(seed)
     inputs = rng.uniform(-1.0, 1.0, size=(samples, 3 * m))
-    # one coordinate of every row at a time, without a numpy call per row
-    targets = [[math.fsum(p) / m for p in inputs[:, c::3].tolist()] for c in range(3)]
-    return Dataset(inputs, np.array(targets).T)
+    points = inputs.reshape(samples, m, 3)
+    hi = np.round(points * 2.0 ** 26) * 2.0 ** -26
+    lo = points - hi
+    return Dataset(inputs, (hi.sum(axis=1) + lo.sum(axis=1)) / m)
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Shared test utilities: finite-difference gradient checking, the
 dense signed-orbit nullspace (the oracle for the solver's orbit form),
-the projection of a matrix onto an intertwiner basis, a row-major reference for the training gradient, the training loop as it
-was before the planned step (a bitwise oracle), a per-element
+the projection of a matrix onto an intertwiner basis, a row-major
+reference for the training gradient, the training loop without a plan
+(the bitwise oracle for the planned step), a per-element
 reference for the equivariance check, the generator images of a
 rep spec, a model-file editor, a group's element words, the products
 along them and the cayley-table check of generator images on them,
@@ -76,7 +77,7 @@ def finite_difference_check(net, data, h=1e-5, indices=None):
     return errors, excluded, len(list(indices))
 
 
-def _row_major_forward(weights, biases, activation, x):
+def row_major_forward(weights, biases, activation, x):
     """The network's forward pass on a (batch, n_in) batch, one row per
     sample: (output, layer inputs)."""
     out = [np.empty((x.shape[0], w.shape[0])) for w in weights]
@@ -153,7 +154,7 @@ def row_major_loss_grad(net, data):
     gradient (batch, width): the oracle for the feature-major pass."""
     weights = net.weights()
     x = np.ascontiguousarray(data.inputs)
-    out, inputs = _row_major_forward(weights, net.biases(), net.activation, x)
+    out, inputs = row_major_forward(weights, net.biases(), net.activation, x)
     err = np.subtract(out, data.targets, out=out)
     g_z = np.empty_like(err)
     mse = float(np.mean(np.square(err, out=g_z)))
@@ -170,52 +171,62 @@ def row_major_loss_grad(net, data):
     return mse, np.concatenate(network._interleave(grads_w, grads_b))
 
 
-def _reference_forward(weights, biases, activation, x, out):
-    """``network._forward`` as it was before the planned step: each hidden
-    bias is a vector, added as a broadcast column."""
-    inputs = [x]
-    for w, b, h in zip(weights, biases, out):
-        np.matmul(w, inputs[-1], out=h)
-        h += b[:, None]
-        inputs.append(activation.scalar(h, out=h))
-    return np.matmul(weights[-1], inputs[-1], out=out[-1]), inputs
+def _affine_rows(basis, biased):
+    """The basis rows of a layer's map, flattened: for a biased layer the
+    rows of ``[W | b]`` on ``[x; 1]``, each basis matrix beside a zero
+    column and then the bias's row, 1/sqrt(n_out) in that column."""
+    if not biased:
+        return basis.rows
+    dim, n_out, _ = basis.basis.shape
+    beside = np.concatenate((basis.basis, np.zeros((dim, n_out, 1))), axis=2)
+    bias = np.zeros((1, n_out, beside.shape[2]))
+    bias[0, :, -1] = 1.0 / np.sqrt(n_out)
+    return np.vstack((beside, bias)).reshape(dim + 1, -1)
 
 
-def _reference_loss_grad(net, bias_bases, data, buffers):
-    """``EquivariantNetwork.loss_grad`` as it was before the planned step:
-    every call realizes the weights, builds the biases from their (n, 1)
-    bases, projects each weight gradient and concatenates the parts."""
-    outs, grads = buffers
-    weights = [b.realize(c) for b, c in zip(net.weight_bases, net.weight_coeffs)]
-    biases = [basis @ c for basis, c in zip(bias_bases, net.bias_coeffs)]
-    out, inputs = _reference_forward(weights, biases, net.activation, data.inputs.T, outs)
-    err = np.subtract(out, data.targets.T, out=out)
-    g = grads[-1]
-    mse = float(np.mean(np.square(err, out=g)))
-    np.multiply(err, 2.0, out=g)
-    g /= err.size
-    grads_w, grads_b = [None] * net.k, [None] * (net.k - 1)
-    for i in range(net.k - 1, -1, -1):
-        if i < net.k - 1:
-            g = np.matmul(weights[i + 1].T, g, out=grads[i])
-            g *= net.activation.slope(inputs[i + 1], out=inputs[i + 1])
-            grads_b[i] = bias_bases[i].T @ g.sum(axis=1)
-        grads_w[i] = project(net.weight_bases[i], g @ inputs[i].T)
-    return mse, np.concatenate(network._interleave(grads_w, grads_b))
+def _reference_loss_grad(net, rows, data):
+    """``EquivariantNetwork.loss_grad`` without a plan: every call realizes
+    the weights, stacks each hidden bias beside its weight with
+    ``np.hstack`` and a ones row under each biased layer's input with
+    ``np.vstack``, projects each layer's gradient onto ``rows`` and
+    concatenates the parts."""
+    k, widths, activation = net.k, net.widths, net.activation
+    weights = net.weights()
+    affine = [np.hstack((w, b[:, None])) for w, b in zip(weights, net.biases())]
+    affine += weights[-1:]
+    ones = np.ones((1, len(data)))
+    x, inputs = data.inputs.T, []
+    for i, a in enumerate(affine):
+        inputs.append(np.vstack((x, ones)) if i < k - 1 else x)
+        x = a @ inputs[-1]
+        if i < k - 1:
+            x = activation.scalar(x, out=x)
+    err = np.subtract(x, data.targets.T)
+    flat = err.reshape(-1)
+    mse = float(np.dot(flat, flat) / flat.size)
+    g = err * (2.0 / flat.size)
+    grads = [None] * k
+    for i in range(k - 1, -1, -1):
+        # the first input's transpose in C order, as the planned step keeps it
+        x = np.ascontiguousarray(inputs[0].T) if i == 0 else inputs[i].T
+        grads[i] = np.dot(rows[i], (g @ x).reshape(-1))
+        if i:
+            h = inputs[i][:widths[i]]
+            g = (weights[i].T @ g) * activation.slope(h, out=h)
+    return mse, np.concatenate(grads)
 
 
 def reference_train(net, data, steps, learning_rate):
-    """``EquivariantNetwork.train`` as it was before the planned step, with
-    its bias bases, the (n, 1) columns 1/sqrt(n) that ``build`` made: the
-    bitwise oracle for the planned step. Returns (trained copy, history)."""
+    """``EquivariantNetwork.train`` as the unplanned affine loop
+    (``_reference_loss_grad`` at every step): the bitwise oracle for the
+    planned step. Returns (trained copy, history)."""
     net = net.copy()
     flat = net.coefficient_vector()
     net._view_coefficients(flat)
-    bias_bases = [np.full((n, 1), 1.0 / np.sqrt(n)) for n in net.widths[1:-1]]
-    buffers = tuple([np.empty((n, len(data))) for n in net.widths[1:]] for _ in range(2))
+    rows = [_affine_rows(b, i < net.k - 1) for i, b in enumerate(net.weight_bases)]
     history = np.empty(steps)
     for t in range(steps):
-        mse, grad = _reference_loss_grad(net, bias_bases, data, buffers)
+        mse, grad = _reference_loss_grad(net, rows, data)
         if not np.isfinite(mse) or mse > 1e12:
             raise network.DivergenceError(f"loss {mse:.3e} at step {t}")
         history[t] = mse

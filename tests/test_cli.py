@@ -824,6 +824,25 @@ def test_basis_solves_every_boundary_before_printing(tmp_path, capsys, monkeypat
         assert err == "error: Unable to allocate 59.6 GiB\n"
 
 
+def test_basis_print_reads_every_dense_basis_before_printing(capsys, monkeypatch):
+    # the dense scatter of the second of two boundaries fails: nothing
+    # was printed for the group, the first boundary or the second's first
+    # element
+    scatter, calls = intertwiners._dense_basis, []
+
+    def out_of_memory_at_the_last(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise MemoryError("Unable to allocate 59.6 GiB")
+        return scatter(*args)
+
+    monkeypatch.setattr(intertwiners, "_dense_basis", out_of_memory_at_the_last)
+    config = str(Path(__file__).resolve().parent.parent / "configs" / "c4_chain.cfg")
+    code, out, err = run(capsys, "basis", "--config", config, "--print")
+    assert (code, out, len(calls)) == (2, "", 2)
+    assert err == "error: Unable to allocate 59.6 GiB\n"
+
+
 @pytest.mark.parametrize("other", ["01", "+1"])
 def test_basis_two_rep_keys_naming_one_rep_exit_2(tmp_path, capsys, other):
     # int() reads each of these as 1, the key of the second rep

@@ -8,6 +8,7 @@ from helpers import (
     project,
     reference_check,
     reference_train,
+    row_major_forward,
     row_major_loss_grad,
     set_first_declared_weight,
 )
@@ -186,6 +187,22 @@ def test_coefficient_vector_round_trip():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("make", [deep_sets_net, _two_hidden_layer_net],
+                         ids=["one-hidden", "two-hidden"])
+def test_stack_forward_with_declared_biases_matches_row_major(make):
+    # a declared bias vector may be anything, not only a point of the
+    # all-ones line; stacked beside its weight, it is added as before
+    net = make(activation=TANH, seed=3)
+    rng = np.random.default_rng(11)
+    weights = net.weights()
+    biases = [rng.standard_normal(b.size) for b in net.biases()]
+    x = rng.uniform(-1, 1, size=(40, net.widths[0]))
+    want = row_major_forward(weights, biases, TANH, x)[0]
+    assert np.ptp(biases[0]) > 0.5
+    assert np.abs(stack_forward(weights, biases, TANH, x) - want).max() <= 1e-12
+    assert np.abs(stack_forward(weights, biases, TANH, x[3]) - want[3]).max() <= 1e-12
+
+
 def test_forward_rejects_wrong_length():
     net = deep_sets_net()
     with pytest.raises(ValueError):
@@ -274,10 +291,10 @@ def test_loss_grad_with_buffers_is_bitwise_fresh(activation):
     for make in (deep_sets_net, _two_hidden_layer_net):
         net = make(seed=2, activation=activation)
         data = random_dataset(net, 50, seed=3)
-        step = network._Step(net, len(data))
+        step = network._Step(net, data)
         for t in range(3):  # stale buffer contents must not leak into a step
             mse, grad = net.loss_grad(data)
-            assert step.run(data) == mse
+            assert step.run(net.coefficient_vector()) == mse
             assert step.grad.tobytes() == grad.tobytes()
             net.weight_coeffs[0] += 0.1  # the step reads the coefficients anew
             net.bias_coeffs[-1][0] = 0.2 * t
@@ -285,8 +302,10 @@ def test_loss_grad_with_buffers_is_bitwise_fresh(activation):
 
 def test_training_step_allocates_no_batch_sized_array():
     # every batch-sized intermediate of a step lives in the buffers that
-    # train plans once, so the traced peak stays below them plus half of
-    # one (batch, width) array
+    # train plans once (the layer inputs, the first a copy of the data
+    # above a ones row, a transposed copy of that first input, the output
+    # and the hidden gradients), so the traced peak stays below them plus
+    # half of one (batch, width) array
     for make in (deep_sets_net, _two_hidden_layer_net):
         net = make(seed=1, activation=TANH)
         data = random_dataset(net, 2000, seed=4)
@@ -297,8 +316,8 @@ def test_training_step_allocates_no_batch_sized_array():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        step = network._Step(net, len(data))
-        buffers = sum(b.nbytes for b in step.outs + step.deltas)
+        step = network._Step(net, data)
+        buffers = sum(b.nbytes for b in [*step.ins, step.ins_t[0], step.out, *step.deltas])
         widest = data.inputs.nbytes
         assert peak < buffers + widest / 2, make.__name__
 
@@ -325,9 +344,10 @@ def test_loss_grad_matches_the_row_major_reference(make, activation):
 @pytest.mark.parametrize("activation", [RELU, TANH, ActivationSpec("threshold", 0.1),
                                         ActivationSpec("sign_threshold", 0.5)], ids=str)
 def test_train_is_bitwise_the_reference_loop(make, activation, batch):
-    # the planned step with scalar hidden biases gives, bit for bit, the
-    # coefficients and history of the loop that realized every weight,
-    # added each bias as a column and concatenated the gradient
+    # the planned step gives, bit for bit, the coefficients and history
+    # of the loop that realized every weight, stacked each bias beside
+    # it, stacked a ones row under each biased layer's input and
+    # concatenated the gradient
     net = make(activation=activation, seed=4)
     for i, c in enumerate(net.bias_coeffs):  # biases away from zero
         c += 0.1 * (i + 1)

@@ -74,11 +74,14 @@ def test_com_dataset_targets_and_determinism():
     assert not np.array_equal(data.inputs, other.inputs)
 
 
-@pytest.mark.parametrize("m", [1, 4, 5, 7])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 16, 100])
 def test_com_dataset_targets_are_bitwise_center_of_mass(m):
-    data = com_dataset(m, 200, seed=m)
-    expected = np.stack([center_of_mass(row.reshape(m, 3)) for row in data.inputs])
-    assert data.targets.tobytes() == expected.tobytes()
+    # the dataset's split sums give the bytes of one math.fsum per row
+    # and coordinate
+    for seed in range(40):
+        data = com_dataset(m, 50, seed=seed)
+        expected = np.stack([center_of_mass(row.reshape(m, 3)) for row in data.inputs])
+        assert data.targets.tobytes() == expected.tobytes(), seed
 
 
 def test_trained_deep_sets_net_is_permutation_invariant():
