@@ -6,7 +6,6 @@ from .activations import (
     Report,
     apply_pointwise,
     check_pointwise_equivariance,
-    is_compatible,
     parse_activation,
 )
 from .groups import FiniteGroup, ClosureError, close, group_from_spec, named_group
@@ -61,7 +60,6 @@ __all__ = [
     "fixed_subspace",
     "group_from_spec",
     "hom_dim_oracle",
-    "is_compatible",
     "is_permutation_rep",
     "load_model",
     "named_group",

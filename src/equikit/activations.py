@@ -4,9 +4,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_tol
-from .reps import is_permutation_rep
-
 KINDS = ("relu", "tanh", "threshold", "sign_threshold")
 
 
@@ -135,22 +132,3 @@ def check_pointwise_equivariance(spec, b, rep, trials=20, seed=0, tol=1e-9):
         tol, relative=False,
     )
 
-
-def is_compatible(spec, b, rep, tol=1e-9):
-    """Certified-sufficient condition for pointwise equivariance.
-
-    True iff the representation is a permutation representation and the
-    finite bias is fixed by every generator: no generator moves it by
-    more than ``tol`` (finite and non-negative). A signed permutation
-    rep's generators move b by |b[targets] - b|, read off ``gen_arrays``.
-    Sufficient, not necessary.
-    """
-    check_tol(tol, strict=False)
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (rep.degree,) or not np.isfinite(b).all():
-        return False
-    if not is_permutation_rep(rep):
-        return False
-    if rep.gen_arrays is not None:
-        return bool(np.abs(b[rep.gen_arrays[0]] - b).max() <= tol)
-    return all(np.abs(g @ b - b).max() <= tol for g in rep.gen_images)

@@ -95,16 +95,24 @@ def cmd_basis(args):
     return 0
 
 
+def _check_seed(seed):
+    """Refuse a negative ``--seed`` by name; numpy's own error names
+    neither the flag nor the value."""
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_check(args):
+    _check_seed(args.seed)
     loaded = load_model(args.model)
     # the report validates --trials and --tol, so a rejected run prints nothing
     report = check_stack_equivariance(
-        loaded.declared_weights, loaded.declared_biases, loaded.activation,
-        loaded.layer_reps, trials=args.trials, seed=args.seed, tol=args.tol,
+        loaded.layers(), loaded.activation, loaded.layer_reps,
+        trials=args.trials, seed=args.seed, tol=args.tol,
     )
     print(f"model {args.model}")
     print(
-        f"group {loaded.group.spec}, layers {len(loaded.declared_weights)}, "
+        f"group {loaded.group.spec}, layers {len(loaded.layers())}, "
         f"activation {loaded.activation}"
     )
     if not loaded.declared_matches():
@@ -124,6 +132,7 @@ def cmd_train(args):
     if args.task != "center-of-mass":
         raise ConfigError(f"unknown task {args.task!r}")
     check_learning_rate(args.lr)  # before anything is built
+    _check_seed(args.seed)
     group = group_from_spec(f"symmetric:{args.m}")
     reps = parse_rep_chain(group, ["tensor:3(defining)", "tensor:3(defining)", "trivial:3"])
     activation = parse_activation(args.activation)

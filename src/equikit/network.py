@@ -1,25 +1,26 @@
 """Equivariant feed-forward networks in intertwiner coordinates.
 
-A network is k realized weight matrices A_i (linear combinations over
-an intertwiner basis) alternating with biased pointwise activations;
-the last layer carries no bias and no activation. Because the trainable
-parameters are basis coefficients, every realized map is equivariant by
-construction and stays so under any coefficient update.
+A network is k layers alternating with pointwise activations. A hidden
+layer is the affine map ``x -> W x + b``, which is the linear map
+``[W | b]`` on ``[x; 1]``, from rho_in + trivial to rho_out; the last
+layer is W alone and carries no activation. Each W is a linear
+combination over an intertwiner basis, and each b lies on the
+all-coordinates-equal line (the threshold form), which every
+permutation representation fixes: it is one coefficient c on the unit
+vector of that line, ``_bias_unit(n) * c`` in every coordinate, so the
+network keeps no bias basis. Because the trainable parameters are
+coefficients, every realized layer is equivariant by construction and
+stays so under any coefficient update.
 
-Hidden biases live on the all-coordinates-equal line (the threshold
-form), which every permutation representation fixes; together with the
-permutation-representation requirement on hidden layers this certifies
-pointwise compatibility. A hidden bias is one coefficient c on the unit
-vector of that line, so it is ``_bias_unit(n) * c`` in every coordinate,
-and the network keeps no bias basis.
-
-A biased layer is the affine map ``x -> W x + b``, which is the linear
-map ``[W | b]`` on ``[x; 1]``, from rho_in + trivial to rho_out; so the
-bias is one more intertwiner coordinate. ``_forward`` is the one forward
-pass for training, evaluation and the check, and it runs every layer in
-this form: the input of each biased layer (every layer but the last)
-carries a constant ones row under its n rows, each weight of a biased
-layer is ``[W | b]``, and one product makes ``W @ x + b``.
+The layer ``[W | b]`` is the one form from build to check.
+``EquivariantNetwork`` keeps one flat coefficient vector, and layer i's
+coefficients are the slice ``spans[i]``: its basis coefficients, then a
+hidden layer's bias coefficient. ``layers()`` realizes each span,
+``save_model`` writes W and b from it, ``load_model`` reads them back
+into one array, and the check reads it whole. ``_forward`` is the one
+forward pass for training, evaluation and the check: the input of each
+hidden layer carries a constant ones row under its n rows, and one
+product makes ``W @ x + b``.
 
 Batches run feature-major: every activation, buffer and gradient is a
 (width, batch) array, so BLAS takes its untransposed path with the batch
@@ -27,30 +28,31 @@ as the long contiguous axis, which at the small widths of these networks
 is most of a step's cost. ``Dataset`` stores its arrays column-major, so
 training reads their transposes as C-contiguous views;
 ``stack_forward`` takes and returns (batch, width) rows through
-transposed views, and stacks each declared bias vector beside its
-weight.
+transposed views.
 
 Training runs one planned step, ``_Step``, built once per network and
 dataset and shared by ``loss_grad`` and ``train``. The plan copies the
-inputs once under a ones row and gives each biased layer one more basis
+inputs once under a ones row and gives each hidden layer one more basis
 row, the bias's: ``_bias_unit(n_out)`` in the ones column of every
-output row. A layer's coefficients ``[w_i, b_i]`` are one contiguous
-slice of the coefficient vector, so one ``np.dot(c, rows, out=...)``
-refills ``[W | b]`` in place, and one projection of ``g @ [x; 1].T``
-writes the weight and the bias gradient into the slice of one flat
-gradient buffer: the products make the bias add and the bias sum. A
-step so calls no ``realize``, allocates no batch-sized array and
-concatenates nothing.
+output row. So one ``np.dot(c, rows, out=...)`` per span refills
+``[W | b]`` in place, and one projection of ``g @ [x; 1].T`` writes the
+weight and the bias gradient into the span of one flat gradient buffer:
+the products make the bias add and the bias sum. A step so calls no
+``realize``, allocates no batch-sized array and concatenates nothing.
 
 A network's stack (``check_stack_equivariance``, behind ``equikit check``)
 is checked at the generators first: by the homomorphism property, a map
 that commutes with every generator commutes with all of G, so every
 failure over G shows at some generator. A stack that passes there and
-is exactly equivariant at the generators (``_certified``, no tolerance)
-passes; built and trained models are, since each realized entry has one
-nonzero term. Both steps read the reps' generator data only, so neither
-enumerates the group. Only a stack that is neither refuted nor certified
-gets the element sweep of ``check_map_equivariance``.
+whose layers commute exactly with the generators (``_certified``, no
+tolerance) passes: for ``[W | b]``, rho_in + trivial gives the ones row
+a fixed coordinate, so the one test says both that W is an intertwiner
+and that b is fixed, which with permutation hidden reps makes the
+pointwise activation commute. Built and trained models are certified,
+since each realized entry has one nonzero term. Both steps read the
+reps' generator data only, so neither enumerates the group. Only a
+stack that is neither refuted nor certified gets the element sweep of
+``check_map_equivariance``.
 
 The equivariance check (``_check_on_vectors``) evaluates a map on blocks
 of group elements: one ``Representation.act`` and one call of the map per
@@ -67,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import Report, is_compatible, parse_activation
+from .activations import Report, parse_activation
 from .groups import MAX_IMAGE_STACK_BYTES, group_from_spec
 from .intertwiners import solve_basis
 from .numerics import check_tol
@@ -114,50 +116,40 @@ class ParameterCount:
         return self.equivariant / self.dense
 
 
-def _interleave(weights, biases):
-    """Per-layer parts in the flat coefficient order w1, b1, w2, b2, ..., wk."""
-    parts = [None] * (len(weights) + len(biases))
-    parts[0::2], parts[1::2] = weights, biases
-    return parts
-
-
-def _layer_inputs(x, widths):
-    """Each layer's (width, batch) input buffer for the feature-major batch
-    ``x``, given the layers' input widths n_0 ... n_{k-1}: a biased
-    layer's (every layer but the last) has n + 1 rows, the last of them a
-    constant ones row. ``x`` is copied into the first buffer; a one-layer
-    stack reads ``x`` itself."""
-    if len(widths) == 1:
+def _layer_inputs(x, cols):
+    """Each layer's (cols, batch) input buffer for the feature-major batch
+    ``x``, given each layer's column count: a hidden layer's input (every
+    layer's but the last) has one more row than its width, a constant
+    ones row at the bottom. ``x`` is copied into the first buffer; a
+    one-layer stack reads ``x`` itself."""
+    if len(cols) == 1:
         return [x]
-    batch = x.shape[1]
-    ins = [np.empty((n + 1, batch)) for n in widths[:-1]]
+    ins = [np.empty((n, x.shape[1])) for n in cols]
     ins[0][:-1] = x
-    for buf in ins:
+    for buf in ins[:-1]:
         buf[-1] = 1.0
-    ins.append(np.empty((widths[-1], batch)))
     return ins
 
 
-def _forward(weights, activation, ins, out):
+def _forward(layers, activation, ins, out):
     """Run the stack on feature-major layer inputs ``ins`` (see
     ``_layer_inputs``): ``ins[0]`` holds the batch, and layer i writes its
     activation into the first rows of ``ins[i + 1]``, computed in place
     over its pre-activation. Returns ``out``, which receives the last
     layer's (n_k, batch) output.
 
-    A biased layer's weight is ``[W | b]`` and its input has a ones row
-    below, so one product makes ``W @ x + b``.
+    A hidden layer is ``[W | b]`` and its input has a ones row below, so
+    one product makes ``W @ x + b``.
     """
-    for w, x, h in zip(weights, ins, ins[1:]):
-        h = h[:w.shape[0]]  # the ones row below stays
-        activation.scalar(np.matmul(w, x, out=h), out=h)
-    return np.matmul(weights[-1], ins[-1], out=out)
+    for a, x, h in zip(layers, ins, ins[1:]):
+        h = h[:a.shape[0]]  # the ones row below stays
+        activation.scalar(np.matmul(a, x, out=h), out=h)
+    return np.matmul(layers[-1], ins[-1], out=out)
 
 
-def stack_forward(weights, biases, activation, x):
-    """Apply the alternating stack A_k sigma_b ... sigma_b A_1 to a vector
-    or to each row of a (batch, n_in) array; each hidden bias is a vector,
-    stacked beside its weight as ``[A_i | b_i]``.
+def stack_forward(layers, activation, x):
+    """Apply the stack ``[A_k] sigma [A_{k-1} | b_{k-1}] ... sigma [A_1 | b_1]``
+    to a vector or to each row of a (batch, n_in) array.
 
     The rows go in as the transposed view, under a ones row, and the
     (batch, n_out) result is the transposed view of the feature-major
@@ -166,11 +158,8 @@ def stack_forward(weights, biases, activation, x):
     h = np.asarray(x, dtype=np.float64)
     single = h.ndim == 1
     x = (h[None, :] if single else h).T
-    affine = [np.concatenate((w, np.reshape(b, (-1, 1))), axis=1)
-              for w, b in zip(weights, biases)]
-    affine.append(weights[-1])
-    ins = _layer_inputs(x, [w.shape[1] for w in weights])
-    out = _forward(affine, activation, ins, np.empty((weights[-1].shape[0], x.shape[1]))).T
+    ins = _layer_inputs(x, [a.shape[1] for a in layers])
+    out = _forward(layers, activation, ins, np.empty((layers[-1].shape[0], x.shape[1]))).T
     return out[0] if single else out
 
 
@@ -181,20 +170,27 @@ def _bias_unit(n):
 
 
 class EquivariantNetwork:
-    """Network over a fixed representation chain rho_0 ... rho_k.
+    """Network over a fixed representation chain rho_0 ... rho_k, with
+    one flat coefficient vector ``coeffs``.
 
-    Hidden layer i's bias has one coefficient, ``bias_coeffs[i][0]``, on
+    Layer i's coefficients are ``coeffs[spans[i]]``: its basis
+    coefficients and, for a hidden layer, its bias coefficient last, on
     the unit vector ``_bias_unit(n) * (1, ..., 1)`` of the all-ones line.
     """
 
-    def __init__(self, group, layer_reps, weight_bases, weight_coeffs, bias_coeffs,
-                 activation):
+    def __init__(self, group, layer_reps, weight_bases, coeffs, activation):
         self.group = group
         self.layer_reps = list(layer_reps)
         self.weight_bases = list(weight_bases)
-        self.weight_coeffs = [np.asarray(c, dtype=np.float64) for c in weight_coeffs]
-        self.bias_coeffs = [np.asarray(c, dtype=np.float64) for c in bias_coeffs]
         self.activation = activation
+        self.spans, lo = [], 0
+        for i, basis in enumerate(self.weight_bases):
+            hi = lo + basis.dim + (i < self.k - 1)
+            self.spans.append(slice(lo, hi))
+            lo = hi
+        self.coeffs = np.asarray(coeffs, dtype=np.float64)
+        if self.coeffs.shape != (lo,):
+            raise ValueError(f"expected {lo} coefficients, got {self.coeffs.shape}")
 
     @property
     def k(self):
@@ -204,39 +200,27 @@ class EquivariantNetwork:
     def widths(self):
         return [r.degree for r in self.layer_reps]
 
-    def weights(self):
-        """Realized weight matrices A_i = sum_j coeffs_j basis_j."""
-        return [b.realize(c) for b, c in zip(self.weight_bases, self.weight_coeffs)]
-
-    def biases(self):
-        """Hidden bias vectors, each constant: ``_bias_unit(n) * c``."""
-        return [np.full(n, _bias_unit(n) * c[0])
-                for n, c in zip(self.widths[1:-1], self.bias_coeffs)]
+    def layers(self):
+        """Realized layers: ``[W | b]`` for a hidden layer and W for the
+        last, with W = sum_j c_j basis_j and b = ``_bias_unit(n) * c_b``
+        in every coordinate."""
+        layers = []
+        for basis, span in zip(self.weight_bases, self.spans):
+            c = self.coeffs[span]
+            w = basis.realize(c[:basis.dim])
+            if c.size > basis.dim:
+                w = np.column_stack((w, np.full(w.shape[0], _bias_unit(w.shape[0]) * c[-1])))
+            layers.append(w)
+        return layers
 
     def copy(self):
-        return EquivariantNetwork(
-            self.group, self.layer_reps, self.weight_bases,
-            [c.copy() for c in self.weight_coeffs],
-            [c.copy() for c in self.bias_coeffs],
-            self.activation,
-        )
-
-    # --- coefficient vector (flat) layout: see _interleave ---------
-
-    def coefficient_vector(self):
-        return np.concatenate(_interleave(self.weight_coeffs, self.bias_coeffs))
-
-    def _view_coefficients(self, flat):
-        """Make every coefficient array a view of the flat vector ``flat``,
-        so that updating ``flat`` in place updates the network."""
-        sizes = [c.size for c in _interleave(self.weight_coeffs, self.bias_coeffs)]
-        parts = np.split(flat, np.cumsum(sizes)[:-1])
-        self.weight_coeffs, self.bias_coeffs = parts[0::2], parts[1::2]
+        return EquivariantNetwork(self.group, self.layer_reps, self.weight_bases,
+                                  self.coeffs.copy(), self.activation)
 
     # --- evaluation -------------------------------------------------
 
     def forward(self, v):
-        return stack_forward(self.weights(), self.biases(), self.activation, v)
+        return stack_forward(self.layers(), self.activation, v)
 
     # --- training ---------------------------------------------------
 
@@ -244,23 +228,21 @@ class EquivariantNetwork:
         return float(np.mean((self.forward(data.inputs) - data.targets) ** 2))
 
     def loss_grad(self, data):
-        """Mean squared error and its gradient over all coefficients,
-        flattened in the coefficient-vector layout: one run of a
-        ``_Step`` planned for this network and ``data``.
+        """Mean squared error and its gradient over ``coeffs``: one run of
+        a ``_Step`` planned for this network and ``data``.
         """
         step = _Step(self, data)
-        return step.run(self.coefficient_vector()), step.grad
+        return step.run(self.coeffs), step.grad
 
     def train(self, data, steps, learning_rate):
         """Full-batch gradient descent; returns (trained copy, history).
 
         history[t] is the loss evaluated at step t before the update.
         Coefficients-only updates cannot leave the intertwiner space, so
-        equivariance is preserved at every step. The copy's coefficient
-        arrays are views of one flat vector that each step updates in
-        place, and every step runs one ``_Step`` planned up front, so
-        the loop allocates no batch-sized array. A diverging run
-        overflows before its loss is checked, so the steps run with
+        equivariance is preserved at every step. Each step runs one
+        ``_Step`` planned up front and updates the copy's ``coeffs`` in
+        place, so the loop allocates no batch-sized array. A diverging
+        run overflows before its loss is checked, so the steps run with
         numpy's overflow and invalid-value warnings off; the check
         raises ``DivergenceError``.
         """
@@ -268,20 +250,18 @@ class EquivariantNetwork:
             raise ValueError("steps must be >= 1")
         check_learning_rate(learning_rate)
         net = self.copy()
-        flat = net.coefficient_vector()
-        net._view_coefficients(flat)
         history = np.empty(steps)
         step = _Step(net, data)
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(steps):
-                mse = step.run(flat)
+                mse = step.run(net.coeffs)
                 if not np.isfinite(mse) or mse > 1e12:
                     raise DivergenceError(
                         f"loss {mse:.3e} at step {t}; use a smaller learning rate"
                     )
                 history[t] = mse
                 step.grad *= learning_rate
-                flat -= step.grad
+                net.coeffs -= step.grad
         return net, history
 
     def count_parameters(self):
@@ -290,11 +270,10 @@ class EquivariantNetwork:
         The dense figure is sum_i n_{i-1} n_i weights plus one bias per
         hidden width, i.e. the unconstrained network of the same shape.
         """
-        equi = self.coefficient_vector().size
         widths = self.widths
         dense = sum(widths[i] * widths[i + 1] for i in range(self.k))
         dense += sum(widths[i] for i in range(1, self.k))
-        return ParameterCount(equi, dense)
+        return ParameterCount(self.coeffs.size, dense)
 
 
 def check_learning_rate(learning_rate):
@@ -305,7 +284,7 @@ def check_learning_rate(learning_rate):
 
 
 def _affine_rows(basis):
-    """Basis rows of a biased layer's ``[W | b]``, flattened to
+    """Basis rows of a hidden layer's ``[W | b]``, flattened to
     (dim + 1, n_out * (n_in + 1)): each basis matrix with a zero bias
     column, then the hidden bias's row, ``_bias_unit(n_out)`` in the bias
     column of every output row and zero elsewhere."""
@@ -318,38 +297,36 @@ def _affine_rows(basis):
 
 class _Step:
     """One training step of ``net`` on ``data``, planned once and run at
-    any coefficient vector in ``net``'s layout.
+    any coefficient vector in ``net``'s layout (``net.spans``).
 
-    The plan holds each layer's basis rows (``_affine_rows`` for a biased
-    layer), a weight buffer that ``np.dot(c, rows, out=...)`` refills in
-    place from the layer's coefficient slice, the layer inputs
-    (``_layer_inputs``, with ``data.inputs.T`` copied in once) and a
-    C-contiguous copy of the first one's transpose, the output and the
-    hidden gradients, and ``grad``: one flat buffer in the
-    coefficient-vector layout whose slices the projections write into. A
-    run realizes no matrix through ``IntertwinerBasis.realize`` and
-    allocates no batch-sized array.
+    The plan holds each layer's basis rows (``_affine_rows`` for a hidden
+    layer), a layer buffer that ``np.dot(c, rows, out=...)`` refills in
+    place from the layer's span, the layer inputs (``_layer_inputs``,
+    with ``data.inputs.T`` copied in once) and a C-contiguous copy of the
+    first one's transpose, the output and the hidden gradients, and
+    ``grad``: one flat buffer in the coefficient layout whose spans the
+    projections write into. A run realizes no matrix through
+    ``IntertwinerBasis.realize`` and allocates no batch-sized array.
     """
 
     def __init__(self, net, data):
-        widths, hidden = net.widths, net.widths[1:-1]
         self.activation = net.activation
         self.rows = [_affine_rows(b) for b in net.weight_bases[:-1]]
         self.rows.append(net.weight_bases[-1].rows)
-        self.ins = _layer_inputs(data.inputs.T, widths[:-1])
+        self.layers = [np.empty((n, rows.shape[1] // n))
+                       for n, rows in zip(net.widths[1:], self.rows)]
+        self.ins = _layer_inputs(data.inputs.T, [a.shape[1] for a in self.layers])
         self.targets = data.targets.T
         self.out = np.empty(self.targets.shape)
-        self.deltas = [np.empty((n, len(data))) for n in hidden]
-        self.weights = [np.empty((n, x.shape[0])) for n, x in zip(widths[1:], self.ins)]
+        self.deltas = [np.empty((n, len(data))) for n in net.widths[1:-1]]
         # the first input never changes, so ``g @ x.T`` reads a C-contiguous
         # copy of its transpose and skips BLAS's strided read (at batch 2000
         # and width 16 on a 2-core machine with OpenBLAS 0.3.31, 25 us
         # against 31 us)
         self.ins_t = [np.ascontiguousarray(self.ins[0].T)] + [x.T for x in self.ins[1:]]
-        bounds = np.cumsum([0] + [rows.shape[0] for rows in self.rows])
-        self.spans = list(zip(bounds[:-1], bounds[1:]))
-        self.grad = np.empty(bounds[-1])
-        self.grads = [self.grad[lo:hi] for lo, hi in self.spans]
+        self.spans = net.spans
+        self.grad = np.empty(net.coeffs.size)
+        self.grads = [self.grad[span] for span in self.spans]
         self.scale = 2.0 / self.out.size
 
     def run(self, coeffs):
@@ -359,21 +336,21 @@ class _Step:
         The loss is ``err @ err / size`` and the output gradient
         ``err * (2 / size)``, written over ``err``. Going back, a layer's
         gradient is the projection of ``g @ x.T`` (``[x; 1]`` for a
-        biased layer, so its last column is the bias sum) and the step to
+        hidden layer, so its last column is the bias sum) and the step to
         the layer below is ``g = W.T @ g`` times the activation's slope.
         """
-        for (lo, hi), rows, w in zip(self.spans, self.rows, self.weights):
-            np.dot(coeffs[lo:hi], rows, out=w.reshape(-1))
-        err = _forward(self.weights, self.activation, self.ins, self.out)
+        for span, rows, a in zip(self.spans, self.rows, self.layers):
+            np.dot(coeffs[span], rows, out=a.reshape(-1))
+        err = _forward(self.layers, self.activation, self.ins, self.out)
         err -= self.targets
         flat = err.reshape(-1)
         mse = float(np.dot(flat, flat) / flat.size)
         g = np.multiply(err, self.scale, out=err)
-        for i in range(len(self.weights) - 1, -1, -1):
+        for i in range(len(self.layers) - 1, -1, -1):
             np.dot(self.rows[i], (g @ self.ins_t[i]).reshape(-1), out=self.grads[i])
             if i:
                 n = self.deltas[i - 1].shape[0]  # W.T without the bias column
-                g = np.matmul(self.weights[i][:, :n].T, g, out=self.deltas[i - 1])
+                g = np.matmul(self.layers[i][:, :n].T, g, out=self.deltas[i - 1])
                 # layer i - 1's activation is not read again, so it takes its slope
                 h = self.ins[i][:n]
                 g *= self.activation.slope(h, out=h)
@@ -420,17 +397,17 @@ def build(group, layer_reps, activation, seed=0):
         weight_bases.append(basis)
 
     rng = np.random.default_rng(seed)
-    weight_coeffs = []
+    coeffs = []
     for i, basis in enumerate(weight_bases):
         c = rng.standard_normal(basis.dim)
         a = basis.realize(c)
         fro = np.sqrt((a * a).sum())
         if fro > 0:
             c *= np.sqrt(2.0 / layer_reps[i].degree) / fro
-        weight_coeffs.append(c)
-
-    bias_coeffs = [np.zeros(1) for _ in range(k - 1)]
-    return EquivariantNetwork(group, layer_reps, weight_bases, weight_coeffs, bias_coeffs,
+        coeffs.append(c)
+        if i < k - 1:
+            coeffs.append(np.zeros(1))
+    return EquivariantNetwork(group, layer_reps, weight_bases, np.concatenate(coeffs),
                               activation)
 
 
@@ -458,10 +435,9 @@ def check_map_equivariance(apply, rep_in, rep_out, trials=8, seed=0, tol=1e-8):
                              relative=True)
 
 
-def check_stack_equivariance(weights, biases, activation, layer_reps, trials=8, seed=0,
-                             tol=1e-8):
-    """Check the stack ``stack_forward(weights, biases, activation, .)``
-    over the rep chain ``layer_reps``, in three steps:
+def check_stack_equivariance(layers, activation, layer_reps, trials=8, seed=0, tol=1e-8):
+    """Check the stack ``stack_forward(layers, activation, .)`` over the
+    rep chain ``layer_reps``, in three steps:
 
     1. the generator sweep: ``_check_on_vectors`` over the generators
        only, through their data, with the vectors, residuals and
@@ -476,46 +452,52 @@ def check_stack_equivariance(weights, biases, activation, layer_reps, trials=8, 
     group = rep_in.group
 
     def apply(x):
-        return stack_forward(weights, biases, activation, x)
+        return stack_forward(layers, activation, x)
 
     report = _check_on_vectors(apply, rep_in, rep_out, (-1.0, 1.0), trials, seed, tol,
                                relative=True, generators=True)
     if not report.passed:
         return report
-    if _certified(weights, biases, activation, layer_reps):
+    if _certified(layers, layer_reps):
         report.coverage = f"certificate ({group.gen_count} generators)"
         return report
     return check_map_equivariance(apply, rep_in, rep_out, trials=trials, seed=seed, tol=tol)
 
 
-def _certified(weights, biases, activation, layer_reps):
+def _certified(layers, layer_reps):
     """True when the stack is exactly equivariant by an algebraic
     certificate: every layer rep is a signed permutation rep, every
-    weight commutes exactly with every generator
-    (``_commutes_at_generators``) and every hidden bias is fixed by its
-    rep's generators (``is_compatible`` at tol 0, which also requires a
-    permutation rep, so the pointwise activation commutes). Generators
-    suffice by the homomorphism property."""
+    hidden rep a permutation rep (so the pointwise activation commutes),
+    and every layer is finite and commutes exactly with every generator
+    (``_commutes_at_generators``; for ``[W | b]`` that says W is an
+    intertwiner and b is fixed). Generators suffice by the homomorphism
+    property."""
     if any(rep.gen_arrays is None for rep in layer_reps):
         return False
-    return (all(_commutes_at_generators(w, a, b).all()
-                for w, a, b in zip(weights, layer_reps, layer_reps[1:]))
-            and all(is_compatible(activation, b, rep, tol=0.0)
-                    for b, rep in zip(biases, layer_reps[1:-1])))
+    return (all(is_permutation_rep(rep) for rep in layer_reps[1:-1])
+            and all(np.isfinite(a).all() and _commutes_at_generators(a, rep_in, rep_out).all()
+                    for a, rep_in, rep_out in zip(layers, layer_reps, layer_reps[1:])))
 
 
-def _commutes_at_generators(w, rep_in, rep_out):
-    """Per generator g, whether ``w @ rho_in(g) == rho_out(g) @ w`` holds
+def _commutes_at_generators(a, rep_in, rep_out):
+    """Per generator g, whether ``a @ rho_in(g) == rho_out(g) @ a`` holds
     exactly, for signed permutation reps, read off their ``gen_arrays``.
+    A hidden layer ``a = [W | b]`` maps rho_in plus one fixed coordinate
+    (target n_in, sign +1, the ones row), so its bias column holds iff
+    rho_out fixes b.
 
     With rho(g) e_j = s_j e_{t_j}, the two sides agree at (t_out[i], j)
-    iff w[t_out[i], t_in[j]] * s_out[i] * s_in[j] == w[i, j]. Sign
+    iff a[t_out[i], t_in[j]] * s_out[i] * s_in[j] == a[i, j]. Sign
     flips are exact, so this is the dense products' equality (each of
     their entries has one nonzero term) at O(n_out * n_in) per generator.
     """
     (t_in, s_in), (t_out, s_out) = rep_in.gen_arrays, rep_out.gen_arrays
+    if a.shape[1] > rep_in.degree:
+        gens = len(t_in)
+        t_in = np.hstack((t_in, np.full((gens, 1), rep_in.degree)))
+        s_in = np.hstack((s_in, np.ones((gens, 1), s_in.dtype)))
     return np.array([
-        np.array_equal(w[t_out[k][:, None], t_in[k]] * (s_out[k][:, None] * s_in[k]), w)
+        np.array_equal(a[t_out[k][:, None], t_in[k]] * (s_out[k][:, None] * s_in[k]), a)
         for k in range(len(t_in))
     ], dtype=bool)
 
@@ -612,9 +594,10 @@ def _fmt_floats(values):
 
 
 def save_model(net, path):
-    """Write the function a network declares, its weight matrices and
-    hidden biases, as a v2 model file. ``net`` is an EquivariantNetwork
-    or a LoadedModel."""
+    """Write the function a network declares, its layers, as a v2 model
+    file: each layer's weight matrix and, for a hidden layer, its bias
+    vector (the last column of ``[W | b]``). ``net`` is an
+    EquivariantNetwork or a LoadedModel."""
     for rep in net.layer_reps:
         if rep.spec is None:
             raise ValueError(
@@ -623,19 +606,19 @@ def save_model(net, path):
             )
     if net.group.spec is None:
         raise ValueError("model serialization needs a named group")
-    weights = net.weights()
-    biases = net.biases()
-    k = len(weights)
+    layers = net.layers()
+    k = len(layers)
     lines = [FORMAT_HEADER, f"group: {net.group.spec}", f"activation: {net.activation}",
              f"layers: {k}"]
     lines += [f"rep: {rep.spec}" for rep in net.layer_reps]
-    for i, w in enumerate(weights):
+    for i, a in enumerate(layers):
+        n_out, n_in = a.shape[0], net.layer_reps[i].degree
         lines.append(f"layer: {i + 1}")
-        lines.append("weight-matrix: {} {}".format(*w.shape))
-        lines += map(_fmt_floats, w)
+        lines.append(f"weight-matrix: {n_out} {n_in}")
+        lines += map(_fmt_floats, a[:, :n_in])
         if i < k - 1:
-            lines.append(f"bias-vector: {biases[i].size}")
-            lines.append(_fmt_floats(biases[i]))
+            lines.append(f"bias-vector: {n_out}")
+            lines.append(_fmt_floats(a[:, n_in]))
     lines.append("end")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -648,30 +631,25 @@ class ModelFormatError(ValueError):
 @dataclass
 class LoadedModel:
     """A parsed model file: the function it declares (group, rep chain,
-    activation, weight matrices and hidden biases) and, for a v1 file,
-    the network its coefficients realize."""
+    activation and layers, ``[W | b]`` for a hidden layer) and, for a v1
+    file, the network its coefficients realize."""
 
     group: object
     layer_reps: list
     activation: object
-    declared_weights: list
-    declared_biases: list
+    declared_layers: list
     network: EquivariantNetwork = None
 
-    def weights(self):
-        return self.declared_weights
-
-    def biases(self):
-        return self.declared_biases
+    def layers(self):
+        return self.declared_layers
 
     def declared_matches(self):
-        """True when the declared matrices are within 1e-9 of the ones the
+        """True when the declared layers are within 1e-9 of the ones the
         file's coefficients realize; a v2 file has no coefficients."""
         if self.network is None:
             return True
-        realized = _interleave(self.network.weights(), self.network.biases())
-        declared = _interleave(self.declared_weights, self.declared_biases)
-        return all(np.abs(a - b).max() <= 1e-9 for a, b in zip(realized, declared))
+        return all(np.abs(a - b).max() <= 1e-9
+                   for a, b in zip(self.network.layers(), self.declared_layers))
 
 
 class _Reader:
@@ -761,8 +739,7 @@ def load_model(path):
     else:
         net = None
         _require_permutation_hidden(reps)
-    declared_weights = []
-    declared_biases = []
+    layers = []
     for i in range(k):
         r.expect("layer:")
         if net is not None:
@@ -770,30 +747,33 @@ def load_model(path):
         rows, cols = r.ints("weight-matrix:", 2)
         if (rows, cols) != (reps[i + 1].degree, reps[i].degree):
             raise ModelFormatError(f"layer {i + 1}: weight matrix shape mismatch")
-        w = np.empty((rows, cols))
-        for row in w:
+        hidden = i < k - 1
+        a = np.empty((rows, cols + hidden))  # [W | b] for a hidden layer
+        for row in a[:, :cols]:
             row[:] = r.floats(cols)
-        declared_weights.append(w)
-        if i < k - 1:
+        if hidden:
             (nb,) = r.ints("bias-vector:")
-            if nb != reps[i + 1].degree:
+            if nb != rows:
                 raise ModelFormatError(f"layer {i + 1}: bias length mismatch")
-            declared_biases.append(r.floats(nb))
+            a[:, cols] = r.floats(nb)
+        layers.append(a)
     if r.next() != "end":
         raise ModelFormatError("missing end marker")
-    return LoadedModel(group, reps, activation, declared_weights, declared_biases, net)
+    return LoadedModel(group, reps, activation, layers, net)
 
 
 def _read_coefficients(r, net, i):
-    """Read layer ``i``'s v1 coefficient lines into ``net``, checking
-    each count against the built network's basis dimension."""
+    """Read layer ``i``'s v1 coefficient lines into its span of
+    ``net.coeffs``, checking each count against the built network's basis
+    dimension."""
+    c = net.coeffs[net.spans[i]]
     (d,) = r.ints("weight-coeffs:")
     if d != net.weight_bases[i].dim:
         raise ModelFormatError(
             f"layer {i + 1}: file has {d} weight coefficients but the "
             f"basis dimension is {net.weight_bases[i].dim}"
         )
-    net.weight_coeffs[i] = r.floats(d)
+    c[:d] = r.floats(d)
     if i < net.k - 1:
         (db,) = r.ints("bias-coeffs:")
         if db != 1:
@@ -801,4 +781,4 @@ def _read_coefficients(r, net, i):
                 f"layer {i + 1}: file has {db} bias coefficients but the "
                 "bias space dimension is 1"
             )
-        net.bias_coeffs[i] = r.floats(db)
+        c[d:] = r.floats(db)

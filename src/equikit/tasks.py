@@ -97,7 +97,11 @@ def read_image(fh):
             parts = fh.readline().split()
             if len(parts) != 3:
                 raise ValueError(f"pixel ({r}, {c}): expected three values")
-            pixels.append([float(v) for v in parts])
+            for v in parts:
+                try:
+                    pixels.append(float(v))
+                except ValueError:
+                    raise ValueError(f"pixel ({r}, {c}): {v!r} is not a number") from None
     return GridImage(n, np.array(pixels).reshape(n, n, 3))
 
 

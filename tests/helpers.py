@@ -23,12 +23,11 @@ from equikit.reps import CONSISTENCY_TOL
 
 def activation_pattern(net, inputs):
     """Unit on/off pattern at each hidden layer (kink side for relu-like maps)."""
-    weights = net.weights()
-    biases = net.biases()
+    layers = net.layers()
     patterns = []
     h = inputs
-    for i in range(net.k - 1):
-        s = h @ weights[i].T + biases[i]
+    for a in layers[:-1]:
+        s = h @ a[:, :-1].T + a[:, -1]
         if net.activation.kind == "relu":
             patterns.append(s > 0.0)
         elif net.activation.kind == "threshold":
@@ -48,7 +47,7 @@ def finite_difference_check(net, data, h=1e-5, indices=None):
     the difference quotient.
     """
     _, grad = net.loss_grad(data)
-    flat = net.coefficient_vector()
+    flat = net.coeffs
     if indices is None:
         indices = range(flat.size)
     errors = []
@@ -59,10 +58,10 @@ def finite_difference_check(net, data, h=1e-5, indices=None):
         up[idx] += h
         down = flat.copy()
         down[idx] -= h
-        probe._view_coefficients(up)
+        probe.coeffs = up
         loss_up = probe.loss(data)
         pat_up = activation_pattern(probe, data.inputs)
-        probe._view_coefficients(down)
+        probe.coeffs = down
         loss_down = probe.loss(data)
         pat_down = activation_pattern(probe, data.inputs)
         crossed = any(
@@ -77,16 +76,17 @@ def finite_difference_check(net, data, h=1e-5, indices=None):
     return errors, excluded, len(list(indices))
 
 
-def row_major_forward(weights, biases, activation, x):
+def row_major_forward(layers, activation, x):
     """The network's forward pass on a (batch, n_in) batch, one row per
-    sample: (output, layer inputs)."""
-    out = [np.empty((x.shape[0], w.shape[0])) for w in weights]
+    sample, with each hidden layer ``[W | b]`` applied as ``x @ W.T + b``:
+    (output, layer inputs)."""
+    out = [np.empty((x.shape[0], a.shape[0])) for a in layers]
     inputs = [x]
-    for w, b, h in zip(weights, biases, out):
-        np.matmul(inputs[-1], w.T, out=h)
-        h += b
+    for a, h in zip(layers[:-1], out):
+        np.matmul(inputs[-1], a[:, :-1].T, out=h)
+        h += a[:, -1]
         inputs.append(activation.scalar(h, out=h))
-    return np.matmul(inputs[-1], weights[-1].T, out=out[-1]), inputs
+    return np.matmul(inputs[-1], layers[-1].T, out=out[-1]), inputs
 
 
 def orbit_nullspace(perm_in, perm_out):
@@ -152,23 +152,23 @@ def project(basis, a):
 def row_major_loss_grad(net, data):
     """``EquivariantNetwork.loss_grad`` computed with every activation and
     gradient (batch, width): the oracle for the feature-major pass."""
-    weights = net.weights()
+    layers = net.layers()
     x = np.ascontiguousarray(data.inputs)
-    out, inputs = row_major_forward(weights, net.biases(), net.activation, x)
+    out, inputs = row_major_forward(layers, net.activation, x)
     err = np.subtract(out, data.targets, out=out)
     g_z = np.empty_like(err)
     mse = float(np.mean(np.square(err, out=g_z)))
     np.multiply(err, 2.0, out=g_z)
     g_z /= err.size
-    grads_w, grads_b = [None] * net.k, [None] * (net.k - 1)
+    grads = [[] for _ in range(net.k)]  # per layer: weight part, then a hidden bias's
     for i in range(net.k - 1, -1, -1):
-        if i < net.k - 1:
-            g_z = np.matmul(g_z, weights[i + 1])
-            # layer i's output is not read again, so it takes its slope
-            g_z *= net.activation.slope(inputs[i + 1], out=inputs[i + 1])
-            grads_b[i] = [g_z.sum() / np.sqrt(g_z.shape[1])]  # the bias is c / sqrt(n) * ones
-        grads_w[i] = project(net.weight_bases[i], g_z.T @ inputs[i])
-    return mse, np.concatenate(network._interleave(grads_w, grads_b))
+        grads[i].insert(0, project(net.weight_bases[i], g_z.T @ inputs[i]))
+        if i:
+            g_z = np.matmul(g_z, layers[i][:, :net.widths[i]])
+            # layer i - 1's output is not read again, so it takes its slope
+            g_z *= net.activation.slope(inputs[i], out=inputs[i])
+            grads[i - 1].append([g_z.sum() / np.sqrt(g_z.shape[1])])  # c / sqrt(n) * ones
+    return mse, np.concatenate([np.concatenate(parts) for parts in grads])
 
 
 def _affine_rows(basis, biased):
@@ -186,14 +186,11 @@ def _affine_rows(basis, biased):
 
 def _reference_loss_grad(net, rows, data):
     """``EquivariantNetwork.loss_grad`` without a plan: every call realizes
-    the weights, stacks each hidden bias beside its weight with
-    ``np.hstack`` and a ones row under each biased layer's input with
-    ``np.vstack``, projects each layer's gradient onto ``rows`` and
-    concatenates the parts."""
+    the layers (``[W | b]`` for a hidden one), stacks a ones row under each
+    hidden layer's input with ``np.vstack``, projects each layer's
+    gradient onto ``rows`` and concatenates the parts."""
     k, widths, activation = net.k, net.widths, net.activation
-    weights = net.weights()
-    affine = [np.hstack((w, b[:, None])) for w, b in zip(weights, net.biases())]
-    affine += weights[-1:]
+    affine = net.layers()
     ones = np.ones((1, len(data)))
     x, inputs = data.inputs.T, []
     for i, a in enumerate(affine):
@@ -212,7 +209,7 @@ def _reference_loss_grad(net, rows, data):
         grads[i] = np.dot(rows[i], (g @ x).reshape(-1))
         if i:
             h = inputs[i][:widths[i]]
-            g = (weights[i].T @ g) * activation.slope(h, out=h)
+            g = (affine[i][:, :widths[i]].T @ g) * activation.slope(h, out=h)
     return mse, np.concatenate(grads)
 
 
@@ -221,8 +218,7 @@ def reference_train(net, data, steps, learning_rate):
     (``_reference_loss_grad`` at every step): the bitwise oracle for the
     planned step. Returns (trained copy, history)."""
     net = net.copy()
-    flat = net.coefficient_vector()
-    net._view_coefficients(flat)
+    flat = net.coeffs
     rows = [_affine_rows(b, i < net.k - 1) for i, b in enumerate(net.weight_bases)]
     history = np.empty(steps)
     for t in range(steps):
@@ -303,11 +299,12 @@ def spec_images(group, node):
     return group.generators
 
 
-def set_first_declared_weight(path, value):
-    """Replace the first declared weight of the model file ``path`` by the
-    text ``value``; returns the line number edited."""
+def set_first_declared_weight(path, value, header="weight-matrix:"):
+    """Replace the first declared weight of the model file ``path`` (or,
+    with ``header="bias-vector:"``, its first declared bias) by the text
+    ``value``; returns the line number edited."""
     lines = path.read_text().splitlines()
-    row = next(i + 1 for i, ln in enumerate(lines) if ln.startswith("weight-matrix:"))
+    row = next(i + 1 for i, ln in enumerate(lines) if ln.startswith(header))
     tokens = lines[row].split()
     tokens[0] = value
     lines[row] = " ".join(tokens)

@@ -122,8 +122,8 @@ def test_criterion_3_equivariance_by_construction():
     for seed in range(20):
         group, reps, activation = chains[seed % len(chains)]
         net = build(group, reps, activation, seed=seed)
-        before = check_stack_equivariance(net.weights(), net.biases(), net.activation,
-                                          net.layer_reps, trials=5, seed=seed, tol=1e-8)
+        before = check_stack_equivariance(net.layers(), net.activation, net.layer_reps,
+                                          trials=5, seed=seed, tol=1e-8)
         assert before.passed, f"seed {seed} fails before training"
         rng = np.random.default_rng(1000 + seed)
         data = Dataset(
@@ -131,7 +131,7 @@ def test_criterion_3_equivariance_by_construction():
             rng.uniform(-1, 1, size=(40, net.widths[-1])),
         )
         trained, _ = net.train(data, steps=100, learning_rate=0.05)
-        after = check_stack_equivariance(trained.weights(), trained.biases(), trained.activation,
+        after = check_stack_equivariance(trained.layers(), trained.activation,
                                          trained.layer_reps, trials=5, seed=seed, tol=1e-8)
         assert after.passed, f"seed {seed} fails after training"
         built += 1

@@ -6,7 +6,6 @@ from equikit.activations import (
     ActivationSpec,
     apply_pointwise,
     check_pointwise_equivariance,
-    is_compatible,
     parse_activation,
 )
 from equikit.groups import group_from_spec, named_group
@@ -138,46 +137,17 @@ def test_orbitwise_constant_bias_is_exact_on_block_rep():
     assert report.passed and report.max_residual == 0.0
 
 
-def test_is_compatible_cases():
-    g = named_group("symmetric", 3)
-    rep = defining_rep(g)
-    assert is_compatible(SIGN3, np.full(3, 2.0), rep)
-    assert not is_compatible(SIGN3, np.array([-1.0, 0.0, 0.0]), rep)
-    assert not is_compatible(SIGN3, np.zeros(1), sign_rep(g))
-
-
 @pytest.mark.parametrize("group_spec,spec", [
     ("symmetric:3", "defining"), ("symmetric:3", "sign"), ("symmetric:4", "sum(defining;sign)"),
     ("cyclic:4", "sum(trivial:2;defining)"), ("p4m:3", "tensor:2(defining)"),
 ])
 def test_index_array_reads_are_the_dense_ones(group_spec, spec):
-    # is_permutation_rep and is_compatible read a signed rep's gen_arrays;
-    # the same images as a hand-built dense rep take the entrywise tests
+    # is_permutation_rep reads a signed rep's gen_arrays; the same images
+    # as a hand-built dense rep take the entrywise test
     rep = parse_rep_spec(group_from_spec(group_spec), spec)
     dense = Representation(rep.group, rep.degree, rep.gen_images)
     assert rep.gen_arrays is not None and dense.gen_arrays is None
     assert is_permutation_rep(rep) is is_permutation_rep(dense)
-    n = rep.degree
-    for b in (np.full(n, 2.0), np.random.default_rng(0).standard_normal(n),
-              np.full(n, 1.0) + 1e-10 * (np.arange(n) == 0)):
-        for tol in (0.0, 1e-9, 10.0):
-            assert is_compatible(SIGN3, b, rep, tol=tol) is is_compatible(SIGN3, b, dense, tol=tol)
-
-
-@pytest.mark.parametrize("bias,tol,expected", [
-    ([np.nan] * 3, 1e-9, False),  # a non-finite bias certifies nothing
-    ([np.inf] * 3, 1e-9, False),
-    ([1.0, 2.0, 3.0], np.nan, ValueError),  # a NaN tol is refused
-    ([2.0, 2.0, 2.0], 0.0, True),  # an exactly fixed bias passes at tol 0
-])
-def test_is_compatible_edge_cases(bias, tol, expected):
-    rep = defining_rep(named_group("symmetric", 3))
-    relu = ActivationSpec("relu")
-    if expected is ValueError:
-        with pytest.raises(ValueError, match="tol must be finite"):
-            is_compatible(relu, bias, rep, tol=tol)
-    else:
-        assert is_compatible(relu, bias, rep, tol=tol) is expected
 
 
 def test_pass_is_monotone_in_tol():

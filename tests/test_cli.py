@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -309,6 +310,24 @@ def test_check_prints_its_coverage(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "--model", str(model))
     assert code == 0
     assert "coverage certificate (2 generators)\n" in out and out.endswith(": PASS\n")
+
+    # the first bias entry: a last-bit change leaves the bias fixed within
+    # tol but not exactly, and 0.25 moves it off the fixed line
+    intact = model.read_text()
+    bias = float(intact.split("bias-vector:")[1].splitlines()[1].split()[0])
+    assert bias != 0.0
+    set_first_declared_weight(model, repr(math.nextafter(bias, math.inf)), "bias-vector:")
+    code, out, _ = run(capsys, "check", "--model", str(model))
+    assert code == 0
+    assert "coverage exhaustive (6)\n" in out and out.endswith(": PASS\n")
+    set_first_declared_weight(model, repr(bias + 0.25), "bias-vector:")
+    code, out, _ = run(capsys, "check", "--model", str(model))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-3] == "coverage generators (2 of 6)"
+    assert lines[-2].endswith(": FAIL")
+    assert lines[-1].split(",")[0] in ("witness element 1", "witness element 2")
+    model.write_text(intact)
 
     # a last-bit change keeps the map equivariant within tol but breaks the
     # exact certificate, so the element sweep decides
@@ -702,7 +721,7 @@ BAD_TRAIN_VALUES = [
     pytest.param("--lr", lr, f"learning rate must be finite and >= 0, got {float(lr)}",
                  id=f"lr={lr}")
     for lr in ("nan", "inf", "-inf", "-0.5")
-]
+] + [pytest.param("--seed", "-1", "--seed must be >= 0, got -1", id="seed=-1")]
 
 
 def _nothing_built(*args, **kwargs):
@@ -711,7 +730,7 @@ def _nothing_built(*args, **kwargs):
 
 @pytest.mark.parametrize("option,value,message", BAD_TRAIN_VALUES)
 def test_train_bad_threshold_exits_2(tmp_path, capsys, monkeypatch, option, value, message):
-    if option == "--lr":
+    if option in ("--lr", "--seed"):
         monkeypatch.setattr(cli, "group_from_spec", _nothing_built)
         monkeypatch.setattr(cli, "build", _nothing_built)
     model = tmp_path / "model.txt"
@@ -723,6 +742,14 @@ def test_train_bad_threshold_exits_2(tmp_path, capsys, monkeypatch, option, valu
     assert out == ""
     assert err == f"error: {message}\n"
     assert not model.exists()
+
+
+def test_check_negative_seed_exits_2(tmp_path, capsys, monkeypatch):
+    # refused by name before the model is read, as train refuses it
+    model = _train_small_model(tmp_path, capsys)
+    monkeypatch.setattr(cli, "load_model", _nothing_built)
+    code, out, err = run(capsys, "check", "--model", str(model), "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: --seed must be >= 0, got -1\n")
 
 
 def test_diverging_train_prints_one_error_line(tmp_path):

@@ -59,6 +59,18 @@ def _two_hidden_layer_net(activation, seed=0):
     return build(g, chain, activation, seed=seed)
 
 
+def _bias_at(net, i):
+    """Index of hidden layer ``i``'s bias coefficient in ``net.coeffs``:
+    the last of its span."""
+    return net.spans[i].stop - 1
+
+
+def _shift_biases(net):
+    """Move every hidden bias coefficient away from zero."""
+    for i in range(net.k - 1):
+        net.coeffs[_bias_at(net, i)] += 0.1 * (i + 1)
+
+
 def random_dataset(net, samples, seed):
     rng = np.random.default_rng(seed)
     return Dataset(
@@ -126,17 +138,19 @@ def test_build_seed_determinism():
     a = deep_sets_net(seed=3)
     b = deep_sets_net(seed=3)
     c = deep_sets_net(seed=4)
-    assert np.array_equal(a.coefficient_vector(), b.coefficient_vector())
-    assert not np.array_equal(a.coefficient_vector(), c.coefficient_vector())
+    assert np.array_equal(a.coeffs, b.coeffs)
+    assert not np.array_equal(a.coeffs, c.coeffs)
 
 
 def test_initial_weight_scale():
     net = deep_sets_net(seed=7)
-    for i, a in enumerate(net.weights()):
-        fro = np.sqrt((a * a).sum())
+    layers = net.layers()
+    for i, a in enumerate(layers):
+        w = a[:, :net.widths[i]]
+        fro = np.sqrt((w * w).sum())
         assert abs(fro - np.sqrt(2.0 / net.widths[i])) < 1e-12
-    for b in net.biases():
-        assert np.abs(b).max() == 0.0
+    for a in layers[:-1]:
+        assert a.shape[1] == a.shape[0] + 1 and np.abs(a[:, -1]).max() == 0.0
 
 
 # --- evaluation ------------------------------------------------------
@@ -145,18 +159,17 @@ def test_initial_weight_scale():
 def test_identity_single_layer_net():
     g = trivial_group()
     net = build(g, [trivial_rep(g, 4), trivial_rep(g, 4)], RELU, seed=0)
-    net.weight_coeffs[0] = project(net.weight_bases[0], np.eye(4))
+    net.coeffs[:] = project(net.weight_bases[0], np.eye(4))
     v = np.array([0.3, -1.2, 5.0, 0.0])
     assert np.array_equal(net.forward(v), v)
-    report = check_stack_equivariance(net.weights(), net.biases(), net.activation,
-                                      net.layer_reps, trials=4, seed=0)
+    report = check_stack_equivariance(net.layers(), net.activation, net.layer_reps,
+                                      trials=4, seed=0)
     assert report.passed and report.max_residual == 0.0
 
 
 def test_zero_coefficients_zero_output():
     net = deep_sets_net()
-    for i in range(net.k):
-        net.weight_coeffs[i] = np.zeros_like(net.weight_coeffs[i])
+    net.coeffs[:] = 0.0
     out = net.forward(np.ones(12))
     assert np.abs(out).max() == 0.0
 
@@ -173,34 +186,39 @@ def test_forward_batch_matches_single():
 
 
 def test_coefficient_vector_round_trip():
+    # the spans tile ``coeffs`` layer by layer, a hidden layer's bias
+    # coefficient last, and a copy owns its vector
     net = deep_sets_net(seed=6)
-    flat = net.coefficient_vector()
-    assert flat.size == net.count_parameters().equivariant
+    _shift_biases(net)
+    dims = [basis.dim for basis in net.weight_bases]
+    assert net.spans == [slice(0, dims[0] + 1), slice(dims[0] + 1, dims[0] + 1 + dims[1])]
+    assert net.coeffs.size == net.count_parameters().equivariant == 28
+    flat = net.coeffs.copy()
     other = net.copy()
-    doubled = 2.0 * flat
-    other._view_coefficients(doubled)
-    doubled[0] = 99.0  # the network views the vector
-    assert np.array_equal(other.coefficient_vector(), np.r_[99.0, 2.0 * flat[1:]])
-    other._view_coefficients(net.coefficient_vector())
-    assert np.array_equal(other.coefficient_vector(), flat)
-    for a, b in zip(other.weights() + other.biases(), net.weights() + net.biases()):
-        assert np.array_equal(a, b)
+    other.coeffs *= 2.0
+    assert np.array_equal(net.coeffs, flat)
+    (a, last), (a2, last2) = net.layers(), other.layers()
+    assert np.array_equal(a2, 2.0 * a) and np.array_equal(last2, 2.0 * last)
+    assert np.array_equal(a[:, -1], np.full(12, 1.0 / np.sqrt(12) * flat[dims[0]]))
+    other.coeffs[:] = flat
+    assert all(np.array_equal(x, y) for x, y in zip(other.layers(), net.layers()))
 
 
 @pytest.mark.parametrize("make", [deep_sets_net, _two_hidden_layer_net],
                          ids=["one-hidden", "two-hidden"])
 def test_stack_forward_with_declared_biases_matches_row_major(make):
-    # a declared bias vector may be anything, not only a point of the
-    # all-ones line; stacked beside its weight, it is added as before
+    # a declared bias column may be anything, not only a point of the
+    # all-ones line; it is added as b in W x + b
     net = make(activation=TANH, seed=3)
     rng = np.random.default_rng(11)
-    weights = net.weights()
-    biases = [rng.standard_normal(b.size) for b in net.biases()]
+    layers = net.layers()
+    for a in layers[:-1]:
+        a[:, -1] = rng.standard_normal(a.shape[0])
     x = rng.uniform(-1, 1, size=(40, net.widths[0]))
-    want = row_major_forward(weights, biases, TANH, x)[0]
-    assert np.ptp(biases[0]) > 0.5
-    assert np.abs(stack_forward(weights, biases, TANH, x) - want).max() <= 1e-12
-    assert np.abs(stack_forward(weights, biases, TANH, x[3]) - want[3]).max() <= 1e-12
+    want = row_major_forward(layers, TANH, x)[0]
+    assert np.ptp(layers[0][:, -1]) > 0.5
+    assert np.abs(stack_forward(layers, TANH, x) - want).max() <= 1e-12
+    assert np.abs(stack_forward(layers, TANH, x[3]) - want[3]).max() <= 1e-12
 
 
 def test_forward_rejects_wrong_length():
@@ -212,20 +230,20 @@ def test_forward_rejects_wrong_length():
 @pytest.mark.parametrize("seed", range(4))
 def test_fresh_nets_are_equivariant(seed):
     net = deep_sets_net(seed=seed, activation=RELU if seed % 2 else TANH)
-    report = check_stack_equivariance(net.weights(), net.biases(), net.activation,
-                                      net.layer_reps, trials=6, seed=seed, tol=1e-8)
+    report = check_stack_equivariance(net.layers(), net.activation, net.layer_reps,
+                                      trials=6, seed=seed, tol=1e-8)
     assert report.passed
 
 
 def test_check_equivariance_certifies_built_nets():
     net = deep_sets_net(seed=2, activation=TANH)
-    net.bias_coeffs = [np.array([0.3])]
-    report = check_stack_equivariance(net.weights(), net.biases(), net.activation,
-                                      net.layer_reps)
+    net.coeffs[_bias_at(net, 0)] = 0.3
+    layers = net.layers()
+    report = check_stack_equivariance(layers, net.activation, net.layer_reps)
     assert report.passed and report.coverage == "certificate (2 generators)"
     # a bias off the invariant line is refuted at a generator
-    report = check_stack_equivariance(net.weights(), [0.3 * np.arange(12.0)], net.activation,
-                                      net.layer_reps)
+    layers[0][:, -1] = 0.3 * np.arange(12.0)
+    report = check_stack_equivariance(layers, net.activation, net.layer_reps)
     assert not report.passed and report.coverage == "generators (2 of 24)"
     assert report.witness[0] in net.group.cayley[0]
 
@@ -233,20 +251,18 @@ def test_check_equivariance_certifies_built_nets():
 def test_check_equivariance_of_dense_reps_sweeps_every_element():
     rep = _quarter_turn_rep()
     net = build(rep.group, [rep, rep], TANH, seed=0)
-    report = check_stack_equivariance(net.weights(), net.biases(), net.activation,
-                                      net.layer_reps)
+    report = check_stack_equivariance(net.layers(), net.activation, net.layer_reps)
     assert report.passed and report.coverage == "exhaustive (4)"
 
 
 def test_tampered_weight_breaks_equivariance():
     net = deep_sets_net(seed=1)
-    weights = net.weights()
+    layers = net.layers()
     rng = np.random.default_rng(5)
-    weights[0] = rng.standard_normal(weights[0].shape)
-    biases = net.biases()
+    layers[0][:, :-1] = rng.standard_normal((12, 12))
 
     def apply(x):
-        return stack_forward(weights, biases, net.activation, x)
+        return stack_forward(layers, net.activation, x)
 
     report = check_map_equivariance(
         apply, net.layer_reps[0], net.layer_reps[-1], trials=6, seed=0, tol=1e-8
@@ -261,8 +277,7 @@ def test_tampered_weight_breaks_equivariance():
 
 def test_zero_net_zero_targets_zero_gradient():
     net = deep_sets_net()
-    for i in range(net.k):
-        net.weight_coeffs[i] = np.zeros_like(net.weight_coeffs[i])
+    net.coeffs[:] = 0.0
     data = Dataset(np.ones((3, 12)), np.zeros((3, 3)))
     mse, grad = net.loss_grad(data)
     assert mse == 0.0
@@ -276,7 +291,7 @@ def test_single_layer_gradient_matches_least_squares():
     data = random_dataset(net, 40, seed=1)
     mse, grad = net.loss_grad(data)
     x, y = data.inputs, data.targets
-    a = net.weights()[0]
+    (a,) = net.layers()
     residual = x @ a.T - y
     assert abs(mse - np.mean(residual ** 2)) < 1e-14
     grad_a = 2.0 * residual.T @ x / residual.size
@@ -294,10 +309,10 @@ def test_loss_grad_with_buffers_is_bitwise_fresh(activation):
         step = network._Step(net, data)
         for t in range(3):  # stale buffer contents must not leak into a step
             mse, grad = net.loss_grad(data)
-            assert step.run(net.coefficient_vector()) == mse
+            assert step.run(net.coeffs) == mse
             assert step.grad.tobytes() == grad.tobytes()
-            net.weight_coeffs[0] += 0.1  # the step reads the coefficients anew
-            net.bias_coeffs[-1][0] = 0.2 * t
+            net.coeffs[:net.weight_bases[0].dim] += 0.1  # the step reads the coefficients anew
+            net.coeffs[_bias_at(net, net.k - 2)] = 0.2 * t
 
 
 def test_training_step_allocates_no_batch_sized_array():
@@ -329,8 +344,7 @@ def test_training_step_allocates_no_batch_sized_array():
 def test_loss_grad_matches_the_row_major_reference(make, activation):
     net = make(activation=activation, seed=5)
     data = random_dataset(net, 300, seed=7)
-    for i, c in enumerate(net.bias_coeffs):  # biases away from zero
-        c += 0.1 * (i + 1)
+    _shift_biases(net)
     mse, grad = net.loss_grad(data)
     want_mse, want_grad = row_major_loss_grad(net, data)
     assert np.count_nonzero(want_grad) > grad.size // 2
@@ -345,18 +359,16 @@ def test_loss_grad_matches_the_row_major_reference(make, activation):
                                         ActivationSpec("sign_threshold", 0.5)], ids=str)
 def test_train_is_bitwise_the_reference_loop(make, activation, batch):
     # the planned step gives, bit for bit, the coefficients and history
-    # of the loop that realized every weight, stacked each bias beside
-    # it, stacked a ones row under each biased layer's input and
-    # concatenated the gradient
+    # of the loop that realized every layer, stacked a ones row under each
+    # hidden layer's input and concatenated the gradient
     net = make(activation=activation, seed=4)
-    for i, c in enumerate(net.bias_coeffs):  # biases away from zero
-        c += 0.1 * (i + 1)
+    _shift_biases(net)
     data = random_dataset(net, batch, seed=8)
     trained, history = net.train(data, 25, 0.05)
     want, want_history = reference_train(net, data, 25, 0.05)
     assert np.ptp(history) > 0.0
     assert history.tobytes() == want_history.tobytes()
-    assert trained.coefficient_vector().tobytes() == want.coefficient_vector().tobytes()
+    assert trained.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("activation", [RELU, TANH, ActivationSpec("threshold", 0.5)])
@@ -387,7 +399,7 @@ def test_zero_learning_rate_is_identity():
     net = deep_sets_net(seed=2)
     data = random_dataset(net, 10, seed=0)
     trained, history = net.train(data, steps=5, learning_rate=0.0)
-    assert np.array_equal(trained.coefficient_vector(), net.coefficient_vector())
+    assert np.array_equal(trained.coeffs, net.coeffs)
     assert np.ptp(history) == 0.0
 
 
@@ -395,7 +407,7 @@ def test_training_preserves_equivariance():
     net = deep_sets_net(seed=8)
     data = random_dataset(net, 25, seed=3)
     trained, _ = net.train(data, steps=60, learning_rate=0.1)
-    report = check_stack_equivariance(trained.weights(), trained.biases(), trained.activation,
+    report = check_stack_equivariance(trained.layers(), trained.activation,
                                       trained.layer_reps, trials=6, seed=1, tol=1e-8)
     assert report.passed
 
@@ -673,7 +685,8 @@ def test_check_witness_does_not_depend_on_product_layout(group_spec, chain, acti
     group = group_from_spec(group_spec)
     reps = [parse_rep_spec(group, spec) for spec in chain]
     net = build(group, reps, activation, seed=seed)
-    (w1, w2), (b1,) = net.weights(), net.biases()
+    a1, w2 = net.layers()
+    w1, b1 = a1[:, :-1].copy(), a1[:, -1].copy()
     w1[0, 0] += 0.25
 
     def row_major(x):
@@ -761,7 +774,8 @@ def test_constant_width_weights_commute_with_group():
     g = named_group("symmetric", 4)
     rep = defining_rep(g)
     net = build(g, [rep, rep, rep], RELU, seed=5)
-    for a in net.weights():
+    for a in net.layers():
+        a = a[:, :rep.degree]
         for x in rep.images:
             assert np.abs(np.linalg.inv(x) @ a @ x - a).max() < 1e-8
 
@@ -781,8 +795,7 @@ def test_save_load_round_trip(tmp_path):
     assert "coeffs" not in path.read_text()
     loaded = load_model(path)
     assert loaded.network is None
-    assert all(np.array_equal(a, b) for a, b in zip(loaded.declared_weights, trained.weights()))
-    assert all(np.array_equal(a, b) for a, b in zip(loaded.declared_biases, trained.biases()))
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.layers(), trained.layers()))
     assert loaded.declared_matches()
     again = tmp_path / "model2.txt"
     save_model(loaded, again)
@@ -796,8 +809,8 @@ def test_single_layer_model_round_trip(tmp_path):
     path = tmp_path / "model.txt"
     save_model(net, path)
     loaded = load_model(path)
-    assert np.array_equal(loaded.declared_weights[0], net.weights()[0])
-    assert loaded.declared_biases == []
+    assert len(loaded.layers()) == 1
+    assert np.array_equal(loaded.layers()[0], net.layers()[0])
 
 
 def test_loaded_model_evaluates_identically(tmp_path):
@@ -806,8 +819,7 @@ def test_loaded_model_evaluates_identically(tmp_path):
     save_model(net, path)
     loaded = load_model(path)
     v = np.linspace(-1, 1, 12)
-    declared = stack_forward(loaded.declared_weights, loaded.declared_biases,
-                             loaded.activation, v)
+    declared = stack_forward(loaded.layers(), loaded.activation, v)
     assert np.abs(declared - net.forward(v)).max() < 1e-12
 
 
@@ -822,14 +834,13 @@ def test_loading_a_model_solves_no_basis(tmp_path, monkeypatch):
     monkeypatch.setattr(network, "solve_basis", banned)
     monkeypatch.setattr(network, "build", banned)
     loaded = load_model(path)
-    report = check_stack_equivariance(loaded.weights(), loaded.biases(), loaded.activation,
-                                      loaded.layer_reps)
+    report = check_stack_equivariance(loaded.layers(), loaded.activation, loaded.layer_reps)
     assert report.passed and report.coverage.startswith("certificate ")
 
 
 def test_build_save_and_weights_build_no_dense_basis(tmp_path, monkeypatch):
     # orbit-form bases realize by a gather, so building, saving and reading
-    # a model's weights never scatter a dense basis
+    # a model's layers never scatter a dense basis
     def banned(*args):
         raise AssertionError("a dense basis was built")
 
@@ -838,7 +849,7 @@ def test_build_save_and_weights_build_no_dense_basis(tmp_path, monkeypatch):
     chain = [parse_rep_spec(g, spec) for spec in ("defining", "defining", "trivial:1")]
     net = build(g, chain, TANH, seed=2)
     save_model(net, tmp_path / "model.txt")
-    assert [w.shape for w in net.weights()] == [(16, 16), (1, 16)]
+    assert [a.shape for a in net.layers()] == [(16, 17), (1, 16)]
     assert all(basis.orbits is not None for basis in net.weight_bases)
 
 
@@ -871,8 +882,7 @@ def test_tampered_model_file_fails_check(tmp_path):
     path, _ = _saved_with_first_declared_weight(tmp_path, deep_sets_net(seed=2), "3.5")
     loaded = load_model(path)
     report = check_stack_equivariance(
-        loaded.declared_weights, loaded.declared_biases, loaded.activation,
-        loaded.layer_reps, trials=6, seed=0, tol=1e-8,
+        loaded.layers(), loaded.activation, loaded.layer_reps, trials=6, seed=0, tol=1e-8,
     )
     assert not report.passed
     assert report.witness is not None
@@ -882,10 +892,9 @@ def test_v1_model_loads_its_coefficients(tmp_path):
     loaded = load_model(V1_DATA / "com_tanh300_v1.model")
     net = loaded.network
     assert net is not None and net.layer_reps == loaded.layer_reps
-    assert net.coefficient_vector().size == 28
+    assert net.coeffs.size == 28
     assert loaded.declared_matches()
-    assert all(np.abs(a - b).max() <= 1e-9
-               for a, b in zip(net.weights(), loaded.declared_weights))
+    assert all(np.abs(a - b).max() <= 1e-9 for a, b in zip(net.layers(), loaded.layers()))
 
     path = tmp_path / "model.txt"
     path.write_text((V1_DATA / "com_tanh300_v1.model").read_text())
@@ -918,7 +927,7 @@ def test_model_file_rejects_non_finite_values(tmp_path, value):
 def test_declared_matches_rejects_nan():
     loaded = load_model(V1_DATA / "com_tanh300_v1.model")
     assert loaded.declared_matches()
-    loaded.declared_weights[0][0, 0] = np.nan
+    loaded.declared_layers[0][0, 0] = np.nan
     assert not loaded.declared_matches()
 
 

@@ -549,35 +549,49 @@ def built_nets(draw, group):
     seed = draw(st.integers(0, 2 ** 16))
     net = network.build(group, chain, TANH, seed=seed)
     rng = np.random.default_rng(seed)
-    net.bias_coeffs = [rng.standard_normal(c.shape) for c in net.bias_coeffs]
+    for span in net.spans[:-1]:
+        net.coeffs[span.stop - 1] = rng.standard_normal()
     return net
 
 
 @st.composite
 def built_stacks(draw, group):
-    """(weights, biases, chain) of ``built_nets``."""
+    """(layers, chain) of ``built_nets``."""
     net = draw(built_nets(group))
-    return net.weights(), net.biases(), net.layer_reps
+    return net.layers(), net.layer_reps
 
 
-def assert_certificate_is_the_oracle(weights, biases, chain):
+def layer_input_images(a, rep):
+    """The dense generator images of the rep a layer ``a`` maps from:
+    rho's, or for ``[W | b]`` rho's with one coordinate fixed below (the
+    ones row)."""
+    n = rep.degree
+    if a.shape[1] == n:
+        return rep.gen_images
+    images = np.zeros((len(rep.gen_images), n + 1, n + 1))
+    images[:, :n, :n] = rep.gen_images
+    images[:, n, n] = 1.0
+    return images
+
+
+def assert_certificate_is_the_oracle(layers, chain):
     """The certificate, per layer and generator, against dense products;
     the verdict against the per-element check; a generator witness
     against the dense images. Returns the certificate."""
     group = chain[0].group
-    for w, rep_in, rep_out in zip(weights, chain, chain[1:]):
-        dense = [np.array_equal(w @ a, b @ w)
-                 for a, b in zip(rep_in.gen_images, rep_out.gen_images)]
-        assert network._commutes_at_generators(w, rep_in, rep_out).tolist() == dense
-    certified = network._certified(weights, biases, TANH, chain)
+    for a, rep_in, rep_out in zip(layers, chain, chain[1:]):
+        dense = [np.array_equal(a @ x, y @ a)
+                 for x, y in zip(layer_input_images(a, rep_in), rep_out.gen_images)]
+        assert network._commutes_at_generators(a, rep_in, rep_out).tolist() == dense
+    certified = network._certified(layers, chain)
 
     def apply(x):
-        return network.stack_forward(weights, biases, TANH, x)
+        return network.stack_forward(layers, TANH, x)
 
     reference = reference_check(apply, chain[0], chain[-1], (-1.0, 1.0), 8, 0, 1e-8, True)
     if certified:
         assert reference.passed
-    report = network.check_stack_equivariance(weights, biases, TANH, chain)
+    report = network.check_stack_equivariance(layers, TANH, chain)
     assert report.passed == reference.passed
     if report.coverage.startswith("generators"):
         assert report.coverage == f"generators ({group.gen_count} of {group.order})"
@@ -604,26 +618,52 @@ def fixed_by_generators(diagonals):
 @given(data=st.data())
 def test_certificate_is_the_dense_oracle(group_spec, data):
     group = named(group_spec)
-    weights, biases, chain = data.draw(built_stacks(group))
-    assert assert_certificate_is_the_oracle(weights, biases, chain)
+    layers, chain = data.draw(built_stacks(group))
+    assert assert_certificate_is_the_oracle(layers, chain)
 
-    # one declared weight entry, or one hidden bias entry, moved by 0.5
-    # fails the certificate unless every generator fixes it with sign +1,
-    # in which case the moved stack is still equivariant
-    weights, biases = [w.copy() for w in weights], [b.copy() for b in biases]
-    layer = data.draw(st.integers(0, len(weights) + len(biases) - 1))
-    if layer < len(weights):
-        rows, cols = weights[layer].shape
-        i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
-        weights[layer][i, j] += 0.5
-        fixed = fixed_by_generators([chain[layer + 1].gen_images[:, i, i],
-                                     chain[layer].gen_images[:, j, j]])
+    # one declared weight entry, or one hidden bias entry (the last column
+    # of [W | b]), moved by 0.5 fails the certificate unless every
+    # generator fixes it with sign +1, in which case the moved stack is
+    # still equivariant
+    layer = data.draw(st.integers(0, len(layers) - 1))
+    a = layers[layer]
+    i, j = data.draw(st.integers(0, a.shape[0] - 1)), data.draw(st.integers(0, a.shape[1] - 1))
+    a[i, j] += 0.5
+    fixed = fixed_by_generators([chain[layer + 1].gen_images[:, i, i],
+                                 layer_input_images(a, chain[layer])[:, j, j]])
+    assert assert_certificate_is_the_oracle(layers, chain) == fixed
+
+
+def _certificate_stack(hidden):
+    """Layers ``[I | 0]`` and ``(1, ..., 1)`` over the symmetric:3 chain
+    hidden -> hidden -> trivial:1 (sign -> sign -> sign for a sign hidden
+    rep): every layer commutes with every generator."""
+    end = "sign" if hidden == "sign" else "trivial:1"
+    chain = reps.parse_rep_chain(named("symmetric:3"), [hidden, hidden, end])
+    n = chain[1].degree
+    return [np.hstack((np.eye(n), np.zeros((n, 1)))), np.ones((1, n))], chain
+
+
+@pytest.mark.parametrize("bias, hidden, certified", [
+    ([2.0, 2.0, 2.0], "defining", True),  # fixed by every generator
+    ([-1.0, 0.0, 0.0], "defining", False),  # moved by a generator
+    ([0.0], "sign", False),  # fixed, but the hidden rep is signed
+    ([np.nan] * 3, "defining", False),  # a non-finite bias certifies nothing
+    ([np.inf] * 3, "defining", False),
+], ids=["fixed", "moved", "signed-hidden", "nan", "inf"])
+def test_certificate_bias_cases(bias, hidden, certified):
+    # the bias column of [W | b] is the certificate's test that b is fixed
+    layers, chain = _certificate_stack(hidden)
+    layers[0][:, -1] = bias
+    assert network._certified(layers, chain) is certified
+    report = network.check_stack_equivariance(layers, TANH, chain)
+    if certified:
+        assert report.passed and report.coverage == "certificate (2 generators)"
+    elif hidden == "sign" or np.isinf(bias[0]):
+        # equivariant, yet not certified: every element is swept
+        assert report.passed and report.coverage == "exhaustive (6)"
     else:
-        bias = biases[layer - len(weights)]
-        i = data.draw(st.integers(0, bias.size - 1))
-        bias[i] += 0.5
-        fixed = fixed_by_generators([chain[layer - len(weights) + 1].gen_images[:, i, i]])
-    assert assert_certificate_is_the_oracle(weights, biases, chain) == fixed
+        assert not report.passed and report.coverage == "generators (2 of 6)"
 
 
 # --- model files: a v2 round trip is bitwise, and needs no solve -------------
@@ -643,17 +683,16 @@ def test_v2_model_round_trip_is_bitwise(group_spec, data):
         path = os.path.join(tmp, "M")
         network.save_model(net, path)
         loaded = network.load_model(path)
-        for declared, realized in ((loaded.weights(), net.weights()),
-                                   (loaded.biases(), net.biases())):
-            assert [a.shape for a in declared] == [a.shape for a in realized]
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(declared, realized))
+        declared, realized = loaded.layers(), net.layers()
+        assert [a.shape for a in declared] == [a.shape for a in realized]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(declared, realized))
         again = os.path.join(tmp, "again")
         network.save_model(loaded, again)
         with open(path) as fh, open(again) as fh_again:
             text = fh.read()
             assert text == fh_again.read()
-        report = network.check_stack_equivariance(loaded.weights(), loaded.biases(),
-                                                  loaded.activation, loaded.layer_reps)
+        report = network.check_stack_equivariance(loaded.layers(), loaded.activation,
+                                                  loaded.layer_reps)
         assert report.passed
         assert report.coverage == f"certificate ({group.gen_count} generators)"
 
@@ -661,7 +700,7 @@ def test_v2_model_round_trip_is_bitwise(group_spec, data):
         # moves (an edit where the input is fixed leaves an invariant
         # stack invariant), moved by 0.5
         chain = net.layer_reps
-        w = net.weights()[0]
+        w = net.layers()[0][:, :chain[0].degree]
         off = [(i, j) for i in range(w.shape[0]) for j in range(w.shape[1])
                if not fixed_by_generators([chain[0].gen_images[:, j, j]])
                and not fixed_by_generators([chain[1].gen_images[:, i, i],
@@ -677,8 +716,8 @@ def test_v2_model_round_trip_is_bitwise(group_spec, data):
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         edited = network.load_model(path)
-        report = network.check_stack_equivariance(edited.weights(), edited.biases(),
-                                                  edited.activation, edited.layer_reps)
+        report = network.check_stack_equivariance(edited.layers(), edited.activation,
+                                                  edited.layer_reps)
         assert not report.passed
         assert report.coverage == f"generators ({group.gen_count} of {group.order})"
         assert report.witness[0] in group.generator_ids

@@ -174,6 +174,8 @@ def test_image_text_round_trip():
 ] + [
     # a header naming 10^16 pixels fails at the first missing pixel line
     ("100000000 3\n0 0 0\n", r"pixel \(0, 1\): expected three values"),
+    # a channel that is not a number is named with its pixel
+    ("2 3\n0 0 0\n0 x 0\n", r"pixel \(0, 1\): 'x' is not a number"),
 ])
 def test_read_image_rejects_bad_header(text, message):
     with pytest.raises(ValueError, match=message):
