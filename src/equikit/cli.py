@@ -5,11 +5,12 @@ chain), ``check`` (equivariance report for a saved model, exit 1 on
 failure), ``train`` (toy tasks), ``count`` (free parameters of a
 dense, Toeplitz or BTTB layer stack, ``param_count``) and ``demo``
 (golden worked examples). Exit codes: 0 pass, 1 failed check, 2
-malformed input.
+malformed input, 141 stdout closed by its reader (as ``| head`` does).
 """
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -347,7 +348,14 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # the reader is gone: exit as SIGPIPE would (128 + 13), with stdout on
+        # devnull so that the interpreter's last flush prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -15,10 +15,10 @@ Example::
 Rep keys are integers that name 0, 1, ... once each (``1`` and ``01``
 name the same rep, and are refused together); they order the layer
 chain. ``basis``, the only reader of a config, reads ``group`` and
-[reps]. The [model] keys ``activation`` (an activation spec), ``seed``
-(an integer) and ``tol`` (a finite positive float) are validated and
-unused: every rep the spec language builds takes the exact orbit path
-of ``solve_basis``, which uses no tolerance.
+[reps]. The [model] keys ``activation`` (an activation spec) and
+``seed`` (an integer) are validated and unused. There is no ``tol`` key
+(it is refused as an unknown field): every rep the spec language builds
+takes the exact orbit path of ``solve_basis``, which uses no tolerance.
 
 ``_read_sections`` reads a file as the standard library's
 ``ConfigParser(interpolation=None)`` with case-kept keys reads it, as
@@ -46,7 +46,6 @@ import re
 from dataclasses import dataclass
 
 from .activations import parse_activation
-from .numerics import check_tol
 
 # a key line, with the default delimiters of the standard INI reader:
 # the first '=' or ':' splits it
@@ -131,14 +130,6 @@ def parse_config(path):
         int(model.pop("seed", "0"))
     except ValueError:
         raise ConfigError("model.seed must be an integer") from None
-    try:
-        tol = float(model.pop("tol", "1e-9"))
-    except ValueError:
-        raise ConfigError("model.tol must be a float") from None
-    try:
-        check_tol(tol)
-    except ValueError as exc:
-        raise ConfigError(f"model.tol: {exc}") from None
     if model:
         key = sorted(model)[0]
         raise ConfigError(f"model.{key}: unknown field")

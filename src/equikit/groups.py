@@ -22,6 +22,15 @@ that names the failing element of images that test rejects or checks
 dense images or images of a ``close``-built group (``reps._replay``),
 and any first read of a rep's element data.
 
+Each cap sits where what it bounds is allocated (``_check_fits`` counts
+bytes against ``MAX_IMAGE_STACK_BYTES``). A name checks only that its
+order fits int64, the type of every element index, and its generators'
+index maps; a rep spec its generators' data (``reps.parse_rep_spec``).
+The enumeration (``FiniteGroup._enumerate``) checks ``MAX_ORDER`` and
+its elements' keys before the BFS runs, and ``_walk`` the element data
+it walks. So every caller that reads generators only runs on any group
+that can be named.
+
 Element 0 is always the identity. BFS order (queue order, generators
 tried in index order) fixes a canonical element indexing, and an
 element's word, its generator sequence from the identity, is read off
@@ -48,17 +57,19 @@ from itertools import repeat
 import numpy as np
 
 from .numerics import (
-    _code_type,
     as_matrix,
     sign_flips,
     signed_permutation_matrices,
     signed_permutations,
 )
 
-DEFAULT_MAX_ORDER = 20000
+# A group is enumerated (``FiniteGroup._enumerate``) only up to this many
+# elements; read at call time.
+MAX_ORDER = 20000
 
-# A named group or rep spec is refused, before anything is built, when
-# the element data it could walk would exceed this (``_check_fits``).
+# No array of generator data (built from a name or rep spec), element
+# codes (enumerated) or element data (walked) is allocated above this
+# many bytes (``_check_fits``).
 MAX_IMAGE_STACK_BYTES = 2 ** 28
 
 # Dedup per the small-integer / exact-trig entry regime: hash on entries
@@ -145,16 +156,26 @@ class FiniteGroup:
                for k in keys(identity[None]) + keys(times_all(identity[None]))]
         return np.array(ids[1:], dtype=np.int64)
 
-    def _enumerate(self, max_order=None):
+    def _enumerate(self):
         """Run the BFS, once, and keep its tree; return the group. A
-        group of known order enumerates with that order as its cap and
-        raises ClosureError unless it finds exactly that many elements;
-        otherwise the order is what the BFS finds within ``max_order``."""
+        group of known order above ``MAX_ORDER``, or whose elements' keys
+        (their signed codes, or dense matrices) would exceed
+        ``MAX_IMAGE_STACK_BYTES``, raises before the BFS runs; otherwise
+        it enumerates with its order as the cap and raises ClosureError
+        unless it finds exactly that many elements. A group of unknown
+        order takes what the BFS finds within ``MAX_ORDER``."""
         if self._cayley is not None:
             return self
-        cap = max_order if self.order is None else self.order
-        cayley, parents = _bfs(_element_steps(self.gen_arrays, self._generators),
-                               self.gen_count, cap)
+        steps = _element_steps(self.gen_arrays, self._generators)
+        cap = MAX_ORDER
+        if self.order is not None:
+            if self.order > MAX_ORDER:
+                raise ClosureError(f"{self!r} has more elements than the enumeration cap "
+                                   f"{MAX_ORDER=}")
+            _check_fits(f"enumerating {self!r}: its elements' keys", self.order,
+                        steps[0].nbytes)
+            cap = self.order
+        cayley, parents = _bfs(steps, self.gen_count, cap)
         if self.order is None:
             self.order = len(cayley)
         elif len(cayley) != self.order:
@@ -167,19 +188,18 @@ class FiniteGroup:
         return f"FiniteGroup({name}, dim={self.dim}, order={self.order})"
 
 
-def close(generators, max_order=DEFAULT_MAX_ORDER):
+def close(generators):
     """Close a generator set under multiplication (BFS, right products).
 
     The closure runs at once, since it alone finds the order. Signed
     permutation generators close on exact integer keys; any other set
     closes on rounded dense keys (see the module docstring). Raises
-    ClosureError if more than ``max_order`` elements appear, and
+    ClosureError if more than ``MAX_ORDER`` elements appear, and
     ValueError for non-square, mismatched, or non-invertible generators.
     The group has no spec, so a model over it cannot be saved.
     """
     gens, perm = _generator_stack(generators, "generator")
-    return FiniteGroup(gens.shape[1], gen_arrays=perm,
-                       generators=gens)._enumerate(max_order)
+    return FiniteGroup(gens.shape[1], gen_arrays=perm, generators=gens)._enumerate()
 
 
 def _generator_stack(matrices, name):
@@ -203,7 +223,7 @@ def _generator_stack(matrices, name):
     return stack, perm
 
 
-def _close_dense(gens, max_order=DEFAULT_MAX_ORDER):
+def _close_dense(gens):
     """``close`` on dense matrices deduplicated by ``_key``, whatever the
     generators: the path of every generator set that is not all signed
     permutations, and the test oracle for the other. On signed
@@ -212,7 +232,7 @@ def _close_dense(gens, max_order=DEFAULT_MAX_ORDER):
     zeros, they are bitwise the dense products (a matmul sum of +-0.0
     terms starts from +0.0, so every zero it leaves is +0.0)."""
     gens = np.stack(gens)
-    return FiniteGroup(gens.shape[1], generators=gens)._enumerate(max_order)
+    return FiniteGroup(gens.shape[1], generators=gens)._enumerate()
 
 
 def _row_bytes(rows):
@@ -255,7 +275,7 @@ def _element_steps(gen_arrays=None, generators=None):
             _row_bytes, residuals)
 
 
-def _bfs(steps, gen_count, max_order):
+def _bfs(steps, gen_count, cap):
     """Level-synchronous breadth-first closure from the identity of the
     element algebra ``steps`` (``_element_steps``).
 
@@ -264,9 +284,10 @@ def _bfs(steps, gen_count, max_order):
     looked up in one ``map``, and Python visits only the products not
     seen before the level. New elements are numbered in (element,
     generator) order, which is the order a one-element-at-a-time queue
-    finds them in. Returns only the tree, as the cayley table and the
-    parent links: the search holds one level's element data at a time,
-    and ``_walk`` gives every element's on demand.
+    finds them in; one past ``cap`` raises ClosureError. Returns only
+    the tree, as the cayley table and the parent links: the search holds
+    one level's element data at a time, and ``_walk`` gives every
+    element's on demand.
     """
     identity, _, times_all, keys, _ = steps
     level = identity[None]
@@ -283,10 +304,8 @@ def _bfs(steps, gen_count, max_order):
             size = len(index)
             row[p] = j = index.setdefault(product_keys[p], size)
             if j == size:
-                if size >= max_order:
-                    raise ClosureError(
-                        f"group not closed within cap max_order={max_order}"
-                    )
+                if size >= cap:
+                    raise ClosureError(f"group not closed within {cap} elements")
                 new.append(p)
         cayley_rows.append(row.reshape(-1, gen_count))
         parent, gi = np.divmod(np.array(new, dtype=np.int64), gen_count)
@@ -300,11 +319,15 @@ def _walk(group, steps):
     """Every element's data in the element algebra ``steps``
     (``_element_steps``), walked from the identity down ``group``'s BFS
     tree a level (the elements whose parents precede it) at a time: per
-    level and generator, one ``times`` of the parents' data."""
+    level and generator, one ``times`` of the parents' data. The tree is
+    read (enumerating the group if nothing has yet) before the data is
+    allocated, and data above ``MAX_IMAGE_STACK_BYTES`` raises ValueError."""
     identity, times = steps[:2]
-    data = np.empty((group.order,) + identity.shape, dtype=identity.dtype)
-    data[0] = identity
     parent_of, gen_of = group.parents[:, 0], group.parents[:, 1]
+    shape = (group.order,) + identity.shape
+    _check_fits(f"the element data {shape} over {group!r}", group.order, identity.nbytes)
+    data = np.empty(shape, dtype=identity.dtype)
+    data[0] = identity
     lo = 1
     while lo < group.order:
         hi = int(np.searchsorted(parent_of, lo))
@@ -437,7 +460,7 @@ def _grid_permutations(n_grid, kind):
     return [r2 % n_grid * n_grid + c2 % n_grid for r2, c2 in maps]
 
 
-def named_group(kind, size, max_order=DEFAULT_MAX_ORDER):
+def named_group(kind, size):
     """Construct one of the named groups, from its generators alone.
 
     Kinds: ``symmetric(m)`` and ``cyclic(n)`` act on R^m / R^n by
@@ -445,17 +468,28 @@ def named_group(kind, size, max_order=DEFAULT_MAX_ORDER):
     permutations of the N x N pixel grid with periodic boundary
     (translations; plus quarter-turn rotations; plus reflections).
     The group keeps its generators' index maps and its closed-form order
-    (``_named_order``) and enumerates no element until one is read.
-    A size whose group has more than ``max_order`` elements raises
-    ClosureError, then one whose element index arrays would exceed
-    ``MAX_IMAGE_STACK_BYTES`` ValueError, before any group is built.
+    (``_named_order``) and enumerates no element until one is read, so
+    naming checks only two bounds, before anything is built: an order
+    beyond int64, the type of every element index (from symmetric:21
+    on), and generator index maps (int64 targets and int8 signs) above
+    ``MAX_IMAGE_STACK_BYTES`` raise ValueError. Enumerating checks its
+    own caps (``FiniteGroup._enumerate``), and walking a rep's element
+    data its own (``_walk``).
     """
     if size < 1:
         raise ValueError(f"group size parameter must be >= 1, got {size}")
     if kind not in ("symmetric", "cyclic", "torus", "p4", "p4m"):
         raise ValueError(f"unknown group kind {kind!r}")
-    order = _named_order(kind, size, max_order)
     spec = f"{kind}:{size}"
+    order = _named_order(kind, size)
+    if order >= 2 ** 63:
+        raise ValueError(f"group {spec} has at least {order} elements, too many for int64 "
+                         "element indices")
+    count = 1 if size == 1 else {"symmetric": min(size - 1, 2), "cyclic": 1, "torus": 2,
+                                 "p4": 3, "p4m": 4}[kind]
+    degree = size if kind in ("symmetric", "cyclic") else size * size
+    _check_fits(f"group {spec} has degree {degree}: its {count} generators' index maps",
+                count, degree * 9)
     if size == 1:
         perms = [[0]]
     elif kind == "symmetric":
@@ -466,49 +500,43 @@ def named_group(kind, size, max_order=DEFAULT_MAX_ORDER):
         perms = [(np.arange(size) + 1) % size]
     else:
         perms = _grid_permutations(size, kind)
-    _check_fits(f"group {spec}", order, len(perms[0]), True)
     targets = np.array(perms, dtype=np.int64)
     return FiniteGroup(targets.shape[1], order, spec,
                        gen_arrays=(targets, np.ones(targets.shape, np.int8)))
 
 
-def _check_fits(what, order, degree, signed):
-    """Refuse the element data a group or rep could walk above
-    ``MAX_IMAGE_STACK_BYTES``: (order, degree) signed codes if ``signed``,
-    else an (order, degree, degree) float64 stack."""
-    nbytes = order * degree * (_code_type(degree).itemsize if signed else degree * 8)
+def _check_fits(what, count, item_bytes):
+    """Refuse ``count`` items of ``item_bytes`` bytes each (the caller's
+    generator data, element keys or element data) above
+    ``MAX_IMAGE_STACK_BYTES``, before they are allocated."""
+    nbytes = count * item_bytes
     if nbytes > MAX_IMAGE_STACK_BYTES:
-        raise ValueError(f"{what} has degree {degree}: its {order} elements' data would "
-                         f"take {nbytes} bytes, above the cap {MAX_IMAGE_STACK_BYTES=}")
+        raise ValueError(f"{what} would take {nbytes} bytes, above the cap "
+                         f"{MAX_IMAGE_STACK_BYTES=}")
 
 
-def _named_order(kind, size, max_order):
-    """The order of a named group, or ClosureError, before any generator
-    is built, when it exceeds ``max_order``: n for cyclic:n, m! for
-    symmetric:m, N^2 translations for torus:N, times the point group's
-    c rotations (and reflections) for p4:N and p4m:N, where c is 4 (8)
-    for N >= 3, 2 for N = 2 (on a 2 x 2 grid the quarter turn is the
-    transpose and the reflection is trivial) and 1 for N = 1."""
+def _named_order(kind, size):
+    """The order of a named group, in closed form: n for cyclic:n, m!
+    for symmetric:m, N^2 translations for torus:N, times the point
+    group's c rotations (and reflections) for p4:N and p4m:N, where c is
+    4 (8) for N >= 3, 2 for N = 2 (on a 2 x 2 grid the quarter turn is
+    the transpose and the reflection is trivial) and 1 for N = 1. m!
+    stops at its first partial product beyond int64, a lower bound that
+    suffices to refuse the name."""
     if kind == "cyclic":
-        order = size
-    elif kind == "symmetric":
+        return size
+    if kind == "symmetric":
         order = 1
         for factor in range(2, size + 1):
-            if order > max_order:
-                break  # a lower bound suffices to refuse
+            if order >= 2 ** 63:
+                break
             order *= factor
-    else:
-        point = {"torus": 1, "p4": 4, "p4m": 8}[kind]
-        order = size * size * (point if size >= 3 else min(point, size))
-    if order > max_order:
-        raise ClosureError(
-            f"{kind}:{size} has at least {order} elements, above the cap "
-            f"max_order={max_order}"
-        )
-    return order
+        return order
+    point = {"torus": 1, "p4": 4, "p4m": 8}[kind]
+    return size * size * (point if size >= 3 else min(point, size))
 
 
-def group_from_spec(spec, max_order=DEFAULT_MAX_ORDER):
+def group_from_spec(spec):
     """Parse a ``kind:size`` spec string, e.g. ``symmetric:4``."""
     kind, sep, size = spec.partition(":")
     if not sep:
@@ -517,4 +545,4 @@ def group_from_spec(spec, max_order=DEFAULT_MAX_ORDER):
         n = int(size)
     except ValueError:
         raise ValueError(f"group spec {spec!r} has non-integer size") from None
-    return named_group(kind.strip(), n, max_order=max_order)
+    return named_group(kind.strip(), n)

@@ -528,7 +528,7 @@ def _check_on_vectors(apply, rep_in, rep_out, box, trials, seed, tol, relative,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    check_tol(tol, strict=False)
+    check_tol(tol)
     width = max(rep_in.degree, rep_out.degree)
     if trials * width * 8 > MAX_IMAGE_STACK_BYTES:
         raise ValueError(

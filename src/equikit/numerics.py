@@ -83,14 +83,11 @@ def split_signed_codes(codes):
     return codes, signs
 
 
-def check_tol(tol, strict=True):
-    """Reject a tolerance that is not finite and positive (or, unless
-    ``strict``, non-negative); a NaN tol would make every ``> tol`` test
-    false."""
-    if not (np.isfinite(tol) and (tol > 0 if strict else tol >= 0)):
-        raise ValueError(
-            f"tol must be finite and {'positive' if strict else '>= 0'}, got {tol}"
-        )
+def check_tol(tol):
+    """Reject a tolerance that is not finite and non-negative; a NaN tol
+    would make every ``> tol`` test false."""
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
 
 def nullspace(m):

@@ -22,7 +22,9 @@ images of a group built by ``close`` (enumerated when it was built)
 are replayed (``_replay``: the walk, then the cayley-table check that
 is exactly the well-definedness check), which enumerates the group and
 raises naming the first failing (element, generator) pair; the test is
-exact, so every verdict and message is the replay's. ``extend``'s
+exact, so every verdict and message is the replay's, except on a group
+above ``groups.MAX_ORDER``, which the replay cannot enumerate: there
+the message names the relators. ``extend``'s
 validator calls ``det`` only when the images are not all signed
 permutations (``numerics.signed_permutations``), which replay on codes.
 Every other constructor builds a homomorphism (``sign_rep`` from the
@@ -31,13 +33,16 @@ their parts' generator data), so its walk is bitwise the replay;
 ``parse_rep_spec`` builds through the constructors. A rep is built from
 generator data, and the solve, the certificate and ``act`` at the
 generators read nothing else, so neither ``basis`` nor a ``check`` that
-certifies enumerates the group.
+certifies enumerates the group. ``parse_rep_spec`` bounds the
+generator data it builds; element data is bounded where it is walked
+(``groups._walk``).
 """
 
 import re
 
 import numpy as np
 
+from . import groups
 from .groups import (
     _check_fits,
     _element_steps,
@@ -174,9 +179,16 @@ def _check_images(group, gen_arrays, gen_images):
     define a homomorphism: by ``groups._satisfies_relators`` when they
     are signed permutations of a named group, and by the replay, which
     names the failing element, when that test rejects them or the group
-    has no relators (it was built by ``close``)."""
-    if gen_arrays is None or group.spec is None or not _satisfies_relators(group, gen_arrays):
-        _replay(group, _element_steps(gen_arrays, gen_images))
+    has no relators (it was built by ``close``). Images the relators
+    reject on a group above ``groups.MAX_ORDER``, whose replay could not
+    enumerate it, raise ValueError naming the relators instead."""
+    if gen_arrays is not None and group.spec is not None:
+        if _satisfies_relators(group, gen_arrays):
+            return
+        if group.order > groups.MAX_ORDER:
+            raise ValueError("generator images are inconsistent: they fail the defining "
+                             f"relators of {group.spec}")
+    _replay(group, _element_steps(gen_arrays, gen_images))
 
 
 def _replay(group, steps):
@@ -366,9 +378,11 @@ def parse_rep_spec(group, text):
     """Build a representation from its spec string.
 
     The spec's degree n is known before anything is built: a spec whose
-    element data (``groups._check_fits``) would exceed
-    ``MAX_IMAGE_STACK_BYTES`` raises ValueError naming the spec and its
-    degree, and builds nothing.
+    generator data (``groups._check_fits``: int64 targets and int8 signs,
+    or on a group stored dense an (n, n) float64 image, per generator)
+    would exceed ``MAX_IMAGE_STACK_BYTES`` raises ValueError naming the
+    spec and its degree, and builds nothing. Its element data is bounded
+    where it is walked (``groups._walk``), if it ever is.
 
     The parsed spec is then built through the public constructors (see
     the module docstring), so only its ``perm:`` leaves, whose images the
@@ -383,7 +397,10 @@ def parse_rep_spec(group, text):
         degree, node, spec, pos = _parse_spec(group, text.strip(), 0)
         if pos != len(text.strip()):
             raise ValueError(f"trailing characters in rep spec {text!r}")
-        _check_fits(f"rep spec {spec!r}", group.order, degree, group.gen_arrays is not None)
+        # int64 targets and int8 signs per generator, or a dense float64 image
+        item = 9 if group.gen_arrays is not None else degree * 8
+        _check_fits(f"rep spec {spec!r} has degree {degree}: its {group.gen_count} "
+                    "generators' data", group.gen_count, degree * item)
         rep = _build(group, node)
     except RecursionError:
         shown = text if len(text) <= 60 else text[:60] + "..."

@@ -6,11 +6,14 @@ reference for the training gradient, the training loop without a plan
 reference for the equivariance check, the generator images of a
 rep spec, a model-file editor, a group's element words, the products
 along them and the cayley-table check of generator images on them,
-element lookup, permutation matrices, the center-of-mass oracle, the
+the class-sum dimension oracle for symmetric groups, which enumerates
+no element, element lookup, permutation matrices, the center-of-mass
+oracle, the
 Toeplitz / BTTB / circulant weight parameterizations, and the standard
 library's reading of a config file (the oracle for ``config``'s reader)."""
 
 import configparser
+import itertools
 import math
 
 import numpy as np
@@ -347,6 +350,94 @@ def cayley_outcome(group, gen_images, tol=CONSISTENCY_TOL):
         if dev[worst] > tol:
             return "inconsistent", worst, gi, float(dev[worst])
     return products.tobytes()
+
+
+def _compose(first, then):
+    """The signed permutation ``then`` after ``first``, each a (targets,
+    signs) pair with e_j -> signs[j] e_{targets[j]}."""
+    return then[0][first[0]], first[1] * then[1][first[0]]
+
+
+def _inverse(perm):
+    targets, signs = perm
+    inv_targets = np.empty_like(targets)
+    inv_targets[targets] = np.arange(len(targets))
+    inv_signs = np.empty_like(signs)
+    inv_signs[targets] = signs
+    return inv_targets, inv_signs
+
+
+def _partitions(m, largest=None):
+    """Every partition of m, as a non-increasing tuple of parts."""
+    largest = m if largest is None else largest
+    if m == 0:
+        yield ()
+        return
+    for part in range(min(m, largest), 0, -1):
+        for rest in _partitions(m - part, part):
+            yield (part,) + rest
+
+
+def class_dim_oracle(rep_in, rep_out):
+    """dim Hom(rep_in, rep_out) for signed permutation reps of
+    ``symmetric:m`` by the class sum (1/m!) sum_l |C_l| chi_in(l)
+    chi_out(l), over the partitions l of m, in Python ints: no element
+    is enumerated and no closed-form order is read.
+
+    With s = (0 1) and c the m-cycle (``named_group``'s generators), the
+    conjugates t_i = c^i s c^-i (0 <= i <= m-2) are transpositions of
+    neighbouring points along c, and the product of a run of k
+    consecutive t_i is a (k+1)-cycle. So one representative of the class
+    with cycle type l is the product of the t_i, for every i but one
+    between two parts. Each character is read off that representative's
+    image, composed from the rep's ``gen_arrays``; the defining rep's
+    checks each representative's cycle type."""
+    group = rep_in.group
+    kind, _, size = group.spec.partition(":")
+    assert kind == "symmetric" and rep_out.group is group
+    m = int(size)
+    defining = reps.defining_rep(group)
+
+    def transpositions(rep):
+        targets, signs = rep.gen_arrays
+        s = targets[0], signs[0]
+        ts = [s]
+        if m >= 3:
+            c = targets[1], signs[1]
+            power = c
+            for _ in range(2, m):
+                ts.append(_compose(_compose(_inverse(power), s), power))
+                power = _compose(power, c)
+        return ts
+
+    moves = [transpositions(rep) for rep in (defining, rep_in, rep_out)]
+    total = 0
+    for parts in _partitions(m):
+        cut = set(itertools.accumulate(parts[:-1]))  # the first point of each later part
+        chars = []
+        for rep, ts in zip((defining, rep_in, rep_out), moves):
+            element = np.arange(rep.degree), np.ones(rep.degree, dtype=np.int64)
+            for i in range(m - 1):
+                if i + 1 not in cut:
+                    element = _compose(element, ts[i])
+            fixed = element[0] == np.arange(rep.degree)
+            chars.append(int((element[1] * fixed).sum()))
+            if rep is defining:
+                lengths, seen = [], np.zeros(m, dtype=bool)
+                for start in range(m):
+                    length, j = 0, start
+                    while not seen[j]:
+                        seen[j], length, j = True, length + 1, element[0][j]
+                    if length:
+                        lengths.append(length)
+                assert sorted(lengths, reverse=True) == list(parts)
+        size_of_class = math.factorial(m)
+        for part in set(parts):
+            size_of_class //= part ** parts.count(part) * math.factorial(parts.count(part))
+        total += size_of_class * chars[1] * chars[2]
+    dim, rest = divmod(total, math.factorial(m))
+    assert rest == 0
+    return dim
 
 
 def element_index(images, m):

@@ -21,7 +21,6 @@ DEEPSETS_CFG = """\
 group = symmetric:4
 activation = relu
 seed = 7
-tol = 1e-9
 
 [reps]
 0 = tensor:3(defining)
@@ -215,10 +214,11 @@ REP_SPEC_ERRORS = {
         "not a permutation of 0..2: [0, 1, 99999999999999999999]"),
     "perm:0,1|1,0,2": "generator image 1 has shape (3, 3), expected (2, 2)",
     "perm:1,0,2": "need 2 generator images, got 1",
-    # the cap counts the int64 signed codes of symmetric:3's six elements
+    # the cap counts the int64 targets and int8 signs of symmetric:3's two
+    # generators
     "tensor:99999999999(defining)": (
-        "rep spec 'tensor:99999999999(defining)' has degree 299999999997: its 6 "
-        "elements' data would take 14399999999856 bytes, above the cap "
+        "rep spec 'tensor:99999999999(defining)' has degree 299999999997: its 2 "
+        "generators' data would take 5399999999946 bytes, above the cap "
         "MAX_IMAGE_STACK_BYTES=268435456"),
     "sum(sign;tensor:3(perm:1,0,2|1,0,2))": (
         "generator images are inconsistent: element 3 * generator 0 deviates by 1.000e+00"),
@@ -418,15 +418,15 @@ def test_check_bad_tol_exits_2(tmp_path, capsys, tol):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
 def test_basis_bad_config_tol_exits_2(tmp_path, capsys, tol):
+    # no solve takes a tolerance, so a config has no tol key at all
     cfg = tmp_path / "bad_tol.cfg"
     cfg.write_text(
         f"[model]\ngroup = symmetric:4\ntol = {tol}\n\n"
         "[reps]\n0 = defining\n1 = defining\n"
     )
     code, out, err = run(capsys, "basis", "--config", str(cfg))
-    assert code == 2
-    assert "intertwiner dim" not in out
-    assert "tol must be finite and positive" in err
+    assert (code, out) == (2, "")
+    assert err == "error: model.tol: unknown field\n"
 
 
 @pytest.mark.parametrize("activation", ["bogus", "threshold:nan", "relu:1", "threshold"])
@@ -444,7 +444,7 @@ def test_basis_bad_config_activation_exits_2(tmp_path, capsys, activation):
 
 @pytest.mark.parametrize("seed", ["x", "1.5", ""])
 def test_basis_bad_config_seed_exits_2(tmp_path, capsys, seed):
-    # seed, like activation and tol, is validated though basis does not use it
+    # seed, like activation, is validated though basis does not use it
     cfg = tmp_path / "bad_seed.cfg"
     cfg.write_text(
         f"[model]\ngroup = symmetric:4\nseed = {seed}\n\n"
@@ -777,32 +777,57 @@ def test_check_model_with_bad_threshold_exits_2(tmp_path, capsys, activation, me
     assert f"activation {activation!r} {message}" in err
 
 
-def test_basis_oversize_group_exits_2(tmp_path, capsys, monkeypatch):
-    def close_must_not_run(*args, **kwargs):
-        raise AssertionError("close() ran for a group above the cap")
-
-    monkeypatch.setattr(groups, "close", close_must_not_run)
-    cfg = tmp_path / "huge.cfg"
-    cfg.write_text("[model]\ngroup = symmetric:9\n\n[reps]\n0 = defining\n1 = defining\n")
+# basis enumerates nothing, so a group that cannot be enumerated solves
+# as any other does: p4m:64 (32768 elements), cyclic:20000 (whose keys
+# would take 800 MB) and symmetric:20, the last whose order fits int64
+@pytest.mark.parametrize("group_spec,chain,dims", [
+    pytest.param("symmetric:9", ["defining", "defining"], [2], id="symmetric:9"),
+    pytest.param("symmetric:12", ["defining", "defining", "trivial:1"], [2, 1], id="symmetric:12"),
+    pytest.param("symmetric:20", ["defining", "defining"], [2], id="symmetric:20"),
+    pytest.param("cyclic:20000", ["defining", "trivial:1"], [1], id="cyclic:20000"),
+    pytest.param("p4m:64", ["tensor:2(defining)", "sum(trivial:1;sign)"], [4], id="p4m:64"),
+])
+def test_basis_above_the_enumeration_cap_enumerates_nothing(tmp_path, capsys, monkeypatch,
+                                                            group_spec, chain, dims):
+    monkeypatch.setattr(groups, "_bfs", _no_enumeration)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"[model]\ngroup = {group_spec}\n\n[reps]\n"
+                   + "".join(f"{i} = {spec}\n" for i, spec in enumerate(chain)))
     code, out, err = run(capsys, "basis", "--config", str(cfg))
-    assert code == 2
-    assert out == ""
-    assert "symmetric:9 has at least" in err and "max_order=20000" in err
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    group = groups.group_from_spec(group_spec)
+    assert lines[0] == f"group {group_spec} (order {group.order})"
+    assert [int(ln.rsplit(" ", 1)[1]) for ln in lines[1:]] == dims
+    # above the order cap, or (cyclic:20000) the cap on its elements' keys
+    with pytest.raises((groups.ClosureError, ValueError), match="above the|enumeration cap"):
+        group.cayley
+
+
+def test_basis_order_beyond_int64_exits_2(tmp_path, capsys):
+    # 21! is above 2^63 - 1, the largest int64 element index
+    cfg = tmp_path / "s21.cfg"
+    cfg.write_text("[model]\ngroup = symmetric:21\n\n[reps]\n0 = defining\n1 = defining\n")
+    code, out, err = run(capsys, "basis", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == ("error: group symmetric:21 has at least 51090942171709440000 elements, "
+                   "too many for int64 element indices\n")
 
 
 def test_basis_oversized_named_group_exits_2(tmp_path, capsys, monkeypatch):
-    # cyclic:11586 passes the order cap, but its elements' int16 index
-    # arrays would take 268 MB
+    # cyclic:29826162's one generator, as int64 targets and int8 signs,
+    # would take just over 256 MiB; nothing is built
     monkeypatch.setattr(groups, "signed_permutation_matrices", _no_images)
     monkeypatch.setattr(groups, "close", _no_images)
     monkeypatch.setattr(groups, "FiniteGroup", _no_images)
     cfg = tmp_path / "huge_group.cfg"
-    cfg.write_text("[model]\ngroup = cyclic:11586\n\n[reps]\n0 = defining\n1 = defining\n")
+    cfg.write_text("[model]\ngroup = cyclic:29826162\n\n[reps]\n0 = defining\n1 = defining\n")
     code, out, err = run(capsys, "basis", "--config", str(cfg))
     assert code == 2
     assert out == ""
-    assert "group cyclic:11586 has degree 11586" in err
-    assert "MAX_IMAGE_STACK_BYTES" in err
+    assert err == ("error: group cyclic:29826162 has degree 29826162: its 1 generators' index "
+                   "maps would take 268435458 bytes, above the cap "
+                   "MAX_IMAGE_STACK_BYTES=268435456\n")
 
 
 def test_basis_builds_a_dense_basis_only_to_print_it(capsys, monkeypatch):
@@ -1042,3 +1067,79 @@ def test_a_deeply_nested_rep_spec_exits_2_naming_it(tmp_path, capsys, term):
     cfg.write_text(f"[model]\ngroup = cyclic:3\n\n[reps]\n0 = {shallow}\n1 = defining\n")
     code, out, _ = run(capsys, "basis", "--config", str(cfg))
     assert code == 0 and out.endswith("intertwiner dim 3\n")
+
+
+# --- p4m:64, above the enumeration cap ---------------------------------------
+
+# the parity of a translation, fixed by the quarter turn and the
+# reflection: a hidden permutation rep of degree 2 that fixes only
+# constant biases
+P4M64_PARITY = "perm:1,0|1,0|0,1|0,1"
+P4M64_CAP = ("FiniteGroup(p4m:64, dim=4096, order=32768) has more elements than the "
+             "enumeration cap MAX_ORDER=20000")
+
+
+def test_hom_dim_oracle_above_the_enumeration_cap_raises_before_the_bfs(monkeypatch):
+    group = groups.group_from_spec("p4m:64")
+    rep_in, rep_out = (reps.parse_rep_spec(group, spec) for spec in ("defining", "trivial:1"))
+    monkeypatch.setattr(groups, "_bfs", _no_enumeration)
+    with pytest.raises(groups.ClosureError) as info:
+        intertwiners.hom_dim_oracle(rep_in, rep_out)
+    assert str(info.value) == P4M64_CAP
+
+
+def test_check_above_the_enumeration_cap(tmp_path, capsys, monkeypatch):
+    # the certificate covers the intact model without enumerating; a bias
+    # entry moved by one ulp passes the generator sweep but breaks the
+    # certificate, and the element sweep it falls back to would enumerate
+    # the group: exit 2 naming the cap, with nothing on stdout
+    monkeypatch.setattr(groups, "_bfs", _no_enumeration)
+    model = tmp_path / "p4m64.model"
+    _save_grid_model(model, "p4m:64", ["defining", P4M64_PARITY, "trivial:1"])
+    code, out, err = run(capsys, "check", "--model", str(model))
+    assert (code, err) == (0, "")
+    assert "coverage certificate (4 generators)\n" in out and out.endswith(": PASS\n")
+    lines = model.read_text().splitlines()
+    first = float(lines[next(i for i, ln in enumerate(lines) if ln.startswith("bias-vector:")) + 1]
+                  .split()[0])
+    set_first_declared_weight(model, repr(math.nextafter(first, math.inf)), header="bias-vector:")
+    code, out, err = run(capsys, "check", "--model", str(model))
+    assert (code, out) == (2, "")
+    assert err == f"error: {P4M64_CAP}\n"
+
+
+def test_basis_wrong_perm_leaf_above_the_enumeration_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # a -> identity, b -> swap fails q a q^-1 b; the group is too large to
+    # replay, so the message names the relators, not an element
+    monkeypatch.setattr(groups, "_bfs", _no_enumeration)
+    cfg = tmp_path / "wrong_leaf.cfg"
+    cfg.write_text("[model]\ngroup = p4m:64\n\n[reps]\n0 = defining\n"
+                   "1 = perm:0,1|1,0|0,1|0,1\n")
+    code, out, err = run(capsys, "basis", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == ("error: reps: generator images are inconsistent: they fail the defining "
+                   "relators of p4m:64\n")
+    cfg.write_text("[model]\ngroup = p4m:64\n\n[reps]\n0 = defining\n"
+                   f"1 = {P4M64_PARITY}\n")
+    code, out, err = run(capsys, "basis", "--config", str(cfg))
+    assert (code, err) == (0, "") and out.endswith("intertwiner dim 2\n")
+
+
+def test_a_closed_stdout_pipe_exits_141_quietly(tmp_path):
+    # the reader closes the pipe after one line, as `| head -1` does,
+    # while basis still has far more than a pipe buffer to print
+    cfg = tmp_path / "c64.cfg"
+    cfg.write_text("[model]\ngroup = cyclic:64\n\n[reps]\n0 = defining\n1 = defining\n")
+    src = os.path.dirname(os.path.dirname(equikit.__file__))
+    proc = subprocess.Popen([sys.executable, "-m", "equikit.cli", "basis", "--config", str(cfg),
+                             "--print"], env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"group cyclic:64 (order 64)\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (code, err) == (141, b"")

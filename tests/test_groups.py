@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -130,9 +131,12 @@ def test_grid_group_nesting(n):
         assert element_index(p4m, e) is not None
 
 
-def test_closure_cap_error_names_cap():
-    with pytest.raises(ClosureError, match="max_order=10"):
-        close([cyclic_shift(16)], max_order=10)
+def test_closure_cap_error_names_cap(monkeypatch):
+    # the cap is read when the closure runs
+    monkeypatch.setattr(groups, "MAX_ORDER", 10)
+    with pytest.raises(ClosureError, match="not closed within 10 elements"):
+        close([cyclic_shift(16)])
+    assert close([cyclic_shift(10)]).order == 10
 
 
 def test_non_invertible_generator_rejected():
@@ -170,6 +174,9 @@ def _must_not_build(*args, **kwargs):
     raise AssertionError("a group was built above its cap")
 
 
+# the enumeration cap fires where elements are enumerated: naming a
+# group above it builds the group, and its first read of the tree raises
+# before the BFS runs
 @pytest.mark.parametrize("kind,size,cap", [
     ("cyclic", 21, 20),
     ("symmetric", 5, 119),
@@ -180,26 +187,31 @@ def _must_not_build(*args, **kwargs):
     ("p4m", 51, 20000),
 ])
 def test_named_group_refuses_oversize_before_closing(kind, size, cap, monkeypatch):
-    monkeypatch.setattr(groups, "_grid_permutations", _must_not_build)
-    monkeypatch.setattr(groups, "FiniteGroup", _must_not_build)
-    with pytest.raises(ClosureError, match=f"max_order={cap}"):
-        named_group(kind, size, max_order=cap)
+    monkeypatch.setattr(groups, "MAX_ORDER", cap)
+    monkeypatch.setattr(groups, "_bfs", _must_not_enumerate)
+    group = named_group(kind, size)
+    assert group.order > cap and group.spec == f"{kind}:{size}"
+    for read in ("cayley", "parents"):
+        with pytest.raises(ClosureError, match=rf"{kind}:{size}.* has more elements than the "
+                                               rf"enumeration cap MAX_ORDER={cap}$"):
+            getattr(group, read)
+    with pytest.raises(ClosureError, match=f"MAX_ORDER={cap}"):
+        reps.defining_rep(group).targets
 
 
-def test_named_group_at_the_cap_still_closes():
-    assert named_group("cyclic", 20, max_order=20).order == 20
-    assert named_group("symmetric", 5, max_order=120).order == 120
-    assert named_group("torus", 5, max_order=25).order == 25
-    assert named_group("p4m", 50).order == 20000
-    for group in (named_group("cyclic", 20, max_order=20), named_group("torus", 5, max_order=25)):
-        assert len(group.cayley) == group.order
+def test_named_group_at_the_cap_still_closes(monkeypatch):
+    assert named_group("p4m", 50).order == groups.MAX_ORDER == 20000
+    for kind, size, cap in [("cyclic", 20, 20), ("symmetric", 5, 120), ("torus", 5, 25)]:
+        monkeypatch.setattr(groups, "MAX_ORDER", cap)
+        group = named_group(kind, size)
+        assert len(group.cayley) == group.order == cap
 
 
-# a named group whose elements' (order, n) int16 index arrays would take
-# above 256 MiB is refused: cyclic n > 11585, torus N > 107 (p4 and p4m
-# are held to N <= 70 and N <= 50 by the order cap). The enumeration is
-# patched: an admitted size returns a group of its closed-form order with
-# nothing enumerated, and a refused one raises before any group is built
+# a named group whose elements' (order, n) int16 keys would take above
+# 256 MiB is refused when enumerated: cyclic n > 11585, torus N > 107 (p4
+# and p4m are held to N <= 70 and N <= 50 by the order cap). Naming
+# enumerates nothing at either size, and a refused size raises before
+# the BFS runs
 @pytest.mark.parametrize("kind,size,refused", [
     ("cyclic", 5792, False), ("cyclic", 11585, False), ("cyclic", 11586, True),
     ("torus", 64, False), ("torus", 107, False), ("torus", 108, True),
@@ -207,25 +219,90 @@ def test_named_group_at_the_cap_still_closes():
 ])
 def test_named_group_refuses_an_oversized_generator_stack(kind, size, refused, monkeypatch):
     monkeypatch.setattr(groups, "_bfs", _must_not_enumerate)
+    group = named_group(kind, size)
+    assert group.order == {"cyclic": size, "torus": size ** 2, "p4": 4 * size ** 2}[kind]
+    assert group.gen_count == {"cyclic": 1, "torus": 2, "p4": 3}[kind]
     if refused:
-        monkeypatch.setattr(groups, "FiniteGroup", _must_not_build)
-        with pytest.raises(ValueError, match=rf"group {kind}:{size} has degree \d+: .* "
-                                             r"above the cap MAX_IMAGE_STACK_BYTES"):
-            named_group(kind, size)
+        with pytest.raises(ValueError, match=rf"enumerating FiniteGroup\({kind}:{size}, .*: its "
+                                             r"elements' keys would take \d+ bytes, above "
+                                             r"the cap MAX_IMAGE_STACK_BYTES"):
+            group.cayley
     else:
-        group = named_group(kind, size)
-        assert group.order == {"cyclic": size, "torus": size ** 2, "p4": 4 * size ** 2}[kind]
-        assert group.gen_count == {"cyclic": 1, "torus": 2, "p4": 3}[kind]
         with pytest.raises(AssertionError, match="enumerated"):
             group.cayley
 
 
+# a name builds only its generators' index maps, int64 targets and int8
+# signs (9 bytes a point a generator), and refuses them above the cap
+# before building any: cyclic n > 29826161, torus N > 3861, p4 N > 3153,
+# p4m N > 2730. The admitted side of each boundary is built under a cap
+# patched to its exact size
+@pytest.mark.parametrize("kind,size,count", [
+    ("cyclic", 29826161, 1), ("torus", 3861, 2), ("p4", 3153, 3), ("p4m", 2730, 4),
+])
+def test_named_group_refuses_oversized_generator_maps(kind, size, count, monkeypatch):
+    degree = size if kind == "cyclic" else size * size
+    assert count * degree * 9 <= groups.MAX_IMAGE_STACK_BYTES
+    big = size + 1
+    big_degree = big if kind == "cyclic" else big * big
+    assert count * big_degree * 9 > groups.MAX_IMAGE_STACK_BYTES
+    monkeypatch.setattr(groups, "_grid_permutations", _must_not_build)
+    monkeypatch.setattr(groups, "FiniteGroup", _must_not_build)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^group {kind}:{big} has degree {big_degree}: "
+                                             rf"its {count} generators' index maps would take "
+                                             rf"{count * big_degree * 9} bytes, above the cap "
+                                             r"MAX_IMAGE_STACK_BYTES=268435456$"):
+            named_group(kind, big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+    # the same boundary at size 10, under a cap patched to admit exactly it
+    monkeypatch.undo()
+    monkeypatch.setattr(groups, "MAX_IMAGE_STACK_BYTES",
+                        count * (10 if kind == "cyclic" else 100) * 9)
+    assert named_group(kind, 10).gen_count == count
+    with pytest.raises(ValueError, match=f"group {kind}:11 has degree"):
+        named_group(kind, 11)
+
+
 def test_named_group_stack_cap_reads_the_constant(monkeypatch):
-    # cyclic:4's elements are four int8 index rows of degree 4
-    monkeypatch.setattr(groups, "MAX_IMAGE_STACK_BYTES", 4 * 4 - 1)
-    with pytest.raises(ValueError, match="group cyclic:4 has degree 4"):
+    # cyclic:4 is one generator of degree 4 (36 bytes); symmetric:4's
+    # elements are 24 int8 code rows of degree 4 (96 bytes)
+    monkeypatch.setattr(groups, "MAX_IMAGE_STACK_BYTES", 4 * 9 - 1)
+    with pytest.raises(ValueError, match="group cyclic:4 has degree 4: its 1 generators'"):
         named_group("cyclic", 4)
     assert named_group("cyclic", 3).order == 3
+    monkeypatch.undo()
+    group = named_group("symmetric", 4)
+    monkeypatch.setattr(groups, "MAX_IMAGE_STACK_BYTES", 24 * 4 - 1)
+    with pytest.raises(ValueError, match="its elements' keys would take 96 bytes"):
+        group.cayley
+    monkeypatch.setattr(groups, "MAX_IMAGE_STACK_BYTES", 24 * 4)
+    assert len(group.cayley) == 24
+
+
+# the one bound at a name: the order must fit int64, the type of every
+# element index. 20! fits and 21! does not; m! is computed only up to its
+# first partial product past int64
+@pytest.mark.parametrize("kind,size,admitted", [
+    ("symmetric", 20, True), ("symmetric", 21, False), ("symmetric", 10 ** 6, False),
+    ("cyclic", 2 ** 63 - 1, None), ("cyclic", 2 ** 63, False), ("p4m", 2 ** 40, False),
+])
+def test_named_group_order_must_fit_int64(kind, size, admitted, monkeypatch):
+    monkeypatch.setattr(groups, "_bfs", _must_not_enumerate)
+    if admitted is None:  # the order fits, the generator maps do not
+        with pytest.raises(ValueError, match="generators' index maps would take"):
+            named_group(kind, size)
+    elif admitted:
+        group = named_group(kind, size)
+        assert group.order == math.factorial(20) and group.gen_count == 2
+    else:
+        with pytest.raises(ValueError, match=rf"^group {kind}:{size} has at least \d+ "
+                                             "elements, too many for int64 element indices$"):
+            named_group(kind, size)
 
 
 def _no_det(*args):
@@ -271,11 +348,12 @@ def test_signed_closure_with_negative_zeros_is_bitwise_the_dense_closure():
     assert_same_group(close(gens), groups._close_dense(gens))
 
 
-def test_signed_closure_cap_matches_dense():
+def test_signed_closure_cap_matches_dense(monkeypatch):
+    monkeypatch.setattr(groups, "MAX_ORDER", 5)
     gens = [cyclic_shift(7)]
     for closer in (close, groups._close_dense):
-        with pytest.raises(ClosureError, match="max_order=5"):
-            closer(gens, max_order=5)
+        with pytest.raises(ClosureError, match="not closed within 5 elements"):
+            closer(gens)
 
 
 def _key_must_not_run(m):
@@ -420,7 +498,7 @@ def test_an_enumeration_off_the_closed_form_order_raises(wrong, monkeypatch):
     monkeypatch.setattr(groups, "_named_order", lambda *args: real(*args) + wrong)
     group = named_group("p4m", 3)
     # 72 elements: short of a closed form of 73, or past a cap of 71
-    with pytest.raises(ClosureError, match="enumerates 72 elements|max_order=71"):
+    with pytest.raises(ClosureError, match="enumerates 72 elements|not closed within 71 "):
         group.cayley
 
 

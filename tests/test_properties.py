@@ -8,7 +8,9 @@ reps composed from a named group's index arrays with the extension of
 their generator images. Rotation groups through cos/sin exercise the
 dense closure itself. Examples are derandomized so the suite is
 reproducible. The check's exact certificate is compared with dense
-products of the generator images and with the per-element check.
+products of the generator images and with the per-element check. On
+symmetric groups, solver dimensions are compared with a class-sum
+oracle that enumerates nothing, up to symmetric:20.
 """
 
 import functools
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 from helpers import (
     cayley_outcome,
+    class_dim_oracle,
     orbit_nullspace,
     permutation_matrix,
     reference_check,
@@ -721,3 +724,41 @@ def test_v2_model_round_trip_is_bitwise(group_spec, data):
         assert not report.passed
         assert report.coverage == f"generators ({group.gen_count} of {group.order})"
         assert report.witness[0] in group.generator_ids
+
+
+# --- the class-sum oracle on symmetric groups, past the enumeration cap ---
+
+def symmetric_specs():
+    leaves = st.sampled_from(["defining", "sign", "trivial:1", "trivial:2"])
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(st.integers(1, 3), inner).map(lambda t: f"tensor:{t[0]}({t[1]})"),
+        st.lists(inner, min_size=1, max_size=3).map(lambda p: "sum(" + ";".join(p) + ")"),
+    ), max_leaves=4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), symmetric_specs(), symmetric_specs())
+def test_solver_dimension_matches_the_class_sum_oracle(m, spec_in, spec_out):
+    # the class sum needs no enumeration, so it checks the solver past
+    # the cap (symmetric:8 on); up to symmetric:7 it is the character
+    # oracle's sum over every element
+    group = named(f"symmetric:{m}")
+    rep_in, rep_out = parse_rep_spec(group, spec_in), parse_rep_spec(group, spec_out)
+    assume(rep_in.degree * rep_out.degree <= 40000)
+    dim = class_dim_oracle(rep_in, rep_out)
+    assert solve_basis(rep_in, rep_out).dim == dim
+    if m <= 7:
+        assert hom_dim_oracle(rep_in, rep_out) == dim
+
+
+@pytest.mark.parametrize("spec_in, spec_out, dim", [
+    ("defining", "defining", 2),
+    ("tensor:3(sum(defining;sign))", "tensor:3(sum(defining;sign))", 27),
+    ("tensor:3(sum(defining;sign))", "sum(tensor:2(defining);trivial:1)", 15),
+    ("sum(defining;sign;trivial:2)", "sign", 1),
+])
+def test_symmetric_20_dimensions_match_the_class_sum_oracle(spec_in, spec_out, dim, monkeypatch):
+    monkeypatch.setattr(groups, "_bfs", lambda *args: pytest.fail("enumerated"))
+    group = named("symmetric:20")
+    rep_in, rep_out = parse_rep_spec(group, spec_in), parse_rep_spec(group, spec_out)
+    assert class_dim_oracle(rep_in, rep_out) == solve_basis(rep_in, rep_out).dim == dim

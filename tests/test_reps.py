@@ -731,11 +731,45 @@ def test_two_inconsistent_parts_report_the_first_parts_pair(s3):
     ("perm:0,1,2,3,4,5,6,7|1,0,2,3,4,5,6,7", 8),
 ])
 def test_rep_spec_above_the_image_cap_builds_nothing(s3, monkeypatch, spec, degree):
-    # s3 has six elements: a cap of six int8 index rows of degree 7 admits degree 7
-    monkeypatch.setattr(groups, "MAX_IMAGE_STACK_BYTES", 6 * 7)
+    # s3 has two generators: a cap of their int64 targets and int8 signs
+    # at degree 7 admits degree 7
+    monkeypatch.setattr(groups, "MAX_IMAGE_STACK_BYTES", 2 * 7 * 9)
     assert parse_rep_spec(s3, "sum(tensor:2(defining);sign)").degree == 7
     for builder in ("defining_rep", "sign_rep", "trivial_rep", "permutation_rep",
                     "direct_sum", "tensor_identity", "_sum_images", "_tensor_images"):
         monkeypatch.setattr(reps, builder, lambda *args: pytest.fail("image built"))
     with pytest.raises(ValueError, match=rf"has degree {degree}: .* above the cap"):
         parse_rep_spec(s3, spec)
+
+
+def test_walk_refuses_element_data_above_the_cap(monkeypatch):
+    # a spec's generator data passes at parse time; its element data is
+    # bounded where it is walked, after the tree is read and before any
+    # of it is allocated. symmetric:3's six elements at degree 8 take 48
+    # bytes of int8 codes
+    group = named_group("symmetric", 3)
+    rep = parse_rep_spec(group, "tensor:2(sum(defining;trivial:1))")
+    assert rep.degree == 8
+    monkeypatch.setattr(groups, "MAX_IMAGE_STACK_BYTES", 6 * 8 - 1)
+    with pytest.raises(ValueError, match=r"^the element data \(6, 8\) over "
+                                         r"FiniteGroup\(symmetric:3, .* would take 48 bytes, "
+                                         r"above the cap MAX_IMAGE_STACK_BYTES=47$"):
+        rep.targets
+    assert group._cayley is not None  # the tree was read first
+    monkeypatch.setattr(groups, "MAX_IMAGE_STACK_BYTES", 6 * 8)
+    assert rep.targets.shape == (6, 8)
+
+
+def test_relator_rejected_leaf_above_the_enumeration_cap_names_the_relators(monkeypatch):
+    # at the cap the replay names the failing element, as it always has;
+    # above it the group cannot be enumerated, and the message names the
+    # relators the leaf's maps fail
+    leaf = "perm:0,1,2,3|1,0,2,3"
+    expected = _error(named_group("symmetric", 4), leaf)
+    monkeypatch.setattr(groups, "MAX_ORDER", 24)
+    assert _error(named_group("symmetric", 4), leaf) == expected
+    monkeypatch.setattr(groups, "MAX_ORDER", 23)
+    monkeypatch.setattr(groups, "_bfs", lambda *args: pytest.fail("enumerated"))
+    with pytest.raises(ValueError, match=r"^generator images are inconsistent: they fail the "
+                                         r"defining relators of symmetric:4$"):
+        parse_rep_spec(named_group("symmetric", 4), leaf)
