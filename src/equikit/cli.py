@@ -116,9 +116,6 @@ def cmd_check(args):
         f"group {loaded.group.spec}, layers {len(loaded.layers())}, "
         f"activation {loaded.activation}"
     )
-    if not loaded.declared_matches():
-        print("note: declared weight matrices deviate from the coefficients; "
-              "checking the declared function")
     print(f"coverage {report.coverage}")
     verdict = "PASS" if report.passed else "FAIL"
     print(f"residual {report.max_residual:.3e} (tol {args.tol:g}): {verdict}")

@@ -449,15 +449,20 @@ def _permutation(perm):
 
 
 def _grid_permutations(n_grid, kind):
-    """Each grid generator as the index map sending pixel j to perm[j];
-    pixel (r, c) of the periodic n x n grid sits at index r*n + c."""
-    r, c = np.divmod(np.arange(n_grid * n_grid), n_grid)
-    maps = [(r + 1, c), (r, c + 1)]
-    if kind in ("p4", "p4m"):
-        maps.append((-c, r))  # quarter turn about the origin
-    if kind == "p4m":
-        maps.append((-r, c))  # reflection negating the row coordinate
-    return [r2 % n_grid * n_grid + c2 % n_grid for r2, c2 in maps]
+    """The grid generators' index maps, sending pixel j to maps[g, j], in
+    one (count, n * n) int64 array. Pixel (r, c) of the periodic n x n
+    grid sits at index r*n + c, so each map is the outer sum of a row
+    term and a column term, written straight into its row."""
+    i = np.arange(n_grid)
+    nxt, neg = (i + 1) % n_grid, -i % n_grid
+    terms = [(nxt * n_grid, i), (i * n_grid, nxt),  # (r + 1, c) and (r, c + 1)
+             (i, neg * n_grid),  # (-c, r): quarter turn about the origin
+             (neg * n_grid, i)]  # (-r, c): reflection negating the row coordinate
+    count = {"torus": 2, "p4": 3, "p4m": 4}[kind]
+    maps = np.empty((count, n_grid * n_grid), dtype=np.int64)
+    for row, (u, v) in zip(maps, terms):
+        np.add(u[:, None], v, out=row.reshape(n_grid, n_grid))
+    return maps
 
 
 def named_group(kind, size):
@@ -490,17 +495,15 @@ def named_group(kind, size):
     degree = size if kind in ("symmetric", "cyclic") else size * size
     _check_fits(f"group {spec} has degree {degree}: its {count} generators' index maps",
                 count, degree * 9)
-    if size == 1:
-        perms = [[0]]
-    elif kind == "symmetric":
-        perms = [[1, 0] + list(range(2, size))]
-        if size > 2:
-            perms.append((np.arange(size) + 1) % size)
-    elif kind == "cyclic":
-        perms = [(np.arange(size) + 1) % size]
-    else:
-        perms = _grid_permutations(size, kind)
-    targets = np.array(perms, dtype=np.int64)
+    # every map is written into the one array the group keeps, so naming
+    # allocates about what it checked
+    if kind == "symmetric" and size > 2:  # (0 1) and j -> j + 1, m <= 20
+        targets = np.array([[1, 0, *range(2, size)], [*range(1, size), 0]], dtype=np.int64)
+    elif kind in ("torus", "p4", "p4m") and size > 1:
+        targets = _grid_permutations(size, kind)
+    else:  # the shift j -> j + 1 (mod n): also symmetric:2's swap
+        targets = np.arange(1, size + 1, dtype=np.int64).reshape(1, size)
+        targets[0, -1] = 0
     return FiniteGroup(targets.shape[1], order, spec,
                        gen_arrays=(targets, np.ones(targets.shape, np.int8)))
 

@@ -573,20 +573,17 @@ def _check_on_vectors(apply, rep_in, rep_out, box, trials, seed, tol, relative,
 
 # --- model files -----------------------------------------------------------
 #
-# Line-oriented text; floats are %.17g so values round-trip exactly. A v2
-# file, the only version save_model writes, holds the function the model
-# declares and nothing else: the group, activation and rep specs, then per
-# layer the weight matrix (and the bias vector of a hidden layer).
+# Line-oriented text; floats are %.17g so values round-trip exactly. A
+# file holds the function the model declares and nothing else: the group,
+# activation and rep specs, then per layer the weight matrix (and the bias
+# vector of a hidden layer), and the end marker as its last line.
 # `equikit check` verifies exactly those matrices, so an edit that breaks
 # equivariance fails, and loading them solves no basis: the file means the
-# same function whichever solver version reads it. A v1 file also carries
-# each layer's basis coefficients (`weight-coeffs:`, `bias-coeffs:`), which
-# depend on the solver's basis order; loading one still builds the network
-# to check their counts against the solved bases and to report whether the
-# declared matrices deviate from them (`LoadedModel.declared_matches`).
+# same function whichever solver version reads it. Version 1 files, which
+# also carried basis coefficients whose meaning depended on the solver's
+# basis order, are refused.
 
 FORMAT_HEADER = "equikit model v2"
-_FORMAT_VERSIONS = {"equikit model v1": 1, FORMAT_HEADER: 2}
 
 
 def _fmt_floats(values):
@@ -630,26 +627,17 @@ class ModelFormatError(ValueError):
 
 @dataclass
 class LoadedModel:
-    """A parsed model file: the function it declares (group, rep chain,
-    activation and layers, ``[W | b]`` for a hidden layer) and, for a v1
-    file, the network its coefficients realize."""
+    """A parsed model file: the function it declares, and nothing else
+    (group, rep chain, activation and layers, ``[W | b]`` for a hidden
+    layer)."""
 
     group: object
     layer_reps: list
     activation: object
     declared_layers: list
-    network: EquivariantNetwork = None
 
     def layers(self):
         return self.declared_layers
-
-    def declared_matches(self):
-        """True when the declared layers are within 1e-9 of the ones the
-        file's coefficients realize; a v2 file has no coefficients."""
-        if self.network is None:
-            return True
-        return all(np.abs(a - b).max() <= 1e-9
-                   for a, b in zip(self.network.layers(), self.declared_layers))
 
 
 class _Reader:
@@ -716,17 +704,18 @@ class _Reader:
 
 
 def load_model(path):
-    """Read a model file into a LoadedModel.
-
-    A v2 file is parsed as written: its group, reps and declared
-    matrices, with hidden reps held to ``build``'s permutation rule and
-    no basis solved. A v1 file is also built (``build``, seed 0) and its
-    coefficients are read into that network, after their counts are
-    checked against the solved bases.
+    """Read a model file into a LoadedModel, parsed as written: its
+    group, reps and declared matrices, with hidden reps held to
+    ``build``'s permutation rule and no basis solved. A version 1 file is
+    refused before anything else is read, and so is any line after the
+    end marker.
     """
     r = _Reader(path)
-    version = _FORMAT_VERSIONS.get(r.next())
-    if version is None:
+    header = r.next()
+    if header == "equikit model v1":
+        raise ModelFormatError("equikit model v1 files are no longer read; rebuild the "
+                               f"model and save it again as {FORMAT_HEADER}")
+    if header != FORMAT_HEADER:
         raise ModelFormatError("not an equikit model file")
     group = group_from_spec(r.expect("group:"))
     activation = parse_activation(r.expect("activation:"))
@@ -734,16 +723,10 @@ def load_model(path):
     if k < 1:
         raise ModelFormatError("layer count must be >= 1")
     reps = parse_rep_chain(group, (r.expect("rep:") for _ in range(k + 1)))
-    if version == 1:
-        net = build(group, reps, activation, seed=0)
-    else:
-        net = None
-        _require_permutation_hidden(reps)
+    _require_permutation_hidden(reps)
     layers = []
     for i in range(k):
         r.expect("layer:")
-        if net is not None:
-            _read_coefficients(r, net, i)
         rows, cols = r.ints("weight-matrix:", 2)
         if (rows, cols) != (reps[i + 1].degree, reps[i].degree):
             raise ModelFormatError(f"layer {i + 1}: weight matrix shape mismatch")
@@ -759,26 +742,6 @@ def load_model(path):
         layers.append(a)
     if r.next() != "end":
         raise ModelFormatError("missing end marker")
-    return LoadedModel(group, reps, activation, layers, net)
-
-
-def _read_coefficients(r, net, i):
-    """Read layer ``i``'s v1 coefficient lines into its span of
-    ``net.coeffs``, checking each count against the built network's basis
-    dimension."""
-    c = net.coeffs[net.spans[i]]
-    (d,) = r.ints("weight-coeffs:")
-    if d != net.weight_bases[i].dim:
-        raise ModelFormatError(
-            f"layer {i + 1}: file has {d} weight coefficients but the "
-            f"basis dimension is {net.weight_bases[i].dim}"
-        )
-    c[:d] = r.floats(d)
-    if i < net.k - 1:
-        (db,) = r.ints("bias-coeffs:")
-        if db != 1:
-            raise ModelFormatError(
-                f"layer {i + 1}: file has {db} bias coefficients but the "
-                "bias space dimension is 1"
-            )
-        c[d:] = r.floats(db)
+    if r.at < len(r.lines):
+        raise ModelFormatError(f"line {r.at + 1}: content after the end marker")
+    return LoadedModel(group, reps, activation, layers)

@@ -576,25 +576,9 @@ def test_check_non_numeric_model_value_exits_2(tmp_path, capsys):
     assert f"line {line}: 'abc' is not a number" in err
 
 
-V1_DATA = Path(__file__).resolve().parent / "data"
-V1_COM_MODEL = V1_DATA / "com_tanh300_v1.model"  # S_5, 28 coefficients
-
-
-def _v1_model(tmp_path):
-    """A copy of the v1 center-of-mass model, which has coefficient lines."""
-    model = tmp_path / "v1.model"
-    model.write_text(V1_COM_MODEL.read_text())
-    return model
-
-
-@pytest.mark.parametrize("prefix", [
-    "layers:", "weight-coeffs:", "bias-coeffs:", "weight-matrix:", "bias-vector:",
-])
+@pytest.mark.parametrize("prefix", ["layers:", "weight-matrix:", "bias-vector:"])
 def test_check_non_integer_count_exits_2(tmp_path, capsys, prefix):
-    if prefix.endswith("coeffs:"):
-        model = _v1_model(tmp_path)
-    else:
-        model = _train_small_model(tmp_path, capsys)
+    model = _train_small_model(tmp_path, capsys)
     lines = model.read_text().splitlines()
     at = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
     tokens = lines[at].split()
@@ -607,21 +591,28 @@ def test_check_non_integer_count_exits_2(tmp_path, capsys, prefix):
     assert f"line {at + 1}: 'two' is not an integer" in err
 
 
-@pytest.mark.parametrize("prefix,count,message", [
-    ("weight-coeffs:", "3",
-     "layer 1: file has 3 weight coefficients but the basis dimension is 18"),
-    ("bias-coeffs:", "2",
-     "layer 1: file has 2 bias coefficients but the bias space dimension is 1"),
-])
-def test_check_v1_coefficient_count_mismatch_exits_2(tmp_path, capsys, prefix, count,
-                                                     message):
-    model = _v1_model(tmp_path)
-    text = model.read_text()
-    at = text.index(prefix)
-    end = text.index("\n", at)
-    model.write_text(text[:at] + f"{prefix} {count}" + text[end:])
+def test_check_refuses_a_v1_model(tmp_path, capsys, monkeypatch):
+    # refused at its header: nothing after it is read, and nothing built
+    def banned(*args, **kwargs):
+        raise AssertionError("a v1 file was read past its header")
+
+    monkeypatch.setattr(network, "group_from_spec", banned)
+    model = tmp_path / "v1.model"
+    model.write_text("equikit model v1\ngroup: symmetric:3\n")
     code, out, err = run(capsys, "check", "--model", str(model))
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert (code, out) == (2, "")
+    assert err == ("error: equikit model v1 files are no longer read; rebuild the model "
+                   "and save it again as equikit model v2\n")
+
+
+@pytest.mark.parametrize("extra", ["equikit model v2\ngarbage\n", "\n", "end\n"],
+                         ids=["a-header-and-a-line", "a-blank-line", "a-second-end"])
+def test_check_refuses_content_after_the_end_marker(tmp_path, capsys, extra):
+    model = _train_small_model(tmp_path, capsys)
+    end = len(model.read_text().splitlines())
+    model.write_text(model.read_text() + extra)
+    code, out, err = run(capsys, "check", "--model", str(model))
+    assert (code, out, err) == (2, "", f"error: line {end + 1}: content after the end marker\n")
 
 
 # --- malformed model files: truncation and bad counts -----------------------
@@ -642,17 +633,12 @@ def _check_rejects(capsys, model):
     return err
 
 
-def _model_files(tmp_path, capsys):
-    """(v2 path, v1 path) of small center-of-mass models."""
-    return _train_small_model(tmp_path, capsys), _v1_model(tmp_path)
-
-
 def test_truncated_model_files_exit_2(tmp_path, capsys):
-    for model in _model_files(tmp_path, capsys):
-        lines = model.read_text().splitlines()
-        for keep in range(len(lines)):
-            model.write_text("".join(ln + "\n" for ln in lines[:keep]))
-            assert _check_rejects(capsys, model) == "error: unexpected end of model file\n"
+    model = _train_small_model(tmp_path, capsys)
+    lines = model.read_text().splitlines()
+    for keep in range(len(lines)):
+        model.write_text("".join(ln + "\n" for ln in lines[:keep]))
+        assert _check_rejects(capsys, model) == "error: unexpected end of model file\n"
 
 
 BAD_COUNTS = ["2.5", "two", "-1", "-3", "0", str(10 ** 18), "1e9"]
@@ -660,22 +646,21 @@ BAD_COUNTS = ["2.5", "two", "-1", "-3", "0", str(10 ** 18), "1e9"]
 
 @pytest.mark.parametrize("bad", BAD_COUNTS + ["extra"])
 def test_bad_model_counts_exit_2(tmp_path, capsys, bad):
-    for model in _model_files(tmp_path, capsys):
-        lines = model.read_text().splitlines()
-        counted = [i for i, ln in enumerate(lines)
-                   if ln.split(":")[0] in ("layers", "weight-coeffs", "bias-coeffs",
-                                           "weight-matrix", "bias-vector")]
-        assert len(counted) == (7 if model.name == "v1.model" else 4)
-        for at in counted:
-            tokens = lines[at].split()
-            if bad == "extra":
-                edits = [tokens + ["1"]]
-            else:
-                edits = [tokens[:i] + [bad] + tokens[i + 1:] for i in range(1, len(tokens))]
-            for edited in edits:
-                model.write_text("\n".join(lines[:at] + [" ".join(edited)] + lines[at + 1:])
-                                 + "\n")
-                _check_rejects(capsys, model)
+    model = _train_small_model(tmp_path, capsys)
+    lines = model.read_text().splitlines()
+    counted = [i for i, ln in enumerate(lines)
+               if ln.split(":")[0] in ("layers", "weight-matrix", "bias-vector")]
+    assert len(counted) == 4
+    for at in counted:
+        tokens = lines[at].split()
+        if bad == "extra":
+            edits = [tokens + ["1"]]
+        else:
+            edits = [tokens[:i] + [bad] + tokens[i + 1:] for i in range(1, len(tokens))]
+        for edited in edits:
+            model.write_text("\n".join(lines[:at] + [" ".join(edited)] + lines[at + 1:])
+                             + "\n")
+            _check_rejects(capsys, model)
 
 
 def _zero_boundary_model(path, last):

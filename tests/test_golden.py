@@ -55,31 +55,13 @@ TRAIN_DEFAULT_SHA256 = {
 CHECK_TANH_300_SHA256 = "cdfe33e416c4c2fe3a9c6db2e1b1339dde9e09bf76d10f90142442d734143743"
 
 # p4m:4 defining -> trivial:2 -> trivial:1 (tanh, seed 0), built with the
-# library and written with save_model; then `--exact check` on it intact
-# (coverage certificate) and with its first declared weight replaced by
-# 2.25 (coverage generators). The witness names a generator by its BFS
-# index, so this pins the grid closure too. A v2 file has no coefficients,
-# so its tampered check prints no note line.
+# library and written with save_model as M; then `--exact check` on M
+# intact (coverage certificate) and on its copy T with the first declared
+# weight replaced by 2.25 (coverage generators). The witness names a
+# generator by its BFS index, so this pins the grid closure too.
 GRID_MODEL_SHA256 = "da2fb9c40d2502a145b33307ff3e06f75bd931e820c47e6b1849a125cf005860"
 GRID_CHECK_SHA256 = "5a0f2ef4da86bca8dd5f95434d9ef521d491ca509c86cd7f54a54b43f5cfc17f"
 GRID_CHECK_TAMPERED_SHA256 = "4ecf2dc9de15fd3ec04ea07dac20f6c2fd29f6192ac6ed80ca8e9de90ed40d27"
-
-# v1 files (with basis coefficients) as the previous writer saved them: the
-# grid model above and the tanh-300 train model of that time. They still
-# load, and `check` prints the bytes it printed for them; the tampered v1
-# grid model prints the note that its declared matrices deviate from its
-# coefficients. The v1 train model's weights differ from today's tanh-300
-# model in the last bits (training now adds each bias inside the layer's
-# product), so its check prints its own residual.
-V1_DATA = Path(__file__).resolve().parent / "data"
-V1_MODELS_SHA256 = {
-    "grid_p4m4_v1.model": "b68510d63a2fc6c1aace0838f4dafc7407285c4a84879906a87b921c1ef555fa",
-    "com_tanh300_v1.model": "4f4667fe025c4b42901771df785d236c52c7e91a2d3bf59a34239c07c028a4b1",
-}
-CHECK_TANH_300_V1_SHA256 = (
-    "e8c31429bbc3c4bc3ac2d4442e1b53c94c3f84d9de1d81c1d0b508c2e5616a91")
-GRID_CHECK_TAMPERED_V1_SHA256 = (
-    "6d45f7b315efbd432e5ef0c301cb58191cbe354ef4eb15ef818e0e133920b84a")
 
 
 def sha256(data):
@@ -133,48 +115,19 @@ def test_train_default_precision_bytes(name, tmp_path, monkeypatch, capsys):
     assert sha256(out) == TRAIN_DEFAULT_SHA256[name]
 
 
-def _check_grid_model_and_its_tampered_copy(capsys, tmp_path, text):
-    """`--exact check` stdout of the model ``text`` saved as M, and of
-    a copy T with its first declared weight replaced by 2.25."""
-    (tmp_path / "M").write_text(text)
-    (tmp_path / "T").write_text(text)
-    set_first_declared_weight(tmp_path / "T", "2.25")
-    code, out = run(capsys, "--exact", "check", "--model", "M")
-    assert code == 0
-    code, tampered = run(capsys, "--exact", "check", "--model", "T")
-    assert code == 1
-    return out, tampered
-
-
 def test_grid_model_bytes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     group = groups.group_from_spec("p4m:4")
     chain = [reps.parse_rep_spec(group, spec)
              for spec in ("defining", "trivial:2", "trivial:1")]
     net = network.build(group, chain, activations.parse_activation("tanh"), seed=0)
-    network.save_model(net, "G")
-    text = (tmp_path / "G").read_text()
-    assert sha256(text) == GRID_MODEL_SHA256
-    out, tampered = _check_grid_model_and_its_tampered_copy(capsys, tmp_path, text)
-    assert sha256(out) == GRID_CHECK_SHA256
-    assert sha256(tampered) == GRID_CHECK_TAMPERED_SHA256
-    assert "note:" not in tampered
-
-
-@pytest.mark.parametrize("name", sorted(V1_MODELS_SHA256))
-def test_v1_model_fixture_bytes(name):
-    assert sha256((V1_DATA / name).read_bytes()) == V1_MODELS_SHA256[name]
-
-
-def test_v1_models_check_the_same_bytes(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    text = (V1_DATA / "grid_p4m4_v1.model").read_text()
-    out, tampered = _check_grid_model_and_its_tampered_copy(capsys, tmp_path, text)
-    assert sha256(out) == GRID_CHECK_SHA256
-    assert sha256(tampered) == GRID_CHECK_TAMPERED_V1_SHA256
-    assert "\nnote: declared weight matrices deviate from the coefficients" in tampered
-
-    (tmp_path / "M").write_text((V1_DATA / "com_tanh300_v1.model").read_text())
+    network.save_model(net, "M")
+    assert sha256((tmp_path / "M").read_bytes()) == GRID_MODEL_SHA256
     code, out = run(capsys, "--exact", "check", "--model", "M")
     assert code == 0
-    assert sha256(out) == CHECK_TANH_300_V1_SHA256
+    assert sha256(out) == GRID_CHECK_SHA256
+    (tmp_path / "T").write_bytes((tmp_path / "M").read_bytes())
+    set_first_declared_weight(tmp_path / "T", "2.25")
+    code, tampered = run(capsys, "--exact", "check", "--model", "T")
+    assert code == 1
+    assert sha256(tampered) == GRID_CHECK_TAMPERED_SHA256

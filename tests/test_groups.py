@@ -268,6 +268,20 @@ def test_named_group_refuses_oversized_generator_maps(kind, size, count, monkeyp
         named_group(kind, 11)
 
 
+@pytest.mark.parametrize("spec", ["cyclic:10000000", "p4m:1000"])
+def test_naming_a_group_allocates_about_the_maps_it_keeps(spec):
+    # each generator's map is written into the one array the group keeps,
+    # so naming peaks near the bytes the cap checks, not twice them
+    tracemalloc.start()
+    try:
+        group = group_from_spec(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    targets, signs = group.gen_arrays
+    assert peak <= targets.nbytes + signs.nbytes + 2 ** 20
+
+
 def test_named_group_stack_cap_reads_the_constant(monkeypatch):
     # cyclic:4 is one generator of degree 4 (36 bytes); symmetric:4's
     # elements are 24 int8 code rows of degree 4 (96 bytes)
@@ -430,6 +444,30 @@ def test_named_group_closes_from_its_index_maps(monkeypatch):
     assert group.gen_count == 4
     assert group.generators.tobytes() == want.tobytes()
     assert group.generators is group.generators
+
+
+def _pointwise_maps(kind, n):
+    """A named group's generator index maps, one point at a time: the
+    transposition (0 1) and the shift j -> j + 1 (mod n) on a line, and
+    on the n x n grid, pixel (r, c) at index r*n + c, the moves (r + 1, c),
+    (r, c + 1), (-c, r) and (-r, c) (mod n)."""
+    shift = [(j + 1) % n for j in range(n)]
+    if kind in ("symmetric", "cyclic") or n == 1:
+        return [[1, 0, *range(2, n)], shift] if kind == "symmetric" and n > 2 else [shift]
+    moves = [lambda r, c: (r + 1, c), lambda r, c: (r, c + 1),
+             lambda r, c: (-c, r), lambda r, c: (-r, c)]
+    count = {"torus": 2, "p4": 3, "p4m": 4}[kind]
+    return [[r2 % n * n + c2 % n for r, c in np.ndindex(n, n) for r2, c2 in [move(r, c)]]
+            for move in moves[:count]]
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "cyclic", "torus", "p4", "p4m"])
+def test_named_group_maps_match_the_pointwise_maps(kind):
+    for n in (1, 2, 3, 4, 7, 8):
+        targets, signs = named_group(kind, n).gen_arrays
+        assert targets.dtype == np.int64 and signs.dtype == np.int8
+        assert targets.tolist() == _pointwise_maps(kind, n)
+        assert (signs == 1).all() and signs.shape == targets.shape
 
 
 def _closure_mib(spec):
