@@ -11,13 +11,14 @@ representations are signed permutation reps (they carry ``gen_arrays``,
 decided once when their images were validated), the nullspace is
 spanned by signed orbit indicators on index pairs (i, j), one per orbit
 without an odd sign cycle: an equivariant layer is parameter sharing,
-one shared weight per orbit. Union-find with parity over the generator
-links finds the orbits (see ``_orbits``), without building the
-constraint stack or a dense image, and the basis keeps them in orbit
-form: each entry's basis element and value. Realizing coefficients is
-then a gather, and the dense basis is scattered from the orbits only
-when read (``basis --print``, the training step's ``rows``); it is bit
-for bit the dense path's. Every other pair goes through the dense
+one shared weight per orbit. A plain union-find over signed pair points
+(each pair twice, once per sign, when a sign is -1) finds the orbits
+(see ``_orbits``), without building the constraint stack or a dense
+image, and the basis keeps them in orbit form: each entry's basis
+element and value. Realizing coefficients is then a gather, and the
+dense basis is scattered from the orbits only when read (``basis
+--print``, the training step's ``rows``); it is bit for bit the dense
+path's. Every other pair goes through the dense
 elimination in ``numerics.nullspace`` at its default pivot threshold,
 which is also the test oracle for the orbit path. ``fixed_subspace`` is
 the solve from the trivial rep.
@@ -135,66 +136,83 @@ def _constraint_stack(rep_in, rep_out):
 
 
 def _orbits(perm_in, perm_out):
-    """The signed orbits of the generators on index pairs, by union-find
-    with parity: ``(dim, ids, values)``, ``ids`` and ``values`` flat
-    over the pairs p = i * n_in + j.
+    """The signed orbits of the generators on index pairs, by a plain
+    union-find over signed pair points: ``(dim, ids, values)``, ``ids``
+    and ``values`` flat over the pairs p = i * n_in + j.
 
     Generator g links pair (i, j) to (t_out[g][i], t_in[g][j]) with
     parity s_out[g][i] * s_in[g][j]: A rho_in(g) = rho_out(g) A says A
-    at the linked pair is parity * A[i, j]. Each pair keeps a state
-    2 * root + neg, for v[p] = (-1)^neg * v[root]. A round hooks every
-    pair to the largest state among its own and its links' (row 0 of
-    ``near`` is the pair itself), hooks each root to the largest that
-    its pairs found, then pointer-jumps until the states stop changing;
-    rounds repeat until one changes no root, which leaves each orbit's
-    largest index as its root. Forward links suffice: each generator
-    permutes the pairs, so a root that no link raises is constant along
-    each cycle. A link whose parity disagrees with the settled signs
-    closes an odd sign cycle and zeroes its orbit: its pairs get id -1
-    and value 0. Every other orbit is one basis element, numbered in
-    root order, and its pairs get value sign / sqrt(|orbit|), positive
-    at the root. Scattered into zeros, that is the dense path's result,
-    whose zeros are +0.0 as these are (``_dense_basis``).
+    at the linked pair is parity * A[i, j]. When every sign is +1 the
+    points are the pairs. Otherwise they are the signed pairs q = 2p + s,
+    standing for (-1)^s A[p], and g sends q to 2p' + (s xor flip) for the
+    linked pair p', with flip 1 where the parity is -1: the pair-level
+    form of ``groups._signed_point_maps``. Each point is labelled with
+    its component's largest point (``_component_maxima``).
+
+    Both signed points of a pair share a component exactly when its
+    orbit closes an odd sign cycle; that orbit is zeroed, its pairs get
+    id -1 and value 0. Any other orbit is the component of 2p for its
+    largest pair p, and a pair's label there is 2p plus its sign bit.
+    Each such orbit is one basis element, numbered in root order, and its
+    pairs get value sign / sqrt(|orbit|), positive at the root. Scattered
+    into zeros, that is the dense path's result, whose zeros are +0.0 as
+    these are (``_dense_basis``).
     """
+    (t_in, s_in), (t_out, s_out) = perm_in, perm_out
+    size = t_out.shape[1] * t_in.shape[1]
+    copies = 2 if s_in.min() < 0 or s_out.min() < 0 else 1
+    labels = _component_maxima(_pair_links(perm_in, perm_out, copies))
+    top = labels[::copies]  # each pair's label: its +1 point's
+    free = np.flatnonzero(top == np.arange(0, labels.size, copies))
+    column = np.full((size, copies), -1)  # each label's basis element
+    column[free] = np.arange(free.size)[:, None]
+    ids = column.reshape(-1)[top]
+    del column
+    counts = np.bincount(ids + 1, minlength=free.size + 1)[1:]
+    value = np.zeros((size, copies))  # each label's value
+    value[free] = np.array([1, -1][:copies]) / np.sqrt(counts)[:, None]
+    return free.size, ids, value.reshape(-1)[top]
+
+
+def _pair_links(perm_in, perm_out, copies):
+    """The generators' maps on the pair points of ``_orbits``, one row
+    each: the pairs when ``copies`` is 1, the signed pairs 2p + s when
+    it is 2."""
     (t_in, s_in), (t_out, s_out) = perm_in, perm_out
     k, n_in = t_in.shape
     n_out = t_out.shape[1]
-    size = n_out * n_in
-    pairs = np.arange(size)
-    near = np.empty((k + 1, n_out, n_in), dtype=np.int64)
-    flip = np.zeros((k + 1, n_out, n_in), dtype=np.int64)  # 1 where the parity is -1
-    near[0] = pairs.reshape(n_out, n_in)
-    np.add(t_out[:, :, None] * n_in, t_in[:, None, :], out=near[1:])
-    np.not_equal(s_out[:, :, None], s_in[:, None, :], out=flip[1:])
-    near, flip = near.reshape(k + 1, size), flip.reshape(k + 1, size)
+    links = np.empty((k, n_out, n_in, copies), dtype=np.int64)
+    plus = links[..., 0]
+    np.add(t_out[:, :, None] * (copies * n_in), t_in[:, None, :] * copies, out=plus)
+    if copies == 2:
+        plus += s_out[:, :, None] != s_in[:, None, :]
+        np.bitwise_xor(plus, 1, out=links[..., 1])
+    return links.reshape(k, n_out * n_in * copies)
 
-    state = pairs * 2
+
+def _component_maxima(links):
+    """Each point's label: the largest point of its component under the
+    permutations ``links`` (k rows over the points), by union-find.
+
+    A round takes the largest label among a point's own and its links',
+    hooks each root to the largest that its points found, then
+    pointer-jumps until the labels stop changing. Rounds repeat until no
+    link raises a label. Labels only rise and stay within the component.
+    Forward links suffice: each link permutes the points, so a label
+    that no link raises is constant along each cycle, and at the end
+    every label is its component's largest point.
+    """
+    labels = np.arange(links.shape[1])
     while True:
-        best = state[near]
-        best ^= flip
-        best = best.max(axis=0)
-        np.maximum.at(best, state >> 1, best ^ (state & 1))
-        while True:
-            jumped = best[best >> 1]
-            jumped ^= best & 1
-            if (jumped == best).all():
-                break
+        best = labels.copy()
+        for link in links:
+            np.maximum(best, labels[link], out=best)
+        if (best == labels).all():
+            return labels
+        np.maximum.at(best, labels, best)
+        while not ((jumped := best[best]) == best).all():
             best = jumped
-        if ((best ^ state) < 2).all():  # no root changed
-            break
-        state = best
-
-    root, neg = best >> 1, best & 1
-    odd = np.zeros(size, dtype=bool)
-    odd[root[(neg ^ flip[1:] != neg[near[1:]]).any(axis=0)]] = True
-    free = np.flatnonzero((root == pairs) & ~odd)
-    column = np.full(size, -1)
-    column[free] = np.arange(free.size)
-    ids = column[root]
-    counts = np.bincount(ids + 1, minlength=free.size + 1)
-    counts[0] = 1  # zeroed pairs: 0 / 1
-    values = np.where(ids < 0, 0, 1 - 2 * neg) / np.sqrt(counts)[ids + 1]
-    return free.size, ids, values
+        labels = best
 
 
 def _dense_basis(ids, values, dim, n_out, n_in):

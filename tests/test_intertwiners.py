@@ -319,6 +319,22 @@ def test_p4m32_signed_solve_reads_no_dense_stack():
     assert peak < 8 * 2 ** 20
 
 
+def test_orbit_solve_peaks_at_a_few_pair_sized_arrays():
+    # the union-find holds the generators' links on the pairs (4 here),
+    # each pair's label and a round's labels, then the orbit form; one
+    # unit is an int64 array over the n_out * n_in pairs
+    g = named_group("p4m", 16)
+    rep = parse_rep_spec(g, "defining")
+    tracemalloc.start()
+    try:
+        basis = solve_basis(rep, rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.dim == 45
+    assert peak < 16 * 8 * rep.degree ** 2
+
+
 def test_orbit_path_entries_are_signed_orbit_indicators():
     g = named_group("symmetric", 3)
     rep = parse_rep_spec(g, "sum(defining;sign)")

@@ -32,7 +32,7 @@ from helpers import (
     word_products,
     words,
 )
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equikit import groups, intertwiners, network, reps
@@ -374,8 +374,17 @@ def signed_chains(draw):
     return rep_in, rep_out
 
 
+def spec_chain(group_spec, spec_in, spec_out):
+    group = named(group_spec)
+    return parse_rep_spec(group, spec_in), parse_rep_spec(group, spec_out)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(signed_chains(), st.integers(0, 2 ** 32 - 1))
+# long signed cycles: cyclic:256's generator is one 256-cycle on the
+# defining points, with sign -1 on the sign coordinate
+@example(spec_chain("cyclic:256", "sum(defining;sign)", "sum(defining;sign)"), 0)
+@example(spec_chain("cyclic:256", "sum(defining;sign)", "sign"), 1)
 def test_orbit_form_is_bitwise_the_orbit_oracle(chain, seed):
     # the dense view scattered from the orbit form is the oracle's basis,
     # memory layout included, and realize (a gather) is bitwise the dot
@@ -402,6 +411,7 @@ def test_orbit_form_is_bitwise_the_orbit_oracle(chain, seed):
     ("symmetric:4", "sign", "sum(defining;sign)"),
     ("p4m:3", "sum(defining;sign)", "sum(sign;trivial:2)"),
     ("symmetric:6", "tensor:3(sum(defining;sign))", "tensor:3(sum(defining;sign))"),
+    ("p4m:10", "sum(defining;sign)", "sum(defining;sign)"),  # degree 101
 ])
 def test_zeroed_orbits_match_the_orbit_oracle(group_spec, spec_in, spec_out):
     # chains with odd-sign-cycle orbits: their pairs get id -1 and value 0,
