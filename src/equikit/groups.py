@@ -7,20 +7,21 @@ and then kept, finds the BFS tree: the cayley table and each element's
 parent link (parent element, generator). It holds one level's element
 data at a time and keeps none: a group stores no element's data, and a
 representation (``reps.Representation``, the defining one included)
-walks its own down the tree (``_walk``). A named group takes its order
-from a closed form (``_named_order``), so building it enumerates
-nothing, and its search must find exactly that order; ``close`` runs
-the search at once, since only the search finds a generator set's
-order. Callers that read generators only (the solve, the certificate,
-the generator sweep of a check, ``generator_ids``) never enumerate, and
-neither does the test that user-supplied signed permutation images
-(``perm:`` leaves) of a named group define a homomorphism
-(``_satisfies_relators``): it evaluates the group's defining relators
-(``_named_relators``) on the images. Those that read elements do: the
-exhaustive or sampled element sweep, the character oracle, the replay
-that names the failing element of images that test rejects or checks
-dense images or images of a ``close``-built group (``reps._replay``),
-and any first read of a rep's element data.
+walks its own down the tree (``_walk``). A named group carries its
+presentation: its order in closed form and its defining relators, both
+from its kind's one definition (``named_group``). So building it
+enumerates nothing, and its search must find exactly that order;
+``close`` runs the search at once, since only the search finds a
+generator set's order, and its group has no relators. Callers that read
+generators only (the solve, the certificate, the generator sweep of a
+check, ``generator_ids``) never enumerate, and neither does the test
+that user-supplied signed permutation images (``perm:`` leaves) of a
+named group define a homomorphism (``_failing_relator``): it evaluates
+the group's relators on the images, and they alone decide. Those that
+read elements do: the exhaustive or sampled element sweep, the
+character oracle, the replay that checks dense images or images of a
+``close``-built group (``reps._replay``), and any first read of a rep's
+element data.
 
 Each cap sits where what it bounds is allocated (``_check_fits`` counts
 bytes against ``MAX_IMAGE_STACK_BYTES``). A name checks only that its
@@ -101,6 +102,13 @@ class FiniteGroup:
             closed form, and its enumeration must find exactly that many;
             ``close`` enumerates at once to find it.
         spec: the named-group spec string when built by name, else None.
+        relators: a named group's defining relators, or None for a
+            group built by ``close``: each a (word, power) pair standing
+            for word^power, where a word is a tuple of (generator,
+            exponent) letters that applies its maps left to right (in
+            "x y", x acts first). They alone decide whether signed
+            permutation images of the generators define a homomorphism
+            (``_failing_relator``).
         gen_arrays: the generators' (targets, int8 signs), with
             generators[g] e_j = signs[g, j] e_{targets[g, j]}, or None
             for a group stored dense.
@@ -118,10 +126,12 @@ class FiniteGroup:
             enumerating (see the property).
     """
 
-    def __init__(self, dim, order=None, spec=None, gen_arrays=None, generators=None):
+    def __init__(self, dim, order=None, spec=None, gen_arrays=None, generators=None,
+                 relators=None):
         self.dim = dim
         self.order = order
         self.spec = spec
+        self.relators = relators
         self.gen_arrays = gen_arrays
         self._generators = generators
         self._cayley = self._parents = None
@@ -349,29 +359,24 @@ def _signed_point_maps(targets, signs):
     return np.concatenate([targets + flip, targets + (targets.shape[1] - flip)], axis=1)
 
 
-def _satisfies_relators(group, gen_arrays):
-    """Whether the signed permutation images ``gen_arrays`` of a named
-    group's generators extend to a homomorphism, decided without
-    enumerating the group: whether they satisfy every defining relator
-    (``_named_relators``) of the group.
+def _failing_relator(group, gen_arrays):
+    """The first defining relator of a named group (``group.relators``,
+    in presentation order) that the signed permutation images
+    ``gen_arrays`` of its generators fail, written with gi for generator
+    i's image (``g2 g0 g2^-1 g1``, ``(g0 g1)^4``), or None when they
+    satisfy every one: decided without enumerating the group.
 
     The test is exact by von Dyck's theorem: images extend to a
     homomorphism exactly when they satisfy a set of defining relators.
     The group's own generators satisfy its relators (the test suite
     checks this for every kind), so the group they present maps onto G,
-    and it is G itself when it has at most |G| elements. For cyclic:n,
-    a^n alone leaves n elements. For the grid kinds, the relators let q
-    and f pass a and b (turning them into other translations) and f
-    pass q, so they rewrite any word as a^i b^j q^k f^l with 0 <= i, j
-    < N and k and l below the orders of q and f: at most |G| words. For
-    S_m this is the Coxeter-Moser presentation (Coxeter & Moser,
-    Generators and Relations for Discrete Groups, 1957, section 6.2).
+    and it is G itself when it has at most |G| elements, as each kind's
+    definition (``_cyclic``, ``_symmetric``, ``_grid``) shows of its own.
 
     Each relator is evaluated on the images' signed point maps
     (``_signed_point_maps``) by ``take``, with powers by repeated
     squaring, so ``a^N`` costs O(log N) compositions.
     """
-    kind, _, size = group.spec.partition(":")
     maps = _signed_point_maps(*gen_arrays)
     identity = np.arange(maps.shape[1], dtype=maps.dtype)
     letters = {}
@@ -393,50 +398,15 @@ def _satisfies_relators(group, gen_arrays):
             letters[g, e] = power(m, abs(e))
         return letters[g, e]
 
-    for word, times in _named_relators(kind, int(size)):
+    for word, times in group.relators:
         product = letter(*word[0])
         for g, e in word[1:]:
             product = letter(g, e).take(product)  # the letter acts after the word so far
         if not (power(product, times) == identity).all():
-            return False
-    return True
-
-
-def _named_relators(kind, size):
-    """The defining relators of a named group, as (word, power) pairs
-    standing for word^power: a word is a tuple of (generator, exponent)
-    letters in ``named_group``'s generator order, and applies its maps
-    left to right (in "x y", x acts first).
-
-    - size 1, any kind (one identity generator g): g;
-    - ``cyclic:n`` (a): a^n;
-    - ``symmetric:2`` (s): s^2;
-    - ``symmetric:m``, m >= 3 (s = (0 1), c: j -> j+1): s^2, c^m,
-      (s c)^(m-1), (s c^-1 s c)^3, and (s c^-j s c^j)^2 for
-      2 <= j <= m-2;
-    - ``torus:N`` (a, b): a^N, b^N, a b a^-1 b^-1;
-    - ``p4:N`` (a, b, q) adds q^4 (q^2 when N = 2, where the quarter turn
-      is the transpose), q a q^-1 b and q b q^-1 a^-1;
-    - ``p4m:N`` (a, b, q, f) adds f^2 (f when N = 2, where the
-      reflection is trivial), (f q)^2, f a f a and f b f b^-1.
-    """
-    a, b, q, f = (0, 1), (1, 1), (2, 1), (3, 1)  # s, c for symmetric
-    if size == 1 or kind == "cyclic":
-        return [((a,), size)]
-    if kind == "symmetric":
-        s, c = a, b
-        if size == 2:
-            return [((s,), 2)]
-        return ([((s,), 2), ((c,), size), ((s, c), size - 1), ((s, (1, -1), s, c), 3)]
-                + [((s, (1, -j), s, (1, j)), 2) for j in range(2, size - 1)])
-    a_, b_, q_ = (0, -1), (1, -1), (2, -1)
-    relators = [((a,), size), ((b,), size), ((a, b, a_, b_), 1)]
-    if kind in ("p4", "p4m"):
-        relators += [((q,), 2 if size == 2 else 4), ((q, a, q_, b), 1), ((q, b, q_, a_), 1)]
-    if kind == "p4m":
-        relators += [((f,), 1 if size == 2 else 2), ((f, q), 2), ((f, a, f, a), 1),
-                     ((f, b, f, b_), 1)]
-    return relators
+            text = " ".join(f"g{g}" if e == 1 else f"g{g}^{e}" for g, e in word)
+            return (text if times == 1 else f"{text}^{times}" if len(word) == 1
+                    else f"({text})^{times}")
+    return None
 
 
 def _permutation(perm):
@@ -448,64 +418,121 @@ def _permutation(perm):
     return perm
 
 
-def _grid_permutations(n_grid, kind):
-    """The grid generators' index maps, sending pixel j to maps[g, j], in
-    one (count, n * n) int64 array. Pixel (r, c) of the periodic n x n
-    grid sits at index r*n + c, so each map is the outer sum of a row
-    term and a column term, written straight into its row."""
-    i = np.arange(n_grid)
-    nxt, neg = (i + 1) % n_grid, -i % n_grid
-    terms = [(nxt * n_grid, i), (i * n_grid, nxt),  # (r + 1, c) and (r, c + 1)
-             (i, neg * n_grid),  # (-c, r): quarter turn about the origin
-             (neg * n_grid, i)]  # (-r, c): reflection negating the row coordinate
-    count = {"torus": 2, "p4": 3, "p4m": 4}[kind]
-    maps = np.empty((count, n_grid * n_grid), dtype=np.int64)
-    for row, (u, v) in zip(maps, terms):
-        np.add(u[:, None], v, out=row.reshape(n_grid, n_grid))
-    return maps
-
-
 def named_group(kind, size):
-    """Construct one of the named groups, from its generators alone.
+    """Construct one of the named groups, from its presentation alone.
 
     Kinds: ``symmetric(m)`` and ``cyclic(n)`` act on R^m / R^n by
     coordinate permutation; ``torus(N)``, ``p4(N)``, ``p4m(N)`` act as
     permutations of the N x N pixel grid with periodic boundary
     (translations; plus quarter-turn rotations; plus reflections).
-    The group keeps its generators' index maps and its closed-form order
-    (``_named_order``) and enumerates no element until one is read, so
-    naming checks only two bounds, before anything is built: an order
-    beyond int64, the type of every element index (from symmetric:21
-    on), and generator index maps (int64 targets and int8 signs) above
+    Each kind has one definition (``_KINDS``), which gives the group's
+    degree, closed-form order and generator count, and then builds its
+    generators' index maps and defining relators. The group keeps those
+    and enumerates no element until one is read, so naming checks only
+    two bounds, before anything is built: an order beyond int64, the
+    type of every element index (from symmetric:21 on), and generator
+    index maps (int64 targets and int8 signs) above
     ``MAX_IMAGE_STACK_BYTES`` raise ValueError. Enumerating checks its
     own caps (``FiniteGroup._enumerate``), and walking a rep's element
     data its own (``_walk``).
     """
     if size < 1:
         raise ValueError(f"group size parameter must be >= 1, got {size}")
-    if kind not in ("symmetric", "cyclic", "torus", "p4", "p4m"):
+    if kind not in _KINDS:
         raise ValueError(f"unknown group kind {kind!r}")
     spec = f"{kind}:{size}"
-    order = _named_order(kind, size)
+    degree, order, count, build = _KINDS[kind](size)
     if order >= 2 ** 63:
         raise ValueError(f"group {spec} has at least {order} elements, too many for int64 "
                          "element indices")
-    count = 1 if size == 1 else {"symmetric": min(size - 1, 2), "cyclic": 1, "torus": 2,
-                                 "p4": 3, "p4m": 4}[kind]
-    degree = size if kind in ("symmetric", "cyclic") else size * size
     _check_fits(f"group {spec} has degree {degree}: its {count} generators' index maps",
                 count, degree * 9)
-    # every map is written into the one array the group keeps, so naming
-    # allocates about what it checked
-    if kind == "symmetric" and size > 2:  # (0 1) and j -> j + 1, m <= 20
-        targets = np.array([[1, 0, *range(2, size)], [*range(1, size), 0]], dtype=np.int64)
-    elif kind in ("torus", "p4", "p4m") and size > 1:
-        targets = _grid_permutations(size, kind)
-    else:  # the shift j -> j + 1 (mod n): also symmetric:2's swap
-        targets = np.arange(1, size + 1, dtype=np.int64).reshape(1, size)
-        targets[0, -1] = 0
-    return FiniteGroup(targets.shape[1], order, spec,
-                       gen_arrays=(targets, np.ones(targets.shape, np.int8)))
+    targets, relators = build()
+    return FiniteGroup(degree, order, spec, (targets, np.ones(targets.shape, np.int8)),
+                       relators=relators)
+
+
+# A named group's definition: its (degree, order, generator count, build),
+# where build() returns the generators' (count, degree) int64 index maps,
+# each written straight into the one array the group keeps, and the
+# defining relators (see ``FiniteGroup``). Naming checks the first three
+# before build runs.
+
+
+def _cyclic(n):
+    """cyclic:n, and every kind at size 1: the shift a: j -> j + 1
+    (mod n), of order n, presented by a^n, which leaves n elements."""
+    def build():
+        shift = np.arange(1, n + 1, dtype=np.int64)
+        shift[-1] = 0
+        return shift[None], [(((0, 1),), n)]
+    return n, n, 1, build
+
+
+def _symmetric(m):
+    """symmetric:m (cyclic:m for m <= 2), generated by s = (0 1) and
+    c: j -> j + 1, of order m! (stopped at its first partial product
+    beyond int64, a lower bound that suffices to refuse the name), and
+    presented by the Coxeter-Moser relators (Coxeter & Moser, Generators
+    and Relations for Discrete Groups, 1957, section 6.2): s^2, c^m,
+    (s c)^(m-1), (s c^-1 s c)^3, and (s c^-j s c^j)^2 for
+    2 <= j <= m-2."""
+    if m <= 2:
+        return _cyclic(m)
+    order = 1
+    for factor in range(2, m + 1):
+        if order >= 2 ** 63:
+            break
+        order *= factor
+    s, c = (0, 1), (1, 1)
+
+    def build():
+        maps = np.array([[1, 0, *range(2, m)], [*range(1, m), 0]], dtype=np.int64)
+        return maps, ([((s,), 2), ((c,), m), ((s, c), m - 1), ((s, (1, -1), s, c), 3)]
+                      + [((s, (1, -j), s, (1, j)), 2) for j in range(2, m - 1)])
+    return m, order, 2, build
+
+
+def _grid(n, count):
+    """torus:n (count 2), p4:n (3) and p4m:n (4), or cyclic:1 for n = 1:
+    the first ``count`` of the moves a: (r + 1, c) and b: (r, c + 1)
+    (the translations), q: (-c, r) (the quarter turn about the origin)
+    and f: (-r, c) (the reflection negating the row coordinate) of the
+    periodic n x n grid, pixel (r, c) at index r*n + c. Each map is the
+    outer sum of a row term and a column term. On a 2 x 2 grid q is the
+    transpose, of order 2, and f is trivial, so the order is n^2
+    translations times the order of q (p4, p4m) and of f (p4m).
+
+    Presented by a^n, b^n and a b a^-1 b^-1; with q, q^4 (q^2 for
+    n = 2), q a q^-1 b and q b q^-1 a^-1; with f, f^2 (f for n = 2),
+    (f q)^2, f a f a and f b f b^-1. These let q and f pass a and b
+    (turning them into other translations) and f pass q, so they rewrite
+    any word as a^i b^j q^k f^l with 0 <= i, j < n and k and l below the
+    orders of q and f: at most |G| words."""
+    if n == 1:
+        return _cyclic(1)
+    turn, flip = (2, 1) if n == 2 else (4, 2)  # the orders of q and f
+    order = n * n * (turn if count > 2 else 1) * (flip if count > 3 else 1)
+
+    def build():
+        i = np.arange(n)
+        nxt, neg = (i + 1) % n, -i % n
+        terms = [(nxt * n, i), (i * n, nxt), (i, neg * n), (neg * n, i)]
+        maps = np.empty((count, n * n), dtype=np.int64)
+        for row, (u, v) in zip(maps, terms):
+            np.add(u[:, None], v, out=row.reshape(n, n))
+        a, b, q, f, a_, b_, q_ = (0, 1), (1, 1), (2, 1), (3, 1), (0, -1), (1, -1), (2, -1)
+        relators = [((a,), n), ((b,), n), ((a, b, a_, b_), 1)]
+        if count > 2:
+            relators += [((q,), turn), ((q, a, q_, b), 1), ((q, b, q_, a_), 1)]
+        if count > 3:
+            relators += [((f,), flip), ((f, q), 2), ((f, a, f, a), 1), ((f, b, f, b_), 1)]
+        return maps, relators
+    return n * n, order, count, build
+
+
+_KINDS = {"symmetric": _symmetric, "cyclic": _cyclic, "torus": lambda n: _grid(n, 2),
+          "p4": lambda n: _grid(n, 3), "p4m": lambda n: _grid(n, 4)}
 
 
 def _check_fits(what, count, item_bytes):
@@ -516,27 +543,6 @@ def _check_fits(what, count, item_bytes):
     if nbytes > MAX_IMAGE_STACK_BYTES:
         raise ValueError(f"{what} would take {nbytes} bytes, above the cap "
                          f"{MAX_IMAGE_STACK_BYTES=}")
-
-
-def _named_order(kind, size):
-    """The order of a named group, in closed form: n for cyclic:n, m!
-    for symmetric:m, N^2 translations for torus:N, times the point
-    group's c rotations (and reflections) for p4:N and p4m:N, where c is
-    4 (8) for N >= 3, 2 for N = 2 (on a 2 x 2 grid the quarter turn is
-    the transpose and the reflection is trivial) and 1 for N = 1. m!
-    stops at its first partial product beyond int64, a lower bound that
-    suffices to refuse the name."""
-    if kind == "cyclic":
-        return size
-    if kind == "symmetric":
-        order = 1
-        for factor in range(2, size + 1):
-            if order >= 2 ** 63:
-                break
-            order *= factor
-        return order
-    point = {"torus": 1, "p4": 4, "p4m": 8}[kind]
-    return size * size * (point if size >= 3 else min(point, size))
 
 
 def group_from_spec(spec):

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import Report, parse_activation
-from .groups import MAX_IMAGE_STACK_BYTES, group_from_spec
+from .groups import _check_fits, group_from_spec
 from .intertwiners import solve_basis
 from .numerics import check_tol
 from .reps import is_permutation_rep, parse_rep_chain
@@ -524,17 +524,13 @@ def _check_on_vectors(apply, rep_in, rep_out, box, trials, seed, tol, relative,
     first vector whose residual is within the slack of the element's
     worst. Raises ValueError, before drawing anything, when ``trials``
     rows of the larger degree would exceed ``MAX_IMAGE_STACK_BYTES`` as
-    float64.
+    float64 (``groups._check_fits``).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     check_tol(tol)
     width = max(rep_in.degree, rep_out.degree)
-    if trials * width * 8 > MAX_IMAGE_STACK_BYTES:
-        raise ValueError(
-            f"{trials} trials of degree {width} would take {trials * width * 8} "
-            f"bytes, above the cap MAX_IMAGE_STACK_BYTES={MAX_IMAGE_STACK_BYTES}"
-        )
+    _check_fits(f"{trials} trials of degree {width}", trials, width * 8)
     rng = np.random.default_rng(seed)
     vectors = rng.uniform(*box, size=(trials, rep_in.degree))
     base = np.asarray(apply(vectors))
@@ -708,7 +704,8 @@ def load_model(path):
     group, reps and declared matrices, with hidden reps held to
     ``build``'s permutation rule and no basis solved. A version 1 file is
     refused before anything else is read, and so is any line after the
-    end marker.
+    end marker or a ``layer:`` line whose number is not the layer's
+    position.
     """
     r = _Reader(path)
     header = r.next()
@@ -726,7 +723,9 @@ def load_model(path):
     _require_permutation_hidden(reps)
     layers = []
     for i in range(k):
-        r.expect("layer:")
+        (n,) = r.ints("layer:")
+        if n != i + 1:
+            raise ModelFormatError(f"line {r.at}: expected layer {i + 1}, got {n}")
         rows, cols = r.ints("weight-matrix:", 2)
         if (rows, cols) != (reps[i + 1].degree, reps[i].degree):
             raise ModelFormatError(f"layer {i + 1}: weight matrix shape mismatch")

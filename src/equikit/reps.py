@@ -15,18 +15,17 @@ and int8 signs; dense images walk by matmuls, and a signed rep's are
 scattered from its arrays. Only what the user supplies is checked:
 ``extend``'s images, and ``permutation_rep``'s index maps (hence
 ``perm:`` spec leaves), which go straight into index arrays, never into
-dense images. Signed permutation images of a named group are checked
-against its defining relators (``groups._satisfies_relators``), which
-enumerates nothing. Only images the relators reject, dense images, and
-images of a group built by ``close`` (enumerated when it was built)
-are replayed (``_replay``: the walk, then the cayley-table check that
-is exactly the well-definedness check), which enumerates the group and
-raises naming the first failing (element, generator) pair; the test is
-exact, so every verdict and message is the replay's, except on a group
-above ``groups.MAX_ORDER``, which the replay cannot enumerate: there
-the message names the relators. ``extend``'s
-validator calls ``det`` only when the images are not all signed
-permutations (``numerics.signed_permutations``), which replay on codes.
+dense images. Signed permutation images of a named group are decided
+by its defining relators alone (``groups._failing_relator``), which
+enumerates nothing, at every size: images they reject raise naming the
+first relator they fail. Only dense images and images of a group built
+by ``close`` (enumerated when it was built, and without relators) are
+replayed (``_replay``: the walk, then the cayley-table check that is
+exactly the well-definedness check), which raises naming the first
+failing (element, generator) pair. Both tests are exact, so they give
+the same verdicts. ``extend``'s validator calls ``det`` only when the
+images are not all signed permutations
+(``numerics.signed_permutations``), which replay on codes.
 Every other constructor builds a homomorphism (``sign_rep`` from the
 generators' determinants, ``direct_sum`` and ``tensor_identity`` from
 their parts' generator data), so its walk is bitwise the replay;
@@ -42,13 +41,12 @@ import re
 
 import numpy as np
 
-from . import groups
 from .groups import (
     _check_fits,
     _element_steps,
+    _failing_relator,
     _generator_stack,
     _permutation,
-    _satisfies_relators,
     _walk,
 )
 from .numerics import (
@@ -145,15 +143,15 @@ class Representation:
 def extend(group, gen_images, spec=None):
     """Build the representation generated by one image per generator.
 
-    Signed permutation images of a named group are checked against its
-    defining relators (``groups._satisfies_relators``), without
-    enumerating the group; other images, images that check rejects, and
-    any images of a group built by ``close`` are replayed (``_replay``),
-    on signed codes when they are all signed permutations, else on dense
-    matrices (see the module docstring). Raises InconsistentImagesError
-    when the replay finds the images do not define a homomorphism (the
-    map fails to factor through the group relations) by more than
-    ``CONSISTENCY_TOL``.
+    Signed permutation images of a named group are decided by its
+    defining relators alone, without enumerating the group, and raise
+    ValueError naming the first relator they fail; dense images and any
+    images of a group built by ``close`` are replayed (``_replay``), on
+    signed codes when they are all signed permutations, else on dense
+    matrices (see the module docstring), and raise
+    InconsistentImagesError when the replay finds the images do not
+    define a homomorphism (the map fails to factor through the group
+    relations) by more than ``CONSISTENCY_TOL``.
     """
     gen_images, perm = _generator_stack(_one_per_generator(group, gen_images), "generator image")
     _check_images(group, perm, gen_images)
@@ -174,21 +172,18 @@ def _extend_dense(group, gen_images):
 
 
 def _check_images(group, gen_arrays, gen_images):
-    """Raise InconsistentImagesError unless the generator images, as
-    (targets, signs) ``gen_arrays`` or else the dense ``gen_images``,
-    define a homomorphism: by ``groups._satisfies_relators`` when they
-    are signed permutations of a named group, and by the replay, which
-    names the failing element, when that test rejects them or the group
-    has no relators (it was built by ``close``). Images the relators
-    reject on a group above ``groups.MAX_ORDER``, whose replay could not
-    enumerate it, raise ValueError naming the relators instead."""
-    if gen_arrays is not None and group.spec is not None:
-        if _satisfies_relators(group, gen_arrays):
-            return
-        if group.order > groups.MAX_ORDER:
-            raise ValueError("generator images are inconsistent: they fail the defining "
-                             f"relators of {group.spec}")
-    _replay(group, _element_steps(gen_arrays, gen_images))
+    """Raise unless the generator images, as (targets, signs)
+    ``gen_arrays`` or else the dense ``gen_images``, define a
+    homomorphism. Signed permutations of a named group are decided by
+    its relators alone (``groups._failing_relator``), with a ValueError
+    naming the first relator they fail; any other images, and any of a
+    group with no relators (it was built by ``close``), by the replay,
+    whose InconsistentImagesError names the failing element."""
+    if gen_arrays is None or group.relators is None:
+        _replay(group, _element_steps(gen_arrays, gen_images))
+    elif (relator := _failing_relator(group, gen_arrays)) is not None:
+        raise ValueError("generator images are inconsistent: they fail the defining relator "
+                         f"{relator} of {group.spec}")
 
 
 def _replay(group, steps):
@@ -305,8 +300,8 @@ def permutation_rep(group, perms, spec=None):
     """Representation from one coordinate permutation per generator, built
     straight into index arrays; since the user supplies them, they are
     validated with ``extend``'s messages and checked as ``extend`` checks:
-    against a named group's relators, and by the replay when those reject
-    them or the group was built by ``close``. ``spec`` is the maps'
+    by a named group's relators alone, and by the replay when the group
+    was built by ``close``. ``spec`` is the maps'
     canonical ``perm:`` spec, written from them when not given."""
     maps = _one_per_generator(group, [_permutation(p) for p in perms])
     n = len(maps[0])
@@ -388,7 +383,8 @@ def parse_rep_spec(group, text):
     the module docstring), so only its ``perm:`` leaves, whose images the
     user supplies, are checked, each on its own. Errors come
     in spec order, from the first failing term (inner terms first); an
-    inconsistent leaf names its own (element, generator) pair. A spec
+    inconsistent leaf names its own failing relator, or on a group built
+    by ``close`` its own (element, generator) pair. A spec
     nested too deeply for Python's recursion limit to parse or build
     (about a thousand levels) raises ValueError naming the spec, cut
     after 60 characters.
@@ -488,7 +484,7 @@ _LEADING_ZERO = re.compile(r"(?<![0-9])0[0-9]")
 
 def _parse_int(text, pos):
     end = pos
-    while end < len(text) and text[end].isdigit():
+    while end < len(text) and text[end].isdecimal():
         end += 1
     if end == pos:
         raise ValueError(f"expected integer at position {pos} in rep spec {text!r}")
@@ -497,13 +493,13 @@ def _parse_int(text, pos):
 
 def _parse_perm(text, pos):
     """The ``perm:`` leaf from ``pos`` to the first character that is
-    neither a digit (``str.isdigit``) nor ',' or '|', found a run at a
-    time and read by slicing and ``str.split``. Each part's entries go
-    through ``int`` in order, up to its first empty one, which is named
-    by its position. A leaf of ASCII entries without leading zeros is
+    neither a decimal digit (``str.isdecimal``, as ``int`` reads in every
+    script) nor ',' or '|', found a run at a time and read by slicing and
+    ``str.split``. Each part's entries go through ``int`` in order, up to
+    its first empty one, which is named by its position. A leaf of ASCII entries without leading zeros is
     its own canonical spec; any other is written from its integers."""
     start, end = pos, _PERM_RUN.match(text, pos).end()
-    while end < len(text) and text[end].isdigit():  # a digit outside ASCII
+    while end < len(text) and text[end].isdecimal():  # a digit outside ASCII
         end = _PERM_RUN.match(text, end + 1).end()
     perms = []
     for part in text[pos:end].split("|"):

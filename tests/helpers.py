@@ -352,6 +352,29 @@ def cayley_outcome(group, gen_images, tol=CONSISTENCY_TOL):
     return products.tobytes()
 
 
+def first_failing_relator(group, gen_images):
+    """The first of a named group's relators (``group.relators``) that
+    the dense generator images fail, by matmuls of its words, written
+    with gi for image i: a letter g^e as ``gi^e`` (``gi`` for e = 1), a
+    word as its letters joined by spaces, and its power p > 1 as ``w^p``
+    for a one-letter word, else ``(w)^p``. None when the images satisfy
+    every relator. A word applies its letters left to right, so each
+    letter's matrix power (of the transpose, the inverse of a signed
+    permutation, for e < 0) multiplies on the left."""
+    identity = np.eye(gen_images.shape[1])
+    for word, power in group.relators:
+        product = identity
+        for g, e in word:
+            image = gen_images[g] if e > 0 else gen_images[g].T
+            product = np.linalg.matrix_power(image, abs(e)) @ product
+        if np.abs(np.linalg.matrix_power(product, power) - identity).max() > 0.5:
+            text = " ".join(f"g{g}" if e == 1 else f"g{g}^{e}" for g, e in word)
+            if power == 1:
+                return text
+            return f"{text}^{power}" if len(word) == 1 else f"({text})^{power}"
+    return None
+
+
 def _compose(first, then):
     """The signed permutation ``then`` after ``first``, each a (targets,
     signs) pair with e_j -> signs[j] e_{targets[j]}."""
@@ -393,9 +416,8 @@ def class_dim_oracle(rep_in, rep_out):
     image, composed from the rep's ``gen_arrays``; the defining rep's
     checks each representative's cycle type."""
     group = rep_in.group
-    kind, _, size = group.spec.partition(":")
-    assert kind == "symmetric" and rep_out.group is group
-    m = int(size)
+    m = group.dim
+    assert group.spec == f"symmetric:{m}" and rep_out.group is group
     defining = reps.defining_rep(group)
 
     def transpositions(rep):

@@ -220,10 +220,16 @@ REP_SPEC_ERRORS = {
         "rep spec 'tensor:99999999999(defining)' has degree 299999999997: its 2 "
         "generators' data would take 5399999999946 bytes, above the cap "
         "MAX_IMAGE_STACK_BYTES=268435456"),
+    # a rejected leaf names the first defining relator it fails, gi
+    # standing for its i-th map: here c^3 and s^2
     "sum(sign;tensor:3(perm:1,0,2|1,0,2))": (
-        "generator images are inconsistent: element 3 * generator 0 deviates by 1.000e+00"),
+        "generator images are inconsistent: they fail the defining relator g1^3 of symmetric:3"),
     "sum(perm:1,2,0|0,1,2;perm:1,0,2|1,0,2)": (
-        "generator images are inconsistent: element 1 * generator 0 deviates by 1.000e+00"),
+        "generator images are inconsistent: they fail the defining relator g0^2 of symmetric:3"),
+    # a digit that is not a decimal one, which int refuses, ends a number
+    "tensor:\u00b2(defining)": (
+        "expected integer at position 7 in rep spec 'tensor:\u00b2(defining)'"),
+    "perm:1,0,2\u00b2|0,1,2": "trailing characters in rep spec 'perm:1,0,2\u00b2|0,1,2'",
 }
 
 
@@ -613,6 +619,18 @@ def test_check_refuses_content_after_the_end_marker(tmp_path, capsys, extra):
     model.write_text(model.read_text() + extra)
     code, out, err = run(capsys, "check", "--model", str(model))
     assert (code, out, err) == (2, "", f"error: line {end + 1}: content after the end marker\n")
+
+
+@pytest.mark.parametrize("number", ["7", "0", "2"])
+def test_check_refuses_a_layer_numbered_out_of_place(tmp_path, capsys, number):
+    # line 8 numbers the first layer
+    model = _train_small_model(tmp_path, capsys)
+    lines = model.read_text().splitlines()
+    assert lines[7] == "layer: 1"
+    lines[7] = f"layer: {number}"
+    model.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "check", "--model", str(model))
+    assert (code, out, err) == (2, "", f"error: line 8: expected layer 1, got {number}\n")
 
 
 # --- malformed model files: truncation and bad counts -----------------------
@@ -1094,8 +1112,8 @@ def test_check_above_the_enumeration_cap(tmp_path, capsys, monkeypatch):
 
 
 def test_basis_wrong_perm_leaf_above_the_enumeration_cap_exits_2(tmp_path, capsys, monkeypatch):
-    # a -> identity, b -> swap fails q a q^-1 b; the group is too large to
-    # replay, so the message names the relators, not an element
+    # a -> identity, b -> swap fails q a q^-1 b, and the message names
+    # that relator, as it does at every size: the relators alone decide
     monkeypatch.setattr(groups, "_bfs", _no_enumeration)
     cfg = tmp_path / "wrong_leaf.cfg"
     cfg.write_text("[model]\ngroup = p4m:64\n\n[reps]\n0 = defining\n"
@@ -1103,11 +1121,35 @@ def test_basis_wrong_perm_leaf_above_the_enumeration_cap_exits_2(tmp_path, capsy
     code, out, err = run(capsys, "basis", "--config", str(cfg))
     assert (code, out) == (2, "")
     assert err == ("error: reps: generator images are inconsistent: they fail the defining "
-                   "relators of p4m:64\n")
+                   "relator g2 g0 g2^-1 g1 of p4m:64\n")
     cfg.write_text("[model]\ngroup = p4m:64\n\n[reps]\n0 = defining\n"
                    f"1 = {P4M64_PARITY}\n")
     code, out, err = run(capsys, "basis", "--config", str(cfg))
     assert (code, err) == (0, "") and out.endswith("intertwiner dim 2\n")
+
+
+@pytest.mark.parametrize("spec, relator", [("p4m:50", "g2 g0 g2^-1 g1"),
+                                            ("cyclic:20000", "g0^20000")])
+def test_basis_wrong_perm_leaf_at_the_enumeration_cap_names_its_relator(tmp_path, capsys,
+                                                                        monkeypatch, spec,
+                                                                        relator):
+    # at the cap, a wrong leaf is decided as above it: p4m:50's own maps
+    # with b's replaced by a's, and a 3-cycle of cyclic:20000, whose
+    # elements' codes would pass the enumeration cap but not the bytes cap
+    monkeypatch.setattr(groups, "_bfs", _no_enumeration)
+    maps = groups.group_from_spec(spec).gen_arrays[0].copy()
+    if spec == "p4m:50":
+        maps[1] = maps[0]
+    else:
+        maps[0] = np.arange(20000)
+        maps[0, :3] = [1, 2, 0]
+    leaf = "perm:" + "|".join(",".join(map(str, m)) for m in maps.tolist())
+    cfg = tmp_path / "wrong_leaf.cfg"
+    cfg.write_text(f"[model]\ngroup = {spec}\n\n[reps]\n0 = {leaf}\n1 = trivial:1\n")
+    code, out, err = run(capsys, "basis", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == ("error: reps: generator images are inconsistent: they fail the defining "
+                   f"relator {relator} of {spec}\n")
 
 
 def test_a_closed_stdout_pipe_exits_141_quietly(tmp_path):

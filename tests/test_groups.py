@@ -246,7 +246,8 @@ def test_named_group_refuses_oversized_generator_maps(kind, size, count, monkeyp
     big = size + 1
     big_degree = big if kind == "cyclic" else big * big
     assert count * big_degree * 9 > groups.MAX_IMAGE_STACK_BYTES
-    monkeypatch.setattr(groups, "_grid_permutations", _must_not_build)
+    definition = groups._KINDS[kind]  # its degree, order and count, but no build
+    monkeypatch.setitem(groups._KINDS, kind, lambda n: definition(n)[:3] + (_must_not_build,))
     monkeypatch.setattr(groups, "FiniteGroup", _must_not_build)
     tracemalloc.start()
     try:
@@ -437,7 +438,7 @@ def _no_dense_stack(*args):
 def test_named_group_closes_from_its_index_maps(monkeypatch):
     # no dense stack is built or read back; generators is scattered on
     # first read, bitwise the permutation matrices of the index maps
-    want = permutation_matrix(groups._grid_permutations(3, "p4m"))
+    want = permutation_matrix(np.array(_pointwise_maps("p4m", 3)))
     monkeypatch.setattr(groups, "signed_permutations", _no_dense_stack)
     monkeypatch.setattr(numerics, "signed_permutations", _no_dense_stack)
     group = named_group("p4m", 3)
@@ -526,15 +527,15 @@ def test_closed_form_order_and_generator_ids_are_the_bfs(spec, monkeypatch):
     assert runs == [spec]  # forced twice and more, enumerated once
     # the order a closure finds with no closed form to meet, and the
     # group's own generators satisfy its defining relators
-    assert close(list(group.generators)).order == order
-    assert groups._satisfies_relators(group, group.gen_arrays)
+    copy = close(list(group.generators))
+    assert (copy.order, copy.relators) == (order, None)
+    assert groups._failing_relator(group, group.gen_arrays) is None
 
 
 @pytest.mark.parametrize("wrong", [-1, 1])
-def test_an_enumeration_off_the_closed_form_order_raises(wrong, monkeypatch):
-    real = groups._named_order
-    monkeypatch.setattr(groups, "_named_order", lambda *args: real(*args) + wrong)
+def test_an_enumeration_off_the_closed_form_order_raises(wrong):
     group = named_group("p4m", 3)
+    group.order += wrong  # a closed form off by one
     # 72 elements: short of a closed form of 73, or past a cap of 71
     with pytest.raises(ClosureError, match="enumerates 72 elements|not closed within 71 "):
         group.cayley

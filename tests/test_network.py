@@ -12,7 +12,7 @@ from helpers import (
     set_first_declared_weight,
 )
 
-from equikit import activations, intertwiners, network
+from equikit import activations, groups, intertwiners, network
 from equikit.activations import (
     ActivationSpec,
     apply_pointwise,
@@ -750,7 +750,7 @@ def test_check_reports_its_coverage(s7_defining):
 
 def test_check_refuses_trials_beyond_the_stack_cap(monkeypatch):
     rep = defining_rep(named_group("cyclic", 4))
-    monkeypatch.setattr(network, "MAX_IMAGE_STACK_BYTES", 5 * 4 * 8)
+    monkeypatch.setattr(groups, "MAX_IMAGE_STACK_BYTES", 5 * 4 * 8)
     assert check_map_equivariance(lambda x: x, rep, rep, trials=5).passed
     calls = []
     with pytest.raises(ValueError, match="6 trials of degree 4 would take 192 bytes"):

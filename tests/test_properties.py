@@ -25,6 +25,7 @@ import pytest
 from helpers import (
     cayley_outcome,
     class_dim_oracle,
+    first_failing_relator,
     orbit_nullspace,
     permutation_matrix,
     reference_check,
@@ -469,24 +470,43 @@ def generator_image_arrays(draw, group):
     return relabelled, signs
 
 
+def _built(group, targets, signs):
+    """The images' bytes when the public constructor for them
+    (``permutation_rep`` when every sign is +1, else ``extend``) accepts
+    them, else what it raises: the replay's (element, generator,
+    residual), or the relator message."""
+    images = signed_permutation_matrices(targets, signs)
+    try:
+        return (reps.permutation_rep(group, targets.tolist()) if (signs == 1).all()
+                else extend(group, images)).images.tobytes()
+    except InconsistentImagesError as err:
+        return "inconsistent", err.element, err.generator, err.residual
+    except ValueError as err:
+        return str(err)
+
+
 def assert_homomorphism_test_is_the_replay(group, targets, signs):
-    """``groups._satisfies_relators`` agrees with the replay, and the
-    public constructor for the images (``permutation_rep`` when every
-    sign is +1, else ``extend``) raises what the plain cayley-table loop
-    finds."""
+    """The relators of a named group accept exactly the images that the
+    replay does, and ``groups._failing_relator`` names the relator that
+    ``first_failing_relator`` finds first by dense matmul. The public
+    constructor builds what the plain cayley-table loop does, or raises
+    naming that relator; on a ``close``-built copy of the group, which
+    has no relators, it raises what the loop finds."""
     try:
         reps._replay(group, groups._element_steps((targets, signs)))
         consistent = True
     except InconsistentImagesError:
         consistent = False
-    assert groups._satisfies_relators(group, (targets, signs)) == consistent
     images = signed_permutation_matrices(targets, signs)
-    try:
-        built = (reps.permutation_rep(group, targets.tolist()) if (signs == 1).all()
-                 else extend(group, images)).images.tobytes()
-    except InconsistentImagesError as err:
-        built = "inconsistent", err.element, err.generator, err.residual
-    assert built == cayley_outcome(group, images)
+    relator = first_failing_relator(group, images)
+    assert (relator is None) == consistent
+    assert groups._failing_relator(group, (targets, signs)) == relator
+    outcome = cayley_outcome(group, images)
+    assert _built(group, targets, signs) == (
+        outcome if consistent else
+        f"generator images are inconsistent: they fail the defining relator {relator} "
+        f"of {group.spec}")
+    assert _built(close(list(group.generators)), targets, signs) == outcome
 
 
 @pytest.mark.parametrize("group_spec", HOMOMORPHISM_GROUPS)
@@ -495,6 +515,35 @@ def assert_homomorphism_test_is_the_replay(group, targets, signs):
 def test_homomorphism_test_is_the_replay(group_spec, data):
     group = named(group_spec)
     assert_homomorphism_test_is_the_replay(group, *data.draw(generator_image_arrays(group)))
+
+
+def _enumerated(*args, **kwargs):
+    raise AssertionError("a named group's images were checked by enumerating it")
+
+
+@pytest.mark.parametrize("group_spec", HOMOMORPHISM_GROUPS)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_named_group_verdicts_enumerate_nothing(group_spec, data):
+    # with the BFS and the replay made to raise, the public constructors
+    # still accept the images the relators accept (by dense matmul) and
+    # reject the others naming the first relator they fail
+    group = named(group_spec)
+    targets, signs = data.draw(generator_image_arrays(group))
+    relator = first_failing_relator(group, signed_permutation_matrices(targets, signs))
+    with mock.patch.object(groups, "_bfs", _enumerated), \
+            mock.patch.object(reps, "_replay", _enumerated):
+        try:
+            rep = (reps.permutation_rep(group, targets.tolist()) if (signs == 1).all()
+                   else extend(group, signed_permutation_matrices(targets, signs)))
+        except ValueError as err:
+            assert relator is not None
+            assert str(err) == ("generator images are inconsistent: they fail the defining "
+                                f"relator {relator} of {group_spec}")
+        else:
+            assert relator is None
+            assert rep.gen_arrays[0].tolist() == targets.tolist()
+            assert rep.gen_arrays[1].tolist() == signs.tolist()
 
 
 # every kind at sizes 1-4 into S_3, and S_4 and S_5 into S_4
@@ -518,7 +567,7 @@ def test_relators_decide_every_generator_tuple_as_the_replay(group_spec, degree)
     accepted = 0
     for images in itertools.product(range(len(pairs)), repeat=group.gen_count):
         images = list(images)
-        verdict = groups._satisfies_relators(group, (targets[images], signs[images]))
+        verdict = groups._failing_relator(group, (targets[images], signs[images])) is None
         assert verdict == isinstance(cayley_outcome(group, matrices[images]), bytes), images
         accepted += verdict
     assert 0 < accepted < len(pairs) ** group.gen_count

@@ -2,7 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import element_index, permutation_matrix, spec_images, stacked_fixed_subspace, words
+from helpers import (
+    element_index,
+    first_failing_relator,
+    permutation_matrix,
+    spec_images,
+    stacked_fixed_subspace,
+    words,
+)
 
 from equikit import groups, numerics, reps
 from equikit.groups import close, group_from_spec, named_group
@@ -26,6 +33,12 @@ from equikit.reps import (
 @pytest.fixture(scope="module")
 def s3():
     return named_group("symmetric", 3)
+
+
+@pytest.fixture(scope="module")
+def s3_copy(s3):
+    """symmetric:3 built by ``close``: no relators, so its images replay."""
+    return close(list(s3.generators))
 
 
 @pytest.fixture(scope="module")
@@ -90,11 +103,17 @@ def test_sign_images_on_transposition_generators():
         assert abs(rep.images[i][0, 0] - np.linalg.det(elements[i])) < 1e-12
 
 
-def test_extend_rejects_inconsistent_images(s3):
+def test_extend_rejects_inconsistent_images(s3, s3_copy):
     # sending both the swap and the 3-cycle generator to -1 cannot factor
-    # through the group: the cycle has order 3 but (-1)^3 != 1
+    # through the group: the cycle has order 3 but (-1)^3 != 1. The named
+    # group's relators say which fails; the replay on a close-built copy
+    # names the residual
+    images = [np.array([[-1.0]]), np.array([[-1.0]])]
+    with pytest.raises(ValueError, match=r"^generator images are inconsistent: they fail the "
+                                         r"defining relator g1\^3 of symmetric:3$"):
+        extend(s3, images)
     with pytest.raises(InconsistentImagesError) as info:
-        extend(s3, [np.array([[-1.0]]), np.array([[-1.0]])])
+        extend(s3_copy, images)
     assert info.value.residual > 0.5
 
 
@@ -379,11 +398,21 @@ INCONSISTENT = {
 
 @pytest.mark.parametrize("case", sorted(INCONSISTENT))
 def test_inconsistent_images_report_the_dense_residual(case):
+    # a close-built copy of the group replays the images, and names the
+    # dense replay's pair and residual; the named group rejects them by
+    # the first relator that the dense matmul of its words finds
     group_spec, images, residual = INCONSISTENT[case]
-    group = group_from_spec(group_spec)
+    named = group_from_spec(group_spec)
+    group = close(list(named.generators))
     fast = _outcome(lambda: extend(group, images).images)
     assert fast == _outcome(lambda: reps._extend_dense(group, np.stack(images)))
     assert fast[2] == residual
+    relator = first_failing_relator(named, np.stack(images))
+    with pytest.raises(ValueError) as info:
+        extend(named, images)
+    assert type(info.value) is ValueError and relator is not None
+    assert str(info.value) == ("generator images are inconsistent: they fail the defining "
+                               f"relator {relator} of {group_spec}")
 
 
 def test_dense_extension_keeps_two_image_sized_temporaries():
@@ -461,9 +490,10 @@ def _no_dense_stack(*args):
     raise AssertionError("a perm: leaf built or read a dense stack")
 
 
-def test_perm_leaves_build_no_dense_stack(s3, monkeypatch):
-    # a perm: leaf is checked, and replayed when rejected, on its index
-    # maps alone, with the messages of the dense validator
+def test_perm_leaves_build_no_dense_stack(s3, s3_copy, monkeypatch):
+    # a perm: leaf is checked on its index maps alone, by the relators of
+    # a named group or the replay of a close-built one, with the messages
+    # of the dense validator
     for module in (groups, numerics, reps):
         for name in ("signed_permutation_matrices", "_generator_stack", "signed_permutations"):
             if hasattr(module, name):
@@ -478,15 +508,17 @@ def test_perm_leaves_build_no_dense_stack(s3, monkeypatch):
     ]:
         with pytest.raises(ValueError, match=message):
             parse_rep_spec(s3, spec)
-    with pytest.raises(InconsistentImagesError):
+    with pytest.raises(ValueError, match=r"they fail the defining relator g0\^2 of symmetric:3$"):
         parse_rep_spec(s3, "perm:1,2,0|0,1,2")
+    with pytest.raises(InconsistentImagesError):
+        parse_rep_spec(s3_copy, "perm:1,2,0|0,1,2")
 
 
 def _scanned_perm_leaf(text, pos):
     """A perm: leaf read one character at a time: the oracle for the
     sliced ``reps._parse_perm``. Returns (perms, end) or the error text."""
     end = pos
-    while end < len(text) and (text[end].isdigit() or text[end] in ",|"):
+    while end < len(text) and (text[end].isdecimal() or text[end] in ",|"):
         end += 1
     perms = []
     try:
@@ -506,8 +538,8 @@ def _scanned_perm_leaf(text, pos):
 
 def test_perm_leaf_slicing_matches_the_character_scan():
     # the same leaves, ends and messages on seeded strings over digits
-    # (ASCII, Arabic-Indic and a superscript that int refuses), the
-    # separators and characters that end a leaf
+    # (ASCII and Arabic-Indic), the separators and characters that end a
+    # leaf, a superscript two among them: a digit, but not a decimal one
     rng = np.random.default_rng(26)
     alphabet = list("0123456789,,,|||;)x") + ["\u0663", "\u00b2"]
     for _ in range(3000):
@@ -631,13 +663,13 @@ def test_sum_of_a_hand_built_dense_part_walks_its_generators(build):
 # --- nested specs check only their perm: leaves, once ---------------------
 
 def _record_checks(monkeypatch):
-    """The degrees of the images ``_satisfies_relators`` checks and of
+    """The degrees of the images ``_failing_relator`` checks and of
     those ``_replay`` replays, and the specs ``extend`` and
     ``permutation_rep`` build."""
     checked, replayed, extended = [], [], []
-    real_check, real_replay = reps._satisfies_relators, reps._replay
+    real_check, real_replay = reps._failing_relator, reps._replay
     real_extend, real_perm = reps.extend, reps.permutation_rep
-    monkeypatch.setattr(reps, "_satisfies_relators", lambda group, arrays:
+    monkeypatch.setattr(reps, "_failing_relator", lambda group, arrays:
                         checked.append(arrays[0].shape[1]) or real_check(group, arrays))
     monkeypatch.setattr(reps, "_replay", lambda group, steps:
                         replayed.append(len(steps[0])) or real_replay(group, steps))
@@ -648,29 +680,32 @@ def _record_checks(monkeypatch):
     return checked, replayed, extended
 
 
-def test_nested_spec_replays_only_its_perm_leaves_once(s3, monkeypatch):
+def test_nested_spec_replays_only_its_perm_leaves_once(s3, s3_copy, monkeypatch):
     # a spec on a signed group is composed: only its perm: leaves are
-    # checked against the group's relators (recorded by their degree),
-    # each once, alone, and only a leaf the relators reject is replayed,
-    # for its error
+    # checked (recorded by their degree), each once, alone: against a
+    # named group's relators, which decide even the leaf they reject, or
+    # by the replay on a close-built copy of the group, which has none
     checked, replayed, extended = _record_checks(monkeypatch)
     for spec, leaves, rejected in [
-        ("tensor:3(sum(perm:1,0,2|1,2,0;sign))", [3], []),
-        ("sum(perm:1,0,2|1,2,0;tensor:2(perm:1,0|0,1))", [3, 2], []),
-        ("tensor:3(sum(defining;sign;trivial:2))", [], []),
-        ("sum(perm:1,0,2|1,2,0;tensor:2(perm:1,0|1,0))", [3, 2], [2]),
+        ("tensor:3(sum(perm:1,0,2|1,2,0;sign))", [3], False),
+        ("sum(perm:1,0,2|1,2,0;tensor:2(perm:1,0|0,1))", [3, 2], False),
+        ("tensor:3(sum(defining;sign;trivial:2))", [], False),
+        ("sum(perm:1,0,2|1,2,0;tensor:2(perm:1,0|1,0))", [3, 2], True),
     ]:
-        if rejected:
-            with pytest.raises(InconsistentImagesError):
-                parse_rep_spec(s3, spec)
-        else:
-            assert parse_rep_spec(s3, spec).spec == spec
-        assert (checked, replayed) == (leaves, rejected)
-        assert len(extended) == len(leaves)
-        assert all(leaf.startswith("perm:") for leaf in extended)
-        checked.clear()
-        replayed.clear()
-        extended.clear()
+        for group, by_relators, by_replay, error in [
+                (s3, leaves, [], ValueError), (s3_copy, [], leaves, InconsistentImagesError)]:
+            if rejected:
+                with pytest.raises(error) as info:
+                    parse_rep_spec(group, spec)
+                assert type(info.value) is error
+            else:
+                assert parse_rep_spec(group, spec).spec == spec
+            assert (checked, replayed) == (by_relators, by_replay)
+            assert len(extended) == len(leaves)
+            assert all(leaf.startswith("perm:") for leaf in extended)
+            checked.clear()
+            replayed.clear()
+            extended.clear()
 
 
 def test_constructors_replay_nothing(monkeypatch):
@@ -702,24 +737,35 @@ BAD_B = "perm:1,2,0|0,1,2"
 
 
 def _error(group, spec):
-    with pytest.raises(InconsistentImagesError) as info:
+    """What parsing ``spec`` raises: the replay's (element, generator,
+    residual) on a close-built group, else the relators' message."""
+    with pytest.raises(ValueError) as info:
         parse_rep_spec(group, spec)
-    return info.value.element, info.value.generator, info.value.residual
+    err = info.value
+    if isinstance(err, InconsistentImagesError):
+        return err.element, err.generator, err.residual
+    return str(err)
 
 
 @pytest.mark.parametrize("nested", ["sum(BAD;defining)", "tensor:2(BAD)",
                                     "sum(sign;tensor:3(BAD))"])
-def test_nested_inconsistent_part_reports_its_own_pair(s3, nested):
-    assert _error(s3, nested.replace("BAD", BAD_A)) == _error(s3, BAD_A)
+def test_nested_inconsistent_part_reports_its_own_pair(s3, s3_copy, nested):
+    for group in (s3, s3_copy):
+        assert _error(group, nested.replace("BAD", BAD_A)) == _error(group, BAD_A)
 
 
-def test_two_inconsistent_parts_report_the_first_parts_pair(s3):
-    # each part alone fails at generator 0, at elements 3 and 1; the parts
-    # are built and checked in spec order, so the first one's pair is named
-    assert _error(s3, BAD_A) == (3, 0, 1.0)
-    assert _error(s3, BAD_B) == (1, 0, 1.0)
-    assert _error(s3, f"sum({BAD_A};{BAD_B})") == (3, 0, 1.0)
-    assert _error(s3, f"sum({BAD_B};{BAD_A})") == (1, 0, 1.0)
+def test_two_inconsistent_parts_report_the_first_parts_pair(s3, s3_copy):
+    # each part alone fails at generator 0, at elements 3 and 1 of the
+    # close-built copy, and fails c^3 and s^2 of the named group; the
+    # parts are built and checked in spec order, so the first one's
+    # error is raised
+    failing = "generator images are inconsistent: they fail the defining relator {} of symmetric:3"
+    for group, error_a, error_b in [(s3_copy, (3, 0, 1.0), (1, 0, 1.0)),
+                                    (s3, failing.format("g1^3"), failing.format("g0^2"))]:
+        assert _error(group, BAD_A) == error_a
+        assert _error(group, BAD_B) == error_b
+        assert _error(group, f"sum({BAD_A};{BAD_B})") == error_a
+        assert _error(group, f"sum({BAD_B};{BAD_A})") == error_b
 
 
 # --- oversized specs are refused before any image is built ------------------
@@ -761,15 +807,18 @@ def test_walk_refuses_element_data_above_the_cap(monkeypatch):
 
 
 def test_relator_rejected_leaf_above_the_enumeration_cap_names_the_relators(monkeypatch):
-    # at the cap the replay names the failing element, as it always has;
-    # above it the group cannot be enumerated, and the message names the
-    # relators the leaf's maps fail
+    # s -> identity and c -> (0 1) fail (s c)^3. The relators decide the
+    # leaf at every size, neither enumerating nor replaying: at the cap
+    # and above it, the message names that relator, the first that the
+    # dense matmul of the words finds
     leaf = "perm:0,1,2,3|1,0,2,3"
-    expected = _error(named_group("symmetric", 4), leaf)
-    monkeypatch.setattr(groups, "MAX_ORDER", 24)
-    assert _error(named_group("symmetric", 4), leaf) == expected
-    monkeypatch.setattr(groups, "MAX_ORDER", 23)
+    assert first_failing_relator(named_group("symmetric", 4),
+                                 permutation_matrix(np.array([[0, 1, 2, 3], [1, 0, 2, 3]]))
+                                 ) == "(g0 g1)^3"
     monkeypatch.setattr(groups, "_bfs", lambda *args: pytest.fail("enumerated"))
-    with pytest.raises(ValueError, match=r"^generator images are inconsistent: they fail the "
-                                         r"defining relators of symmetric:4$"):
-        parse_rep_spec(named_group("symmetric", 4), leaf)
+    monkeypatch.setattr(reps, "_replay", lambda *args: pytest.fail("replayed"))
+    for cap in (24, 23):
+        monkeypatch.setattr(groups, "MAX_ORDER", cap)
+        assert _error(named_group("symmetric", 4), leaf) == (
+            "generator images are inconsistent: they fail the defining relator (g0 g1)^3 of "
+            "symmetric:4")
