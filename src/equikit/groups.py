@@ -546,12 +546,20 @@ def _check_fits(what, count, item_bytes):
 
 
 def group_from_spec(spec):
-    """Parse a ``kind:size`` spec string, e.g. ``symmetric:4``."""
+    """Parse a ``kind:size`` spec string, e.g. ``symmetric:4``. Kind and
+    size are stripped, and the size is read as a rep spec's integers are:
+    decimal digits only (``str.isdecimal``), and a run with more digits
+    than ``int`` reads raises ValueError naming its position."""
     kind, sep, size = spec.partition(":")
     if not sep:
         raise ValueError(f"group spec {spec!r} must look like 'kind:size'")
+    digits = size.strip()
+    if not digits.isdecimal():
+        raise ValueError(f"group spec {spec!r} has non-integer size")
     try:
-        n = int(size)
-    except ValueError:
-        raise ValueError(f"group spec {spec!r} has non-integer size") from None
+        n = int(digits)
+    except ValueError:  # int refuses a decimal run only for its length
+        raise ValueError(f"integer at position {spec.index(digits, len(kind))} in group spec "
+                         f"{spec[:60] + '...'!r} has {len(digits)} digits, too many to read"
+                         ) from None
     return named_group(kind.strip(), n)

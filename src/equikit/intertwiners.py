@@ -15,13 +15,17 @@ one shared weight per orbit. A plain union-find over signed pair points
 (each pair twice, once per sign, when a sign is -1) finds the orbits
 (see ``_orbits``), without building the constraint stack or a dense
 image, and the basis keeps them in orbit form: each entry's basis
-element and value. Realizing coefficients is then a gather, and the
-dense basis is scattered from the orbits only when read (``basis
---print``, the training step's ``rows``); it is bit for bit the dense
-path's. Every other pair goes through the dense
+element and value. Every other pair goes through the dense
 elimination in ``numerics.nullspace`` at its default pivot threshold,
-which is also the test oracle for the orbit path. ``fixed_subspace`` is
-the solve from the trivial rep.
+which is also the test oracle for the orbit path.
+
+Both paths give one form, per-entry terms (``IntertwinerBasis.terms``):
+an orbit-form entry has one term, and a dense-path entry one per basis
+element. Realizing coefficients is a gather over the terms, and its
+adjoint, the projection that training runs, one ``np.bincount``. The
+dense basis is scattered from the terms only when read (``basis
+--print``); for the orbit path it is bit for bit the dense path's.
+``fixed_subspace`` is the solve from the trivial rep.
 
 The solve reads the generators only. The character oracle reads every
 element: the (targets, signs) index arrays of a signed permutation
@@ -35,61 +39,64 @@ from .reps import parse_rep_spec
 
 
 class IntertwinerBasis:
-    """Frobenius-orthonormal basis of an intertwiner space.
+    """Frobenius-orthonormal basis of an intertwiner space, kept as
+    per-entry terms.
+
+    ``terms`` is ``(ids, values)``, two (n_out * n_in, k) arrays over the
+    entries of a map in row-major order: entry p of ``realize(c)`` is
+    sum_t c[ids[p, t]] * values[p, t], and an id equal to ``dim`` reads an
+    appended 0.0. A basis solved on the orbit path has k = 1: each entry's
+    basis element (``dim`` in a zeroed orbit) and its value there (0 in a
+    zeroed orbit). One from the dense path has k = dim: ``ids`` is a
+    broadcast ``arange(dim)``, which takes no memory, and ``values`` the
+    (n_out * n_in, dim) nullspace. ``project`` is the adjoint of
+    ``realize``.
 
     ``basis`` has shape (dim, n_out, n_in); each slice B satisfies
-    B @ rho_in(g) = rho_out(g) @ B for every group element. ``rows`` is
-    its (dim, n_out * n_in) view: projecting a matrix onto the basis is
-    one matrix-vector product on it.
-
-    A basis solved on the orbit path is kept in orbit form, ``orbits``:
-    two flat arrays over the n_out * n_in entries of a map, in row-major
-    order, ``ids`` (each entry's basis element, -1 in a zeroed orbit)
-    and ``values`` (its value in that element, 0 in a zeroed orbit).
-    Its dense ``basis`` is scattered from them on first read and kept;
-    ``realize`` never reads it. A basis from the dense path keeps its
-    dense array and has ``orbits`` None.
+    B @ rho_in(g) = rho_out(g) @ B for every group element. It is
+    scattered from the terms on first read and kept, in the dense path's
+    memory layout; neither ``realize`` nor ``project`` reads it.
     """
 
-    def __init__(self, rep_in, rep_out, dim, basis=None, orbits=None):
+    def __init__(self, rep_in, rep_out, dim, terms):
         self.rep_in = rep_in
         self.rep_out = rep_out
         self.dim = dim
-        self.orbits = orbits
-        self._basis = basis
+        self.terms = terms
+        self._basis = None
 
     @property
     def basis(self):
         if self._basis is None:
-            self._basis = _dense_basis(*self.orbits, self.dim, self.rep_out.degree,
+            self._basis = _dense_basis(*self.terms, self.dim, self.rep_out.degree,
                                        self.rep_in.degree)
         return self._basis
 
-    @property
-    def rows(self):
-        return self.basis.reshape(self.dim, self.rep_out.degree * self.rep_in.degree)
-
     def realize(self, coeffs):
-        """Linear combination sum_j coeffs[j] * basis[j].
-
-        In orbit form every entry has one term, so the sum is a gather,
-        coeffs[id] * value, with +0.0 in a zeroed orbit and where the
-        term is -0.0: bitwise ``np.dot(coeffs, rows)`` for finite
-        coefficients.
+        """Linear combination sum_j coeffs[j] * basis[j]: a gather, a
+        multiply and a sum over each entry's terms. An orbit-form entry has
+        one term, so its sum is that term, with +0.0 in a zeroed orbit and
+        where the term is -0.0: bitwise ``np.dot`` of the coefficients with
+        the dense basis rows, for finite coefficients.
         """
         coeffs = np.asarray(coeffs, dtype=np.float64)
         if coeffs.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} coefficients, got {coeffs.shape}")
-        shape = (self.rep_out.degree, self.rep_in.degree)
-        if self.orbits is not None:
-            ids, values = self.orbits
-            out = np.append(coeffs, 0.0)[ids]  # id -1 reads the appended 0.0
-            out *= values
-            out += 0.0  # -0.0 becomes +0.0, as in the dot product's sum
-            return out.reshape(shape)
-        if self.dim == 0:
-            return np.zeros(shape)
-        return np.dot(coeffs, self.rows).reshape(shape)
+        ids, values = self.terms
+        # each sum starts from +0.0, so a -0.0 term reads +0.0, as in a dot product
+        out = np.add.reduce(np.concatenate((coeffs, [0.0]))[ids] * values, axis=1, initial=0.0)
+        return out.reshape(self.rep_out.degree, self.rep_in.degree)
+
+    def project(self, a):
+        """The adjoint of ``realize`` at an (n_out, n_in) array ``a``:
+        coefficient j is the sum of a[p] * values[p, t] over the terms
+        with id j, taken in entry order by one ``np.bincount``, so its
+        summation order is fixed by the terms, not by a BLAS kernel. On
+        this orthonormal basis it is the coefficient vector of the
+        Frobenius-orthogonal projection of ``a``."""
+        ids, values = self.terms
+        weights = values * np.asarray(a).reshape(-1, 1)
+        return np.bincount(ids.ravel(), weights.ravel(), minlength=self.dim + 1)[:self.dim]
 
 
 def solve_basis(rep_in, rep_out):
@@ -97,10 +104,10 @@ def solve_basis(rep_in, rep_out):
 
     Stacks, per generator g, the constraint on vec(A) induced by
     A rho_in(g) - rho_out(g) A = 0 (row-major vectorization) and returns
-    the orthonormalized nullspace reshaped to matrices. Two signed
+    the orthonormalized nullspace as dim terms per entry. Two signed
     permutation representations take the orbit path on their
-    ``gen_arrays`` (see the module docstring) and give a basis in orbit
-    form, whose dense view is bitwise the dense path's. A degree-0
+    ``gen_arrays`` (see the module docstring) and give one term per
+    entry, whose dense view is bitwise the dense path's. A degree-0
     representation on either side gives the zero space: ``dim`` 0 and a
     (0, n_out, n_in) ``basis``.
     """
@@ -108,13 +115,14 @@ def solve_basis(rep_in, rep_out):
         raise ValueError("representations must share the same group")
     n_in, n_out = rep_in.degree, rep_out.degree
     if n_in * n_out == 0:  # no unknowns: the zero space, which neither path takes
-        return IntertwinerBasis(rep_in, rep_out, 0, np.zeros((0, n_out, n_in)))
-    if rep_in.gen_arrays is not None and rep_out.gen_arrays is not None:
+        ns = np.zeros((0, 0))
+    elif rep_in.gen_arrays is not None and rep_out.gen_arrays is not None:
         dim, ids, values = _orbits(rep_in.gen_arrays, rep_out.gen_arrays)
-        return IntertwinerBasis(rep_in, rep_out, dim, orbits=(ids, values))
-    ns = nullspace(_constraint_stack(rep_in, rep_out))
+        return IntertwinerBasis(rep_in, rep_out, dim, (ids[:, None], values[:, None]))
+    else:
+        ns = nullspace(_constraint_stack(rep_in, rep_out))
     dim = ns.shape[1]
-    return IntertwinerBasis(rep_in, rep_out, dim, ns.T.reshape(dim, n_out, n_in))
+    return IntertwinerBasis(rep_in, rep_out, dim, (np.broadcast_to(np.arange(dim), ns.shape), ns))
 
 
 def fixed_subspace(rep):
@@ -151,7 +159,7 @@ def _orbits(perm_in, perm_out):
 
     Both signed points of a pair share a component exactly when its
     orbit closes an odd sign cycle; that orbit is zeroed, its pairs get
-    id -1 and value 0. Any other orbit is the component of 2p for its
+    id ``dim`` and value 0. Any other orbit is the component of 2p for its
     largest pair p, and a pair's label there is 2p plus its sign bit.
     Each such orbit is one basis element, numbered in root order, and its
     pairs get value sign / sqrt(|orbit|), positive at the root. Scattered
@@ -164,11 +172,11 @@ def _orbits(perm_in, perm_out):
     labels = _component_maxima(_pair_links(perm_in, perm_out, copies))
     top = labels[::copies]  # each pair's label: its +1 point's
     free = np.flatnonzero(top == np.arange(0, labels.size, copies))
-    column = np.full((size, copies), -1)  # each label's basis element
+    column = np.full((size, copies), free.size)  # each label's basis element
     column[free] = np.arange(free.size)[:, None]
     ids = column.reshape(-1)[top]
     del column
-    counts = np.bincount(ids + 1, minlength=free.size + 1)[1:]
+    counts = np.bincount(ids, minlength=free.size + 1)[:free.size]
     value = np.zeros((size, copies))  # each label's value
     value[free] = np.array([1, -1][:copies]) / np.sqrt(counts)[:, None]
     return free.size, ids, value.reshape(-1)[top]
@@ -216,12 +224,12 @@ def _component_maxima(links):
 
 
 def _dense_basis(ids, values, dim, n_out, n_in):
-    """The (dim, n_out, n_in) basis of an orbit form: ``values`` scattered
-    into zeros at (pair, id), then transposed, in the dense path's memory
-    layout."""
-    ns = np.zeros((ids.size, dim))
-    member = np.flatnonzero(ids >= 0)
-    ns[member, ids[member]] = values[member]
+    """The (dim, n_out, n_in) basis of per-entry terms: each term's value
+    scattered into zeros at (entry, id), for ids below ``dim``, then
+    transposed, in the dense path's memory layout."""
+    ns = np.zeros((ids.shape[0], dim))
+    entry, term = np.nonzero(ids < dim)
+    ns[entry, ids[entry, term]] = values[entry, term]
     return ns.T.reshape(dim, n_out, n_in)
 
 

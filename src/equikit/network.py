@@ -30,15 +30,22 @@ training reads their transposes as C-contiguous views;
 ``stack_forward`` takes and returns (batch, width) rows through
 transposed views.
 
+Every layer is realized and projected through per-entry terms
+(``IntertwinerBasis.terms``). A network keeps each layer's basis in
+``layer_bases``: a hidden layer's is the basis of ``[W | b]`` from
+rho_in + trivial, W's terms with one more beside them in the ones
+column of every output row, the bias's (id ``dim``, value
+``_bias_unit(n_out)``). ``layers()`` realizes each span through it, and
+so does training, which never scatters a dense basis.
+
 Training runs one planned step, ``_Step``, built once per network and
 dataset and shared by ``loss_grad`` and ``train``. The plan copies the
-inputs once under a ones row and gives each hidden layer one more basis
-row, the bias's: ``_bias_unit(n_out)`` in the ones column of every
-output row. So one ``np.dot(c, rows, out=...)`` per span refills
-``[W | b]`` in place, and one projection of ``g @ [x; 1].T`` writes the
-weight and the bias gradient into the span of one flat gradient buffer:
-the products make the bias add and the bias sum. A step so calls no
-``realize``, allocates no batch-sized array and concatenates nothing.
+inputs once under a ones row. A step realizes each layer from its span,
+and one ``project`` of ``g @ [x; 1].T`` (a gather's adjoint, one
+``np.bincount``) writes the weight and the bias gradient into the span
+of one flat gradient buffer: the products make the bias add and the
+bias sum. A step so allocates no batch-sized array and concatenates
+nothing.
 
 A network's stack (``check_stack_equivariance``, behind ``equikit check``)
 is checked at the generators first: by the homomorphism property, a map
@@ -71,9 +78,9 @@ import numpy as np
 
 from .activations import Report, parse_activation
 from .groups import _check_fits, group_from_spec
-from .intertwiners import solve_basis
+from .intertwiners import IntertwinerBasis, solve_basis
 from .numerics import check_tol
-from .reps import is_permutation_rep, parse_rep_chain
+from .reps import direct_sum, is_permutation_rep, parse_rep_chain, trivial_rep
 
 
 class DivergenceError(RuntimeError):
@@ -176,6 +183,9 @@ class EquivariantNetwork:
     Layer i's coefficients are ``coeffs[spans[i]]``: its basis
     coefficients and, for a hidden layer, its bias coefficient last, on
     the unit vector ``_bias_unit(n) * (1, ..., 1)`` of the all-ones line.
+    ``layer_bases[i]`` is the basis they realize: ``weight_bases[i]`` for
+    the last layer, and for a hidden one the basis of ``[W | b]`` over
+    rho_in + trivial, with the bias's term last in each output row.
     """
 
     def __init__(self, group, layer_reps, weight_bases, coeffs, activation):
@@ -183,11 +193,26 @@ class EquivariantNetwork:
         self.layer_reps = list(layer_reps)
         self.weight_bases = list(weight_bases)
         self.activation = activation
-        self.spans, lo = [], 0
+        self.layer_bases, self.spans, lo = [], [], 0
         for i, basis in enumerate(self.weight_bases):
-            hi = lo + basis.dim + (i < self.k - 1)
-            self.spans.append(slice(lo, hi))
-            lo = hi
+            if i < self.k - 1:
+                # [W | b] from rho_in + trivial: W's terms beside the ones
+                # column, whose first term is the bias's, id dim and value
+                # _bias_unit(n_out); a zeroed entry's id moves to dim + 1
+                n_out, n_in, dim = basis.rep_out.degree, basis.rep_in.degree, basis.dim
+                ids, values = (t.reshape(n_out, n_in, -1) for t in basis.terms)
+                k = ids.shape[2]
+                shape = (n_out, n_in + 1, max(k, 1))  # a dense dim-0 W has no terms
+                affine_ids, affine_values = np.full(shape, dim + 1), np.zeros(shape)
+                affine_ids[:, :n_in, :k] = ids + (ids == dim)
+                affine_values[:, :n_in, :k] = values
+                affine_ids[:, n_in, 0], affine_values[:, n_in, 0] = dim, _bias_unit(n_out)
+                terms = (affine_ids.reshape(-1, shape[2]), affine_values.reshape(-1, shape[2]))
+                basis = IntertwinerBasis(direct_sum([basis.rep_in, trivial_rep(group)]),
+                                         basis.rep_out, dim + 1, terms)
+            self.layer_bases.append(basis)
+            self.spans.append(slice(lo, lo + basis.dim))
+            lo += basis.dim
         self.coeffs = np.asarray(coeffs, dtype=np.float64)
         if self.coeffs.shape != (lo,):
             raise ValueError(f"expected {lo} coefficients, got {self.coeffs.shape}")
@@ -201,17 +226,11 @@ class EquivariantNetwork:
         return [r.degree for r in self.layer_reps]
 
     def layers(self):
-        """Realized layers: ``[W | b]`` for a hidden layer and W for the
-        last, with W = sum_j c_j basis_j and b = ``_bias_unit(n) * c_b``
-        in every coordinate."""
-        layers = []
-        for basis, span in zip(self.weight_bases, self.spans):
-            c = self.coeffs[span]
-            w = basis.realize(c[:basis.dim])
-            if c.size > basis.dim:
-                w = np.column_stack((w, np.full(w.shape[0], _bias_unit(w.shape[0]) * c[-1])))
-            layers.append(w)
-        return layers
+        """Realized layers, each by its ``layer_bases`` entry: ``[W | b]``
+        for a hidden layer and W for the last, with W = sum_j c_j basis_j
+        and b = ``_bias_unit(n) * c_b`` in every coordinate."""
+        return [basis.realize(self.coeffs[span])
+                for basis, span in zip(self.layer_bases, self.spans)]
 
     def copy(self):
         return EquivariantNetwork(self.group, self.layer_reps, self.weight_bases,
@@ -283,39 +302,23 @@ def check_learning_rate(learning_rate):
         raise ValueError(f"learning rate must be finite and >= 0, got {learning_rate}")
 
 
-def _affine_rows(basis):
-    """Basis rows of a hidden layer's ``[W | b]``, flattened to
-    (dim + 1, n_out * (n_in + 1)): each basis matrix with a zero bias
-    column, then the hidden bias's row, ``_bias_unit(n_out)`` in the bias
-    column of every output row and zero elsewhere."""
-    dim, n_out, n_in = basis.basis.shape
-    rows = np.zeros((dim + 1, n_out, n_in + 1))
-    rows[:dim, :, :n_in] = basis.basis
-    rows[dim, :, n_in] = _bias_unit(n_out)
-    return rows.reshape(dim + 1, -1)
-
-
 class _Step:
     """One training step of ``net`` on ``data``, planned once and run at
     any coefficient vector in ``net``'s layout (``net.spans``).
 
-    The plan holds each layer's basis rows (``_affine_rows`` for a hidden
-    layer), a layer buffer that ``np.dot(c, rows, out=...)`` refills in
-    place from the layer's span, the layer inputs (``_layer_inputs``,
-    with ``data.inputs.T`` copied in once) and a C-contiguous copy of the
-    first one's transpose, the output and the hidden gradients, and
-    ``grad``: one flat buffer in the coefficient layout whose spans the
-    projections write into. A run realizes no matrix through
-    ``IntertwinerBasis.realize`` and allocates no batch-sized array.
+    The plan holds each layer's basis (``net.layer_bases``, over
+    rho_in + trivial for a hidden layer), the layer inputs
+    (``_layer_inputs``, with ``data.inputs.T`` copied in once) and a
+    C-contiguous copy of the first one's transpose, the output and the
+    hidden gradients, and ``grad``: one flat buffer in the coefficient
+    layout whose spans the projections write into. A run realizes each
+    layer from its span and allocates no batch-sized array.
     """
 
     def __init__(self, net, data):
         self.activation = net.activation
-        self.rows = [_affine_rows(b) for b in net.weight_bases[:-1]]
-        self.rows.append(net.weight_bases[-1].rows)
-        self.layers = [np.empty((n, rows.shape[1] // n))
-                       for n, rows in zip(net.widths[1:], self.rows)]
-        self.ins = _layer_inputs(data.inputs.T, [a.shape[1] for a in self.layers])
+        self.bases = net.layer_bases
+        self.ins = _layer_inputs(data.inputs.T, [b.rep_in.degree for b in self.bases])
         self.targets = data.targets.T
         self.out = np.empty(self.targets.shape)
         self.deltas = [np.empty((n, len(data))) for n in net.widths[1:-1]]
@@ -326,7 +329,6 @@ class _Step:
         self.ins_t = [np.ascontiguousarray(self.ins[0].T)] + [x.T for x in self.ins[1:]]
         self.spans = net.spans
         self.grad = np.empty(net.coeffs.size)
-        self.grads = [self.grad[span] for span in self.spans]
         self.scale = 2.0 / self.out.size
 
     def run(self, coeffs):
@@ -335,22 +337,21 @@ class _Step:
 
         The loss is ``err @ err / size`` and the output gradient
         ``err * (2 / size)``, written over ``err``. Going back, a layer's
-        gradient is the projection of ``g @ x.T`` (``[x; 1]`` for a
-        hidden layer, so its last column is the bias sum) and the step to
-        the layer below is ``g = W.T @ g`` times the activation's slope.
+        gradient is ``project`` of ``g @ x.T`` (``[x; 1]`` for a hidden
+        layer, so its last column is the bias sum) and the step to the
+        layer below is ``g = W.T @ g`` times the activation's slope.
         """
-        for span, rows, a in zip(self.spans, self.rows, self.layers):
-            np.dot(coeffs[span], rows, out=a.reshape(-1))
-        err = _forward(self.layers, self.activation, self.ins, self.out)
+        layers = [b.realize(coeffs[span]) for b, span in zip(self.bases, self.spans)]
+        err = _forward(layers, self.activation, self.ins, self.out)
         err -= self.targets
         flat = err.reshape(-1)
         mse = float(np.dot(flat, flat) / flat.size)
         g = np.multiply(err, self.scale, out=err)
-        for i in range(len(self.layers) - 1, -1, -1):
-            np.dot(self.rows[i], (g @ self.ins_t[i]).reshape(-1), out=self.grads[i])
+        for i in range(len(layers) - 1, -1, -1):
+            self.grad[self.spans[i]] = self.bases[i].project(g @ self.ins_t[i])
             if i:
                 n = self.deltas[i - 1].shape[0]  # W.T without the bias column
-                g = np.matmul(self.layers[i][:, :n].T, g, out=self.deltas[i - 1])
+                g = np.matmul(layers[i][:, :n].T, g, out=self.deltas[i - 1])
                 # layer i - 1's activation is not read again, so it takes its slope
                 h = self.ins[i][:n]
                 g *= self.activation.slope(h, out=h)
@@ -482,20 +483,18 @@ def _certified(layers, layer_reps):
 def _commutes_at_generators(a, rep_in, rep_out):
     """Per generator g, whether ``a @ rho_in(g) == rho_out(g) @ a`` holds
     exactly, for signed permutation reps, read off their ``gen_arrays``.
-    A hidden layer ``a = [W | b]`` maps rho_in plus one fixed coordinate
-    (target n_in, sign +1, the ones row), so its bias column holds iff
-    rho_out fixes b.
+    A hidden layer ``a = [W | b]`` maps rho_in + trivial (``direct_sum``:
+    one more coordinate, the ones row, with target n_in and sign +1), so
+    its bias column holds iff rho_out fixes b.
 
     With rho(g) e_j = s_j e_{t_j}, the two sides agree at (t_out[i], j)
     iff a[t_out[i], t_in[j]] * s_out[i] * s_in[j] == a[i, j]. Sign
     flips are exact, so this is the dense products' equality (each of
     their entries has one nonzero term) at O(n_out * n_in) per generator.
     """
-    (t_in, s_in), (t_out, s_out) = rep_in.gen_arrays, rep_out.gen_arrays
     if a.shape[1] > rep_in.degree:
-        gens = len(t_in)
-        t_in = np.hstack((t_in, np.full((gens, 1), rep_in.degree)))
-        s_in = np.hstack((s_in, np.ones((gens, 1), s_in.dtype)))
+        rep_in = direct_sum([rep_in, trivial_rep(rep_in.group)])
+    (t_in, s_in), (t_out, s_out) = rep_in.gen_arrays, rep_out.gen_arrays
     return np.array([
         np.array_equal(a[t_out[k][:, None], t_in[k]] * (s_out[k][:, None] * s_in[k]), a)
         for k in range(len(t_in))

@@ -483,21 +483,32 @@ _LEADING_ZERO = re.compile(r"(?<![0-9])0[0-9]")
 
 
 def _parse_int(text, pos):
+    """The run of decimal digits (``str.isdecimal``, as ``int`` reads in
+    every script) at ``pos``, read by ``int``, and its end. An empty run,
+    or one with more digits than ``int`` reads (Python's limit on integer
+    string conversion), raises ValueError naming its position; the spec
+    is cut after 60 characters."""
     end = pos
     while end < len(text) and text[end].isdecimal():
         end += 1
     if end == pos:
         raise ValueError(f"expected integer at position {pos} in rep spec {text!r}")
-    return int(text[pos:end]), end
+    try:
+        return int(text[pos:end]), end
+    except ValueError:  # int refuses a decimal run only for its length
+        raise ValueError(f"integer at position {pos} in rep spec {text[:60] + '...'!r} has "
+                         f"{end - pos} digits, too many to read") from None
 
 
 def _parse_perm(text, pos):
     """The ``perm:`` leaf from ``pos`` to the first character that is
     neither a decimal digit (``str.isdecimal``, as ``int`` reads in every
     script) nor ',' or '|', found a run at a time and read by slicing and
-    ``str.split``. Each part's entries go through ``int`` in order, up to
-    its first empty one, which is named by its position. A leaf of ASCII entries without leading zeros is
-    its own canonical spec; any other is written from its integers."""
+    ``str.split``. Each part's entries go through ``int`` at once; when
+    that fails, the part is read again entry by entry with ``_parse_int``,
+    whose message names the first empty or overlong entry by its position.
+    A leaf of ASCII entries without leading zeros is its own canonical
+    spec; any other is written from its integers."""
     start, end = pos, _PERM_RUN.match(text, pos).end()
     while end < len(text) and text[end].isdecimal():  # a digit outside ASCII
         end = _PERM_RUN.match(text, end + 1).end()
@@ -506,11 +517,12 @@ def _parse_perm(text, pos):
         if not part:
             raise ValueError(f"empty permutation in rep spec {text!r}")
         entries = part.split(",")
-        empty = entries.index("") if "" in entries else len(entries)
-        perms.append(list(map(int, entries[:empty])))
-        if empty < len(entries):
-            at = pos + sum(map(len, entries[:empty])) + empty
-            raise ValueError(f"expected integer at position {at} in rep spec {text!r}")
+        try:
+            perms.append(list(map(int, entries)))
+        except ValueError:  # an empty or overlong entry, which _parse_int names
+            for entry in entries:
+                _parse_int(text, pos)
+                pos += len(entry) + 1
         pos += len(part) + 1  # past the part and its '|'
     degree = max(len(p) for p in perms)
     leaf = text[start:end]

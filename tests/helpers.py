@@ -148,8 +148,20 @@ def orbit_nullspace(perm_in, perm_out):
 
 def project(basis, a):
     """Coefficients of the Frobenius-orthogonal projection of ``a`` onto
-    the orthonormal intertwiner basis ``basis``."""
-    return np.dot(basis.rows, np.reshape(a, -1))
+    the orthonormal intertwiner basis ``basis``, by a product with its
+    dense rows."""
+    return np.dot(_affine_rows(basis, False), np.reshape(a, -1))
+
+
+def add_at_project(rows, a):
+    """The adjoint of ``np.dot(c, rows)`` at ``a``: coefficient j sums
+    rows[j, p] * a[p] over the nonzero entries of row j, by ``np.add.at``
+    in entry order (p, then j). The oracle for
+    ``IntertwinerBasis.project``, read off the dense rows only."""
+    entry, element = np.nonzero(rows.T)
+    out = np.zeros(rows.shape[0])
+    np.add.at(out, element, rows.T[entry, element] * np.reshape(a, -1)[entry])
+    return out
 
 
 def row_major_loss_grad(net, data):
@@ -178,9 +190,9 @@ def _affine_rows(basis, biased):
     """The basis rows of a layer's map, flattened: for a biased layer the
     rows of ``[W | b]`` on ``[x; 1]``, each basis matrix beside a zero
     column and then the bias's row, 1/sqrt(n_out) in that column."""
+    dim, n_out, n_in = basis.basis.shape
     if not biased:
-        return basis.rows
-    dim, n_out, _ = basis.basis.shape
+        return basis.basis.reshape(dim, n_out * n_in)
     beside = np.concatenate((basis.basis, np.zeros((dim, n_out, 1))), axis=2)
     bias = np.zeros((1, n_out, beside.shape[2]))
     bias[0, :, -1] = 1.0 / np.sqrt(n_out)
@@ -191,7 +203,8 @@ def _reference_loss_grad(net, rows, data):
     """``EquivariantNetwork.loss_grad`` without a plan: every call realizes
     the layers (``[W | b]`` for a hidden one), stacks a ones row under each
     hidden layer's input with ``np.vstack``, projects each layer's
-    gradient onto ``rows`` and concatenates the parts."""
+    gradient onto ``rows`` (``add_at_project``) and concatenates the
+    parts."""
     k, widths, activation = net.k, net.widths, net.activation
     affine = net.layers()
     ones = np.ones((1, len(data)))
@@ -209,7 +222,7 @@ def _reference_loss_grad(net, rows, data):
     for i in range(k - 1, -1, -1):
         # the first input's transpose in C order, as the planned step keeps it
         x = np.ascontiguousarray(inputs[0].T) if i == 0 else inputs[i].T
-        grads[i] = np.dot(rows[i], (g @ x).reshape(-1))
+        grads[i] = add_at_project(rows[i], g @ x)
         if i:
             h = inputs[i][:widths[i]]
             g = (affine[i][:, :widths[i]].T @ g) * activation.slope(h, out=h)

@@ -230,10 +230,26 @@ REP_SPEC_ERRORS = {
     "tensor:\u00b2(defining)": (
         "expected integer at position 7 in rep spec 'tensor:\u00b2(defining)'"),
     "perm:1,0,2\u00b2|0,1,2": "trailing characters in rep spec 'perm:1,0,2\u00b2|0,1,2'",
+    # an integer longer than int reads is named by its position, and the
+    # spec is cut after 60 characters
+    "trivial:" + "9" * 5000: (
+        f"integer at position 8 in rep spec 'trivial:{'9' * 52}...' has 5000 digits, "
+        "too many to read"),
+    f"tensor:{'9' * 5000}(defining)": (
+        f"integer at position 7 in rep spec 'tensor:{'9' * 53}...' has 5000 digits, "
+        "too many to read"),
+    f"perm:1,0,2|0,{'9' * 5000},2": (
+        f"integer at position 13 in rep spec 'perm:1,0,2|0,{'9' * 47}...' has 5000 digits, "
+        "too many to read"),
 }
 
 
-@pytest.mark.parametrize("spec", sorted(REP_SPEC_ERRORS))
+def _spec_id(spec):
+    """A test id: the spec, or its start and length when it is long."""
+    return spec if len(spec) <= 60 else f"{spec[:20]}...({len(spec)} chars)"
+
+
+@pytest.mark.parametrize("spec", sorted(REP_SPEC_ERRORS), ids=_spec_id)
 def test_basis_bad_rep_spec_exits_2_with_its_message(tmp_path, capsys, spec):
     cfg = tmp_path / "bad_rep.cfg"
     cfg.write_text(f"[model]\ngroup = symmetric:3\n\n[reps]\n0 = {spec}\n1 = defining\n")
@@ -241,6 +257,27 @@ def test_basis_bad_rep_spec_exits_2_with_its_message(tmp_path, capsys, spec):
     assert code == 2
     assert out == ""
     assert err == f"error: reps: {REP_SPEC_ERRORS[spec]}\n"
+
+
+# a group spec's size is read as a rep spec's integers are: decimal digits
+# only, and a run too long for int is named by its position
+GROUP_SPEC_ERRORS = {
+    "cyclic:3_0": "group spec 'cyclic:3_0' has non-integer size",
+    "symmetric:+4": "group spec 'symmetric:+4' has non-integer size",
+    "cyclic:" + "9" * 5000: (
+        f"integer at position 7 in group spec 'cyclic:{'9' * 53}...' has 5000 digits, "
+        "too many to read"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GROUP_SPEC_ERRORS), ids=_spec_id)
+def test_basis_bad_group_size_exits_2_with_its_message(tmp_path, capsys, spec):
+    cfg = tmp_path / "bad_group.cfg"
+    cfg.write_text(f"[model]\ngroup = {spec}\n\n[reps]\n0 = defining\n1 = defining\n")
+    code, out, err = run(capsys, "basis", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {GROUP_SPEC_ERRORS[spec]}\n"
 
 
 def test_basis_accepts_a_zero_width_summand(tmp_path, capsys):

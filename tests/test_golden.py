@@ -29,13 +29,13 @@ BASIS_PRINT_SHA256 = {
 TRAIN_RUNS = {
     "tanh-300": (
         ["--steps", "300"],
-        "3a9f19abb130aa0b6c06b9517dc0182da6a8d291467627300364636f83ada0a3",
-        "56abb026f8e95e3e6f65f8939ffd1bee025d23a9410792dcd8db9fb272df5e23",
+        "f2dbb9c0b78e08fa8afaafe6c38a21f183263838c57ebd8229abbe13a8510d4a",
+        "79fc87ea24be6e6a2e8dcfc35831d2d5e71e16ae68612eb45693d2ad9eae02ce",
     ),
     "relu-200": (
         ["--m", "4", "--seed", "3", "--activation", "relu", "--steps", "200"],
-        "0d670a1d137567f85cae507d2efbdd81793e8cebdabd12f3f6ec45c3323e56e3",
-        "f7e0984910267baeecd4f1b0d1111d3ac971ee6ba3a5c94539750576747e26a5",
+        "c3e8905347dc0961f3b6d8fa49bc0709a88511d7b8f9c86dfc95f00b609f9f17",
+        "1379d10dbc822616e66a1cdc8260023deb406646c877235d41cdbe7d0dd4f142",
     ),
     "threshold-200": (
         ["--activation", "threshold:0.5", "--steps", "200"],
@@ -52,7 +52,7 @@ TRAIN_DEFAULT_SHA256 = {
     "threshold-200": "79275545fc9c34e3b9edf4e1bf34fcd2cf6631a1631bd8dd8922952a525deea0",
 }
 
-CHECK_TANH_300_SHA256 = "cdfe33e416c4c2fe3a9c6db2e1b1339dde9e09bf76d10f90142442d734143743"
+CHECK_TANH_300_SHA256 = "6445392f7744bd301e0706019c5f2a4368c9700583b98f1fc268445b598efbad"
 
 # p4m:4 defining -> trivial:2 -> trivial:1 (tanh, seed 0), built with the
 # library and written with save_model as M; then `--exact check` on M

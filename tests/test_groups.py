@@ -157,6 +157,7 @@ def test_group_from_spec():
         group_from_spec("symmetric")
     with pytest.raises(ValueError):
         group_from_spec("symmetric:x")
+    assert group_from_spec(" cyclic : 4 ").spec == "cyclic:4"  # kind and size are stripped
     with pytest.raises(ValueError):
         group_from_spec("frieze:3")
 

@@ -379,6 +379,25 @@ def test_gradient_matches_finite_differences(activation):
     assert errors and max(errors) < 1e-5
 
 
+def test_gradient_over_a_dense_basis_matches_finite_differences():
+    # C_4 by a quarter-turn block on R^2 (its cos/sin residues keep it off
+    # the signed path) into the permutation rep on 4 points: the first
+    # layer's basis comes from the dense solve, one term per basis element
+    # at every entry, and the planned step trains through those terms
+    g = named_group("cyclic", 4)
+    c, s = np.cos(np.pi / 2), np.sin(np.pi / 2)
+    rotation = extend(g, [np.array([[c, -s], [s, c]])])
+    assert rotation.gen_arrays is None
+    net = build(g, [rotation, defining_rep(g), trivial_rep(g)], TANH, seed=3)
+    _shift_biases(net)
+    dim = net.weight_bases[0].dim
+    assert dim == 2 and net.layer_bases[0].terms[0].shape == (4 * 3, dim)
+    data = random_dataset(net, 30, seed=2)
+    errors, excluded, total = finite_difference_check(net, data, h=1e-5)
+    assert excluded == 0 and total == net.coeffs.size
+    assert max(errors) < 1e-5
+
+
 # --- training --------------------------------------------------------
 
 
@@ -844,7 +863,32 @@ def test_build_save_and_weights_build_no_dense_basis(tmp_path, monkeypatch):
     net = build(g, chain, TANH, seed=2)
     save_model(net, tmp_path / "model.txt")
     assert [a.shape for a in net.layers()] == [(16, 17), (1, 16)]
-    assert all(basis.orbits is not None for basis in net.weight_bases)
+    assert [b.terms[0].shape for b in net.weight_bases] == [(256, 1), (16, 1)]
+
+
+def test_training_plan_holds_no_dense_basis(monkeypatch):
+    # a hidden layer's [W | b] is realized and projected through its
+    # per-entry terms, so building, planning and running a step scatter no
+    # dense basis, and the plan with two runs peaks far below one dense
+    # (dim, n_out, n_in) array (46.6 MiB when the plan kept dense rows)
+    def banned(*args):
+        raise AssertionError("a dense basis was built")
+
+    monkeypatch.setattr(intertwiners, "_dense_basis", banned)
+    g = group_from_spec("p4m:16")
+    chain = [parse_rep_spec(g, spec) for spec in ("defining", "defining", "trivial:1")]
+    net = build(g, chain, TANH, seed=1)
+    data = random_dataset(net, 64, seed=2)
+    tracemalloc.start()
+    try:
+        step = network._Step(net, data)
+        step.run(net.coeffs)
+        step.run(net.coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20 < net.weight_bases[0].dim * 256 * 256 * 8
+    assert np.isfinite(step.grad).all() and step.grad.any()
 
 
 def test_v2_model_rejects_a_non_permutation_hidden_rep_as_build_does(tmp_path):

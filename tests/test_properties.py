@@ -23,6 +23,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from helpers import (
+    _affine_rows,
+    add_at_project,
     cayley_outcome,
     class_dim_oracle,
     first_failing_relator,
@@ -43,6 +45,7 @@ from equikit.intertwiners import hom_dim_oracle, solve_basis
 from equikit.numerics import nullspace, signed_permutation_matrices, signed_permutations
 from equikit.reps import (
     InconsistentImagesError,
+    Representation,
     defining_rep,
     direct_sum,
     extend,
@@ -389,7 +392,9 @@ def spec_chain(group_spec, spec_in, spec_out):
 def test_orbit_form_is_bitwise_the_orbit_oracle(chain, seed):
     # the dense view scattered from the orbit form is the oracle's basis,
     # memory layout included, and realize (a gather) is bitwise the dot
-    # product with its rows, zero and negative-zero coefficients included
+    # product with its rows, zero and negative-zero coefficients included,
+    # with every zero +0.0: a 1 x 1 basis's dot is a bare product, which
+    # keeps -0.0, where every longer sum gives +0.0
     rep_in, rep_out = chain
     basis = solve_basis(rep_in, rep_out)
     shape = (rep_out.degree, rep_in.degree)
@@ -404,7 +409,62 @@ def test_orbit_form_is_bitwise_the_orbit_oracle(chain, seed):
         dense.shape[0], dense.shape, dense.strides)
     assert basis.basis.tobytes() == dense.tobytes()
     for c, got in zip(trials, realized):
-        assert got.tobytes() == np.dot(c, basis.rows).reshape(shape).tobytes()
+        assert got.tobytes() == (np.dot(c, ns.T).reshape(shape) + 0.0).tobytes()
+
+
+def hidden_layer_basis(basis):
+    """The ``[W | b]`` basis a network gives ``basis`` as its hidden layer
+    (``EquivariantNetwork.layer_bases``), ahead of a trivial:1 layer."""
+    rep_out = basis.rep_out
+    last = parse_rep_spec(rep_out.group, "trivial:1")
+    bases = [basis, solve_basis(rep_out, last)]
+    net = network.EquivariantNetwork(rep_out.group, [basis.rep_in, rep_out, last], bases,
+                                     np.zeros(basis.dim + 1 + bases[1].dim), TANH)
+    return net.layer_bases[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(signed_chains(), st.integers(0, 2 ** 32 - 1))
+@example(spec_chain("cyclic:256", "sum(defining;sign)", "sum(defining;sign)"), 0)
+@example(spec_chain("symmetric:5", "tensor:3(sum(defining;sign))", "sign"), 1)
+def test_hidden_layer_fill_is_bitwise_the_affine_rows_product(chain, seed):
+    # a hidden layer's [W | b], realized through its per-entry terms, is
+    # the dot product of its coefficients with the dense affine rows bit
+    # for bit, zeroed orbits and zero and negative-zero coefficients included
+    basis = solve_basis(*chain)
+    affine = hidden_layer_basis(basis)
+    rows = _affine_rows(basis, True)
+    rng = np.random.default_rng(seed)
+    dim = affine.dim
+    for c in [rng.standard_normal(dim), np.where(rng.random(dim) < 0.5, 0.0, -rng.random(dim)),
+              np.full(dim, -0.0)]:
+        got = affine.realize(c)
+        assert got.shape == (basis.rep_out.degree, basis.rep_in.degree + 1)
+        assert got.tobytes() == np.dot(c, rows).reshape(got.shape).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(signed_chains(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example(spec_chain("p4m:3", "defining", "sum(defining;sign)"), True, 0)
+@example(spec_chain("symmetric:4", "sum(defining;sign)", "tensor:2(defining)"), True, 1)
+def test_project_is_the_adjoint_of_realize(chain, dense, seed):
+    # on orbit-form and dense-path bases, and on their hidden-layer
+    # [W | b] forms: <realize(c), a> = <c, project(a)> within rounding,
+    # and project is np.add.at over the dense rows in entry order, bit for bit
+    if dense:  # hand-built reps carry no index arrays, so they take the dense solve
+        assume(chain[0].degree * chain[1].degree <= 256)
+        chain = [Representation(r.group, r.degree, r.gen_images.copy()) for r in chain]
+    basis = solve_basis(*chain)
+    assert basis.terms[0].shape[1] == (basis.dim if dense else 1)
+    rng = np.random.default_rng(seed)
+    for b, rows in [(basis, _affine_rows(basis, False)),
+                    (hidden_layer_basis(basis), _affine_rows(basis, True))]:
+        c = rng.standard_normal(b.dim)
+        a = rng.standard_normal((b.rep_out.degree, b.rep_in.degree))
+        got = b.project(a)
+        assert got.tobytes() == add_at_project(rows, a).tobytes()
+        lhs, rhs = np.vdot(b.realize(c), a), np.dot(c, got)
+        assert abs(lhs - rhs) <= 1e-12 * (1.0 + np.abs(c).sum() * np.abs(a).sum())
 
 
 @pytest.mark.parametrize("group_spec, spec_in, spec_out", [
@@ -415,16 +475,17 @@ def test_orbit_form_is_bitwise_the_orbit_oracle(chain, seed):
     ("p4m:10", "sum(defining;sign)", "sum(defining;sign)"),  # degree 101
 ])
 def test_zeroed_orbits_match_the_orbit_oracle(group_spec, spec_in, spec_out):
-    # chains with odd-sign-cycle orbits: their pairs get id -1 and value 0,
-    # and are zero rows of the oracle
+    # chains with odd-sign-cycle orbits: their pairs get id dim (the
+    # appended 0.0) and value 0, and are zero rows of the oracle
     group = named(group_spec)
     rep_in, rep_out = parse_rep_spec(group, spec_in), parse_rep_spec(group, spec_out)
     basis = solve_basis(rep_in, rep_out)
-    ids, values = basis.orbits
+    ids, values = (t[:, 0] for t in basis.terms)
+    zeroed = ids == basis.dim
     ns = orbit_nullspace(rep_in.gen_arrays, rep_out.gen_arrays)
-    assert (ids < 0).any()
-    assert not values[ids < 0].any()
-    assert np.array_equal(ids < 0, ~ns.any(axis=1))
+    assert zeroed.any()
+    assert not values[zeroed].any()
+    assert np.array_equal(zeroed, ~ns.any(axis=1))
     assert basis.basis.tobytes() == ns.T.tobytes(order="C")
     assert basis.dim == hom_dim_oracle(rep_in, rep_out)
 
